@@ -8,19 +8,22 @@ ascending bulk-node order; surface basis functions are traces of the bulk
 ones, so trace extraction is pure index gathering.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .basis import (
+    TRI_EDGES,
+    TRI_VERTS,
     edge_shape,
     edge_shape_deriv,
     tri_edge_ref_points,
     tri_shape,
     tri_shape_grad,
 )
-from .meshing import batched_geometry
+from .meshing import _cached, _inverse_2x2, batched_geometry
 from .quadrature import default_degree, edge_rule, triangle_rule
 
 BULK = "bulk"
@@ -69,10 +72,6 @@ def zero_function(mesh, space=BULK, arity=1):
 # -- quadrature-point caches ------------------------------------------------
 
 
-def _mesh_cache(mesh):
-    return mesh.__dict__.setdefault("_qcache", {})
-
-
 def bulk_quad_data(mesh, degree=None):
     """Shared per-mesh data at triangle rule points.
 
@@ -81,25 +80,20 @@ def bulk_quad_data(mesh, degree=None):
     """
     if degree is None:
         degree = default_degree(mesh.order)
-    cache = _mesh_cache(mesh)
-    key = ("bulk", degree)
-    if key in cache:
-        return cache[key]
+    return _cached(mesh, ("bulk", degree), lambda: _bulk_quad_data(mesh, degree))
+
+
+def _bulk_quad_data(mesh, degree):
     rule = triangle_rule(degree)
     phi = tri_shape(mesh.order, rule.points)
     dphi = tri_shape_grad(mesh.order, rule.points)
     pts, jac, det = batched_geometry(mesh, rule.points)
     if det.min() <= 0.0:
         raise RuntimeError("nonpositive Jacobian during assembly")
-    inv = np.empty_like(jac)
-    inv[..., 0, 0] = jac[..., 1, 1]
-    inv[..., 1, 1] = jac[..., 0, 0]
-    inv[..., 0, 1] = -jac[..., 0, 1]
-    inv[..., 1, 0] = -jac[..., 1, 0]
-    inv /= det[..., None, None]
+    inv, _ = _inverse_2x2(jac)
     # physical gradient: dphi/dx_x = sum_r dphi/dxi_r * dxi_r/dx_x
     gphys = np.einsum("eqrx,qbr->eqbx", inv, dphi)
-    data = {
+    return {
         "rule": rule,
         "phi": phi,
         "dphi": dphi,
@@ -109,18 +103,16 @@ def bulk_quad_data(mesh, degree=None):
         "invjac": inv,
         "gphys": gphys,
     }
-    cache[key] = data
-    return data
 
 
 def surface_quad_data(mesh, degree=None):
     """Per-boundary-face data at edge rule points: curve points, speed, bases."""
     if degree is None:
         degree = default_degree(mesh.order)
-    cache = _mesh_cache(mesh)
-    key = ("surf", degree)
-    if key in cache:
-        return cache[key]
+    return _cached(mesh, ("surf", degree), lambda: _surface_quad_data(mesh, degree))
+
+
+def _surface_quad_data(mesh, degree):
     rule = edge_rule(degree)
     psi = edge_shape(mesh.order, rule.points)
     dpsi = edge_shape_deriv(mesh.order, rule.points)
@@ -128,9 +120,7 @@ def surface_quad_data(mesh, degree=None):
     pts = np.einsum("qb,fbx->fqx", psi, coords)
     vel = np.einsum("qb,fbx->fqx", dpsi, coords)      # curve velocity
     speed = np.linalg.norm(vel, axis=-1)
-    data = {"rule": rule, "psi": psi, "dpsi": dpsi, "pts": pts, "vel": vel, "speed": speed}
-    cache[key] = data
-    return data
+    return {"rule": rule, "psi": psi, "dpsi": dpsi, "pts": pts, "vel": vel, "speed": speed}
 
 
 # -- Gram matrices ----------------------------------------------------------
@@ -148,15 +138,6 @@ class GramSet:
     interior_ids: np.ndarray
     boundary_ids: np.ndarray
 
-    def surf_index_of(self, bulk_ids):
-        """Surface DOF indices of the given boundary bulk nodes."""
-        lookup = self.__dict__.get("_b2s")
-        if lookup is None:
-            lookup = np.full(self.mesh.n_nodes, -1, dtype=np.int64)
-            lookup[self.boundary_ids] = np.arange(len(self.boundary_ids))
-            self.__dict__["_b2s"] = lookup
-        return lookup[bulk_ids]
-
 
 def _scatter(ne_mats, conn, n):
     nb = conn.shape[1]
@@ -170,10 +151,7 @@ def _scatter(ne_mats, conn, n):
 
 def grams_of(mesh):
     """The default-degree GramSet of a mesh, assembled once and cached."""
-    cache = _mesh_cache(mesh)
-    if "grams" not in cache:
-        cache["grams"] = assemble_grams(mesh)
-    return cache["grams"]
+    return _cached(mesh, "grams", lambda: assemble_grams(mesh))
 
 
 def assemble_grams(mesh, degree=None):
@@ -191,11 +169,8 @@ def assemble_grams(mesh, degree=None):
     # tangential derivative: psi'(t)/|c'(t)|, measure |c'(t)| dt
     Ase = np.einsum("q,qi,qj,fq->fij", ws, dpsi, dpsi, 1.0 / speed)
     bids = mesh.boundary_node_ids
-    lookup = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    lookup[bids] = np.arange(len(bids))
-    sconn = lookup[mesh.boundary_faces]
-    Ms = _scatter(Mse, sconn, len(bids))
-    As = _scatter(Ase, sconn, len(bids))
+    Ms = _scatter(Mse, mesh.surface_faces, len(bids))
+    As = _scatter(Ase, mesh.surface_faces, len(bids))
 
     return GramSet(
         mesh=mesh,
@@ -220,7 +195,7 @@ def eval_fe(u, elem, ref_pt):
     phi = tri_shape(mesh.order, ref)
     dphi = tri_shape_grad(mesh.order, ref)
     _, jac = _elem_geometry(mesh, elem, ref)
-    inv = _inv2(jac)
+    inv, _ = _inverse_2x2(jac)
     local = u.coeffs[mesh.elements[elem]]
     val = np.einsum("qb,b...->q...", phi, local)
     gref = np.einsum("qbr,b...->qr...", dphi, local)
@@ -237,16 +212,6 @@ def _elem_geometry(mesh, elem, ref):
     pts = phi @ coords
     jac = np.einsum("qbr,bx->qxr", dphi, coords)
     return pts, jac
-
-
-def _inv2(jac):
-    det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-    inv = np.empty_like(jac)
-    inv[..., 0, 0] = jac[..., 1, 1]
-    inv[..., 1, 1] = jac[..., 0, 0]
-    inv[..., 0, 1] = -jac[..., 0, 1]
-    inv[..., 1, 0] = -jac[..., 1, 0]
-    return inv / det[..., None, None]
 
 
 def eval_on_elements(u, degree=None):
@@ -322,9 +287,8 @@ def integrate_bulk_on_boundary(u, degree=None):
         coords = mesh.nodes[mesh.elements[e]]
         dphi = tri_shape_grad(mesh.order, ref)
         jac = np.einsum("qbr,bx->qxr", dphi, coords)
-        a, b = [(0, 1), (1, 2), (2, 0)][le]
-        vref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        tangent_ref = vref[b] - vref[a]
+        a, b = TRI_EDGES[le]
+        tangent_ref = TRI_VERTS[b] - TRI_VERTS[a]
         vel = np.einsum("qxr,r->qx", jac, tangent_ref)
         speed = np.linalg.norm(vel, axis=-1)
         total += float(np.sum(rule.weights * vals**2 * speed))
@@ -333,8 +297,7 @@ def integrate_bulk_on_boundary(u, degree=None):
 
 def export_matrixmarket(grams, directory):
     """Dump the four Gram matrices as MatrixMarket text files."""
-    import os
-
+    # lazy: importing scipy.io would add tens of ms to every package import
     from scipy.io import mmwrite
 
     os.makedirs(directory, exist_ok=True)

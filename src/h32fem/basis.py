@@ -10,21 +10,15 @@ import numpy as np
 
 # local vertex pairs of the three triangle edges, in midpoint order
 TRI_EDGES = ((0, 1), (1, 2), (2, 0))
-
-
-def tri_node_count(order):
-    return 3 if order == 1 else 6
-
-
-def edge_node_count(order):
-    return order + 1
+# vertices of the reference triangle
+TRI_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 def tri_ref_nodes(order):
     """Reference coordinates of the local nodes."""
-    v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    v = TRI_VERTS
     if order == 1:
-        return v
+        return v.copy()
     if order == 2:
         mids = np.array([0.5 * (v[a] + v[b]) for a, b in TRI_EDGES])
         return np.vstack([v, mids])
@@ -77,14 +71,6 @@ def tri_shape_grad(order, pts):
     raise ValueError(f"unsupported order {order}")
 
 
-def edge_ref_nodes(order):
-    if order == 1:
-        return np.array([0.0, 1.0])
-    if order == 2:
-        return np.array([0.0, 1.0, 0.5])
-    raise ValueError(f"unsupported order {order}")
-
-
 def edge_shape(order, t):
     """Values of the edge shape functions: (m, nbasis)."""
     t = np.atleast_1d(t)
@@ -113,5 +99,4 @@ def tri_edge_ref_points(local_edge, t):
     """Map edge parameters t in [0,1] to reference coordinates on a local edge."""
     t = np.atleast_1d(t)
     a, b = TRI_EDGES[local_edge]
-    v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    return v[a][None, :] * (1.0 - t)[:, None] + v[b][None, :] * t[:, None]
+    return TRI_VERTS[a][None, :] * (1.0 - t)[:, None] + TRI_VERTS[b][None, :] * t[:, None]

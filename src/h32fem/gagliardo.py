@@ -20,21 +20,19 @@ certifies inequalities with slack, not tight values; on the smooth test
 panels it sits within a few percent of converged values.
 """
 
+import functools
+
 import numpy as np
 
-from .basis import tri_shape, tri_shape_grad
+from .basis import TRI_EDGES, TRI_VERTS, tri_shape, tri_shape_grad
 from .quadrature import default_degree, edge_rule, triangle_rule
 
 MAX_ELEMENTS = 500
 
-_REF_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-_duffy_cache = {}
 
-
+@functools.cache
 def _duffy_layout(deg):
     """Outer rule plus apex-Duffy inner layout, cached by degree."""
-    if deg in _duffy_cache:
-        return _duffy_cache[deg]
     outer = triangle_rule(deg)
     g = edge_rule(deg)
     s, t = np.meshgrid(g.points, g.points, indexing="ij")
@@ -42,18 +40,16 @@ def _duffy_layout(deg):
     s, t = s.ravel(), t.ravel()
     xo = outer.points
     refs, jacs = [], []
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        A = _REF_VERTS[a][None, :] - xo
-        B = _REF_VERTS[b][None, :] - xo
+    for a, b in TRI_EDGES:
+        A = TRI_VERTS[a][None, :] - xo
+        B = TRI_VERTS[b][None, :] - xo
         e_t = A[:, None, :] * (1.0 - t)[None, :, None] + B[:, None, :] * t[None, :, None]
         refs.append(xo[:, None, :] + s[None, :, None] * e_t)
         cross = A[:, 0] * B[:, 1] - A[:, 1] * B[:, 0]
         jacs.append(np.abs(cross)[:, None] * s[None, :] * wst[None, :])
     inner_ref = np.concatenate(refs, axis=1)           # (mo, 3*mst, 2)
     inner_jw = np.concatenate(jacs, axis=1)            # Duffy jacobian * weights
-    out = (xo, outer.weights, inner_ref, inner_jw)
-    _duffy_cache[deg] = out
-    return out
+    return xo, outer.weights, inner_ref, inner_jw
 
 
 def _shape_tables(order, ref_pts):

@@ -14,6 +14,7 @@ the 3/2-norm data of the input.
 """
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import (
@@ -27,17 +28,26 @@ from .assembly import (
     surface_quad_data,
     trace,
 )
-from .basis import edge_shape, tri_edge_ref_points, tri_shape, tri_shape_grad
+from .basis import (
+    TRI_EDGES,
+    TRI_VERTS,
+    edge_shape,
+    tri_edge_ref_points,
+    tri_shape,
+    tri_shape_grad,
+)
 from .lifting import (
     MeshLocator,
     build_lift_map,
     lift_mixed,
     lift_rule_data,
 )
+from .meshing import _cached, _inverse_2x2
 from .quadrature import default_degree, edge_rule
 from .solvers import (
     OverkillSolution,
     refined_copy,
+    _interior_solver,
     _robin_solver,
 )
 
@@ -47,9 +57,10 @@ from .solvers import (
 
 def _sz_assignment(mesh):
     """Per node: (use_face, cell id, local node index), cached on the mesh."""
-    cache = mesh.__dict__.setdefault("_qcache", {})
-    if "sz_cells" in cache:
-        return cache["sz_cells"]
+    return _cached(mesh, "sz_cells", lambda: _sz_cells(mesh))
+
+
+def _sz_cells(mesh):
     kind = np.zeros(mesh.n_nodes, dtype=bool)
     cell = np.full(mesh.n_nodes, -1, dtype=np.int64)
     local = np.full(mesh.n_nodes, -1, dtype=np.int64)
@@ -61,9 +72,7 @@ def _sz_assignment(mesh):
         for i, node in enumerate(conn):
             if cell[node] < 0:
                 kind[node], cell[node], local[node] = False, e, i
-    out = (kind, cell, local)
-    cache["sz_cells"] = out
-    return out
+    return kind, cell, local
 
 
 def scott_zhang(v, mesh, degree=None):
@@ -121,14 +130,13 @@ def dirichlet_riesz_data(u_h, grams):
     """Source f in V_h^0 and trace g with m(f, v) = a(u, v) on V_h^0."""
     mesh = grams.mesh
     ids = grams.interior_ids
-    cache = grams.__dict__
-    if "_mass_interior_solve" not in cache:
-        cache["_mass_interior_solve"] = spla.factorized(
-            grams.M_bulk[np.ix_(ids, ids)].tocsc()
-        )
+    solve = _cached(
+        grams, "mass_interior_solve",
+        lambda: spla.factorized(grams.M_bulk[np.ix_(ids, ids)].tocsc()),
+    )
     r = (grams.A_bulk @ u_h.coeffs)[ids]
     f = np.zeros(mesh.n_nodes)
-    f[ids] = cache["_mass_interior_solve"](r)
+    f[ids] = solve(r)
     return FeFunction(mesh, f, BULK0), trace(u_h)
 
 
@@ -181,25 +189,22 @@ class BoundaryAngleMap:
 def eval_surface_fe(g_h, faces, t):
     """Evaluate a surface FE function at per-face edge parameters."""
     mesh = g_h.mesh
-    lookup = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    lookup[mesh.boundary_node_ids] = np.arange(len(mesh.boundary_node_ids))
     psi = edge_shape(mesh.order, np.asarray(t))
-    sconn = lookup[mesh.boundary_faces[faces]]
-    return np.einsum("nb,nb->n", psi, g_h.coeffs[sconn])
+    return np.einsum("nb,nb->n", psi, g_h.coeffs[mesh.surface_faces[faces]])
 
 
 def overkill_context(mesh, lm, level=2):
     """Fine mesh, grams, lift and locators shared by overkill operations."""
-    cache = mesh.__dict__.setdefault("_qcache", {})
-    key = ("overkill", level)
-    if key in cache:
-        return cache[key]
+    return _cached(mesh, ("overkill", level), lambda: _overkill_context(mesh, lm, level))
+
+
+def _overkill_context(mesh, lm, level):
     fine = refined_copy(mesh, 2**level)
     if fine.h > mesh.h / 2**level + 1e-12:
         raise RuntimeError("overkill refinement did not reduce h as expected")
     fine_grams = assemble_grams(fine)
     fine_lm = build_lift_map(fine)
-    ctx = {
+    return {
         "fine": fine,
         "fine_grams": fine_grams,
         "fine_lm": fine_lm,
@@ -208,8 +213,6 @@ def overkill_context(mesh, lm, level=2):
         "coarse_locator": MeshLocator(mesh),
         "angle_map": BoundaryAngleMap(mesh) if mesh.domain_kind == "disk" else None,
     }
-    cache[key] = ctx
-    return ctx
 
 
 def _pullback_source_matrix(mesh, lm, ctx):
@@ -220,8 +223,6 @@ def _pullback_source_matrix(mesh, lm, ctx):
     """
     if "source_matrix" in ctx:
         return ctx["source_matrix"]
-    import scipy.sparse as sp
-
     fine = ctx["fine"]
     qd = bulk_quad_data(fine)
     pts = qd["pts"].reshape(-1, 2)
@@ -240,15 +241,11 @@ def _boundary_trace_matrix(mesh, ctx):
     """Sparse map: coarse surface coefficients -> values at fine boundary nodes."""
     if "trace_interp_matrix" in ctx:
         return ctx["trace_interp_matrix"]
-    import scipy.sparse as sp
-
     fg = ctx["fine_grams"]
     bpts = ctx["fine"].nodes[fg.boundary_ids]
     faces, t = ctx["angle_map"].locate(np.arctan2(bpts[:, 1], bpts[:, 0]))
-    lookup = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    lookup[mesh.boundary_node_ids] = np.arange(len(mesh.boundary_node_ids))
     psi = edge_shape(mesh.order, t)
-    sconn = lookup[mesh.boundary_faces[faces]]
+    sconn = mesh.surface_faces[faces]
     rows = np.repeat(np.arange(len(bpts)), psi.shape[1])
     T = sp.coo_matrix(
         (psi.ravel(), (rows, sconn.ravel())),
@@ -292,8 +289,6 @@ def dirichlet_lift_from_data(f_h, g_h, lm, overkill_level=2):
         u[fg.boundary_ids] = np.einsum("nb,nb->n", phi, gfun.coeffs[mesh.elements[elems]])
 
     ids = fg.interior_ids
-    from .solvers import _interior_solver
-
     rhs = rhs_full[ids] - (fg.A_bulk @ u)[ids]
     u[ids] = _interior_solver(fg)(rhs)
     return OverkillSolution(fine, FeFunction(fine, u, BULK), "dirichlet")
@@ -353,7 +348,7 @@ def ritz_map(w, grad_w, lm, grams, degree=None):
     rule, pts, jac, det = data["rule"], data["pts"], data["jac"], data["det"]
     gw = np.asarray(grad_w(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape)
     dphi = tri_shape_grad(mesh.order, rule.points)
-    inv = _inv2_batch(jac)
+    inv, _ = _inverse_2x2(jac)
     gphys = np.einsum("eqrx,qbr->eqbx", inv, dphi)
     loc = np.einsum("q,eq,eqx,eqbx->eb", rule.weights, det, gw, gphys)
     rhs = np.zeros(mesh.n_nodes)
@@ -366,25 +361,14 @@ def ritz_map(w, grad_w, lm, grams, degree=None):
         e, le = mesh.face_elem[f], mesh.face_local_edge[f]
         refs = tri_edge_ref_points(le, erule.points)
         lifted, jc, _ = lift_mixed(lm, np.full(len(refs), e), refs)
-        a, b = [(0, 1), (1, 2), (2, 0)][le]
-        vref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        vel = np.einsum("nxr,r->nx", jc, vref[b] - vref[a])
+        a, b = TRI_EDGES[le]
+        vel = np.einsum("nxr,r->nx", jc, TRI_VERTS[b] - TRI_VERTS[a])
         speed = np.linalg.norm(vel, axis=1)
         wv = np.asarray(w(lifted), dtype=float)
         contrib = np.einsum("q,q,q,qi->i", erule.weights, speed, wv, psi)
         np.add.at(rhs, mesh.boundary_faces[f], contrib)
 
     return FeFunction(mesh, _robin_solver(grams)(rhs), BULK)
-
-
-def _inv2_batch(j):
-    det = j[..., 0, 0] * j[..., 1, 1] - j[..., 0, 1] * j[..., 1, 0]
-    inv = np.empty_like(j)
-    inv[..., 0, 0] = j[..., 1, 1]
-    inv[..., 1, 1] = j[..., 0, 0]
-    inv[..., 0, 1] = -j[..., 0, 1]
-    inv[..., 1, 0] = -j[..., 1, 0]
-    return inv / det[..., None, None]
 
 
 # -- W^{1,infty}-like norm ------------------------------------------------------
@@ -401,7 +385,7 @@ def sampled_w1inf_lifted(u, lm, degree=None):
     data = lift_rule_data(lm, degree)
     mesh = u.mesh
     dphi = tri_shape_grad(mesh.order, data["rule"].points)
-    inv = _inv2_batch(data["jac"])
+    inv, _ = _inverse_2x2(data["jac"])
     gphys = np.einsum("eqrx,qbr->eqbx", inv, dphi)
     local = u.coeffs[mesh.elements]
     grads = np.einsum("eqbx,eb->eqx", gphys, local)

@@ -24,13 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .basis import TRI_EDGES, tri_shape, tri_shape_grad
-from .meshing import batched_geometry
+from .basis import TRI_EDGES, TRI_VERTS, tri_shape, tri_shape_grad
+from .meshing import _cached, _inverse_2x2, batched_geometry
 from .quadrature import default_degree, triangle_rule
 
 # reference-coordinate gradients of the barycentric coordinates
 _DLAM = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-_VREF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 @dataclass
@@ -93,13 +92,13 @@ def _displacement(lm, elems, refs):
     t = lam_b / sigma
 
     # edge shadow through the element's own geometry map
-    eref = _VREF[a] * (1.0 - t)[:, None] + _VREF[b] * t[:, None]
+    eref = TRI_VERTS[a] * (1.0 - t)[:, None] + TRI_VERTS[b] * t[:, None]
     coords = mesh.nodes[mesh.elements[elems]]          # (n, nb, 2)
     phi = tri_shape(mesh.order, eref)                  # (n, nb)
     dphi = tri_shape_grad(mesh.order, eref)            # (n, nb, 2)
     bpt = np.einsum("nb,nbx->nx", phi, coords)
     jac = np.einsum("nbr,nbx->nxr", dphi, coords)
-    tan_ref = _VREF[b] - _VREF[a]                      # (n, 2)
+    tan_ref = TRI_VERTS[b] - TRI_VERTS[a]              # (n, 2)
     dbdt = np.einsum("nxr,nr->nx", jac, tan_ref)
 
     nrm = np.linalg.norm(bpt, axis=1)
@@ -144,10 +143,11 @@ def lift_rule_data(lm, degree=None):
     mesh = lm.mesh
     if degree is None:
         degree = default_degree(mesh.order)
-    cache = mesh.__dict__.setdefault("_qcache", {})
-    key = ("lift", degree)
-    if key in cache:
-        return cache[key]
+    return _cached(mesh, ("lift", degree), lambda: _lift_rule_data(lm, degree))
+
+
+def _lift_rule_data(lm, degree):
+    mesh = lm.mesh
     rule = triangle_rule(degree)
     m = len(rule)
     pts, jgeo, detgeo = batched_geometry(mesh, rule.points)
@@ -163,9 +163,9 @@ def lift_rule_data(lm, degree=None):
     det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
     if det.min() <= 0.0:
         raise RuntimeError("lift map not orientation preserving at quadrature points")
-    inv_geo = _inv2(jgeo)
+    inv_geo, _ = _inverse_2x2(jgeo)
     grad_lambda = np.einsum("emxr,emrs->emxs", jac, inv_geo)
-    data = {
+    return {
         "rule": rule,
         "pts": lifted,
         "jac": jac,
@@ -174,18 +174,6 @@ def lift_rule_data(lm, degree=None):
         "detgeo": detgeo,
         "grad_lambda": grad_lambda,
     }
-    cache[key] = data
-    return data
-
-
-def _inv2(j):
-    det = j[..., 0, 0] * j[..., 1, 1] - j[..., 0, 1] * j[..., 1, 0]
-    inv = np.empty_like(j)
-    inv[..., 0, 0] = j[..., 1, 1]
-    inv[..., 1, 1] = j[..., 0, 0]
-    inv[..., 0, 1] = -j[..., 0, 1]
-    inv[..., 1, 0] = -j[..., 1, 0]
-    return inv / det[..., None, None]
 
 
 def grad_lambda_inf_error(lm, degree=None):
@@ -200,7 +188,7 @@ def lambda_jacobian(lm, elem, ref_pt):
     refs = np.atleast_2d(ref_pt)
     elems = np.full(len(refs), elem, dtype=np.int64)
     _, jac, jgeo = lift_mixed(lm, elems, refs)
-    grad = np.einsum("nxr,nrs->nxs", jac, _inv2(jgeo))
+    grad = np.einsum("nxr,nrs->nxs", jac, _inverse_2x2(jgeo)[0])
     return grad[0] if np.ndim(ref_pt) == 1 else grad
 
 
@@ -252,19 +240,11 @@ class MeshLocator:
             res = targets - pts
             if np.abs(res).max() < 1e-13:
                 break
-            det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                inv, det = _inverse_2x2(jac)
+                step = np.einsum("nrx,nx->nr", inv, res)
             # keep iterates where a curved map can degenerate from diverging
-            bad = np.abs(det) < 1e-300
-            if np.any(bad):
-                det = np.where(bad, 1.0, det)
-                res = np.where(bad[:, None], 0.0, res)
-            inv = np.empty_like(jac)
-            inv[..., 0, 0] = jac[..., 1, 1]
-            inv[..., 1, 1] = jac[..., 0, 0]
-            inv[..., 0, 1] = -jac[..., 0, 1]
-            inv[..., 1, 0] = -jac[..., 1, 0]
-            inv /= det[..., None, None]
-            step = np.einsum("nrx,nx->nr", inv, res)
+            step[np.abs(det) < 1e-300] = 0.0
             np.clip(step, -1.0, 1.0, out=step)
             refs = np.clip(refs + step, -2.0, 3.0)
         pts, _ = self._forward(elems, refs)
@@ -363,7 +343,7 @@ class LiftedFeFunction:
         vals = np.einsum("nb,nb->n", phi, local)
         gref = np.einsum("nbr,nb->nr", dphi, local)
         _, jac, _ = lift_mixed(self.lm, elems, refs)
-        grads = np.einsum("nrx,nr->nx", _inv2(jac), gref)
+        grads = np.einsum("nrx,nr->nx", _inverse_2x2(jac)[0], gref)
         return vals, grads
 
     def values(self, pts):

@@ -29,7 +29,9 @@ class Mesh:
 
     nodes: (N, 2) coordinates. elements: (nelem, 3 or 6) node ids, CCW.
     boundary_faces: (nbf, 2 or 3) node ids, oriented CCW along the boundary
-    (endpoint a, endpoint b, then the midside node for k=2).
+    (endpoint a, endpoint b, then the midside node for k=2). Surface DOFs
+    are the boundary nodes in ascending order; surface_faces holds the
+    boundary faces in those surface DOF ids.
     """
 
     nodes: np.ndarray
@@ -38,6 +40,7 @@ class Mesh:
     order: int
     domain_kind: str
     boundary_node_ids: np.ndarray = field(init=False)
+    surface_faces: np.ndarray = field(init=False)
     interior_node_ids: np.ndarray = field(init=False)
     h: float = field(init=False)
     # element id and local edge index behind each boundary face
@@ -50,6 +53,7 @@ class Mesh:
         self.boundary_faces = np.asarray(self.boundary_faces, dtype=np.int64)
         bset = np.unique(self.boundary_faces.ravel())
         self.boundary_node_ids = bset
+        self.surface_faces = np.searchsorted(bset, self.boundary_faces)
         mask = np.ones(len(self.nodes), dtype=bool)
         mask[bset] = False
         self.interior_node_ids = np.nonzero(mask)[0]
@@ -122,6 +126,33 @@ class Mesh:
             order=int(doc["order"]),
             domain_kind=doc["domain_kind"],
         )
+
+
+# -- shared mechanisms ------------------------------------------------------
+# Underscored so per-layer tracing charges their time to the calling layer.
+
+
+def _cached(owner, key, build):
+    """build() once per (owner, key); the result lives as long as the owner.
+
+    The store sits on the owner (a Mesh or GramSet), so derived artifacts
+    are shared by everything that holds the same object.
+    """
+    store = owner.__dict__.setdefault("_cache", {})
+    if key not in store:
+        store[key] = build()
+    return store[key]
+
+
+def _inverse_2x2(jac):
+    """Inverses and determinants of a stack of 2x2 matrices (..., 2, 2)."""
+    det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+    adj = np.empty_like(jac)
+    adj[..., 0, 0] = jac[..., 1, 1]
+    adj[..., 1, 1] = jac[..., 0, 0]
+    adj[..., 0, 1] = -jac[..., 0, 1]
+    adj[..., 1, 0] = -jac[..., 1, 0]
+    return adj / det[..., None, None], det
 
 
 # -- geometry map ----------------------------------------------------------

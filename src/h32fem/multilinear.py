@@ -127,12 +127,16 @@ def det_form(d):
 
 
 def deformation_tensor(A):
-    """(A + I)^{-T} (A + I)^{-1} det(A + I) - I for the displacement gradient A."""
+    """(A + I)^{-T} (A + I)^{-1} det(A + I) - I for the displacement gradient A.
+
+    A is one (d, d) matrix or a stack (..., d, d); stacks are done at once.
+    """
     A = np.asarray(A, dtype=float)
-    d = A.shape[0]
+    d = A.shape[-1]
     G = A + np.eye(d)
     Ginv = np.linalg.inv(G)
-    return Ginv.T @ Ginv * np.linalg.det(G) - np.eye(d)
+    det = np.linalg.det(G)[..., None, None]
+    return np.swapaxes(Ginv, -1, -2) @ Ginv * det - np.eye(d)
 
 
 def deformation_form(d=2):

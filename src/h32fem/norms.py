@@ -19,9 +19,12 @@ import numpy as np
 import scipy.linalg as sla
 
 from .assembly import BULK0, SURFACE, eval_on_elements, bulk_quad_data, trace
+from .meshing import _cached
 
 ALL = "all"
 INTERIOR = "interior"
+# Largest mesh (in nodes) whose pencils are solved by a dense eigh.
+DENSE_EIG_NODE_CAP = 20000
 
 
 @dataclass
@@ -40,35 +43,37 @@ class SpectralBasis:
 
 def spectral_decomp(grams, dofset=ALL):
     """Full generalized eigendecomposition on `dofset` ('all' or 'interior')."""
-    cache = grams.__dict__.setdefault("_spectral", {})
-    if dofset in cache:
-        return cache[dofset]
     if dofset == ALL:
         ids = np.arange(grams.mesh.n_nodes)
     elif dofset == INTERIOR:
         ids = grams.interior_ids
     else:
         raise ValueError(f"unknown dofset {dofset!r}")
-    M = grams.M_bulk[np.ix_(ids, ids)].toarray()
-    A = grams.A_bulk[np.ix_(ids, ids)].toarray()
-    lam, V = sla.eigh(M + A, M)
-    sb = SpectralBasis(dofset=dofset, ids=ids, eigenvalues=lam, eigenvectors=V, mass_on_set=M)
-    cache[dofset] = sb
-    return sb
+    return _cached(
+        grams, ("spectral", dofset),
+        lambda: _dense_decomp(grams, dofset, ids, grams.M_bulk, grams.A_bulk),
+    )
 
 
 def surface_spectral_decomp(grams):
     """Eigendecomposition of the surface pencil (M_surf + A_surf, M_surf)."""
-    cache = grams.__dict__.setdefault("_spectral", {})
-    if "surface" in cache:
-        return cache["surface"]
-    M = grams.M_surf.toarray()
-    A = grams.A_surf.toarray()
+    ids = np.arange(len(grams.boundary_ids))
+    return _cached(
+        grams, ("spectral", "surface"),
+        lambda: _dense_decomp(grams, "surface", ids, grams.M_surf, grams.A_surf),
+    )
+
+
+def _dense_decomp(grams, dofset, ids, M_full, A_full):
+    """Dense eigh of the pencil (M + A, M) restricted to ids, size-capped."""
+    if grams.mesh.n_nodes > DENSE_EIG_NODE_CAP:
+        raise RuntimeError(
+            f"mesh with {grams.mesh.n_nodes} nodes exceeds the dense eigensolve cap"
+        )
+    M = M_full[np.ix_(ids, ids)].toarray()
+    A = A_full[np.ix_(ids, ids)].toarray()
     lam, V = sla.eigh(M + A, M)
-    ids = np.arange(M.shape[0])
-    sb = SpectralBasis(dofset="surface", ids=ids, eigenvalues=lam, eigenvectors=V, mass_on_set=M)
-    cache["surface"] = sb
-    return sb
+    return SpectralBasis(dofset=dofset, ids=ids, eigenvalues=lam, eigenvectors=V, mass_on_set=M)
 
 
 def _spectral_coeffs(u_coeffs, sb):

@@ -22,7 +22,7 @@ from .assembly import (
     eval_on_elements,
     surface_quad_data,
 )
-from .meshing import Mesh, build_square_mesh, disk_mesh
+from .meshing import Mesh, _cached, _inverse_2x2, build_square_mesh, disk_mesh
 from .multilinear import deformation_tensor
 
 
@@ -36,21 +36,19 @@ def trace_matrix(grams):
 
 
 def _interior_solver(grams):
-    cache = grams.__dict__
-    if "_dirichlet_solve" not in cache:
-        ids = grams.interior_ids
-        A_II = grams.A_bulk[np.ix_(ids, ids)].tocsc()
-        cache["_dirichlet_solve"] = spla.factorized(A_II)
-    return cache["_dirichlet_solve"]
+    ids = grams.interior_ids
+    return _cached(
+        grams, "dirichlet_solve",
+        lambda: spla.factorized(grams.A_bulk[np.ix_(ids, ids)].tocsc()),
+    )
 
 
 def _robin_solver(grams):
-    cache = grams.__dict__
-    if "_robin_solve" not in cache:
+    def build():
         R = trace_matrix(grams)
-        K = (grams.A_bulk + R.T @ grams.M_surf @ R).tocsc()
-        cache["_robin_solve"] = spla.factorized(K)
-    return cache["_robin_solve"]
+        return spla.factorized((grams.A_bulk + R.T @ grams.M_surf @ R).tocsc())
+
+    return _cached(grams, "robin_solve", build)
 
 
 def solve_dirichlet_fe(grams, f_h, g_h):
@@ -124,9 +122,7 @@ def assemble_surface_load(grams, g, degree=None):
     gv = np.asarray(g(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
     loc = np.einsum("q,fq,fq,qb->fb", sd["rule"].weights, sd["speed"], gv, sd["psi"])
     out = np.zeros(len(grams.boundary_ids))
-    lookup = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    lookup[grams.boundary_ids] = np.arange(len(grams.boundary_ids))
-    np.add.at(out, lookup[mesh.boundary_faces].ravel(), loc.ravel())
+    np.add.at(out, mesh.surface_faces.ravel(), loc.ravel())
     return out
 
 
@@ -195,16 +191,9 @@ def deformed_dirichlet_energy(grams, e_x, w_h, z_h, method="pullback", degree=No
         raise ValueError(f"unknown method {method!r}")
     qd = bulk_quad_data(mesh, degree)
     G = _displacement_gradients(e_x, degree)              # (ne, m, 2, 2)
-    F = G + np.eye(2)
-    detF = F[..., 0, 0] * F[..., 1, 1] - F[..., 0, 1] * F[..., 1, 0]
+    Finv, detF = _inverse_2x2(G + np.eye(2))
     if detF.min() <= 0.0:
         raise RuntimeError("deformation inverts an element at a quadrature point")
-    Finv = np.empty_like(F)
-    Finv[..., 0, 0] = F[..., 1, 1]
-    Finv[..., 1, 1] = F[..., 0, 0]
-    Finv[..., 0, 1] = -F[..., 0, 1]
-    Finv[..., 1, 0] = -F[..., 1, 0]
-    Finv /= detF[..., None, None]
     # B = F^{-T} F^{-1} det(F); integrand (B grad w).grad z
     B = np.einsum("eqrx,eqry->eqxy", Finv, Finv) * detF[..., None, None]
     _, gw = eval_on_elements(w_h, degree)
@@ -215,13 +204,7 @@ def deformed_dirichlet_energy(grams, e_x, w_h, z_h, method="pullback", degree=No
 
 def deformation_tensor_field(e_x, degree=None):
     """Pointwise deformation tensors of id + e_x at the rule points."""
-    G = _displacement_gradients(e_x, degree)
-    out = np.empty_like(G)
-    ne, m = G.shape[:2]
-    for e in range(ne):
-        for q in range(m):
-            out[e, q] = deformation_tensor(G[e, q])
-    return out
+    return deformation_tensor(_displacement_gradients(e_x, degree))
 
 
 def deformation_field(e_x, w_h, degree=None):

@@ -18,26 +18,17 @@ from .assembly import (
     trace,
 )
 from .basis import (
+    TRI_EDGES,
+    TRI_VERTS,
     edge_shape,
     edge_shape_deriv,
     tri_edge_ref_points,
     tri_shape_grad,
 )
 from .lifting import lift_mixed, lift_rule_data
+from .meshing import _inverse_2x2
 from .norms import l2_norm
 from .quadrature import default_degree, edge_rule
-
-_VREF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-
-
-def _inv2(j):
-    det = j[..., 0, 0] * j[..., 1, 1] - j[..., 0, 1] * j[..., 1, 0]
-    inv = np.empty_like(j)
-    inv[..., 0, 0] = j[..., 1, 1]
-    inv[..., 1, 1] = j[..., 0, 0]
-    inv[..., 0, 1] = -j[..., 0, 1]
-    inv[..., 1, 0] = -j[..., 1, 0]
-    return inv / det[..., None, None], det
 
 
 # -- smooth test fields --------------------------------------------------------
@@ -163,9 +154,7 @@ def surface_interp_errors(mesh):
     """L2 and H1 errors of the surface nodal interpolant of cos(2 theta)."""
     zi = nodal_interp_surface(mesh, smooth_boundary_field)
     sd = surface_quad_data(mesh)
-    lookup = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    lookup[mesh.boundary_node_ids] = np.arange(len(mesh.boundary_node_ids))
-    sconn = lookup[mesh.boundary_faces]
+    sconn = mesh.surface_faces
     vals = np.einsum("qb,fb->fq", sd["psi"], zi.coeffs[sconn])
     flat = sd["pts"].reshape(-1, 2)
     ze = smooth_boundary_field(flat).reshape(vals.shape)
@@ -191,7 +180,7 @@ def lifted_bulk_forms(mesh, lm, z, w):
     vz, _ = eval_on_elements(z)
     vw, _ = eval_on_elements(w)
     m_l = float(np.einsum("q,eq,eq,eq->", wq, data["det"], vz, vw))
-    invc, _ = _inv2(data["jac"])
+    invc, _ = _inverse_2x2(data["jac"])
     dphi = tri_shape_grad(mesh.order, rule.points)
     gp = np.einsum("eqrx,qbr->eqbx", invc, dphi)
     gz = np.einsum("eqbx,eb->eqx", gp, z.coeffs[mesh.elements])
@@ -217,16 +206,14 @@ def lifted_surface_forms(mesh, lm, tz, tw):
     er = edge_rule(default_degree(mesh.order))
     psi = edge_shape(mesh.order, er.points)
     dpsi = edge_shape_deriv(mesh.order, er.points)
-    lookup = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    lookup[mesh.boundary_node_ids] = np.arange(len(mesh.boundary_node_ids))
-    sconn = lookup[mesh.boundary_faces]
+    sconn = mesh.surface_faces
     ms = asur = 0.0
     for f in range(len(mesh.boundary_faces)):
         e, le = mesh.face_elem[f], mesh.face_local_edge[f]
         refs = tri_edge_ref_points(le, er.points)
         _, jc, _ = lift_mixed(lm, np.full(len(refs), e), refs)
-        a, b = [(0, 1), (1, 2), (2, 0)][le]
-        vel = np.einsum("nxr,r->nx", jc, _VREF[b] - _VREF[a])
+        a, b = TRI_EDGES[le]
+        vel = np.einsum("nxr,r->nx", jc, TRI_VERTS[b] - TRI_VERTS[a])
         speed = np.linalg.norm(vel, axis=1)
         zv = psi @ tz.coeffs[sconn[f]]
         wv = psi @ tw.coeffs[sconn[f]]
@@ -262,7 +249,7 @@ def multilinear_gradient_integral(mesh, fields, coeff_fn, lifted, lm=None):
     if lifted:
         data = lift_rule_data(lm)
         rule, det = data["rule"], data["det"]
-        invc, _ = _inv2(data["jac"])
+        invc, _ = _inverse_2x2(data["jac"])
         dphi = tri_shape_grad(mesh.order, rule.points)
         gp = np.einsum("eqrx,qbr->eqbx", invc, dphi)
         grads = [

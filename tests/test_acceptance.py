@@ -2,11 +2,15 @@
 
 Every test prints a single PASS/FAIL line (visible with `pytest -s` or in
 the failure report) and asserts both the criterion and its runtime budget.
+Criteria 1-3 also compare every default-configuration table they compute
+with the committed reference table of the same order and seed.
 """
 
+import importlib.util
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +23,7 @@ from h32fem.assembly import (
 )
 from h32fem.experiments import ExperimentConfig, get_mesh, run_experiment
 from h32fem.gagliardo import gagliardo_seminorms
+from h32fem.harness import render_csv
 from h32fem.interp import scott_zhang
 from h32fem.norms import (
     dual_neg_half_norm,
@@ -32,6 +37,20 @@ from h32fem.norms import (
     spectral_decomp,
 )
 from h32fem.solvers import deformed_dirichlet_energy
+
+
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+_spec = importlib.util.spec_from_file_location("reference", _PERFBENCH / "reference.py")
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
+
+
+def _golden(table):
+    """Disagreements of a default-config table with its reference table."""
+    cfg = table.config
+    path = _PERFBENCH / "reference" / f"registry_p{cfg['order']}" / f"seed{cfg['seed']}"
+    ref = (path / f"{table.name}.csv").read_text()
+    return [f"{table.name}/k{cfg['order']} {m}" for m in reference.compare(ref, render_csv(table))]
 
 
 def _report(criterion, ok, detail=""):
@@ -49,22 +68,27 @@ def test_criterion_1_algebraic_identities():
         run_experiment("comparison_identity", cfg),
     ]
     ok = all(t.passed for t in results)
+    drift = [m for t in results for m in _golden(t)]
     elapsed = time.time() - t0
-    _report(1, ok and elapsed < 10.0, f"(algebraic identities, {elapsed:.1f}s)")
+    _report(1, ok and not drift and elapsed < 10.0, f"(algebraic identities, {elapsed:.1f}s, drift: {drift or 'none'})")
 
 
 def test_criterion_2_convergence_rates():
     t0 = time.time()
     ok = True
-    details = []
+    details, drift = [], []
     for order in (1, 2):
         cfg = ExperimentConfig(order=order)
         for name in ("interp_rates", "lift_consistency", "lift_multilinear"):
             t = run_experiment(name, cfg)
             ok &= t.passed
             details.append(f"{name}/k{order}:{t.verdict}")
+            drift += _golden(t)
     elapsed = time.time() - t0
-    _report(2, ok and elapsed < 600.0, f"({'; '.join(details)}, {elapsed:.1f}s)")
+    _report(
+        2, ok and not drift and elapsed < 600.0,
+        f"({'; '.join(details)}, {elapsed:.1f}s, drift: {drift or 'none'})",
+    )
 
 
 def test_criterion_3_boundedness_suites():
@@ -75,7 +99,7 @@ def test_criterion_3_boundedness_suites():
         "interpolant_membership", "deformation_discrete", "deformation_continuous",
     )
     ok = True
-    failed = []
+    failed, drift = [], []
     for order in (1, 2):
         cfg = ExperimentConfig(order=order)
         for name in names:
@@ -83,8 +107,12 @@ def test_criterion_3_boundedness_suites():
             if not t.passed:
                 failed.append(f"{name}/k{order}")
                 ok = False
+            drift += _golden(t)
     elapsed = time.time() - t0
-    _report(3, ok and elapsed < 1200.0, f"(failed: {failed or 'none'}, {elapsed:.1f}s)")
+    _report(
+        3, ok and not drift and elapsed < 1200.0,
+        f"(failed: {failed or 'none'}, {elapsed:.1f}s, drift: {drift or 'none'})",
+    )
 
 
 def test_criterion_4_oracle_cross_checks(rng):

@@ -4,6 +4,7 @@ import pytest
 from h32fem.basis import edge_shape
 from h32fem.meshing import (
     Mesh,
+    _inverse_2x2,
     batched_geometry,
     build_disk_mesh,
     build_square_mesh,
@@ -144,3 +145,20 @@ def test_json_roundtrip():
     assert m2.order == m.order and m2.domain_kind == m.domain_kind
     assert m2.h == m.h
     assert np.array_equal(m2.boundary_node_ids, m.boundary_node_ids)
+
+
+def test_inverse_2x2_matches_numpy(rng):
+    jac = rng.normal(size=(5, 7, 2, 2)) + 2.0 * np.eye(2)
+    inv, det = _inverse_2x2(jac)
+    np.testing.assert_allclose(inv, np.linalg.inv(jac), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(det, np.linalg.det(jac), rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind, order", [("disk", 1), ("disk", 2), ("square", 2)])
+def test_surface_faces_index_boundary_nodes(kind, order):
+    mesh = disk_mesh(4, order) if kind == "disk" else build_square_mesh(3, order)
+    bids = mesh.boundary_node_ids
+    lookup = np.full(mesh.n_nodes, -1, dtype=np.int64)
+    lookup[bids] = np.arange(len(bids))
+    np.testing.assert_array_equal(mesh.surface_faces, lookup[mesh.boundary_faces])
+    np.testing.assert_array_equal(bids[mesh.surface_faces], mesh.boundary_faces)

@@ -105,6 +105,16 @@ def test_deformation_tensor_diagonal():
     assert np.abs(got - want).max() < 1e-14
 
 
+def test_deformation_tensor_batched_matches_per_matrix_loop(rng):
+    # relative tolerance fixed before the comparison was run
+    for d, shape in ((2, (7, 6)), (3, (4, 5))):
+        A = 0.2 * rng.normal(size=shape + (d, d))
+        got = deformation_tensor(A)
+        want = np.array([[deformation_tensor(a) for a in row] for row in A])
+        assert got.shape == A.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_deformation_form_consistency(rng):
     DF = deformation_form(2)
     assert ml_norm(DF) == 0.5

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from h32fem.assembly import FeFunction, grams_of, nodal_interp_bulk, trace
+from h32fem import experiments, norms
+from h32fem.assembly import FeFunction, assemble_grams, grams_of, nodal_interp_bulk, trace
+from h32fem.meshing import disk_mesh
 from h32fem.norms import (
     boundary_sobolev_norm,
     dual_neg_half_norm,
@@ -13,6 +16,7 @@ from h32fem.norms import (
     hhat_threehalf_norm,
     l2_norm,
     spectral_decomp,
+    surface_spectral_decomp,
     vec_dual_half_norm,
 )
 
@@ -156,3 +160,24 @@ def test_norm_homogeneity_all_ops(setup, rng):
     ]
     for base, scaled in pairs:
         assert abs(scaled - alpha * base) < 1e-12 * max(1.0, base)
+
+
+def test_dense_eig_cap_refuses_before_eigh(monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh called past the cap")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", no_eigh)
+    mesh = disk_mesh(2, 1)
+    g = assemble_grams(mesh)
+    monkeypatch.setattr(norms, "DENSE_EIG_NODE_CAP", mesh.n_nodes - 1)
+    for decomp in (
+        lambda: spectral_decomp(g, "all"),
+        lambda: spectral_decomp(g, "interior"),
+        lambda: surface_spectral_decomp(g),
+    ):
+        with pytest.raises(RuntimeError, match=f"{mesh.n_nodes} nodes exceeds the dense eigensolve cap"):
+            decomp()
+    # experiments reach the cap through norms too, including sz_error
+    monkeypatch.setattr(experiments, "get_mesh", lambda kind, n, order: disk_mesh(n, order))
+    with pytest.raises(RuntimeError, match="dense eigensolve cap"):
+        experiments.run_experiment("sz_error", experiments.ExperimentConfig(levels=3))

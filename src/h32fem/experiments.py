@@ -204,15 +204,17 @@ def exp_lift_consistency(cfg):
         m = get_mesh("disk", n, k)
         lm = _lift_of(m)
         gl = grad_lambda_inf_error(lm)
-        ef = max(studies.bulk_form_errors(m, lm, z, w)[0] for z, w in studies.bulk_form_pairs(m))
-        eg = max(studies.bulk_form_errors(m, lm, z, w)[1] for z, w in studies.bulk_form_pairs(m))
-        eh = max(studies.surface_form_errors(m, lm, z, w)[0] for z, w in studies.surface_form_pairs(m))
-        ei = max(
-            studies.surface_form_errors(m, lm, z, w)[1]
+        bulk = [studies.bulk_form_errors(m, lm, z, w) for z, w in studies.bulk_form_pairs(m)]
+        A_surf = grams_of(m).A_surf
+        varies = lambda t: float(t.coeffs @ (A_surf @ t.coeffs)) > 1e-20
+        surf = [
+            (studies.surface_form_errors(m, lm, z, w), varies(z) and varies(w))
             for z, w in studies.surface_form_pairs(m)
-            if float(z.coeffs @ (grams_of(m).A_surf @ z.coeffs)) > 1e-20
-            and float(w.coeffs @ (grams_of(m).A_surf @ w.coeffs)) > 1e-20
-        )
+        ]
+        ef = max(e[0] for e in bulk)
+        eg = max(e[1] for e in bulk)
+        eh = max(e[0] for e, _ in surf)
+        ei = max(e[1] for e, keep in surf if keep)
         rows.append([m.h, gl, ef, eg, eh, ei])
     hs = [r[0] for r in rows]
     slopes = [fit_rate(list(zip(hs, [r[i] for r in rows])))[0] for i in range(1, 6)]

@@ -21,29 +21,24 @@ from .assembly import (
     BULK,
     BULK0,
     FeFunction,
-    assemble_grams,
     bulk_quad_data,
     eval_on_elements,
     grams_of,
     surface_quad_data,
     trace,
 )
-from .basis import (
-    TRI_EDGES,
-    TRI_VERTS,
-    edge_shape,
-    tri_edge_ref_points,
-    tri_shape,
-    tri_shape_grad,
-)
+from .basis import edge_shape, tri_shape
 from .lifting import (
     MeshLocator,
+    _face_ref_points,
+    _lifted_shape_gradients,
+    _lifted_surface_data,
     build_lift_map,
     lift_mixed,
     lift_rule_data,
 )
-from .meshing import _cached, _inverse_2x2
-from .quadrature import default_degree, edge_rule
+from .meshing import _cached
+from .quadrature import default_degree
 from .solvers import (
     OverkillSolution,
     refined_copy,
@@ -55,72 +50,84 @@ from .solvers import (
 # -- Scott-Zhang -------------------------------------------------------------
 
 
-def _sz_assignment(mesh):
-    """Per node: (use_face, cell id, local node index), cached on the mesh."""
-    return _cached(mesh, "sz_cells", lambda: _sz_cells(mesh))
+def _sz_moments(mesh, degree=None):
+    """Scott-Zhang moment points and dual-basis data, cached per degree.
+
+    The points are the edge-rule points of the owning faces followed by
+    the rule points of the owning elements, each given as (owner element
+    `elems`, reference point `refs`) and as a physical point `pts`; `eval`
+    maps bulk coefficients to values there. Each of the two parts holds
+    its cells' weights w (ncell, nq), basis table, Gram stack, and the
+    nodes that take dual coefficient (row, local) of that part.
+    """
+    if degree is None:
+        degree = default_degree(mesh.order) + 2
+    return _cached(mesh, ("sz_moments", degree), lambda: _build_sz_moments(mesh, degree))
 
 
-def _sz_cells(mesh):
+def _build_sz_moments(mesh, degree):
+    # each node's cell: its first occurrence in the boundary-face table,
+    # else in the element table (row-major)
     kind = np.zeros(mesh.n_nodes, dtype=bool)
     cell = np.full(mesh.n_nodes, -1, dtype=np.int64)
     local = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    for f, face in enumerate(mesh.boundary_faces):
-        for i, node in enumerate(face):
-            if cell[node] < 0:
-                kind[node], cell[node], local[node] = True, f, i
-    for e, conn in enumerate(mesh.elements):
-        for i, node in enumerate(conn):
-            if cell[node] < 0:
-                kind[node], cell[node], local[node] = False, e, i
-    return kind, cell, local
+    for use_face, table in ((False, mesh.elements), (True, mesh.boundary_faces)):
+        nodes, first = np.unique(table.ravel(), return_index=True)
+        kind[nodes] = use_face
+        cell[nodes], local[nodes] = np.divmod(first, table.shape[1])
+    sd, qd = surface_quad_data(mesh, degree), bulk_quad_data(mesh, degree)
+    faces, elems = np.unique(cell[kind]), np.unique(cell[~kind])
+    erule, trule = sd["rule"], qd["rule"]
+    owners = np.concatenate([
+        np.repeat(mesh.face_elem[faces], len(erule)), np.repeat(elems, len(trule)),
+    ])
+    refs = np.concatenate([
+        _face_ref_points(mesh, erule.points)[faces].reshape(-1, 2),
+        np.tile(trule.points, (len(elems), 1)),
+    ])
+    pts = np.concatenate([sd["pts"][faces].reshape(-1, 2), qd["pts"][elems].reshape(-1, 2)])
+    parts = []
+    for cells, w, basis, on in (
+        (faces, erule.weights * sd["speed"][faces], sd["psi"], kind),
+        (elems, trule.weights * qd["det"][elems], qd["phi"], ~kind),
+    ):
+        nodes = np.nonzero(on)[0]
+        parts.append({
+            "w": w,
+            "basis": basis,
+            "gram": np.einsum("cq,qi,qj->cij", w, basis, basis),
+            "nodes": nodes,
+            "row": np.searchsorted(cells, cell[nodes]),
+            "local": local[nodes],
+        })
+    return {
+        "elems": owners, "refs": refs, "pts": pts,
+        "eval": _evaluation_matrix(mesh, owners, refs), "parts": parts,
+    }
+
+
+def _sz_from_values(mesh, sz, vals):
+    """Scott-Zhang interpolant from the input's values at all moment points."""
+    coeffs = np.zeros(mesh.n_nodes)
+    start = 0
+    for part in sz["parts"]:
+        w = part["w"]
+        v = vals[start:start + w.size].reshape(w.shape)
+        start += w.size
+        moments = np.einsum("cq,cq,qi->ci", w, v, part["basis"])
+        dual = np.linalg.solve(part["gram"], moments[..., None])[..., 0]
+        coeffs[part["nodes"]] = dual[part["row"], part["local"]]
+    return FeFunction(mesh, coeffs, BULK)
 
 
 def scott_zhang(v, mesh, degree=None):
     """Scott-Zhang quasi-interpolant of v (FE function or callable)."""
-    if degree is None:
-        degree = default_degree(mesh.order) + 2
-    kind, cell, local = _sz_assignment(mesh)
-    coeffs = np.zeros(mesh.n_nodes)
-
-    is_fe = hasattr(v, "coeffs")
-    qd = bulk_quad_data(mesh, degree)
-    sd = surface_quad_data(mesh, degree)
-
-    def values_on_element(e, pts):
-        if is_fe:
-            return qd["phi"] @ v.coeffs[mesh.elements[e]]
-        return np.asarray(v(pts), dtype=float)
-
-    used_faces = np.unique(cell[kind & (cell >= 0)])
-    psi, ws = sd["psi"], sd["rule"].weights
-    for f in used_faces:
-        speed = sd["speed"][f]
-        G = np.einsum("q,qi,qj,q->ij", ws, psi, psi, speed)
-        if is_fe:
-            # restriction of the bulk function to the face through its element
-            e, le = mesh.face_elem[f], mesh.face_local_edge[f]
-            ref = tri_edge_ref_points(le, sd["rule"].points)
-            fv = tri_shape(mesh.order, ref) @ v.coeffs[mesh.elements[e]]
-        else:
-            fv = np.asarray(v(sd["pts"][f]), dtype=float)
-        moments = np.einsum("q,q,q,qi->i", ws, speed, fv, psi)
-        dual = np.linalg.solve(G, moments)
-        for node, i in zip(mesh.boundary_faces[f], range(len(moments))):
-            if kind[node] and cell[node] == f and local[node] == i:
-                coeffs[node] = dual[i]
-
-    used_elems = np.unique(cell[~kind & (cell >= 0)])
-    phi, wq = qd["phi"], qd["rule"].weights
-    for e in used_elems:
-        det = qd["det"][e]
-        G = np.einsum("q,qi,qj,q->ij", wq, phi, phi, det)
-        ev = values_on_element(e, qd["pts"][e])
-        moments = np.einsum("q,q,q,qi->i", wq, det, ev, phi)
-        dual = np.linalg.solve(G, moments)
-        for i, node in enumerate(mesh.elements[e]):
-            if (not kind[node]) and cell[node] == e and local[node] == i:
-                coeffs[node] = dual[i]
-    return FeFunction(mesh, coeffs, BULK)
+    sz = _sz_moments(mesh, degree)
+    if hasattr(v, "coeffs"):
+        vals = sz["eval"] @ v.coeffs
+    else:
+        vals = np.asarray(v(sz["pts"]), dtype=float)
+    return _sz_from_values(mesh, sz, vals)
 
 
 # -- Riesz data and the Dirichlet lift ----------------------------------------
@@ -152,9 +159,6 @@ class BoundaryAngleMap:
         self.mesh = mesh
         coords = mesh.nodes[mesh.boundary_faces]
         self.start = np.arctan2(coords[:, 0, 1], coords[:, 0, 0])
-        self.span = np.mod(
-            np.arctan2(coords[:, 1, 1], coords[:, 1, 0]) - self.start, 2.0 * np.pi
-        )
         self.order = np.argsort(self.start)
         self.sorted_start = self.start[self.order]
 
@@ -165,25 +169,20 @@ class BoundaryAngleMap:
         rel = np.mod(th - base, 2.0 * np.pi) + base
         idx = np.searchsorted(self.sorted_start, rel + 1e-14) - 1
         faces = self.order[np.clip(idx, 0, len(self.order) - 1)]
-        t = np.empty(len(th))
         mesh = self.mesh
-        coords = mesh.nodes[mesh.boundary_faces]
-        for i, (f, theta) in enumerate(zip(faces, th)):
-            target = np.mod(theta - self.start[f], 2.0 * np.pi)
-            lo, hi = 0.0, 1.0
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                p = edge_shape(mesh.order, np.array([mid]))[0] @ coords[f]
-                ang = np.mod(np.arctan2(p[1], p[0]) - self.start[f], 2.0 * np.pi)
-                # wrapped angles compare within the face's small span
-                if ang > np.pi:
-                    ang -= 2.0 * np.pi
-                if ang < target:
-                    lo = mid
-                else:
-                    hi = mid
-            t[i] = 0.5 * (lo + hi)
-        return faces, t
+        coords = mesh.nodes[mesh.boundary_faces[faces]]
+        start = self.start[faces]
+        target = np.mod(th - start, 2.0 * np.pi)
+        lo, hi = np.zeros(len(th)), np.ones(len(th))
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            p = np.einsum("nb,nbx->nx", edge_shape(mesh.order, mid), coords)
+            ang = np.mod(np.arctan2(p[:, 1], p[:, 0]) - start, 2.0 * np.pi)
+            # wrapped angles compare within the face's small span
+            below = np.where(ang > np.pi, ang - 2.0 * np.pi, ang) < target
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        return faces, 0.5 * (lo + hi)
 
 
 def eval_surface_fe(g_h, faces, t):
@@ -193,8 +192,24 @@ def eval_surface_fe(g_h, faces, t):
     return np.einsum("nb,nb->n", psi, g_h.coeffs[mesh.surface_faces[faces]])
 
 
+# -- overkill pullbacks ----------------------------------------------------------
+# Every fixed point set is located once; what remains per call is one sparse
+# product with a matrix cached on the coarse mesh, keyed by overkill level.
+
+
+def _rows_matrix(vals, cols, n_cols):
+    """CSR matrix whose row i holds vals[i] in the columns cols[i]."""
+    indptr = np.arange(0, vals.size + 1, vals.shape[1])
+    return sp.csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(len(vals), n_cols))
+
+
+def _evaluation_matrix(mesh, elems, refs):
+    """Sparse map: bulk coefficients -> values at (element, reference point) pairs."""
+    return _rows_matrix(tri_shape(mesh.order, refs), mesh.elements[elems], mesh.n_nodes)
+
+
 def overkill_context(mesh, lm, level=2):
-    """Fine mesh, grams, lift and locators shared by overkill operations."""
+    """Fine mesh, grams and the lifted-point locators of overkill operations."""
     return _cached(mesh, ("overkill", level), lambda: _overkill_context(mesh, lm, level))
 
 
@@ -202,57 +217,52 @@ def _overkill_context(mesh, lm, level):
     fine = refined_copy(mesh, 2**level)
     if fine.h > mesh.h / 2**level + 1e-12:
         raise RuntimeError("overkill refinement did not reduce h as expected")
-    fine_grams = assemble_grams(fine)
-    fine_lm = build_lift_map(fine)
     return {
         "fine": fine,
-        "fine_grams": fine_grams,
-        "fine_lm": fine_lm,
-        "fine_lifted_locator": MeshLocator(fine, lift=fine_lm),
-        "coarse_lifted_locator": MeshLocator(mesh, lift=lm),
-        "coarse_locator": MeshLocator(mesh),
-        "angle_map": BoundaryAngleMap(mesh) if mesh.domain_kind == "disk" else None,
+        "fine_grams": grams_of(fine),
+        # both locate points of the exact domain
+        "fine_locator": MeshLocator(fine, lift=build_lift_map(fine)),
+        "coarse_locator": MeshLocator(mesh, lift=lm),
     }
 
 
-def _pullback_source_matrix(mesh, lm, ctx):
-    """Sparse map: coarse coefficients -> lifted values at fine rule points.
+def _overkill_matrix(build, mesh, lm, level):
+    """build(mesh, lm, ctx), run once per (build, level) and cached on the coarse mesh."""
+    return _cached(mesh, (build, level), lambda: build(mesh, lm, overkill_context(mesh, lm, level)))
 
-    The fine quadrature points are fixed, so the expensive point location
-    on the lifted coarse mesh happens once per (mesh, level).
+
+def _source_matrix(mesh, lm, ctx):
+    """Sparse map: coarse coefficients -> lifted values at fine rule points."""
+    pts = bulk_quad_data(ctx["fine"])["pts"].reshape(-1, 2)
+    return _evaluation_matrix(mesh, *ctx["coarse_locator"].locate(pts))
+
+
+def _trace_matrix(mesh, lm, ctx):
+    """Sparse map: coarse surface coefficients -> values at fine boundary nodes.
+
+    The fine boundary nodes lie on the exact boundary. On the disk each
+    pulls back to the discrete boundary point at its polar angle; under
+    the identity lift (square) it lies on the coarse boundary itself.
     """
-    if "source_matrix" in ctx:
-        return ctx["source_matrix"]
-    fine = ctx["fine"]
-    qd = bulk_quad_data(fine)
-    pts = qd["pts"].reshape(-1, 2)
-    elems, refs = ctx["coarse_lifted_locator"].locate(pts)
-    phi = tri_shape(mesh.order, refs)               # (npts, nb)
-    cols = mesh.elements[elems]
-    rows = np.repeat(np.arange(len(pts)), phi.shape[1])
-    S = sp.coo_matrix(
-        (phi.ravel(), (rows, cols.ravel())), shape=(len(pts), mesh.n_nodes)
-    ).tocsr()
-    ctx["source_matrix"] = S
-    return S
+    bpts = ctx["fine"].nodes[ctx["fine_grams"].boundary_ids]
+    if lm.is_identity:
+        E = _evaluation_matrix(mesh, *ctx["coarse_locator"].locate(bpts))
+        return E[:, mesh.boundary_node_ids]
+    faces, t = BoundaryAngleMap(mesh).locate(np.arctan2(bpts[:, 1], bpts[:, 0]))
+    return _rows_matrix(
+        edge_shape(mesh.order, t), mesh.surface_faces[faces], len(mesh.boundary_node_ids)
+    )
 
 
-def _boundary_trace_matrix(mesh, ctx):
-    """Sparse map: coarse surface coefficients -> values at fine boundary nodes."""
-    if "trace_interp_matrix" in ctx:
-        return ctx["trace_interp_matrix"]
-    fg = ctx["fine_grams"]
-    bpts = ctx["fine"].nodes[fg.boundary_ids]
-    faces, t = ctx["angle_map"].locate(np.arctan2(bpts[:, 1], bpts[:, 0]))
-    psi = edge_shape(mesh.order, t)
-    sconn = mesh.surface_faces[faces]
-    rows = np.repeat(np.arange(len(bpts)), psi.shape[1])
-    T = sp.coo_matrix(
-        (psi.ravel(), (rows, sconn.ravel())),
-        shape=(len(bpts), len(mesh.boundary_node_ids)),
-    ).tocsr()
-    ctx["trace_interp_matrix"] = T
-    return T
+def _sz_pullback_matrix(mesh, lm, ctx):
+    """Sparse map: fine coefficients -> pullback values at the SZ moment points.
+
+    The moment points are known as (element, reference point), so they are
+    lifted directly and only the lifted points need locating.
+    """
+    sz = _sz_moments(mesh)
+    lifted, _, _ = lift_mixed(lm, sz["elems"], sz["refs"])
+    return _evaluation_matrix(ctx["fine"], *ctx["fine_locator"].locate(lifted))
 
 
 def dirichlet_lift(u_h, lm, overkill_level=2):
@@ -269,24 +279,15 @@ def dirichlet_lift_from_data(f_h, g_h, lm, overkill_level=2):
 
     # lifted source tested against the fine basis
     qd = bulk_quad_data(fine)
-    fv = (_pullback_source_matrix(mesh, lm, ctx) @ f_h.coeffs).reshape(qd["det"].shape)
+    S = _overkill_matrix(_source_matrix, mesh, lm, overkill_level)
+    fv = (S @ f_h.coeffs).reshape(qd["det"].shape)
     loc = np.einsum("q,eq,eq,qb->eb", qd["rule"].weights, qd["det"], fv, qd["phi"])
     rhs_full = np.zeros(fine.n_nodes)
     np.add.at(rhs_full, fine.elements.ravel(), loc.ravel())
 
-    # lifted trace at the fine boundary nodes (they lie on the circle)
+    # lifted trace at the fine boundary nodes
     u = np.zeros(fine.n_nodes)
-    if ctx["angle_map"] is not None:
-        u[fg.boundary_ids] = _boundary_trace_matrix(mesh, ctx) @ g_h.coeffs
-    else:
-        # identity lift: evaluate the coarse trace through its bulk function
-        bpts = fine.nodes[fg.boundary_ids]
-        gb = np.zeros(mesh.n_nodes)
-        gb[mesh.boundary_node_ids] = g_h.coeffs
-        gfun = FeFunction(mesh, gb, BULK)
-        elems, refs = ctx["coarse_locator"].locate(bpts)
-        phi = tri_shape(mesh.order, refs)
-        u[fg.boundary_ids] = np.einsum("nb,nb->n", phi, gfun.coeffs[mesh.elements[elems]])
+    u[fg.boundary_ids] = _overkill_matrix(_trace_matrix, mesh, lm, overkill_level) @ g_h.coeffs
 
     ids = fg.interior_ids
     rhs = rhs_full[ids] - (fg.A_bulk @ u)[ids]
@@ -294,42 +295,13 @@ def dirichlet_lift_from_data(f_h, g_h, lm, overkill_level=2):
     return OverkillSolution(fine, FeFunction(fine, u, BULK), "dirichlet")
 
 
-def inverse_lifted_overkill(sol, lm, overkill_level=2):
-    """The overkill solution as a pointwise-evaluable function on Omega_h.
-
-    The double point location (coarse point -> exact domain -> fine
-    element) is memoized per point batch, so repeated pullbacks of
-    different solutions at the same quadrature layouts cost one gather.
-    """
-    mesh = lm.mesh
-    ctx = overkill_context(mesh, lm, overkill_level)
-    fine = ctx["fine"]
-    floc = ctx["fine_lifted_locator"]
-    cloc = ctx["coarse_locator"]
-    memo = ctx.setdefault("pullback_loc_cache", {})
-
-    def fn(pts):
-        pts = np.atleast_2d(pts)
-        key = pts.tobytes()
-        ent = memo.get(key)
-        if ent is None:
-            elems, refs = cloc.locate(pts)
-            lifted, _, _ = lift_mixed(lm, elems, refs)
-            felems, frefs = floc.locate(lifted)
-            ent = (tri_shape(fine.order, frefs), fine.elements[felems])
-            memo[key] = ent
-        phi, conn = ent
-        return np.einsum("nb,nb->n", phi, sol.fe.coeffs[conn])
-
-    return fn
-
-
 def sz_via_dirichlet(u_h, lm, overkill_level=2, sol=None):
     """Trace-preserving quasi-interpolant: Scott-Zhang of the pulled-back lift."""
     if sol is None:
         sol = dirichlet_lift(u_h, lm, overkill_level)
-    fn = inverse_lifted_overkill(sol, lm, overkill_level)
-    return scott_zhang(fn, u_h.mesh)
+    mesh = u_h.mesh
+    vals = _overkill_matrix(_sz_pullback_matrix, mesh, lm, overkill_level) @ sol.fe.coeffs
+    return _sz_from_values(mesh, _sz_moments(mesh), vals)
 
 
 # -- Ritz map ------------------------------------------------------------------
@@ -345,28 +317,20 @@ def ritz_map(w, grad_w, lm, grams, degree=None):
     if degree is None:
         degree = default_degree(mesh.order)
     data = lift_rule_data(lm, degree)
-    rule, pts, jac, det = data["rule"], data["pts"], data["jac"], data["det"]
+    rule, pts, det = data["rule"], data["pts"], data["det"]
     gw = np.asarray(grad_w(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape)
-    dphi = tri_shape_grad(mesh.order, rule.points)
-    inv, _ = _inverse_2x2(jac)
-    gphys = np.einsum("eqrx,qbr->eqbx", inv, dphi)
+    gphys = _lifted_shape_gradients(lm, degree)
     loc = np.einsum("q,eq,eqx,eqbx->eb", rule.weights, det, gw, gphys)
     rhs = np.zeros(mesh.n_nodes)
     np.add.at(rhs, mesh.elements.ravel(), loc.ravel())
 
     # boundary term: integral of w against the lifted surface basis
-    erule = edge_rule(degree)
+    sd = _lifted_surface_data(lm, degree)
+    erule, speed = sd["rule"], sd["speed"]
+    wv = np.asarray(w(sd["pts"].reshape(-1, 2)), dtype=float).reshape(speed.shape)
     psi = edge_shape(mesh.order, erule.points)
-    for f in range(len(mesh.boundary_faces)):
-        e, le = mesh.face_elem[f], mesh.face_local_edge[f]
-        refs = tri_edge_ref_points(le, erule.points)
-        lifted, jc, _ = lift_mixed(lm, np.full(len(refs), e), refs)
-        a, b = TRI_EDGES[le]
-        vel = np.einsum("nxr,r->nx", jc, TRI_VERTS[b] - TRI_VERTS[a])
-        speed = np.linalg.norm(vel, axis=1)
-        wv = np.asarray(w(lifted), dtype=float)
-        contrib = np.einsum("q,q,q,qi->i", erule.weights, speed, wv, psi)
-        np.add.at(rhs, mesh.boundary_faces[f], contrib)
+    contrib = np.einsum("q,fq,fq,qi->fi", erule.weights, speed, wv, psi)
+    np.add.at(rhs, mesh.boundary_faces.ravel(), contrib.ravel())
 
     return FeFunction(mesh, _robin_solver(grams)(rhs), BULK)
 
@@ -383,12 +347,8 @@ def sampled_w1inf(u, degree=None):
 def sampled_w1inf_lifted(u, lm, degree=None):
     """Sampled W^{1,infty} norm of the lifted function on the exact domain."""
     data = lift_rule_data(lm, degree)
-    mesh = u.mesh
-    dphi = tri_shape_grad(mesh.order, data["rule"].points)
-    inv, _ = _inverse_2x2(data["jac"])
-    gphys = np.einsum("eqrx,qbr->eqbx", inv, dphi)
-    local = u.coeffs[mesh.elements]
-    grads = np.einsum("eqbx,eb->eqx", gphys, local)
+    gphys = _lifted_shape_gradients(lm, degree)
+    grads = np.einsum("eqbx,eb->eqx", gphys, u.coeffs[u.mesh.elements])
     vals, _ = eval_on_elements(u, data["rule"].degree)
     return float(max(np.abs(vals).max(), np.linalg.norm(grads, axis=-1).max()))
 

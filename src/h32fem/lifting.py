@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .basis import TRI_EDGES, TRI_VERTS, tri_shape, tri_shape_grad
+from .basis import TRI_EDGES, TRI_VERTS, tri_edge_ref_points, tri_shape, tri_shape_grad
 from .meshing import _cached, _inverse_2x2, batched_geometry
-from .quadrature import default_degree, triangle_rule
+from .quadrature import default_degree, edge_rule, triangle_rule
 
 # reference-coordinate gradients of the barycentric coordinates
 _DLAM = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -174,6 +174,37 @@ def _lift_rule_data(lm, degree):
         "detgeo": detgeo,
         "grad_lambda": grad_lambda,
     }
+
+
+def _lifted_shape_gradients(lm, degree=None):
+    """Physical gradients (ne, m, nb, 2) of the lifted basis at lift_rule_data's points.
+
+    Not cached: at k=2 the array is tens of MB per mesh.
+    """
+    data = lift_rule_data(lm, degree)
+    dphi = tri_shape_grad(lm.mesh.order, data["rule"].points)
+    return np.einsum("eqrx,qbr->eqbx", _inverse_2x2(data["jac"])[0], dphi)
+
+
+def _face_ref_points(mesh, t):
+    """(nfaces, m, 2) reference points of edge parameters t on each boundary face's element."""
+    return np.stack([tri_edge_ref_points(le, t) for le in range(3)])[mesh.face_local_edge]
+
+
+def _lifted_surface_data(lm, degree):
+    """Lifted points (nf, m, 2) and lifted curve speed (nf, m) at edge-rule points (cached)."""
+    return _cached(lm.mesh, ("lift_surf", degree), lambda: _lift_surface(lm, degree))
+
+
+def _lift_surface(lm, degree):
+    mesh = lm.mesh
+    rule = edge_rule(degree)
+    nf, m = len(mesh.face_elem), len(rule)
+    refs = _face_ref_points(mesh, rule.points).reshape(-1, 2)
+    pts, jac, _ = lift_mixed(lm, np.repeat(mesh.face_elem, m), refs)
+    tangent = np.array([TRI_VERTS[b] - TRI_VERTS[a] for a, b in TRI_EDGES])[mesh.face_local_edge]
+    vel = np.einsum("fqxr,fr->fqx", jac.reshape(nf, m, 2, 2), tangent)
+    return {"rule": rule, "pts": pts.reshape(nf, m, 2), "speed": np.linalg.norm(vel, axis=-1)}
 
 
 def grad_lambda_inf_error(lm, degree=None):

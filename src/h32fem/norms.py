@@ -23,7 +23,7 @@ from .meshing import _cached
 
 ALL = "all"
 INTERIOR = "interior"
-# Largest mesh (in nodes) whose pencils are solved by a dense eigh.
+# Largest pencil (in DOFs) solved by a dense eigh.
 DENSE_EIG_NODE_CAP = 20000
 
 
@@ -66,9 +66,9 @@ def surface_spectral_decomp(grams):
 
 def _dense_decomp(grams, dofset, ids, M_full, A_full):
     """Dense eigh of the pencil (M + A, M) restricted to ids, size-capped."""
-    if grams.mesh.n_nodes > DENSE_EIG_NODE_CAP:
+    if len(ids) > DENSE_EIG_NODE_CAP:
         raise RuntimeError(
-            f"mesh with {grams.mesh.n_nodes} nodes exceeds the dense eigensolve cap"
+            f"{dofset} pencil with {len(ids)} DOFs exceeds the dense eigensolve cap"
         )
     M = M_full[np.ix_(ids, ids)].toarray()
     A = A_full[np.ix_(ids, ids)].toarray()

@@ -17,18 +17,10 @@ from .assembly import (
     surface_quad_data,
     trace,
 )
-from .basis import (
-    TRI_EDGES,
-    TRI_VERTS,
-    edge_shape,
-    edge_shape_deriv,
-    tri_edge_ref_points,
-    tri_shape_grad,
-)
-from .lifting import lift_mixed, lift_rule_data
-from .meshing import _inverse_2x2
+from .basis import edge_shape, edge_shape_deriv
+from .lifting import _lifted_shape_gradients, _lifted_surface_data, lift_rule_data
 from .norms import l2_norm
-from .quadrature import default_degree, edge_rule
+from .quadrature import default_degree
 
 
 # -- smooth test fields --------------------------------------------------------
@@ -180,9 +172,7 @@ def lifted_bulk_forms(mesh, lm, z, w):
     vz, _ = eval_on_elements(z)
     vw, _ = eval_on_elements(w)
     m_l = float(np.einsum("q,eq,eq,eq->", wq, data["det"], vz, vw))
-    invc, _ = _inverse_2x2(data["jac"])
-    dphi = tri_shape_grad(mesh.order, rule.points)
-    gp = np.einsum("eqrx,qbr->eqbx", invc, dphi)
+    gp = _lifted_shape_gradients(lm)
     gz = np.einsum("eqbx,eb->eqx", gp, z.coeffs[mesh.elements])
     gw = np.einsum("eqbx,eb->eqx", gp, w.coeffs[mesh.elements])
     a_l = float(np.einsum("q,eq,eqx,eqx->", wq, data["det"], gz, gw))
@@ -203,24 +193,14 @@ def bulk_form_errors(mesh, lm, z, w):
 
 def lifted_surface_forms(mesh, lm, tz, tw):
     """Surface m and a forms of the lifted traces."""
-    er = edge_rule(default_degree(mesh.order))
+    sd = _lifted_surface_data(lm, default_degree(mesh.order))
+    er, speed = sd["rule"], sd["speed"]
     psi = edge_shape(mesh.order, er.points)
     dpsi = edge_shape_deriv(mesh.order, er.points)
-    sconn = mesh.surface_faces
-    ms = asur = 0.0
-    for f in range(len(mesh.boundary_faces)):
-        e, le = mesh.face_elem[f], mesh.face_local_edge[f]
-        refs = tri_edge_ref_points(le, er.points)
-        _, jc, _ = lift_mixed(lm, np.full(len(refs), e), refs)
-        a, b = TRI_EDGES[le]
-        vel = np.einsum("nxr,r->nx", jc, TRI_VERTS[b] - TRI_VERTS[a])
-        speed = np.linalg.norm(vel, axis=1)
-        zv = psi @ tz.coeffs[sconn[f]]
-        wv = psi @ tw.coeffs[sconn[f]]
-        dz = dpsi @ tz.coeffs[sconn[f]]
-        dw = dpsi @ tw.coeffs[sconn[f]]
-        ms += float(np.sum(er.weights * speed * zv * wv))
-        asur += float(np.sum(er.weights * dz * dw / speed))
+    zc, wc = tz.coeffs[mesh.surface_faces], tw.coeffs[mesh.surface_faces]
+    zv, wv, dz, dw = zc @ psi.T, wc @ psi.T, zc @ dpsi.T, wc @ dpsi.T
+    ms = float(np.sum(er.weights * speed * zv * wv))
+    asur = float(np.sum(er.weights * dz * dw / speed))
     return ms, asur
 
 
@@ -249,9 +229,7 @@ def multilinear_gradient_integral(mesh, fields, coeff_fn, lifted, lm=None):
     if lifted:
         data = lift_rule_data(lm)
         rule, det = data["rule"], data["det"]
-        invc, _ = _inverse_2x2(data["jac"])
-        dphi = tri_shape_grad(mesh.order, rule.points)
-        gp = np.einsum("eqrx,qbr->eqbx", invc, dphi)
+        gp = _lifted_shape_gradients(lm)
         grads = [
             np.einsum("eqbx,eb...->eqx...", gp, f.coeffs[mesh.elements])
             for f in fields

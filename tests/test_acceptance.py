@@ -2,8 +2,9 @@
 
 Every test prints a single PASS/FAIL line (visible with `pytest -s` or in
 the failure report) and asserts both the criterion and its runtime budget.
-Criteria 1-3 also compare every default-configuration table they compute
-with the committed reference table of the same order and seed.
+Criteria 1-4 and the registry remainder also compare every
+default-configuration table they compute with the committed reference
+table of the same order and seed, so all 23 experiments are covered.
 """
 
 import importlib.util
@@ -186,8 +187,12 @@ def test_criterion_4_oracle_cross_checks(rng):
     # Leibniz inequality with sqrt(2) x 1.05 on 200 random polynomial pairs
     t = run_experiment("leibniz_half", ExperimentConfig())
     ok &= t.passed
+    drift = _golden(t)
     elapsed = time.time() - t0
-    _report(4, ok and elapsed < 600.0, f"(oracle cross-checks, {elapsed:.1f}s)")
+    _report(
+        4, ok and not drift and elapsed < 600.0,
+        f"(oracle cross-checks, {elapsed:.1f}s, drift: {drift or 'none'})",
+    )
 
 
 def test_criterion_5_structural_invariants(tmp_path, rng):
@@ -247,11 +252,17 @@ def test_criterion_5_structural_invariants(tmp_path, rng):
 
 
 def test_registry_remainder_passes():
-    # experiments not named by a criterion still have to hold
-    cfg = ExperimentConfig(order=1)
-    for name in (
-        "sz_projection", "smallness", "product_sampled", "l2_product",
-        "duality_sampled", "neumann_decay",
-    ):
-        t = run_experiment(name, cfg)
-        assert t.passed, name
+    # experiments not named by a criterion still have to hold, at both
+    # orders, and match their reference tables
+    failed, drift = [], []
+    for order in (1, 2):
+        cfg = ExperimentConfig(order=order)
+        for name in (
+            "sz_projection", "smallness", "product_sampled", "l2_product",
+            "duality_sampled", "neumann_decay",
+        ):
+            t = run_experiment(name, cfg)
+            if not t.passed:
+                failed.append(f"{name}/k{order}")
+            drift += _golden(t)
+    assert not failed and not drift, f"failed: {failed}, drift: {drift}"

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from h32fem.assembly import FeFunction, grams_of, nodal_interp_bulk, trace, zero_function
 from h32fem.interp import (
@@ -151,6 +152,21 @@ def test_boundary_angle_map_and_surface_eval():
     vals = eval_surface_fe(gs, faces, t)
     # the trace of x on the discrete boundary is cos(theta) up to geometry error
     assert np.abs(vals - np.cos(angles)).max() < 5e-3
+    # the batched bisection agrees with a per-angle scalar bisection
+    from h32fem.basis import edge_shape
+
+    coords = m.nodes[m.boundary_faces]
+    for f, theta, tf in zip(faces, angles, t):
+        target = np.mod(theta - amap.start[f], 2.0 * np.pi)
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            p = edge_shape(m.order, np.array([mid]))[0] @ coords[f]
+            ang = np.mod(np.arctan2(p[1], p[0]) - amap.start[f], 2.0 * np.pi)
+            if ang > np.pi:
+                ang -= 2.0 * np.pi
+            lo, hi = (mid, hi) if ang < target else (lo, mid)
+        assert abs(tf - 0.5 * (lo + hi)) < 1e-12
 
 
 def test_overkill_path_on_square(rng):
@@ -166,3 +182,95 @@ def test_overkill_path_on_square(rng):
     assert np.abs(sol.coeffs - fine_x).max() < 1e-9
     out = sz_via_dirichlet(u, lm, sol=sol)
     assert np.abs(out.coeffs - u.coeffs).max() < 1e-8
+
+
+def _scott_zhang_per_cell(v, mesh):
+    """The per-cell Scott-Zhang loop the batched operator replaced, as a reference."""
+    from h32fem.assembly import bulk_quad_data, surface_quad_data
+    from h32fem.basis import tri_edge_ref_points, tri_shape
+    from h32fem.quadrature import default_degree
+
+    degree = default_degree(mesh.order) + 2
+    kind = np.zeros(mesh.n_nodes, dtype=bool)
+    cell = np.full(mesh.n_nodes, -1)
+    local = np.full(mesh.n_nodes, -1)
+    for f, face in enumerate(mesh.boundary_faces):
+        for i, node in enumerate(face):
+            if cell[node] < 0:
+                kind[node], cell[node], local[node] = True, f, i
+    for e, conn in enumerate(mesh.elements):
+        for i, node in enumerate(conn):
+            if cell[node] < 0:
+                kind[node], cell[node], local[node] = False, e, i
+    is_fe = hasattr(v, "coeffs")
+    qd, sd = bulk_quad_data(mesh, degree), surface_quad_data(mesh, degree)
+    coeffs = np.zeros(mesh.n_nodes)
+    psi, ws = sd["psi"], sd["rule"].weights
+    for f in np.unique(cell[kind]):
+        speed = sd["speed"][f]
+        G = np.einsum("q,qi,qj,q->ij", ws, psi, psi, speed)
+        if is_fe:
+            ref = tri_edge_ref_points(mesh.face_local_edge[f], sd["rule"].points)
+            fv = tri_shape(mesh.order, ref) @ v.coeffs[mesh.elements[mesh.face_elem[f]]]
+        else:
+            fv = np.asarray(v(sd["pts"][f]), dtype=float)
+        dual = np.linalg.solve(G, np.einsum("q,q,q,qi->i", ws, speed, fv, psi))
+        for i, node in enumerate(mesh.boundary_faces[f]):
+            if kind[node] and cell[node] == f and local[node] == i:
+                coeffs[node] = dual[i]
+    phi, wq = qd["phi"], qd["rule"].weights
+    for e in np.unique(cell[~kind]):
+        det = qd["det"][e]
+        G = np.einsum("q,qi,qj,q->ij", wq, phi, phi, det)
+        if is_fe:
+            ev = phi @ v.coeffs[mesh.elements[e]]
+        else:
+            ev = np.asarray(v(qd["pts"][e]), dtype=float)
+        dual = np.linalg.solve(G, np.einsum("q,q,q,qi->i", wq, det, ev, phi))
+        for i, node in enumerate(mesh.elements[e]):
+            if not kind[node] and cell[node] == e and local[node] == i:
+                coeffs[node] = dual[i]
+    return coeffs
+
+
+@pytest.mark.parametrize(
+    "mesh", [disk_mesh(3, 1), disk_mesh(3, 2), build_square_mesh(3, 2)],
+    ids=["disk_k1", "disk_k2", "square_k2"],
+)
+def test_batched_sz_matches_per_cell_loop(mesh, rng):
+    u = FeFunction(mesh, rng.normal(size=mesh.n_nodes))
+    rough = lambda p: np.sign(np.sin(7.0 * p[:, 0]) + np.cos(5.0 * p[:, 1])) + 0.5 * p[:, 0]
+    for v in (u, rough):
+        ref = _scott_zhang_per_cell(v, mesh)
+        got = scott_zhang(v, mesh).coeffs
+        assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+def test_sz_calls_a_callable_once(disk4k2):
+    calls = []
+
+    def v(p):
+        calls.append(len(p))
+        return np.cos(p[:, 0]) * p[:, 1]
+
+    scott_zhang(v, disk4k2)
+    assert len(calls) == 1
+
+
+def test_sz_via_dirichlet_locates_only_while_building(monkeypatch):
+    from h32fem.lifting import MeshLocator
+
+    located = []
+    locate = MeshLocator.locate
+    monkeypatch.setattr(
+        MeshLocator, "locate", lambda self, pts: located.append(len(pts)) or locate(self, pts)
+    )
+    m = disk_mesh(3, 1)
+    lm = build_lift_map(m)
+    u = nodal_interp_bulk(m, lambda p: np.sin(p[:, 0]) + p[:, 1] ** 2)
+    first = sz_via_dirichlet(u, lm)
+    built = len(located)
+    assert built > 0
+    second = sz_via_dirichlet(u, lm)
+    assert len(located) == built
+    assert np.array_equal(first.coeffs, second.coeffs)

@@ -146,3 +146,31 @@ def test_square_lift_is_identity():
     w = lift_function(u, lm)
     pts = np.array([[0.21, 0.33], [0.8, 0.05]])
     assert np.abs(w.values(pts) - pts[:, 0] * pts[:, 1]).max() < 1e-11
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_lifted_surface_forms_match_per_face_loop(order):
+    # the per-face lift the batched surface data replaced, as a reference
+    from h32fem.assembly import trace
+    from h32fem.basis import TRI_EDGES, TRI_VERTS, edge_shape, edge_shape_deriv
+    from h32fem.quadrature import default_degree, edge_rule
+    from h32fem.studies import lifted_surface_forms
+
+    m = disk_mesh(3, order)
+    lm = build_lift_map(m)
+    tz = trace(nodal_interp_bulk(m, lambda p: np.sin(p[:, 0]) + p[:, 1]))
+    tw = trace(nodal_interp_bulk(m, lambda p: np.cos(2.0 * p[:, 1]) * p[:, 0]))
+    er = edge_rule(default_degree(order))
+    psi, dpsi = edge_shape(order, er.points), edge_shape_deriv(order, er.points)
+    ms = asur = 0.0
+    for f in range(len(m.boundary_faces)):
+        e, le = m.face_elem[f], m.face_local_edge[f]
+        refs = tri_edge_ref_points(le, er.points)
+        _, jc, _ = lift_mixed(lm, np.full(len(refs), e), refs)
+        a, b = TRI_EDGES[le]
+        speed = np.linalg.norm(np.einsum("nxr,r->nx", jc, TRI_VERTS[b] - TRI_VERTS[a]), axis=1)
+        zc, wc = tz.coeffs[m.surface_faces[f]], tw.coeffs[m.surface_faces[f]]
+        ms += float(np.sum(er.weights * speed * (psi @ zc) * (psi @ wc)))
+        asur += float(np.sum(er.weights * (dpsi @ zc) * (dpsi @ wc) / speed))
+    got = lifted_surface_forms(m, lm, tz, tw)
+    assert np.allclose(got, (ms, asur), rtol=1e-13, atol=0.0)

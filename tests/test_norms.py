@@ -163,21 +163,35 @@ def test_norm_homogeneity_all_ops(setup, rng):
 
 
 def test_dense_eig_cap_refuses_before_eigh(monkeypatch):
+    eigh = scipy.linalg.eigh
+
     def no_eigh(*args, **kwargs):
         raise AssertionError("eigh called past the cap")
 
     monkeypatch.setattr(scipy.linalg, "eigh", no_eigh)
     mesh = disk_mesh(2, 1)
     g = assemble_grams(mesh)
-    monkeypatch.setattr(norms, "DENSE_EIG_NODE_CAP", mesh.n_nodes - 1)
-    for decomp in (
-        lambda: spectral_decomp(g, "all"),
-        lambda: spectral_decomp(g, "interior"),
-        lambda: surface_spectral_decomp(g),
-    ):
-        with pytest.raises(RuntimeError, match=f"{mesh.n_nodes} nodes exceeds the dense eigensolve cap"):
+    pencils = {
+        "all": (mesh.n_nodes, lambda: spectral_decomp(g, "all")),
+        "interior": (len(g.interior_ids), lambda: spectral_decomp(g, "interior")),
+        "surface": (len(g.boundary_ids), lambda: surface_spectral_decomp(g)),
+    }
+    # the cap counts each pencil's own DOFs
+    for name, (size, decomp) in pencils.items():
+        monkeypatch.setattr(norms, "DENSE_EIG_NODE_CAP", size - 1)
+        with pytest.raises(RuntimeError, match=f"{name} pencil with {size} DOFs exceeds the dense eigensolve cap"):
             decomp()
+    # a surface pencil under the cap is solved while the bulk mesh is over it
+    n_surf = pencils["surface"][0]
+    assert n_surf < mesh.n_nodes
+    monkeypatch.setattr(norms, "DENSE_EIG_NODE_CAP", n_surf)
+    with pytest.raises(RuntimeError, match="all pencil"):
+        pencils["all"][1]()
+    monkeypatch.setattr(scipy.linalg, "eigh", eigh)
+    assert len(pencils["surface"][1]()) == n_surf
     # experiments reach the cap through norms too, including sz_error
+    monkeypatch.setattr(scipy.linalg, "eigh", no_eigh)
+    monkeypatch.setattr(norms, "DENSE_EIG_NODE_CAP", 0)
     monkeypatch.setattr(experiments, "get_mesh", lambda kind, n, order: disk_mesh(n, order))
     with pytest.raises(RuntimeError, match="dense eigensolve cap"):
         experiments.run_experiment("sz_error", experiments.ExperimentConfig(levels=3))

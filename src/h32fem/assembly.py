@@ -92,7 +92,7 @@ def _bulk_quad_data(mesh, degree):
         raise RuntimeError("nonpositive Jacobian during assembly")
     inv, _ = _inverse_2x2(jac)
     # physical gradient: dphi/dx_x = sum_r dphi/dxi_r * dxi_r/dx_x
-    gphys = np.einsum("eqrx,qbr->eqbx", inv, dphi)
+    gphys = np.matmul(dphi, inv)
     return {
         "rule": rule,
         "phi": phi,

@@ -806,7 +806,7 @@ def exp_product_sampled(cfg):
     g = grams_of(m)
     slack = 10.0
     worst_cont = 0.0
-    batch, meta = [], []
+    batch = []
     for _ in range(12):
         u1 = [_smooth_rand_interp(m, rng) for _ in range(2)]
         u2 = [_smooth_rand_interp(m, rng) for _ in range(2)]
@@ -815,7 +815,6 @@ def exp_product_sampled(cfg):
             lambda a1, a2, b1, b2, c: (a1 * b1 + a2 * b2) * c, u1 + u2 + [v1]
         )
         batch.extend(u1 + u2 + [v1, prod])
-        meta.append(None)
     G = gagliardo_seminorms(batch, m)
     per = 6
     for i in range(12):
@@ -858,11 +857,11 @@ def exp_product_sampled(cfg):
             u1 = nodal_interp_bulk(
                 md, lambda p: np.sin(fr * p[:, 0]) * np.cos(fr * p[:, 1])
             )
-            u1 = u1.scaled(0.9 * md.h**kappa / _winf_of(u1, md))
+            u1 = u1.scaled(0.9 * md.h**kappa / _winf_of(u1))
             psi1 = nodal_interp_bulk(md, lambda p: np.sin(fr * p[:, 1] + 1.0))
             psi2 = nodal_interp_bulk(md, lambda p: np.cos(fr * p[:, 0] + 2.0))
             u2 = FeFunction(md, np.column_stack([psi1.coeffs, psi2.coeffs]))
-            wmax = max(_winf_of(psi1, md), _winf_of(psi2, md))
+            wmax = max(_winf_of(psi1), _winf_of(psi2))
             u2 = FeFunction(md, u2.coeffs * (0.9 * md.h**kappa / wmax))
             _, g1 = eval_on_elements(u1)
             _, g2 = eval_on_elements(u2)   # (ne, m, 2, 2), A[x, c] convention
@@ -891,7 +890,7 @@ def exp_product_sampled(cfg):
     )
 
 
-def _winf_of(u, mesh):
+def _winf_of(u):
     vmax, gmax = studies.sampled_w1inf_panel(u)
     return max(vmax, gmax)
 

@@ -7,27 +7,34 @@ The squared seminorm is the double integral over all element pairs of
   apex-Duffy split around each outer quadrature point (the s-Jacobian of
   the Duffy map cancels the 1/r kernel growth exactly), at 4x the base
   quadrature degree;
-* adjacent elements (sharing at least a vertex): plain product rule at 2x
-  the base degree (integrand bounded at interior quadrature points);
+* adjacent elements (sharing a vertex, from one element-vertex incidence
+  product): plain product rule at 2x the base degree (integrand bounded at
+  interior quadrature points);
 * disjoint elements: plain product rule at the base degree.
 
 The cost is quadratic in the element count, so meshes are capped at 500
-elements. The kernel weights are shared across a whole batch of functions;
-values are formed by one BLAS product per element and the pairing keeps
-the direct (u(x)-u(y))^2 form, chunked over functions to bound memory, so
-constants give exactly zero and scaling is exact to rounding. This oracle
-certifies inequalities with slack, not tight values; on the smooth test
-panels it sits within a few percent of converged values.
+elements. Each class is one pass over geometry blocks (element pairs, or
+elements times outer points) and, inside each, function blocks, all sized
+from one byte budget, so memory does not grow with the function count. A
+function block's values are one BLAS product with the shape table, one
+FeExpression.combine call per expression and one call per callable. The
+pairing keeps the direct (u(x)-u(y))^2 form, so constants give exactly
+zero and scaling is exact to rounding. This oracle certifies inequalities
+with slack, not tight values; on the smooth test panels it sits within a
+few percent of converged values.
 """
 
 import functools
 
 import numpy as np
 
-from .basis import TRI_EDGES, TRI_VERTS, tri_shape, tri_shape_grad
+from .basis import TRI_EDGES, TRI_VERTS, tri_shape
+from .meshing import batched_geometry
 from .quadrature import default_degree, edge_rule, triangle_rule
 
 MAX_ELEMENTS = 500
+# Bytes of the large arrays one block makes; 1 MiB blocks stay cache-sized.
+_BLOCK_BYTES = 1 << 20
 
 
 @functools.cache
@@ -52,23 +59,16 @@ def _duffy_layout(deg):
     return xo, outer.weights, inner_ref, inner_jw
 
 
-def _shape_tables(order, ref_pts):
-    return tri_shape(order, ref_pts), tri_shape_grad(order, ref_pts)
-
-
-def _elem_pts_det(coords, phi, dphi):
-    pts = phi @ coords
-    jac = np.einsum("qbr,bx->qxr", dphi, coords)
-    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-    return pts, np.abs(det)
-
-
 class FeExpression:
     """Pointwise combination of FE functions, exact at quadrature points.
 
-    combine receives one (m,) or (m, arity) value array per input function
-    and returns the (m,) values of the expression; products of FE functions
-    evaluated this way avoid both reinterpolation error and point location.
+    combine receives one value array per input function, of shape (..., )
+    for a scalar input or (..., arity) for a vector one, and returns the
+    values of the expression with the same leading shape (...,). It must
+    act elementwise along the leading axes, whatever their number: the
+    oracle calls it once per block on (elements, points) arrays. Products
+    of FE functions evaluated this way avoid both reinterpolation error and
+    point location.
     """
 
     def __init__(self, combine, funcs):
@@ -76,130 +76,116 @@ class FeExpression:
         self.funcs = list(funcs)
 
 
-class _Evaluator:
-    """Values of a function batch at per-element points."""
-
-    def __init__(self, funcs, mesh):
-        self.mesh = mesh
-        self.entries = []
-        for f in funcs:
-            if hasattr(f, "coeffs"):
-                self.entries.append(("fe", f.coeffs[mesh.elements]))
-            elif isinstance(f, FeExpression):
-                self.entries.append(
-                    ("expr", f.combine, [g.coeffs[mesh.elements] for g in f.funcs])
-                )
-            else:
-                self.entries.append(("fn", f))
-        self.n = len(funcs)
-
-    def at(self, phi, elem, pts):
-        out = np.empty((self.n, len(pts)))
-        for j, ent in enumerate(self.entries):
-            if ent[0] == "fe":
-                out[j] = phi @ ent[1][elem]
-            elif ent[0] == "expr":
-                vals = [
-                    np.einsum("qb,b...->q...", phi, loc[elem]) for loc in ent[2]
-                ]
-                out[j] = ent[1](*vals)
-            else:
-                out[j] = np.asarray(ent[1](pts), dtype=float)
-        return out
+def _blocks(n, item_bytes):
+    """Slices of range(n) whose items make at most _BLOCK_BYTES together (one at least)."""
+    step = max(1, _BLOCK_BYTES // item_bytes)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
-_CHUNK = 64
+def _values(funcs, mesh, phi, elems, pts):
+    """Values (nfun, len(elems), m) of funcs at shared reference points of elems.
 
-
-def _pair_sum(ve, vf, K):
-    """sum_{q,r} (ve[:,q] - vf[:,r])^2 K[q,r], batched over the first axis."""
-    out = np.empty(len(ve))
-    for lo in range(0, len(ve), _CHUNK):
-        hi = lo + _CHUNK
-        dv = ve[lo:hi, :, None] - vf[lo:hi, None, :]
-        out[lo:hi] = np.einsum("nqr,nqr,qr->n", dv, dv, K, optimize=True)
+    phi is the (m, nb) shape table of the points, pts their (len(elems), m, 2)
+    images. Every FE function, direct or an FeExpression input, is evaluated
+    once, all in one product with phi.
+    """
+    leaves = {}
+    for f in funcs:
+        for g in f.funcs if isinstance(f, FeExpression) else [f]:
+            if hasattr(g, "coeffs"):
+                leaves.setdefault(id(g), g)
+    at = {}
+    if leaves:
+        coeffs = np.column_stack([g.coeffs for g in leaves.values()]).T   # (ncols, n_nodes)
+        local = coeffs[:, mesh.elements[elems]]
+        vals = (local.reshape(-1, phi.shape[1]) @ phi.T).reshape(len(coeffs), len(elems), -1)
+        lo = 0
+        for key, g in leaves.items():
+            hi = lo + g.coeffs[0].size
+            at[key] = vals[lo] if g.coeffs.ndim == 1 else np.moveaxis(vals[lo:hi], 0, -1)
+            lo = hi
+    out = np.empty((len(funcs), len(elems), len(phi)))
+    for i, f in enumerate(funcs):
+        if isinstance(f, FeExpression):
+            out[i] = f.combine(*[at[id(g)] for g in f.funcs])
+        elif hasattr(f, "coeffs"):
+            out[i] = at[id(f)]
+        else:
+            out[i] = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(out.shape[1:])
     return out
 
 
-def _adjacency(mesh):
-    by_node = {}
-    for e, conn in enumerate(mesh.elements[:, :3]):
-        for v in conn:
-            by_node.setdefault(int(v), []).append(e)
-    adj = [set() for _ in range(mesh.n_elements)]
-    for elems in by_node.values():
-        for e in elems:
-            adj[e].update(elems)
-    for e in range(mesh.n_elements):
-        adj[e].discard(e)
-    return adj
+def _class_sum(funcs, mesh, x, y, J):
+    """sum_{b,q,j} (u(x_bq) - u(y_bqj))^2 wx_bq wy_bqj / |x_bq - y_bqj|^3 for every u.
+
+    x and y are (phi, elems, pts, w) layouts of the outer and inner points of
+    B block entries; an entry's J inner points are shared by its outer
+    points, or each outer point has its own J.
+    """
+    (phi_x, ex, px, wx), (phi_y, ey, py, wy) = x, y
+    B = len(px)
+    r2 = np.sum((px[:, :, None] - py.reshape(B, -1, J, 2)) ** 2, axis=-1)
+    K = (wx[:, :, None] * wy.reshape(B, -1, J) / r2**1.5).ravel()
+    out = np.empty(len(funcs))
+    for fb in _blocks(len(funcs), 8 * len(K)):
+        block = funcs[fb]
+        vy = _values(block, mesh, phi_y, ey, py).reshape(len(block), B, -1, J)
+        dv = _values(block, mesh, phi_x, ex, px)[..., None] - vy
+        dv *= dv
+        out[fb] = dv.reshape(len(block), -1) @ K
+    return out
 
 
-def gagliardo_seminorms(funcs, mesh, degree=None):
+def gagliardo_seminorms(funcs, mesh):
     """Gagliardo H^{1/2} seminorms of several functions in one sweep.
 
-    funcs: FeFunction instances or callables pts -> values. Returns an
-    array of seminorms (not squared).
+    funcs: FeFunction instances, FeExpression instances or callables
+    pts -> values. Returns an array of seminorms (not squared).
     """
-    if mesh.n_elements > MAX_ELEMENTS:
-        raise ValueError(
-            f"mesh too large for the O(n^2) Gagliardo oracle ({mesh.n_elements} elements)"
-        )
-    if degree is None:
-        degree = default_degree(mesh.order)
-    ev = _Evaluator(funcs, mesh)
-    adj = _adjacency(mesh)
     ne = mesh.n_elements
-    coords = mesh.nodes[mesh.elements]
-    total = np.zeros(ev.n)
+    if ne > MAX_ELEMENTS:
+        raise ValueError(f"mesh too large for the O(n^2) Gagliardo oracle ({ne} elements)")
+    funcs = list(funcs)
+    degree = default_degree(mesh.order)
+    total = np.zeros(len(funcs))
 
-    # separated pairs: base rule for disjoint, doubled for adjacent
-    tabs = {}
-    for tag, deg in (("d", degree), ("a", 2 * degree)):
+    # separated pairs e < f, counted twice: base rule if disjoint, doubled if adjacent
+    incidence = np.zeros((ne, mesh.n_nodes))
+    incidence[np.arange(ne)[:, None], mesh.elements[:, :3]] = 1.0
+    first, second = np.triu_indices(ne, k=1)
+    adjacent = (incidence @ incidence.T)[first, second] > 0.0
+    for sel, deg in ((~adjacent, degree), (adjacent, 2 * degree)):
         rule = triangle_rule(deg)
-        phi, dphi = _shape_tables(mesh.order, rule.points)
-        pts = np.empty((ne, len(rule), 2))
-        w = np.empty((ne, len(rule)))
-        for e in range(ne):
-            pts[e], det = _elem_pts_det(coords[e], phi, dphi)
-            w[e] = rule.weights * det
-        vals = np.stack([ev.at(phi, e, pts[e]) for e in range(ne)], axis=1)
-        tabs[tag] = (pts, w, vals)
-    for e in range(ne):
-        for f in range(e + 1, ne):
-            tag = "a" if f in adj[e] else "d"
-            pts, w, vals = tabs[tag]
-            diff = pts[e][:, None, :] - pts[f][None, :, :]
-            K = (w[e][:, None] * w[f][None, :]) / np.sum(diff**2, axis=-1) ** 1.5
-            total += 2.0 * _pair_sum(vals[:, e], vals[:, f], K)
+        phi = tri_shape(mesh.order, rule.points)
+        pts, det = batched_geometry(mesh, rule.points)[::2]
+        w = rule.weights * np.abs(det)
+        pair_e, pair_f = first[sel], second[sel]
+        for pb in _blocks(len(pair_e), 16 * len(rule) ** 2):
+            e, f = pair_e[pb], pair_f[pb]
+            x, y = (phi, e, pts[e], w[e]), (phi, f, pts[f], w[f])
+            total += 2.0 * _class_sum(funcs, mesh, x, y, len(rule))
 
-    # identical pairs: apex-Duffy split around each outer point
+    # identical pairs: apex-Duffy split around each outer point; an item is
+    # one element's inner points of one outer point (Jacobians: 32 B each)
     xo, wo, inner_ref, inner_jw = _duffy_layout(4 * degree)
-    phi_o, dphi_o = _shape_tables(mesh.order, xo)
-    flat = inner_ref.reshape(-1, 2)
-    phi_i, dphi_i = _shape_tables(mesh.order, flat)
-    mo = len(xo)
-    for e in range(ne):
-        pts_o, det_o = _elem_pts_det(coords[e], phi_o, dphi_o)
-        pts_i, det_i = _elem_pts_det(coords[e], phi_i, dphi_i)
-        vo = ev.at(phi_o, e, pts_o)                     # (nfun, mo)
-        vi = ev.at(phi_i, e, pts_i)                     # (nfun, mo*3mst)
-        pi = pts_i.reshape(mo, -1, 2)
-        di = det_i.reshape(mo, -1)
-        diff = pts_o[:, None, :] - pi
-        r3 = np.sum(diff**2, axis=-1) ** 1.5
-        K = (wo * det_o)[:, None] * inner_jw * di / r3   # (mo, 3mst)
-        vi = vi.reshape(ev.n, mo, -1)
-        for q in range(mo):
-            dv = vo[:, q, None] - vi[:, q, :]
-            total += (dv * dv) @ K[q]
+    phi_o = tri_shape(mesh.order, xo)
+    J = inner_jw.shape[1]
+    for eb in _blocks(ne, 32 * J):
+        e = np.arange(ne)[eb]
+        for qb in _blocks(len(xo), 32 * len(e) * J):
+            refs = inner_ref[qb].reshape(-1, 2)
+            po, do = batched_geometry(mesh, xo[qb], e)[::2]
+            pi, di = batched_geometry(mesh, refs, e)[::2]
+            x = (phi_o[qb], e, po, wo[qb] * np.abs(do))
+            y = (tri_shape(mesh.order, refs), e, pi, inner_jw[qb].ravel() * np.abs(di))
+            total += _class_sum(funcs, mesh, x, y, J)
     return np.sqrt(total)
 
 
-def gagliardo_half_oracle(u, mesh=None, degree=None):
+def gagliardo_half_oracle(u, mesh=None):
     """Gagliardo H^{1/2} seminorm of one function (no L2 part)."""
     if mesh is None:
         if not hasattr(u, "mesh"):
             raise ValueError("a mesh is required for callable inputs")
         mesh = u.mesh
-    return float(gagliardo_seminorms([u], mesh, degree)[0])
+    return float(gagliardo_seminorms([u], mesh)[0])

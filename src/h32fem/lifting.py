@@ -109,7 +109,7 @@ def _displacement(lm, elems, refs):
     dPdt = proj / nrm[:, None] - dbdt
 
     grad_sigma = _DLAM[a] + _DLAM[b]                   # (n, 2)
-    # sigma * grad(t) = grad(lam_b) - t * grad(sigma), exактly
+    # sigma * grad(t) = grad(lam_b) - t * grad(sigma), exactly
     sg_t = _DLAM[b] - t[:, None] * grad_sigma
 
     D[sel] = sigma[:, None] * disp
@@ -183,7 +183,7 @@ def _lifted_shape_gradients(lm, degree=None):
     """
     data = lift_rule_data(lm, degree)
     dphi = tri_shape_grad(lm.mesh.order, data["rule"].points)
-    return np.einsum("eqrx,qbr->eqbx", _inverse_2x2(data["jac"])[0], dphi)
+    return np.matmul(dphi, _inverse_2x2(data["jac"])[0])
 
 
 def _face_ref_points(mesh, t):
@@ -229,11 +229,12 @@ def lambda_jacobian(lm, elem, ref_pt):
 class MeshLocator:
     """Inverts the (optionally lifted) geometry map by batched Newton.
 
-    locate() maps physical points to (element, reference coordinates). A
-    point that no candidate element contains (within tol) is clamped into
-    its best candidate; points farther outside than `slack` raise. The
-    clamp covers the O(h^{k+1}) slivers between a curved mesh and the
-    exact domain.
+    locate() maps physical points to (element, reference coordinates),
+    trying every candidate element from the centroid Newton start before
+    the other starts. A point that no candidate element contains (within
+    tol) is clamped into its best candidate; points farther outside than
+    `slack` raise. The clamp covers the O(h^{k+1}) slivers between a curved
+    mesh and the exact domain.
     """
 
     def __init__(self, mesh, lift=None, n_candidates=16, tol=1e-10, slack=1e-3):
@@ -282,16 +283,16 @@ class MeshLocator:
         resid = np.linalg.norm(targets - pts, axis=1)
         return refs, resid
 
-    def _newton(self, elems, targets):
+    def _newton(self, elems, targets, starts=_STARTS):
         """Multi-start Newton; a non-converged point scores as far outside.
 
         Later starts rerun only the points the earlier ones did not land
         inside the element.
         """
         elems = np.asarray(elems)
-        refs, resid = self._newton_from(elems, targets, self._STARTS[0])
+        refs, resid = self._newton_from(elems, targets, starts[0])
         score = self._violation(refs) + np.where(resid > 1e-9, np.inf, 0.0)
-        for start in self._STARTS[1:]:
+        for start in starts[1:]:
             redo = np.nonzero(score > self.tol)[0]
             if len(redo) == 0:
                 break
@@ -319,22 +320,25 @@ class MeshLocator:
         best_elem = np.zeros(n, dtype=np.int64)
         best_ref = np.zeros((n, 2))
         alive = np.arange(n)
-        for r in range(cand.shape[1]):
-            if len(alive) == 0:
-                break
-            els = cand[alive, r]
-            rr, viol = self._newton(els, pts[alive])
-            # keep the best candidate seen for possible clamping
-            upd = viol < best_viol[alive]
-            ba = alive[upd]
-            best_viol[ba] = viol[upd]
-            best_elem[ba] = els[upd]
-            best_ref[ba] = rr[upd]
-            ok = viol <= self.tol
-            hit = alive[ok]
-            elems[hit] = els[ok]
-            refs[hit] = rr[ok]
-            alive = alive[~ok]
+        # every candidate from the centroid start first; only the points no
+        # candidate contained then rerun the candidates with every start
+        for starts in (self._STARTS[:1], self._STARTS):
+            for r in range(cand.shape[1]):
+                if len(alive) == 0:
+                    break
+                els = cand[alive, r]
+                rr, viol = self._newton(els, pts[alive], starts)
+                # keep the best candidate seen for possible clamping
+                upd = viol < best_viol[alive]
+                ba = alive[upd]
+                best_viol[ba] = viol[upd]
+                best_elem[ba] = els[upd]
+                best_ref[ba] = rr[upd]
+                ok = viol <= self.tol
+                hit = alive[ok]
+                elems[hit] = els[ok]
+                refs[hit] = rr[ok]
+                alive = alive[~ok]
         if len(alive) > 0:
             if best_viol[alive].max() > self.slack:
                 worst = best_viol[alive].max()

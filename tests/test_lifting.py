@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from h32fem.assembly import nodal_interp_bulk
+from h32fem.assembly import bulk_quad_data, nodal_interp_bulk
 from h32fem.basis import tri_edge_ref_points
 from h32fem.lifting import (
     MeshLocator,
@@ -136,6 +136,28 @@ def test_locator_roundtrip(lifted, rng):
     back, _, _ = lift_mixed(lm, elems, refs)
     assert np.abs(back - P).max() < 1e-9
 
+
+
+def test_locator_tries_every_candidate_before_extra_starts(lifted, monkeypatch):
+    # the rule points of a finer k=2 disk in the lifted 4-ring k=2 disk; a
+    # fixed budget of two Newton point-passes per point (trying all four
+    # starts on a candidate before the next one took 13,728 for these 5,400)
+    m, lm = lifted
+    pts = bulk_quad_data(disk_mesh(6, 2))["pts"].reshape(-1, 2)
+    loc = MeshLocator(m, lift=lm)
+    passes = []
+    newton_from = MeshLocator._newton_from
+
+    def counted(self, elems, targets, start):
+        passes.append(len(elems))
+        return newton_from(self, elems, targets, start)
+
+    monkeypatch.setattr(MeshLocator, "_newton_from", counted)
+    elems, refs = loc.locate(pts)
+    back, _, _ = lift_mixed(lm, elems, refs)
+    assert np.linalg.norm(back - pts, axis=1).max() <= 1e-9
+    assert MeshLocator._violation(refs).max() <= loc.tol
+    assert sum(passes) <= 2 * len(pts)
 
 def test_square_lift_is_identity():
     sq = build_square_mesh(3, 2)

@@ -1,19 +1,25 @@
 """Experiment registry: one rate/ratio study per certified estimate.
 
-Each experiment builds its mesh levels, measures the quantities its
-estimate bounds, fits rates or checks ratio boundedness, and returns a
-RateTable whose verdict encodes the pinned threshold. Thresholds follow
-the acceptance tolerances: slope targets carry +-0.25 (geometric lift
-rates +-0.3), ratio suites require max/min <= 4 across levels with the
-finest level within x2 of the second, algebraic identities hold to
-1e-12/1e-13, and sampled inequality checks carry an explicit slack
-factor. Meshes, Gram sets, spectral bases and overkill contexts are
+Seventeen experiments are mesh ladders. Each walks a ring schedule of
+disk meshes through one skeleton, `_ladder`, which builds every mesh and
+its Gram set, asks the experiment's per-level function for the row that
+follows h (drawing from the experiment's one random stream, level by
+level), applies the experiment's check to the finished rows and returns
+the RateTable. An experiment therefore states only what it measures per
+level and how its rows are judged: by default every value column is
+`_bounded` (max/min <= 4 across levels, finest within x2 of level 2);
+rate studies check the slopes of their columns (`_slopes`, targets
++-0.25, geometric lift rates +-0.3); the rest give explicit thresholds.
+The six other experiments run on fixed square meshes or on no mesh:
+algebraic identities hold to 1e-12/1e-13 and sampled inequality checks
+carry an explicit slack factor. Meshes, Gram sets, spectral bases and overkill contexts are
 cached per process, so a full `verify all` run shares them.
 """
 
+
 import functools
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -97,29 +103,25 @@ def _lift_of(mesh):
     return _cached(mesh, "lift", lambda: build_lift_map(mesh))
 
 
-def spectral_rings(cfg):
+def spectral_rings(levels):
     """Doubling ring counts sized for the dense eigensolve cap."""
-    return [2 * 2**i for i in range(cfg.levels)]
+    return [2 * 2**i for i in range(levels)]
 
 
-def overkill_rings(cfg):
+def overkill_rings(levels):
     """Slowly growing ring counts whose 4x overkill stays tractable."""
     seq = []
     i = 0
-    while len(seq) < cfg.levels:
+    while len(seq) < levels:
         seq.extend([2 * 2**i, 3 * 2**i])
         i += 1
-    return seq[: cfg.levels]
+    return seq[:levels]
 
 
-def geometry_rings(cfg):
+def geometry_rings(levels, order):
     """Finer doubling schedule for assembly-only geometric rate studies."""
-    base = 4 if cfg.order == 1 else 6
-    return [base * 2**i for i in range(cfg.levels)]
-
-
-def _slope_ok(slope, target, tol):
-    return abs(slope - target) <= tol
+    base = 4 if order == 1 else 6
+    return [base * 2**i for i in range(levels)]
 
 
 def _bounded(vals):
@@ -131,8 +133,15 @@ def _bounded(vals):
     return bool(ok)
 
 
-def _verdict(ok):
-    return "pass" if ok else "fail"
+def _all_bounded(rows):
+    _, *cols = zip(*rows)
+    return all(_bounded(c) for c in cols)
+
+
+def _slopes(rows):
+    """Fitted rate of every value column against h."""
+    hs, *cols = zip(*rows)
+    return [fit_rate(zip(hs, c))[0] for c in cols]
 
 
 def _table(name, cfg, columns, rows, slope_col, criterion, ok):
@@ -150,15 +159,21 @@ def _table(name, cfg, columns, rows, slope_col, criterion, ok):
         rows=rows,
         fitted_slope=slope,
         fit_r2=r2,
-        verdict=_verdict(ok),
+        verdict="pass" if ok else "fail",
         criterion=criterion,
-        config={
-            "order": cfg.order,
-            "levels": cfg.levels,
-            "seed": cfg.seed,
-            "kappa": cfg.kappa,
-        },
+        config=asdict(cfg),
     )
+
+
+def _ladder(name, cfg, rings, level, columns, slope_col, criterion, check=_all_bounded):
+    """Table of rows [h, *level(mesh, grams, rng)], one per ring count in
+    schedule order with one random stream, judged by `check(rows)`."""
+    rng = _rng(cfg, name)
+    rows = []
+    for n in rings:
+        m = get_mesh("disk", n, cfg.order)
+        rows.append([m.h, *level(m, grams_of(m), rng)])
+    return _table(name, cfg, columns, rows, slope_col, criterion, check(rows))
 
 
 def _random_bulk(rng, mesh):
@@ -176,37 +191,27 @@ def _random_interior(rng, mesh):
 
 def exp_interp_rates(cfg):
     k = cfg.order
-    rows = []
-    for n in geometry_rings(cfg):
-        m = get_mesh("disk", n, k)
-        bl2, bh1 = studies.bulk_interp_errors(m, studies.SMOOTH_SCALAR)
-        sl2, sh1 = studies.surface_interp_errors(m)
-        rows.append([m.h, bl2, bh1, sl2, sh1])
-    hs = [r[0] for r in rows]
-    slopes = [fit_rate(list(zip(hs, [r[i] for r in rows])))[0] for i in (1, 2, 3, 4)]
-    ok = (
-        _slope_ok(slopes[0], k + 1, 0.25)
-        and _slope_ok(slopes[1], k, 0.25)
-        and _slope_ok(slopes[2], k + 1, 0.25)
-        and _slope_ok(slopes[3], k, 0.25)
-    )
-    return _table(
-        "interp_rates", cfg,
-        ["h", "bulk_l2", "bulk_h1", "surf_l2", "surf_h1"], rows, "bulk_l2",
-        f"slopes {k+1}/{k} (bulk) and {k+1}/{k} (surface), tol 0.25", ok,
+
+    def level(m, g, rng):
+        bulk = studies.bulk_interp_errors(m, studies.SMOOTH_SCALAR)
+        return [*bulk, *studies.surface_interp_errors(m)]
+
+    return _ladder(
+        "interp_rates", cfg, geometry_rings(cfg.levels, k), level,
+        ["h", "bulk_l2", "bulk_h1", "surf_l2", "surf_h1"], "bulk_l2",
+        f"slopes {k+1}/{k} (bulk) and {k+1}/{k} (surface), tol 0.25",
+        lambda rows: all(abs(s - t) <= 0.25 for s, t in zip(_slopes(rows), (k + 1, k, k + 1, k))),
     )
 
 
 def exp_lift_consistency(cfg):
     k = cfg.order
-    rows = []
-    for n in geometry_rings(cfg):
-        m = get_mesh("disk", n, k)
+
+    def level(m, g, rng):
         lm = _lift_of(m)
         gl = grad_lambda_inf_error(lm)
         bulk = [studies.bulk_form_errors(m, lm, z, w) for z, w in studies.bulk_form_pairs(m)]
-        A_surf = grams_of(m).A_surf
-        varies = lambda t: float(t.coeffs @ (A_surf @ t.coeffs)) > 1e-20
+        varies = lambda t: float(t.coeffs @ (g.A_surf @ t.coeffs)) > 1e-20
         surf = [
             (studies.surface_form_errors(m, lm, z, w), varies(z) and varies(w))
             for z, w in studies.surface_form_pairs(m)
@@ -215,69 +220,55 @@ def exp_lift_consistency(cfg):
         eg = max(e[1] for e in bulk)
         eh = max(e[0] for e, _ in surf)
         ei = max(e[1] for e, keep in surf if keep)
-        rows.append([m.h, gl, ef, eg, eh, ei])
-    hs = [r[0] for r in rows]
-    slopes = [fit_rate(list(zip(hs, [r[i] for r in rows])))[0] for i in range(1, 6)]
-    ok = (
-        _slope_ok(slopes[0], k, 0.3)
-        and _slope_ok(slopes[1], k, 0.3)
-        and _slope_ok(slopes[2], k, 0.3)
-        and _slope_ok(slopes[3], k + 1, 0.3)
-        and _slope_ok(slopes[4], k + 1, 0.3)
-    )
-    return _table(
-        "lift_consistency", cfg,
+        return [gl, ef, eg, eh, ei]
+
+    return _ladder(
+        "lift_consistency", cfg, geometry_rings(cfg.levels, k), level,
         ["h", "grad_lambda", "m_bulk_err", "a_bulk_err", "m_surf_err", "a_surf_err"],
-        rows, "grad_lambda",
+        "grad_lambda",
         f"grad slope {k}+-0.3; bulk form slopes {k}+-0.3; surface form slopes {k+1}+-0.3",
-        ok,
+        lambda rows: all(abs(s - t) <= 0.3 for s, t in zip(_slopes(rows), (k, k, k, k + 1, k + 1))),
     )
 
 
 def exp_lift_multilinear(cfg):
     k = cfg.order
-    rows = []
-    for n in geometry_rings(cfg):
-        m = get_mesh("disk", n, k)
+
+    def T3(g1, g2, gw):
+        return (g1[..., 0] * g2[..., 1] - 0.5 * g1[..., 1] * g2[..., 0]) * (
+            gw[..., 0] + 0.7 * gw[..., 1]
+        )
+
+    def T_res(g1, gv, gw):
+        Finv = _inverse_2x2(gv + np.eye(2))[0] - np.eye(2)
+        return g1[..., 0] * np.einsum("...xy,...y->...x", Finv, gw)[..., 1]
+
+    def level(m, g, rng):
         lm = _lift_of(m)
-        g = grams_of(m)
         u1 = nodal_interp_bulk(m, studies.SMOOTH_SCALAR)
         u2 = nodal_interp_bulk(m, studies.SMOOTH_SCALAR_2)
         w = nodal_interp_bulk(m, lambda p: np.cos(p[:, 0] - 0.4 * p[:, 1]))
-
-        def T3(g1, g2, gw):
-            return (g1[..., 0] * g2[..., 1] - 0.5 * g1[..., 1] * g2[..., 0]) * (
-                gw[..., 0] + 0.7 * gw[..., 1]
-            )
-
         plain = studies.multilinear_gradient_integral(m, [u1, u2, w], T3, False)
         lifted = studies.multilinear_gradient_integral(m, [u1, u2, w], T3, True, lm)
         _, w1inf_u2 = studies.sampled_w1inf_panel(u2)
         denom = h1_norm(u1, g) * h1_norm(w, g) * max(w1inf_u2, 1.0)
-        r31 = abs(plain - lifted) / denom
-
         # generalized variant with a resolvent slot fed by a small
         # 2-vector displacement with W^{1,inf} <= 1/8
         vv = FeFunction(
             m, 0.05 * np.column_stack([u1.coeffs, u2.coeffs])
         )
-
-        def T_res(g1, gv, gw):
-            Finv = _inverse_2x2(gv + np.eye(2))[0] - np.eye(2)
-            return g1[..., 0] * np.einsum("...xy,...y->...x", Finv, gw)[..., 1]
-
         plain2 = studies.multilinear_gradient_integral(m, [u1, vv, w], T_res, False)
         lifted2 = studies.multilinear_gradient_integral(m, [u1, vv, w], T_res, True, lm)
-        r32 = abs(plain2 - lifted2) / (h1_norm(vv, g) * h1_norm(w, g))
-        rows.append([m.h, r31, r32])
-    hs = [r[0] for r in rows]
-    s31 = fit_rate(list(zip(hs, [r[1] for r in rows])))[0]
-    s32 = fit_rate(list(zip(hs, [r[2] for r in rows])))[0]
-    ok = s31 >= k - 0.3 and s32 >= k - 0.3
-    return _table(
-        "lift_multilinear", cfg,
-        ["h", "resid_lemma31", "resid_lemma32"], rows, "resid_lemma31",
-        f"normalized residual slopes >= {k}-0.3", ok,
+        return [
+            abs(plain - lifted) / denom,
+            abs(plain2 - lifted2) / (h1_norm(vv, g) * h1_norm(w, g)),
+        ]
+
+    return _ladder(
+        "lift_multilinear", cfg, geometry_rings(cfg.levels, k), level,
+        ["h", "resid_lemma31", "resid_lemma32"], "resid_lemma31",
+        f"normalized residual slopes >= {k}-0.3",
+        lambda rows: all(s >= k - 0.3 for s in _slopes(rows)),
     )
 
 
@@ -285,13 +276,7 @@ def exp_lift_multilinear(cfg):
 
 
 def exp_sz_projection(cfg):
-    k = cfg.order
-    rng = _rng(cfg, "sz_projection")
-    rows = []
-    worst_stab = 0.0
-    for n in overkill_rings(cfg):
-        m = get_mesh("disk", n, k)
-        g = grams_of(m)
+    def level(m, g, rng):
         u = _random_bulk(rng, m)
         su = scott_zhang(u, m)
         proj = float(np.abs(su.coeffs - u.coeffs).max())
@@ -302,27 +287,20 @@ def exp_sz_projection(cfg):
         rough = lambda p: np.sign(np.sin(7.0 * p[:, 0]) + np.cos(5.0 * p[:, 1])) + 0.5 * p[:, 0]
         sz_r = scott_zhang(rough, m)
         ref = nodal_interp_bulk(m, rough)
-        stab = h1_norm(sz_r, g) / max(h1_norm(ref, g), 1e-30)
-        worst_stab = max(worst_stab, stab)
-        rows.append([m.h, proj, tr_err, one_err, stab])
-    ok = all(r[1] <= 1e-10 and r[2] <= 1e-10 and r[3] <= 1e-12 for r in rows)
-    ok = ok and worst_stab <= 5.0
-    return _table(
-        "sz_projection", cfg,
-        ["h", "projection_err", "trace_err", "const_err", "h1_stability"],
-        rows, None,
+        return [proj, tr_err, one_err, h1_norm(sz_r, g) / max(h1_norm(ref, g), 1e-30)]
+
+    return _ladder(
+        "sz_projection", cfg, overkill_rings(cfg.levels), level,
+        ["h", "projection_err", "trace_err", "const_err", "h1_stability"], None,
         "projection/trace errors <= 1e-10; constants exact; H1 stability <= 5",
-        ok,
+        lambda rows: all(
+            r[1] <= 1e-10 and r[2] <= 1e-10 and r[3] <= 1e-12 and r[4] <= 5.0 for r in rows
+        ),
     )
 
 
 def exp_sz_error(cfg):
-    k = cfg.order
-    rng = _rng(cfg, "sz_error")
-    rows = []
-    for n in overkill_rings(cfg):
-        m = get_mesh("disk", n, k)
-        g = grams_of(m)
+    def level(m, g, rng):
         lm = _lift_of(m)
         sbi = spectral_decomp(g, "interior")
         ratios36, ratios46 = [], []
@@ -341,12 +319,12 @@ def exp_sz_error(cfg):
             ratios36.append(num / (np.sqrt(m.h) * den36))
             den46 = hhat_threehalf_norm(u, "zero_trace", g, sbi)
             ratios46.append(num / (np.sqrt(m.h) * den46))
-        rows.append([m.h, max(ratios36), max(ratios46)])
-    ok = _bounded([r[1] for r in rows]) and _bounded([r[2] for r in rows])
-    return _table(
-        "sz_error", cfg,
-        ["h", "ratio_lemma36", "ratio_46b"], rows, "ratio_lemma36",
-        "ratios: max/min <= 4 across levels, finest within x2 of level 2", ok,
+        return [max(ratios36), max(ratios46)]
+
+    return _ladder(
+        "sz_error", cfg, overkill_rings(cfg.levels), level,
+        ["h", "ratio_lemma36", "ratio_46b"], "ratio_lemma36",
+        "ratios: max/min <= 4 across levels, finest within x2 of level 2",
     )
 
 
@@ -354,12 +332,7 @@ def exp_sz_error(cfg):
 
 
 def exp_dual_inverse(cfg):
-    k = cfg.order
-    rng = _rng(cfg, "dual_inverse")
-    rows = []
-    for n in spectral_rings(cfg):
-        m = get_mesh("disk", n, k)
-        g = grams_of(m)
+    def level(m, g, rng):
         sb = spectral_decomp(g, "all")
         sbi = spectral_decomp(g, "interior")
         v0, vf = [], []
@@ -368,43 +341,33 @@ def exp_dual_inverse(cfg):
             v0.append(np.sqrt(m.h) * l2_norm(f0, g) / dual_neg_half_norm(f0, "zero_trace", sbi, g))
             f1 = _random_bulk(rng, m)
             vf.append(np.sqrt(m.h) * l2_norm(f1, g) / dual_neg_half_norm(f1, "full", sb, g))
-        rows.append([m.h, max(v0), max(vf)])
-    ok = _bounded([r[1] for r in rows]) and _bounded([r[2] for r in rows])
-    return _table(
-        "dual_inverse", cfg,
-        ["h", "ratio_zero_trace", "ratio_full"], rows, "ratio_zero_trace",
-        "h^{1/2} L2-to-dual ratios bounded: max/min <= 4, finest within x2", ok,
+        return [max(v0), max(vf)]
+
+    return _ladder(
+        "dual_inverse", cfg, spectral_rings(cfg.levels), level,
+        ["h", "ratio_zero_trace", "ratio_full"], "ratio_zero_trace",
+        "h^{1/2} L2-to-dual ratios bounded: max/min <= 4, finest within x2",
     )
 
 
 def exp_inverse_estimate(cfg):
-    k = cfg.order
-    rng = _rng(cfg, "inverse_estimate")
-    rows = []
-    for n in spectral_rings(cfg):
-        m = get_mesh("disk", n, k)
-        g = grams_of(m)
+    def level(m, g, rng):
         sbi = spectral_decomp(g, "interior")
         vals = []
         for _ in range(8):
             u = _random_bulk(rng, m)
             vals.append(np.sqrt(m.h) * hhat_threehalf_norm(u, "zero_trace", g, sbi) / h1_norm(u, g))
-        rows.append([m.h, max(vals)])
-    ok = _bounded([r[1] for r in rows])
-    return _table(
-        "inverse_estimate", cfg,
-        ["h", "ratio"], rows, "ratio",
-        "h^{1/2} ||u||_{3/2}/||u||_{H1} bounded: max/min <= 4, finest within x2", ok,
+        return [max(vals)]
+
+    return _ladder(
+        "inverse_estimate", cfg, spectral_rings(cfg.levels), level,
+        ["h", "ratio"], "ratio",
+        "h^{1/2} ||u||_{3/2}/||u||_{H1} bounded: max/min <= 4, finest within x2",
     )
 
 
 def exp_h1_stability(cfg):
-    k = cfg.order
-    rng = _rng(cfg, "h1_stability")
-    rows = []
-    for n in overkill_rings(cfg):
-        m = get_mesh("disk", n, k)
-        g = grams_of(m)
+    def level(m, g, rng):
         lm = _lift_of(m)
         sbi = spectral_decomp(g, "interior")
         r_sz, r_d, r_32 = [], [], []
@@ -421,24 +384,23 @@ def exp_h1_stability(cfg):
                     spectral_power_norm(sol.coeffs, 1.5, sbf)
                     / hhat_threehalf_norm(u, "zero_trace", g, sbi)
                 )
-        rows.append([m.h, max(r_sz), max(r_d), max(r_32) if r_32 else 0.0])
-    ok = all(r[1] <= 5.0 and r[2] <= 5.0 for r in rows)
-    ctrl = [r[3] for r in rows if r[3] > 0.0]
-    ok = ok and (len(ctrl) < 2 or max(ctrl) / min(ctrl) <= 4.0)
-    return _table(
-        "h1_stability", cfg,
-        ["h", "sz_h1_ratio", "lift_h1_ratio", "h32_control"], rows, None,
-        "H1 stability ratios <= 5; overkill 3/2 control max/min <= 4", ok,
+        return [max(r_sz), max(r_d), max(r_32) if r_32 else 0.0]
+
+    def check(rows):
+        ctrl = [r[3] for r in rows if r[3] > 0.0]
+        return all(r[1] <= 5.0 and r[2] <= 5.0 for r in rows) and (
+            len(ctrl) < 2 or max(ctrl) / min(ctrl) <= 4.0
+        )
+
+    return _ladder(
+        "h1_stability", cfg, overkill_rings(cfg.levels), level,
+        ["h", "sz_h1_ratio", "lift_h1_ratio", "h32_control"], None,
+        "H1 stability ratios <= 5; overkill 3/2 control max/min <= 4", check,
     )
 
 
 def exp_norm_equivalence(cfg):
-    k = cfg.order
-    rng = _rng(cfg, "norm_equivalence")
-    rows = []
-    for n in spectral_rings(cfg):
-        m = get_mesh("disk", n, k)
-        g = grams_of(m)
+    def level(m, g, rng):
         sb = spectral_decomp(g, "all")
         sbi = spectral_decomp(g, "interior")
         ratios = []
@@ -448,21 +410,19 @@ def exp_norm_equivalence(cfg):
                 hhat_threehalf_norm(u, "full", g, sb)
                 / hhat_threehalf_norm(u, "zero_trace", g, sbi)
             )
-        rows.append([m.h, min(ratios), max(ratios)])
-    ok = _bounded([r[1] for r in rows]) and _bounded([r[2] for r in rows])
-    return _table(
-        "norm_equivalence", cfg,
-        ["h", "bracket_lo", "bracket_hi"], rows, "bracket_hi",
-        "full/zero-trace bracket stable: max/min <= 4, finest within x2", ok,
+        return [min(ratios), max(ratios)]
+
+    return _ladder(
+        "norm_equivalence", cfg, spectral_rings(cfg.levels), level,
+        ["h", "bracket_lo", "bracket_hi"], "bracket_hi",
+        "full/zero-trace bracket stable: max/min <= 4, finest within x2",
     )
 
 
 def exp_interpolant_membership(cfg):
     k = cfg.order
-    rows = []
-    for n in spectral_rings(cfg):
-        m = get_mesh("disk", n, k)
-        g = grams_of(m)
+
+    def level(m, g, rng):
         sbi = spectral_decomp(g, "interior")
         vals = []
         for fld in (studies.SMOOTH_SCALAR, studies.SMOOTH_SCALAR_2):
@@ -470,12 +430,12 @@ def exp_interpolant_membership(cfg):
             vals.append(
                 hhat_threehalf_norm(v, "zero_trace", g, sbi) / (m.h ** (k - 0.5) + 1.0)
             )
-        rows.append([m.h, max(vals)])
-    ok = _bounded([r[1] for r in rows])
-    return _table(
-        "interpolant_membership", cfg,
-        ["h", "ratio"], rows, "ratio",
-        "||interpolant||_{3/2} / (h^{k-1/2} + const) bounded: max/min <= 4", ok,
+        return [max(vals)]
+
+    return _ladder(
+        "interpolant_membership", cfg, spectral_rings(cfg.levels), level,
+        ["h", "ratio"], "ratio",
+        "||interpolant||_{3/2} / (h^{k-1/2} + const) bounded: max/min <= 4",
     )
 
 
@@ -483,12 +443,7 @@ def exp_interpolant_membership(cfg):
 
 
 def exp_dirichlet_regularity(cfg):
-    k = cfg.order
-    rng = _rng(cfg, "dirichlet_regularity")
-    rows = []
-    for n in spectral_rings(cfg):
-        m = get_mesh("disk", n, k)
-        g = grams_of(m)
+    def level(m, g, rng):
         sbi = spectral_decomp(g, "interior")
         ratios = []
         panel = [
@@ -503,22 +458,17 @@ def exp_dirichlet_regularity(cfg):
             num = hhat_threehalf_norm(u, "zero_trace", g, sbi)
             den = dual_neg_half_norm(f, "zero_trace", sbi, g) + boundary_sobolev_norm(gs, 1, g)
             ratios.append(num / den)
-        rows.append([m.h, max(ratios)])
-    ok = _bounded([r[1] for r in rows])
-    return _table(
-        "dirichlet_regularity", cfg,
-        ["h", "ratio"], rows, "ratio",
-        "||u||_{3/2}/(dual f + H1 g) bounded: max/min <= 4, finest within x2", ok,
+        return [max(ratios)]
+
+    return _ladder(
+        "dirichlet_regularity", cfg, spectral_rings(cfg.levels), level,
+        ["h", "ratio"], "ratio",
+        "||u||_{3/2}/(dual f + H1 g) bounded: max/min <= 4, finest within x2",
     )
 
 
 def exp_robin_regularity(cfg):
-    k = cfg.order
-    rng = _rng(cfg, "robin_regularity")
-    rows = []
-    for n in spectral_rings(cfg):
-        m = get_mesh("disk", n, k)
-        g = grams_of(m)
+    def level(m, g, rng):
         sb = spectral_decomp(g, "all")
         sbi = spectral_decomp(g, "interior")
         ratios = []
@@ -534,33 +484,28 @@ def exp_robin_regularity(cfg):
             num = hhat_threehalf_norm(u, "zero_trace", g, sbi)
             den = dual_neg_half_norm(f, "full", sb, g) + boundary_sobolev_norm(gs, 0, g)
             ratios.append(num / den)
-        rows.append([m.h, max(ratios)])
-    ok = _bounded([r[1] for r in rows])
-    return _table(
-        "robin_regularity", cfg,
-        ["h", "ratio"], rows, "ratio",
-        "||u||_{3/2}/(dual f + L2 g) bounded: max/min <= 4, finest within x2", ok,
+        return [max(ratios)]
+
+    return _ladder(
+        "robin_regularity", cfg, spectral_rings(cfg.levels), level,
+        ["h", "ratio"], "ratio",
+        "||u||_{3/2}/(dual f + L2 g) bounded: max/min <= 4, finest within x2",
     )
 
 
 def exp_smallness(cfg):
-    k = cfg.order
     kappa = 0.5  # the smallness scaling is pinned by the criterion itself
-    rows = []
-    for n in overkill_rings(cfg):
-        m = get_mesh("disk", n, k)
-        g = grams_of(m)
-        lm = _lift_of(m)
+
+    def level(m, g, rng):
         v = nodal_interp_bulk(m, studies.SMOOTH_SCALAR)
         u = v.scaled(m.h ** (kappa + 1.5 + 0.1) / h1_norm(v, g))
-        wn = winf_like_norm(u, lm)
-        rows.append([m.h, wn, m.h**kappa])
-    ok = all(r[1] <= r[2] for r in rows)
-    return _table(
-        "smallness", cfg,
-        ["h", "w1inf_like", "h_pow_kappa"], rows, "w1inf_like",
+        return [winf_like_norm(u, _lift_of(m)), m.h**kappa]
+
+    return _ladder(
+        "smallness", cfg, overkill_rings(cfg.levels), level,
+        ["h", "w1inf_like", "h_pow_kappa"], "w1inf_like",
         "with ||u||_{H1} = h^{kappa+1.6}, kappa=0.5: W-norm <= h^kappa at all levels",
-        ok,
+        lambda rows: all(r[1] <= r[2] for r in rows),
     )
 
 
@@ -723,11 +668,7 @@ def exp_duality_sampled(cfg):
     analytic gradient components (the elementwise gradient itself is not
     an FE function), which differ by O(h^k).
     """
-    k = cfg.order
-    rows = []
-    for n in spectral_rings(cfg):
-        m = get_mesh("disk", n, k)
-        g = grams_of(m)
+    def level(m, g, rng):
         sb = spectral_decomp(g, "all")
         sbi = spectral_decomp(g, "interior")
         u = nodal_interp_bulk(m, lambda p: np.sin(p[:, 0] + 0.3 * p[:, 1]))
@@ -735,14 +676,12 @@ def exp_duality_sampled(cfg):
         z1 = nodal_interp_bulk(m, lambda p: np.cos(p[:, 0] + 0.3 * p[:, 1]))
         z2 = nodal_interp_bulk(m, lambda p: 0.3 * np.cos(p[:, 0] + 0.3 * p[:, 1]))
         comp = float(np.hypot(h_s_norm(z1, 0.5, sb), h_s_norm(z2, 0.5, sb)))
-        r0 = dual_norm_from_load(b[sbi.ids], sbi) / comp
-        rf = dual_norm_from_load(b[sb.ids], sb) / comp
-        rows.append([m.h, r0, rf])
-    ok = _bounded([r[1] for r in rows]) and _bounded([r[2] for r in rows])
-    return _table(
-        "duality_sampled", cfg,
-        ["h", "ratio_zero_trace", "ratio_full"], rows, "ratio_full",
-        "gradient-pairing dual norm / componentwise H^{1/2} bounded", ok,
+        return [dual_norm_from_load(b[sbi.ids], sbi) / comp, dual_norm_from_load(b[sb.ids], sb) / comp]
+
+    return _ladder(
+        "duality_sampled", cfg, spectral_rings(cfg.levels), level,
+        ["h", "ratio_zero_trace", "ratio_full"], "ratio_full",
+        "gradient-pairing dual norm / componentwise H^{1/2} bounded",
     )
 
 
@@ -803,7 +742,6 @@ def exp_product_sampled(cfg):
     # (a) continuous-style product estimate with the Gagliardo oracle on
     # a tiny square mesh
     m = get_mesh("square", 3, 1)
-    g = grams_of(m)
     slack = 10.0
     worst_cont = 0.0
     batch = []
@@ -825,31 +763,24 @@ def exp_product_sampled(cfg):
         inf_of = lambda u: float(np.abs(eval_on_elements(u)[0]).max())
         vec_semi = lambda a, b: float(np.hypot(a, b))
         vec_inf = lambda uu: float(np.hypot(inf_of(uu[0]), inf_of(uu[1])))
-        lhs = gp
         w_half_inf = max(
             studies.sampled_whalf_inf(v1), inf_of(v1)
         )
         rhs = (
             vec_semi(g1a, g1b) * vec_inf(u2) + vec_semi(g2a, g2b) * vec_inf(u1)
         ) * w_half_inf
-        worst_cont = max(worst_cont, lhs / (slack * rhs))
+        worst_cont = max(worst_cont, gp / (slack * rhs))
+
     # (b) discrete flavor with the dual H^{1/2} norm across disk levels.
     # The u-slots are mesh-scale oscillations rescaled so the sampled
     # W^{1,infty}-like norm saturates the smallness threshold h^kappa;
     # the coarsest ring level cannot resolve such an oscillation, so the
     # window starts one step later.
-    rows = []
-    cfg_shift = ExperimentConfig(
-        order=cfg.order, levels=cfg.levels + 1, seed=cfg.seed, kappa=cfg.kappa
-    )
-    for n in overkill_rings(cfg_shift)[1:]:
-        md = get_mesh("disk", n, k)
-        gd = grams_of(md)
+    def level(md, gd, rng):
         sb = spectral_decomp(gd, "all")
         sbi = spectral_decomp(gd, "interior")
         vstar = nodal_interp_bulk(md, lambda p: np.cos(p[:, 0] - 0.4 * p[:, 1]))
         _, gv = eval_on_elements(vstar)
-        n32s = lambda u: hhat_threehalf_norm(u, "zero_trace", gd, sbi)
         level_ratios = []
         freqs = (np.pi / md.h, 0.7 * np.pi / md.h)
         for fr in freqs:
@@ -869,30 +800,32 @@ def exp_product_sampled(cfg):
             # T(a; B; c) = (a . e1) B c, a vector-valued multilinear field
             field = g1[..., 0][..., None] * np.einsum("eqxy,eqy->eqx", Finv, gv)
             lhs = vec_dual_half_norm(field, "full", sb, gd)
-            u2n = float(
-                np.hypot(
-                    n32s(FeFunction(md, u2.coeffs[:, 0])),
-                    n32s(FeFunction(md, u2.coeffs[:, 1])),
-                )
-            )
             rhs = md.h ** ((2 - 1) * kappa) * (
-                n32s(u1) + u2n + md.h ** (k - 0.5 + kappa)
+                hhat_threehalf_norm(u1, "zero_trace", gd, sbi)
+                + _vec_threehalf(u2, gd, sbi)
+                + md.h ** (k - 0.5 + kappa)
             )
             level_ratios.append(lhs / rhs)
-        rows.append([md.h, max(level_ratios)])
-    ok = worst_cont <= 1.0 and _bounded([r[1] for r in rows])
-    rows_out = [[r[0], r[1], worst_cont] for r in rows]
-    return _table(
-        "product_sampled", cfg,
-        ["h", "discrete_ratio", "oracle_worst"], rows_out, "discrete_ratio",
+        return [max(level_ratios), worst_cont]
+
+    return _ladder(
+        "product_sampled", cfg, overkill_rings(cfg.levels + 1)[1:], level,
+        ["h", "discrete_ratio", "oracle_worst"], "discrete_ratio",
         "oracle product estimate with slack 10; discrete ratio max/min <= 4, finest within x2",
-        ok,
+        # the constant oracle column is bounded by construction
+        lambda rows: worst_cont <= 1.0 and _all_bounded(rows),
     )
 
 
 def _winf_of(u):
     vmax, gmax = studies.sampled_w1inf_panel(u)
     return max(vmax, gmax)
+
+
+def _vec_threehalf(v, g, sbi):
+    """Euclidean norm of the zero-trace 3/2 norms of a 2-vector field's components."""
+    norms = [hhat_threehalf_norm(FeFunction(v.mesh, c), "zero_trace", g, sbi) for c in v.coeffs.T]
+    return float(np.hypot(*norms))
 
 
 def _smooth_rand_interp(mesh, rng):
@@ -920,25 +853,15 @@ def exp_deformation_discrete(cfg):
     """
     k = cfg.order
     kappa = cfg.kappa
-    rows = []
-    for n in overkill_rings(cfg):
-        m = get_mesh("disk", n, k)
-        g = grams_of(m)
+
+    def level(m, g, rng):
         sb = spectral_decomp(g, "all")
         sbi = spectral_decomp(g, "interior")
         psi1 = nodal_interp_bulk(m, lambda p: np.sin(p[:, 0]) * p[:, 1] ** 2 + p[:, 0])
         psi2 = nodal_interp_bulk(m, lambda p: np.cos(p[:, 1]) - 0.5 * p[:, 0] ** 2)
         ex = FeFunction(m, m.h**1.6 * np.column_stack([psi1.coeffs, psi2.coeffs]))
         w = nodal_interp_bulk(m, lambda p: np.sin(p[:, 0] + 0.2 * p[:, 1]))
-        e1 = FeFunction(m, ex.coeffs[:, 0])
-        e2 = FeFunction(m, ex.coeffs[:, 1])
-        ex32 = float(
-            np.hypot(
-                hhat_threehalf_norm(e1, "zero_trace", g, sbi),
-                hhat_threehalf_norm(e2, "zero_trace", g, sbi),
-            )
-        )
-        den0 = ex32 + m.h ** (k - 0.5 + kappa)
+        den0 = _vec_threehalf(ex, g, sbi) + m.h ** (k - 0.5 + kappa)
         U = deformation_field(ex, w)
         b = gradient_pairing_load(U, g)
         # worst-case test function: the dual-pairing maximizer
@@ -948,28 +871,24 @@ def exp_deformation_discrete(cfg):
             w.coeffs @ (g.A_bulk @ z.coeffs)
         )
         ratios.append(abs(dE) / (den0 * h_s_norm(z, 0.5, sb)))
-        rows.append([m.h, max(ratios)])
-    ok = _bounded([r[1] for r in rows])
-    return _table(
-        "deformation_discrete", cfg,
-        ["h", "ratio"], rows, "ratio",
+        return [max(ratios)]
+
+    return _ladder(
+        "deformation_discrete", cfg, overkill_rings(cfg.levels), level,
+        ["h", "ratio"], "ratio",
         "|deformed - original| / ((||e||_{3/2} + h^{k-1/2+kappa}) ||z||_{1/2}): max/min <= 4, finest within x2",
-        ok,
     )
 
 
 def exp_deformation_continuous(cfg):
-    k = cfg.order
-    rows = []
-    for n in spectral_rings(cfg):
-        m = get_mesh("disk", n, k)
-        g = grams_of(m)
+    eps = 0.08
+    phi1 = lambda p: eps * np.sin(p[:, 0]) * np.cos(p[:, 1])
+    phi2 = lambda p: eps * np.cos(p[:, 0] + 0.5 * p[:, 1])
+    w_fn = studies.SMOOTH_SCALAR
+    z_fn = studies.SMOOTH_SCALAR_2
+
+    def level(m, g, rng):
         sb = spectral_decomp(g, "all")
-        eps = 0.08
-        phi1 = lambda p: eps * np.sin(p[:, 0]) * np.cos(p[:, 1])
-        phi2 = lambda p: eps * np.cos(p[:, 0] + 0.5 * p[:, 1])
-        w_fn = studies.SMOOTH_SCALAR
-        z_fn = studies.SMOOTH_SCALAR_2
         qd = bulk_quad_data(m)
         pts = qd["pts"].reshape(-1, 2)
         # analytic displacement gradient (transposed-Jacobian convention)
@@ -989,31 +908,28 @@ def exp_deformation_continuous(cfg):
         ).reshape(shape)
         dE = float(np.einsum("q,eq,eq->", qd["rule"].weights, qd["det"], integrand))
         # surrogate norms on the same mesh
-        phi_i = FeFunction(
-            m, np.column_stack([phi1(m.nodes), phi2(m.nodes)])
-        )
+        phi_i = np.column_stack([phi1(m.nodes), phi2(m.nodes)])
         p32 = float(
             np.hypot(
-                spectral_power_norm(phi_i.coeffs[:, 0], 1.5, sb),
-                spectral_power_norm(phi_i.coeffs[:, 1], 1.5, sb),
+                spectral_power_norm(phi_i[:, 0], 1.5, sb),
+                spectral_power_norm(phi_i[:, 1], 1.5, sb),
             )
         )
         z_i = nodal_interp_bulk(m, z_fn)
         zhalf = h_s_norm(z_i, 0.5, sb)
         w_i = nodal_interp_bulk(m, w_fn)
-        wvals, wgrads = studies.sampled_w1inf_panel(w_i)
         # w is a fixed smooth field; its sampled W^{1,infty} norm is a
         # level-stable surrogate for the (constant) 3/2-smoothness factor
-        w32inf = max(wvals, wgrads)
+        w32inf = _winf_of(w_i)
         ratio = abs(dE) / (w32inf * p32 * zhalf)
         if w1inf > 0.25:
             raise RuntimeError("deformation exceeds the 1/4 smallness bound")
-        rows.append([m.h, ratio])
-    ok = _bounded([r[1] for r in rows])
-    return _table(
-        "deformation_continuous", cfg,
-        ["h", "ratio"], rows, "ratio",
-        "continuous-surrogate deformation ratio bounded: max/min <= 4", ok,
+        return [ratio]
+
+    return _ladder(
+        "deformation_continuous", cfg, spectral_rings(cfg.levels), level,
+        ["h", "ratio"], "ratio",
+        "continuous-surrogate deformation ratio bounded: max/min <= 4",
     )
 
 

@@ -185,8 +185,11 @@ def batched_geometry(mesh, ref_pts, elems=None):
     coords = mesh.element_coords(elems)       # (ne, nb, 2)
     phi = tri_shape(mesh.order, ref_pts)      # (m, nb)
     dphi = tri_shape_grad(mesh.order, ref_pts)
-    pts = np.einsum("mb,ebx->emx", phi, coords)
-    jac = np.einsum("mbr,ebx->emxr", dphi, coords)
+    m, nb, _ = dphi.shape
+    pts = phi @ coords
+    # rows (point, reference direction) of dphi times coords: jac[e, m, x, r]
+    jac = (dphi.transpose(0, 2, 1).reshape(2 * m, nb) @ coords).reshape(-1, m, 2, 2)
+    jac = jac.swapaxes(-1, -2)
     det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
     return pts, jac, det
 

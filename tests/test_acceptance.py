@@ -46,10 +46,12 @@ reference = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(reference)
 
 
-def _golden(table):
-    """Disagreements of a default-config table with its reference table."""
+def _golden(table, path=None):
+    """Disagreements of a table with its reference table in `path`, by default
+    the registry reference of the table's order and seed."""
     cfg = table.config
-    path = _PERFBENCH / "reference" / f"registry_p{cfg['order']}" / f"seed{cfg['seed']}"
+    if path is None:
+        path = _PERFBENCH / "reference" / f"registry_p{cfg['order']}" / f"seed{cfg['seed']}"
     ref = (path / f"{table.name}.csv").read_text()
     return [f"{table.name}/k{cfg['order']} {m}" for m in reference.compare(ref, render_csv(table))]
 
@@ -265,4 +267,39 @@ def test_registry_remainder_passes():
             if not t.passed:
                 failed.append(f"{name}/k{order}")
             drift += _golden(t)
+    assert not failed and not drift, f"failed: {failed}, drift: {drift}"
+
+
+def test_five_level_ladders_match_cold_reference():
+    # a non-default ladder length, including the known product_sampled
+    # failure at --order 1 --levels 5 (coarsest discrete_ratio row 0.28
+    # against 0.07-0.12 elsewhere, max/min 4.07 > 4): it stays `fail`
+    # with its reference cells
+    cfg = ExperimentConfig(order=1, levels=5)
+    path = _PERFBENCH / "reference" / "cold_spectral_p1_l5" / "seed20250809"
+    verdicts, drift = {}, []
+    for name in ("product_sampled", "sz_error", "deformation_discrete", "deformation_continuous"):
+        t = run_experiment(name, cfg)
+        assert len(t.rows) == 5
+        verdicts[name] = t.verdict
+        drift += _golden(t, path)
+    assert verdicts == {
+        "product_sampled": "fail", "sz_error": "pass",
+        "deformation_discrete": "pass", "deformation_continuous": "pass",
+    }
+    assert not drift, drift
+
+
+def test_random_panel_ladders_at_seed_7():
+    # the random streams threaded through the ladders at a non-default seed
+    cfg = ExperimentConfig(order=1, seed=7)
+    failed, drift = [], []
+    for name in (
+        "sz_projection", "sz_error", "dual_inverse", "inverse_estimate",
+        "norm_equivalence", "dirichlet_regularity", "robin_regularity",
+    ):
+        t = run_experiment(name, cfg)
+        if not t.passed:
+            failed.append(name)
+        drift += _golden(t)
     assert not failed and not drift, f"failed: {failed}, drift: {drift}"

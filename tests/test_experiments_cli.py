@@ -6,7 +6,9 @@ import pytest
 from h32fem.experiments import REGISTRY, ExperimentConfig, run_experiment
 from h32fem.harness import table_from_json
 
-EXPECTED_NAMES = {
+# registry order: it fixes the `verify all` output order and which
+# experiment builds each shared cache
+EXPECTED_ORDER = [
     "interp_rates", "lift_consistency", "lift_multilinear", "sz_projection",
     "sz_error", "dual_inverse", "inverse_estimate", "h1_stability",
     "norm_equivalence", "interpolant_membership", "dirichlet_regularity",
@@ -14,7 +16,8 @@ EXPECTED_NAMES = {
     "deformation_discrete", "deformation_continuous", "leibniz_half",
     "neumann_decay", "resolvent_identity", "det_identity", "duality_sampled",
     "l2_product",
-}
+]
+EXPECTED_NAMES = set(EXPECTED_ORDER)
 
 
 def test_registry_names_complete():
@@ -22,6 +25,13 @@ def test_registry_names_complete():
     for name, (statement, fn) in REGISTRY.items():
         assert statement
         assert callable(fn)
+
+
+def test_registry_order():
+    assert list(REGISTRY) == EXPECTED_ORDER
+    r = _cli("verify", "all", "--list")
+    assert r.returncode == 0
+    assert [line.split()[0] for line in r.stdout.splitlines()] == EXPECTED_ORDER
 
 
 def test_unknown_experiment():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from h32fem.basis import edge_shape
+from h32fem.basis import edge_shape, tri_shape, tri_shape_grad
 from h32fem.meshing import (
     Mesh,
     _inverse_2x2,
@@ -162,3 +162,20 @@ def test_surface_faces_index_boundary_nodes(kind, order):
     lookup[bids] = np.arange(len(bids))
     np.testing.assert_array_equal(mesh.surface_faces, lookup[mesh.boundary_faces])
     np.testing.assert_array_equal(bids[mesh.surface_faces], mesh.boundary_faces)
+
+
+@pytest.mark.parametrize("kind, order", [("disk", 1), ("disk", 2), ("square", 2)])
+def test_batched_geometry_matches_einsum_reference(kind, order):
+    # the reference contracts in another order, so values agree to rounding (1e-14
+    # absolute on coordinates and Jacobians of size O(1)), not bit for bit
+    mesh = disk_mesh(4, order) if kind == "disk" else build_square_mesh(3, order)
+    rule = triangle_rule(8)
+    for elems in (None, np.array([3, 0, 7])):
+        pts, jac, det = batched_geometry(mesh, rule.points, elems)
+        coords = mesh.element_coords(elems)
+        phi = tri_shape(order, rule.points)
+        dphi = tri_shape_grad(order, rule.points)
+        ref_jac = np.einsum("mbr,ebx->emxr", dphi, coords)
+        np.testing.assert_allclose(pts, np.einsum("mb,ebx->emx", phi, coords), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(jac, ref_jac, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(det, np.linalg.det(ref_jac), rtol=0, atol=1e-14)

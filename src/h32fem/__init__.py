@@ -15,7 +15,7 @@ from .assembly import (
     trace,
     zero_function,
 )
-from .experiments import ExperimentConfig, run_experiment, run_all, REGISTRY
+from .experiments import ExperimentConfig, run_experiment, REGISTRY
 from .gagliardo import gagliardo_half_oracle, gagliardo_seminorms
 from .harness import RateTable, emit, fit_rate
 from .interp import (

@@ -137,6 +137,23 @@ class GramSet:
     A_surf: sp.csr_matrix
     interior_ids: np.ndarray
     boundary_ids: np.ndarray
+    # upper bounds on the largest eigenvalue of (M + A, M), bulk and surface
+    bulk_eig_bound: float
+    surf_eig_bound: float
+
+
+def _eig_bound(Me, Ae):
+    """max over elements of lambda_max(M_e + A_e, M_e).
+
+    The Rayleigh quotient of the assembled pencil is a ratio of sums of
+    element quotients, so this bounds its largest eigenvalue (Wathen 1987),
+    on every DOF subset too. Each M_e is SPD (positive-weight rules with
+    enough points), so lambda(M_e + A_e, M_e) = 1 + eig(L^-1 A_e L^-T).
+    """
+    L = np.linalg.cholesky(Me)
+    X = np.linalg.solve(L, Ae)
+    S = np.linalg.solve(L, np.swapaxes(X, 1, 2))
+    return 1.0 + float(np.linalg.eigvalsh(S).max())
 
 
 def _scatter(ne_mats, conn, n):
@@ -180,6 +197,8 @@ def assemble_grams(mesh, degree=None):
         A_surf=As,
         interior_ids=mesh.interior_node_ids,
         boundary_ids=bids,
+        bulk_eig_bound=_eig_bound(Me, Ae),
+        surf_eig_bound=_eig_bound(Mse, Ase),
     )
 
 

@@ -12,12 +12,12 @@ rate studies check the slopes of their columns (`_slopes`, targets
 +-0.25, geometric lift rates +-0.3); the rest give explicit thresholds.
 The six other experiments run on fixed square meshes or on no mesh:
 algebraic identities hold to 1e-12/1e-13 and sampled inequality checks
-carry an explicit slack factor. Meshes, Gram sets, spectral bases and overkill contexts are
-cached per process, so a full `verify all` run shares them.
+carry an explicit slack factor. Meshes, Gram sets, spectral operators
+and overkill contexts are cached per process, so a full `verify all` run
+shares them.
 """
 
 
-import functools
 import zlib
 from dataclasses import asdict, dataclass
 
@@ -41,7 +41,7 @@ from .interp import (
     winf_like_norm,
 )
 from .lifting import build_lift_map, grad_lambda_inf_error
-from .meshing import _cached, _inverse_2x2, build_square_mesh, disk_mesh
+from .meshing import _cached, _inverse_2x2, shared_mesh
 from .multilinear import (
     comparison_decompose,
     deformation_tensor,
@@ -94,9 +94,10 @@ def _rng(cfg, name):
     return np.random.default_rng([cfg.seed, zlib.crc32(name.encode())])
 
 
-@functools.cache
 def get_mesh(kind, n, order):
-    return disk_mesh(n, order) if kind == "disk" else build_square_mesh(n, order)
+    """The shared mesh (`meshing.shared_mesh`). Experiments look meshes up by
+    this name, so replacing it runs them on fresh meshes."""
+    return shared_mesh(kind, n, order)
 
 
 def _lift_of(mesh):
@@ -104,7 +105,7 @@ def _lift_of(mesh):
 
 
 def spectral_rings(levels):
-    """Doubling ring counts sized for the dense eigensolve cap."""
+    """Doubling ring counts of the spectral-norm ladders."""
     return [2 * 2**i for i in range(levels)]
 
 
@@ -969,10 +970,3 @@ def run_experiment(name, cfg=None):
         raise KeyError(f"unknown experiment {name!r}")
     return REGISTRY[name][1](cfg)
 
-
-def run_all(cfg=None, names=None):
-    cfg = cfg or ExperimentConfig()
-    out = []
-    for name in names or REGISTRY:
-        out.append(run_experiment(name, cfg))
-    return out

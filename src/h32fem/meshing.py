@@ -14,6 +14,7 @@ exists as an exact-geometry test mode: the boundary is resolved exactly and
 the geometric lift is the identity there.
 """
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -332,6 +333,12 @@ def disk_mesh(n_rings, order=1):
     nodes = _disk_vertices(n_rings)
     tris = _disk_triangles(n_rings)
     return _finish_mesh(nodes, tris, order, "disk", project_to_circle=True)
+
+
+@functools.cache
+def shared_mesh(kind, n, order):
+    """The process-wide disk (n rings) or square (n per side) mesh, built once."""
+    return disk_mesh(n, order) if kind == "disk" else build_square_mesh(n, order)
 
 
 def build_disk_mesh(target_h, order=1):

@@ -1,48 +1,92 @@
-"""Fractional Sobolev norms via the spectral pencil (M + A, M).
+"""Fractional Sobolev norms through one operator per spectral pencil.
 
-The discrete H^s norm, s in [0, 1], is the interpolation norm induced by
-the generalized eigendecomposition of (M + A, M) on a DOF set: with
-V^T M V = I and eigenvalues lambda_i >= 1,
+On a DOF set, let K = M + A and M be the restricted bulk (or surface)
+Gram matrices. Every norm here is a quadratic form in one operator,
 
-    ||u||_s^2 = sum_i lambda_i^s (V^T M u)_i^2,
+    R = V Lambda^{-1/2} V^T,   K V = M V Lambda,  V^T M V = I,
 
-which reproduces the L2 and full H1 quadratic forms exactly at s = 0, 1.
-Dual (negative) norms are suprema of a load pairing over the set's FE
-functions normalized in H^{1/2}; on the finite-dimensional space the sup
-is attained and equals ||Lambda^{-1/4} V^T b|| for the load vector b, so
-no iterative optimization is involved.
+whose spectrum lies in [1, Lambda_max] (A is semidefinite). The dual norm
+of a load b, the supremum of b . phi over the set's FE functions with
+||phi||_{1/2} = 1, is sqrt(b . R b) and is attained at phi = R b (up to
+scaling), so no iterative optimization is involved. With y = V^T M u,
+||u||_s^2 = sum lambda^s y^2 is u . M u at s = 0, (M u) . R (K u) at
+s = 1/2, u . K u at s = 1 and (K u) . R (K u) at s = 3/2.
+
+R is never formed. `SpectralBasis.apply` evaluates
+
+    R b ~ sum_j c_j (K + s_j M)^{-1} b,
+
+one sparse factorization per shift s_j > 0, from the real-shift rational
+quadrature of Hale, Higham & Trefethen (SIAM J. Numer. Anal. 46, 2008):
+lambda^{-1/2} = (2/pi) int_0^inf dt / (t^2 + lambda), substituted with
+t = sc(u | p), p = 1 - 1/Lambda, and the midpoint rule with N nodes on
+[0, K(p)], K(p) the complete elliptic integral. Its relative error is
+uniform on [1, Lambda] and below 10 exp(-pi^2 N / ln(4 sqrt(Lambda))) a
+priori; N is the smallest count that brings this bound under QUAD_TOL.
+Lambda is the rigorous element bound of the Gram set
+(`assembly._eig_bound`), so no eigenvalue is ever estimated. Because the
+error is relative in every eigencomponent, each norm and dual norm
+carries the same relative error.
+
+A dense generalized `eigh` of the pencil remains only as the oracle of the
+tests and demos (`dense_eigenpairs`), capped at DENSE_EIG_NODE_CAP DOFs.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.special import ellipj, ellipk
 
 from .assembly import BULK0, SURFACE, eval_on_elements, bulk_quad_data, trace
 from .meshing import _cached
 
 ALL = "all"
 INTERIOR = "interior"
-# Largest pencil (in DOFs) solved by a dense eigh.
+# Relative error bound of the rational approximation of lambda^{-1/2}.
+QUAD_TOL = 1e-13
+# Largest pencil (in DOFs) the dense oracle solves.
 DENSE_EIG_NODE_CAP = 20000
+
+
+def inv_sqrt_quadrature(bound):
+    """Shifts s_j > 0 and weights c_j with sum c_j / (lambda + s_j) equal to
+    lambda^{-1/2} within relative QUAD_TOL for every lambda in [1, bound]."""
+    p = 1.0 - 1.0 / bound
+    K = float(ellipk(p))
+    n = int(np.ceil(np.log(10.0 / QUAD_TOL) * np.log(4.0 * np.sqrt(bound)) / np.pi**2))
+    u = (np.arange(n) + 0.5) * (K / n)
+    sn, cn, dn, _ = ellipj(u, p)
+    return (sn / cn) ** 2, (2.0 / np.pi) * (K / n) * dn / cn**2
 
 
 @dataclass
 class SpectralBasis:
-    """Eigendecomposition of (M + A, M) restricted to a DOF set."""
+    """The operator R of the pencil (K, M) = (M + A, M) on a DOF set."""
 
     dofset: str
     ids: np.ndarray
-    eigenvalues: np.ndarray   # ascending, all >= 1 up to rounding
-    eigenvectors: np.ndarray  # columns, M-orthonormal
-    mass_on_set: np.ndarray   # dense restriction of the mass matrix
+    K: sp.csr_matrix    # M + A restricted to ids
+    M: sp.csr_matrix    # mass matrix restricted to ids
+    shifts: np.ndarray
+    weights: np.ndarray
+    solves: list        # factorized (K + s_j M)^{-1}, one per shift
 
     def __len__(self):
-        return len(self.eigenvalues)
+        return len(self.ids)
+
+    def apply(self, b):
+        """R b for a vector b on the DOF set."""
+        out = np.zeros(len(b))
+        for c, solve in zip(self.weights, self.solves):
+            out += c * solve(b)
+        return out
 
 
 def spectral_decomp(grams, dofset=ALL):
-    """Full generalized eigendecomposition on `dofset` ('all' or 'interior')."""
+    """The spectral operator on `dofset` ('all' or 'interior'), cached."""
     if dofset == ALL:
         ids = np.arange(grams.mesh.n_nodes)
     elif dofset == INTERIOR:
@@ -51,48 +95,61 @@ def spectral_decomp(grams, dofset=ALL):
         raise ValueError(f"unknown dofset {dofset!r}")
     return _cached(
         grams, ("spectral", dofset),
-        lambda: _dense_decomp(grams, dofset, ids, grams.M_bulk, grams.A_bulk),
+        lambda: _operator(dofset, ids, grams.M_bulk, grams.A_bulk, grams.bulk_eig_bound),
     )
 
 
 def surface_spectral_decomp(grams):
-    """Eigendecomposition of the surface pencil (M_surf + A_surf, M_surf)."""
+    """The spectral operator of the surface pencil (M_surf + A_surf, M_surf)."""
     ids = np.arange(len(grams.boundary_ids))
     return _cached(
         grams, ("spectral", "surface"),
-        lambda: _dense_decomp(grams, "surface", ids, grams.M_surf, grams.A_surf),
+        lambda: _operator("surface", ids, grams.M_surf, grams.A_surf, grams.surf_eig_bound),
     )
 
 
-def _dense_decomp(grams, dofset, ids, M_full, A_full):
-    """Dense eigh of the pencil (M + A, M) restricted to ids, size-capped."""
-    if len(ids) > DENSE_EIG_NODE_CAP:
+def _operator(dofset, ids, M_full, A_full, bound):
+    M = M_full[np.ix_(ids, ids)].tocsr()
+    K = M + A_full[np.ix_(ids, ids)]
+    shifts, weights = inv_sqrt_quadrature(bound)
+    solves = [spla.factorized((K + s * M).tocsc()) for s in shifts]
+    return SpectralBasis(dofset, ids, K, M, shifts, weights, solves)
+
+
+def dense_eigenpairs(sb):
+    """Oracle: eigenvalues (ascending) and M-orthonormal eigenvectors of
+    sb's pencil by a dense eigh, refused past DENSE_EIG_NODE_CAP DOFs."""
+    if len(sb) > DENSE_EIG_NODE_CAP:
         raise RuntimeError(
-            f"{dofset} pencil with {len(ids)} DOFs exceeds the dense eigensolve cap"
+            f"{sb.dofset} pencil with {len(sb)} DOFs exceeds the dense eigensolve cap"
         )
-    M = M_full[np.ix_(ids, ids)].toarray()
-    A = A_full[np.ix_(ids, ids)].toarray()
-    lam, V = sla.eigh(M + A, M)
-    return SpectralBasis(dofset=dofset, ids=ids, eigenvalues=lam, eigenvectors=V, mass_on_set=M)
-
-
-def _spectral_coeffs(u_coeffs, sb):
-    return sb.eigenvectors.T @ (sb.mass_on_set @ u_coeffs)
+    return sla.eigh(sb.K.toarray(), sb.M.toarray())
 
 
 def spectral_power_norm(coeffs_on_set, s, sb):
-    """sqrt(sum lambda^s c^2) without a range restriction on s.
+    """sqrt(sum lambda^s y^2), y = V^T M u, for s in {0, 1/2, 1, 3/2}.
 
-    The s in [0,1] range is the trustworthy interpolation regime; larger s
-    (up to 2) is used only as a norm-equivalent proxy on quasi-uniform
-    meshes, e.g. for H^{3/2} of overkill solutions.
+    The s in [0,1] range is the trustworthy interpolation regime; s = 3/2
+    is used only as a norm-equivalent proxy on quasi-uniform meshes, e.g.
+    for H^{3/2} of overkill solutions.
     """
-    c = _spectral_coeffs(coeffs_on_set, sb)
-    return float(np.sqrt(np.sum(sb.eigenvalues**s * c**2)))
+    u = coeffs_on_set
+    if s == 0:
+        val = u @ (sb.M @ u)
+    elif s == 0.5:
+        val = (sb.M @ u) @ sb.apply(sb.K @ u)
+    elif s == 1:
+        val = u @ (sb.K @ u)
+    elif s == 1.5:
+        Ku = sb.K @ u
+        val = Ku @ sb.apply(Ku)
+    else:
+        raise ValueError("s must be 0, 1/2, 1 or 3/2; other powers need dense_eigenpairs")
+    return float(np.sqrt(val))
 
 
 def h_s_norm(u, s, sb):
-    """Interpolated H^s norm of a scalar FE function, s in [0, 1]."""
+    """Interpolated H^s norm of a scalar FE function, s in {0, 1/2, 1}."""
     if not 0.0 <= s <= 1.0:
         raise ValueError("h_s_norm expects s in [0, 1]")
     return spectral_power_norm(_restrict(u, sb), s, sb)
@@ -112,14 +169,12 @@ def _restrict(u, sb):
 
 def dual_norm_from_load(b, sb):
     """sup over the set's functions of (b . phi) / ||phi||_{H^{1/2}}."""
-    y = sb.eigenvectors.T @ b
-    return float(np.sqrt(np.sum(y**2 / np.sqrt(sb.eigenvalues))))
+    return float(np.sqrt(b @ sb.apply(b)))
 
 
 def dual_norm_maximizer(b, sb):
     """Coefficients (on the DOF set) of the phi attaining the supremum."""
-    y = sb.eigenvectors.T @ b
-    return sb.eigenvectors @ (y / np.sqrt(sb.eigenvalues))
+    return sb.apply(b)
 
 
 def h_half_norm_on_set(phi_coeffs, sb):

@@ -22,7 +22,7 @@ from .assembly import (
     eval_on_elements,
     surface_quad_data,
 )
-from .meshing import Mesh, _cached, _inverse_2x2, build_square_mesh, disk_mesh
+from .meshing import Mesh, _cached, _inverse_2x2, shared_mesh
 from .multilinear import deformation_tensor
 
 
@@ -94,12 +94,13 @@ class OverkillSolution:
 
 
 def refined_copy(mesh, factor):
-    """The same domain meshed `factor` times finer (same order)."""
+    """The same domain meshed `factor` times finer (same order), from the
+    process-wide mesh cache, so it is the ladder's mesh of that size."""
     if mesh.domain_kind == "disk":
         rings = int(round(np.sqrt(mesh.n_elements / 6)))
-        return disk_mesh(rings * factor, mesh.order)
+        return shared_mesh("disk", rings * factor, mesh.order)
     n = int(round(np.sqrt(mesh.n_elements / 2)))
-    return build_square_mesh(n * factor, mesh.order)
+    return shared_mesh("square", n * factor, mesh.order)
 
 
 def assemble_load(grams, f, degree=None):

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from h32fem import experiments, norms
+from h32fem import cli, experiments, norms
 from h32fem.assembly import FeFunction, assemble_grams, grams_of, nodal_interp_bulk, trace
-from h32fem.meshing import disk_mesh
+from h32fem.meshing import build_square_mesh, disk_mesh
 from h32fem.norms import (
+    QUAD_TOL,
     boundary_sobolev_norm,
+    dense_eigenpairs,
     dual_neg_half_norm,
     dual_norm_from_load,
     dual_norm_maximizer,
@@ -14,8 +16,10 @@ from h32fem.norms import (
     h_half_norm_on_set,
     h_s_norm,
     hhat_threehalf_norm,
+    inv_sqrt_quadrature,
     l2_norm,
     spectral_decomp,
+    spectral_power_norm,
     surface_spectral_decomp,
     vec_dual_half_norm,
 )
@@ -31,16 +35,17 @@ def test_eigen_structure(setup):
     m, g, sb, sbi = setup
     assert len(sb) == m.n_nodes
     assert len(sbi) == len(m.interior_node_ids)
-    assert sb.eigenvalues.min() >= 1.0 - 1e-10
-    assert sbi.eigenvalues.min() >= 1.0 - 1e-10
-    V, M = sb.eigenvectors, sb.mass_on_set
+    lam, V = dense_eigenpairs(sb)
+    assert lam.min() >= 1.0 - 1e-10
+    assert dense_eigenpairs(sbi)[0].min() >= 1.0 - 1e-10
+    M = sb.M.toarray()
     assert np.abs(V.T @ M @ V - np.eye(len(sb))).max() < 1e-10
 
 
 def test_constant_has_unit_eigenvalue(setup):
     m, g, sb, _ = setup
     # the constant vector is the eigenvector with lambda = 1
-    assert abs(sb.eigenvalues[0] - 1.0) < 1e-10
+    assert abs(dense_eigenpairs(sb)[0][0] - 1.0) < 1e-10
 
 
 def test_endpoint_exactness(setup, rng):
@@ -62,8 +67,13 @@ def test_zero_and_homogeneity(setup, rng):
 def test_monotonicity_in_s(setup, rng):
     m, g, sb, _ = setup
     u = FeFunction(m, rng.normal(size=m.n_nodes))
-    vals = [h_s_norm(u, s, sb) for s in np.linspace(0.0, 1.0, 11)]
+    lam, V = dense_eigenpairs(sb)
+    y = V.T @ (sb.M @ u.coeffs)
+    vals = [np.sqrt(np.sum(lam**s * y**2)) for s in np.linspace(0.0, 1.0, 11)]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+    # the operator's three powers sit on the oracle's curve
+    for s in (0.0, 0.5, 1.0):
+        assert abs(h_s_norm(u, s, sb) - vals[int(10 * s)]) <= 1e-10 * vals[int(10 * s)]
 
 
 def test_s_range_validation(setup):
@@ -162,36 +172,94 @@ def test_norm_homogeneity_all_ops(setup, rng):
         assert abs(scaled - alpha * base) < 1e-12 * max(1.0, base)
 
 
-def test_dense_eig_cap_refuses_before_eigh(monkeypatch):
+def _pencils(g):
+    return {
+        "all": spectral_decomp(g, "all"),
+        "interior": spectral_decomp(g, "interior"),
+        "surface": surface_spectral_decomp(g),
+    }
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("pencil", ["all", "interior", "surface"])
+def test_operator_matches_dense_oracle(order, pencil):
+    g = grams_of(experiments.get_mesh("disk", 4, order))
+    sb = _pencils(g)[pencil]
+    lam, V = dense_eigenpairs(sb)
+    rng = np.random.default_rng([order, len(sb)])
+    for _ in range(3):
+        b = rng.normal(size=len(sb))
+        u = rng.normal(size=len(sb))
+        y, c = V.T @ b, V.T @ (sb.M @ u)
+        d = dual_norm_from_load(b, sb)
+        assert abs(d - np.sqrt(np.sum(y**2 / np.sqrt(lam)))) <= 1e-10 * d
+        for s in (0.5, 1.5):
+            ref = np.sqrt(np.sum(lam**s * c**2))
+            assert abs(spectral_power_norm(u, s, sb) - ref) <= 1e-10 * ref
+        phi = dual_norm_maximizer(b, sb)
+        phi_ref = V @ (y / np.sqrt(lam))
+        assert np.abs(phi - phi_ref).max() <= 1e-10 * np.abs(phi_ref).max()
+        assert abs(d - (b @ phi) / h_half_norm_on_set(phi, sb)) <= 1e-10 * d
+
+
+@pytest.mark.parametrize("bound", [1.0, 2.0, 1e2, 1e4, 1e6])
+def test_inv_sqrt_quadrature_uniform_error(bound):
+    shifts, weights = inv_sqrt_quadrature(bound)
+    assert shifts.min() > 0.0 and weights.min() > 0.0
+    lam = np.geomspace(1.0, bound, 400)
+    approx = (weights / (lam[:, None] + shifts)).sum(axis=1)
+    assert np.abs(np.sqrt(lam) * approx - 1.0).max() <= QUAD_TOL
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_element_bound_above_oracle(order):
+    g = grams_of(experiments.get_mesh("disk", 4, order))
+    bounds = {"all": g.bulk_eig_bound, "interior": g.bulk_eig_bound, "surface": g.surf_eig_bound}
+    for name, sb in _pencils(g).items():
+        assert dense_eigenpairs(sb)[0][-1] <= bounds[name]
+
+
+def test_operator_build_deterministic(rng):
+    mesh = disk_mesh(4, 2)
+    builds = [_pencils(assemble_grams(mesh)) for _ in range(2)]
+    u = rng.normal(size=mesh.n_nodes)
+    for name, sb in builds[0].items():
+        other = builds[1][name]
+        assert np.array_equal(sb.shifts, other.shifts)
+        assert np.array_equal(sb.weights, other.weights)
+        v = u[: len(sb)]
+        for s in (0.5, 1.5):
+            assert spectral_power_norm(v, s, sb) == spectral_power_norm(v, s, other)
+        assert dual_norm_from_load(v, sb) == dual_norm_from_load(v, other)
+
+
+def test_dense_eig_cap_refuses_before_eigh(monkeypatch, tmp_path):
     eigh = scipy.linalg.eigh
 
     def no_eigh(*args, **kwargs):
-        raise AssertionError("eigh called past the cap")
+        raise AssertionError("eigh called")
 
     monkeypatch.setattr(scipy.linalg, "eigh", no_eigh)
     mesh = disk_mesh(2, 1)
-    g = assemble_grams(mesh)
-    pencils = {
-        "all": (mesh.n_nodes, lambda: spectral_decomp(g, "all")),
-        "interior": (len(g.interior_ids), lambda: spectral_decomp(g, "interior")),
-        "surface": (len(g.boundary_ids), lambda: surface_spectral_decomp(g)),
-    }
+    pencils = _pencils(assemble_grams(mesh))
     # the cap counts each pencil's own DOFs
-    for name, (size, decomp) in pencils.items():
+    for name, sb in pencils.items():
+        size = len(sb)
         monkeypatch.setattr(norms, "DENSE_EIG_NODE_CAP", size - 1)
         with pytest.raises(RuntimeError, match=f"{name} pencil with {size} DOFs exceeds the dense eigensolve cap"):
-            decomp()
+            dense_eigenpairs(sb)
     # a surface pencil under the cap is solved while the bulk mesh is over it
-    n_surf = pencils["surface"][0]
+    n_surf = len(pencils["surface"])
     assert n_surf < mesh.n_nodes
     monkeypatch.setattr(norms, "DENSE_EIG_NODE_CAP", n_surf)
     with pytest.raises(RuntimeError, match="all pencil"):
-        pencils["all"][1]()
+        dense_eigenpairs(pencils["all"])
     monkeypatch.setattr(scipy.linalg, "eigh", eigh)
-    assert len(pencils["surface"][1]()) == n_surf
-    # experiments reach the cap through norms too, including sz_error
+    assert len(dense_eigenpairs(pencils["surface"])[0]) == n_surf
+    # the registry never calls eigh: every experiment runs clean without it
     monkeypatch.setattr(scipy.linalg, "eigh", no_eigh)
     monkeypatch.setattr(norms, "DENSE_EIG_NODE_CAP", 0)
-    monkeypatch.setattr(experiments, "get_mesh", lambda kind, n, order: disk_mesh(n, order))
-    with pytest.raises(RuntimeError, match="dense eigensolve cap"):
-        experiments.run_experiment("sz_error", experiments.ExperimentConfig(levels=3))
+    monkeypatch.setattr(experiments, "get_mesh", lambda kind, n, order: (
+        disk_mesh(n, order) if kind == "disk" else build_square_mesh(n, order)
+    ))
+    assert cli.main(["verify", "all", "--levels", "3", "--out", str(tmp_path)]) == 0

@@ -59,6 +59,13 @@ def test_surrogates_constant(disk4k1):
         assert sol.problem == kind
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_refined_copy_is_the_cached_mesh(order):
+    from h32fem.experiments import get_mesh
+
+    assert refined_copy(get_mesh("disk", 4, order), 4) is get_mesh("disk", 16, order)
+
+
 def test_homogeneous_smoothing_proxy(disk4k1):
     # Dirichlet data of unit boundary H^{1/2} scale: the H1 norm of the
     # solution stays bounded across overkill levels

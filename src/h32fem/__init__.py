@@ -16,7 +16,7 @@ from .assembly import (
     zero_function,
 )
 from .experiments import ExperimentConfig, run_experiment, REGISTRY
-from .gagliardo import gagliardo_half_oracle, gagliardo_seminorms
+from .gagliardo import gagliardo_gram, gagliardo_half_oracle, gagliardo_seminorms
 from .harness import RateTable, emit, fit_rate
 from .interp import (
     dirichlet_lift,

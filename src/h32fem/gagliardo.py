@@ -14,14 +14,27 @@ The squared seminorm is the double integral over all element pairs of
 
 The cost is quadratic in the element count, so meshes are capped at 500
 elements. Each class is one pass over geometry blocks (element pairs, or
-elements times outer points) and, inside each, function blocks, all sized
-from one byte budget, so memory does not grow with the function count. A
-function block's values are one BLAS product with the shape table, one
-FeExpression.combine call per expression and one call per callable. The
-pairing keeps the direct (u(x)-u(y))^2 form, so constants give exactly
-zero and scaling is exact to rounding. This oracle certifies inequalities
-with slack, not tight values; on the smooth test panels it sits within a
-few percent of converged values.
+elements times outer points), all sized from one byte budget. Two
+mechanisms share these blocks, their rules and their kernel weights:
+
+* `gagliardo_gram` assembles, per (mesh, Lagrange space), the matrix G
+  with |u|^2 = c^T G c for every coefficient vector c. Each block adds
+  sum W d d^T over its point pairs, with d = phi(x) - phi(y) the basis
+  differences: for separated pairs the DOFs the two elements share are
+  merged before d is formed, and for identical pairs d depends only on
+  the Duffy reference points, so a block is one GEMM W @ (d x d). The
+  difference form keeps the large, cancelling near-singular products out
+  of G. G is symmetric positive semidefinite with constants in its kernel.
+* `gagliardo_seminorms` is the direct pass for pointwise inputs (FE
+  functions, FeExpressions, callables). Inside each geometry block it
+  walks function blocks, so memory does not grow with the function count.
+  A function block's values are one BLAS product with the shape table,
+  one FeExpression.combine call per expression and one call per callable;
+  the pairing keeps the (u(x)-u(y))^2 form, so constants give exactly
+  zero and scaling is exact to rounding.
+
+Both certify inequalities with slack, not tight values; on the smooth test
+panels they sit within a few percent of converged values.
 """
 
 import functools
@@ -29,7 +42,7 @@ import functools
 import numpy as np
 
 from .basis import TRI_EDGES, TRI_VERTS, tri_shape
-from .meshing import batched_geometry
+from .meshing import _cached, batched_geometry
 from .quadrature import default_degree, edge_rule, triangle_rule
 
 MAX_ELEMENTS = 500
@@ -82,6 +95,63 @@ def _blocks(n, item_bytes):
     return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
+def _pair_blocks(mesh, order, pair_bytes, self_bytes, ref_bytes=0):
+    """Blocks of the three pair classes as (x, y, J, same).
+
+    x and y are (phi, elems, pts, w) layouts of the outer and inner points
+    of a block's entries, with phi the order-`order` shape table of the
+    reference points; same marks identical pairs (entries are elements,
+    each outer point with its own J inner points), otherwise the entries
+    are element pairs e < f whose J inner points are shared by the outer
+    points. pair_bytes is the cost of one point pair of a separated block,
+    self_bytes that of one element's point pair of an identical block and
+    ref_bytes that of one reference point pair of an identical block.
+    Refuses meshes over MAX_ELEMENTS before the first block.
+    """
+    ne = mesh.n_elements
+    if ne > MAX_ELEMENTS:
+        raise ValueError(f"mesh too large for the O(n^2) Gagliardo oracle ({ne} elements)")
+    degree = default_degree(mesh.order)
+
+    # separated pairs: base rule if disjoint, doubled if adjacent
+    incidence = np.zeros((ne, mesh.n_nodes))
+    incidence[np.arange(ne)[:, None], mesh.elements[:, :3]] = 1.0
+    first, second = np.triu_indices(ne, k=1)
+    adjacent = (incidence @ incidence.T)[first, second] > 0.0
+    for sel, deg in ((~adjacent, degree), (adjacent, 2 * degree)):
+        rule = triangle_rule(deg)
+        phi = tri_shape(order, rule.points)
+        pts, det = batched_geometry(mesh, rule.points)[::2]
+        w = rule.weights * np.abs(det)
+        pair_e, pair_f = first[sel], second[sel]
+        for pb in _blocks(len(pair_e), pair_bytes * len(rule) ** 2):
+            e, f = pair_e[pb], pair_f[pb]
+            yield (phi, e, pts[e], w[e]), (phi, f, pts[f], w[f]), len(rule), False
+
+    # identical pairs: apex-Duffy split around each outer point; an item is
+    # one element's inner points of one outer point
+    xo, wo, inner_ref, inner_jw = _duffy_layout(4 * degree)
+    phi_o = tri_shape(order, xo)
+    J = inner_jw.shape[1]
+    for eb in _blocks(ne, self_bytes * J):
+        e = np.arange(ne)[eb]
+        for qb in _blocks(len(xo), (self_bytes * len(e) + ref_bytes) * J):
+            refs = inner_ref[qb].reshape(-1, 2)
+            po, do = batched_geometry(mesh, xo[qb], e)[::2]
+            pi, di = batched_geometry(mesh, refs, e)[::2]
+            x = (phi_o[qb], e, po, wo[qb] * np.abs(do))
+            y = (tri_shape(order, refs), e, pi, inner_jw[qb].ravel() * np.abs(di))
+            yield x, y, J, True
+
+
+def _kernel(x, y, J):
+    """wx_bq wy_bqj / |x_bq - y_bqj|^3 of a block's B entries: (B, mx, J)."""
+    (_, _, px, wx), (_, _, py, wy) = x, y
+    B = len(px)
+    r2 = np.sum((px[:, :, None] - py.reshape(B, -1, J, 2)) ** 2, axis=-1)
+    return wx[:, :, None] * wy.reshape(B, -1, J) / r2**1.5
+
+
 def _values(funcs, mesh, phi, elems, pts):
     """Values (nfun, len(elems), m) of funcs at shared reference points of elems.
 
@@ -116,16 +186,10 @@ def _values(funcs, mesh, phi, elems, pts):
 
 
 def _class_sum(funcs, mesh, x, y, J):
-    """sum_{b,q,j} (u(x_bq) - u(y_bqj))^2 wx_bq wy_bqj / |x_bq - y_bqj|^3 for every u.
-
-    x and y are (phi, elems, pts, w) layouts of the outer and inner points of
-    B block entries; an entry's J inner points are shared by its outer
-    points, or each outer point has its own J.
-    """
-    (phi_x, ex, px, wx), (phi_y, ey, py, wy) = x, y
+    """sum_{b,q,j} (u(x_bq) - u(y_bqj))^2 K_bqj over a block, for every u."""
+    (phi_x, ex, px, _), (phi_y, ey, py, _) = x, y
     B = len(px)
-    r2 = np.sum((px[:, :, None] - py.reshape(B, -1, J, 2)) ** 2, axis=-1)
-    K = (wx[:, :, None] * wy.reshape(B, -1, J) / r2**1.5).ravel()
+    K = _kernel(x, y, J).ravel()
     out = np.empty(len(funcs))
     for fb in _blocks(len(funcs), 8 * len(K)):
         block = funcs[fb]
@@ -142,44 +206,64 @@ def gagliardo_seminorms(funcs, mesh):
     funcs: FeFunction instances, FeExpression instances or callables
     pts -> values. Returns an array of seminorms (not squared).
     """
-    ne = mesh.n_elements
-    if ne > MAX_ELEMENTS:
-        raise ValueError(f"mesh too large for the O(n^2) Gagliardo oracle ({ne} elements)")
     funcs = list(funcs)
-    degree = default_degree(mesh.order)
     total = np.zeros(len(funcs))
-
-    # separated pairs e < f, counted twice: base rule if disjoint, doubled if adjacent
-    incidence = np.zeros((ne, mesh.n_nodes))
-    incidence[np.arange(ne)[:, None], mesh.elements[:, :3]] = 1.0
-    first, second = np.triu_indices(ne, k=1)
-    adjacent = (incidence @ incidence.T)[first, second] > 0.0
-    for sel, deg in ((~adjacent, degree), (adjacent, 2 * degree)):
-        rule = triangle_rule(deg)
-        phi = tri_shape(mesh.order, rule.points)
-        pts, det = batched_geometry(mesh, rule.points)[::2]
-        w = rule.weights * np.abs(det)
-        pair_e, pair_f = first[sel], second[sel]
-        for pb in _blocks(len(pair_e), 16 * len(rule) ** 2):
-            e, f = pair_e[pb], pair_f[pb]
-            x, y = (phi, e, pts[e], w[e]), (phi, f, pts[f], w[f])
-            total += 2.0 * _class_sum(funcs, mesh, x, y, len(rule))
-
-    # identical pairs: apex-Duffy split around each outer point; an item is
-    # one element's inner points of one outer point (Jacobians: 32 B each)
-    xo, wo, inner_ref, inner_jw = _duffy_layout(4 * degree)
-    phi_o = tri_shape(mesh.order, xo)
-    J = inner_jw.shape[1]
-    for eb in _blocks(ne, 32 * J):
-        e = np.arange(ne)[eb]
-        for qb in _blocks(len(xo), 32 * len(e) * J):
-            refs = inner_ref[qb].reshape(-1, 2)
-            po, do = batched_geometry(mesh, xo[qb], e)[::2]
-            pi, di = batched_geometry(mesh, refs, e)[::2]
-            x = (phi_o[qb], e, po, wo[qb] * np.abs(do))
-            y = (tri_shape(mesh.order, refs), e, pi, inner_jw[qb].ravel() * np.abs(di))
-            total += _class_sum(funcs, mesh, x, y, J)
+    # separated pairs e < f are counted twice
+    for x, y, J, same in _pair_blocks(mesh, mesh.order, 16, 32):
+        total += (1.0 if same else 2.0) * _class_sum(funcs, mesh, x, y, J)
     return np.sqrt(total)
+
+
+def gagliardo_gram(mesh, space=None):
+    """Dense Gram matrix G of the squared seminorm: |u|^2 = c^T G c.
+
+    c is the coefficient vector of u in the Lagrange space whose DOF map is
+    space.elements (a mesh of any order on the triangulation of `mesh`;
+    default: `mesh` itself). The pairs, rules and geometry are those of
+    `gagliardo_seminorms(., mesh)`. Cached on `mesh` per space order.
+    """
+    space = mesh if space is None else space
+    if space.elements.shape[0] != mesh.n_elements or np.any(
+        space.elements[:, :3] != mesh.elements[:, :3]
+    ):
+        raise ValueError("the space must share the triangulation of the mesh")
+    return _cached(mesh, ("gagliardo_gram", space.order), lambda: _assemble_gram(mesh, space))
+
+
+def _assemble_gram(mesh, space):
+    dofs = space.elements
+    nb = dofs.shape[1]
+    G = np.zeros((space.n_nodes, space.n_nodes))
+    own = np.zeros((mesh.n_elements, nb, nb))
+    # separated: merged d, its K-weighted copy, kernel, distance (per point pair);
+    # identical: d and d x d per reference point pair
+    for x, y, J, same in _pair_blocks(mesh, space.order, 8 * (4 * nb + 4), 32, 8 * nb * (nb + 1)):
+        (phi_x, ex, _, _), (phi_y, ey, _, _) = x, y
+        K = _kernel(x, y, J).reshape(len(ex), -1)
+        if same:
+            d = (phi_x[:, None, :] - phi_y.reshape(len(phi_x), J, nb)).reshape(-1, nb)
+            own[ex] += (K @ (d[:, :, None] * d[:, None, :]).reshape(-1, nb * nb)).reshape(-1, nb, nb)
+            continue
+        # basis differences over the 2nb local slots (e's DOFs, then f's);
+        # f's DOFs shared with e are merged into e's slot before d is formed
+        Q = len(phi_x)
+        raw = np.concatenate(
+            [np.repeat(phi_x, Q, axis=0), -np.tile(phi_y, (Q, 1))], axis=1
+        )                                                      # (Q*Q, 2nb)
+        shared = dofs[ey][:, :, None] == dofs[ex][:, None, :]  # (B, f-slot, e-slot)
+        slot = np.concatenate(
+            [np.broadcast_to(np.arange(nb), (len(ex), nb)),
+             np.where(shared.any(-1), shared.argmax(-1), nb + np.arange(nb))],
+            axis=1,
+        )
+        merge = np.zeros((len(ex), 2 * nb, 2 * nb))
+        np.put_along_axis(merge, slot[:, None, :], 1.0, axis=1)
+        d = raw @ merge.transpose(0, 2, 1)                    # (B, Q*Q, 2nb)
+        local = 2.0 * np.swapaxes(d * K[:, :, None], 1, 2) @ d
+        loc = np.concatenate([dofs[ex], dofs[ey]], axis=1)
+        np.add.at(G, (loc[:, :, None], loc[:, None, :]), local)
+    np.add.at(G, (dofs[:, :, None], dofs[:, None, :]), own)
+    return 0.5 * (G + G.T)
 
 
 def gagliardo_half_oracle(u, mesh=None):

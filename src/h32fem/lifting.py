@@ -234,7 +234,9 @@ class MeshLocator:
     the other starts. A point that no candidate element contains (within
     tol) is clamped into its best candidate; points farther outside than
     `slack` raise. The clamp covers the O(h^{k+1}) slivers between a curved
-    mesh and the exact domain.
+    mesh and the exact domain; n_clamped counts the clamped points over all
+    locate() calls and worst_clamp holds the largest barycentric violation
+    clamped.
     """
 
     def __init__(self, mesh, lift=None, n_candidates=16, tol=1e-10, slack=1e-3):
@@ -242,6 +244,8 @@ class MeshLocator:
         self.lift = lift
         self.tol = tol
         self.slack = slack
+        self.n_clamped = 0
+        self.worst_clamp = 0.0
         rule = triangle_rule(2)
         if lift is not None and not lift.is_identity:
             data = lift_rule_data(lift, 2)
@@ -343,6 +347,8 @@ class MeshLocator:
             if best_viol[alive].max() > self.slack:
                 worst = best_viol[alive].max()
                 raise RuntimeError(f"point location failed (violation {worst:.2e})")
+            self.n_clamped += len(alive)
+            self.worst_clamp = max(self.worst_clamp, float(best_viol[alive].max()))
             elems[alive] = best_elem[alive]
             refs[alive] = _clamp_to_triangle(best_ref[alive])
         return elems, refs

@@ -34,19 +34,27 @@ class MultilinearForm:
 
 
 def ml_eval(T, args):
-    """Full contraction of the coefficient tensor with the slot arguments."""
+    """Full contraction of the coefficient tensor with the slot arguments.
+
+    Each argument may carry leading batch axes in front of its slot shape;
+    they broadcast against each other and lead the result. The slots are
+    contracted one after the other, each as one stacked product.
+    """
     if len(args) != T.n_slots:
         raise ValueError(f"expected {T.n_slots} arguments, got {len(args)}")
-    out = T.coeffs
+    args = [np.asarray(a, dtype=float) for a in args]
     for shape, a in zip(T.slot_shapes, args):
-        a = np.asarray(a, dtype=float)
-        if a.shape != shape:
+        if a.ndim < len(shape) or a.shape[a.ndim - len(shape):] != shape:
             raise ValueError(f"argument shape {a.shape} does not match slot {shape}")
-        nd = len(shape)
-        out = np.tensordot(a, out, axes=(list(range(nd)), list(range(nd))))
-    if T.output_shape == ():
-        return float(out)
-    return out
+    batch = np.broadcast_shapes(*(a.shape[: a.ndim - len(s)] for s, a in zip(T.slot_shapes, args)))
+    n_batch = int(np.prod(batch))
+    out = T.coeffs.reshape(1, -1)      # (batch, entries left)
+    for shape, a in zip(T.slot_shapes, args):
+        n = int(np.prod(shape))
+        a = np.broadcast_to(a, batch + shape).reshape(n_batch, 1, n)
+        out = (a @ out.reshape(len(out), n, -1))[:, 0]
+    out = out.reshape(batch + T.output_shape)
+    return float(out) if out.shape == () else out
 
 
 def ml_norm(T):

@@ -5,11 +5,16 @@ import numpy as np
 import pytest
 
 from h32fem import gagliardo
-from h32fem.assembly import nodal_interp_bulk
+from h32fem.assembly import FeFunction, nodal_interp_bulk
 from h32fem.basis import TRI_EDGES, TRI_VERTS, tri_shape, tri_shape_grad
 from h32fem.experiments import get_mesh
-from h32fem.gagliardo import FeExpression, gagliardo_half_oracle, gagliardo_seminorms
-from h32fem.meshing import build_square_mesh
+from h32fem.gagliardo import (
+    FeExpression,
+    gagliardo_gram,
+    gagliardo_half_oracle,
+    gagliardo_seminorms,
+)
+from h32fem.meshing import Mesh, build_square_mesh, disk_mesh
 from h32fem.quadrature import default_degree, edge_rule, triangle_rule
 
 
@@ -266,3 +271,92 @@ def test_peak_memory_is_bounded_by_block_budget():
     finally:
         tracemalloc.stop()
     assert peak < 16 * gagliardo._BLOCK_BYTES
+
+
+# -- the Gram matrix against the direct pass ------------------------------------
+
+
+def _p1_to_p2(c1, m1, m2):
+    """P2 coefficients of P1 functions (columns of c1): edge midpoints average."""
+    c2 = np.empty((m2.n_nodes,) + c1.shape[1:])
+    c2[m2.elements[:, :3]] = c1[m1.elements]
+    for i, (a, b) in enumerate(TRI_EDGES):
+        c2[m2.elements[:, 3 + i]] = 0.5 * (c1[m1.elements[:, a]] + c1[m1.elements[:, b]])
+    return c2
+
+
+def _quadratic_form_seminorms(G, C):
+    return np.sqrt(np.maximum(0.0, np.sum(C * (G @ C), axis=0)))
+
+
+@pytest.mark.parametrize("kind,n,order", [("disk", 2, 2), ("disk", 3, 1), ("square", 3, 2)])
+def test_gram_matches_direct_pass(kind, n, order):
+    # FE inputs in the mesh's own space, some offset by a constant: the
+    # offset grows the cancelling near-singular terms, and a G built without
+    # merging the DOFs adjacent elements share misses by over 1e-12 here
+    mesh = get_mesh(kind, n, order)
+    rng = np.random.default_rng(3)
+    C = rng.normal(size=(mesh.n_nodes, 6))
+    C[:, 3:] += 20.0
+    got = _quadratic_form_seminorms(gagliardo_gram(mesh), C)
+    ref = gagliardo_seminorms([FeFunction(mesh, c) for c in C.T], mesh)
+    assert np.abs(got / ref - 1.0).max() <= 1e-12
+
+
+def test_gram_of_p2_space_matches_products_on_p1_mesh():
+    # on the affine square, products of P1 functions are P2 on the same
+    # triangulation: the P2 Gram matrix over the P1 mesh's rules reproduces
+    # the direct pass over the FeExpression products
+    m1, m2 = get_mesh("square", 3, 1), get_mesh("square", 3, 2)
+    rng = np.random.default_rng(4)
+    c1 = rng.normal(size=(m1.n_nodes, 8))
+    c1[:, 4:] += 20.0
+    us = [FeFunction(m1, c) for c in c1.T]
+    funcs = us[:3] + [
+        FeExpression(lambda a, b: a * b, [us[0], us[1]]),
+        FeExpression(lambda a, b: a * b, [us[4], us[5]]),
+        FeExpression(lambda a, b, c: a * b + c, [us[6], us[7], us[2]]),
+    ]
+    c2 = _p1_to_p2(c1, m1, m2)
+    C = np.column_stack(
+        [c2[:, 0], c2[:, 1], c2[:, 2], c2[:, 0] * c2[:, 1], c2[:, 4] * c2[:, 5],
+         c2[:, 6] * c2[:, 7] + c2[:, 2]]
+    )
+    got = _quadratic_form_seminorms(gagliardo_gram(m1, m2), C)
+    ref = gagliardo_seminorms(funcs, m1)
+    assert np.abs(got / ref - 1.0).max() <= 1e-12
+    assert gagliardo_gram(m1, m2) is gagliardo_gram(m1, m2)
+
+
+@pytest.mark.parametrize("space", [("square", 3, 2), ("disk", 2, 2)])
+def test_gram_is_symmetric_psd_with_constants_in_kernel(space):
+    kind, n, order = space
+    mesh = get_mesh(kind, n, 1 if kind == "square" else order)
+    G = gagliardo_gram(mesh, get_mesh(kind, n, order))
+    norm = np.linalg.norm(G, 2)
+    assert np.array_equal(G, G.T)
+    assert np.linalg.eigvalsh(G).min() >= -1e-13 * norm
+    assert np.abs(G.sum(axis=1)).max() <= 1e-13 * norm
+
+
+def test_gram_peak_memory_is_bounded_by_block_budget():
+    m1, m2 = build_square_mesh(3, 1), build_square_mesh(3, 2)
+    gagliardo_gram(build_square_mesh(2, 1))    # fills the per-degree Duffy layout cache
+    tracemalloc.start()
+    try:
+        gagliardo_gram(m1, m2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * gagliardo._BLOCK_BYTES
+
+
+def test_gram_refuses_other_triangulations_and_large_meshes():
+    sq1, sq2 = build_square_mesh(3, 1), build_square_mesh(3, 2)
+    reordered = Mesh(sq2.nodes, sq2.elements[::-1], sq2.boundary_faces, 2, "square")
+    with pytest.raises(ValueError):
+        gagliardo_gram(sq1, reordered)
+    with pytest.raises(ValueError):
+        gagliardo_gram(sq1, disk_mesh(2, 2))
+    with pytest.raises(ValueError):
+        gagliardo_gram(build_square_mesh(16, 1))   # 512 elements > MAX_ELEMENTS

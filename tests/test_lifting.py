@@ -159,6 +159,21 @@ def test_locator_tries_every_candidate_before_extra_starts(lifted, monkeypatch):
     assert MeshLocator._violation(refs).max() <= loc.tol
     assert sum(passes) <= 2 * len(pts)
 
+
+def test_locator_counts_clamps():
+    # a point 1e-4 right of square(3, 1) lies in no element: it is clamped
+    # onto the boundary edge x = 1 (by renormalized barycentrics, so not to
+    # its nearest point), and the counters record it; inside points are not
+    loc = MeshLocator(build_square_mesh(3, 1))
+    loc.locate(np.array([[0.5, 0.5], [0.2, 0.7]]))
+    assert loc.n_clamped == 0 and loc.worst_clamp == 0.0
+    elems, refs = loc.locate(np.array([[1.0 + 1e-4, 0.5], [0.5, 0.5]]))
+    assert loc.n_clamped == 1
+    assert 1e-4 <= loc.worst_clamp <= loc.slack
+    p, _ = geometry_map(loc.mesh, elems[0], refs[0])
+    assert abs(p[0] - 1.0) <= 1e-12 and abs(p[1] - 0.5) <= 1e-3
+
+
 def test_square_lift_is_identity():
     sq = build_square_mesh(3, 2)
     lm = build_lift_map(sq)

@@ -172,6 +172,30 @@ def test_comparison_decompose(rng):
     assert len(one_term) == 1
 
 
+def test_batched_eval_matches_loop(rng):
+    # leading batch axes on every argument, broadcast against an unbatched
+    # one, give the per-matrix loop's values (scalar and vector outputs)
+    D2, D3, DF = det_form(2), det_form(3), deformation_form(2)
+    A2 = rng.normal(size=(4, 25, 2, 2))
+    A3 = rng.normal(size=(100, 3, 3))
+    v = rng.normal(size=2)
+    got2 = ml_eval(D2, [A2, A2])
+    got3 = ml_eval(D3, [A3, A3, A3])
+    gotf = ml_eval(DF, [A2, A2, A2, A2, v])
+    assert got2.shape == (4, 25) and got3.shape == (100,) and gotf.shape == (4, 25, 2)
+    loop2 = np.array([[ml_eval(D2, [a, a]) for a in row] for row in A2])
+    loop3 = np.array([ml_eval(D3, [a, a, a]) for a in A3])
+    loopf = np.array([[ml_eval(DF, [a, a, a, a, v]) for a in row] for row in A2])
+    assert np.abs(got2 - loop2).max() <= 1e-14
+    assert np.abs(got3 - loop3).max() <= 1e-14
+    assert np.abs(gotf - loopf).max() <= 1e-13 * np.abs(loopf).max()
+    assert np.abs(got2 - np.linalg.det(A2)).max() <= 1e-12 * np.abs(np.linalg.det(A2)).max()
+    with pytest.raises(ValueError):
+        ml_eval(D2, [A2, A2[..., :1]])
+    with pytest.raises(ValueError):
+        ml_eval(D2, [A2, np.zeros(2)])
+
+
 def test_shape_validation(rng):
     T = trace_pair_form(2)
     with pytest.raises(ValueError):

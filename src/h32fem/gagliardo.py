@@ -247,18 +247,12 @@ def _assemble_gram(mesh, space):
         # basis differences over the 2nb local slots (e's DOFs, then f's);
         # f's DOFs shared with e are merged into e's slot before d is formed
         Q = len(phi_x)
-        raw = np.concatenate(
-            [np.repeat(phi_x, Q, axis=0), -np.tile(phi_y, (Q, 1))], axis=1
-        )                                                      # (Q*Q, 2nb)
-        shared = dofs[ey][:, :, None] == dofs[ex][:, None, :]  # (B, f-slot, e-slot)
-        slot = np.concatenate(
-            [np.broadcast_to(np.arange(nb), (len(ex), nb)),
-             np.where(shared.any(-1), shared.argmax(-1), nb + np.arange(nb))],
-            axis=1,
-        )
-        merge = np.zeros((len(ex), 2 * nb, 2 * nb))
-        np.put_along_axis(merge, slot[:, None, :], 1.0, axis=1)
-        d = raw @ merge.transpose(0, 2, 1)                    # (B, Q*Q, 2nb)
+        py = np.tile(phi_y, (Q, 1))                                         # (Q*Q, nb)
+        shared = (dofs[ey][:, :, None] == dofs[ex][:, None, :]).astype(float)  # (B, f, e)
+        d = np.concatenate(
+            [np.repeat(phi_x, Q, axis=0) - py @ shared, -py * (1.0 - shared.sum(-1))[:, None]],
+            axis=2,
+        )                                                                   # (B, Q*Q, 2nb)
         local = 2.0 * np.swapaxes(d * K[:, :, None], 1, 2) @ d
         loc = np.concatenate([dofs[ex], dofs[ey]], axis=1)
         np.add.at(G, (loc[:, :, None], loc[:, None, :]), local)

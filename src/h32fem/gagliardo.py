@@ -42,7 +42,7 @@ import functools
 import numpy as np
 
 from .basis import TRI_EDGES, TRI_VERTS, tri_shape
-from .meshing import _cached, batched_geometry
+from .meshing import batched_geometry
 from .quadrature import default_degree, edge_rule, triangle_rule
 
 MAX_ELEMENTS = 500
@@ -89,6 +89,14 @@ class FeExpression:
         self.funcs = list(funcs)
 
 
+def _check_size(mesh):
+    """Refuse meshes over MAX_ELEMENTS, before anything mesh-sized is allocated."""
+    if mesh.n_elements > MAX_ELEMENTS:
+        raise ValueError(
+            f"mesh too large for the O(n^2) Gagliardo oracle ({mesh.n_elements} elements)"
+        )
+
+
 def _blocks(n, item_bytes):
     """Slices of range(n) whose items make at most _BLOCK_BYTES together (one at least)."""
     step = max(1, _BLOCK_BYTES // item_bytes)
@@ -106,11 +114,8 @@ def _pair_blocks(mesh, order, pair_bytes, self_bytes, ref_bytes=0):
     points. pair_bytes is the cost of one point pair of a separated block,
     self_bytes that of one element's point pair of an identical block and
     ref_bytes that of one reference point pair of an identical block.
-    Refuses meshes over MAX_ELEMENTS before the first block.
     """
     ne = mesh.n_elements
-    if ne > MAX_ELEMENTS:
-        raise ValueError(f"mesh too large for the O(n^2) Gagliardo oracle ({ne} elements)")
     degree = default_degree(mesh.order)
 
     # separated pairs: base rule if disjoint, doubled if adjacent
@@ -206,6 +211,7 @@ def gagliardo_seminorms(funcs, mesh):
     funcs: FeFunction instances, FeExpression instances or callables
     pts -> values. Returns an array of seminorms (not squared).
     """
+    _check_size(mesh)
     funcs = list(funcs)
     total = np.zeros(len(funcs))
     # separated pairs e < f are counted twice
@@ -214,23 +220,19 @@ def gagliardo_seminorms(funcs, mesh):
     return np.sqrt(total)
 
 
-def gagliardo_gram(mesh, space=None):
+def gagliardo_gram(mesh, space):
     """Dense Gram matrix G of the squared seminorm: |u|^2 = c^T G c.
 
     c is the coefficient vector of u in the Lagrange space whose DOF map is
-    space.elements (a mesh of any order on the triangulation of `mesh`;
-    default: `mesh` itself). The pairs, rules and geometry are those of
-    `gagliardo_seminorms(., mesh)`. Cached on `mesh` per space order.
+    space.elements (a mesh of any order on the triangulation of `mesh`,
+    `mesh` itself included). The pairs, rules and geometry are those of
+    `gagliardo_seminorms(., mesh)`.
     """
-    space = mesh if space is None else space
+    _check_size(mesh)
     if space.elements.shape[0] != mesh.n_elements or np.any(
         space.elements[:, :3] != mesh.elements[:, :3]
     ):
         raise ValueError("the space must share the triangulation of the mesh")
-    return _cached(mesh, ("gagliardo_gram", space.order), lambda: _assemble_gram(mesh, space))
-
-
-def _assemble_gram(mesh, space):
     dofs = space.elements
     nb = dofs.shape[1]
     G = np.zeros((space.n_nodes, space.n_nodes))

@@ -298,7 +298,7 @@ def test_gram_matches_direct_pass(kind, n, order):
     rng = np.random.default_rng(3)
     C = rng.normal(size=(mesh.n_nodes, 6))
     C[:, 3:] += 20.0
-    got = _quadratic_form_seminorms(gagliardo_gram(mesh), C)
+    got = _quadratic_form_seminorms(gagliardo_gram(mesh, mesh), C)
     ref = gagliardo_seminorms([FeFunction(mesh, c) for c in C.T], mesh)
     assert np.abs(got / ref - 1.0).max() <= 1e-12
 
@@ -325,7 +325,22 @@ def test_gram_of_p2_space_matches_products_on_p1_mesh():
     got = _quadratic_form_seminorms(gagliardo_gram(m1, m2), C)
     ref = gagliardo_seminorms(funcs, m1)
     assert np.abs(got / ref - 1.0).max() <= 1e-12
-    assert gagliardo_gram(m1, m2) is gagliardo_gram(m1, m2)
+
+
+def test_gram_follows_the_dof_map_of_the_space():
+    # two P2 spaces over the P1 square that differ only in the numbering of
+    # their edge DOFs: G of the renumbered space is G renumbered
+    m1, m2 = build_square_mesh(3, 1), build_square_mesh(3, 2)
+    vertices = np.unique(m2.elements[:, :3])
+    edges = np.setdiff1d(np.arange(m2.n_nodes), vertices)
+    new_id = np.arange(m2.n_nodes)
+    new_id[edges] = edges[::-1]
+    nodes = np.empty_like(m2.nodes)
+    nodes[new_id] = m2.nodes
+    renumbered = Mesh(nodes, new_id[m2.elements], new_id[m2.boundary_faces], 2, "square")
+    G, G_renumbered = gagliardo_gram(m1, m2), gagliardo_gram(m1, renumbered)
+    assert not np.allclose(G, G_renumbered)
+    assert np.allclose(G_renumbered[np.ix_(new_id, new_id)], G, rtol=0.0, atol=1e-13 * np.abs(G).max())
 
 
 @pytest.mark.parametrize("space", [("square", 3, 2), ("disk", 2, 2)])
@@ -341,7 +356,8 @@ def test_gram_is_symmetric_psd_with_constants_in_kernel(space):
 
 def test_gram_peak_memory_is_bounded_by_block_budget():
     m1, m2 = build_square_mesh(3, 1), build_square_mesh(3, 2)
-    gagliardo_gram(build_square_mesh(2, 1))    # fills the per-degree Duffy layout cache
+    sq2 = build_square_mesh(2, 1)
+    gagliardo_gram(sq2, sq2)    # fills the per-degree Duffy layout cache
     tracemalloc.start()
     try:
         gagliardo_gram(m1, m2)
@@ -358,5 +374,13 @@ def test_gram_refuses_other_triangulations_and_large_meshes():
         gagliardo_gram(sq1, reordered)
     with pytest.raises(ValueError):
         gagliardo_gram(sq1, disk_mesh(2, 2))
-    with pytest.raises(ValueError):
-        gagliardo_gram(build_square_mesh(16, 1))   # 512 elements > MAX_ELEMENTS
+    big = build_square_mesh(40, 1)      # 3,200 elements > MAX_ELEMENTS, 1,681 nodes
+    # refused before G (22 MB here) or any other mesh-sized array is made
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            gagliardo_gram(big, big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < gagliardo._BLOCK_BYTES

@@ -9,7 +9,6 @@ from .assembly import (
     assemble_grams,
     eval_fe,
     grams_of,
-    interior_part,
     nodal_interp_bulk,
     nodal_interp_surface,
     trace,
@@ -21,7 +20,6 @@ from .harness import RateTable, emit, fit_rate
 from .interp import (
     dirichlet_lift,
     dirichlet_riesz_data,
-    ritz_map,
     scott_zhang,
     sz_via_dirichlet,
     winf_like_norm,
@@ -30,10 +28,6 @@ from .lifting import (
     LiftMap,
     MeshLocator,
     build_lift_map,
-    inverse_lift,
-    lambda_jacobian,
-    lambda_lift,
-    lift_function,
 )
 from .meshing import Mesh, build_disk_mesh, build_square_mesh, disk_mesh, geometry_map
 from .multilinear import (
@@ -60,7 +54,6 @@ from .norms import (
 from .quadrature import QuadratureRule, quadrature
 from .solvers import (
     OverkillSolution,
-    continuous_surrogate,
     deformed_dirichlet_energy,
     solve_dirichlet_fe,
     solve_robin_fe,

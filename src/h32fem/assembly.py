@@ -8,7 +8,6 @@ ascending bulk-node order; surface basis functions are traces of the bulk
 ones, so trace extraction is pure index gathering.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ from .basis import (
     tri_shape,
     tri_shape_grad,
 )
-from .meshing import _cached, _inverse_2x2, batched_geometry
+from .meshing import _cached, _inverse_2x2, batched_geometry, geometry_map
 from .quadrature import default_degree, edge_rule, triangle_rule
 
 BULK = "bulk"
@@ -213,7 +212,7 @@ def eval_fe(u, elem, ref_pt):
     ref = np.atleast_2d(ref_pt)
     phi = tri_shape(mesh.order, ref)
     dphi = tri_shape_grad(mesh.order, ref)
-    _, jac = _elem_geometry(mesh, elem, ref)
+    _, jac = geometry_map(mesh, elem, ref)
     inv, _ = _inverse_2x2(jac)
     local = u.coeffs[mesh.elements[elem]]
     val = np.einsum("qb,b...->q...", phi, local)
@@ -222,15 +221,6 @@ def eval_fe(u, elem, ref_pt):
     if np.ndim(ref_pt) == 1:
         return val[0], grad[0]
     return val, grad
-
-
-def _elem_geometry(mesh, elem, ref):
-    coords = mesh.nodes[mesh.elements[elem]]
-    phi = tri_shape(mesh.order, ref)
-    dphi = tri_shape_grad(mesh.order, ref)
-    pts = phi @ coords
-    jac = np.einsum("qbr,bx->qxr", dphi, coords)
-    return pts, jac
 
 
 def eval_on_elements(u, degree=None):
@@ -274,13 +264,6 @@ def trace(u):
     return FeFunction(u.mesh, u.coeffs[u.mesh.boundary_node_ids], SURFACE)
 
 
-def interior_part(u):
-    """Project a bulk function onto V_h^0 by zeroing boundary coefficients."""
-    c = u.coeffs.copy()
-    c[u.mesh.boundary_node_ids] = 0.0
-    return FeFunction(u.mesh, c, BULK0)
-
-
 # -- boundary-restricted quadrature (independent of the S_h assembly path) --
 
 
@@ -312,18 +295,3 @@ def integrate_bulk_on_boundary(u, degree=None):
         speed = np.linalg.norm(vel, axis=-1)
         total += float(np.sum(rule.weights * vals**2 * speed))
     return total
-
-
-def export_matrixmarket(grams, directory):
-    """Dump the four Gram matrices as MatrixMarket text files."""
-    # lazy: importing scipy.io would add tens of ms to every package import
-    from scipy.io import mmwrite
-
-    os.makedirs(directory, exist_ok=True)
-    for name, mat in (
-        ("M_bulk", grams.M_bulk),
-        ("A_bulk", grams.A_bulk),
-        ("M_surf", grams.M_surf),
-        ("A_surf", grams.A_surf),
-    ):
-        mmwrite(os.path.join(directory, name + ".mtx"), mat)

@@ -45,6 +45,7 @@ from .gagliardo import FeExpression, gagliardo_gram, gagliardo_seminorms
 from .harness import RateTable, fit_rate
 from .interp import (
     dirichlet_lift,
+    sampled_w1inf,
     scott_zhang,
     sz_via_dirichlet,
     winf_like_norm,
@@ -791,11 +792,11 @@ def exp_product_sampled(cfg):
             u1 = nodal_interp_bulk(
                 md, lambda p: np.sin(fr * p[:, 0]) * np.cos(fr * p[:, 1])
             )
-            u1 = u1.scaled(0.9 * md.h**kappa / _winf_of(u1))
+            u1 = u1.scaled(0.9 * md.h**kappa / sampled_w1inf(u1))
             psi1 = nodal_interp_bulk(md, lambda p: np.sin(fr * p[:, 1] + 1.0))
             psi2 = nodal_interp_bulk(md, lambda p: np.cos(fr * p[:, 0] + 2.0))
             u2 = FeFunction(md, np.column_stack([psi1.coeffs, psi2.coeffs]))
-            wmax = max(_winf_of(psi1), _winf_of(psi2))
+            wmax = max(sampled_w1inf(psi1), sampled_w1inf(psi2))
             u2 = FeFunction(md, u2.coeffs * (0.9 * md.h**kappa / wmax))
             _, g1 = eval_on_elements(u1)
             _, g2 = eval_on_elements(u2)   # (ne, m, 2, 2), A[x, c] convention
@@ -818,11 +819,6 @@ def exp_product_sampled(cfg):
         # the constant oracle column is bounded by construction
         lambda rows: worst_cont <= 1.0 and _all_bounded(rows),
     )
-
-
-def _winf_of(u):
-    vmax, gmax = studies.sampled_w1inf_panel(u)
-    return max(vmax, gmax)
 
 
 def _vec_threehalf(v, g, sbi):
@@ -923,7 +919,7 @@ def exp_deformation_continuous(cfg):
         w_i = nodal_interp_bulk(m, w_fn)
         # w is a fixed smooth field; its sampled W^{1,infty} norm is a
         # level-stable surrogate for the (constant) 3/2-smoothness factor
-        w32inf = _winf_of(w_i)
+        w32inf = sampled_w1inf(w_i)
         ratio = abs(dE) / (w32inf * p32 * zhalf)
         if w1inf > 0.25:
             raise RuntimeError("deformation exceeds the 1/4 smallness bound")

@@ -32,19 +32,13 @@ from .lifting import (
     MeshLocator,
     _face_ref_points,
     _lifted_shape_gradients,
-    _lifted_surface_data,
     build_lift_map,
     lift_mixed,
     lift_rule_data,
 )
 from .meshing import _cached
 from .quadrature import default_degree
-from .solvers import (
-    OverkillSolution,
-    refined_copy,
-    _interior_solver,
-    _robin_solver,
-)
+from .solvers import OverkillSolution, _dirichlet_solve, refined_copy
 
 
 # -- Scott-Zhang -------------------------------------------------------------
@@ -185,13 +179,6 @@ class BoundaryAngleMap:
         return faces, 0.5 * (lo + hi)
 
 
-def eval_surface_fe(g_h, faces, t):
-    """Evaluate a surface FE function at per-face edge parameters."""
-    mesh = g_h.mesh
-    psi = edge_shape(mesh.order, np.asarray(t))
-    return np.einsum("nb,nb->n", psi, g_h.coeffs[mesh.surface_faces[faces]])
-
-
 # -- overkill pullbacks ----------------------------------------------------------
 # Every fixed point set is located once; what remains per call is one sparse
 # product with a matrix cached on the coarse mesh, keyed by overkill level.
@@ -286,13 +273,8 @@ def dirichlet_lift_from_data(f_h, g_h, lm, overkill_level=2):
     np.add.at(rhs_full, fine.elements.ravel(), loc.ravel())
 
     # lifted trace at the fine boundary nodes
-    u = np.zeros(fine.n_nodes)
-    u[fg.boundary_ids] = _overkill_matrix(_trace_matrix, mesh, lm, overkill_level) @ g_h.coeffs
-
-    ids = fg.interior_ids
-    rhs = rhs_full[ids] - (fg.A_bulk @ u)[ids]
-    u[ids] = _interior_solver(fg)(rhs)
-    return OverkillSolution(fine, FeFunction(fine, u, BULK), "dirichlet")
+    g = _overkill_matrix(_trace_matrix, mesh, lm, overkill_level) @ g_h.coeffs
+    return OverkillSolution(fine, _dirichlet_solve(fg, rhs_full, g))
 
 
 def sz_via_dirichlet(u_h, lm, overkill_level=2, sol=None):
@@ -302,37 +284,6 @@ def sz_via_dirichlet(u_h, lm, overkill_level=2, sol=None):
     mesh = u_h.mesh
     vals = _overkill_matrix(_sz_pullback_matrix, mesh, lm, overkill_level) @ sol.fe.coeffs
     return _sz_from_values(mesh, _sz_moments(mesh), vals)
-
-
-# -- Ritz map ------------------------------------------------------------------
-
-
-def ritz_map(w, grad_w, lm, grams, degree=None):
-    """Galerkin projection against the Robin form with exact-domain data.
-
-    w and grad_w are callables on the exact domain (values and gradients);
-    the right side integrals are pulled back through the lift.
-    """
-    mesh = grams.mesh
-    if degree is None:
-        degree = default_degree(mesh.order)
-    data = lift_rule_data(lm, degree)
-    rule, pts, det = data["rule"], data["pts"], data["det"]
-    gw = np.asarray(grad_w(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape)
-    gphys = _lifted_shape_gradients(lm, degree)
-    loc = np.einsum("q,eq,eqx,eqbx->eb", rule.weights, det, gw, gphys)
-    rhs = np.zeros(mesh.n_nodes)
-    np.add.at(rhs, mesh.elements.ravel(), loc.ravel())
-
-    # boundary term: integral of w against the lifted surface basis
-    sd = _lifted_surface_data(lm, degree)
-    erule, speed = sd["rule"], sd["speed"]
-    wv = np.asarray(w(sd["pts"].reshape(-1, 2)), dtype=float).reshape(speed.shape)
-    psi = edge_shape(mesh.order, erule.points)
-    contrib = np.einsum("q,fq,fq,qi->fi", erule.weights, speed, wv, psi)
-    np.add.at(rhs, mesh.boundary_faces.ravel(), contrib.ravel())
-
-    return FeFunction(mesh, _robin_solver(grams)(rhs), BULK)
 
 
 # -- W^{1,infty}-like norm ------------------------------------------------------

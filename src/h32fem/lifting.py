@@ -14,9 +14,10 @@ continuous, restricted to the curved edge it is exactly the radial
 projection onto the circle, and its gradient deviates from the identity
 by O(h^k).
 
-The lift is inverted pointwise by a vectorized Newton iteration on the
-composite map Lambda(F(xi)); the same machinery doubles as a point
-locator for evaluating FE functions at arbitrary physical points.
+MeshLocator inverts the composite map Lambda(F(xi)) pointwise by a
+vectorized Newton iteration: it maps points of the exact domain to
+(element, reference point) pairs. On the square the lift is the identity
+and it inverts the plain geometry map.
 """
 
 from dataclasses import dataclass
@@ -24,9 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .assembly import surface_quad_data
 from .basis import TRI_EDGES, TRI_VERTS, tri_edge_ref_points, tri_shape, tri_shape_grad
 from .meshing import _cached, _inverse_2x2, batched_geometry
-from .quadrature import default_degree, edge_rule, triangle_rule
+from .quadrature import default_degree, triangle_rule
 
 # reference-coordinate gradients of the barycentric coordinates
 _DLAM = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -192,19 +194,20 @@ def _face_ref_points(mesh, t):
 
 
 def _lifted_surface_data(lm, degree):
-    """Lifted points (nf, m, 2) and lifted curve speed (nf, m) at edge-rule points (cached)."""
+    """Lifted curve speed (nf, m) at the edge-rule points of surface_quad_data (cached)."""
     return _cached(lm.mesh, ("lift_surf", degree), lambda: _lift_surface(lm, degree))
 
 
 def _lift_surface(lm, degree):
+    # the discrete curve's velocity plus the lift displacement's derivative along the edge
     mesh = lm.mesh
-    rule = edge_rule(degree)
-    nf, m = len(mesh.face_elem), len(rule)
-    refs = _face_ref_points(mesh, rule.points).reshape(-1, 2)
-    pts, jac, _ = lift_mixed(lm, np.repeat(mesh.face_elem, m), refs)
+    sd = surface_quad_data(mesh, degree)
+    nf, m = sd["speed"].shape
+    refs = _face_ref_points(mesh, sd["rule"].points).reshape(-1, 2)
+    _, dD = _displacement(lm, np.repeat(mesh.face_elem, m), refs)
     tangent = np.array([TRI_VERTS[b] - TRI_VERTS[a] for a, b in TRI_EDGES])[mesh.face_local_edge]
-    vel = np.einsum("fqxr,fr->fqx", jac.reshape(nf, m, 2, 2), tangent)
-    return {"rule": rule, "pts": pts.reshape(nf, m, 2), "speed": np.linalg.norm(vel, axis=-1)}
+    vel = sd["vel"] + np.einsum("fqxr,fr->fqx", dD.reshape(nf, m, 2, 2), tangent)
+    return {"rule": sd["rule"], "speed": np.linalg.norm(vel, axis=-1)}
 
 
 def grad_lambda_inf_error(lm, degree=None):
@@ -214,20 +217,11 @@ def grad_lambda_inf_error(lm, degree=None):
     return float(np.linalg.norm(G, ord=2, axis=(-2, -1)).max())
 
 
-def lambda_jacobian(lm, elem, ref_pt):
-    """Physical gradient of the lift on one element at reference points."""
-    refs = np.atleast_2d(ref_pt)
-    elems = np.full(len(refs), elem, dtype=np.int64)
-    _, jac, jgeo = lift_mixed(lm, elems, refs)
-    grad = np.einsum("nxr,nrs->nxs", jac, _inverse_2x2(jgeo)[0])
-    return grad[0] if np.ndim(ref_pt) == 1 else grad
-
-
-# -- point location and pointwise evaluation --------------------------------
+# -- point location ----------------------------------------------------------
 
 
 class MeshLocator:
-    """Inverts the (optionally lifted) geometry map by batched Newton.
+    """Inverts the lifted geometry map xi -> Lambda(F(xi)) by batched Newton.
 
     locate() maps physical points to (element, reference coordinates),
     trying every candidate element from the centroid Newton start before
@@ -239,33 +233,19 @@ class MeshLocator:
     clamped.
     """
 
-    def __init__(self, mesh, lift=None, n_candidates=16, tol=1e-10, slack=1e-3):
+    def __init__(self, mesh, lift, n_candidates=16, tol=1e-10, slack=1e-3):
         self.mesh = mesh
         self.lift = lift
         self.tol = tol
         self.slack = slack
         self.n_clamped = 0
         self.worst_clamp = 0.0
-        rule = triangle_rule(2)
-        if lift is not None and not lift.is_identity:
-            data = lift_rule_data(lift, 2)
-            centers = data["pts"].mean(axis=1)
-        else:
-            pts, _, _ = batched_geometry(mesh, rule.points)
-            centers = pts.mean(axis=1)
+        centers = lift_rule_data(lift, 2)["pts"].mean(axis=1)
         self.k = min(n_candidates, mesh.n_elements)
         self.tree = cKDTree(centers)
 
     def _forward(self, elems, refs):
-        if self.lift is not None:
-            return lift_mixed(self.lift, elems, refs)[:2]
-        mesh = self.mesh
-        coords = mesh.nodes[mesh.elements[elems]]
-        phi = tri_shape(mesh.order, refs)
-        dphi = tri_shape_grad(mesh.order, refs)
-        pts = np.einsum("nb,nbx->nx", phi, coords)
-        jac = np.einsum("nbr,nbx->nxr", dphi, coords)
-        return pts, jac
+        return lift_mixed(self.lift, elems, refs)[:2]
 
     _STARTS = ((1.0 / 3.0, 1.0 / 3.0), (0.15, 0.15), (0.7, 0.15), (0.15, 0.7))
 
@@ -358,77 +338,3 @@ def _clamp_to_triangle(refs):
     lam = np.clip(_barycentric(refs), 0.0, None)
     lam /= lam.sum(axis=-1, keepdims=True)
     return lam[..., 1:]
-
-
-class LiftedFeFunction:
-    """An FE function transported onto the exact domain by the lift.
-
-    values/gradients are evaluated at physical points of Omega by
-    inverting the composite map; the gradient is the pushforward through
-    the composite Jacobian.
-    """
-
-    def __init__(self, u, lm, locator=None):
-        if u.coeffs.ndim != 1:
-            raise ValueError("lift_function expects a scalar FE function")
-        self.u = u
-        self.lm = lm
-        self.locator = locator or MeshLocator(u.mesh, lift=lm)
-
-    def _eval(self, pts):
-        mesh = self.u.mesh
-        elems, refs = self.locator.locate(pts)
-        phi = tri_shape(mesh.order, refs)
-        dphi = tri_shape_grad(mesh.order, refs)
-        local = self.u.coeffs[mesh.elements[elems]]
-        vals = np.einsum("nb,nb->n", phi, local)
-        gref = np.einsum("nbr,nb->nr", dphi, local)
-        _, jac, _ = lift_mixed(self.lm, elems, refs)
-        grads = np.einsum("nrx,nr->nx", _inverse_2x2(jac)[0], gref)
-        return vals, grads
-
-    def values(self, pts):
-        return self._eval(np.atleast_2d(pts))[0]
-
-    def gradients(self, pts):
-        return self._eval(np.atleast_2d(pts))[1]
-
-    def __call__(self, pts):
-        return self.values(pts)
-
-
-def lift_function(u_h, lm, locator=None):
-    """Pointwise-evaluable lift of u_h onto the exact domain."""
-    return LiftedFeFunction(u_h, lm, locator)
-
-
-class InverseLiftedFunction:
-    """A function on the exact domain pulled back onto the discrete domain."""
-
-    def __init__(self, v, lm, locator=None):
-        self.v = v
-        self.lm = lm
-        self.locator = locator or MeshLocator(lm.mesh)
-
-    def values(self, pts):
-        pts = np.atleast_2d(pts)
-        elems, refs = self.locator.locate(pts)
-        lifted, _, _ = lift_mixed(self.lm, elems, refs)
-        return np.asarray(self.v(lifted), dtype=float)
-
-    def __call__(self, pts):
-        return self.values(pts)
-
-
-def inverse_lift(v, lm, locator=None):
-    """Pointwise-evaluable pullback v(Lambda(x)) on the discrete domain."""
-    return InverseLiftedFunction(v, lm, locator)
-
-
-def lambda_lift(lm, x, locator=None):
-    """Lift physical points of the discrete domain onto the exact domain."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    loc = locator or MeshLocator(lm.mesh)
-    elems, refs = loc.locate(pts)
-    lifted, _, _ = lift_mixed(lm, elems, refs)
-    return lifted[0] if np.ndim(x) == 1 else lifted

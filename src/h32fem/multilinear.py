@@ -94,11 +94,6 @@ def ml_from_function(fn, slot_shapes, output_shape=()):
     return MultilinearForm(slot_shapes, output_shape, coeffs)
 
 
-def trace_pair_form(d=2):
-    """The bilinear form (u1, u2) -> tr(u1^T u2)."""
-    return ml_from_function(lambda a, b: np.trace(a.T @ b), [(d, d), (d, d)])
-
-
 def det_form(d):
     """d-linear form, symmetrized over slots, with T(A, ..., A) = det(A)."""
     if d not in (2, 3):

@@ -172,16 +172,6 @@ def dual_norm_from_load(b, sb):
     return float(np.sqrt(b @ sb.apply(b)))
 
 
-def dual_norm_maximizer(b, sb):
-    """Coefficients (on the DOF set) of the phi attaining the supremum."""
-    return sb.apply(b)
-
-
-def h_half_norm_on_set(phi_coeffs, sb):
-    """||phi||_{H^{1/2}} of coefficients living on the DOF set."""
-    return spectral_power_norm(phi_coeffs, 0.5, sb)
-
-
 def dual_neg_half_norm(f, variant, sb, grams):
     """Negative-half dual norm of a scalar FE source.
 

@@ -1,4 +1,4 @@
-"""Discrete Dirichlet/Robin solvers, overkill surrogates, deformed energies.
+"""Discrete Dirichlet/Robin solvers, overkill meshes, deformed energies.
 
 All systems are symmetric positive definite and are solved by a sparse
 direct factorization (deterministic for a fixed matrix). The "continuous"
@@ -20,7 +20,6 @@ from .assembly import (
     assemble_grams,
     bulk_quad_data,
     eval_on_elements,
-    surface_quad_data,
 )
 from .meshing import Mesh, _cached, _inverse_2x2, shared_mesh
 from .multilinear import deformation_tensor
@@ -51,16 +50,19 @@ def _robin_solver(grams):
     return _cached(grams, "robin_solve", build)
 
 
-def solve_dirichlet_fe(grams, f_h, g_h):
-    """Solve a(u, phi) = m(f, phi) for interior phi, with trace(u) = g."""
-    mesh = grams.mesh
-    rhs_full = grams.M_bulk @ f_h.coeffs
-    u = np.zeros(mesh.n_nodes)
-    u[grams.boundary_ids] = g_h.coeffs
+def _dirichlet_solve(grams, rhs_full, g):
+    """u with trace coefficients g and a(u, phi) = rhs_full . phi for interior phi."""
+    u = np.zeros(grams.mesh.n_nodes)
+    u[grams.boundary_ids] = g
     ids = grams.interior_ids
     rhs = rhs_full[ids] - (grams.A_bulk @ u)[ids]
     u[ids] = _interior_solver(grams)(rhs)
-    return FeFunction(mesh, u, BULK)
+    return FeFunction(grams.mesh, u, BULK)
+
+
+def solve_dirichlet_fe(grams, f_h, g_h):
+    """Solve a(u, phi) = m(f, phi) for interior phi, with trace(u) = g."""
+    return _dirichlet_solve(grams, grams.M_bulk @ f_h.coeffs, g_h.coeffs)
 
 
 def solve_robin_fe(grams, f_h, g_h):
@@ -71,13 +73,7 @@ def solve_robin_fe(grams, f_h, g_h):
     return FeFunction(mesh, _robin_solver(grams)(rhs), BULK)
 
 
-def dirichlet_residual(grams, u, f_h):
-    """Max interior residual |m(f, phi_i) - a(u, phi_i)| (solver check)."""
-    r = grams.M_bulk @ f_h.coeffs - grams.A_bulk @ u.coeffs
-    return float(np.abs(r[grams.interior_ids]).max())
-
-
-# -- overkill surrogates -----------------------------------------------------
+# -- overkill meshes ---------------------------------------------------------
 
 
 @dataclass
@@ -86,7 +82,6 @@ class OverkillSolution:
 
     fine_mesh: Mesh
     fe: FeFunction
-    problem: str  # 'dirichlet' or 'robin'
 
     @property
     def coeffs(self):
@@ -103,68 +98,7 @@ def refined_copy(mesh, factor):
     return shared_mesh("square", n * factor, mesh.order)
 
 
-def assemble_load(grams, f, degree=None):
-    """Load vector integral(f * phi_j) for a pointwise-evaluable f."""
-    mesh = grams.mesh
-    qd = bulk_quad_data(mesh, degree)
-    pts = qd["pts"]
-    fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
-    loc = np.einsum("q,eq,eq,qb->eb", qd["rule"].weights, qd["det"], fv, qd["phi"])
-    out = np.zeros(mesh.n_nodes)
-    np.add.at(out, mesh.elements.ravel(), loc.ravel())
-    return out
-
-
-def assemble_surface_load(grams, g, degree=None):
-    """Surface load integral(g * psi_j) for a pointwise-evaluable g."""
-    mesh = grams.mesh
-    sd = surface_quad_data(mesh, degree)
-    pts = sd["pts"]
-    gv = np.asarray(g(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
-    loc = np.einsum("q,fq,fq,qb->fb", sd["rule"].weights, sd["speed"], gv, sd["psi"])
-    out = np.zeros(len(grams.boundary_ids))
-    np.add.at(out, mesh.surface_faces.ravel(), loc.ravel())
-    return out
-
-
-def continuous_surrogate(kind, f, g, fine_grams):
-    """Overkill solve of the Dirichlet or Robin problem with callable data.
-
-    f is a bulk source (callable or None for zero); g is boundary data,
-    interpolated nodally for the Dirichlet problem and tested against the
-    surface basis for the Robin problem.
-    """
-    mesh = fine_grams.mesh
-    if kind == "dirichlet":
-        u = np.zeros(mesh.n_nodes)
-        bpts = mesh.nodes[fine_grams.boundary_ids]
-        u[fine_grams.boundary_ids] = np.asarray(g(bpts), dtype=float)
-        rhs_full = assemble_load(fine_grams, f) if f is not None else np.zeros(mesh.n_nodes)
-        ids = fine_grams.interior_ids
-        rhs = rhs_full[ids] - (fine_grams.A_bulk @ u)[ids]
-        u[ids] = _interior_solver(fine_grams)(rhs)
-        return OverkillSolution(mesh, FeFunction(mesh, u, BULK), "dirichlet")
-    if kind == "robin":
-        rhs = assemble_load(fine_grams, f) if f is not None else np.zeros(mesh.n_nodes)
-        R = trace_matrix(fine_grams)
-        rhs = rhs + R.T @ assemble_surface_load(fine_grams, g)
-        u = _robin_solver(fine_grams)(rhs)
-        return OverkillSolution(mesh, FeFunction(mesh, u, BULK), "robin")
-    raise ValueError(f"unknown problem kind {kind!r}")
-
-
 # -- deformed Dirichlet energy ----------------------------------------------
-
-
-def _displacement_gradients(e_x, degree=None):
-    """Displacement gradients A[x, c] = d(e_c)/dx_x at the rule points.
-
-    This is the transposed-Jacobian convention (components in columns), the
-    one under which B = (A+I)^{-T} (A+I)^{-1} det(A+I) is the correct
-    pullback matrix for the Dirichlet energy.
-    """
-    _, grads = eval_on_elements(e_x, degree)  # (ne, m, 2, arity)
-    return grads
 
 
 def deformed_dirichlet_energy(grams, e_x, w_h, z_h, method="pullback", degree=None):
@@ -191,7 +125,9 @@ def deformed_dirichlet_energy(grams, e_x, w_h, z_h, method="pullback", degree=No
     if method != "pullback":
         raise ValueError(f"unknown method {method!r}")
     qd = bulk_quad_data(mesh, degree)
-    G = _displacement_gradients(e_x, degree)              # (ne, m, 2, 2)
+    # displacement gradients A[x, c] = d(e_c)/dx_x (components in columns),
+    # the convention under which B below is the pullback matrix
+    G = eval_on_elements(e_x, degree)[1]                  # (ne, m, 2, 2)
     Finv, detF = _inverse_2x2(G + np.eye(2))
     if detF.min() <= 0.0:
         raise RuntimeError("deformation inverts an element at a quadrature point")
@@ -203,14 +139,9 @@ def deformed_dirichlet_energy(grams, e_x, w_h, z_h, method="pullback", degree=No
     return float(val)
 
 
-def deformation_tensor_field(e_x, degree=None):
-    """Pointwise deformation tensors of id + e_x at the rule points."""
-    return deformation_tensor(_displacement_gradients(e_x, degree))
-
-
 def deformation_field(e_x, w_h, degree=None):
     """(B - I) grad w at the rule points: the vector field whose gradient
     pairing with z gives the deformed-minus-original Dirichlet energy."""
-    B = deformation_tensor_field(e_x, degree)
+    B = deformation_tensor(eval_on_elements(e_x, degree)[1])
     _, gw = eval_on_elements(w_h, degree)
     return np.einsum("eqxy,eqy->eqx", B, gw)

@@ -6,10 +6,8 @@ from h32fem.assembly import (
     bulk_quad_data,
     eval_fe,
     eval_on_elements,
-    export_matrixmarket,
     grams_of,
     integrate_bulk_on_boundary,
-    interior_part,
     nodal_interp_bulk,
     nodal_interp_surface,
     trace,
@@ -93,8 +91,9 @@ def test_trace_and_interior_part(disk4k1, rng):
     u = FeFunction(disk4k1, rng.normal(size=disk4k1.n_nodes))
     tr = trace(u)
     assert np.array_equal(tr.coeffs, u.coeffs[disk4k1.boundary_node_ids])
-    u0 = interior_part(u)
-    assert np.all(trace(u0).coeffs == 0.0)
+    c0 = u.coeffs.copy()
+    c0[disk4k1.boundary_node_ids] = 0.0
+    assert np.all(trace(FeFunction(disk4k1, c0, "bulk0")).coeffs == 0.0)
     one = nodal_interp_bulk(disk4k1, lambda p: np.ones(len(p)))
     assert np.all(trace(one).coeffs == 1.0)
 
@@ -121,12 +120,3 @@ def test_surface_interp_and_zero(disk4k1):
     assert np.all(z.coeffs == 0.0)
     s = zero_function(disk4k1, "surface")
     assert s.space == "surface" and np.all(s.coeffs == 0.0)
-
-
-def test_matrixmarket_export(tmp_path, square4):
-    g = grams_of(square4)
-    export_matrixmarket(g, tmp_path)
-    import scipy.io
-
-    M = scipy.io.mmread(tmp_path / "M_bulk.mtx")
-    assert abs(M - g.M_bulk).max() < 1e-15

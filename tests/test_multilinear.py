@@ -17,7 +17,6 @@ from h32fem.multilinear import (
     neumann_tail,
     resolvent_difference,
     resolvent_identity_residual,
-    trace_pair_form,
 )
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
@@ -25,6 +24,11 @@ finite = st.floats(-10.0, 10.0, allow_nan=False)
 
 def mat2(rng):
     return rng.normal(size=(2, 2))
+
+
+def trace_pair_form(d=2):
+    """The bilinear form (u1, u2) -> tr(u1^T u2)."""
+    return ml_from_function(lambda a, b: np.trace(a.T @ b), [(d, d), (d, d)])
 
 
 def test_trace_form_examples():

@@ -8,15 +8,21 @@ from h32fem.assembly import (
     trace,
     zero_function,
 )
+from h32fem.interp import dirichlet_lift_from_data
+from h32fem.lifting import build_lift_map
 from h32fem.norms import h1_norm, spectral_power_norm, surface_spectral_decomp
 from h32fem.solvers import (
-    continuous_surrogate,
     deformed_dirichlet_energy,
-    dirichlet_residual,
     refined_copy,
     solve_dirichlet_fe,
     solve_robin_fe,
 )
+
+
+def _interior_residual(grams, u, f_h):
+    """Max interior residual |m(f, phi_i) - a(u, phi_i)|."""
+    r = grams.M_bulk @ f_h.coeffs - grams.A_bulk @ u.coeffs
+    return float(np.abs(r[grams.interior_ids]).max())
 
 
 def test_dirichlet_zero_data(square4, square4_grams):
@@ -31,7 +37,7 @@ def test_dirichlet_linear_harmonic(square4, square4_grams):
     u = solve_dirichlet_fe(square4_grams, zero_function(square4), gx)
     ux = nodal_interp_bulk(square4, lambda p: p[:, 0])
     assert np.abs(u.coeffs - ux.coeffs).max() < 1e-12
-    assert dirichlet_residual(square4_grams, u, zero_function(square4)) < 1e-12
+    assert _interior_residual(square4_grams, u, zero_function(square4)) < 1e-12
 
 
 def test_dirichlet_residual_random(square4, square4_grams, rng):
@@ -39,7 +45,7 @@ def test_dirichlet_residual_random(square4, square4_grams, rng):
     gs = trace(nodal_interp_bulk(square4, lambda p: np.sin(p[:, 0])))
     u = solve_dirichlet_fe(square4_grams, f, gs)
     scale = max(1.0, np.abs(f.coeffs).max())
-    assert dirichlet_residual(square4_grams, u, f) < 1e-12 * scale
+    assert _interior_residual(square4_grams, u, f) < 1e-12 * scale
     assert np.abs(trace(u).coeffs - gs.coeffs).max() == 0.0
 
 
@@ -52,11 +58,11 @@ def test_robin_constant(square4, square4_grams):
 def test_surrogates_constant(disk4k1):
     fine = refined_copy(disk4k1, 2)
     assert fine.h <= disk4k1.h / 2 + 1e-12
-    fg = grams_of(fine)
-    for kind in ("dirichlet", "robin"):
-        sol = continuous_surrogate(kind, None, lambda p: np.ones(len(p)), fg)
-        assert np.abs(sol.coeffs - 1.0).max() < 1e-11
-        assert sol.problem == kind
+    one = trace(nodal_interp_bulk(disk4k1, lambda p: np.ones(len(p))))
+    zero = zero_function(disk4k1, "bulk0")
+    sol = dirichlet_lift_from_data(zero, one, build_lift_map(disk4k1), overkill_level=1)
+    assert sol.fine_mesh is fine
+    assert np.abs(sol.coeffs - 1.0).max() < 1e-11
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -69,12 +75,13 @@ def test_refined_copy_is_the_cached_mesh(order):
 def test_homogeneous_smoothing_proxy(disk4k1):
     # Dirichlet data of unit boundary H^{1/2} scale: the H1 norm of the
     # solution stays bounded across overkill levels
+    lm = build_lift_map(disk4k1)
+    zero = zero_function(disk4k1, "bulk0")
+    g_h = trace(nodal_interp_bulk(disk4k1, lambda p: np.cos(2.0 * np.arctan2(p[:, 1], p[:, 0]))))
     vals = []
-    for factor in (2, 4):
-        fine = refined_copy(disk4k1, factor)
-        fg = grams_of(fine)
-        g_fn = lambda p: np.cos(2.0 * np.arctan2(p[:, 1], p[:, 0]))
-        sol = continuous_surrogate("dirichlet", None, g_fn, fg)
+    for level in (1, 2):
+        sol = dirichlet_lift_from_data(zero, g_h, lm, level)
+        fg = grams_of(sol.fine_mesh)
         gs = trace(sol.fe)
         ssb = surface_spectral_decomp(fg)
         ghalf = spectral_power_norm(gs.coeffs, 0.5, ssb)
@@ -131,8 +138,6 @@ def test_inverted_deformation_raises(disk4k1):
 
 
 def test_unknown_kind_and_method(square4, square4_grams):
-    with pytest.raises(ValueError):
-        continuous_surrogate("neumann", None, lambda p: p[:, 0], square4_grams)
     w = nodal_interp_bulk(square4, lambda p: p[:, 0])
     e0 = FeFunction(square4, np.zeros((square4.n_nodes, 2)))
     with pytest.raises(ValueError):

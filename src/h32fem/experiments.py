@@ -51,7 +51,7 @@ from .interp import (
     winf_like_norm,
 )
 from .lifting import build_lift_map, grad_lambda_inf_error
-from .meshing import _cached, _inverse_2x2, shared_mesh
+from .meshing import _cached, _inverse_2x2, _norm_2x2, shared_mesh
 from .multilinear import (
     comparison_decompose,
     deformation_tensor,
@@ -607,14 +607,14 @@ def exp_neumann_decay(cfg):
         ]
         vals = np.stack([eval_on_elements(c)[0] for c in comps], axis=-1)
         A = vals.reshape(*vals.shape[:2], 2, 2)
-        sup = np.linalg.norm(A, ord=2, axis=(-2, -1)).max()
+        sup = _norm_2x2(A).max()
         A = A * (0.25 / max(sup, 1e-30))
         P = A.copy()
         for npow in range(2, 7):
             P = np.einsum("eqxy,eqyz->eqxz", P, A)
             worst_op = max(
                 worst_op,
-                np.linalg.norm(P, ord=2, axis=(-2, -1)).max() / (4.0 ** (1 - npow) * 0.25),
+                _norm_2x2(P).max() / (4.0 ** (1 - npow) * 0.25),
             )
         # entrywise-max version can fail; count it as a flag, not a failure
         sup_ent = np.abs(A).max()
@@ -896,7 +896,7 @@ def exp_deformation_continuous(cfg):
         A[:, 1, 0] = -eps * np.sin(pts[:, 0]) * np.sin(pts[:, 1])
         A[:, 0, 1] = -eps * np.sin(pts[:, 0] + 0.5 * pts[:, 1])
         A[:, 1, 1] = -0.5 * eps * np.sin(pts[:, 0] + 0.5 * pts[:, 1])
-        w1inf = np.linalg.norm(A, ord=2, axis=(-2, -1)).max()
+        w1inf = _norm_2x2(A).max()
         Finv, det = _inverse_2x2(A + np.eye(2))
         B = np.einsum("nrx,nry->nxy", Finv, Finv) * det[..., None, None]
         gw = w_fn.grad(pts)

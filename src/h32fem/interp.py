@@ -208,8 +208,8 @@ def _overkill_context(mesh, lm, level):
         "fine": fine,
         "fine_grams": grams_of(fine),
         # both locate points of the exact domain
-        "fine_locator": MeshLocator(fine, lift=build_lift_map(fine)),
-        "coarse_locator": MeshLocator(mesh, lift=lm),
+        "fine_locator": MeshLocator(build_lift_map(fine)),
+        "coarse_locator": MeshLocator(lm),
     }
 
 

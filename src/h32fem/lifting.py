@@ -14,10 +14,12 @@ continuous, restricted to the curved edge it is exactly the radial
 projection onto the circle, and its gradient deviates from the identity
 by O(h^k).
 
-MeshLocator inverts the composite map Lambda(F(xi)) pointwise by a
-vectorized Newton iteration: it maps points of the exact domain to
-(element, reference point) pairs. On the square the lift is the identity
-and it inverts the plain geometry map.
+MeshLocator inverts the composite map Lambda(F(xi)) pointwise: it maps
+points of the exact domain to (element, reference point) pairs. Off the
+curved boundary layer the lift is the identity and the geometry map is
+affine, so those elements (on the square, all of them) are inverted in
+closed form; only the curved boundary-layer elements take a vectorized
+Newton iteration, per point until it converges.
 """
 
 from dataclasses import dataclass
@@ -27,7 +29,7 @@ from scipy.spatial import cKDTree
 
 from .assembly import surface_quad_data
 from .basis import TRI_EDGES, TRI_VERTS, tri_edge_ref_points, tri_shape, tri_shape_grad
-from .meshing import _cached, _inverse_2x2, batched_geometry
+from .meshing import _cached, _inverse_2x2, _norm_2x2, batched_geometry
 from .quadrature import default_degree, triangle_rule
 
 # reference-coordinate gradients of the barycentric coordinates
@@ -214,27 +216,31 @@ def grad_lambda_inf_error(lm, degree=None):
     """max over rule points of the spectral norm of grad(Lambda) - I."""
     data = lift_rule_data(lm, degree)
     G = data["grad_lambda"] - np.eye(2)
-    return float(np.linalg.norm(G, ord=2, axis=(-2, -1)).max())
+    return float(_norm_2x2(G).max())
 
 
 # -- point location ----------------------------------------------------------
 
 
 class MeshLocator:
-    """Inverts the lifted geometry map xi -> Lambda(F(xi)) by batched Newton.
+    """Maps points of the exact domain to (element, reference coordinates).
 
-    locate() maps physical points to (element, reference coordinates),
-    trying every candidate element from the centroid Newton start before
-    the other starts. A point that no candidate element contains (within
-    tol) is clamped into its best candidate; points farther outside than
-    `slack` raise. The clamp covers the O(h^{k+1}) slivers between a curved
-    mesh and the exact domain; n_clamped counts the clamped points over all
-    locate() calls and worst_clamp holds the largest barycentric violation
-    clamped.
+    locate() tries the candidate elements nearest to each point in turn
+    (every candidate from the centroid start first, then every start). An
+    element with an affine geometry map and no lift (every element outside
+    the curved boundary layer, on the square every element) is inverted in
+    closed form, xi = J^{-1} (x - v0) from its vertex triangle. Only the
+    curved boundary-layer candidates run Newton on xi -> Lambda(F(xi)),
+    each point until its own residual converges. A point that no candidate
+    element contains (within tol) is clamped into its best candidate;
+    points farther outside than `slack` raise. The clamp covers the
+    O(h^{k+1}) slivers between a curved mesh and the exact domain;
+    n_clamped counts the clamped points over all locate() calls and
+    worst_clamp holds the largest barycentric violation clamped.
     """
 
-    def __init__(self, mesh, lift, n_candidates=16, tol=1e-10, slack=1e-3):
-        self.mesh = mesh
+    def __init__(self, lift, n_candidates=16, tol=1e-10, slack=1e-3):
+        mesh = self.mesh = lift.mesh
         self.lift = lift
         self.tol = tol
         self.slack = slack
@@ -243,6 +249,16 @@ class MeshLocator:
         centers = lift_rule_data(lift, 2)["pts"].mean(axis=1)
         self.k = min(n_candidates, mesh.n_elements)
         self.tree = cKDTree(centers)
+        # the vertex triangle's affine map, and which elements are exactly it:
+        # no curved edge and (k=2) every midside node at its edge midpoint
+        verts = mesh.nodes[mesh.elements[:, :3]]
+        self._origin = verts[:, 0]
+        edges = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]], axis=-1)
+        self._inv = _inverse_2x2(edges)[0]
+        self._affine = lift.curved_edge < 0
+        if mesh.order == 2:
+            mids = 0.5 * (verts + verts[:, [1, 2, 0]])
+            self._affine &= (mesh.nodes[mesh.elements[:, 3:]] == mids).all(axis=(1, 2))
 
     def _forward(self, elems, refs):
         return lift_mixed(self.lift, elems, refs)[:2]
@@ -250,21 +266,27 @@ class MeshLocator:
     _STARTS = ((1.0 / 3.0, 1.0 / 3.0), (0.15, 0.15), (0.7, 0.15), (0.15, 0.7))
 
     def _newton_from(self, elems, targets, start):
+        """Newton from one start; each point stops once its residual is below 1e-13."""
         refs = np.tile(start, (len(elems), 1))
+        resid = np.zeros(len(elems))
+        act = np.arange(len(elems))
         for _ in range(25):
-            pts, jac = self._forward(elems, refs)
-            res = targets - pts
-            if np.abs(res).max() < 1e-13:
-                break
+            pts, jac = self._forward(elems[act], refs[act])
+            res = targets[act] - pts
+            done = np.abs(res).max(axis=1) < 1e-13
+            resid[act[done]] = np.linalg.norm(res[done], axis=1)
+            act, res, jac = act[~done], res[~done], jac[~done]
+            if len(act) == 0:
+                return refs, resid
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 inv, det = _inverse_2x2(jac)
                 step = np.einsum("nrx,nx->nr", inv, res)
             # keep iterates where a curved map can degenerate from diverging
             step[np.abs(det) < 1e-300] = 0.0
             np.clip(step, -1.0, 1.0, out=step)
-            refs = np.clip(refs + step, -2.0, 3.0)
-        pts, _ = self._forward(elems, refs)
-        resid = np.linalg.norm(targets - pts, axis=1)
+            refs[act] = np.clip(refs[act] + step, -2.0, 3.0)
+        pts, _ = self._forward(elems[act], refs[act])
+        resid[act] = np.linalg.norm(targets[act] - pts, axis=1)
         return refs, resid
 
     def _newton(self, elems, targets, starts=_STARTS):
@@ -285,6 +307,15 @@ class MeshLocator:
             upd = s2 < score[redo]
             refs[redo[upd]] = r2[upd]
             score[redo[upd]] = s2[upd]
+        return refs, score
+
+    def _invert(self, elems, targets, starts):
+        """Reference points and scores: closed form on affine elements, Newton on curved ones."""
+        refs = np.einsum("nrx,nx->nr", self._inv[elems], targets - self._origin[elems])
+        score = self._violation(refs)
+        curved = np.nonzero(~self._affine[elems])[0]
+        if len(curved) > 0:
+            refs[curved], score[curved] = self._newton(elems[curved], targets[curved], starts)
         return refs, score
 
     @staticmethod
@@ -311,7 +342,7 @@ class MeshLocator:
                 if len(alive) == 0:
                     break
                 els = cand[alive, r]
-                rr, viol = self._newton(els, pts[alive], starts)
+                rr, viol = self._invert(els, pts[alive], starts)
                 # keep the best candidate seen for possible clamping
                 upd = viol < best_viol[alive]
                 ba = alive[upd]

@@ -156,6 +156,19 @@ def _inverse_2x2(jac):
     return adj / det[..., None, None], det
 
 
+def _norm_2x2(a):
+    """Spectral norms of a stack of 2x2 matrices (..., 2, 2), in closed form.
+
+    A = [[p, q], [r, s]] splits into the rotation-scaling part with entries
+    (p + s, r - q)/2 and the reflection-scaling part with (p - s, r + q)/2;
+    sigma_max is the sum of their moduli. Only non-negative terms are added,
+    so it keeps full relative precision also when sigma_1 ~ sigma_2, where
+    the Frobenius/determinant formula loses half the digits.
+    """
+    p, q, r, s = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    return 0.5 * (np.hypot(p + s, r - q) + np.hypot(p - s, r + q))
+
+
 # -- geometry map ----------------------------------------------------------
 
 

@@ -114,13 +114,13 @@ def test_composition_roundtrip(lifted):
     elems = np.repeat(np.arange(m.n_elements), m.elements.shape[1])
     refs = np.tile(tri_ref_nodes(m.order), (m.n_elements, 1))
     lifted_nodes, _, _ = lift_mixed(lm, elems, refs)
-    back = _values_at(u, *MeshLocator(m, lm).locate(lifted_nodes))
+    back = _values_at(u, *MeshLocator(lm).locate(lifted_nodes))
     assert np.abs(back - u.coeffs[m.elements.ravel()]).max() < 1e-12
 
 
 def test_locator_roundtrip(lifted, rng):
     m, lm = lifted
-    loc = MeshLocator(m, lift=lm)
+    loc = MeshLocator(lm)
     r = np.sqrt(rng.uniform(0, 1, 300)) * 0.999
     th = rng.uniform(0, 2 * np.pi, 300)
     P = np.column_stack([r * np.cos(th), r * np.sin(th)])
@@ -133,23 +133,64 @@ def test_locator_roundtrip(lifted, rng):
 def test_locator_tries_every_candidate_before_extra_starts(lifted, monkeypatch):
     # the rule points of a finer k=2 disk in the lifted 4-ring k=2 disk; a
     # fixed budget of two Newton point-passes per point (trying all four
-    # starts on a candidate before the next one took 13,728 for these 5,400)
+    # starts on a candidate before the next one took 13,728 for these 5,400).
+    # Newton runs only on boundary-layer candidates, each point until it
+    # converges: at most three forward evaluations per point (85,920 when
+    # every candidate iterated, as one batch, until all had converged)
     m, lm = lifted
     pts = bulk_quad_data(disk_mesh(6, 2))["pts"].reshape(-1, 2)
-    loc = MeshLocator(m, lift=lm)
-    passes = []
-    newton_from = MeshLocator._newton_from
+    loc = MeshLocator(lm)
+    passes, newton_elems, forward_pts = [], [], []
+    newton_from, forward = MeshLocator._newton_from, MeshLocator._forward
 
     def counted(self, elems, targets, start):
         passes.append(len(elems))
+        newton_elems.append(elems)
         return newton_from(self, elems, targets, start)
 
+    def counted_forward(self, elems, refs):
+        forward_pts.append(len(elems))
+        return forward(self, elems, refs)
+
     monkeypatch.setattr(MeshLocator, "_newton_from", counted)
+    monkeypatch.setattr(MeshLocator, "_forward", counted_forward)
     elems, refs = loc.locate(pts)
     back, _, _ = lift_mixed(lm, elems, refs)
     assert np.linalg.norm(back - pts, axis=1).max() <= 1e-9
     assert MeshLocator._violation(refs).max() <= loc.tol
     assert sum(passes) <= 2 * len(pts)
+    assert np.all(lm.curved_edge[np.concatenate(newton_elems)] >= 0)
+    assert sum(forward_pts) <= 3 * len(pts)
+    assert loc.n_clamped == 0
+
+
+def test_closed_form_matches_newton_on_affine_elements(lifted):
+    # the closed-form inverse against Newton on the same (element, point) pairs
+    m, lm = lifted
+    pts = bulk_quad_data(disk_mesh(6, 2))["pts"].reshape(-1, 2)
+    loc = MeshLocator(lm)
+    elems, refs = loc.locate(pts)
+    aff = lm.curved_edge[elems] < 0
+    assert 0 < np.count_nonzero(aff) < len(pts)
+    newton, score = loc._newton(elems[aff], pts[aff])
+    assert score.max() <= loc.tol
+    assert np.abs(refs[aff] - newton).max() <= 1e-12
+
+
+def test_locator_on_straight_mesh_runs_no_newton(monkeypatch):
+    # every element of the k=2 square is affine: the rule points of a finer
+    # square are located in closed form (15,933 forward point evaluations
+    # when each candidate ran Newton)
+    loc = MeshLocator(build_lift_map(build_square_mesh(6, 2)))
+    pts = bulk_quad_data(build_square_mesh(9, 2))["pts"].reshape(-1, 2)
+    calls = []
+    monkeypatch.setattr(MeshLocator, "_newton_from", lambda *args: calls.append(args))
+    elems, refs = loc.locate(pts)
+    assert calls == []
+    assert loc.n_clamped == 0
+    assert MeshLocator._violation(refs).max() <= loc.tol
+    back = np.einsum("nb,nbx->nx", tri_shape(2, refs), loc.mesh.nodes[loc.mesh.elements[elems]])
+    assert np.abs(back - pts).max() <= 1e-13
 
 
 def test_locator_counts_clamps():
@@ -157,7 +198,7 @@ def test_locator_counts_clamps():
     # onto the boundary edge x = 1 (by renormalized barycentrics, so not to
     # its nearest point), and the counters record it; inside points are not
     sq = build_square_mesh(3, 1)
-    loc = MeshLocator(sq, build_lift_map(sq))
+    loc = MeshLocator(build_lift_map(sq))
     loc.locate(np.array([[0.5, 0.5], [0.2, 0.7]]))
     assert loc.n_clamped == 0 and loc.worst_clamp == 0.0
     elems, refs = loc.locate(np.array([[1.0 + 1e-4, 0.5], [0.5, 0.5]]))
@@ -174,7 +215,7 @@ def test_square_lift_is_identity():
     assert len(lm.boundary_elements()) == 0
     u = nodal_interp_bulk(sq, lambda p: p[:, 0] * p[:, 1])
     pts = np.array([[0.21, 0.33], [0.8, 0.05]])
-    vals = _values_at(u, *MeshLocator(sq, lm).locate(pts))
+    vals = _values_at(u, *MeshLocator(lm).locate(pts))
     assert np.abs(vals - pts[:, 0] * pts[:, 1]).max() < 1e-11
 
 

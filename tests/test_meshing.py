@@ -5,6 +5,7 @@ from h32fem.basis import edge_shape, tri_shape, tri_shape_grad
 from h32fem.meshing import (
     Mesh,
     _inverse_2x2,
+    _norm_2x2,
     batched_geometry,
     build_disk_mesh,
     build_square_mesh,
@@ -152,6 +153,22 @@ def test_inverse_2x2_matches_numpy(rng):
     inv, det = _inverse_2x2(jac)
     np.testing.assert_allclose(inv, np.linalg.inv(jac), rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(det, np.linalg.det(jac), rtol=1e-12)
+
+
+def test_norm_2x2_matches_numpy(rng):
+    u, v = rng.normal(size=(2, 400, 2, 1))
+    stacks = {
+        "random": rng.normal(size=(20, 50, 2, 2)),
+        "near conformal": np.eye(2) + 1e-4 * rng.normal(size=(1000, 2, 2)),
+        "singular": np.stack([u, 3.0 * u], axis=-1)[..., 0, :],
+        "rank 1": u * np.swapaxes(v, -1, -2),
+        "zero": np.zeros((7, 2, 2)),
+    }
+    for name, a in stacks.items():
+        ref = np.linalg.norm(a, ord=2, axis=(-2, -1))
+        got = _norm_2x2(a)
+        assert got.shape == ref.shape, name
+        assert np.all(np.abs(got - ref) <= 1e-14 * ref), name
 
 
 @pytest.mark.parametrize("kind, order", [("disk", 1), ("disk", 2), ("square", 2)])

@@ -38,7 +38,7 @@ print(f"||u||_H1  = {h1_norm(u, g):.6f}  (= H^1 norm {h_s_norm(u, 1.0, sb):.6f})
 print(f"||u||_H^1/2 = {h_s_norm(u, 0.5, sb):.6f}  (spectral interpolation)")
 
 # the 3/2-order norm: dual norm of the gradient plus boundary H1 norm
-n32 = hhat_threehalf_norm(u, "zero_trace", g, sbi)
+n32 = hhat_threehalf_norm(u, g, sbi)
 print(f"||u||_3/2 (zero-trace variant) = {n32:.6f}")
 print(f"boundary H1 of trace          = {boundary_sobolev_norm(trace(u), 1, g):.6f}")
 
@@ -47,8 +47,8 @@ rng = np.random.default_rng(0)
 c = rng.normal(size=m.n_nodes)
 c[m.boundary_node_ids] = 0.0
 f = FeFunction(m, c, "bulk0")
-print(f"||f||_{{-1/2, zero trace}} = {dual_neg_half_norm(f, 'zero_trace', sbi, g):.6f}")
-print(f"||f||_{{-1/2, full}}       = {dual_neg_half_norm(f, 'full', sb, g):.6f}")
+print(f"||f||_{{-1/2, zero trace}} = {dual_neg_half_norm(f, sbi, g):.6f}")
+print(f"||f||_{{-1/2, full}}       = {dual_neg_half_norm(f, sb, g):.6f}")
 
 # the Gagliardo double integral agrees with the spectral norm up to constants
 sq = build_square_mesh(3, 1)

@@ -57,7 +57,7 @@ for n in (2, 4):
     szh = sz_via_dirichlet(uh, lm)
     sbi = spectral_decomp(g, "interior")
     err = h1_norm(FeFunction(m, uh.coeffs - szh.coeffs), g)
-    ratio = err / (np.sqrt(m.h) * dual_neg_half_norm(f, "zero_trace", sbi, g))
+    ratio = err / (np.sqrt(m.h) * dual_neg_half_norm(f, sbi, g))
     print(f"  rings={n}: ||u - I(u)||_H1 / (h^0.5 ||f||_-1/2) = {ratio:.3f}")
 
 # the four-term W^{1,inf}-like norm behind the smallness criterion

@@ -62,10 +62,9 @@ class FeFunction:
         return FeFunction(self.mesh, alpha * self.coeffs, self.space)
 
 
-def zero_function(mesh, space=BULK, arity=1):
+def zero_function(mesh, space=BULK):
     n = len(mesh.boundary_node_ids) if space == SURFACE else mesh.n_nodes
-    shape = (n,) if arity == 1 else (n, arity)
-    return FeFunction(mesh, np.zeros(shape), space)
+    return FeFunction(mesh, np.zeros(n), space)
 
 
 # -- quadrature-point caches ------------------------------------------------
@@ -170,8 +169,8 @@ def grams_of(mesh):
     return _cached(mesh, "grams", lambda: assemble_grams(mesh))
 
 
-def assemble_grams(mesh, degree=None):
-    qd = bulk_quad_data(mesh, degree)
+def assemble_grams(mesh):
+    qd = bulk_quad_data(mesh)
     w = qd["rule"].weights
     phi, gphys, det = qd["phi"], qd["gphys"], qd["det"]
     Me = np.einsum("q,qi,qj,eq->eij", w, phi, phi, det)
@@ -179,7 +178,7 @@ def assemble_grams(mesh, degree=None):
     M = _scatter(Me, mesh.elements, mesh.n_nodes)
     A = _scatter(Ae, mesh.elements, mesh.n_nodes)
 
-    sd = surface_quad_data(mesh, degree)
+    sd = surface_quad_data(mesh)
     ws, psi, dpsi, speed = sd["rule"].weights, sd["psi"], sd["dpsi"], sd["speed"]
     Mse = np.einsum("q,qi,qj,fq->fij", ws, psi, psi, speed)
     # tangential derivative: psi'(t)/|c'(t)|, measure |c'(t)| dt
@@ -223,37 +222,32 @@ def eval_fe(u, elem, ref_pt):
     return val, grad
 
 
-def eval_on_elements(u, degree=None):
+def eval_on_elements(u):
     """Values and gradients of a bulk FE function at all assembly rule points.
 
     Returns (values, grads) with shapes (ne, m[, arity]) and (ne, m, 2[, arity]).
     """
-    qd = bulk_quad_data(u.mesh, degree)
+    qd = bulk_quad_data(u.mesh)
     local = u.coeffs[u.mesh.elements]  # (ne, nb[, arity])
     vals = np.einsum("qb,eb...->eq...", qd["phi"], local)
     grads = np.einsum("eqbx,eb...->eqx...", qd["gphys"], local)
     return vals, grads
 
 
-def nodal_interp_bulk(mesh, v, arity=1):
+def nodal_interp_bulk(mesh, v):
     """Nodal interpolant: coefficients are v at the physical node positions."""
-    vals = _eval_pointwise(v, mesh.nodes, arity)
-    return FeFunction(mesh, vals, BULK)
+    return FeFunction(mesh, _eval_pointwise(v, mesh.nodes), BULK)
 
 
-def nodal_interp_surface(mesh, v, arity=1):
-    vals = _eval_pointwise(v, mesh.nodes[mesh.boundary_node_ids], arity)
-    return FeFunction(mesh, vals, SURFACE)
+def nodal_interp_surface(mesh, v):
+    return FeFunction(mesh, _eval_pointwise(v, mesh.nodes[mesh.boundary_node_ids]), SURFACE)
 
 
-def _eval_pointwise(v, pts, arity):
-    try:
-        vals = np.asarray(v(pts), dtype=float)
-        expect = (len(pts),) if arity == 1 else (len(pts), arity)
-        if vals.shape != expect:
-            raise ValueError
-    except Exception:
-        vals = np.array([v(p) for p in pts], dtype=float)
+def _eval_pointwise(v, pts):
+    """v called once on all (n, 2) points; it must return (n,) or (n, d) values."""
+    vals = np.asarray(v(pts), dtype=float)
+    if vals.ndim not in (1, 2) or len(vals) != len(pts):
+        raise ValueError(f"field returned values of shape {vals.shape} for {len(pts)} points")
     return vals
 
 
@@ -267,7 +261,7 @@ def trace(u):
 # -- boundary-restricted quadrature (independent of the S_h assembly path) --
 
 
-def integrate_bulk_on_boundary(u, degree=None):
+def integrate_bulk_on_boundary(u):
     """Integral of u^2 over the boundary, evaluated through the bulk basis.
 
     Goes through each boundary face's parent element and the bulk geometry
@@ -276,9 +270,7 @@ def integrate_bulk_on_boundary(u, degree=None):
     integrand must agree to rounding).
     """
     mesh = u.mesh
-    if degree is None:
-        degree = default_degree(mesh.order)
-    rule = edge_rule(degree)
+    rule = edge_rule(default_degree(mesh.order))
     total = 0.0
     for f in range(len(mesh.boundary_faces)):
         e = mesh.face_elem[f]

@@ -259,8 +259,8 @@ def exp_lift_multilinear(cfg):
         u1 = nodal_interp_bulk(m, studies.SMOOTH_SCALAR)
         u2 = nodal_interp_bulk(m, studies.SMOOTH_SCALAR_2)
         w = nodal_interp_bulk(m, lambda p: np.cos(p[:, 0] - 0.4 * p[:, 1]))
-        plain = studies.multilinear_gradient_integral(m, [u1, u2, w], T3, False)
-        lifted = studies.multilinear_gradient_integral(m, [u1, u2, w], T3, True, lm)
+        plain = studies.multilinear_gradient_integral(m, [u1, u2, w], T3)
+        lifted = studies.multilinear_gradient_integral(m, [u1, u2, w], T3, lm)
         _, w1inf_u2 = studies.sampled_w1inf_panel(u2)
         denom = h1_norm(u1, g) * h1_norm(w, g) * max(w1inf_u2, 1.0)
         # generalized variant with a resolvent slot fed by a small
@@ -268,8 +268,8 @@ def exp_lift_multilinear(cfg):
         vv = FeFunction(
             m, 0.05 * np.column_stack([u1.coeffs, u2.coeffs])
         )
-        plain2 = studies.multilinear_gradient_integral(m, [u1, vv, w], T_res, False)
-        lifted2 = studies.multilinear_gradient_integral(m, [u1, vv, w], T_res, True, lm)
+        plain2 = studies.multilinear_gradient_integral(m, [u1, vv, w], T_res)
+        lifted2 = studies.multilinear_gradient_integral(m, [u1, vv, w], T_res, lm)
         return [
             abs(plain - lifted) / denom,
             abs(plain2 - lifted2) / (h1_norm(vv, g) * h1_norm(w, g)),
@@ -326,9 +326,9 @@ def exp_sz_error(cfg):
             u = solve_dirichlet_fe(g, f, gs)
             szu = sz_via_dirichlet(u, lm)
             num = h1_norm(FeFunction(m, u.coeffs - szu.coeffs), g)
-            den36 = dual_neg_half_norm(f, "zero_trace", sbi, g) + boundary_sobolev_norm(gs, 1, g)
+            den36 = dual_neg_half_norm(f, sbi, g) + boundary_sobolev_norm(gs, 1, g)
             ratios36.append(num / (np.sqrt(m.h) * den36))
-            den46 = hhat_threehalf_norm(u, "zero_trace", g, sbi)
+            den46 = hhat_threehalf_norm(u, g, sbi)
             ratios46.append(num / (np.sqrt(m.h) * den46))
         return [max(ratios36), max(ratios46)]
 
@@ -349,9 +349,9 @@ def exp_dual_inverse(cfg):
         v0, vf = [], []
         for _ in range(8):
             f0 = _random_interior(rng, m)
-            v0.append(np.sqrt(m.h) * l2_norm(f0, g) / dual_neg_half_norm(f0, "zero_trace", sbi, g))
+            v0.append(np.sqrt(m.h) * l2_norm(f0, g) / dual_neg_half_norm(f0, sbi, g))
             f1 = _random_bulk(rng, m)
-            vf.append(np.sqrt(m.h) * l2_norm(f1, g) / dual_neg_half_norm(f1, "full", sb, g))
+            vf.append(np.sqrt(m.h) * l2_norm(f1, g) / dual_neg_half_norm(f1, sb, g))
         return [max(v0), max(vf)]
 
     return _ladder(
@@ -367,7 +367,7 @@ def exp_inverse_estimate(cfg):
         vals = []
         for _ in range(8):
             u = _random_bulk(rng, m)
-            vals.append(np.sqrt(m.h) * hhat_threehalf_norm(u, "zero_trace", g, sbi) / h1_norm(u, g))
+            vals.append(np.sqrt(m.h) * hhat_threehalf_norm(u, g, sbi) / h1_norm(u, g))
         return [max(vals)]
 
     return _ladder(
@@ -393,7 +393,7 @@ def exp_h1_stability(cfg):
                 sbf = spectral_decomp(fg, "all")
                 r_32.append(
                     spectral_power_norm(sol.coeffs, 1.5, sbf)
-                    / hhat_threehalf_norm(u, "zero_trace", g, sbi)
+                    / hhat_threehalf_norm(u, g, sbi)
                 )
         return [max(r_sz), max(r_d), max(r_32) if r_32 else 0.0]
 
@@ -418,8 +418,8 @@ def exp_norm_equivalence(cfg):
         for _ in range(8):
             u = _random_bulk(rng, m)
             ratios.append(
-                hhat_threehalf_norm(u, "full", g, sb)
-                / hhat_threehalf_norm(u, "zero_trace", g, sbi)
+                hhat_threehalf_norm(u, g, sb)
+                / hhat_threehalf_norm(u, g, sbi)
             )
         return [min(ratios), max(ratios)]
 
@@ -439,7 +439,7 @@ def exp_interpolant_membership(cfg):
         for fld in (studies.SMOOTH_SCALAR, studies.SMOOTH_SCALAR_2):
             v = nodal_interp_bulk(m, fld)
             vals.append(
-                hhat_threehalf_norm(v, "zero_trace", g, sbi) / (m.h ** (k - 0.5) + 1.0)
+                hhat_threehalf_norm(v, g, sbi) / (m.h ** (k - 0.5) + 1.0)
             )
         return [max(vals)]
 
@@ -466,8 +466,8 @@ def exp_dirichlet_regularity(cfg):
         ]
         for f, gs in panel:
             u = solve_dirichlet_fe(g, f, gs)
-            num = hhat_threehalf_norm(u, "zero_trace", g, sbi)
-            den = dual_neg_half_norm(f, "zero_trace", sbi, g) + boundary_sobolev_norm(gs, 1, g)
+            num = hhat_threehalf_norm(u, g, sbi)
+            den = dual_neg_half_norm(f, sbi, g) + boundary_sobolev_norm(gs, 1, g)
             ratios.append(num / den)
         return [max(ratios)]
 
@@ -492,8 +492,8 @@ def exp_robin_regularity(cfg):
         ]
         for f, gs in panel:
             u = solve_robin_fe(g, f, gs)
-            num = hhat_threehalf_norm(u, "zero_trace", g, sbi)
-            den = dual_neg_half_norm(f, "full", sb, g) + boundary_sobolev_norm(gs, 0, g)
+            num = hhat_threehalf_norm(u, g, sbi)
+            den = dual_neg_half_norm(f, sb, g) + boundary_sobolev_norm(gs, 0, g)
             ratios.append(num / den)
         return [max(ratios)]
 
@@ -803,9 +803,9 @@ def exp_product_sampled(cfg):
             Finv = _inverse_2x2(g2 + np.eye(2))[0] - np.eye(2)
             # T(a; B; c) = (a . e1) B c, a vector-valued multilinear field
             field = g1[..., 0][..., None] * np.einsum("eqxy,eqy->eqx", Finv, gv)
-            lhs = vec_dual_half_norm(field, "full", sb, gd)
+            lhs = vec_dual_half_norm(field, sb, gd)
             rhs = md.h ** ((2 - 1) * kappa) * (
-                hhat_threehalf_norm(u1, "zero_trace", gd, sbi)
+                hhat_threehalf_norm(u1, gd, sbi)
                 + _vec_threehalf(u2, gd, sbi)
                 + md.h ** (k - 0.5 + kappa)
             )
@@ -823,7 +823,7 @@ def exp_product_sampled(cfg):
 
 def _vec_threehalf(v, g, sbi):
     """Euclidean norm of the zero-trace 3/2 norms of a 2-vector field's components."""
-    norms = [hhat_threehalf_norm(FeFunction(v.mesh, c), "zero_trace", g, sbi) for c in v.coeffs.T]
+    norms = [hhat_threehalf_norm(FeFunction(v.mesh, c), g, sbi) for c in v.coeffs.T]
     return float(np.hypot(*norms))
 
 

@@ -27,14 +27,13 @@ from .assembly import (
     surface_quad_data,
     trace,
 )
-from .basis import edge_shape, tri_shape
+from .basis import tri_shape
 from .lifting import (
     MeshLocator,
     _face_ref_points,
     _lifted_shape_gradients,
     build_lift_map,
     lift_mixed,
-    lift_rule_data,
 )
 from .meshing import _cached
 from .quadrature import default_degree
@@ -44,8 +43,8 @@ from .solvers import OverkillSolution, _dirichlet_solve, refined_copy
 # -- Scott-Zhang -------------------------------------------------------------
 
 
-def _sz_moments(mesh, degree=None):
-    """Scott-Zhang moment points and dual-basis data, cached per degree.
+def _sz_moments(mesh):
+    """Scott-Zhang moment points and dual-basis data at rule degree default + 2, cached.
 
     The points are the edge-rule points of the owning faces followed by
     the rule points of the owning elements, each given as (owner element
@@ -54,12 +53,10 @@ def _sz_moments(mesh, degree=None):
     its cells' weights w (ncell, nq), basis table, Gram stack, and the
     nodes that take dual coefficient (row, local) of that part.
     """
-    if degree is None:
-        degree = default_degree(mesh.order) + 2
-    return _cached(mesh, ("sz_moments", degree), lambda: _build_sz_moments(mesh, degree))
+    return _cached(mesh, "sz_moments", lambda: _build_sz_moments(mesh))
 
 
-def _build_sz_moments(mesh, degree):
+def _build_sz_moments(mesh):
     # each node's cell: its first occurrence in the boundary-face table,
     # else in the element table (row-major)
     kind = np.zeros(mesh.n_nodes, dtype=bool)
@@ -69,6 +66,7 @@ def _build_sz_moments(mesh, degree):
         nodes, first = np.unique(table.ravel(), return_index=True)
         kind[nodes] = use_face
         cell[nodes], local[nodes] = np.divmod(first, table.shape[1])
+    degree = default_degree(mesh.order) + 2
     sd, qd = surface_quad_data(mesh, degree), bulk_quad_data(mesh, degree)
     faces, elems = np.unique(cell[kind]), np.unique(cell[~kind])
     erule, trule = sd["rule"], qd["rule"]
@@ -114,9 +112,9 @@ def _sz_from_values(mesh, sz, vals):
     return FeFunction(mesh, coeffs, BULK)
 
 
-def scott_zhang(v, mesh, degree=None):
+def scott_zhang(v, mesh):
     """Scott-Zhang quasi-interpolant of v (FE function or callable)."""
-    sz = _sz_moments(mesh, degree)
+    sz = _sz_moments(mesh)
     if hasattr(v, "coeffs"):
         vals = sz["eval"] @ v.coeffs
     else:
@@ -141,68 +139,31 @@ def dirichlet_riesz_data(u_h, grams):
     return FeFunction(mesh, f, BULK0), trace(u_h)
 
 
-class BoundaryAngleMap:
-    """Inverts the boundary lift: circle angle -> point on the discrete boundary.
-
-    The lift restricted to the discrete boundary is the radial projection,
-    so a circle point pulls back to the boundary-curve point at the same
-    polar angle; each face covers one monotone angular window.
-    """
-
-    def __init__(self, mesh):
-        self.mesh = mesh
-        coords = mesh.nodes[mesh.boundary_faces]
-        self.start = np.arctan2(coords[:, 0, 1], coords[:, 0, 0])
-        self.order = np.argsort(self.start)
-        self.sorted_start = self.start[self.order]
-
-    def locate(self, angles):
-        """face ids and edge parameters t for the given circle angles."""
-        th = np.asarray(angles, dtype=float)
-        base = self.sorted_start[0]
-        rel = np.mod(th - base, 2.0 * np.pi) + base
-        idx = np.searchsorted(self.sorted_start, rel + 1e-14) - 1
-        faces = self.order[np.clip(idx, 0, len(self.order) - 1)]
-        mesh = self.mesh
-        coords = mesh.nodes[mesh.boundary_faces[faces]]
-        start = self.start[faces]
-        target = np.mod(th - start, 2.0 * np.pi)
-        lo, hi = np.zeros(len(th)), np.ones(len(th))
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            p = np.einsum("nb,nbx->nx", edge_shape(mesh.order, mid), coords)
-            ang = np.mod(np.arctan2(p[:, 1], p[:, 0]) - start, 2.0 * np.pi)
-            # wrapped angles compare within the face's small span
-            below = np.where(ang > np.pi, ang - 2.0 * np.pi, ang) < target
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return faces, 0.5 * (lo + hi)
-
-
 # -- overkill pullbacks ----------------------------------------------------------
 # Every fixed point set is located once; what remains per call is one sparse
-# product with a matrix cached on the coarse mesh, keyed by overkill level.
+# product with a matrix cached on the coarse mesh. The overkill mesh refines
+# the coarse one 2**OVERKILL_LEVEL times.
 
-
-def _rows_matrix(vals, cols, n_cols):
-    """CSR matrix whose row i holds vals[i] in the columns cols[i]."""
-    indptr = np.arange(0, vals.size + 1, vals.shape[1])
-    return sp.csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(len(vals), n_cols))
+OVERKILL_LEVEL = 2
 
 
 def _evaluation_matrix(mesh, elems, refs):
     """Sparse map: bulk coefficients -> values at (element, reference point) pairs."""
-    return _rows_matrix(tri_shape(mesh.order, refs), mesh.elements[elems], mesh.n_nodes)
+    vals = tri_shape(mesh.order, refs)
+    indptr = np.arange(0, vals.size + 1, vals.shape[1])
+    return sp.csr_matrix(
+        (vals.ravel(), mesh.elements[elems].ravel(), indptr), shape=(len(vals), mesh.n_nodes)
+    )
 
 
-def overkill_context(mesh, lm, level=2):
+def overkill_context(mesh, lm):
     """Fine mesh, grams and the lifted-point locators of overkill operations."""
-    return _cached(mesh, ("overkill", level), lambda: _overkill_context(mesh, lm, level))
+    return _cached(mesh, "overkill", lambda: _overkill_context(mesh, lm))
 
 
-def _overkill_context(mesh, lm, level):
-    fine = refined_copy(mesh, 2**level)
-    if fine.h > mesh.h / 2**level + 1e-12:
+def _overkill_context(mesh, lm):
+    fine = refined_copy(mesh, 2**OVERKILL_LEVEL)
+    if fine.h > mesh.h / 2**OVERKILL_LEVEL + 1e-12:
         raise RuntimeError("overkill refinement did not reduce h as expected")
     return {
         "fine": fine,
@@ -213,9 +174,9 @@ def _overkill_context(mesh, lm, level):
     }
 
 
-def _overkill_matrix(build, mesh, lm, level):
-    """build(mesh, lm, ctx), run once per (build, level) and cached on the coarse mesh."""
-    return _cached(mesh, (build, level), lambda: build(mesh, lm, overkill_context(mesh, lm, level)))
+def _overkill_matrix(build, mesh, lm):
+    """build(mesh, lm, ctx), run once per build and cached on the coarse mesh."""
+    return _cached(mesh, build, lambda: build(mesh, lm, overkill_context(mesh, lm)))
 
 
 def _source_matrix(mesh, lm, ctx):
@@ -227,18 +188,15 @@ def _source_matrix(mesh, lm, ctx):
 def _trace_matrix(mesh, lm, ctx):
     """Sparse map: coarse surface coefficients -> values at fine boundary nodes.
 
-    The fine boundary nodes lie on the exact boundary. On the disk each
-    pulls back to the discrete boundary point at its polar angle; under
-    the identity lift (square) it lies on the coarse boundary itself.
+    One path for the disk and the square: the fine boundary nodes lie on
+    the exact boundary and are located in the lifted coarse mesh like any
+    other point. The lift maps the discrete boundary onto the exact one, so
+    each lands on the discrete boundary, where only the boundary nodes'
+    basis functions are nonzero; the evaluation matrix keeps their columns.
     """
     bpts = ctx["fine"].nodes[ctx["fine_grams"].boundary_ids]
-    if lm.is_identity:
-        E = _evaluation_matrix(mesh, *ctx["coarse_locator"].locate(bpts))
-        return E[:, mesh.boundary_node_ids]
-    faces, t = BoundaryAngleMap(mesh).locate(np.arctan2(bpts[:, 1], bpts[:, 0]))
-    return _rows_matrix(
-        edge_shape(mesh.order, t), mesh.surface_faces[faces], len(mesh.boundary_node_ids)
-    )
+    E = _evaluation_matrix(mesh, *ctx["coarse_locator"].locate(bpts))
+    return E[:, mesh.boundary_node_ids]
 
 
 def _sz_pullback_matrix(mesh, lm, ctx):
@@ -252,67 +210,65 @@ def _sz_pullback_matrix(mesh, lm, ctx):
     return _evaluation_matrix(ctx["fine"], *ctx["fine_locator"].locate(lifted))
 
 
-def dirichlet_lift(u_h, lm, overkill_level=2):
+def dirichlet_lift(u_h, lm):
     """Overkill surrogate of the Dirichlet lift of u_h onto the exact domain."""
     f_h, g_h = dirichlet_riesz_data(u_h, grams_of(u_h.mesh))
-    return dirichlet_lift_from_data(f_h, g_h, lm, overkill_level)
+    return dirichlet_lift_from_data(f_h, g_h, lm)
 
 
-def dirichlet_lift_from_data(f_h, g_h, lm, overkill_level=2):
+def dirichlet_lift_from_data(f_h, g_h, lm):
     """Overkill Dirichlet solve with lifted discrete data (f_h, g_h)."""
     mesh = f_h.mesh
-    ctx = overkill_context(mesh, lm, overkill_level)
+    ctx = overkill_context(mesh, lm)
     fine, fg = ctx["fine"], ctx["fine_grams"]
 
     # lifted source tested against the fine basis
     qd = bulk_quad_data(fine)
-    S = _overkill_matrix(_source_matrix, mesh, lm, overkill_level)
+    S = _overkill_matrix(_source_matrix, mesh, lm)
     fv = (S @ f_h.coeffs).reshape(qd["det"].shape)
     loc = np.einsum("q,eq,eq,qb->eb", qd["rule"].weights, qd["det"], fv, qd["phi"])
     rhs_full = np.zeros(fine.n_nodes)
     np.add.at(rhs_full, fine.elements.ravel(), loc.ravel())
 
     # lifted trace at the fine boundary nodes
-    g = _overkill_matrix(_trace_matrix, mesh, lm, overkill_level) @ g_h.coeffs
+    g = _overkill_matrix(_trace_matrix, mesh, lm) @ g_h.coeffs
     return OverkillSolution(fine, _dirichlet_solve(fg, rhs_full, g))
 
 
-def sz_via_dirichlet(u_h, lm, overkill_level=2, sol=None):
+def sz_via_dirichlet(u_h, lm, sol=None):
     """Trace-preserving quasi-interpolant: Scott-Zhang of the pulled-back lift."""
     if sol is None:
-        sol = dirichlet_lift(u_h, lm, overkill_level)
+        sol = dirichlet_lift(u_h, lm)
     mesh = u_h.mesh
-    vals = _overkill_matrix(_sz_pullback_matrix, mesh, lm, overkill_level) @ sol.fe.coeffs
+    vals = _overkill_matrix(_sz_pullback_matrix, mesh, lm) @ sol.fe.coeffs
     return _sz_from_values(mesh, _sz_moments(mesh), vals)
 
 
 # -- W^{1,infty}-like norm ------------------------------------------------------
 
 
-def sampled_w1inf(u, degree=None):
+def sampled_w1inf(u):
     """max over rule points of |u| and |grad u| for a bulk FE function."""
-    vals, grads = eval_on_elements(u, degree)
+    vals, grads = eval_on_elements(u)
     return float(max(np.abs(vals).max(), np.linalg.norm(grads, axis=-1).max()))
 
 
-def sampled_w1inf_lifted(u, lm, degree=None):
+def sampled_w1inf_lifted(u, lm):
     """Sampled W^{1,infty} norm of the lifted function on the exact domain."""
-    data = lift_rule_data(lm, degree)
-    gphys = _lifted_shape_gradients(lm, degree)
-    grads = np.einsum("eqbx,eb->eqx", gphys, u.coeffs[u.mesh.elements])
-    vals, _ = eval_on_elements(u, data["rule"].degree)
+    grads = np.einsum("eqbx,eb->eqx", _lifted_shape_gradients(lm), u.coeffs[u.mesh.elements])
+    vals, _ = eval_on_elements(u)
     return float(max(np.abs(vals).max(), np.linalg.norm(grads, axis=-1).max()))
 
 
-def winf_like_norm(u_h, lm, overkill_level=2):
+def winf_like_norm(u_h, lm):
     """Four-term sampled W^{1,infty} norm controlling the smallness criterion.
 
     The maximum over: u_h itself, its trace-preserving quasi-interpolant,
     the overkill Dirichlet lift on the fine mesh, and the lifted
     quasi-interpolant on the exact domain.
     """
-    sol = dirichlet_lift(u_h, lm, overkill_level)
-    szu = sz_via_dirichlet(u_h, lm, overkill_level, sol=sol)
+    sol = dirichlet_lift(u_h, lm)
+    szu = sz_via_dirichlet(u_h, lm, sol=sol)
     return max(
         sampled_w1inf(u_h),
         sampled_w1inf(szu),

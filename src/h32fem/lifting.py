@@ -15,11 +15,12 @@ projection onto the circle, and its gradient deviates from the identity
 by O(h^k).
 
 MeshLocator inverts the composite map Lambda(F(xi)) pointwise: it maps
-points of the exact domain to (element, reference point) pairs. Off the
-curved boundary layer the lift is the identity and the geometry map is
-affine, so those elements (on the square, all of them) are inverted in
-closed form; only the curved boundary-layer elements take a vectorized
-Newton iteration, per point until it converges.
+points of the exact domain to (element, reference point) pairs. Every
+candidate element is first inverted in closed form through its vertex
+triangle. Off the curved boundary layer the lift is the identity and the
+geometry map is affine, so that inverse is exact (on the square, for every
+element); on the curved boundary-layer elements it is the one start of a
+vectorized Newton iteration, run per point until it converges.
 """
 
 from dataclasses import dataclass
@@ -180,12 +181,12 @@ def _lift_rule_data(lm, degree):
     }
 
 
-def _lifted_shape_gradients(lm, degree=None):
+def _lifted_shape_gradients(lm):
     """Physical gradients (ne, m, nb, 2) of the lifted basis at lift_rule_data's points.
 
     Not cached: at k=2 the array is tens of MB per mesh.
     """
-    data = lift_rule_data(lm, degree)
+    data = lift_rule_data(lm)
     dphi = tri_shape_grad(lm.mesh.order, data["rule"].points)
     return np.matmul(dphi, _inverse_2x2(data["jac"])[0])
 
@@ -195,15 +196,15 @@ def _face_ref_points(mesh, t):
     return np.stack([tri_edge_ref_points(le, t) for le in range(3)])[mesh.face_local_edge]
 
 
-def _lifted_surface_data(lm, degree):
+def _lifted_surface_data(lm):
     """Lifted curve speed (nf, m) at the edge-rule points of surface_quad_data (cached)."""
-    return _cached(lm.mesh, ("lift_surf", degree), lambda: _lift_surface(lm, degree))
+    return _cached(lm.mesh, "lift_surf", lambda: _lift_surface(lm))
 
 
-def _lift_surface(lm, degree):
+def _lift_surface(lm):
     # the discrete curve's velocity plus the lift displacement's derivative along the edge
     mesh = lm.mesh
-    sd = surface_quad_data(mesh, degree)
+    sd = surface_quad_data(mesh)
     nf, m = sd["speed"].shape
     refs = _face_ref_points(mesh, sd["rule"].points).reshape(-1, 2)
     _, dD = _displacement(lm, np.repeat(mesh.face_elem, m), refs)
@@ -212,9 +213,9 @@ def _lift_surface(lm, degree):
     return {"rule": sd["rule"], "speed": np.linalg.norm(vel, axis=-1)}
 
 
-def grad_lambda_inf_error(lm, degree=None):
+def grad_lambda_inf_error(lm):
     """max over rule points of the spectral norm of grad(Lambda) - I."""
-    data = lift_rule_data(lm, degree)
+    data = lift_rule_data(lm)
     G = data["grad_lambda"] - np.eye(2)
     return float(_norm_2x2(G).max())
 
@@ -225,29 +226,31 @@ def grad_lambda_inf_error(lm, degree=None):
 class MeshLocator:
     """Maps points of the exact domain to (element, reference coordinates).
 
-    locate() tries the candidate elements nearest to each point in turn
-    (every candidate from the centroid start first, then every start). An
+    locate() tries the n_candidates elements with the nearest centres to
+    each point in turn. Every candidate is first inverted in closed form,
+    xi0 = J^{-1} (x - v0) from its vertex triangle; that is exact on an
     element with an affine geometry map and no lift (every element outside
-    the curved boundary layer, on the square every element) is inverted in
-    closed form, xi = J^{-1} (x - v0) from its vertex triangle. Only the
-    curved boundary-layer candidates run Newton on xi -> Lambda(F(xi)),
-    each point until its own residual converges. A point that no candidate
-    element contains (within tol) is clamped into its best candidate;
-    points farther outside than `slack` raise. The clamp covers the
-    O(h^{k+1}) slivers between a curved mesh and the exact domain;
+    the curved boundary layer, on the square every element). Only curved
+    boundary-layer candidates then run Newton on xi -> Lambda(F(xi)), from
+    xi0, each point until its own residual converges. A point that no
+    candidate element contains (within tol) is clamped into its best
+    candidate; points farther outside than `slack` raise. The clamp covers
+    the O(h^{k+1}) slivers between a curved mesh and the exact domain;
     n_clamped counts the clamped points over all locate() calls and
     worst_clamp holds the largest barycentric violation clamped.
     """
 
-    def __init__(self, lift, n_candidates=16, tol=1e-10, slack=1e-3):
+    n_candidates = 16
+    tol = 1e-10
+    slack = 1e-3
+
+    def __init__(self, lift):
         mesh = self.mesh = lift.mesh
         self.lift = lift
-        self.tol = tol
-        self.slack = slack
         self.n_clamped = 0
         self.worst_clamp = 0.0
         centers = lift_rule_data(lift, 2)["pts"].mean(axis=1)
-        self.k = min(n_candidates, mesh.n_elements)
+        self.k = min(self.n_candidates, mesh.n_elements)
         self.tree = cKDTree(centers)
         # the vertex triangle's affine map, and which elements are exactly it:
         # no curved edge and (k=2) every midside node at its edge midpoint
@@ -263,11 +266,12 @@ class MeshLocator:
     def _forward(self, elems, refs):
         return lift_mixed(self.lift, elems, refs)[:2]
 
-    _STARTS = ((1.0 / 3.0, 1.0 / 3.0), (0.15, 0.15), (0.7, 0.15), (0.15, 0.7))
+    def _newton(self, elems, targets, refs):
+        """Newton from `refs`; each point stops once its residual is below 1e-13.
 
-    def _newton_from(self, elems, targets, start):
-        """Newton from one start; each point stops once its residual is below 1e-13."""
-        refs = np.tile(start, (len(elems), 1))
+        Returns the iterates and the final residual norms.
+        """
+        refs = np.array(refs, dtype=float)
         resid = np.zeros(len(elems))
         act = np.arange(len(elems))
         for _ in range(25):
@@ -289,34 +293,14 @@ class MeshLocator:
         resid[act] = np.linalg.norm(targets[act] - pts, axis=1)
         return refs, resid
 
-    def _newton(self, elems, targets, starts=_STARTS):
-        """Multi-start Newton; a non-converged point scores as far outside.
-
-        Later starts rerun only the points the earlier ones did not land
-        inside the element.
-        """
-        elems = np.asarray(elems)
-        refs, resid = self._newton_from(elems, targets, starts[0])
-        score = self._violation(refs) + np.where(resid > 1e-9, np.inf, 0.0)
-        for start in starts[1:]:
-            redo = np.nonzero(score > self.tol)[0]
-            if len(redo) == 0:
-                break
-            r2, resid2 = self._newton_from(elems[redo], targets[redo], start)
-            s2 = self._violation(r2) + np.where(resid2 > 1e-9, np.inf, 0.0)
-            upd = s2 < score[redo]
-            refs[redo[upd]] = r2[upd]
-            score[redo[upd]] = s2[upd]
-        return refs, score
-
-    def _invert(self, elems, targets, starts):
-        """Reference points and scores: closed form on affine elements, Newton on curved ones."""
+    def _invert(self, elems, targets):
+        """Reference points and scores; a non-converged Newton point scores as far outside."""
         refs = np.einsum("nrx,nx->nr", self._inv[elems], targets - self._origin[elems])
-        score = self._violation(refs)
         curved = np.nonzero(~self._affine[elems])[0]
+        resid = np.zeros(len(elems))
         if len(curved) > 0:
-            refs[curved], score[curved] = self._newton(elems[curved], targets[curved], starts)
-        return refs, score
+            refs[curved], resid[curved] = self._newton(elems[curved], targets[curved], refs[curved])
+        return refs, self._violation(refs) + np.where(resid > 1e-9, np.inf, 0.0)
 
     @staticmethod
     def _violation(refs):
@@ -335,25 +319,22 @@ class MeshLocator:
         best_elem = np.zeros(n, dtype=np.int64)
         best_ref = np.zeros((n, 2))
         alive = np.arange(n)
-        # every candidate from the centroid start first; only the points no
-        # candidate contained then rerun the candidates with every start
-        for starts in (self._STARTS[:1], self._STARTS):
-            for r in range(cand.shape[1]):
-                if len(alive) == 0:
-                    break
-                els = cand[alive, r]
-                rr, viol = self._invert(els, pts[alive], starts)
-                # keep the best candidate seen for possible clamping
-                upd = viol < best_viol[alive]
-                ba = alive[upd]
-                best_viol[ba] = viol[upd]
-                best_elem[ba] = els[upd]
-                best_ref[ba] = rr[upd]
-                ok = viol <= self.tol
-                hit = alive[ok]
-                elems[hit] = els[ok]
-                refs[hit] = rr[ok]
-                alive = alive[~ok]
+        for r in range(cand.shape[1]):
+            if len(alive) == 0:
+                break
+            els = cand[alive, r]
+            rr, viol = self._invert(els, pts[alive])
+            # keep the best candidate seen for possible clamping
+            upd = viol < best_viol[alive]
+            ba = alive[upd]
+            best_viol[ba] = viol[upd]
+            best_elem[ba] = els[upd]
+            best_ref[ba] = rr[upd]
+            ok = viol <= self.tol
+            hit = alive[ok]
+            elems[hit] = els[ok]
+            refs[hit] = rr[ok]
+            alive = alive[~ok]
         if len(alive) > 0:
             if best_viol[alive].max() > self.slack:
                 worst = best_viol[alive].max()

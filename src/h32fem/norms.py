@@ -172,37 +172,35 @@ def dual_norm_from_load(b, sb):
     return float(np.sqrt(b @ sb.apply(b)))
 
 
-def dual_neg_half_norm(f, variant, sb, grams):
+def dual_neg_half_norm(f, sb, grams):
     """Negative-half dual norm of a scalar FE source.
 
-    variant 'zero_trace' takes the sup over interior test functions,
-    'full' over all of them; sb must match.
+    The sup runs over the test functions of sb's DOF set: the interior
+    operator gives the zero-trace variant, the 'all' operator the full one.
     """
-    _check_variant(variant, sb)
-    b = (grams.M_bulk @ f.coeffs)[sb.ids]
+    b = (grams.M_bulk @ f.coeffs)[_bulk_ids(sb)]
     return dual_norm_from_load(b, sb)
 
 
-def _check_variant(variant, sb):
-    want = {"zero_trace": INTERIOR, "full": ALL}.get(variant)
-    if want is None:
-        raise ValueError(f"unknown variant {variant!r}")
-    if sb.dofset != want:
-        raise ValueError(f"variant {variant!r} needs a {want!r} spectral basis")
+def _bulk_ids(sb):
+    """The DOF ids of a bulk operator ('all' or 'interior'); others are refused."""
+    if sb.dofset not in (ALL, INTERIOR):
+        raise ValueError(f"expected a bulk spectral operator, got {sb.dofset!r}")
+    return sb.ids
 
 
-def gradient_pairing_load(z, grams, degree=None):
+def gradient_pairing_load(z, grams):
     """Load vector b_j = integral z . grad(phi_j) over the bulk mesh.
 
     z is a 2-vector FE function or a callable pts -> (m, 2) field.
     """
     mesh = grams.mesh
-    qd = bulk_quad_data(mesh, degree)
+    qd = bulk_quad_data(mesh)
     w, det, gphys = qd["rule"].weights, qd["det"], qd["gphys"]
     if hasattr(z, "coeffs"):
         if z.arity != 2:
             raise ValueError("need a 2-vector field")
-        zq, _ = eval_on_elements(z, degree)  # (ne, m, 2)
+        zq, _ = eval_on_elements(z)  # (ne, m, 2)
     elif isinstance(z, np.ndarray):
         zq = z  # already sampled at the rule points, (ne, m, 2)
     else:
@@ -214,21 +212,20 @@ def gradient_pairing_load(z, grams, degree=None):
     return b
 
 
-def vec_dual_half_norm(z, variant, sb, grams, degree=None):
-    """Dual H^{1/2}-type norm of a 2-vector field, paired against gradients."""
-    _check_variant(variant, sb)
-    b = gradient_pairing_load(z, grams, degree)[sb.ids]
+def vec_dual_half_norm(z, sb, grams):
+    """Dual H^{1/2}-type norm of a 2-vector field, paired against gradients
+    of sb's test functions."""
+    b = gradient_pairing_load(z, grams)[_bulk_ids(sb)]
     return dual_norm_from_load(b, sb)
 
 
-def hhat_threehalf_norm(u, variant, grams, sb):
+def hhat_threehalf_norm(u, grams, sb):
     """Discrete 3/2-order norm: gradient dual norm plus boundary H1 norm.
 
-    'zero_trace' is the defining variant (interior test space); 'full' is
-    the equivalent all-test-functions variant.
+    The interior operator gives the defining variant (zero-trace test
+    space); the 'all' operator the equivalent all-test-functions variant.
     """
-    _check_variant(variant, sb)
-    b = (grams.A_bulk @ u.coeffs)[sb.ids]
+    b = (grams.A_bulk @ u.coeffs)[_bulk_ids(sb)]
     dual = dual_norm_from_load(b, sb)
     g = trace(u).coeffs
     surf = float(np.sqrt(g @ (grams.M_surf @ g) + g @ (grams.A_surf @ g)))

@@ -101,7 +101,7 @@ def refined_copy(mesh, factor):
 # -- deformed Dirichlet energy ----------------------------------------------
 
 
-def deformed_dirichlet_energy(grams, e_x, w_h, z_h, method="pullback", degree=None):
+def deformed_dirichlet_energy(grams, e_x, w_h, z_h, method="pullback"):
     """Dirichlet energy after deforming the domain by x -> x + e_x(x).
 
     'pullback' integrates the deformation-tensor form on the original mesh;
@@ -120,28 +120,28 @@ def deformed_dirichlet_energy(grams, e_x, w_h, z_h, method="pullback", degree=No
             order=mesh.order,
             domain_kind=mesh.domain_kind,
         )
-        g2 = assemble_grams(displaced, degree)
+        g2 = assemble_grams(displaced)
         return float(w_h.coeffs @ (g2.A_bulk @ z_h.coeffs))
     if method != "pullback":
         raise ValueError(f"unknown method {method!r}")
-    qd = bulk_quad_data(mesh, degree)
+    qd = bulk_quad_data(mesh)
     # displacement gradients A[x, c] = d(e_c)/dx_x (components in columns),
     # the convention under which B below is the pullback matrix
-    G = eval_on_elements(e_x, degree)[1]                  # (ne, m, 2, 2)
+    G = eval_on_elements(e_x)[1]  # (ne, m, 2, 2)
     Finv, detF = _inverse_2x2(G + np.eye(2))
     if detF.min() <= 0.0:
         raise RuntimeError("deformation inverts an element at a quadrature point")
     # B = F^{-T} F^{-1} det(F); integrand (B grad w).grad z
     B = np.einsum("eqrx,eqry->eqxy", Finv, Finv) * detF[..., None, None]
-    _, gw = eval_on_elements(w_h, degree)
-    _, gz = eval_on_elements(z_h, degree)
+    _, gw = eval_on_elements(w_h)
+    _, gz = eval_on_elements(z_h)
     val = np.einsum("q,eq,eqxy,eqy,eqx->", qd["rule"].weights, qd["det"], B, gw, gz)
     return float(val)
 
 
-def deformation_field(e_x, w_h, degree=None):
+def deformation_field(e_x, w_h):
     """(B - I) grad w at the rule points: the vector field whose gradient
     pairing with z gives the deformed-minus-original Dirichlet energy."""
-    B = deformation_tensor(eval_on_elements(e_x, degree)[1])
-    _, gw = eval_on_elements(w_h, degree)
+    B = deformation_tensor(eval_on_elements(e_x)[1])
+    _, gw = eval_on_elements(w_h)
     return np.einsum("eqxy,eqy->eqx", B, gw)

@@ -20,7 +20,6 @@ from .assembly import (
 from .basis import edge_shape, edge_shape_deriv
 from .lifting import _lifted_shape_gradients, _lifted_surface_data, lift_rule_data
 from .norms import l2_norm
-from .quadrature import default_degree
 
 
 # -- smooth test fields --------------------------------------------------------
@@ -193,7 +192,7 @@ def bulk_form_errors(mesh, lm, z, w):
 
 def lifted_surface_forms(mesh, lm, tz, tw):
     """Surface m and a forms of the lifted traces."""
-    sd = _lifted_surface_data(lm, default_degree(mesh.order))
+    sd = _lifted_surface_data(lm)
     er, speed = sd["rule"], sd["speed"]
     psi = edge_shape(mesh.order, er.points)
     dpsi = edge_shape_deriv(mesh.order, er.points)
@@ -220,13 +219,14 @@ def surface_form_errors(mesh, lm, tz, tw):
 # -- multilinear integrals under the lift ----------------------------------------
 
 
-def multilinear_gradient_integral(mesh, fields, coeff_fn, lifted, lm=None):
-    """integral of coeff_fn(g1, ..., gm) over the mesh or its lift.
+def multilinear_gradient_integral(mesh, fields, coeff_fn, lm=None):
+    """integral of coeff_fn(g1, ..., gm) over the lift lm of the mesh, or
+    over the plain mesh when lm is None.
 
     fields: scalar FE functions whose gradients feed coeff_fn, which maps
     stacked gradient arrays (each (ne, m, 2)) to the scalar integrand.
     """
-    if lifted:
+    if lm is not None:
         data = lift_rule_data(lm)
         rule, det = data["rule"], data["det"]
         gp = _lifted_shape_gradients(lm)
@@ -242,25 +242,25 @@ def multilinear_gradient_integral(mesh, fields, coeff_fn, lifted, lm=None):
     return float(np.einsum("q,eq,eq->", rule.weights, det, integrand))
 
 
-def sampled_w1inf_panel(u, degree=None):
+def sampled_w1inf_panel(u):
     """(sup |u|, sup |grad u|) over the assembly rule points."""
-    vals, grads = eval_on_elements(u, degree)
+    vals, grads = eval_on_elements(u)
     return float(np.abs(vals).max()), float(np.linalg.norm(grads, axis=-1).max())
 
 
-def sampled_whalf_inf(u, n_sample=400, seed=0):
+def sampled_whalf_inf(u):
     """Sampled W^{1/2,infty}-type seminorm: sup |u(x)-u(y)| / |x-y|^{1/2}.
 
-    Taken over random quadrature-point pairs; used only as a normalizer in
-    slack-based product-estimate checks.
+    Taken over 400 random quadrature-point pairs (seed 0); used only as a
+    normalizer in slack-based product-estimate checks.
     """
     qd = bulk_quad_data(u.mesh)
     vals, _ = eval_on_elements(u)
     pts = qd["pts"].reshape(-1, 2)
     v = vals.reshape(-1)
-    rng = np.random.default_rng(seed)
-    i = rng.integers(0, len(v), n_sample)
-    j = rng.integers(0, len(v), n_sample)
+    rng = np.random.default_rng(0)
+    i = rng.integers(0, len(v), 400)
+    j = rng.integers(0, len(v), 400)
     keep = i != j
     i, j = i[keep], j[keep]
     d = np.linalg.norm(pts[i] - pts[j], axis=1)

@@ -230,8 +230,8 @@ def test_criterion_5_structural_invariants(tmp_path, rng):
     alpha = 2.75
     for norm_fn in (
         lambda v: h_s_norm(v, 0.5, sb),
-        lambda v: hhat_threehalf_norm(v, "zero_trace", g, sbi),
-        lambda v: dual_neg_half_norm(v, "full", sb, g),
+        lambda v: hhat_threehalf_norm(v, g, sbi),
+        lambda v: dual_neg_half_norm(v, sb, g),
     ):
         base = norm_fn(u)
         ok &= abs(norm_fn(u.scaled(alpha)) - alpha * base) < 1e-12 * max(1.0, base)

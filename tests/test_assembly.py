@@ -87,6 +87,28 @@ def test_interp_zero_and_poly(square4):
     assert np.abs(vals.reshape(-1) - exact).max() < 1e-12
 
 
+def test_nodal_interp_calls_the_field_once(square4):
+    # a field returning the wrong shape raises, naming the shape, and a
+    # raising field is not retried point by point
+    n = square4.n_nodes
+    with pytest.raises(ValueError, match=rf"\(1, {n}\)"):
+        nodal_interp_bulk(square4, lambda p: p[:, 0][None, :])
+    with pytest.raises(ValueError, match="shape"):
+        nodal_interp_surface(square4, lambda p: 1.0)
+    calls = []
+
+    def failing(p):
+        calls.append(len(p))
+        raise ZeroDivisionError("field undefined")
+
+    with pytest.raises(ZeroDivisionError):
+        nodal_interp_bulk(square4, failing)
+    assert calls == [n]
+    # a vector field keeps its components
+    v = nodal_interp_bulk(square4, lambda p: p[:, ::-1])
+    assert v.arity == 2 and np.array_equal(v.coeffs, square4.nodes[:, ::-1])
+
+
 def test_trace_and_interior_part(disk4k1, rng):
     u = FeFunction(disk4k1, rng.normal(size=disk4k1.n_nodes))
     tr = trace(u)

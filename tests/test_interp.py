@@ -111,32 +111,38 @@ def test_ritz_system_symmetry(square4, square4_grams):
     assert abs(K - K.T).max() < 1e-13
 
 
-def test_boundary_angle_map_and_surface_eval():
-    from h32fem.basis import edge_shape
-    from h32fem.interp import BoundaryAngleMap
+def test_circle_points_locate_on_the_curved_edge():
+    # a point of the exact circle pulls back through the lifted mesh onto the
+    # discrete boundary at its own polar angle, since the lift restricted to
+    # a curved edge is the radial projection; there the trace matrix reads
+    # the surface function
+    from h32fem.basis import TRI_EDGES
+    from h32fem.interp import _evaluation_matrix
+    from h32fem.lifting import MeshLocator, _barycentric
+    from h32fem.meshing import geometry_map
 
     m = disk_mesh(5, 2)
-    gs = trace(nodal_interp_bulk(m, lambda p: p[:, 0]))
-    amap = BoundaryAngleMap(m)
+    lm = build_lift_map(m)
     angles = np.linspace(-np.pi, np.pi, 40, endpoint=False)
-    faces, t = amap.locate(angles)
-    # the surface function at (face, t), as the lifted-trace matrix reads it
-    vals = np.einsum("nb,nb->n", edge_shape(m.order, t), gs.coeffs[m.surface_faces[faces]])
+    loc = MeshLocator(lm)
+    elems, refs = loc.locate(np.column_stack([np.cos(angles), np.sin(angles)]))
+    assert loc.n_clamped == 0
+    # on a curved element the vertex opposite the curved edge has no weight;
+    # a point at a boundary vertex may land in an element touching only it
+    le = lm.curved_edge[elems]
+    lam = _barycentric(refs)
+    on = np.nonzero(le >= 0)[0]
+    opposite = 3 - np.array(TRI_EDGES)[le[on]].sum(axis=1)
+    assert len(on) >= 30
+    assert np.abs(lam[on, opposite]).max() <= 1e-12
+    assert np.all(lam[le < 0].max(axis=1) >= 1.0 - 1e-12)
+    discrete = np.array([geometry_map(m, e, r)[0] for e, r in zip(elems, refs)])
+    dtheta = np.arctan2(discrete[:, 1], discrete[:, 0]) - angles
+    assert np.abs(np.angle(np.exp(1j * dtheta))).max() <= 1e-12
     # the trace of x on the discrete boundary is cos(theta) up to geometry error
+    gs = trace(nodal_interp_bulk(m, lambda p: p[:, 0]))
+    vals = _evaluation_matrix(m, elems, refs)[:, m.boundary_node_ids] @ gs.coeffs
     assert np.abs(vals - np.cos(angles)).max() < 5e-3
-    # the batched bisection agrees with a per-angle scalar bisection
-    coords = m.nodes[m.boundary_faces]
-    for f, theta, tf in zip(faces, angles, t):
-        target = np.mod(theta - amap.start[f], 2.0 * np.pi)
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            p = edge_shape(m.order, np.array([mid]))[0] @ coords[f]
-            ang = np.mod(np.arctan2(p[1], p[0]) - amap.start[f], 2.0 * np.pi)
-            if ang > np.pi:
-                ang -= 2.0 * np.pi
-            lo, hi = (mid, hi) if ang < target else (lo, mid)
-        assert abs(tf - 0.5 * (lo + hi)) < 1e-12
 
 
 def test_overkill_path_on_square(rng):

@@ -131,49 +131,49 @@ def test_locator_roundtrip(lifted, rng):
 
 
 def test_locator_tries_every_candidate_before_extra_starts(lifted, monkeypatch):
-    # the rule points of a finer k=2 disk in the lifted 4-ring k=2 disk; a
-    # fixed budget of two Newton point-passes per point (trying all four
-    # starts on a candidate before the next one took 13,728 for these 5,400).
-    # Newton runs only on boundary-layer candidates, each point until it
-    # converges: at most three forward evaluations per point (85,920 when
-    # every candidate iterated, as one batch, until all had converged)
+    # the rule points of a finer k=2 disk in the lifted 4-ring k=2 disk: every
+    # candidate starts from its closed-form vertex-triangle inverse, and Newton
+    # runs only on boundary-layer candidates, each point until it converges,
+    # within three forward evaluations per located point
     m, lm = lifted
     pts = bulk_quad_data(disk_mesh(6, 2))["pts"].reshape(-1, 2)
     loc = MeshLocator(lm)
-    passes, newton_elems, forward_pts = [], [], []
-    newton_from, forward = MeshLocator._newton_from, MeshLocator._forward
+    newton_elems, forward_pts = [], []
+    newton, forward = MeshLocator._newton, MeshLocator._forward
 
-    def counted(self, elems, targets, start):
-        passes.append(len(elems))
+    def counted(self, elems, targets, refs):
         newton_elems.append(elems)
-        return newton_from(self, elems, targets, start)
+        return newton(self, elems, targets, refs)
 
     def counted_forward(self, elems, refs):
         forward_pts.append(len(elems))
         return forward(self, elems, refs)
 
-    monkeypatch.setattr(MeshLocator, "_newton_from", counted)
+    monkeypatch.setattr(MeshLocator, "_newton", counted)
     monkeypatch.setattr(MeshLocator, "_forward", counted_forward)
     elems, refs = loc.locate(pts)
     back, _, _ = lift_mixed(lm, elems, refs)
     assert np.linalg.norm(back - pts, axis=1).max() <= 1e-9
     assert MeshLocator._violation(refs).max() <= loc.tol
-    assert sum(passes) <= 2 * len(pts)
-    assert np.all(lm.curved_edge[np.concatenate(newton_elems)] >= 0)
+    newton_elems = np.concatenate(newton_elems)
+    assert len(newton_elems) <= 2 * len(pts)
+    assert np.all(lm.curved_edge[newton_elems] >= 0)
     assert sum(forward_pts) <= 3 * len(pts)
     assert loc.n_clamped == 0
 
 
 def test_closed_form_matches_newton_on_affine_elements(lifted):
-    # the closed-form inverse against Newton on the same (element, point) pairs
+    # the closed-form inverse against Newton from the centroid on the same
+    # (element, point) pairs
     m, lm = lifted
     pts = bulk_quad_data(disk_mesh(6, 2))["pts"].reshape(-1, 2)
     loc = MeshLocator(lm)
     elems, refs = loc.locate(pts)
     aff = lm.curved_edge[elems] < 0
     assert 0 < np.count_nonzero(aff) < len(pts)
-    newton, score = loc._newton(elems[aff], pts[aff])
-    assert score.max() <= loc.tol
+    centroid = np.full((np.count_nonzero(aff), 2), 1.0 / 3.0)
+    newton, resid = loc._newton(elems[aff], pts[aff], centroid)
+    assert resid.max() <= 1e-12
     assert np.abs(refs[aff] - newton).max() <= 1e-12
 
 
@@ -184,7 +184,7 @@ def test_locator_on_straight_mesh_runs_no_newton(monkeypatch):
     loc = MeshLocator(build_lift_map(build_square_mesh(6, 2)))
     pts = bulk_quad_data(build_square_mesh(9, 2))["pts"].reshape(-1, 2)
     calls = []
-    monkeypatch.setattr(MeshLocator, "_newton_from", lambda *args: calls.append(args))
+    monkeypatch.setattr(MeshLocator, "_newton", lambda *args: calls.append(args))
     elems, refs = loc.locate(pts)
     assert calls == []
     assert loc.n_clamped == 0

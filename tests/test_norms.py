@@ -84,7 +84,7 @@ def test_s_range_validation(setup):
 def test_dual_norm_zero_and_sup_attainment(setup, rng):
     m, g, sb, sbi = setup
     zero = FeFunction(m, np.zeros(m.n_nodes), "bulk0")
-    assert dual_neg_half_norm(zero, "zero_trace", sbi, g) == 0.0
+    assert dual_neg_half_norm(zero, sbi, g) == 0.0
     c = rng.normal(size=m.n_nodes)
     c[m.boundary_node_ids] = 0.0
     f = FeFunction(m, c, "bulk0")
@@ -101,26 +101,33 @@ def test_zero_trace_below_full(setup, rng):
         c = rng.normal(size=m.n_nodes)
         c[m.boundary_node_ids] = 0.0
         f = FeFunction(m, c, "bulk0")
-        zt = dual_neg_half_norm(f, "zero_trace", sbi, g)
-        fl = dual_neg_half_norm(f, "full", sb, g)
+        zt = dual_neg_half_norm(f, sbi, g)
+        fl = dual_neg_half_norm(f, sb, g)
         assert zt <= fl + 1e-12
 
 
 def test_variant_dofset_mismatch(setup):
+    # the variant is the operator's DOF set; the surface operator is no bulk variant
     m, g, sb, sbi = setup
-    f = FeFunction(m, np.zeros(m.n_nodes))
-    with pytest.raises(ValueError):
-        dual_neg_half_norm(f, "zero_trace", sb, g)
-    with pytest.raises(ValueError):
-        dual_neg_half_norm(f, "nonsense", sbi, g)
+    f = FeFunction(m, np.ones(m.n_nodes))
+    ssb = surface_spectral_decomp(g)
+    for norm in (
+        lambda: dual_neg_half_norm(f, ssb, g),
+        lambda: vec_dual_half_norm(FeFunction(m, np.ones((m.n_nodes, 2))), ssb, g),
+        lambda: hhat_threehalf_norm(f, g, ssb),
+    ):
+        with pytest.raises(ValueError, match="surface"):
+            norm()
+    # the interior operator sees only interior test functions
+    assert dual_neg_half_norm(f, sbi, g) < dual_neg_half_norm(f, sb, g)
 
 
 def test_vec_dual_constant_field_zero_trace(setup):
     m, g, sb, sbi = setup
     zc = FeFunction(m, np.tile([0.7, -1.3], (m.n_nodes, 1)))
-    assert vec_dual_half_norm(zc, "zero_trace", sbi, g) < 1e-10
+    assert vec_dual_half_norm(zc, sbi, g) < 1e-10
     # against the full space the boundary flux survives
-    assert vec_dual_half_norm(zc, "full", sb, g) > 1e-3
+    assert vec_dual_half_norm(zc, sb, g) > 1e-3
 
 
 def test_hhat_norm_of_constant(setup):
@@ -130,7 +137,7 @@ def test_hhat_norm_of_constant(setup):
     ones_s = np.ones(len(m.boundary_node_ids))
     perimeter = ones_s @ (g.M_surf @ ones_s)
     expected = c * np.sqrt(perimeter)
-    assert abs(hhat_threehalf_norm(u, "zero_trace", g, sbi) - expected) < 1e-10
+    assert abs(hhat_threehalf_norm(u, g, sbi) - expected) < 1e-10
 
 
 def test_discrete_trace_inequality(setup, rng):
@@ -139,7 +146,7 @@ def test_discrete_trace_inequality(setup, rng):
     for _ in range(5):
         u = FeFunction(m, rng.normal(size=m.n_nodes))
         tn = boundary_sobolev_norm(trace(u), 1, g)
-        assert tn <= hhat_threehalf_norm(u, "zero_trace", g, sbi) * (1 + 1e-12)
+        assert tn <= hhat_threehalf_norm(u, g, sbi) * (1 + 1e-12)
 
 
 def test_boundary_norms(setup):
@@ -161,10 +168,10 @@ def test_norm_homogeneity_all_ops(setup, rng):
     alpha = 1.7
     u = FeFunction(m, rng.normal(size=m.n_nodes))
     pairs = [
-        (hhat_threehalf_norm(u, "zero_trace", g, sbi),
-         hhat_threehalf_norm(u.scaled(alpha), "zero_trace", g, sbi)),
-        (dual_neg_half_norm(u, "full", sb, g),
-         dual_neg_half_norm(u.scaled(alpha), "full", sb, g)),
+        (hhat_threehalf_norm(u, g, sbi),
+         hhat_threehalf_norm(u.scaled(alpha), g, sbi)),
+        (dual_neg_half_norm(u, sb, g),
+         dual_neg_half_norm(u.scaled(alpha), sb, g)),
     ]
     for base, scaled in pairs:
         assert abs(scaled - alpha * base) < 1e-12 * max(1.0, base)

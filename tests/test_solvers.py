@@ -10,6 +10,7 @@ from h32fem.assembly import (
 )
 from h32fem.interp import dirichlet_lift_from_data
 from h32fem.lifting import build_lift_map
+from h32fem.meshing import disk_mesh
 from h32fem.norms import h1_norm, spectral_power_norm, surface_spectral_decomp
 from h32fem.solvers import (
     deformed_dirichlet_energy,
@@ -56,11 +57,11 @@ def test_robin_constant(square4, square4_grams):
 
 
 def test_surrogates_constant(disk4k1):
-    fine = refined_copy(disk4k1, 2)
-    assert fine.h <= disk4k1.h / 2 + 1e-12
+    fine = refined_copy(disk4k1, 4)
+    assert fine.h <= disk4k1.h / 4 + 1e-12
     one = trace(nodal_interp_bulk(disk4k1, lambda p: np.ones(len(p))))
     zero = zero_function(disk4k1, "bulk0")
-    sol = dirichlet_lift_from_data(zero, one, build_lift_map(disk4k1), overkill_level=1)
+    sol = dirichlet_lift_from_data(zero, one, build_lift_map(disk4k1))
     assert sol.fine_mesh is fine
     assert np.abs(sol.coeffs - 1.0).max() < 1e-11
 
@@ -72,15 +73,14 @@ def test_refined_copy_is_the_cached_mesh(order):
     assert refined_copy(get_mesh("disk", 4, order), 4) is get_mesh("disk", 16, order)
 
 
-def test_homogeneous_smoothing_proxy(disk4k1):
+def test_homogeneous_smoothing_proxy():
     # Dirichlet data of unit boundary H^{1/2} scale: the H1 norm of the
-    # solution stays bounded across overkill levels
-    lm = build_lift_map(disk4k1)
-    zero = zero_function(disk4k1, "bulk0")
-    g_h = trace(nodal_interp_bulk(disk4k1, lambda p: np.cos(2.0 * np.arctan2(p[:, 1], p[:, 0]))))
+    # solution stays bounded across overkill meshes (of 8 and 16 rings)
     vals = []
-    for level in (1, 2):
-        sol = dirichlet_lift_from_data(zero, g_h, lm, level)
+    for m in (disk_mesh(2, 1), disk_mesh(4, 1)):
+        zero = zero_function(m, "bulk0")
+        g_h = trace(nodal_interp_bulk(m, lambda p: np.cos(2.0 * np.arctan2(p[:, 1], p[:, 0]))))
+        sol = dirichlet_lift_from_data(zero, g_h, build_lift_map(m))
         fg = grams_of(sol.fine_mesh)
         gs = trace(sol.fe)
         ssb = surface_spectral_decomp(fg)

@@ -73,8 +73,10 @@ def zero_function(mesh, space=BULK):
 def bulk_quad_data(mesh, degree=None):
     """Shared per-mesh data at triangle rule points.
 
-    Returns dict with rule, phi (m,nb), dphi (m,nb,2), pts/jac/det over all
-    elements, invjac, and physical basis gradients gphys (ne,m,nb,2).
+    Returns dict with rule, phi (m, nb), pts (ne, m, 2), det (ne, m) and
+    the physical basis gradients as rows, gphys (ne, m, 2, nb):
+    gphys[e, q, x] holds d(phi_b)/dx_x of every local basis function b, so
+    gradients of element coefficients are one matmul (`_contract`).
     """
     if degree is None:
         degree = default_degree(mesh.order)
@@ -83,24 +85,42 @@ def bulk_quad_data(mesh, degree=None):
 
 def _bulk_quad_data(mesh, degree):
     rule = triangle_rule(degree)
-    phi = tri_shape(mesh.order, rule.points)
-    dphi = tri_shape_grad(mesh.order, rule.points)
     pts, jac, det = batched_geometry(mesh, rule.points)
     if det.min() <= 0.0:
         raise RuntimeError("nonpositive Jacobian during assembly")
-    inv, _ = _inverse_2x2(jac)
-    # physical gradient: dphi/dx_x = sum_r dphi/dxi_r * dxi_r/dx_x
-    gphys = np.matmul(dphi, inv)
     return {
         "rule": rule,
-        "phi": phi,
-        "dphi": dphi,
+        "phi": tri_shape(mesh.order, rule.points),
         "pts": pts,
-        "jac": jac,
         "det": det,
-        "invjac": inv,
-        "gphys": gphys,
+        "gphys": _grad_rows(tri_shape_grad(mesh.order, rule.points), jac),
     }
+
+
+def _grad_rows(dphi, jac):
+    """Physical basis gradients (ne, m, 2, nb) from reference ones dphi (m, nb, 2)
+    and the Jacobians jac (ne, m, 2, 2) of the map from the reference cell.
+
+    d(phi_b)/dx_x = sum_r dxi_r/dx_x d(phi_b)/dxi_r: the rows J^{-T} dphi^T.
+    """
+    inv, _ = _inverse_2x2(jac)
+    return np.matmul(inv.swapaxes(-1, -2), dphi.transpose(0, 2, 1))
+
+
+def _contract(rows, local):
+    """rows @ local on every element, as one batched matmul on reshaped views.
+
+    rows: (m, nb) shared by all elements (basis values), or per element
+    (ne, *r, nb) (e.g. gradient rows (ne, m, 2, nb)); local: (ne, nb, *t)
+    element coefficients. Returns (ne, m, *t) or (ne, *r, *t).
+    """
+    (ne, nb), t = local.shape[:2], local.shape[2:]
+    loc = local.reshape(ne, nb, -1)
+    if rows.ndim == 2:
+        # one GEMM over all elements and components
+        out = (loc.swapaxes(1, 2).reshape(-1, nb) @ rows.T).reshape(ne, -1, len(rows))
+        return out.swapaxes(1, 2).reshape((ne, len(rows)) + t)
+    return np.matmul(rows.reshape(ne, -1, nb), loc).reshape(rows.shape[:-1] + t)
 
 
 def surface_quad_data(mesh, degree=None):
@@ -155,13 +175,8 @@ def _eig_bound(Me, Ae):
 
 
 def _scatter(ne_mats, conn, n):
-    nb = conn.shape[1]
-    rows = np.repeat(conn[:, :, None], nb, axis=2)
-    cols = np.repeat(conn[:, None, :], nb, axis=1)
-    mat = sp.coo_matrix(
-        (ne_mats.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)
-    )
-    return mat.tocsr()
+    rows, cols = np.broadcast_arrays(conn[:, :, None], conn[:, None, :])
+    return sp.coo_matrix((ne_mats.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()
 
 
 def grams_of(mesh):
@@ -171,10 +186,13 @@ def grams_of(mesh):
 
 def assemble_grams(mesh):
     qd = bulk_quad_data(mesh)
-    w = qd["rule"].weights
-    phi, gphys, det = qd["phi"], qd["gphys"], qd["det"]
-    Me = np.einsum("q,qi,qj,eq->eij", w, phi, phi, det)
-    Ae = np.einsum("q,eqix,eqjx,eq->eij", w, gphys, gphys, det)
+    w, phi, det = qd["rule"].weights, qd["phi"], qd["det"]
+    nb = phi.shape[1]
+    Me = det @ (w[:, None, None] * phi[:, :, None] * phi[:, None, :]).reshape(len(w), -1)
+    Me = Me.reshape(-1, nb, nb)
+    G = qd["gphys"].reshape(len(det), -1, nb)  # rows (point, direction)
+    wdet = np.repeat(w * det, 2, axis=1)[:, :, None]
+    Ae = _contract(G.swapaxes(1, 2), wdet * G)
     M = _scatter(Me, mesh.elements, mesh.n_nodes)
     A = _scatter(Ae, mesh.elements, mesh.n_nodes)
 
@@ -212,11 +230,9 @@ def eval_fe(u, elem, ref_pt):
     phi = tri_shape(mesh.order, ref)
     dphi = tri_shape_grad(mesh.order, ref)
     _, jac = geometry_map(mesh, elem, ref)
-    inv, _ = _inverse_2x2(jac)
-    local = u.coeffs[mesh.elements[elem]]
-    val = np.einsum("qb,b...->q...", phi, local)
-    gref = np.einsum("qbr,b...->qr...", dphi, local)
-    grad = np.einsum("qrx,qr...->qx...", inv, gref)
+    local = u.coeffs[mesh.elements[elem]][None]
+    val = _contract(phi, local)[0]
+    grad = _contract(_grad_rows(dphi, jac[None]), local)[0]
     if np.ndim(ref_pt) == 1:
         return val[0], grad[0]
     return val, grad
@@ -229,9 +245,7 @@ def eval_on_elements(u):
     """
     qd = bulk_quad_data(u.mesh)
     local = u.coeffs[u.mesh.elements]  # (ne, nb[, arity])
-    vals = np.einsum("qb,eb...->eq...", qd["phi"], local)
-    grads = np.einsum("eqbx,eb...->eqx...", qd["gphys"], local)
-    return vals, grads
+    return _contract(qd["phi"], local), _contract(qd["gphys"], local)
 
 
 def nodal_interp_bulk(mesh, v):

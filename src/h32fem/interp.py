@@ -15,12 +15,12 @@ the 3/2-norm data of the input.
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import (
     BULK,
     BULK0,
     FeFunction,
+    _contract,
     bulk_quad_data,
     eval_on_elements,
     grams_of,
@@ -35,7 +35,7 @@ from .lifting import (
     build_lift_map,
     lift_mixed,
 )
-from .meshing import _cached
+from .meshing import _cached, _spd_solver
 from .quadrature import default_degree
 from .solvers import OverkillSolution, _dirichlet_solve, refined_copy
 
@@ -129,10 +129,7 @@ def dirichlet_riesz_data(u_h, grams):
     """Source f in V_h^0 and trace g with m(f, v) = a(u, v) on V_h^0."""
     mesh = grams.mesh
     ids = grams.interior_ids
-    solve = _cached(
-        grams, "mass_interior_solve",
-        lambda: spla.factorized(grams.M_bulk[np.ix_(ids, ids)].tocsc()),
-    )
+    solve = _cached(grams, "mass_interior_solve", lambda: _spd_solver(grams.M_bulk[np.ix_(ids, ids)]))
     r = (grams.A_bulk @ u_h.coeffs)[ids]
     f = np.zeros(mesh.n_nodes)
     f[ids] = solve(r)
@@ -226,9 +223,8 @@ def dirichlet_lift_from_data(f_h, g_h, lm):
     qd = bulk_quad_data(fine)
     S = _overkill_matrix(_source_matrix, mesh, lm)
     fv = (S @ f_h.coeffs).reshape(qd["det"].shape)
-    loc = np.einsum("q,eq,eq,qb->eb", qd["rule"].weights, qd["det"], fv, qd["phi"])
-    rhs_full = np.zeros(fine.n_nodes)
-    np.add.at(rhs_full, fine.elements.ravel(), loc.ravel())
+    loc = (qd["rule"].weights * qd["det"] * fv) @ qd["phi"]
+    rhs_full = np.bincount(fine.elements.ravel(), loc.ravel(), minlength=fine.n_nodes)
 
     # lifted trace at the fine boundary nodes
     g = _overkill_matrix(_trace_matrix, mesh, lm) @ g_h.coeffs
@@ -255,7 +251,7 @@ def sampled_w1inf(u):
 
 def sampled_w1inf_lifted(u, lm):
     """Sampled W^{1,infty} norm of the lifted function on the exact domain."""
-    grads = np.einsum("eqbx,eb->eqx", _lifted_shape_gradients(lm), u.coeffs[u.mesh.elements])
+    grads = _contract(_lifted_shape_gradients(lm), u.coeffs[u.mesh.elements])
     vals, _ = eval_on_elements(u)
     return float(max(np.abs(vals).max(), np.linalg.norm(grads, axis=-1).max()))
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .assembly import surface_quad_data
+from .assembly import _grad_rows, surface_quad_data
 from .basis import TRI_EDGES, TRI_VERTS, tri_edge_ref_points, tri_shape, tri_shape_grad
 from .meshing import _cached, _inverse_2x2, _norm_2x2, batched_geometry
 from .quadrature import default_degree, triangle_rule
@@ -53,10 +53,9 @@ class LiftMap:
 def build_lift_map(mesh):
     curved = np.full(mesh.n_elements, -1, dtype=np.int64)
     if mesh.domain_kind == "disk":
-        for e, le in zip(mesh.face_elem, mesh.face_local_edge):
-            if curved[e] >= 0:
-                raise RuntimeError("element with two boundary faces; refine the mesh")
-            curved[e] = le
+        if len(np.unique(mesh.face_elem)) < len(mesh.face_elem):
+            raise RuntimeError("element with two boundary faces; refine the mesh")
+        curved[mesh.face_elem] = mesh.face_local_edge
     return LiftMap(mesh=mesh, curved_edge=curved)
 
 
@@ -182,13 +181,13 @@ def _lift_rule_data(lm, degree):
 
 
 def _lifted_shape_gradients(lm):
-    """Physical gradients (ne, m, nb, 2) of the lifted basis at lift_rule_data's points.
+    """Physical gradient rows (ne, m, 2, nb) of the lifted basis at lift_rule_data's
+    points, laid out like bulk_quad_data's gphys.
 
     Not cached: at k=2 the array is tens of MB per mesh.
     """
     data = lift_rule_data(lm)
-    dphi = tri_shape_grad(lm.mesh.order, data["rule"].points)
-    return np.matmul(dphi, _inverse_2x2(data["jac"])[0])
+    return _grad_rows(tri_shape_grad(lm.mesh.order, data["rule"].points), data["jac"])
 
 
 def _face_ref_points(mesh, t):
@@ -227,7 +226,9 @@ class MeshLocator:
     """Maps points of the exact domain to (element, reference coordinates).
 
     locate() tries the n_candidates elements with the nearest centres to
-    each point in turn. Every candidate is first inverted in closed form,
+    each point in turn; the KD-tree is asked for the nearest n_first of
+    every point, and for all n_candidates only of the points still
+    unresolved. Every candidate is first inverted in closed form,
     xi0 = J^{-1} (x - v0) from its vertex triangle; that is exact on an
     element with an affine geometry map and no lift (every element outside
     the curved boundary layer, on the square every element). Only curved
@@ -241,6 +242,8 @@ class MeshLocator:
     """
 
     n_candidates = 16
+    # candidates every point queries first; most points lie in their nearest
+    n_first = 4
     tol = 1e-10
     slack = 1e-3
 
@@ -311,18 +314,20 @@ class MeshLocator:
         """Physical points -> (element ids, reference coordinates)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         n = len(pts)
-        _, cand = self.tree.query(pts, k=self.k)
-        cand = cand.reshape(n, -1)
         elems = np.full(n, -1, dtype=np.int64)
         refs = np.zeros((n, 2))
         best_viol = np.full(n, np.inf)
         best_elem = np.zeros(n, dtype=np.int64)
         best_ref = np.zeros((n, 2))
         alive = np.arange(n)
-        for r in range(cand.shape[1]):
+        for r in range(self.k):
             if len(alive) == 0:
                 break
-            els = cand[alive, r]
+            if r in (0, self.n_first):
+                # the nearest n_first candidates of every point, then all of the rest's
+                k = min(self.n_first, self.k) if r == 0 else self.k
+                cand = self.tree.query(pts[alive], k=k)[1].reshape(len(alive), -1)
+            els = cand[:, r]
             rr, viol = self._invert(els, pts[alive])
             # keep the best candidate seen for possible clamping
             upd = viol < best_viol[alive]
@@ -334,7 +339,7 @@ class MeshLocator:
             hit = alive[ok]
             elems[hit] = els[ok]
             refs[hit] = rr[ok]
-            alive = alive[~ok]
+            alive, cand = alive[~ok], cand[~ok]
         if len(alive) > 0:
             if best_viol[alive].max() > self.slack:
                 worst = best_viol[alive].max()

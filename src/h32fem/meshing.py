@@ -19,6 +19,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from .basis import TRI_EDGES, tri_shape, tri_shape_grad
 from .quadrature import default_degree, triangle_rule
@@ -69,15 +70,14 @@ class Mesh:
         return float(d.max())
 
     def _face_adjacency(self):
-        lookup = {}
-        for e, conn in enumerate(self.elements):
-            for le, (a, b) in enumerate(TRI_EDGES):
-                lookup[(conn[a], conn[b])] = (e, le)
-        fe = np.empty(len(self.boundary_faces), dtype=np.int64)
-        fl = np.empty(len(self.boundary_faces), dtype=np.int64)
-        for i, f in enumerate(self.boundary_faces):
-            fe[i], fl[i] = lookup[(f[0], f[1])]
-        return fe, fl
+        directed, keys, first, _, count = _edge_table(self.elements[:, :3], self.n_nodes)
+        f = self.boundary_faces[:, :2]
+        idx = np.searchsorted(keys, f.min(axis=1) * self.n_nodes + f.max(axis=1))
+        idx = np.minimum(idx, len(keys) - 1)
+        slot = first[idx]
+        if not (count[idx] == 1).all() or not (directed[slot] == f).all():
+            raise ValueError("a boundary face is not a boundary edge of its element")
+        return np.divmod(slot, 3)
 
     @property
     def n_elements(self):
@@ -154,6 +154,16 @@ def _inverse_2x2(jac):
     adj[..., 0, 1] = -jac[..., 0, 1]
     adj[..., 1, 0] = -jac[..., 1, 0]
     return adj / det[..., None, None], det
+
+
+def _spd_solver(A):
+    """Solve function (SuperLU factor's .solve) of a sparse SPD matrix: symmetric
+    minimum-degree ordering of A + A^T with diagonal pivots (George & Liu 1981).
+    SPD needs no pivoting, and this ordering about halves the fill of COLAMD's."""
+    return spla.splu(
+        A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    ).solve
 
 
 def _norm_2x2(a):
@@ -263,20 +273,16 @@ def _orient_ccw(nodes, tris):
     return tris
 
 
-def _boundary_directed_edges(tris):
-    """Boundary edges directed as traversed by their (CCW) element."""
-    seen = {}
-    for conn in tris:
-        for a, b in TRI_EDGES:
-            key = (min(conn[a], conn[b]), max(conn[a], conn[b]))
-            seen[key] = seen.get(key, 0) + 1
-    out = []
-    for conn in tris:
-        for a, b in TRI_EDGES:
-            key = (min(conn[a], conn[b]), max(conn[a], conn[b]))
-            if seen[key] == 1:
-                out.append((conn[a], conn[b]))
-    return out
+def _edge_table(tris, n_nodes):
+    """The edges of vertex triangles (ne, 3) by one np.unique: the directed
+    edges (3 ne, 2) in (element, local edge) order, the sorted edge keys
+    lo * n_nodes + hi, each edge's first slot, each slot's edge, and each
+    edge's count (1 on the boundary, 2 inside)."""
+    directed = tris[:, TRI_EDGES].reshape(-1, 2)
+    keys = directed.min(axis=1) * n_nodes + directed.max(axis=1)
+    return (directed,) + np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
 
 
 # Chord parameter of the boundary midside node before radial projection:
@@ -290,51 +296,40 @@ BOUNDARY_MIDNODE_BIAS = 0.3
 BOUNDARY_MIDNODE_BIAS_CAP = 0.08
 
 
-def _add_midside_nodes(nodes, tris, boundary_edges, project_to_circle):
-    """Upgrade a vertex mesh to order 2. Returns nodes, elements, face midnode map."""
-    bset = {(min(a, b), max(a, b)) for a, b in boundary_edges}
-    nodes = list(map(tuple, nodes))
-    mid_of = {}
-
-    def midnode(a, b):
-        key = (min(a, b), max(a, b))
-        if key not in mid_of:
-            if project_to_circle and key in bset:
-                pa, pb = np.array(nodes[key[0]]), np.array(nodes[key[1]])
-                chord = np.linalg.norm(pb - pa)
-                t = 0.5 + min(BOUNDARY_MIDNODE_BIAS_CAP, BOUNDARY_MIDNODE_BIAS * chord)
-                p = (1.0 - t) * pa + t * pb
-                p = p / np.linalg.norm(p)
-            else:
-                p = 0.5 * (np.array(nodes[a]) + np.array(nodes[b]))
-            mid_of[key] = len(nodes)
-            nodes.append(tuple(p))
-        return mid_of[key]
-
-    elems = []
-    for conn in tris:
-        mids = [midnode(conn[a], conn[b]) for a, b in TRI_EDGES]
-        elems.append(tuple(conn) + tuple(mids))
-    return np.array(nodes), np.array(elems, dtype=np.int64), mid_of
+def _add_midside_nodes(nodes, tris, table, project_to_circle):
+    """Upgrade a vertex mesh to order 2. Returns nodes, elements and each
+    directed edge slot's midside node; midside nodes are numbered in order
+    of first appearance, boundary ones projected onto the circle if asked."""
+    _, keys, first, inv, count = table
+    n = len(nodes)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    pa, pb = nodes[keys[order] // n], nodes[keys[order] % n]
+    mids = 0.5 * (pa + pb)
+    if project_to_circle:
+        # row norms by vecdot: the dot kernel of np.linalg.norm on one vector
+        bd = count[order] == 1
+        chord = np.sqrt(np.vecdot(pb[bd] - pa[bd], pb[bd] - pa[bd]))
+        t = (0.5 + np.minimum(BOUNDARY_MIDNODE_BIAS_CAP, BOUNDARY_MIDNODE_BIAS * chord))[:, None]
+        p = (1.0 - t) * pa[bd] + t * pb[bd]
+        mids[bd] = p / np.sqrt(np.vecdot(p, p))[:, None]
+    mid_of_slot = n + rank[inv]
+    return np.vstack([nodes, mids]), np.hstack([tris, mid_of_slot.reshape(-1, 3)]), mid_of_slot
 
 
 def _finish_mesh(nodes, tris, order, domain_kind, project_to_circle):
-    tris = _orient_ccw(nodes, tris.copy())
-    bedges = _boundary_directed_edges(tris)
-    if order == 1:
-        faces = np.array(bedges, dtype=np.int64)
-        mesh = Mesh(nodes, tris, faces, order, domain_kind)
-    elif order == 2:
-        nodes2, elems2, mid_of = _add_midside_nodes(
-            nodes, tris, bedges, project_to_circle
-        )
-        faces = np.array(
-            [(a, b, mid_of[(min(a, b), max(a, b))]) for a, b in bedges],
-            dtype=np.int64,
-        )
-        mesh = Mesh(nodes2, elems2, faces, order, domain_kind)
-    else:
+    if order not in (1, 2):
         raise ValueError(f"unsupported order {order}")
+    tris = _orient_ccw(nodes, tris.copy())
+    table = _edge_table(tris, len(nodes))
+    directed, _, _, inv, count = table
+    bslots = np.nonzero(count[inv] == 1)[0]
+    faces = directed[bslots]
+    if order == 2:
+        nodes, tris, mid_of_slot = _add_midside_nodes(nodes, tris, table, project_to_circle)
+        faces = np.column_stack([faces, mid_of_slot[bslots]])
+    mesh = Mesh(nodes, tris, faces, order, domain_kind)
     _check_not_inverted(mesh)
     return mesh
 
@@ -384,15 +379,8 @@ def build_square_mesh(n_per_side, order=1):
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
 
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    tris = []
-    for i in range(n):
-        for j in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    tris = np.array(tris, dtype=np.int64)
+    # cell (i, j) has lower-left vertex i (n + 1) + j and splits along v00-v11
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    v10, v01, v11 = v00 + n + 1, v00 + 1, v00 + n + 2
+    tris = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
     return _finish_mesh(nodes, tris, order, "square", project_to_circle=False)

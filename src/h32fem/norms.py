@@ -16,8 +16,9 @@ R is never formed. `SpectralBasis.apply` evaluates
 
     R b ~ sum_j c_j (K + s_j M)^{-1} b,
 
-one sparse factorization per shift s_j > 0, from the real-shift rational
-quadrature of Hale, Higham & Trefethen (SIAM J. Numer. Anal. 46, 2008):
+one sparse SPD factorization (`meshing._spd_solver`) per shift s_j > 0,
+from the real-shift rational quadrature of Hale, Higham & Trefethen
+(SIAM J. Numer. Anal. 46, 2008):
 lambda^{-1/2} = (2/pi) int_0^inf dt / (t^2 + lambda), substituted with
 t = sc(u | p), p = 1 - 1/Lambda, and the midpoint rule with N nodes on
 [0, K(p)], K(p) the complete elliptic integral. Its relative error is
@@ -37,11 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.special import ellipj, ellipk
 
-from .assembly import BULK0, SURFACE, eval_on_elements, bulk_quad_data, trace
-from .meshing import _cached
+from .assembly import BULK0, SURFACE, _contract, bulk_quad_data, eval_on_elements, trace
+from .meshing import _cached, _spd_solver
 
 ALL = "all"
 INTERIOR = "interior"
@@ -72,7 +72,7 @@ class SpectralBasis:
     M: sp.csr_matrix    # mass matrix restricted to ids
     shifts: np.ndarray
     weights: np.ndarray
-    solves: list        # factorized (K + s_j M)^{-1}, one per shift
+    solves: list        # (K + s_j M)^{-1} by a sparse SPD factor, one per shift
 
     def __len__(self):
         return len(self.ids)
@@ -112,7 +112,7 @@ def _operator(dofset, ids, M_full, A_full, bound):
     M = M_full[np.ix_(ids, ids)].tocsr()
     K = M + A_full[np.ix_(ids, ids)]
     shifts, weights = inv_sqrt_quadrature(bound)
-    solves = [spla.factorized((K + s * M).tocsc()) for s in shifts]
+    solves = [_spd_solver(K + s * M) for s in shifts]
     return SpectralBasis(dofset, ids, K, M, shifts, weights, solves)
 
 
@@ -197,6 +197,7 @@ def gradient_pairing_load(z, grams):
     mesh = grams.mesh
     qd = bulk_quad_data(mesh)
     w, det, gphys = qd["rule"].weights, qd["det"], qd["gphys"]
+    ne, nb = mesh.elements.shape
     if hasattr(z, "coeffs"):
         if z.arity != 2:
             raise ValueError("need a 2-vector field")
@@ -206,10 +207,9 @@ def gradient_pairing_load(z, grams):
     else:
         pts = qd["pts"]
         zq = np.asarray(z(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape)
-    loc = np.einsum("q,eq,eqx,eqbx->eb", w, det, zq, gphys)
-    b = np.zeros(mesh.n_nodes)
-    np.add.at(b, mesh.elements.ravel(), loc.ravel())
-    return b
+    wz = (w * det)[:, :, None] * zq
+    loc = _contract(wz.reshape(ne, 1, -1), gphys.reshape(ne, -1, nb))
+    return np.bincount(mesh.elements.ravel(), loc.ravel(), minlength=mesh.n_nodes)
 
 
 def vec_dual_half_norm(z, sb, grams):

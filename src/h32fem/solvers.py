@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import (
     BULK,
@@ -21,7 +20,7 @@ from .assembly import (
     bulk_quad_data,
     eval_on_elements,
 )
-from .meshing import Mesh, _cached, _inverse_2x2, shared_mesh
+from .meshing import Mesh, _cached, _inverse_2x2, _spd_solver, shared_mesh
 from .multilinear import deformation_tensor
 
 
@@ -36,16 +35,13 @@ def trace_matrix(grams):
 
 def _interior_solver(grams):
     ids = grams.interior_ids
-    return _cached(
-        grams, "dirichlet_solve",
-        lambda: spla.factorized(grams.A_bulk[np.ix_(ids, ids)].tocsc()),
-    )
+    return _cached(grams, "dirichlet_solve", lambda: _spd_solver(grams.A_bulk[np.ix_(ids, ids)]))
 
 
 def _robin_solver(grams):
     def build():
         R = trace_matrix(grams)
-        return spla.factorized((grams.A_bulk + R.T @ grams.M_surf @ R).tocsc())
+        return _spd_solver(grams.A_bulk + R.T @ grams.M_surf @ R)
 
     return _cached(grams, "robin_solve", build)
 

@@ -9,6 +9,7 @@ import numpy as np
 
 from .assembly import (
     FeFunction,
+    _contract,
     bulk_quad_data,
     eval_on_elements,
     grams_of,
@@ -172,8 +173,7 @@ def lifted_bulk_forms(mesh, lm, z, w):
     vw, _ = eval_on_elements(w)
     m_l = float(np.einsum("q,eq,eq,eq->", wq, data["det"], vz, vw))
     gp = _lifted_shape_gradients(lm)
-    gz = np.einsum("eqbx,eb->eqx", gp, z.coeffs[mesh.elements])
-    gw = np.einsum("eqbx,eb->eqx", gp, w.coeffs[mesh.elements])
+    gz, gw = (_contract(gp, f.coeffs[mesh.elements]) for f in (z, w))
     a_l = float(np.einsum("q,eq,eqx,eqx->", wq, data["det"], gz, gw))
     return m_l, a_l
 
@@ -230,10 +230,7 @@ def multilinear_gradient_integral(mesh, fields, coeff_fn, lm=None):
         data = lift_rule_data(lm)
         rule, det = data["rule"], data["det"]
         gp = _lifted_shape_gradients(lm)
-        grads = [
-            np.einsum("eqbx,eb...->eqx...", gp, f.coeffs[mesh.elements])
-            for f in fields
-        ]
+        grads = [_contract(gp, f.coeffs[mesh.elements]) for f in fields]
     else:
         qd = bulk_quad_data(mesh)
         rule, det = qd["rule"], qd["det"]

@@ -245,3 +245,41 @@ def test_lifted_surface_forms_match_per_face_loop(order):
         asur += float(np.sum(er.weights * (dpsi @ zc) * (dpsi @ wc) / speed))
     got = lifted_surface_forms(m, lm, tz, tw)
     assert np.allclose(got, (ms, asur), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_staged_query_locates_like_one_query_of_all_candidates(order):
+    # the nearest n_first candidates first, all n_candidates for the rest:
+    # the same candidates in the same order as one query of all of them
+    lm = build_lift_map(disk_mesh(4, order))
+    pts = np.vstack([
+        bulk_quad_data(disk_mesh(7, order))["pts"].reshape(-1, 2),
+        lift_mixed(build_lift_map(disk_mesh(6, order)), *_boundary_rule_points(order))[0],
+    ])
+    staged, single = MeshLocator(lm), MeshLocator(lm)
+    single.n_first = single.n_candidates
+    queried = []
+    tree = staged.tree
+
+    class CountingTree:
+        def query(self, x, k):
+            queried.append((len(x), k))
+            return tree.query(x, k=k)
+
+    staged.tree = CountingTree()
+    for chunk in (pts, pts[:7]):
+        e1, r1 = staged.locate(chunk)
+        e2, r2 = single.locate(chunk)
+        assert np.array_equal(e1, e2) and np.array_equal(r1, r2)
+    assert (staged.n_clamped, staged.worst_clamp) == (single.n_clamped, single.worst_clamp)
+    (n_all, k_first), (n_rest, k_rest) = queried[:2]
+    assert (n_all, k_first, k_rest) == (len(pts), staged.n_first, staged.n_candidates)
+    assert 0 < n_rest < n_all / 10
+
+
+def _boundary_rule_points(order):
+    # edge-rule points of the boundary faces, which the lift maps onto the circle
+    mesh = disk_mesh(6, order)
+    t = np.linspace(0.05, 0.95, 5)
+    refs = np.stack([tri_edge_ref_points(le, t) for le in mesh.face_local_edge]).reshape(-1, 2)
+    return np.repeat(mesh.face_elem, len(t)), refs

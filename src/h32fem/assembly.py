@@ -70,22 +70,42 @@ def zero_function(mesh, space=BULK):
 # -- quadrature-point caches ------------------------------------------------
 
 
-def bulk_quad_data(mesh, degree=None):
-    """Shared per-mesh data at triangle rule points.
+def bulk_quad_data(mesh, degree=None, lift=None):
+    """Shared per-mesh data at triangle rule points, of the mesh's elements or,
+    with lift = build_lift_map(mesh), of their lifts onto the exact domain.
 
     Returns dict with rule, phi (m, nb), pts (ne, m, 2), det (ne, m) and
     the physical basis gradients as rows, gphys (ne, m, 2, nb):
     gphys[e, q, x] holds d(phi_b)/dx_x of every local basis function b, so
-    gradients of element coefficients are one matmul (`_contract`).
+    gradients of element coefficients are one matmul (`_contract`). The
+    lifted record is the plain one with the lift composed on the boundary
+    layer (pts, det, gphys change there only); callers pass it on to
+    eval_on_elements and the functions built on it.
     """
     if degree is None:
         degree = default_degree(mesh.order)
-    return _cached(mesh, ("bulk", degree), lambda: _bulk_quad_data(mesh, degree))
+    return _per_lift(mesh, ("bulk", degree), lift, lambda: _bulk_quad_data(mesh, degree, lift))
 
 
-def _bulk_quad_data(mesh, degree):
+def _per_lift(mesh, key, lift, build):
+    """build(): cached under key for the plain mesh; for a lift (the mesh's
+    own) built on every call, so that lifted records do not stay resident."""
+    if lift is None:
+        return _cached(mesh, key, build)
+    if lift.mesh is not mesh:
+        raise ValueError("the lift belongs to another mesh")
+    return build()
+
+
+def _bulk_quad_data(mesh, degree, lift):
     rule = triangle_rule(degree)
     pts, jac, det = batched_geometry(mesh, rule.points)
+    if lift is not None:
+        bel, m = lift.boundary_elements(), len(rule)
+        elems, refs = np.repeat(bel, m), np.tile(rule.points, (len(bel), 1))
+        lp, lj = lift.compose(elems, refs, pts[bel].reshape(-1, 2), jac[bel].reshape(-1, 2, 2))
+        pts[bel], jac[bel] = lp.reshape(-1, m, 2), lj.reshape(-1, m, 2, 2)
+        det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
     if det.min() <= 0.0:
         raise RuntimeError("nonpositive Jacobian during assembly")
     return {
@@ -123,22 +143,37 @@ def _contract(rows, local):
     return np.matmul(rows.reshape(ne, -1, nb), loc).reshape(rows.shape[:-1] + t)
 
 
-def surface_quad_data(mesh, degree=None):
-    """Per-boundary-face data at edge rule points: curve points, speed, bases."""
+def surface_quad_data(mesh, degree=None, lift=None):
+    """Per-boundary-face data at edge rule points: curve points, velocity,
+    speed, bases; with a lift, of the lifted curve (built per call, like
+    the lifted bulk_quad_data)."""
     if degree is None:
         degree = default_degree(mesh.order)
-    return _cached(mesh, ("surf", degree), lambda: _surface_quad_data(mesh, degree))
+    return _per_lift(mesh, ("surf", degree), lift, lambda: _surface_quad_data(mesh, degree, lift))
 
 
-def _surface_quad_data(mesh, degree):
+def _surface_quad_data(mesh, degree, lift):
     rule = edge_rule(degree)
     psi = edge_shape(mesh.order, rule.points)
     dpsi = edge_shape_deriv(mesh.order, rule.points)
     coords = mesh.nodes[mesh.boundary_faces]          # (nf, nbe, 2)
     pts = np.einsum("qb,fbx->fqx", psi, coords)
     vel = np.einsum("qb,fbx->fqx", dpsi, coords)      # curve velocity
+    if lift is not None:
+        # plus the displacement and its derivative along the face's edge
+        nf, m = pts.shape[:2]
+        refs = _face_ref_points(mesh, rule.points).reshape(-1, 2)
+        D, dD = lift.displacement(np.repeat(mesh.face_elem, m), refs)
+        tangent = np.array([TRI_VERTS[b] - TRI_VERTS[a] for a, b in TRI_EDGES])[mesh.face_local_edge]
+        pts = pts + D.reshape(nf, m, 2)
+        vel = vel + np.einsum("fqxr,fr->fqx", dD.reshape(nf, m, 2, 2), tangent)
     speed = np.linalg.norm(vel, axis=-1)
     return {"rule": rule, "psi": psi, "dpsi": dpsi, "pts": pts, "vel": vel, "speed": speed}
+
+
+def _face_ref_points(mesh, t):
+    """(nfaces, m, 2) reference points of edge parameters t on each boundary face's element."""
+    return np.stack([tri_edge_ref_points(le, t) for le in range(3)])[mesh.face_local_edge]
 
 
 # -- Gram matrices ----------------------------------------------------------
@@ -179,13 +214,16 @@ def _scatter(ne_mats, conn, n):
     return sp.coo_matrix((ne_mats.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()
 
 
-def grams_of(mesh):
-    """The default-degree GramSet of a mesh, assembled once and cached."""
-    return _cached(mesh, "grams", lambda: assemble_grams(mesh))
+def grams_of(mesh, lift=None):
+    """The default-degree GramSet of a mesh, or with lift = build_lift_map(mesh)
+    the forms of the lifted basis on the exact domain; each assembled once and
+    cached (the lifted quadrature records are dropped after assembly)."""
+    return _cached(mesh, ("grams", lift is not None), lambda: assemble_grams(mesh, lift))
 
 
-def assemble_grams(mesh):
-    qd = bulk_quad_data(mesh)
+def assemble_grams(mesh, lift=None):
+    """The four Gram forms from bulk_quad_data/surface_quad_data (of the lift, if given)."""
+    qd = bulk_quad_data(mesh, lift=lift)
     w, phi, det = qd["rule"].weights, qd["phi"], qd["det"]
     nb = phi.shape[1]
     Me = det @ (w[:, None, None] * phi[:, :, None] * phi[:, None, :]).reshape(len(w), -1)
@@ -196,7 +234,7 @@ def assemble_grams(mesh):
     M = _scatter(Me, mesh.elements, mesh.n_nodes)
     A = _scatter(Ae, mesh.elements, mesh.n_nodes)
 
-    sd = surface_quad_data(mesh)
+    sd = surface_quad_data(mesh, lift=lift)
     ws, psi, dpsi, speed = sd["rule"].weights, sd["psi"], sd["dpsi"], sd["speed"]
     Mse = np.einsum("q,qi,qj,fq->fij", ws, psi, psi, speed)
     # tangential derivative: psi'(t)/|c'(t)|, measure |c'(t)| dt
@@ -238,12 +276,14 @@ def eval_fe(u, elem, ref_pt):
     return val, grad
 
 
-def eval_on_elements(u):
-    """Values and gradients of a bulk FE function at all assembly rule points.
+def eval_on_elements(u, qd=None):
+    """Values and gradients of a bulk FE function at the points of a quadrature
+    record (by default the mesh's bulk_quad_data; with the lifted record, of
+    the lift u o Lambda^{-1} at the lifted points).
 
     Returns (values, grads) with shapes (ne, m[, arity]) and (ne, m, 2[, arity]).
     """
-    qd = bulk_quad_data(u.mesh)
+    qd = qd or bulk_quad_data(u.mesh)
     local = u.coeffs[u.mesh.elements]  # (ne, nb[, arity])
     return _contract(qd["phi"], local), _contract(qd["gphys"], local)
 

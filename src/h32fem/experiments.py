@@ -221,10 +221,10 @@ def exp_lift_consistency(cfg):
     def level(m, g, rng):
         lm = _lift_of(m)
         gl = grad_lambda_inf_error(lm)
-        bulk = [studies.bulk_form_errors(m, lm, z, w) for z, w in studies.bulk_form_pairs(m)]
+        bulk = [studies.form_errors(lm, z, w, ("M_bulk", "A_bulk")) for z, w in studies.bulk_form_pairs(m)]
         varies = lambda t: float(t.coeffs @ (g.A_surf @ t.coeffs)) > 1e-20
         surf = [
-            (studies.surface_form_errors(m, lm, z, w), varies(z) and varies(w))
+            (studies.form_errors(lm, z, w, ("M_surf", "A_surf")), varies(z) and varies(w))
             for z, w in studies.surface_form_pairs(m)
         ]
         ef = max(e[0] for e in bulk)
@@ -260,16 +260,17 @@ def exp_lift_multilinear(cfg):
         u2 = nodal_interp_bulk(m, studies.SMOOTH_SCALAR_2)
         w = nodal_interp_bulk(m, lambda p: np.cos(p[:, 0] - 0.4 * p[:, 1]))
         plain = studies.multilinear_gradient_integral(m, [u1, u2, w], T3)
-        lifted = studies.multilinear_gradient_integral(m, [u1, u2, w], T3, lm)
-        _, w1inf_u2 = studies.sampled_w1inf_panel(u2)
-        denom = h1_norm(u1, g) * h1_norm(w, g) * max(w1inf_u2, 1.0)
+        lifted_qd = bulk_quad_data(m, lift=lm)
+        lifted = studies.multilinear_gradient_integral(m, [u1, u2, w], T3, lifted_qd)
+        grad_sup_u2 = float(np.linalg.norm(eval_on_elements(u2)[1], axis=-1).max())
+        denom = h1_norm(u1, g) * h1_norm(w, g) * max(grad_sup_u2, 1.0)
         # generalized variant with a resolvent slot fed by a small
         # 2-vector displacement with W^{1,inf} <= 1/8
         vv = FeFunction(
             m, 0.05 * np.column_stack([u1.coeffs, u2.coeffs])
         )
         plain2 = studies.multilinear_gradient_integral(m, [u1, vv, w], T_res)
-        lifted2 = studies.multilinear_gradient_integral(m, [u1, vv, w], T_res, lm)
+        lifted2 = studies.multilinear_gradient_integral(m, [u1, vv, w], T_res, lifted_qd)
         return [
             abs(plain - lifted) / denom,
             abs(plain2 - lifted2) / (h1_norm(vv, g) * h1_norm(w, g)),

@@ -20,7 +20,7 @@ from .assembly import (
     BULK,
     BULK0,
     FeFunction,
-    _contract,
+    _face_ref_points,
     bulk_quad_data,
     eval_on_elements,
     grams_of,
@@ -28,13 +28,7 @@ from .assembly import (
     trace,
 )
 from .basis import tri_shape
-from .lifting import (
-    MeshLocator,
-    _face_ref_points,
-    _lifted_shape_gradients,
-    build_lift_map,
-    lift_mixed,
-)
+from .lifting import MeshLocator, build_lift_map, lift_mixed
 from .meshing import _cached, _spd_solver
 from .quadrature import default_degree
 from .solvers import OverkillSolution, _dirichlet_solve, refined_copy
@@ -203,7 +197,7 @@ def _sz_pullback_matrix(mesh, lm, ctx):
     lifted directly and only the lifted points need locating.
     """
     sz = _sz_moments(mesh)
-    lifted, _, _ = lift_mixed(lm, sz["elems"], sz["refs"])
+    lifted, _ = lift_mixed(lm, sz["elems"], sz["refs"])
     return _evaluation_matrix(ctx["fine"], *ctx["fine_locator"].locate(lifted))
 
 
@@ -243,16 +237,10 @@ def sz_via_dirichlet(u_h, lm, sol=None):
 # -- W^{1,infty}-like norm ------------------------------------------------------
 
 
-def sampled_w1inf(u):
-    """max over rule points of |u| and |grad u| for a bulk FE function."""
-    vals, grads = eval_on_elements(u)
-    return float(max(np.abs(vals).max(), np.linalg.norm(grads, axis=-1).max()))
-
-
-def sampled_w1inf_lifted(u, lm):
-    """Sampled W^{1,infty} norm of the lifted function on the exact domain."""
-    grads = _contract(_lifted_shape_gradients(lm), u.coeffs[u.mesh.elements])
-    vals, _ = eval_on_elements(u)
+def sampled_w1inf(u, qd=None):
+    """max over rule points of |u| and |grad u| for a bulk FE function, or
+    for its lift onto the exact domain when qd is the lifted quadrature record."""
+    vals, grads = eval_on_elements(u, qd)
     return float(max(np.abs(vals).max(), np.linalg.norm(grads, axis=-1).max()))
 
 
@@ -269,5 +257,5 @@ def winf_like_norm(u_h, lm):
         sampled_w1inf(u_h),
         sampled_w1inf(szu),
         sampled_w1inf(sol.fe),
-        sampled_w1inf_lifted(szu, lm),
+        sampled_w1inf(szu, bulk_quad_data(u_h.mesh, lift=lm)),
     )

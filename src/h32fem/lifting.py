@@ -14,6 +14,12 @@ continuous, restricted to the curved edge it is exactly the radial
 projection onto the circle, and its gradient deviates from the identity
 by O(h^k).
 
+Lifted forms are the plain ones on another geometry map, Lambda o F:
+`LiftMap.compose` moves F's points and Jacobians by D and its gradient
+(the one place lifted Jacobians are formed), and the plain code builds the
+lifted quadrature record and Gram set, `assembly.bulk_quad_data(mesh,
+degree, lift)` and `assembly.grams_of(mesh, lift)`.
+
 MeshLocator inverts the composite map Lambda(F(xi)) pointwise: it maps
 points of the exact domain to (element, reference point) pairs. Every
 candidate element is first inverted in closed form through its vertex
@@ -28,9 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .assembly import _grad_rows, surface_quad_data
-from .basis import TRI_EDGES, TRI_VERTS, tri_edge_ref_points, tri_shape, tri_shape_grad
-from .meshing import _cached, _inverse_2x2, _norm_2x2, batched_geometry
+from .assembly import bulk_quad_data
+from .basis import TRI_EDGES, TRI_VERTS, tri_shape, tri_shape_grad
+from .meshing import _inverse_2x2, _norm_2x2, batched_geometry
 from .quadrature import default_degree, triangle_rule
 
 # reference-coordinate gradients of the barycentric coordinates
@@ -48,6 +54,63 @@ class LiftMap:
 
     def boundary_elements(self):
         return np.nonzero(self.curved_edge >= 0)[0]
+
+    def displacement(self, elems, refs):
+        """Lift displacement and its reference gradient at per-point (elem, ref).
+
+        Returns D (n, 2) and dD/dxi (n, 2, 2); zero rows for interior elements.
+        """
+        mesh = self.mesh
+        n = len(elems)
+        D = np.zeros((n, 2))
+        dD = np.zeros((n, 2, 2))
+        le = self.curved_edge[elems]
+        sel = np.nonzero(le >= 0)[0]
+        if len(sel) == 0:
+            return D, dD
+        elems = np.asarray(elems)[sel]
+        refs = refs[sel]
+        le = le[sel]
+        edge_pairs = np.array(TRI_EDGES)
+        a = edge_pairs[le, 0]
+        b = edge_pairs[le, 1]
+        lam = _barycentric(refs)
+        idx = np.arange(len(sel))
+        lam_a, lam_b = lam[idx, a], lam[idx, b]
+        sigma = np.maximum(lam_a + lam_b, 1e-30)
+        t = lam_b / sigma
+
+        # edge shadow through the element's own geometry map
+        eref = TRI_VERTS[a] * (1.0 - t)[:, None] + TRI_VERTS[b] * t[:, None]
+        coords = mesh.nodes[mesh.elements[elems]]          # (n, nb, 2)
+        phi = tri_shape(mesh.order, eref)                  # (n, nb)
+        dphi = tri_shape_grad(mesh.order, eref)            # (n, nb, 2)
+        bpt = np.einsum("nb,nbx->nx", phi, coords)
+        jac = np.einsum("nbr,nbx->nxr", dphi, coords)
+        tan_ref = TRI_VERTS[b] - TRI_VERTS[a]              # (n, 2)
+        dbdt = np.einsum("nxr,nr->nx", jac, tan_ref)
+
+        nrm = np.linalg.norm(bpt, axis=1)
+        phat = bpt / nrm[:, None]
+        disp = phat - bpt                                  # P(b) - b
+        # d(P - id)/db applied to db/dt:  ((I - phat phat^T)/|b| - I) dbdt
+        proj = dbdt - phat * np.einsum("nx,nx->n", phat, dbdt)[:, None]
+        dPdt = proj / nrm[:, None] - dbdt
+
+        grad_sigma = _DLAM[a] + _DLAM[b]                   # (n, 2)
+        # sigma * grad(t) = grad(lam_b) - t * grad(sigma), exactly
+        sg_t = _DLAM[b] - t[:, None] * grad_sigma
+
+        D[sel] = sigma[:, None] * disp
+        dD[sel] = disp[:, :, None] * grad_sigma[:, None, :] + dPdt[:, :, None] * sg_t[:, None, :]
+        return D, dD
+
+    def compose(self, elems, refs, pts, jac):
+        """Lambda o F from F: the geometry map's points pts (n, 2) and Jacobians
+        jac (n, 2, 2) at per-point (elem, ref) pairs, moved by the displacement
+        and its gradient. The one place lifted Jacobians are formed."""
+        D, dD = self.displacement(elems, refs)
+        return pts + D, jac + dD
 
 
 def build_lift_map(mesh):
@@ -67,65 +130,10 @@ def _barycentric(refs):
     return lam
 
 
-def _displacement(lm, elems, refs):
-    """Lift displacement and its reference gradient at per-point (elem, ref).
-
-    Returns D (n, 2) and dD/dxi (n, 2, 2); zero rows for interior elements.
-    """
-    mesh = lm.mesh
-    n = len(elems)
-    D = np.zeros((n, 2))
-    dD = np.zeros((n, 2, 2))
-    if lm.is_identity:
-        return D, dD
-    le = lm.curved_edge[elems]
-    sel = np.nonzero(le >= 0)[0]
-    if len(sel) == 0:
-        return D, dD
-    elems = np.asarray(elems)[sel]
-    refs = refs[sel]
-    le = le[sel]
-    edge_pairs = np.array(TRI_EDGES)
-    a = edge_pairs[le, 0]
-    b = edge_pairs[le, 1]
-    o = 3 - a - b
-    lam = _barycentric(refs)
-    idx = np.arange(len(sel))
-    lam_a, lam_b = lam[idx, a], lam[idx, b]
-    sigma = np.maximum(lam_a + lam_b, 1e-30)
-    t = lam_b / sigma
-
-    # edge shadow through the element's own geometry map
-    eref = TRI_VERTS[a] * (1.0 - t)[:, None] + TRI_VERTS[b] * t[:, None]
-    coords = mesh.nodes[mesh.elements[elems]]          # (n, nb, 2)
-    phi = tri_shape(mesh.order, eref)                  # (n, nb)
-    dphi = tri_shape_grad(mesh.order, eref)            # (n, nb, 2)
-    bpt = np.einsum("nb,nbx->nx", phi, coords)
-    jac = np.einsum("nbr,nbx->nxr", dphi, coords)
-    tan_ref = TRI_VERTS[b] - TRI_VERTS[a]              # (n, 2)
-    dbdt = np.einsum("nxr,nr->nx", jac, tan_ref)
-
-    nrm = np.linalg.norm(bpt, axis=1)
-    phat = bpt / nrm[:, None]
-    disp = phat - bpt                                  # P(b) - b
-    # d(P - id)/db applied to db/dt:  ((I - phat phat^T)/|b| - I) dbdt
-    proj = dbdt - phat * np.einsum("nx,nx->n", phat, dbdt)[:, None]
-    dPdt = proj / nrm[:, None] - dbdt
-
-    grad_sigma = _DLAM[a] + _DLAM[b]                   # (n, 2)
-    # sigma * grad(t) = grad(lam_b) - t * grad(sigma), exactly
-    sg_t = _DLAM[b] - t[:, None] * grad_sigma
-
-    D[sel] = sigma[:, None] * disp
-    dD[sel] = disp[:, :, None] * grad_sigma[:, None, :] + dPdt[:, :, None] * sg_t[:, None, :]
-    return D, dD
-
-
 def lift_mixed(lm, elems, refs):
     """Lifted points and composite Jacobians at per-point (elem, ref) pairs.
 
-    Returns pts (n, 2), jac (n, 2, 2) of xi -> Lambda(F(xi)), and the
-    plain geometry Jacobian (n, 2, 2).
+    Returns pts (n, 2) and jac (n, 2, 2) of xi -> Lambda(F(xi)).
     """
     mesh = lm.mesh
     coords = mesh.nodes[mesh.elements[np.asarray(elems)]]
@@ -133,90 +141,25 @@ def lift_mixed(lm, elems, refs):
     dphi = tri_shape_grad(mesh.order, refs)
     base = np.einsum("nb,nbx->nx", phi, coords)
     jgeo = np.einsum("nbr,nbx->nxr", dphi, coords)
-    D, dD = _displacement(lm, elems, refs)
-    return base + D, jgeo + dD, jgeo
-
-
-def lift_rule_data(lm, degree=None):
-    """Lift data for all elements at shared rule points (cached).
-
-    dict with: rule, pts (lifted), jac (composite, reference->Omega),
-    det (of the composite), jgeo/detgeo (plain geometry), grad_lambda
-    (physical gradient of the lift, (ne, m, 2, 2)).
-    """
-    mesh = lm.mesh
-    if degree is None:
-        degree = default_degree(mesh.order)
-    return _cached(mesh, ("lift", degree), lambda: _lift_rule_data(lm, degree))
-
-
-def _lift_rule_data(lm, degree):
-    mesh = lm.mesh
-    rule = triangle_rule(degree)
-    m = len(rule)
-    pts, jgeo, detgeo = batched_geometry(mesh, rule.points)
-    jac = jgeo.copy()
-    lifted = pts.copy()
-    bel = lm.boundary_elements()
-    if len(bel) > 0:
-        elems = np.repeat(bel, m)
-        refs = np.tile(rule.points, (len(bel), 1))
-        D, dD = _displacement(lm, elems, refs)
-        lifted[bel] += D.reshape(len(bel), m, 2)
-        jac[bel] += dD.reshape(len(bel), m, 2, 2)
-    det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-    if det.min() <= 0.0:
-        raise RuntimeError("lift map not orientation preserving at quadrature points")
-    inv_geo, _ = _inverse_2x2(jgeo)
-    grad_lambda = np.einsum("emxr,emrs->emxs", jac, inv_geo)
-    return {
-        "rule": rule,
-        "pts": lifted,
-        "jac": jac,
-        "det": det,
-        "jgeo": jgeo,
-        "detgeo": detgeo,
-        "grad_lambda": grad_lambda,
-    }
-
-
-def _lifted_shape_gradients(lm):
-    """Physical gradient rows (ne, m, 2, nb) of the lifted basis at lift_rule_data's
-    points, laid out like bulk_quad_data's gphys.
-
-    Not cached: at k=2 the array is tens of MB per mesh.
-    """
-    data = lift_rule_data(lm)
-    return _grad_rows(tri_shape_grad(lm.mesh.order, data["rule"].points), data["jac"])
-
-
-def _face_ref_points(mesh, t):
-    """(nfaces, m, 2) reference points of edge parameters t on each boundary face's element."""
-    return np.stack([tri_edge_ref_points(le, t) for le in range(3)])[mesh.face_local_edge]
-
-
-def _lifted_surface_data(lm):
-    """Lifted curve speed (nf, m) at the edge-rule points of surface_quad_data (cached)."""
-    return _cached(lm.mesh, "lift_surf", lambda: _lift_surface(lm))
-
-
-def _lift_surface(lm):
-    # the discrete curve's velocity plus the lift displacement's derivative along the edge
-    mesh = lm.mesh
-    sd = surface_quad_data(mesh)
-    nf, m = sd["speed"].shape
-    refs = _face_ref_points(mesh, sd["rule"].points).reshape(-1, 2)
-    _, dD = _displacement(lm, np.repeat(mesh.face_elem, m), refs)
-    tangent = np.array([TRI_VERTS[b] - TRI_VERTS[a] for a, b in TRI_EDGES])[mesh.face_local_edge]
-    vel = sd["vel"] + np.einsum("fqxr,fr->fqx", dD.reshape(nf, m, 2, 2), tangent)
-    return {"rule": sd["rule"], "speed": np.linalg.norm(vel, axis=-1)}
+    return lm.compose(elems, refs, base, jgeo)
 
 
 def grad_lambda_inf_error(lm):
-    """max over rule points of the spectral norm of grad(Lambda) - I."""
-    data = lift_rule_data(lm)
-    G = data["grad_lambda"] - np.eye(2)
-    return float(_norm_2x2(G).max())
+    """max over rule points of the spectral norm of grad(Lambda) - I.
+
+    grad(Lambda) = (J_geo + dD) J_geo^{-1} on the boundary layer; elsewhere
+    the lift is the identity and grad(Lambda) = I exactly.
+    """
+    bel = lm.boundary_elements()
+    if len(bel) == 0:
+        return 0.0
+    rule = triangle_rule(default_degree(lm.mesh.order))
+    m = len(rule)
+    pts, jgeo, _ = batched_geometry(lm.mesh, rule.points, bel)
+    elems, refs = np.repeat(bel, m), np.tile(rule.points, (len(bel), 1))
+    _, jac = lm.compose(elems, refs, pts.reshape(-1, 2), jgeo.reshape(-1, 2, 2))
+    grad_lambda = np.einsum("emxr,emrs->emxs", jac.reshape(jgeo.shape), _inverse_2x2(jgeo)[0])
+    return float(_norm_2x2(grad_lambda - np.eye(2)).max())
 
 
 # -- point location ----------------------------------------------------------
@@ -252,7 +195,7 @@ class MeshLocator:
         self.lift = lift
         self.n_clamped = 0
         self.worst_clamp = 0.0
-        centers = lift_rule_data(lift, 2)["pts"].mean(axis=1)
+        centers = bulk_quad_data(mesh, 2, lift)["pts"].mean(axis=1)
         self.k = min(self.n_candidates, mesh.n_elements)
         self.tree = cKDTree(centers)
         # the vertex triangle's affine map, and which elements are exactly it:
@@ -267,7 +210,7 @@ class MeshLocator:
             self._affine &= (mesh.nodes[mesh.elements[:, 3:]] == mids).all(axis=(1, 2))
 
     def _forward(self, elems, refs):
-        return lift_mixed(self.lift, elems, refs)[:2]
+        return lift_mixed(self.lift, elems, refs)
 
     def _newton(self, elems, targets, refs):
         """Newton from `refs`; each point stops once its residual is below 1e-13.

@@ -65,9 +65,13 @@ class Mesh:
     # -- derived geometry ------------------------------------------------
 
     def _max_diameter(self):
+        # one node pair at a time: an (ne,) array each, not all pairs at once
         c = self.nodes[self.elements]  # (nelem, nb, 2)
-        d = np.linalg.norm(c[:, :, None, :] - c[:, None, :, :], axis=-1)
-        return float(d.max())
+        nb = c.shape[1]
+        return float(max(
+            np.linalg.norm(c[:, i] - c[:, j], axis=-1).max()
+            for i in range(nb) for j in range(i + 1, nb)
+        ))
 
     def _face_adjacency(self):
         directed, keys, first, _, count = _edge_table(self.elements[:, :3], self.n_nodes)

@@ -9,7 +9,6 @@ import numpy as np
 
 from .assembly import (
     FeFunction,
-    _contract,
     bulk_quad_data,
     eval_on_elements,
     grams_of,
@@ -18,9 +17,6 @@ from .assembly import (
     surface_quad_data,
     trace,
 )
-from .basis import edge_shape, edge_shape_deriv
-from .lifting import _lifted_shape_gradients, _lifted_surface_data, lift_rule_data
-from .norms import l2_norm
 
 
 # -- smooth test fields --------------------------------------------------------
@@ -161,88 +157,34 @@ def surface_interp_errors(mesh):
     return float(np.sqrt(l2sq)), float(np.sqrt(l2sq + h1semi))
 
 
-# -- lifted bilinear forms ------------------------------------------------------
+# -- bilinear and multilinear forms under the lift --------------------------------
 
 
-def lifted_bulk_forms(mesh, lm, z, w):
-    """m and a forms of the lifts, by pullback quadrature on the mesh."""
-    data = lift_rule_data(lm)
-    rule = data["rule"]
-    wq = rule.weights
-    vz, _ = eval_on_elements(z)
-    vw, _ = eval_on_elements(w)
-    m_l = float(np.einsum("q,eq,eq,eq->", wq, data["det"], vz, vw))
-    gp = _lifted_shape_gradients(lm)
-    gz, gw = (_contract(gp, f.coeffs[mesh.elements]) for f in (z, w))
-    a_l = float(np.einsum("q,eq,eqx,eqx->", wq, data["det"], gz, gw))
-    return m_l, a_l
+def form_errors(lm, z, w, forms):
+    """Normalized consistency errors under the lift of the named GramSet forms
+    (("M_bulk", "A_bulk") or ("M_surf", "A_surf")) at the pair (z, w):
+    |z.(F_h - F_lift)w| / (|z|_F |w|_F), with |t|_F = sqrt(t.F_h t) floored at 1e-150."""
+    g, gl = grams_of(lm.mesh), grams_of(lm.mesh, lm)
+    z, w = z.coeffs, w.coeffs
+    norm = lambda F, t: np.sqrt(max(float(t @ (F @ t)), 1e-300))
+    errors = []
+    for f in forms:
+        Fh, Fl = getattr(g, f), getattr(gl, f)
+        errors.append(abs(float(z @ ((Fh - Fl) @ w))) / (norm(Fh, z) * norm(Fh, w)))
+    return tuple(errors)
 
 
-def bulk_form_errors(mesh, lm, z, w):
-    """Normalized consistency errors of the m and a forms under the lift."""
-    g = grams_of(mesh)
-    m_h = float(z.coeffs @ (g.M_bulk @ w.coeffs))
-    a_h = float(z.coeffs @ (g.A_bulk @ w.coeffs))
-    m_l, a_l = lifted_bulk_forms(mesh, lm, z, w)
-    nz, nw = l2_norm(z, g), l2_norm(w, g)
-    gz = np.sqrt(max(float(z.coeffs @ (g.A_bulk @ z.coeffs)), 1e-300))
-    gw = np.sqrt(max(float(w.coeffs @ (g.A_bulk @ w.coeffs)), 1e-300))
-    return abs(m_h - m_l) / (nz * nw), abs(a_h - a_l) / (gz * gw)
-
-
-def lifted_surface_forms(mesh, lm, tz, tw):
-    """Surface m and a forms of the lifted traces."""
-    sd = _lifted_surface_data(lm)
-    er, speed = sd["rule"], sd["speed"]
-    psi = edge_shape(mesh.order, er.points)
-    dpsi = edge_shape_deriv(mesh.order, er.points)
-    zc, wc = tz.coeffs[mesh.surface_faces], tw.coeffs[mesh.surface_faces]
-    zv, wv, dz, dw = zc @ psi.T, wc @ psi.T, zc @ dpsi.T, wc @ dpsi.T
-    ms = float(np.sum(er.weights * speed * zv * wv))
-    asur = float(np.sum(er.weights * dz * dw / speed))
-    return ms, asur
-
-
-def surface_form_errors(mesh, lm, tz, tw):
-    """Normalized consistency errors of the surface forms under the lift."""
-    g = grams_of(mesh)
-    ms_h = float(tz.coeffs @ (g.M_surf @ tw.coeffs))
-    as_h = float(tz.coeffs @ (g.A_surf @ tw.coeffs))
-    ms_l, as_l = lifted_surface_forms(mesh, lm, tz, tw)
-    l2s = lambda t: np.sqrt(max(float(t.coeffs @ (g.M_surf @ t.coeffs)), 1e-300))
-    h1s = lambda t: np.sqrt(max(float(t.coeffs @ (g.A_surf @ t.coeffs)), 1e-300))
-    em = abs(ms_h - ms_l) / (l2s(tz) * l2s(tw))
-    ea = abs(as_h - as_l) / (h1s(tz) * h1s(tw))
-    return em, ea
-
-
-# -- multilinear integrals under the lift ----------------------------------------
-
-
-def multilinear_gradient_integral(mesh, fields, coeff_fn, lm=None):
-    """integral of coeff_fn(g1, ..., gm) over the lift lm of the mesh, or
-    over the plain mesh when lm is None.
+def multilinear_gradient_integral(mesh, fields, coeff_fn, qd=None):
+    """integral of coeff_fn(g1, ..., gm) by the quadrature record qd: by
+    default the mesh's bulk_quad_data; the lifted record integrates over the
+    lift of the mesh onto the exact domain.
 
     fields: scalar FE functions whose gradients feed coeff_fn, which maps
     stacked gradient arrays (each (ne, m, 2)) to the scalar integrand.
     """
-    if lm is not None:
-        data = lift_rule_data(lm)
-        rule, det = data["rule"], data["det"]
-        gp = _lifted_shape_gradients(lm)
-        grads = [_contract(gp, f.coeffs[mesh.elements]) for f in fields]
-    else:
-        qd = bulk_quad_data(mesh)
-        rule, det = qd["rule"], qd["det"]
-        grads = [eval_on_elements(f)[1] for f in fields]
-    integrand = coeff_fn(*grads)
-    return float(np.einsum("q,eq,eq->", rule.weights, det, integrand))
-
-
-def sampled_w1inf_panel(u):
-    """(sup |u|, sup |grad u|) over the assembly rule points."""
-    vals, grads = eval_on_elements(u)
-    return float(np.abs(vals).max()), float(np.linalg.norm(grads, axis=-1).max())
+    qd = qd or bulk_quad_data(mesh)
+    integrand = coeff_fn(*(eval_on_elements(f, qd)[1] for f in fields))
+    return float(np.einsum("q,eq,eq->", qd["rule"].weights, qd["det"], integrand))
 
 
 def sampled_whalf_inf(u):

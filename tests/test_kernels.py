@@ -2,7 +2,9 @@
 
 Element contractions are batched matmuls on the gradient rows
 (ne, m, 2, nb); each is checked against the einsum over the former
-(ne, m, nb, 2) layout, kept here as the oracle. The sparse SPD factor is
+(ne, m, nb, 2) layout, kept here as the oracle. The lifted record and
+Gram set are checked against the per-pair pullback quadrature, with the
+lifted Jacobians from `lift_mixed` at every rule point. The sparse SPD factor is
 checked against spsolve on each kind of matrix it factors, and the
 vectorized edge table against the per-edge dict loops of the mesh builder.
 """
@@ -19,7 +21,7 @@ from h32fem.assembly import (
     grams_of,
 )
 from h32fem.basis import TRI_EDGES, tri_shape_grad
-from h32fem.lifting import _lifted_shape_gradients, build_lift_map, lift_rule_data
+from h32fem.lifting import build_lift_map, lift_mixed
 from h32fem.meshing import (
     BOUNDARY_MIDNODE_BIAS,
     BOUNDARY_MIDNODE_BIAS_CAP,
@@ -31,7 +33,7 @@ from h32fem.meshing import (
 )
 from h32fem.norms import gradient_pairing_load, spectral_decomp, surface_spectral_decomp
 from h32fem.solvers import trace_matrix
-from h32fem.studies import lifted_bulk_forms, multilinear_gradient_integral
+from h32fem.studies import multilinear_gradient_integral
 
 RTOL = 1e-13
 
@@ -57,6 +59,15 @@ def case(request):
     return mesh, lm, qd, old_gradients({"rule": qd["rule"], "jac": jac}, mesh)
 
 
+def lifted_rule_data(lm, rule):
+    """Lifted Jacobians and determinants at every element's rule points, point by point."""
+    mesh = lm.mesh
+    m = len(rule)
+    elems, refs = np.repeat(np.arange(mesh.n_elements), m), np.tile(rule.points, (mesh.n_elements, 1))
+    jac = lift_mixed(lm, elems, refs)[1].reshape(-1, m, 2, 2)
+    return {"rule": rule, "jac": jac, "det": np.linalg.det(jac)}
+
+
 def coefficients(mesh, *shape):
     return np.random.default_rng(3).standard_normal((mesh.n_nodes,) + shape)
 
@@ -65,8 +76,8 @@ def test_gradient_rows_are_the_former_layout_transposed(case):
     mesh, lm, qd, old = case
     assert qd["gphys"].shape == old.shape[:2] + (2, old.shape[2])
     assert_close(qd["gphys"], old.swapaxes(-1, -2))
-    lifted_old = old_gradients(lift_rule_data(lm), mesh)
-    assert_close(_lifted_shape_gradients(lm), lifted_old.swapaxes(-1, -2))
+    lifted_old = old_gradients(lifted_rule_data(lm, qd["rule"]), mesh)
+    assert_close(bulk_quad_data(mesh, lift=lm)["gphys"], lifted_old.swapaxes(-1, -2))
 
 
 def test_element_grams_match_einsum(case):
@@ -114,17 +125,21 @@ def test_gradient_pairing_load_matches_einsum(case):
 
 def test_lifted_contractions_match_einsum(case):
     mesh, lm, qd, old = case
-    data = lift_rule_data(lm)
+    data = lifted_rule_data(lm, qd["rule"])
     gp = old_gradients(data, mesh)
     wq, det = data["rule"].weights, data["det"]
     z, w = FeFunction(mesh, coefficients(mesh)), FeFunction(mesh, coefficients(mesh)[::-1].copy())
     gz = np.einsum("eqbx,eb->eqx", gp, z.coeffs[mesh.elements])
     gw = np.einsum("eqbx,eb->eqx", gp, w.coeffs[mesh.elements])
     a_l = np.einsum("q,eq,eqx,eqx->", wq, det, gz, gw)
-    assert abs(lifted_bulk_forms(mesh, lm, z, w)[1] - a_l) <= RTOL * abs(a_l)
+    vz, vw = (np.einsum("qb,eb->eq", qd["phi"], f.coeffs[mesh.elements]) for f in (z, w))
+    m_l = np.einsum("q,eq,eq,eq->", wq, det, vz, vw)
+    gl = grams_of(mesh, lm)
+    assert abs(z.coeffs @ (gl.A_bulk @ w.coeffs) - a_l) <= RTOL * abs(a_l)
+    assert abs(z.coeffs @ (gl.M_bulk @ w.coeffs) - m_l) <= RTOL * abs(m_l)
     dot = lambda g1, g2: np.einsum("eqx,eqx->eq", g1, g2)
     want = np.einsum("q,eq,eq->", wq, det, dot(gz, gw))
-    got = multilinear_gradient_integral(mesh, [z, w], dot, lm)
+    got = multilinear_gradient_integral(mesh, [z, w], dot, bulk_quad_data(mesh, lift=lm))
     assert abs(got - want) <= RTOL * abs(want)
 
 

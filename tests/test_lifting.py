@@ -8,7 +8,6 @@ from h32fem.lifting import (
     build_lift_map,
     grad_lambda_inf_error,
     lift_mixed,
-    lift_rule_data,
 )
 from h32fem.meshing import build_square_mesh, disk_mesh, geometry_map
 
@@ -27,7 +26,7 @@ def test_identity_on_interior_elements(lifted):
     m, lm = lifted
     interior = np.nonzero(lm.curved_edge < 0)[0][:5]
     refs = np.array([[0.2, 0.3]] * len(interior))
-    pts, _, _ = lift_mixed(lm, interior, refs)
+    pts, _ = lift_mixed(lm, interior, refs)
     for e, p in zip(interior, pts):
         expected, _ = geometry_map(m, e, np.array([0.2, 0.3]))
         assert np.abs(p - expected).max() < 1e-14
@@ -41,7 +40,7 @@ def test_boundary_nodes_fixed(lifted):
         for t in (0.0, 0.5, 1.0):
             ref = tri_edge_ref_points(le, np.array([t]))
             p0, _ = geometry_map(m, e, ref[0])
-            p1, _, _ = lift_mixed(lm, np.array([e]), ref)
+            p1, _ = lift_mixed(lm, np.array([e]), ref)
             # nodes already on the circle stay put; other edge points move radially
             if abs(np.linalg.norm(p0) - 1.0) < 1e-12:
                 assert np.abs(p1[0] - p0).max() < 1e-12
@@ -55,7 +54,7 @@ def test_curved_edge_maps_onto_circle(lifted):
     worst = 0.0
     for e, le in zip(m.face_elem, m.face_local_edge):
         ref = tri_edge_ref_points(le, ts)
-        pts, _, _ = lift_mixed(lm, np.full(len(ts), e), ref)
+        pts, _ = lift_mixed(lm, np.full(len(ts), e), ref)
         worst = max(worst, np.abs(np.linalg.norm(pts, axis=1) - 1.0).max())
     assert worst < 1e-10
 
@@ -69,7 +68,7 @@ def test_continuity_across_interfaces(lifted):
             if le == lm.curved_edge[e]:
                 continue
             ref = tri_edge_ref_points(le, ts)
-            lifted_pts, _, _ = lift_mixed(lm, np.full(len(ts), e), ref)
+            lifted_pts, _ = lift_mixed(lm, np.full(len(ts), e), ref)
             plain, _ = geometry_map(m, e, ref)
             assert np.abs(lifted_pts - plain).max() < 1e-10
 
@@ -79,13 +78,13 @@ def test_jacobian_finite_difference(lifted):
     m, lm = lifted
     e = lm.boundary_elements()[0]
     ref0 = np.array([0.31, 0.27])
-    p0, J, _ = lift_mixed(lm, np.array([e]), ref0[None, :])
+    p0, J = lift_mixed(lm, np.array([e]), ref0[None, :])
     eps = 1e-7
     num = np.zeros((2, 2))
     for r in range(2):
         d = np.zeros(2)
         d[r] = eps
-        p1, _, _ = lift_mixed(lm, np.array([e]), (ref0 + d)[None, :])
+        p1, _ = lift_mixed(lm, np.array([e]), (ref0 + d)[None, :])
         num[:, r] = (p1[0] - p0[0]) / eps
     assert np.abs(J[0] - num).max() < 1e-6 * np.abs(J[0]).max()
 
@@ -103,8 +102,7 @@ def test_grad_lambda_decay_rate():
 
 def test_lift_positive_orientation(lifted):
     m, lm = lifted
-    data = lift_rule_data(lm)
-    assert data["det"].min() > 0.0
+    assert bulk_quad_data(m, lift=lm)["det"].min() > 0.0
 
 
 def test_composition_roundtrip(lifted):
@@ -113,7 +111,7 @@ def test_composition_roundtrip(lifted):
     u = nodal_interp_bulk(m, lambda p: np.sin(p[:, 0]) + p[:, 1] ** 2)
     elems = np.repeat(np.arange(m.n_elements), m.elements.shape[1])
     refs = np.tile(tri_ref_nodes(m.order), (m.n_elements, 1))
-    lifted_nodes, _, _ = lift_mixed(lm, elems, refs)
+    lifted_nodes, _ = lift_mixed(lm, elems, refs)
     back = _values_at(u, *MeshLocator(lm).locate(lifted_nodes))
     assert np.abs(back - u.coeffs[m.elements.ravel()]).max() < 1e-12
 
@@ -125,7 +123,7 @@ def test_locator_roundtrip(lifted, rng):
     th = rng.uniform(0, 2 * np.pi, 300)
     P = np.column_stack([r * np.cos(th), r * np.sin(th)])
     elems, refs = loc.locate(P)
-    back, _, _ = lift_mixed(lm, elems, refs)
+    back, _ = lift_mixed(lm, elems, refs)
     assert np.abs(back - P).max() < 1e-9
 
 
@@ -152,7 +150,7 @@ def test_locator_tries_every_candidate_before_extra_starts(lifted, monkeypatch):
     monkeypatch.setattr(MeshLocator, "_newton", counted)
     monkeypatch.setattr(MeshLocator, "_forward", counted_forward)
     elems, refs = loc.locate(pts)
-    back, _, _ = lift_mixed(lm, elems, refs)
+    back, _ = lift_mixed(lm, elems, refs)
     assert np.linalg.norm(back - pts, axis=1).max() <= 1e-9
     assert MeshLocator._violation(refs).max() <= loc.tol
     newton_elems = np.concatenate(newton_elems)
@@ -221,11 +219,10 @@ def test_square_lift_is_identity():
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_lifted_surface_forms_match_per_face_loop(order):
-    # the per-face lift the batched surface data replaced, as a reference
-    from h32fem.assembly import trace
+    # the lifted surface Grams against the per-face lift, as a reference
+    from h32fem.assembly import grams_of, trace
     from h32fem.basis import TRI_EDGES, TRI_VERTS, edge_shape, edge_shape_deriv
     from h32fem.quadrature import default_degree, edge_rule
-    from h32fem.studies import lifted_surface_forms
 
     m = disk_mesh(3, order)
     lm = build_lift_map(m)
@@ -237,13 +234,14 @@ def test_lifted_surface_forms_match_per_face_loop(order):
     for f in range(len(m.boundary_faces)):
         e, le = m.face_elem[f], m.face_local_edge[f]
         refs = tri_edge_ref_points(le, er.points)
-        _, jc, _ = lift_mixed(lm, np.full(len(refs), e), refs)
+        _, jc = lift_mixed(lm, np.full(len(refs), e), refs)
         a, b = TRI_EDGES[le]
         speed = np.linalg.norm(np.einsum("nxr,r->nx", jc, TRI_VERTS[b] - TRI_VERTS[a]), axis=1)
         zc, wc = tz.coeffs[m.surface_faces[f]], tw.coeffs[m.surface_faces[f]]
         ms += float(np.sum(er.weights * speed * (psi @ zc) * (psi @ wc)))
         asur += float(np.sum(er.weights * (dpsi @ zc) * (dpsi @ wc) / speed))
-    got = lifted_surface_forms(m, lm, tz, tw)
+    gl = grams_of(m, lm)
+    got = (tz.coeffs @ (gl.M_surf @ tw.coeffs), tz.coeffs @ (gl.A_surf @ tw.coeffs))
     assert np.allclose(got, (ms, asur), rtol=1e-13, atol=0.0)
 
 
@@ -283,3 +281,69 @@ def _boundary_rule_points(order):
     t = np.linspace(0.05, 0.95, 5)
     refs = np.stack([tri_edge_ref_points(le, t) for le in mesh.face_local_edge]).reshape(-1, 2)
     return np.repeat(mesh.face_elem, len(t)), refs
+
+
+# -- the lifted record is the plain one with the lift composed on the boundary layer
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("order", [1, 2])
+def test_identity_lift_record_and_grams_are_the_plain_ones(n, order):
+    from h32fem.assembly import assemble_grams, surface_quad_data
+
+    sq = build_square_mesh(n, order)
+    lm = build_lift_map(sq)
+    for plain, lifted in (
+        (bulk_quad_data(sq), bulk_quad_data(sq, lift=lm)),
+        (surface_quad_data(sq), surface_quad_data(sq, lift=lm)),
+    ):
+        assert plain is not lifted
+        for key, value in plain.items():
+            if key != "rule":
+                assert same_bytes(value, lifted[key]), key
+    g, gl = assemble_grams(sq), assemble_grams(sq, lm)
+    for name in ("M_bulk", "A_bulk", "M_surf", "A_surf"):
+        a, b = getattr(g, name), getattr(gl, name)
+        assert same_bytes(a.indptr, b.indptr) and same_bytes(a.indices, b.indices), name
+        assert same_bytes(a.data, b.data), name
+    assert (g.bulk_eig_bound, g.surf_eig_bound) == (gl.bulk_eig_bound, gl.surf_eig_bound)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_lifted_record_is_plain_off_the_boundary_layer(order):
+    m = disk_mesh(5, order)
+    lm = build_lift_map(m)
+    plain, lifted = bulk_quad_data(m), bulk_quad_data(m, lift=lm)
+    inner = lm.curved_edge < 0
+    for key in ("pts", "det", "gphys"):
+        assert same_bytes(plain[key][inner], lifted[key][inner]), key
+        assert not np.array_equal(plain[key][~inner], lifted[key][~inner]), key
+    assert same_bytes(plain["phi"], lifted["phi"])
+
+
+def full_array_grad_lambda_error(lm):
+    """max |grad(Lambda) - I| over every element's rule points, from J (J_geo)^-1."""
+    from h32fem.meshing import _inverse_2x2, _norm_2x2, batched_geometry
+    from h32fem.quadrature import default_degree, triangle_rule
+
+    mesh = lm.mesh
+    rule = triangle_rule(default_degree(mesh.order))
+    m = len(rule)
+    _, jgeo, _ = batched_geometry(mesh, rule.points)
+    jac = jgeo.copy()
+    bel = lm.boundary_elements()
+    _, dD = lm.displacement(np.repeat(bel, m), np.tile(rule.points, (len(bel), 1)))
+    jac[bel] += dD.reshape(len(bel), m, 2, 2)
+    grad_lambda = np.einsum("emxr,emrs->emxs", jac, _inverse_2x2(jgeo)[0])
+    return float(_norm_2x2(grad_lambda - np.eye(2)).max())
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("order", [1, 2])
+def test_grad_lambda_error_is_the_full_array_formula(n, order):
+    lm = build_lift_map(disk_mesh(n, order))
+    assert grad_lambda_inf_error(lm) == full_array_grad_lambda_error(lm)

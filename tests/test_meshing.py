@@ -196,3 +196,16 @@ def test_batched_geometry_matches_einsum_reference(kind, order):
         np.testing.assert_allclose(pts, np.einsum("mb,ebx->emx", phi, coords), rtol=0, atol=1e-14)
         np.testing.assert_allclose(jac, ref_jac, rtol=0, atol=1e-14)
         np.testing.assert_allclose(det, np.linalg.det(ref_jac), rtol=0, atol=1e-14)
+
+
+def all_pairs_diameter(mesh):
+    """Largest node distance within an element over all (ne, nb, nb) node pairs at once."""
+    c = mesh.nodes[mesh.elements]
+    return float(np.linalg.norm(c[:, :, None, :] - c[:, None, :, :], axis=-1).max())
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("order", [1, 2])
+def test_h_is_the_all_pairs_diameter(n, order):
+    for mesh in (disk_mesh(n, order), build_square_mesh(n, order)):
+        assert mesh.h == all_pairs_diameter(mesh)

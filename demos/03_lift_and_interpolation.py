@@ -7,10 +7,10 @@ import numpy as np
 
 from h32fem import (
     FeFunction,
-    build_lift_map,
     dirichlet_lift,
     disk_mesh,
     grams_of,
+    lift_of,
     nodal_interp_bulk,
     scott_zhang,
     solve_dirichlet_fe,
@@ -22,12 +22,15 @@ from h32fem import (
 from h32fem.lifting import grad_lambda_inf_error
 from h32fem.norms import dual_neg_half_norm, h1_norm, spectral_decomp
 
-# the lift moves the curved mesh onto the exact disk; its gradient
-# approaches the identity at rate h^k
+# the lift moves the curved mesh onto the exact disk; the mesh fixes it
+# (lift_of(m), built once per mesh), it moves only the boundary layer, and
+# its gradient approaches the identity at rate h^k
 print("lift gradient error by level (order 2):")
 for n in (4, 8, 16):
     m = disk_mesh(n, 2)
-    print(f"  rings={n:2d}  h={m.h:.3f}  ||grad Lambda - I||_inf = {grad_lambda_inf_error(build_lift_map(m)):.2e}")
+    layer = len(lift_of(m).boundary_elements())
+    print(f"  rings={n:2d}  h={m.h:.3f}  boundary layer {layer:3d} of {m.n_elements:4d} elements  "
+          f"||grad Lambda - I||_inf = {grad_lambda_inf_error(m):.2e}")
 
 # Scott-Zhang reproduces FE functions and their traces exactly
 m = disk_mesh(4, 1)
@@ -38,9 +41,8 @@ sz = scott_zhang(u, m)
 print(f"Scott-Zhang projection error on an FE function: {np.abs(sz.coeffs - u.coeffs).max():.1e}")
 
 # the Dirichlet lift solves on a 4x finer mesh with lifted data
-lm = build_lift_map(m)
 one = nodal_interp_bulk(m, lambda p: np.ones(len(p)))
-sol = dirichlet_lift(one, lm)
+sol = dirichlet_lift(one)
 print(f"Dirichlet lift of the constant 1: overkill mesh h={sol.fine_mesh.h:.3f}, "
       f"max deviation {np.abs(sol.coeffs - 1).max():.1e}")
 
@@ -49,12 +51,11 @@ print("quasi-interpolant error ratio (random interior source):")
 for n in (2, 4):
     m = disk_mesh(n, 1)
     g = grams_of(m)
-    lm = build_lift_map(m)
     c = rng.normal(size=m.n_nodes)
     c[m.boundary_node_ids] = 0.0
     f = FeFunction(m, c, "bulk0")
     uh = solve_dirichlet_fe(g, f, zero_function(m, "surface"))
-    szh = sz_via_dirichlet(uh, lm)
+    szh = sz_via_dirichlet(uh)
     sbi = spectral_decomp(g, "interior")
     err = h1_norm(FeFunction(m, uh.coeffs - szh.coeffs), g)
     ratio = err / (np.sqrt(m.h) * dual_neg_half_norm(f, sbi, g))
@@ -62,7 +63,6 @@ for n in (2, 4):
 
 # the four-term W^{1,inf}-like norm behind the smallness criterion
 m = disk_mesh(3, 1)
-lm = build_lift_map(m)
 v = nodal_interp_bulk(m, lambda p: np.sin(p[:, 0]) * np.cos(p[:, 1]))
 v = v.scaled(m.h ** 2.1 / h1_norm(v, grams_of(m)))
-print(f"smallness check: W-like norm {winf_like_norm(v, lm):.2e} <= h^0.5 = {m.h**0.5:.2e}")
+print(f"smallness check: W-like norm {winf_like_norm(v):.2e} <= h^0.5 = {m.h**0.5:.2e}")

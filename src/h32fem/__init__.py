@@ -24,11 +24,7 @@ from .interp import (
     sz_via_dirichlet,
     winf_like_norm,
 )
-from .lifting import (
-    LiftMap,
-    MeshLocator,
-    build_lift_map,
-)
+from .lifting import LiftMap, MeshLocator, lift_of
 from .meshing import Mesh, build_disk_mesh, build_square_mesh, disk_mesh, geometry_map
 from .multilinear import (
     MultilinearForm,

@@ -22,6 +22,7 @@ from .basis import (
     tri_shape,
     tri_shape_grad,
 )
+from .lifting import lift_of
 from .meshing import _cached, _inverse_2x2, batched_geometry, geometry_map
 from .quadrature import default_degree, edge_rule, triangle_rule
 
@@ -70,9 +71,9 @@ def zero_function(mesh, space=BULK):
 # -- quadrature-point caches ------------------------------------------------
 
 
-def bulk_quad_data(mesh, degree=None, lift=None):
+def bulk_quad_data(mesh, degree=None, lifted=False):
     """Shared per-mesh data at triangle rule points, of the mesh's elements or,
-    with lift = build_lift_map(mesh), of their lifts onto the exact domain.
+    lifted, of their lifts onto the exact domain (`lifting.lift_of(mesh)`).
 
     Returns dict with rule, phi (m, nb), pts (ne, m, 2), det (ne, m) and
     the physical basis gradients as rows, gphys (ne, m, 2, nb):
@@ -80,32 +81,26 @@ def bulk_quad_data(mesh, degree=None, lift=None):
     gradients of element coefficients are one matmul (`_contract`). The
     lifted record is the plain one with the lift composed on the boundary
     layer (pts, det, gphys change there only); callers pass it on to
-    eval_on_elements and the functions built on it.
+    eval_on_elements and the functions built on it. Every mesh passes through
+    here before anything is integrated on it: an inverted element is refused.
     """
     if degree is None:
         degree = default_degree(mesh.order)
-    return _per_lift(mesh, ("bulk", degree), lift, lambda: _bulk_quad_data(mesh, degree, lift))
+    return _per_lift(mesh, ("bulk", degree), lifted, lambda: _bulk_quad_data(mesh, degree, lifted))
 
 
-def _per_lift(mesh, key, lift, build):
-    """build(): cached under key for the plain mesh; for a lift (the mesh's
-    own) built on every call, so that lifted records do not stay resident."""
-    if lift is None:
-        return _cached(mesh, key, build)
-    if lift.mesh is not mesh:
-        raise ValueError("the lift belongs to another mesh")
-    return build()
+def _per_lift(mesh, key, lifted, build):
+    """build(): cached under key for the plain mesh; lifted, built on every
+    call, so that lifted records do not stay resident."""
+    return build() if lifted else _cached(mesh, key, build)
 
 
-def _bulk_quad_data(mesh, degree, lift):
+def _bulk_quad_data(mesh, degree, lifted):
     rule = triangle_rule(degree)
-    pts, jac, det = batched_geometry(mesh, rule.points)
-    if lift is not None:
-        bel, m = lift.boundary_elements(), len(rule)
-        elems, refs = np.repeat(bel, m), np.tile(rule.points, (len(bel), 1))
-        lp, lj = lift.compose(elems, refs, pts[bel].reshape(-1, 2), jac[bel].reshape(-1, 2, 2))
-        pts[bel], jac[bel] = lp.reshape(-1, m, 2), lj.reshape(-1, m, 2, 2)
-        det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+    if lifted:
+        pts, jac, det = lift_of(mesh).geometry(rule.points)
+    else:
+        pts, jac, det = batched_geometry(mesh, rule.points)
     if det.min() <= 0.0:
         raise RuntimeError("nonpositive Jacobian during assembly")
     return {
@@ -143,27 +138,27 @@ def _contract(rows, local):
     return np.matmul(rows.reshape(ne, -1, nb), loc).reshape(rows.shape[:-1] + t)
 
 
-def surface_quad_data(mesh, degree=None, lift=None):
+def surface_quad_data(mesh, degree=None, lifted=False):
     """Per-boundary-face data at edge rule points: curve points, velocity,
-    speed, bases; with a lift, of the lifted curve (built per call, like
-    the lifted bulk_quad_data)."""
+    speed, bases; lifted, of the lifted curve (built per call, like the
+    lifted bulk_quad_data)."""
     if degree is None:
         degree = default_degree(mesh.order)
-    return _per_lift(mesh, ("surf", degree), lift, lambda: _surface_quad_data(mesh, degree, lift))
+    return _per_lift(mesh, ("surf", degree), lifted, lambda: _surface_quad_data(mesh, degree, lifted))
 
 
-def _surface_quad_data(mesh, degree, lift):
+def _surface_quad_data(mesh, degree, lifted):
     rule = edge_rule(degree)
     psi = edge_shape(mesh.order, rule.points)
     dpsi = edge_shape_deriv(mesh.order, rule.points)
     coords = mesh.nodes[mesh.boundary_faces]          # (nf, nbe, 2)
     pts = np.einsum("qb,fbx->fqx", psi, coords)
     vel = np.einsum("qb,fbx->fqx", dpsi, coords)      # curve velocity
-    if lift is not None:
+    if lifted:
         # plus the displacement and its derivative along the face's edge
         nf, m = pts.shape[:2]
         refs = _face_ref_points(mesh, rule.points).reshape(-1, 2)
-        D, dD = lift.displacement(np.repeat(mesh.face_elem, m), refs)
+        D, dD = lift_of(mesh).displacement(np.repeat(mesh.face_elem, m), refs)
         tangent = np.array([TRI_VERTS[b] - TRI_VERTS[a] for a, b in TRI_EDGES])[mesh.face_local_edge]
         pts = pts + D.reshape(nf, m, 2)
         vel = vel + np.einsum("fqxr,fr->fqx", dD.reshape(nf, m, 2, 2), tangent)
@@ -190,7 +185,8 @@ class GramSet:
     A_surf: sp.csr_matrix
     interior_ids: np.ndarray
     boundary_ids: np.ndarray
-    # upper bounds on the largest eigenvalue of (M + A, M), bulk and surface
+    # upper bounds on the largest eigenvalue of (M + A, M), bulk and surface;
+    # None on the lifted set, whose forms no fractional operator is built from
     bulk_eig_bound: float
     surf_eig_bound: float
 
@@ -214,16 +210,16 @@ def _scatter(ne_mats, conn, n):
     return sp.coo_matrix((ne_mats.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()
 
 
-def grams_of(mesh, lift=None):
-    """The default-degree GramSet of a mesh, or with lift = build_lift_map(mesh)
-    the forms of the lifted basis on the exact domain; each assembled once and
-    cached (the lifted quadrature records are dropped after assembly)."""
-    return _cached(mesh, ("grams", lift is not None), lambda: assemble_grams(mesh, lift))
+def grams_of(mesh, lifted=False):
+    """The default-degree GramSet of a mesh, or lifted the forms of the lifted
+    basis on the exact domain (`lifting.lift_of(mesh)`); each assembled once
+    and cached (the lifted quadrature records are dropped after assembly)."""
+    return _cached(mesh, ("grams", lifted), lambda: assemble_grams(mesh, lifted))
 
 
-def assemble_grams(mesh, lift=None):
-    """The four Gram forms from bulk_quad_data/surface_quad_data (of the lift, if given)."""
-    qd = bulk_quad_data(mesh, lift=lift)
+def assemble_grams(mesh, lifted=False):
+    """The four Gram forms from bulk_quad_data/surface_quad_data (lifted, if asked)."""
+    qd = bulk_quad_data(mesh, lifted=lifted)
     w, phi, det = qd["rule"].weights, qd["phi"], qd["det"]
     nb = phi.shape[1]
     Me = det @ (w[:, None, None] * phi[:, :, None] * phi[:, None, :]).reshape(len(w), -1)
@@ -234,7 +230,7 @@ def assemble_grams(mesh, lift=None):
     M = _scatter(Me, mesh.elements, mesh.n_nodes)
     A = _scatter(Ae, mesh.elements, mesh.n_nodes)
 
-    sd = surface_quad_data(mesh, lift=lift)
+    sd = surface_quad_data(mesh, lifted=lifted)
     ws, psi, dpsi, speed = sd["rule"].weights, sd["psi"], sd["dpsi"], sd["speed"]
     Mse = np.einsum("q,qi,qj,fq->fij", ws, psi, psi, speed)
     # tangential derivative: psi'(t)/|c'(t)|, measure |c'(t)| dt
@@ -251,8 +247,8 @@ def assemble_grams(mesh, lift=None):
         A_surf=As,
         interior_ids=mesh.interior_node_ids,
         boundary_ids=bids,
-        bulk_eig_bound=_eig_bound(Me, Ae),
-        surf_eig_bound=_eig_bound(Mse, Ase),
+        bulk_eig_bound=None if lifted else _eig_bound(Me, Ae),
+        surf_eig_bound=None if lifted else _eig_bound(Mse, Ase),
     )
 
 

@@ -50,8 +50,8 @@ from .interp import (
     sz_via_dirichlet,
     winf_like_norm,
 )
-from .lifting import build_lift_map, grad_lambda_inf_error
-from .meshing import _cached, _inverse_2x2, _norm_2x2, shared_mesh
+from .lifting import grad_lambda_inf_error
+from .meshing import _inverse_2x2, _norm_2x2, shared_mesh
 from .multilinear import (
     comparison_decompose,
     deformation_tensor,
@@ -108,10 +108,6 @@ def get_mesh(kind, n, order):
     """The shared mesh (`meshing.shared_mesh`). Experiments look meshes up by
     this name, so replacing it runs them on fresh meshes."""
     return shared_mesh(kind, n, order)
-
-
-def _lift_of(mesh):
-    return _cached(mesh, "lift", lambda: build_lift_map(mesh))
 
 
 def spectral_rings(levels):
@@ -219,12 +215,11 @@ def exp_lift_consistency(cfg):
     k = cfg.order
 
     def level(m, g, rng):
-        lm = _lift_of(m)
-        gl = grad_lambda_inf_error(lm)
-        bulk = [studies.form_errors(lm, z, w, ("M_bulk", "A_bulk")) for z, w in studies.bulk_form_pairs(m)]
+        gl = grad_lambda_inf_error(m)
+        bulk = [studies.form_errors(m, z, w, ("M_bulk", "A_bulk")) for z, w in studies.bulk_form_pairs(m)]
         varies = lambda t: float(t.coeffs @ (g.A_surf @ t.coeffs)) > 1e-20
         surf = [
-            (studies.form_errors(lm, z, w, ("M_surf", "A_surf")), varies(z) and varies(w))
+            (studies.form_errors(m, z, w, ("M_surf", "A_surf")), varies(z) and varies(w))
             for z, w in studies.surface_form_pairs(m)
         ]
         ef = max(e[0] for e in bulk)
@@ -255,12 +250,11 @@ def exp_lift_multilinear(cfg):
         return g1[..., 0] * np.einsum("...xy,...y->...x", Finv, gw)[..., 1]
 
     def level(m, g, rng):
-        lm = _lift_of(m)
         u1 = nodal_interp_bulk(m, studies.SMOOTH_SCALAR)
         u2 = nodal_interp_bulk(m, studies.SMOOTH_SCALAR_2)
         w = nodal_interp_bulk(m, lambda p: np.cos(p[:, 0] - 0.4 * p[:, 1]))
         plain = studies.multilinear_gradient_integral(m, [u1, u2, w], T3)
-        lifted_qd = bulk_quad_data(m, lift=lm)
+        lifted_qd = bulk_quad_data(m, lifted=True)
         lifted = studies.multilinear_gradient_integral(m, [u1, u2, w], T3, lifted_qd)
         grad_sup_u2 = float(np.linalg.norm(eval_on_elements(u2)[1], axis=-1).max())
         denom = h1_norm(u1, g) * h1_norm(w, g) * max(grad_sup_u2, 1.0)
@@ -313,7 +307,6 @@ def exp_sz_projection(cfg):
 
 def exp_sz_error(cfg):
     def level(m, g, rng):
-        lm = _lift_of(m)
         sbi = spectral_decomp(g, "interior")
         ratios36, ratios46 = [], []
         data = [
@@ -325,7 +318,7 @@ def exp_sz_error(cfg):
         ]
         for f, gs in data:
             u = solve_dirichlet_fe(g, f, gs)
-            szu = sz_via_dirichlet(u, lm)
+            szu = sz_via_dirichlet(u)
             num = h1_norm(FeFunction(m, u.coeffs - szu.coeffs), g)
             den36 = dual_neg_half_norm(f, sbi, g) + boundary_sobolev_norm(gs, 1, g)
             ratios36.append(num / (np.sqrt(m.h) * den36))
@@ -380,13 +373,12 @@ def exp_inverse_estimate(cfg):
 
 def exp_h1_stability(cfg):
     def level(m, g, rng):
-        lm = _lift_of(m)
         sbi = spectral_decomp(g, "interior")
         r_sz, r_d, r_32 = [], [], []
         for _ in range(3):
             u = _random_bulk(rng, m)
-            sol = dirichlet_lift(u, lm)
-            szu = sz_via_dirichlet(u, lm, sol=sol)
+            sol = dirichlet_lift(u)
+            szu = sz_via_dirichlet(u, sol=sol)
             fg = grams_of(sol.fine_mesh)
             r_sz.append(h1_norm(szu, g) / h1_norm(u, g))
             r_d.append(h1_norm(sol.fe, fg) / h1_norm(u, g))
@@ -511,7 +503,7 @@ def exp_smallness(cfg):
     def level(m, g, rng):
         v = nodal_interp_bulk(m, studies.SMOOTH_SCALAR)
         u = v.scaled(m.h ** (kappa + 1.5 + 0.1) / h1_norm(v, g))
-        return [winf_like_norm(u, _lift_of(m)), m.h**kappa]
+        return [winf_like_norm(u), m.h**kappa]
 
     return _ladder(
         "smallness", cfg, overkill_rings(cfg.levels), level,

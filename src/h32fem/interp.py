@@ -28,7 +28,7 @@ from .assembly import (
     trace,
 )
 from .basis import tri_shape
-from .lifting import MeshLocator, build_lift_map, lift_mixed
+from .lifting import MeshLocator, lift_mixed
 from .meshing import _cached, _spd_solver
 from .quadrature import default_degree
 from .solvers import OverkillSolution, _dirichlet_solve, refined_copy
@@ -147,12 +147,12 @@ def _evaluation_matrix(mesh, elems, refs):
     )
 
 
-def overkill_context(mesh, lm):
+def overkill_context(mesh):
     """Fine mesh, grams and the lifted-point locators of overkill operations."""
-    return _cached(mesh, "overkill", lambda: _overkill_context(mesh, lm))
+    return _cached(mesh, "overkill", lambda: _overkill_context(mesh))
 
 
-def _overkill_context(mesh, lm):
+def _overkill_context(mesh):
     fine = refined_copy(mesh, 2**OVERKILL_LEVEL)
     if fine.h > mesh.h / 2**OVERKILL_LEVEL + 1e-12:
         raise RuntimeError("overkill refinement did not reduce h as expected")
@@ -160,23 +160,23 @@ def _overkill_context(mesh, lm):
         "fine": fine,
         "fine_grams": grams_of(fine),
         # both locate points of the exact domain
-        "fine_locator": MeshLocator(build_lift_map(fine)),
-        "coarse_locator": MeshLocator(lm),
+        "fine_locator": MeshLocator(fine),
+        "coarse_locator": MeshLocator(mesh),
     }
 
 
-def _overkill_matrix(build, mesh, lm):
-    """build(mesh, lm, ctx), run once per build and cached on the coarse mesh."""
-    return _cached(mesh, build, lambda: build(mesh, lm, overkill_context(mesh, lm)))
+def _overkill_matrix(build, mesh):
+    """build(mesh, ctx), run once per build and cached on the coarse mesh."""
+    return _cached(mesh, build, lambda: build(mesh, overkill_context(mesh)))
 
 
-def _source_matrix(mesh, lm, ctx):
+def _source_matrix(mesh, ctx):
     """Sparse map: coarse coefficients -> lifted values at fine rule points."""
     pts = bulk_quad_data(ctx["fine"])["pts"].reshape(-1, 2)
     return _evaluation_matrix(mesh, *ctx["coarse_locator"].locate(pts))
 
 
-def _trace_matrix(mesh, lm, ctx):
+def _trace_matrix(mesh, ctx):
     """Sparse map: coarse surface coefficients -> values at fine boundary nodes.
 
     One path for the disk and the square: the fine boundary nodes lie on
@@ -190,47 +190,47 @@ def _trace_matrix(mesh, lm, ctx):
     return E[:, mesh.boundary_node_ids]
 
 
-def _sz_pullback_matrix(mesh, lm, ctx):
+def _sz_pullback_matrix(mesh, ctx):
     """Sparse map: fine coefficients -> pullback values at the SZ moment points.
 
     The moment points are known as (element, reference point), so they are
     lifted directly and only the lifted points need locating.
     """
     sz = _sz_moments(mesh)
-    lifted, _ = lift_mixed(lm, sz["elems"], sz["refs"])
+    lifted, _ = lift_mixed(mesh, sz["elems"], sz["refs"])
     return _evaluation_matrix(ctx["fine"], *ctx["fine_locator"].locate(lifted))
 
 
-def dirichlet_lift(u_h, lm):
+def dirichlet_lift(u_h):
     """Overkill surrogate of the Dirichlet lift of u_h onto the exact domain."""
     f_h, g_h = dirichlet_riesz_data(u_h, grams_of(u_h.mesh))
-    return dirichlet_lift_from_data(f_h, g_h, lm)
+    return dirichlet_lift_from_data(f_h, g_h)
 
 
-def dirichlet_lift_from_data(f_h, g_h, lm):
+def dirichlet_lift_from_data(f_h, g_h):
     """Overkill Dirichlet solve with lifted discrete data (f_h, g_h)."""
     mesh = f_h.mesh
-    ctx = overkill_context(mesh, lm)
+    ctx = overkill_context(mesh)
     fine, fg = ctx["fine"], ctx["fine_grams"]
 
     # lifted source tested against the fine basis
     qd = bulk_quad_data(fine)
-    S = _overkill_matrix(_source_matrix, mesh, lm)
+    S = _overkill_matrix(_source_matrix, mesh)
     fv = (S @ f_h.coeffs).reshape(qd["det"].shape)
     loc = (qd["rule"].weights * qd["det"] * fv) @ qd["phi"]
     rhs_full = np.bincount(fine.elements.ravel(), loc.ravel(), minlength=fine.n_nodes)
 
     # lifted trace at the fine boundary nodes
-    g = _overkill_matrix(_trace_matrix, mesh, lm) @ g_h.coeffs
+    g = _overkill_matrix(_trace_matrix, mesh) @ g_h.coeffs
     return OverkillSolution(fine, _dirichlet_solve(fg, rhs_full, g))
 
 
-def sz_via_dirichlet(u_h, lm, sol=None):
+def sz_via_dirichlet(u_h, sol=None):
     """Trace-preserving quasi-interpolant: Scott-Zhang of the pulled-back lift."""
     if sol is None:
-        sol = dirichlet_lift(u_h, lm)
+        sol = dirichlet_lift(u_h)
     mesh = u_h.mesh
-    vals = _overkill_matrix(_sz_pullback_matrix, mesh, lm) @ sol.fe.coeffs
+    vals = _overkill_matrix(_sz_pullback_matrix, mesh) @ sol.fe.coeffs
     return _sz_from_values(mesh, _sz_moments(mesh), vals)
 
 
@@ -244,18 +244,18 @@ def sampled_w1inf(u, qd=None):
     return float(max(np.abs(vals).max(), np.linalg.norm(grads, axis=-1).max()))
 
 
-def winf_like_norm(u_h, lm):
+def winf_like_norm(u_h):
     """Four-term sampled W^{1,infty} norm controlling the smallness criterion.
 
     The maximum over: u_h itself, its trace-preserving quasi-interpolant,
     the overkill Dirichlet lift on the fine mesh, and the lifted
     quasi-interpolant on the exact domain.
     """
-    sol = dirichlet_lift(u_h, lm)
-    szu = sz_via_dirichlet(u_h, lm, sol=sol)
+    sol = dirichlet_lift(u_h)
+    szu = sz_via_dirichlet(u_h, sol=sol)
     return max(
         sampled_w1inf(u_h),
         sampled_w1inf(szu),
         sampled_w1inf(sol.fe),
-        sampled_w1inf(szu, bulk_quad_data(u_h.mesh, lift=lm)),
+        sampled_w1inf(szu, bulk_quad_data(u_h.mesh, lifted=True)),
     )

@@ -14,11 +14,13 @@ continuous, restricted to the curved edge it is exactly the radial
 projection onto the circle, and its gradient deviates from the identity
 by O(h^k).
 
-Lifted forms are the plain ones on another geometry map, Lambda o F:
-`LiftMap.compose` moves F's points and Jacobians by D and its gradient
-(the one place lifted Jacobians are formed), and the plain code builds the
-lifted quadrature record and Gram set, `assembly.bulk_quad_data(mesh,
-degree, lift)` and `assembly.grams_of(mesh, lift)`.
+The triangulation fixes the lift, so it is a cached function of the mesh,
+`lift_of(mesh)`. Lifted forms are the plain ones on another geometry map,
+Lambda o F: `LiftMap.compose` moves F's points and Jacobians by D and its
+gradient (the one place lifted Jacobians are formed), `LiftMap.geometry`
+does so at shared reference points like `meshing.batched_geometry`, and the
+plain code builds the lifted record and Gram set from it,
+`assembly.bulk_quad_data(mesh, lifted=True)` and `grams_of(mesh, lifted=True)`.
 
 MeshLocator inverts the composite map Lambda(F(xi)) pointwise: it maps
 points of the exact domain to (element, reference point) pairs. Every
@@ -29,28 +31,28 @@ element); on the curved boundary-layer elements it is the one start of a
 vectorized Newton iteration, run per point until it converges.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .assembly import bulk_quad_data
 from .basis import TRI_EDGES, TRI_VERTS, tri_shape, tri_shape_grad
-from .meshing import _inverse_2x2, _norm_2x2, batched_geometry
+from .meshing import _cached, _inverse_2x2, _norm_2x2, batched_geometry
 from .quadrature import default_degree, triangle_rule
 
 # reference-coordinate gradients of the barycentric coordinates
 _DLAM = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 
 
-@dataclass
 class LiftMap:
-    mesh: object
-    curved_edge: np.ndarray  # (ne,) local edge index on the boundary, -1 inside
+    """The lift of a mesh; `lift_of(mesh)` builds it once per mesh."""
 
-    @property
-    def is_identity(self):
-        return self.mesh.domain_kind != "disk"
+    def __init__(self, mesh):
+        self.mesh = mesh
+        # (ne,) local edge index on the boundary, -1 inside
+        self.curved_edge = np.full(mesh.n_elements, -1, dtype=np.int64)
+        if mesh.domain_kind == "disk":
+            if len(np.unique(mesh.face_elem)) < len(mesh.face_elem):
+                raise RuntimeError("element with two boundary faces; refine the mesh")
+            self.curved_edge[mesh.face_elem] = mesh.face_local_edge
 
     def boundary_elements(self):
         return np.nonzero(self.curved_edge >= 0)[0]
@@ -112,14 +114,29 @@ class LiftMap:
         D, dD = self.displacement(elems, refs)
         return pts + D, jac + dD
 
+    def geometry(self, ref_pts, elems=None):
+        """Points, Jacobians and determinants of Lambda o F for all (or the
+        selected) elements at shared reference points: `batched_geometry`
+        with the lift composed on the boundary-layer elements only.
 
-def build_lift_map(mesh):
-    curved = np.full(mesh.n_elements, -1, dtype=np.int64)
-    if mesh.domain_kind == "disk":
-        if len(np.unique(mesh.face_elem)) < len(mesh.face_elem):
-            raise RuntimeError("element with two boundary faces; refine the mesh")
-        curved[mesh.face_elem] = mesh.face_local_edge
-    return LiftMap(mesh=mesh, curved_edge=curved)
+        Returns pts (nelem, m, 2), jac (nelem, m, 2, 2), det (nelem, m).
+        """
+        pts, jac, _ = batched_geometry(self.mesh, ref_pts, elems)
+        rows = np.arange(self.mesh.n_elements) if elems is None else np.asarray(elems)
+        bel = np.nonzero(self.curved_edge[rows] >= 0)[0]
+        m = len(ref_pts)
+        lp, lj = self.compose(
+            np.repeat(rows[bel], m), np.tile(ref_pts, (len(bel), 1)),
+            pts[bel].reshape(-1, 2), jac[bel].reshape(-1, 2, 2),
+        )
+        pts[bel], jac[bel] = lp.reshape(-1, m, 2), lj.reshape(-1, m, 2, 2)
+        det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+        return pts, jac, det
+
+
+def lift_of(mesh):
+    """The mesh's lift onto the exact domain, built once per mesh."""
+    return _cached(mesh, "lift", lambda: LiftMap(mesh))
 
 
 def _barycentric(refs):
@@ -130,35 +147,33 @@ def _barycentric(refs):
     return lam
 
 
-def lift_mixed(lm, elems, refs):
+def lift_mixed(mesh, elems, refs):
     """Lifted points and composite Jacobians at per-point (elem, ref) pairs.
 
     Returns pts (n, 2) and jac (n, 2, 2) of xi -> Lambda(F(xi)).
     """
-    mesh = lm.mesh
     coords = mesh.nodes[mesh.elements[np.asarray(elems)]]
     phi = tri_shape(mesh.order, refs)
     dphi = tri_shape_grad(mesh.order, refs)
     base = np.einsum("nb,nbx->nx", phi, coords)
     jgeo = np.einsum("nbr,nbx->nxr", dphi, coords)
-    return lm.compose(elems, refs, base, jgeo)
+    return lift_of(mesh).compose(elems, refs, base, jgeo)
 
 
-def grad_lambda_inf_error(lm):
+def grad_lambda_inf_error(mesh):
     """max over rule points of the spectral norm of grad(Lambda) - I.
 
     grad(Lambda) = (J_geo + dD) J_geo^{-1} on the boundary layer; elsewhere
     the lift is the identity and grad(Lambda) = I exactly.
     """
-    bel = lm.boundary_elements()
+    lift = lift_of(mesh)
+    bel = lift.boundary_elements()
     if len(bel) == 0:
         return 0.0
-    rule = triangle_rule(default_degree(lm.mesh.order))
-    m = len(rule)
-    pts, jgeo, _ = batched_geometry(lm.mesh, rule.points, bel)
-    elems, refs = np.repeat(bel, m), np.tile(rule.points, (len(bel), 1))
-    _, jac = lm.compose(elems, refs, pts.reshape(-1, 2), jgeo.reshape(-1, 2, 2))
-    grad_lambda = np.einsum("emxr,emrs->emxs", jac.reshape(jgeo.shape), _inverse_2x2(jgeo)[0])
+    rule = triangle_rule(default_degree(mesh.order))
+    _, jgeo, _ = batched_geometry(mesh, rule.points, bel)
+    _, jac, _ = lift.geometry(rule.points, bel)
+    grad_lambda = np.einsum("emxr,emrs->emxs", jac, _inverse_2x2(jgeo)[0])
     return float(_norm_2x2(grad_lambda - np.eye(2)).max())
 
 
@@ -190,12 +205,12 @@ class MeshLocator:
     tol = 1e-10
     slack = 1e-3
 
-    def __init__(self, lift):
-        mesh = self.mesh = lift.mesh
-        self.lift = lift
+    def __init__(self, mesh):
+        self.mesh = mesh
+        lift = self.lift = lift_of(mesh)
         self.n_clamped = 0
         self.worst_clamp = 0.0
-        centers = bulk_quad_data(mesh, 2, lift)["pts"].mean(axis=1)
+        centers = lift.geometry(triangle_rule(2).points)[0].mean(axis=1)
         self.k = min(self.n_candidates, mesh.n_elements)
         self.tree = cKDTree(centers)
         # the vertex triangle's affine map, and which elements are exactly it:
@@ -210,7 +225,7 @@ class MeshLocator:
             self._affine &= (mesh.nodes[mesh.elements[:, 3:]] == mids).all(axis=(1, 2))
 
     def _forward(self, elems, refs):
-        return lift_mixed(self.lift, elems, refs)
+        return lift_mixed(self.mesh, elems, refs)
 
     def _newton(self, elems, targets, refs):
         """Newton from `refs`; each point stops once its residual is below 1e-13.

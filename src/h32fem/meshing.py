@@ -22,7 +22,6 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .basis import TRI_EDGES, tri_shape, tri_shape_grad
-from .quadrature import default_degree, triangle_rule
 
 
 @dataclass
@@ -222,13 +221,6 @@ def batched_geometry(mesh, ref_pts, elems=None):
     return pts, jac, det
 
 
-def _check_not_inverted(mesh):
-    rule = triangle_rule(default_degree(mesh.order))
-    _, _, det = batched_geometry(mesh, rule.points)
-    if det.min() <= 0.0:
-        raise RuntimeError("mesh has an inverted element (nonpositive Jacobian)")
-
-
 # -- disk mesh -------------------------------------------------------------
 
 
@@ -333,9 +325,7 @@ def _finish_mesh(nodes, tris, order, domain_kind, project_to_circle):
     if order == 2:
         nodes, tris, mid_of_slot = _add_midside_nodes(nodes, tris, table, project_to_circle)
         faces = np.column_stack([faces, mid_of_slot[bslots]])
-    mesh = Mesh(nodes, tris, faces, order, domain_kind)
-    _check_not_inverted(mesh)
-    return mesh
+    return Mesh(nodes, tris, faces, order, domain_kind)
 
 
 def disk_mesh(n_rings, order=1):

@@ -160,11 +160,11 @@ def surface_interp_errors(mesh):
 # -- bilinear and multilinear forms under the lift --------------------------------
 
 
-def form_errors(lm, z, w, forms):
+def form_errors(mesh, z, w, forms):
     """Normalized consistency errors under the lift of the named GramSet forms
     (("M_bulk", "A_bulk") or ("M_surf", "A_surf")) at the pair (z, w):
     |z.(F_h - F_lift)w| / (|z|_F |w|_F), with |t|_F = sqrt(t.F_h t) floored at 1e-150."""
-    g, gl = grams_of(lm.mesh), grams_of(lm.mesh, lm)
+    g, gl = grams_of(mesh), grams_of(mesh, lifted=True)
     z, w = z.coeffs, w.coeffs
     norm = lambda F, t: np.sqrt(max(float(t @ (F @ t)), 1e-300))
     errors = []

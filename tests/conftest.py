@@ -3,7 +3,7 @@ import pytest
 
 from h32fem.assembly import grams_of
 from h32fem.experiments import get_mesh
-from h32fem.lifting import build_lift_map
+from h32fem.lifting import lift_of
 
 
 @pytest.fixture(scope="session")
@@ -28,7 +28,7 @@ def disk4k2():
 
 @pytest.fixture(scope="session")
 def disk4k2_lift(disk4k2):
-    return build_lift_map(disk4k2)
+    return lift_of(disk4k2)
 
 
 @pytest.fixture()

@@ -9,7 +9,7 @@ from h32fem.interp import (
     sz_via_dirichlet,
     winf_like_norm,
 )
-from h32fem.lifting import build_lift_map
+from h32fem.lifting import lift_of
 from h32fem.meshing import build_square_mesh, disk_mesh
 from h32fem.solvers import solve_dirichlet_fe
 
@@ -62,17 +62,15 @@ def test_riesz_data_constants_and_linears():
 
 
 def test_dirichlet_lift_of_constant(disk4k1):
-    lm = build_lift_map(disk4k1)
     one = nodal_interp_bulk(disk4k1, lambda p: np.ones(len(p)))
-    sol = dirichlet_lift(one, lm)
+    sol = dirichlet_lift(one)
     assert sol.fine_mesh.h <= disk4k1.h / 4 + 1e-12
     assert np.abs(sol.coeffs - 1.0).max() < 1e-10
 
 
 def test_sz_via_dirichlet_constant(disk4k1):
-    lm = build_lift_map(disk4k1)
     one = nodal_interp_bulk(disk4k1, lambda p: np.ones(len(p)))
-    out = sz_via_dirichlet(one, lm)
+    out = sz_via_dirichlet(one)
     assert np.abs(out.coeffs - 1.0).max() < 1e-8
 
 
@@ -83,24 +81,22 @@ def test_sz_via_dirichlet_trace_error_decays():
     for n in (2, 4):
         m = disk_mesh(n, 1)
         g = grams_of(m)
-        lm = build_lift_map(m)
         u = solve_dirichlet_fe(
             g,
             nodal_interp_bulk(m, lambda p: np.sin(3.0 * p[:, 0])),
             trace(nodal_interp_bulk(m, lambda p: p[:, 0] * p[:, 1])),
         )
-        out = sz_via_dirichlet(u, lm)
+        out = sz_via_dirichlet(u)
         errs.append(np.abs(trace(out).coeffs - trace(u).coeffs).max())
     assert errs[0] < 0.05
     assert errs[1] < 0.6 * errs[0]
 
 
 def test_winf_like_norm_values(disk4k1):
-    lm = build_lift_map(disk4k1)
     zero = zero_function(disk4k1)
-    assert winf_like_norm(zero, lm) == 0.0
+    assert winf_like_norm(zero) == 0.0
     c = nodal_interp_bulk(disk4k1, lambda p: -2.0 * np.ones(len(p)))
-    assert abs(winf_like_norm(c, lm) - 2.0) < 1e-8
+    assert abs(winf_like_norm(c) - 2.0) < 1e-8
 
 
 def test_ritz_system_symmetry(square4, square4_grams):
@@ -122,14 +118,13 @@ def test_circle_points_locate_on_the_curved_edge():
     from h32fem.meshing import geometry_map
 
     m = disk_mesh(5, 2)
-    lm = build_lift_map(m)
     angles = np.linspace(-np.pi, np.pi, 40, endpoint=False)
-    loc = MeshLocator(lm)
+    loc = MeshLocator(m)
     elems, refs = loc.locate(np.column_stack([np.cos(angles), np.sin(angles)]))
     assert loc.n_clamped == 0
     # on a curved element the vertex opposite the curved edge has no weight;
     # a point at a boundary vertex may land in an element touching only it
-    le = lm.curved_edge[elems]
+    le = lift_of(m).curved_edge[elems]
     lam = _barycentric(refs)
     on = np.nonzero(le >= 0)[0]
     opposite = 3 - np.array(TRI_EDGES)[le[on]].sum(axis=1)
@@ -149,14 +144,13 @@ def test_overkill_path_on_square(rng):
     # identity-lift branch: Dirichlet lift and quasi-interpolant on the square
     sq = build_square_mesh(2, 1)
     g = grams_of(sq)
-    lm = build_lift_map(sq)
     gx = trace(nodal_interp_bulk(sq, lambda p: p[:, 0]))
     u = solve_dirichlet_fe(g, zero_function(sq), gx)
-    sol = dirichlet_lift(u, lm)
+    sol = dirichlet_lift(u)
     # harmonic linear data: the overkill solution is x as well
     fine_x = sol.fine_mesh.nodes[:, 0]
     assert np.abs(sol.coeffs - fine_x).max() < 1e-9
-    out = sz_via_dirichlet(u, lm, sol=sol)
+    out = sz_via_dirichlet(u, sol=sol)
     assert np.abs(out.coeffs - u.coeffs).max() < 1e-8
 
 
@@ -242,11 +236,23 @@ def test_sz_via_dirichlet_locates_only_while_building(monkeypatch):
         MeshLocator, "locate", lambda self, pts: located.append(len(pts)) or locate(self, pts)
     )
     m = disk_mesh(3, 1)
-    lm = build_lift_map(m)
     u = nodal_interp_bulk(m, lambda p: np.sin(p[:, 0]) + p[:, 1] ** 2)
-    first = sz_via_dirichlet(u, lm)
+    first = sz_via_dirichlet(u)
     built = len(located)
     assert built > 0
-    second = sz_via_dirichlet(u, lm)
+    second = sz_via_dirichlet(u)
     assert len(located) == built
     assert np.array_equal(first.coeffs, second.coeffs)
+
+
+def test_overkill_locators_use_the_meshes_own_lifts():
+    # the fine mesh is the ladder's shared mesh of that size, so its locator
+    # reads the same cached lift as everything else on that mesh
+    from h32fem.interp import OVERKILL_LEVEL, overkill_context
+    from h32fem.solvers import refined_copy
+
+    m = disk_mesh(3, 1)
+    ctx = overkill_context(m)
+    assert ctx["fine"] is refined_copy(m, 2**OVERKILL_LEVEL)
+    assert ctx["fine_locator"].lift is lift_of(refined_copy(m, 4))
+    assert ctx["coarse_locator"].lift is lift_of(m)

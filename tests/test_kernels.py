@@ -21,7 +21,7 @@ from h32fem.assembly import (
     grams_of,
 )
 from h32fem.basis import TRI_EDGES, tri_shape_grad
-from h32fem.lifting import build_lift_map, lift_mixed
+from h32fem.lifting import lift_mixed
 from h32fem.meshing import (
     BOUNDARY_MIDNODE_BIAS,
     BOUNDARY_MIDNODE_BIAS_CAP,
@@ -53,18 +53,16 @@ def old_gradients(data, mesh):
 @pytest.fixture(scope="module", params=[1, 2])
 def case(request):
     mesh = disk_mesh(3, request.param)
-    lm = build_lift_map(mesh)
     qd = bulk_quad_data(mesh)
     _, jac, _ = batched_geometry(mesh, qd["rule"].points)
-    return mesh, lm, qd, old_gradients({"rule": qd["rule"], "jac": jac}, mesh)
+    return mesh, qd, old_gradients({"rule": qd["rule"], "jac": jac}, mesh)
 
 
-def lifted_rule_data(lm, rule):
+def lifted_rule_data(mesh, rule):
     """Lifted Jacobians and determinants at every element's rule points, point by point."""
-    mesh = lm.mesh
     m = len(rule)
     elems, refs = np.repeat(np.arange(mesh.n_elements), m), np.tile(rule.points, (mesh.n_elements, 1))
-    jac = lift_mixed(lm, elems, refs)[1].reshape(-1, m, 2, 2)
+    jac = lift_mixed(mesh, elems, refs)[1].reshape(-1, m, 2, 2)
     return {"rule": rule, "jac": jac, "det": np.linalg.det(jac)}
 
 
@@ -73,15 +71,15 @@ def coefficients(mesh, *shape):
 
 
 def test_gradient_rows_are_the_former_layout_transposed(case):
-    mesh, lm, qd, old = case
+    mesh, qd, old = case
     assert qd["gphys"].shape == old.shape[:2] + (2, old.shape[2])
     assert_close(qd["gphys"], old.swapaxes(-1, -2))
-    lifted_old = old_gradients(lifted_rule_data(lm, qd["rule"]), mesh)
-    assert_close(bulk_quad_data(mesh, lift=lm)["gphys"], lifted_old.swapaxes(-1, -2))
+    lifted_old = old_gradients(lifted_rule_data(mesh, qd["rule"]), mesh)
+    assert_close(bulk_quad_data(mesh, lifted=True)["gphys"], lifted_old.swapaxes(-1, -2))
 
 
 def test_element_grams_match_einsum(case):
-    mesh, lm, qd, old = case
+    mesh, qd, old = case
     w, phi, det = qd["rule"].weights, qd["phi"], qd["det"]
     Me = np.einsum("q,qi,qj,eq->eij", w, phi, phi, det)
     Ae = np.einsum("q,eqix,eqjx,eq->eij", w, old, old, det)
@@ -96,7 +94,7 @@ def test_element_grams_match_einsum(case):
 
 @pytest.mark.parametrize("shape", [(), (2,), (2, 2)])
 def test_eval_on_elements_matches_einsum(case, shape):
-    mesh, lm, qd, old = case
+    mesh, qd, old = case
     u = FeFunction(mesh, coefficients(mesh, *shape))
     local = u.coeffs[mesh.elements]
     vals, grads = eval_on_elements(u)
@@ -105,7 +103,7 @@ def test_eval_on_elements_matches_einsum(case, shape):
 
 
 def test_gradient_pairing_load_matches_einsum(case):
-    mesh, lm, qd, old = case
+    mesh, qd, old = case
     g = grams_of(mesh)
     z = FeFunction(mesh, coefficients(mesh, 2))
     zq = eval_on_elements(z)[0]
@@ -124,8 +122,8 @@ def test_gradient_pairing_load_matches_einsum(case):
 
 
 def test_lifted_contractions_match_einsum(case):
-    mesh, lm, qd, old = case
-    data = lifted_rule_data(lm, qd["rule"])
+    mesh, qd, old = case
+    data = lifted_rule_data(mesh, qd["rule"])
     gp = old_gradients(data, mesh)
     wq, det = data["rule"].weights, data["det"]
     z, w = FeFunction(mesh, coefficients(mesh)), FeFunction(mesh, coefficients(mesh)[::-1].copy())
@@ -134,12 +132,12 @@ def test_lifted_contractions_match_einsum(case):
     a_l = np.einsum("q,eq,eqx,eqx->", wq, det, gz, gw)
     vz, vw = (np.einsum("qb,eb->eq", qd["phi"], f.coeffs[mesh.elements]) for f in (z, w))
     m_l = np.einsum("q,eq,eq,eq->", wq, det, vz, vw)
-    gl = grams_of(mesh, lm)
+    gl = grams_of(mesh, lifted=True)
     assert abs(z.coeffs @ (gl.A_bulk @ w.coeffs) - a_l) <= RTOL * abs(a_l)
     assert abs(z.coeffs @ (gl.M_bulk @ w.coeffs) - m_l) <= RTOL * abs(m_l)
     dot = lambda g1, g2: np.einsum("eqx,eqx->eq", g1, g2)
     want = np.einsum("q,eq,eq->", wq, det, dot(gz, gw))
-    got = multilinear_gradient_integral(mesh, [z, w], dot, bulk_quad_data(mesh, lift=lm))
+    got = multilinear_gradient_integral(mesh, [z, w], dot, bulk_quad_data(mesh, lifted=True))
     assert abs(got - want) <= RTOL * abs(want)
 
 

@@ -1,0 +1,62 @@
+"""The lift is a function of the mesh, and the layers import in one direction.
+
+meshing -> lifting -> assembly: the lift is `lifting.lift_of(mesh)`, so no
+public function takes it next to the mesh, and `lifting` needs nothing from
+`assembly`.
+"""
+
+import ast
+import importlib
+import inspect
+import pkgutil
+
+import h32fem
+import h32fem.assembly
+import h32fem.lifting
+
+
+def h32fem_modules():
+    # every module but the entry point, which runs the CLI on import
+    names = [info.name for info in pkgutil.iter_modules(h32fem.__path__) if info.name != "__main__"]
+    return [importlib.import_module(f"h32fem.{name}") for name in names]
+
+
+def public_callables(module):
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr in vars(obj):
+                # getattr unwraps static and class methods
+                member = getattr(obj, attr)
+                public = attr == "__init__" or not attr.startswith("_")
+                if public and (inspect.isfunction(member) or inspect.ismethod(member)):
+                    yield f"{name}.{attr}", member
+
+
+def test_no_public_function_takes_the_lift():
+    found = [
+        f"{module.__name__}.{name}"
+        for module in h32fem_modules()
+        for name, fn in public_callables(module)
+        if {"lift", "lm"} & set(inspect.signature(fn).parameters)
+    ]
+    assert found == []
+
+
+def test_lifting_binds_nothing_from_assembly():
+    lifting = h32fem.lifting
+    assert not any(
+        value is h32fem.assembly or getattr(value, "__module__", None) == "h32fem.assembly"
+        for value in vars(lifting).values()
+    )
+    # nor imports it anywhere, function-local imports included
+    tree = ast.parse(inspect.getsource(lifting))
+    imported = [
+        name
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+    ]
+    assert not [name for name in imported if name.split(".")[-1] == "assembly"]

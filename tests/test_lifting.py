@@ -5,9 +5,9 @@ from h32fem.assembly import bulk_quad_data, nodal_interp_bulk
 from h32fem.basis import tri_edge_ref_points, tri_ref_nodes, tri_shape
 from h32fem.lifting import (
     MeshLocator,
-    build_lift_map,
     grad_lambda_inf_error,
     lift_mixed,
+    lift_of,
 )
 from h32fem.meshing import build_square_mesh, disk_mesh, geometry_map
 
@@ -26,7 +26,7 @@ def test_identity_on_interior_elements(lifted):
     m, lm = lifted
     interior = np.nonzero(lm.curved_edge < 0)[0][:5]
     refs = np.array([[0.2, 0.3]] * len(interior))
-    pts, _ = lift_mixed(lm, interior, refs)
+    pts, _ = lift_mixed(m, interior, refs)
     for e, p in zip(interior, pts):
         expected, _ = geometry_map(m, e, np.array([0.2, 0.3]))
         assert np.abs(p - expected).max() < 1e-14
@@ -40,7 +40,7 @@ def test_boundary_nodes_fixed(lifted):
         for t in (0.0, 0.5, 1.0):
             ref = tri_edge_ref_points(le, np.array([t]))
             p0, _ = geometry_map(m, e, ref[0])
-            p1, _ = lift_mixed(lm, np.array([e]), ref)
+            p1, _ = lift_mixed(m, np.array([e]), ref)
             # nodes already on the circle stay put; other edge points move radially
             if abs(np.linalg.norm(p0) - 1.0) < 1e-12:
                 assert np.abs(p1[0] - p0).max() < 1e-12
@@ -54,7 +54,7 @@ def test_curved_edge_maps_onto_circle(lifted):
     worst = 0.0
     for e, le in zip(m.face_elem, m.face_local_edge):
         ref = tri_edge_ref_points(le, ts)
-        pts, _ = lift_mixed(lm, np.full(len(ts), e), ref)
+        pts, _ = lift_mixed(m, np.full(len(ts), e), ref)
         worst = max(worst, np.abs(np.linalg.norm(pts, axis=1) - 1.0).max())
     assert worst < 1e-10
 
@@ -68,7 +68,7 @@ def test_continuity_across_interfaces(lifted):
             if le == lm.curved_edge[e]:
                 continue
             ref = tri_edge_ref_points(le, ts)
-            lifted_pts, _ = lift_mixed(lm, np.full(len(ts), e), ref)
+            lifted_pts, _ = lift_mixed(m, np.full(len(ts), e), ref)
             plain, _ = geometry_map(m, e, ref)
             assert np.abs(lifted_pts - plain).max() < 1e-10
 
@@ -78,13 +78,13 @@ def test_jacobian_finite_difference(lifted):
     m, lm = lifted
     e = lm.boundary_elements()[0]
     ref0 = np.array([0.31, 0.27])
-    p0, J = lift_mixed(lm, np.array([e]), ref0[None, :])
+    p0, J = lift_mixed(m, np.array([e]), ref0[None, :])
     eps = 1e-7
     num = np.zeros((2, 2))
     for r in range(2):
         d = np.zeros(2)
         d[r] = eps
-        p1, _ = lift_mixed(lm, np.array([e]), (ref0 + d)[None, :])
+        p1, _ = lift_mixed(m, np.array([e]), (ref0 + d)[None, :])
         num[:, r] = (p1[0] - p0[0]) / eps
     assert np.abs(J[0] - num).max() < 1e-6 * np.abs(J[0]).max()
 
@@ -94,36 +94,36 @@ def test_grad_lambda_decay_rate():
         errs, hs = [], []
         for n in (4, 8, 16, 32):
             m = disk_mesh(n, k)
-            errs.append(grad_lambda_inf_error(build_lift_map(m)))
+            errs.append(grad_lambda_inf_error(m))
             hs.append(m.h)
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert abs(slope - k) <= 0.3
 
 
 def test_lift_positive_orientation(lifted):
-    m, lm = lifted
-    assert bulk_quad_data(m, lift=lm)["det"].min() > 0.0
+    m, _ = lifted
+    assert bulk_quad_data(m, lifted=True)["det"].min() > 0.0
 
 
 def test_composition_roundtrip(lifted):
     # u read back at the located lifts of its own nodes gives its nodal values
-    m, lm = lifted
+    m, _ = lifted
     u = nodal_interp_bulk(m, lambda p: np.sin(p[:, 0]) + p[:, 1] ** 2)
     elems = np.repeat(np.arange(m.n_elements), m.elements.shape[1])
     refs = np.tile(tri_ref_nodes(m.order), (m.n_elements, 1))
-    lifted_nodes, _ = lift_mixed(lm, elems, refs)
-    back = _values_at(u, *MeshLocator(lm).locate(lifted_nodes))
+    lifted_nodes, _ = lift_mixed(m, elems, refs)
+    back = _values_at(u, *MeshLocator(m).locate(lifted_nodes))
     assert np.abs(back - u.coeffs[m.elements.ravel()]).max() < 1e-12
 
 
 def test_locator_roundtrip(lifted, rng):
-    m, lm = lifted
-    loc = MeshLocator(lm)
+    m, _ = lifted
+    loc = MeshLocator(m)
     r = np.sqrt(rng.uniform(0, 1, 300)) * 0.999
     th = rng.uniform(0, 2 * np.pi, 300)
     P = np.column_stack([r * np.cos(th), r * np.sin(th)])
     elems, refs = loc.locate(P)
-    back, _ = lift_mixed(lm, elems, refs)
+    back, _ = lift_mixed(m, elems, refs)
     assert np.abs(back - P).max() < 1e-9
 
 
@@ -135,7 +135,7 @@ def test_locator_tries_every_candidate_before_extra_starts(lifted, monkeypatch):
     # within three forward evaluations per located point
     m, lm = lifted
     pts = bulk_quad_data(disk_mesh(6, 2))["pts"].reshape(-1, 2)
-    loc = MeshLocator(lm)
+    loc = MeshLocator(m)
     newton_elems, forward_pts = [], []
     newton, forward = MeshLocator._newton, MeshLocator._forward
 
@@ -150,7 +150,7 @@ def test_locator_tries_every_candidate_before_extra_starts(lifted, monkeypatch):
     monkeypatch.setattr(MeshLocator, "_newton", counted)
     monkeypatch.setattr(MeshLocator, "_forward", counted_forward)
     elems, refs = loc.locate(pts)
-    back, _ = lift_mixed(lm, elems, refs)
+    back, _ = lift_mixed(m, elems, refs)
     assert np.linalg.norm(back - pts, axis=1).max() <= 1e-9
     assert MeshLocator._violation(refs).max() <= loc.tol
     newton_elems = np.concatenate(newton_elems)
@@ -165,7 +165,7 @@ def test_closed_form_matches_newton_on_affine_elements(lifted):
     # (element, point) pairs
     m, lm = lifted
     pts = bulk_quad_data(disk_mesh(6, 2))["pts"].reshape(-1, 2)
-    loc = MeshLocator(lm)
+    loc = MeshLocator(m)
     elems, refs = loc.locate(pts)
     aff = lm.curved_edge[elems] < 0
     assert 0 < np.count_nonzero(aff) < len(pts)
@@ -179,7 +179,7 @@ def test_locator_on_straight_mesh_runs_no_newton(monkeypatch):
     # every element of the k=2 square is affine: the rule points of a finer
     # square are located in closed form (15,933 forward point evaluations
     # when each candidate ran Newton)
-    loc = MeshLocator(build_lift_map(build_square_mesh(6, 2)))
+    loc = MeshLocator(build_square_mesh(6, 2))
     pts = bulk_quad_data(build_square_mesh(9, 2))["pts"].reshape(-1, 2)
     calls = []
     monkeypatch.setattr(MeshLocator, "_newton", lambda *args: calls.append(args))
@@ -196,7 +196,7 @@ def test_locator_counts_clamps():
     # onto the boundary edge x = 1 (by renormalized barycentrics, so not to
     # its nearest point), and the counters record it; inside points are not
     sq = build_square_mesh(3, 1)
-    loc = MeshLocator(build_lift_map(sq))
+    loc = MeshLocator(sq)
     loc.locate(np.array([[0.5, 0.5], [0.2, 0.7]]))
     assert loc.n_clamped == 0 and loc.worst_clamp == 0.0
     elems, refs = loc.locate(np.array([[1.0 + 1e-4, 0.5], [0.5, 0.5]]))
@@ -206,14 +206,43 @@ def test_locator_counts_clamps():
     assert abs(p[0] - 1.0) <= 1e-12 and abs(p[1] - 0.5) <= 1e-3
 
 
+def test_lift_is_built_once_per_mesh():
+    m = disk_mesh(3, 1)
+    assert lift_of(m) is lift_of(m)
+    assert lift_of(m).mesh is m
+    assert lift_of(disk_mesh(3, 1)) is not lift_of(m)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize(
+    "kind, n", [("disk", n) for n in range(2, 9)] + [("square", n) for n in range(2, 7)]
+)
+def test_locator_centres_are_the_lifted_record_means(kind, n, order):
+    # the KD-tree centres: the mean of the lifted degree-2 rule points, read
+    # off the lifted geometry alone instead of a whole lifted record
+    m = disk_mesh(n, order) if kind == "disk" else build_square_mesh(n, order)
+    want = bulk_quad_data(m, 2, lifted=True)["pts"].mean(axis=1)
+    assert same_bytes(MeshLocator(m).tree.data, want)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_lifted_geometry_of_selected_elements_is_a_row_subset(order):
+    # any selection, boundary-layer and interior elements mixed, in any order
+    m = disk_mesh(4, order)
+    refs = np.array([[0.2, 0.3], [0.6, 0.1], [1 / 3, 1 / 3]])
+    full = lift_of(m).geometry(refs)
+    sel = np.random.default_rng(5).permutation(m.n_elements)[:40]
+    assert 0 < np.count_nonzero(lift_of(m).curved_edge[sel] >= 0) < len(sel)
+    for a, b in zip(lift_of(m).geometry(refs, sel), full):
+        assert same_bytes(a, b[sel])
+
+
 def test_square_lift_is_identity():
     sq = build_square_mesh(3, 2)
-    lm = build_lift_map(sq)
-    assert lm.is_identity
-    assert len(lm.boundary_elements()) == 0
+    assert len(lift_of(sq).boundary_elements()) == 0
     u = nodal_interp_bulk(sq, lambda p: p[:, 0] * p[:, 1])
     pts = np.array([[0.21, 0.33], [0.8, 0.05]])
-    vals = _values_at(u, *MeshLocator(lm).locate(pts))
+    vals = _values_at(u, *MeshLocator(sq).locate(pts))
     assert np.abs(vals - pts[:, 0] * pts[:, 1]).max() < 1e-11
 
 
@@ -225,7 +254,6 @@ def test_lifted_surface_forms_match_per_face_loop(order):
     from h32fem.quadrature import default_degree, edge_rule
 
     m = disk_mesh(3, order)
-    lm = build_lift_map(m)
     tz = trace(nodal_interp_bulk(m, lambda p: np.sin(p[:, 0]) + p[:, 1]))
     tw = trace(nodal_interp_bulk(m, lambda p: np.cos(2.0 * p[:, 1]) * p[:, 0]))
     er = edge_rule(default_degree(order))
@@ -234,13 +262,13 @@ def test_lifted_surface_forms_match_per_face_loop(order):
     for f in range(len(m.boundary_faces)):
         e, le = m.face_elem[f], m.face_local_edge[f]
         refs = tri_edge_ref_points(le, er.points)
-        _, jc = lift_mixed(lm, np.full(len(refs), e), refs)
+        _, jc = lift_mixed(m, np.full(len(refs), e), refs)
         a, b = TRI_EDGES[le]
         speed = np.linalg.norm(np.einsum("nxr,r->nx", jc, TRI_VERTS[b] - TRI_VERTS[a]), axis=1)
         zc, wc = tz.coeffs[m.surface_faces[f]], tw.coeffs[m.surface_faces[f]]
         ms += float(np.sum(er.weights * speed * (psi @ zc) * (psi @ wc)))
         asur += float(np.sum(er.weights * (dpsi @ zc) * (dpsi @ wc) / speed))
-    gl = grams_of(m, lm)
+    gl = grams_of(m, lifted=True)
     got = (tz.coeffs @ (gl.M_surf @ tw.coeffs), tz.coeffs @ (gl.A_surf @ tw.coeffs))
     assert np.allclose(got, (ms, asur), rtol=1e-13, atol=0.0)
 
@@ -249,12 +277,12 @@ def test_lifted_surface_forms_match_per_face_loop(order):
 def test_staged_query_locates_like_one_query_of_all_candidates(order):
     # the nearest n_first candidates first, all n_candidates for the rest:
     # the same candidates in the same order as one query of all of them
-    lm = build_lift_map(disk_mesh(4, order))
+    m = disk_mesh(4, order)
     pts = np.vstack([
         bulk_quad_data(disk_mesh(7, order))["pts"].reshape(-1, 2),
-        lift_mixed(build_lift_map(disk_mesh(6, order)), *_boundary_rule_points(order))[0],
+        lift_mixed(disk_mesh(6, order), *_boundary_rule_points(order))[0],
     ])
-    staged, single = MeshLocator(lm), MeshLocator(lm)
+    staged, single = MeshLocator(m), MeshLocator(m)
     single.n_first = single.n_candidates
     queried = []
     tree = staged.tree
@@ -296,29 +324,26 @@ def test_identity_lift_record_and_grams_are_the_plain_ones(n, order):
     from h32fem.assembly import assemble_grams, surface_quad_data
 
     sq = build_square_mesh(n, order)
-    lm = build_lift_map(sq)
     for plain, lifted in (
-        (bulk_quad_data(sq), bulk_quad_data(sq, lift=lm)),
-        (surface_quad_data(sq), surface_quad_data(sq, lift=lm)),
+        (bulk_quad_data(sq), bulk_quad_data(sq, lifted=True)),
+        (surface_quad_data(sq), surface_quad_data(sq, lifted=True)),
     ):
         assert plain is not lifted
         for key, value in plain.items():
             if key != "rule":
                 assert same_bytes(value, lifted[key]), key
-    g, gl = assemble_grams(sq), assemble_grams(sq, lm)
+    g, gl = assemble_grams(sq), assemble_grams(sq, lifted=True)
     for name in ("M_bulk", "A_bulk", "M_surf", "A_surf"):
         a, b = getattr(g, name), getattr(gl, name)
         assert same_bytes(a.indptr, b.indptr) and same_bytes(a.indices, b.indices), name
         assert same_bytes(a.data, b.data), name
-    assert (g.bulk_eig_bound, g.surf_eig_bound) == (gl.bulk_eig_bound, gl.surf_eig_bound)
 
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_lifted_record_is_plain_off_the_boundary_layer(order):
     m = disk_mesh(5, order)
-    lm = build_lift_map(m)
-    plain, lifted = bulk_quad_data(m), bulk_quad_data(m, lift=lm)
-    inner = lm.curved_edge < 0
+    plain, lifted = bulk_quad_data(m), bulk_quad_data(m, lifted=True)
+    inner = lift_of(m).curved_edge < 0
     for key in ("pts", "det", "gphys"):
         assert same_bytes(plain[key][inner], lifted[key][inner]), key
         assert not np.array_equal(plain[key][~inner], lifted[key][~inner]), key
@@ -345,5 +370,5 @@ def full_array_grad_lambda_error(lm):
 @pytest.mark.parametrize("n", range(3, 9))
 @pytest.mark.parametrize("order", [1, 2])
 def test_grad_lambda_error_is_the_full_array_formula(n, order):
-    lm = build_lift_map(disk_mesh(n, order))
-    assert grad_lambda_inf_error(lm) == full_array_grad_lambda_error(lm)
+    m = disk_mesh(n, order)
+    assert grad_lambda_inf_error(m) == full_array_grad_lambda_error(lift_of(m))

@@ -209,3 +209,22 @@ def all_pairs_diameter(mesh):
 def test_h_is_the_all_pairs_diameter(n, order):
     for mesh in (disk_mesh(n, order), build_square_mesh(n, order)):
         assert mesh.h == all_pairs_diameter(mesh)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_inverted_element_is_refused_before_assembly(order):
+    # a Mesh built directly (as from_json and the remesh oracle do) with one
+    # interior element's vertex order flipped: its Jacobian is negative, and
+    # the first assembly on it refuses the mesh
+    from h32fem.assembly import grams_of
+
+    m = disk_mesh(3, order)
+    e = np.setdiff1d(np.arange(m.n_elements), m.face_elem)[0]
+    elements = m.elements.copy()
+    # swap vertices 1 and 2; for k=2 the midside nodes of edges 01, 12, 20 follow
+    flip = [0, 2, 1] if order == 1 else [0, 2, 1, 5, 4, 3]
+    elements[e] = elements[e, flip]
+    bad = Mesh(m.nodes, elements, m.boundary_faces, order, m.domain_kind)
+    with pytest.raises(RuntimeError, match="nonpositive Jacobian"):
+        grams_of(bad)
+    grams_of(Mesh(m.nodes, m.elements, m.boundary_faces, order, m.domain_kind))

@@ -9,7 +9,6 @@ from h32fem.assembly import (
     zero_function,
 )
 from h32fem.interp import dirichlet_lift_from_data
-from h32fem.lifting import build_lift_map
 from h32fem.meshing import disk_mesh
 from h32fem.norms import h1_norm, spectral_power_norm, surface_spectral_decomp
 from h32fem.solvers import (
@@ -61,7 +60,7 @@ def test_surrogates_constant(disk4k1):
     assert fine.h <= disk4k1.h / 4 + 1e-12
     one = trace(nodal_interp_bulk(disk4k1, lambda p: np.ones(len(p))))
     zero = zero_function(disk4k1, "bulk0")
-    sol = dirichlet_lift_from_data(zero, one, build_lift_map(disk4k1))
+    sol = dirichlet_lift_from_data(zero, one)
     assert sol.fine_mesh is fine
     assert np.abs(sol.coeffs - 1.0).max() < 1e-11
 
@@ -80,7 +79,7 @@ def test_homogeneous_smoothing_proxy():
     for m in (disk_mesh(2, 1), disk_mesh(4, 1)):
         zero = zero_function(m, "bulk0")
         g_h = trace(nodal_interp_bulk(m, lambda p: np.cos(2.0 * np.arctan2(p[:, 1], p[:, 0]))))
-        sol = dirichlet_lift_from_data(zero, g_h, build_lift_map(m))
+        sol = dirichlet_lift_from_data(zero, g_h)
         fg = grams_of(sol.fine_mesh)
         gs = trace(sol.fe)
         ssb = surface_spectral_decomp(fg)

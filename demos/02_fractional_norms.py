@@ -2,6 +2,9 @@
 
 The norms apply the pencil's operator by rational quadrature (a sum of
 shifted sparse solves); the eigenvalue range comes from the dense oracle.
+Each norm takes the FE function alone: its Gram set and operator come
+from the function's mesh (`grams_of(u.mesh)`), and a dual norm names its
+test space ("interior" or "all").
 
 Run: python demos/02_fractional_norms.py
 """
@@ -27,37 +30,34 @@ from h32fem.norms import dense_eigenpairs, h1_norm, l2_norm
 m = disk_mesh(6, order=1)
 g = grams_of(m)
 sb = spectral_decomp(g, "all")
-sbi = spectral_decomp(g, "interior")
 lam, _ = dense_eigenpairs(sb)
 print(f"disk mesh: {m.n_nodes} nodes; eigenvalues in [{lam[0]:.6f}, {lam[-1]:.1f}] (dense oracle)")
 print(f"  element bound {g.bulk_eig_bound:.1f}; {len(sb.shifts)} shifted sparse solves per operator apply")
 
 u = nodal_interp_bulk(m, lambda p: np.sin(np.pi * p[:, 0]) * p[:, 1])
-print(f"||u||_L2  = {l2_norm(u, g):.6f}  (= H^0 norm {h_s_norm(u, 0.0, sb):.6f})")
-print(f"||u||_H1  = {h1_norm(u, g):.6f}  (= H^1 norm {h_s_norm(u, 1.0, sb):.6f})")
-print(f"||u||_H^1/2 = {h_s_norm(u, 0.5, sb):.6f}  (spectral interpolation)")
+print(f"||u||_L2  = {l2_norm(u):.6f}  (= H^0 norm {h_s_norm(u, 0.0):.6f})")
+print(f"||u||_H1  = {h1_norm(u):.6f}  (= H^1 norm {h_s_norm(u, 1.0):.6f})")
+print(f"||u||_H^1/2 = {h_s_norm(u, 0.5):.6f}  (spectral interpolation)")
 
 # the 3/2-order norm: dual norm of the gradient plus boundary H1 norm
-n32 = hhat_threehalf_norm(u, g, sbi)
+n32 = hhat_threehalf_norm(u)
 print(f"||u||_3/2 (zero-trace variant) = {n32:.6f}")
-print(f"boundary H1 of trace          = {boundary_sobolev_norm(trace(u), 1, g):.6f}")
+print(f"boundary H1 of trace          = {boundary_sobolev_norm(trace(u), 1):.6f}")
 
 # negative dual norms: exact suprema via one spectral solve
 rng = np.random.default_rng(0)
 c = rng.normal(size=m.n_nodes)
 c[m.boundary_node_ids] = 0.0
 f = FeFunction(m, c, "bulk0")
-print(f"||f||_{{-1/2, zero trace}} = {dual_neg_half_norm(f, sbi, g):.6f}")
-print(f"||f||_{{-1/2, full}}       = {dual_neg_half_norm(f, sb, g):.6f}")
+print(f"||f||_{{-1/2, zero trace}} = {dual_neg_half_norm(f, 'interior'):.6f}")
+print(f"||f||_{{-1/2, full}}       = {dual_neg_half_norm(f, 'all'):.6f}")
 
 # the Gagliardo double integral agrees with the spectral norm up to constants
 sq = build_square_mesh(3, 1)
-gq = grams_of(sq)
-sq_sb = spectral_decomp(gq, "all")
 v = nodal_interp_bulk(sq, lambda p: p[:, 0] * p[:, 1])
 semi = gagliardo_half_oracle(v)
-full = np.sqrt(semi**2 + l2_norm(v, gq) ** 2)
+full = np.sqrt(semi**2 + l2_norm(v) ** 2)
 print(
-    f"square: Gagliardo-based H^1/2 {full:.4f} vs spectral {h_s_norm(v, 0.5, sq_sb):.4f} "
-    f"(ratio {full / h_s_norm(v, 0.5, sq_sb):.3f})"
+    f"square: Gagliardo-based H^1/2 {full:.4f} vs spectral {h_s_norm(v, 0.5):.4f} "
+    f"(ratio {full / h_s_norm(v, 0.5):.3f})"
 )

@@ -9,7 +9,6 @@ from h32fem import (
     FeFunction,
     dirichlet_lift,
     disk_mesh,
-    grams_of,
     lift_of,
     nodal_interp_bulk,
     scott_zhang,
@@ -20,7 +19,7 @@ from h32fem import (
     zero_function,
 )
 from h32fem.lifting import grad_lambda_inf_error
-from h32fem.norms import dual_neg_half_norm, h1_norm, spectral_decomp
+from h32fem.norms import dual_neg_half_norm, h1_norm
 
 # the lift moves the curved mesh onto the exact disk; the mesh fixes it
 # (lift_of(m), built once per mesh), it moves only the boundary layer, and
@@ -34,35 +33,33 @@ for n in (4, 8, 16):
 
 # Scott-Zhang reproduces FE functions and their traces exactly
 m = disk_mesh(4, 1)
-g = grams_of(m)
 rng = np.random.default_rng(1)
 u = FeFunction(m, rng.normal(size=m.n_nodes))
 sz = scott_zhang(u, m)
 print(f"Scott-Zhang projection error on an FE function: {np.abs(sz.coeffs - u.coeffs).max():.1e}")
 
-# the Dirichlet lift solves on a 4x finer mesh with lifted data
+# the Dirichlet lift solves on a 4x finer mesh with lifted data; it is an
+# FE function on that fine mesh
 one = nodal_interp_bulk(m, lambda p: np.ones(len(p)))
 sol = dirichlet_lift(one)
-print(f"Dirichlet lift of the constant 1: overkill mesh h={sol.fine_mesh.h:.3f}, "
+print(f"Dirichlet lift of the constant 1: overkill mesh h={sol.mesh.h:.3f}, "
       f"max deviation {np.abs(sol.coeffs - 1).max():.1e}")
 
 # the trace-preserving quasi-interpolant has an h^{1/2}-type error bound
 print("quasi-interpolant error ratio (random interior source):")
 for n in (2, 4):
     m = disk_mesh(n, 1)
-    g = grams_of(m)
     c = rng.normal(size=m.n_nodes)
     c[m.boundary_node_ids] = 0.0
     f = FeFunction(m, c, "bulk0")
-    uh = solve_dirichlet_fe(g, f, zero_function(m, "surface"))
+    uh = solve_dirichlet_fe(f, zero_function(m, "surface"))
     szh = sz_via_dirichlet(uh)
-    sbi = spectral_decomp(g, "interior")
-    err = h1_norm(FeFunction(m, uh.coeffs - szh.coeffs), g)
-    ratio = err / (np.sqrt(m.h) * dual_neg_half_norm(f, sbi, g))
+    err = h1_norm(FeFunction(m, uh.coeffs - szh.coeffs))
+    ratio = err / (np.sqrt(m.h) * dual_neg_half_norm(f, "interior"))
     print(f"  rings={n}: ||u - I(u)||_H1 / (h^0.5 ||f||_-1/2) = {ratio:.3f}")
 
 # the four-term W^{1,inf}-like norm behind the smallness criterion
 m = disk_mesh(3, 1)
 v = nodal_interp_bulk(m, lambda p: np.sin(p[:, 0]) * np.cos(p[:, 1]))
-v = v.scaled(m.h ** 2.1 / h1_norm(v, grams_of(m)))
+v = v.scaled(m.h ** 2.1 / h1_norm(v))
 print(f"smallness check: W-like norm {winf_like_norm(v):.2e} <= h^0.5 = {m.h**0.5:.2e}")

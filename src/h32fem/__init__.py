@@ -49,7 +49,6 @@ from .norms import (
 )
 from .quadrature import QuadratureRule, quadrature
 from .solvers import (
-    OverkillSolution,
     deformed_dirichlet_energy,
     solve_dirichlet_fe,
     solve_robin_fe,

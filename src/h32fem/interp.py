@@ -31,7 +31,7 @@ from .basis import tri_shape
 from .lifting import MeshLocator, lift_mixed
 from .meshing import _cached, _spd_solver
 from .quadrature import default_degree
-from .solvers import OverkillSolution, _dirichlet_solve, refined_copy
+from .solvers import _dirichlet_solve, refined_copy
 
 
 # -- Scott-Zhang -------------------------------------------------------------
@@ -119,9 +119,10 @@ def scott_zhang(v, mesh):
 # -- Riesz data and the Dirichlet lift ----------------------------------------
 
 
-def dirichlet_riesz_data(u_h, grams):
+def dirichlet_riesz_data(u_h):
     """Source f in V_h^0 and trace g with m(f, v) = a(u, v) on V_h^0."""
-    mesh = grams.mesh
+    mesh = u_h.mesh
+    grams = grams_of(mesh)
     ids = grams.interior_ids
     solve = _cached(grams, "mass_interior_solve", lambda: _spd_solver(grams.M_bulk[np.ix_(ids, ids)]))
     r = (grams.A_bulk @ u_h.coeffs)[ids]
@@ -148,7 +149,7 @@ def _evaluation_matrix(mesh, elems, refs):
 
 
 def overkill_context(mesh):
-    """Fine mesh, grams and the lifted-point locators of overkill operations."""
+    """Fine mesh and the lifted-point locators of overkill operations."""
     return _cached(mesh, "overkill", lambda: _overkill_context(mesh))
 
 
@@ -158,7 +159,6 @@ def _overkill_context(mesh):
         raise RuntimeError("overkill refinement did not reduce h as expected")
     return {
         "fine": fine,
-        "fine_grams": grams_of(fine),
         # both locate points of the exact domain
         "fine_locator": MeshLocator(fine),
         "coarse_locator": MeshLocator(mesh),
@@ -185,7 +185,7 @@ def _trace_matrix(mesh, ctx):
     each lands on the discrete boundary, where only the boundary nodes'
     basis functions are nonzero; the evaluation matrix keeps their columns.
     """
-    bpts = ctx["fine"].nodes[ctx["fine_grams"].boundary_ids]
+    bpts = ctx["fine"].nodes[ctx["fine"].boundary_node_ids]
     E = _evaluation_matrix(mesh, *ctx["coarse_locator"].locate(bpts))
     return E[:, mesh.boundary_node_ids]
 
@@ -202,16 +202,15 @@ def _sz_pullback_matrix(mesh, ctx):
 
 
 def dirichlet_lift(u_h):
-    """Overkill surrogate of the Dirichlet lift of u_h onto the exact domain."""
-    f_h, g_h = dirichlet_riesz_data(u_h, grams_of(u_h.mesh))
-    return dirichlet_lift_from_data(f_h, g_h)
+    """Overkill surrogate of the Dirichlet lift of u_h onto the exact domain:
+    an FE function on the fine mesh, standing in for the exact solver."""
+    return dirichlet_lift_from_data(*dirichlet_riesz_data(u_h))
 
 
 def dirichlet_lift_from_data(f_h, g_h):
-    """Overkill Dirichlet solve with lifted discrete data (f_h, g_h)."""
+    """Overkill Dirichlet solve with lifted discrete data (f_h, g_h), on the fine mesh."""
     mesh = f_h.mesh
-    ctx = overkill_context(mesh)
-    fine, fg = ctx["fine"], ctx["fine_grams"]
+    fine = overkill_context(mesh)["fine"]
 
     # lifted source tested against the fine basis
     qd = bulk_quad_data(fine)
@@ -222,7 +221,7 @@ def dirichlet_lift_from_data(f_h, g_h):
 
     # lifted trace at the fine boundary nodes
     g = _overkill_matrix(_trace_matrix, mesh) @ g_h.coeffs
-    return OverkillSolution(fine, _dirichlet_solve(fg, rhs_full, g))
+    return _dirichlet_solve(fine, rhs_full, g)
 
 
 def sz_via_dirichlet(u_h, sol=None):
@@ -230,7 +229,7 @@ def sz_via_dirichlet(u_h, sol=None):
     if sol is None:
         sol = dirichlet_lift(u_h)
     mesh = u_h.mesh
-    vals = _overkill_matrix(_sz_pullback_matrix, mesh) @ sol.fe.coeffs
+    vals = _overkill_matrix(_sz_pullback_matrix, mesh) @ sol.coeffs
     return _sz_from_values(mesh, _sz_moments(mesh), vals)
 
 
@@ -256,6 +255,6 @@ def winf_like_norm(u_h):
     return max(
         sampled_w1inf(u_h),
         sampled_w1inf(szu),
-        sampled_w1inf(sol.fe),
+        sampled_w1inf(sol),
         sampled_w1inf(szu, bulk_quad_data(u_h.mesh, lifted=True)),
     )

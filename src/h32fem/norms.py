@@ -31,6 +31,13 @@ carries the same relative error.
 
 A dense generalized `eigh` of the pencil remains only as the oracle of the
 tests and demos (`dense_eigenpairs`), capped at DENSE_EIG_NODE_CAP DOFs.
+
+The norms of FE functions take the function alone (and, for a dual norm,
+the name of its test space): each finds its Gram set as
+`grams_of(u.mesh)` and its operator as `spectral_decomp` of that set, so
+no Gram set or operator of another mesh can reach it. Only the
+vector-level functions (`spectral_power_norm`, `dual_norm_from_load`,
+`dense_eigenpairs`) take an operator, which carries its own K and M.
 """
 
 from dataclasses import dataclass
@@ -40,7 +47,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.special import ellipj, ellipk
 
-from .assembly import BULK0, SURFACE, _contract, bulk_quad_data, eval_on_elements, trace
+from .assembly import SURFACE, _contract, bulk_quad_data, grams_of, trace
 from .meshing import _cached, _spd_solver
 
 ALL = "all"
@@ -148,23 +155,16 @@ def spectral_power_norm(coeffs_on_set, s, sb):
     return float(np.sqrt(val))
 
 
-def h_s_norm(u, s, sb):
-    """Interpolated H^s norm of a scalar FE function, s in {0, 1/2, 1}."""
+def h_s_norm(u, s):
+    """Interpolated H^s norm of a scalar FE function over all its DOFs, s in {0, 1/2, 1}."""
     if not 0.0 <= s <= 1.0:
         raise ValueError("h_s_norm expects s in [0, 1]")
-    return spectral_power_norm(_restrict(u, sb), s, sb)
-
-
-def _restrict(u, sb):
-    """Coefficients of u on the spectral DOF set (u must vanish elsewhere)."""
-    if sb.dofset == INTERIOR and u.space != BULK0:
-        off = np.delete(u.coeffs, sb.ids)
-        if np.any(off != 0.0):
-            raise ValueError("function not supported on the interior DOF set")
-    return u.coeffs[sb.ids]
+    return spectral_power_norm(u.coeffs, s, spectral_decomp(grams_of(u.mesh)))
 
 
 # -- dual norms --------------------------------------------------------------
+# The test space is named by its DOF set: 'interior' gives the zero-trace
+# variant, 'all' the full one; spectral_decomp refuses any other name.
 
 
 def dual_norm_from_load(b, sb):
@@ -172,71 +172,49 @@ def dual_norm_from_load(b, sb):
     return float(np.sqrt(b @ sb.apply(b)))
 
 
-def dual_neg_half_norm(f, sb, grams):
-    """Negative-half dual norm of a scalar FE source.
-
-    The sup runs over the test functions of sb's DOF set: the interior
-    operator gives the zero-trace variant, the 'all' operator the full one.
-    """
-    b = (grams.M_bulk @ f.coeffs)[_bulk_ids(sb)]
-    return dual_norm_from_load(b, sb)
+def _dual_norm(load, mesh, dofset):
+    """The dual norm of a full-length load over the test space of `dofset`."""
+    sb = spectral_decomp(grams_of(mesh), dofset)
+    return dual_norm_from_load(load[sb.ids], sb)
 
 
-def _bulk_ids(sb):
-    """The DOF ids of a bulk operator ('all' or 'interior'); others are refused."""
-    if sb.dofset not in (ALL, INTERIOR):
-        raise ValueError(f"expected a bulk spectral operator, got {sb.dofset!r}")
-    return sb.ids
+def dual_neg_half_norm(f, dofset):
+    """Negative-half dual norm of a scalar FE source over the test space of `dofset`."""
+    return _dual_norm(grams_of(f.mesh).M_bulk @ f.coeffs, f.mesh, dofset)
 
 
-def gradient_pairing_load(z, grams):
-    """Load vector b_j = integral z . grad(phi_j) over the bulk mesh.
-
-    z is a 2-vector FE function or a callable pts -> (m, 2) field.
-    """
-    mesh = grams.mesh
+def gradient_pairing_load(zq, mesh):
+    """Load vector b_j = integral z . grad(phi_j) over the bulk mesh, from the
+    field's values zq at the rule points of bulk_quad_data(mesh), shape (ne, m, 2)."""
     qd = bulk_quad_data(mesh)
-    w, det, gphys = qd["rule"].weights, qd["det"], qd["gphys"]
     ne, nb = mesh.elements.shape
-    if hasattr(z, "coeffs"):
-        if z.arity != 2:
-            raise ValueError("need a 2-vector field")
-        zq, _ = eval_on_elements(z)  # (ne, m, 2)
-    elif isinstance(z, np.ndarray):
-        zq = z  # already sampled at the rule points, (ne, m, 2)
-    else:
-        pts = qd["pts"]
-        zq = np.asarray(z(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape)
-    wz = (w * det)[:, :, None] * zq
-    loc = _contract(wz.reshape(ne, 1, -1), gphys.reshape(ne, -1, nb))
+    wz = (qd["rule"].weights * qd["det"])[:, :, None] * zq
+    loc = _contract(wz.reshape(ne, 1, -1), qd["gphys"].reshape(ne, -1, nb))
     return np.bincount(mesh.elements.ravel(), loc.ravel(), minlength=mesh.n_nodes)
 
 
-def vec_dual_half_norm(z, sb, grams):
-    """Dual H^{1/2}-type norm of a 2-vector field, paired against gradients
-    of sb's test functions."""
-    b = gradient_pairing_load(z, grams)[_bulk_ids(sb)]
-    return dual_norm_from_load(b, sb)
+def vec_dual_half_norm(zq, mesh, dofset):
+    """Dual H^{1/2}-type norm of a 2-vector field given at the mesh's rule
+    points, paired against gradients of the test functions of `dofset`."""
+    return _dual_norm(gradient_pairing_load(zq, mesh), mesh, dofset)
 
 
-def hhat_threehalf_norm(u, grams, sb):
+def hhat_threehalf_norm(u, dofset=INTERIOR):
     """Discrete 3/2-order norm: gradient dual norm plus boundary H1 norm.
 
-    The interior operator gives the defining variant (zero-trace test
-    space); the 'all' operator the equivalent all-test-functions variant.
+    'interior' gives the defining variant (zero-trace test space); 'all'
+    the equivalent all-test-functions variant.
     """
-    b = (grams.A_bulk @ u.coeffs)[_bulk_ids(sb)]
-    dual = dual_norm_from_load(b, sb)
-    g = trace(u).coeffs
-    surf = float(np.sqrt(g @ (grams.M_surf @ g) + g @ (grams.A_surf @ g)))
-    return dual + surf
+    grams, g = grams_of(u.mesh), trace(u).coeffs
+    dual = _dual_norm(grams.A_bulk @ u.coeffs, u.mesh, dofset)
+    return dual + float(np.sqrt(g @ (grams.M_surf @ g) + g @ (grams.A_surf @ g)))
 
 
-def boundary_sobolev_norm(g, s, grams):
+def boundary_sobolev_norm(g, s):
     """H^s norm on the discrete boundary for s in {0, 1/2, 1}."""
     if g.space != SURFACE:
         raise ValueError("expected a surface function")
-    c = g.coeffs
+    grams, c = grams_of(g.mesh), g.coeffs
     if s == 0:
         return float(np.sqrt(c @ (grams.M_surf @ c)))
     if s == 1:
@@ -246,16 +224,17 @@ def boundary_sobolev_norm(g, s, grams):
     raise ValueError("s must be 0, 1/2 or 1")
 
 
-def h1_norm(u, grams):
+def _componentwise(u, form):
+    """sqrt of the form summed over the components of a scalar or vector function."""
+    c = u.coeffs.reshape(len(u.coeffs), -1)
+    return float(np.sqrt(sum(c[:, i] @ (form @ c[:, i]) for i in range(c.shape[1]))))
+
+
+def h1_norm(u):
     """Full H1 norm of a bulk FE function (scalar or vector, componentwise)."""
-    c = u.coeffs
-    if c.ndim == 1:
-        return float(np.sqrt(c @ ((grams.M_bulk + grams.A_bulk) @ c)))
-    return float(np.sqrt(sum(c[:, i] @ ((grams.M_bulk + grams.A_bulk) @ c[:, i]) for i in range(c.shape[1]))))
+    grams = grams_of(u.mesh)
+    return _componentwise(u, grams.M_bulk + grams.A_bulk)
 
 
-def l2_norm(u, grams):
-    c = u.coeffs
-    if c.ndim == 1:
-        return float(np.sqrt(c @ (grams.M_bulk @ c)))
-    return float(np.sqrt(sum(c[:, i] @ (grams.M_bulk @ c[:, i]) for i in range(c.shape[1]))))
+def l2_norm(u):
+    return _componentwise(u, grams_of(u.mesh).M_bulk)

@@ -8,8 +8,6 @@ surrogate error sits an order below every O(h^{1/2}) and O(h^k) quantity
 the experiments measure.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -19,17 +17,18 @@ from .assembly import (
     assemble_grams,
     bulk_quad_data,
     eval_on_elements,
+    grams_of,
 )
 from .meshing import Mesh, _cached, _inverse_2x2, _spd_solver, shared_mesh
 from .multilinear import deformation_tensor
 
 
-def trace_matrix(grams):
+def trace_matrix(mesh):
     """Sparse selector mapping bulk coefficients to surface coefficients."""
-    nb = len(grams.boundary_ids)
+    nb = len(mesh.boundary_node_ids)
     return sp.coo_matrix(
-        (np.ones(nb), (np.arange(nb), grams.boundary_ids)),
-        shape=(nb, grams.mesh.n_nodes),
+        (np.ones(nb), (np.arange(nb), mesh.boundary_node_ids)),
+        shape=(nb, mesh.n_nodes),
     ).tocsr()
 
 
@@ -40,48 +39,38 @@ def _interior_solver(grams):
 
 def _robin_solver(grams):
     def build():
-        R = trace_matrix(grams)
+        R = trace_matrix(grams.mesh)
         return _spd_solver(grams.A_bulk + R.T @ grams.M_surf @ R)
 
     return _cached(grams, "robin_solve", build)
 
 
-def _dirichlet_solve(grams, rhs_full, g):
+def _dirichlet_solve(mesh, rhs_full, g):
     """u with trace coefficients g and a(u, phi) = rhs_full . phi for interior phi."""
-    u = np.zeros(grams.mesh.n_nodes)
+    grams = grams_of(mesh)
+    u = np.zeros(mesh.n_nodes)
     u[grams.boundary_ids] = g
     ids = grams.interior_ids
     rhs = rhs_full[ids] - (grams.A_bulk @ u)[ids]
     u[ids] = _interior_solver(grams)(rhs)
-    return FeFunction(grams.mesh, u, BULK)
+    return FeFunction(mesh, u, BULK)
 
 
-def solve_dirichlet_fe(grams, f_h, g_h):
+def solve_dirichlet_fe(f_h, g_h):
     """Solve a(u, phi) = m(f, phi) for interior phi, with trace(u) = g."""
-    return _dirichlet_solve(grams, grams.M_bulk @ f_h.coeffs, g_h.coeffs)
+    mesh = f_h.mesh
+    return _dirichlet_solve(mesh, grams_of(mesh).M_bulk @ f_h.coeffs, g_h.coeffs)
 
 
-def solve_robin_fe(grams, f_h, g_h):
+def solve_robin_fe(f_h, g_h):
     """Solve a(u, phi) + m_G(u, phi) = m(f, phi) + m_G(g, phi) for all phi."""
-    mesh = grams.mesh
-    R = trace_matrix(grams)
+    mesh = f_h.mesh
+    grams, R = grams_of(mesh), trace_matrix(mesh)
     rhs = grams.M_bulk @ f_h.coeffs + R.T @ (grams.M_surf @ g_h.coeffs)
     return FeFunction(mesh, _robin_solver(grams)(rhs), BULK)
 
 
 # -- overkill meshes ---------------------------------------------------------
-
-
-@dataclass
-class OverkillSolution:
-    """FE solution on a much finer mesh, standing in for the exact solver."""
-
-    fine_mesh: Mesh
-    fe: FeFunction
-
-    @property
-    def coeffs(self):
-        return self.fe.coeffs
 
 
 def refined_copy(mesh, factor):
@@ -97,7 +86,7 @@ def refined_copy(mesh, factor):
 # -- deformed Dirichlet energy ----------------------------------------------
 
 
-def deformed_dirichlet_energy(grams, e_x, w_h, z_h, method="pullback"):
+def deformed_dirichlet_energy(e_x, w_h, z_h, method="pullback"):
     """Dirichlet energy after deforming the domain by x -> x + e_x(x).
 
     'pullback' integrates the deformation-tensor form on the original mesh;
@@ -105,7 +94,7 @@ def deformed_dirichlet_energy(grams, e_x, w_h, z_h, method="pullback"):
     reassembles the stiffness form there, and pairs the same coefficient
     vectors. Both equal the energy on the deformed domain up to quadrature.
     """
-    mesh = grams.mesh
+    mesh = e_x.mesh
     if e_x.arity != 2:
         raise ValueError("deformation field must be a 2-vector FE function")
     if method == "remesh":

@@ -160,11 +160,11 @@ def surface_interp_errors(mesh):
 # -- bilinear and multilinear forms under the lift --------------------------------
 
 
-def form_errors(mesh, z, w, forms):
+def form_errors(z, w, forms):
     """Normalized consistency errors under the lift of the named GramSet forms
     (("M_bulk", "A_bulk") or ("M_surf", "A_surf")) at the pair (z, w):
     |z.(F_h - F_lift)w| / (|z|_F |w|_F), with |t|_F = sqrt(t.F_h t) floored at 1e-150."""
-    g, gl = grams_of(mesh), grams_of(mesh, lifted=True)
+    g, gl = grams_of(z.mesh), grams_of(z.mesh, lifted=True)
     z, w = z.coeffs, w.coeffs
     norm = lambda F, t: np.sqrt(max(float(t @ (F @ t)), 1e-300))
     errors = []
@@ -174,15 +174,15 @@ def form_errors(mesh, z, w, forms):
     return tuple(errors)
 
 
-def multilinear_gradient_integral(mesh, fields, coeff_fn, qd=None):
+def multilinear_gradient_integral(fields, coeff_fn, qd=None):
     """integral of coeff_fn(g1, ..., gm) by the quadrature record qd: by
-    default the mesh's bulk_quad_data; the lifted record integrates over the
-    lift of the mesh onto the exact domain.
+    default the fields' mesh's bulk_quad_data; the lifted record integrates
+    over the lift of that mesh onto the exact domain.
 
     fields: scalar FE functions whose gradients feed coeff_fn, which maps
     stacked gradient arrays (each (ne, m, 2)) to the scalar integrand.
     """
-    qd = qd or bulk_quad_data(mesh)
+    qd = qd or bulk_quad_data(fields[0].mesh)
     integrand = coeff_fn(*(eval_on_elements(f, qd)[1] for f in fields))
     return float(np.einsum("q,eq,eq->", qd["rule"].weights, qd["det"], integrand))
 

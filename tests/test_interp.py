@@ -41,7 +41,7 @@ def test_sz_trace_preservation_fe(disk4k2, rng):
 def test_riesz_data_defining_identity(disk4k1, rng):
     g = grams_of(disk4k1)
     u = FeFunction(disk4k1, rng.normal(size=disk4k1.n_nodes))
-    f, gs = dirichlet_riesz_data(u, g)
+    f, gs = dirichlet_riesz_data(u)
     res = (g.M_bulk @ f.coeffs - g.A_bulk @ u.coeffs)[g.interior_ids]
     scale = max(1.0, np.abs(u.coeffs).max())
     assert np.abs(res).max() < 1e-10 * scale
@@ -50,21 +50,19 @@ def test_riesz_data_defining_identity(disk4k1, rng):
 
 def test_riesz_data_constants_and_linears():
     m = disk_mesh(4, 1)
-    g = grams_of(m)
     uc = nodal_interp_bulk(m, lambda p: 3.0 * np.ones(len(p)))
-    f, gs = dirichlet_riesz_data(uc, g)
+    f, gs = dirichlet_riesz_data(uc)
     assert np.abs(f.coeffs).max() < 1e-12
     sq = build_square_mesh(4, 1)
-    gq = grams_of(sq)
     ux = nodal_interp_bulk(sq, lambda p: p[:, 0])
-    fx, _ = dirichlet_riesz_data(ux, gq)
+    fx, _ = dirichlet_riesz_data(ux)
     assert np.abs(fx.coeffs).max() < 1e-12
 
 
 def test_dirichlet_lift_of_constant(disk4k1):
     one = nodal_interp_bulk(disk4k1, lambda p: np.ones(len(p)))
     sol = dirichlet_lift(one)
-    assert sol.fine_mesh.h <= disk4k1.h / 4 + 1e-12
+    assert sol.mesh.h <= disk4k1.h / 4 + 1e-12
     assert np.abs(sol.coeffs - 1.0).max() < 1e-10
 
 
@@ -80,9 +78,7 @@ def test_sz_via_dirichlet_trace_error_decays():
     errs = []
     for n in (2, 4):
         m = disk_mesh(n, 1)
-        g = grams_of(m)
         u = solve_dirichlet_fe(
-            g,
             nodal_interp_bulk(m, lambda p: np.sin(3.0 * p[:, 0])),
             trace(nodal_interp_bulk(m, lambda p: p[:, 0] * p[:, 1])),
         )
@@ -102,7 +98,7 @@ def test_winf_like_norm_values(disk4k1):
 def test_ritz_system_symmetry(square4, square4_grams):
     from h32fem.solvers import trace_matrix
 
-    R = trace_matrix(square4_grams)
+    R = trace_matrix(square4)
     K = square4_grams.A_bulk + R.T @ square4_grams.M_surf @ R
     assert abs(K - K.T).max() < 1e-13
 
@@ -143,12 +139,11 @@ def test_circle_points_locate_on_the_curved_edge():
 def test_overkill_path_on_square(rng):
     # identity-lift branch: Dirichlet lift and quasi-interpolant on the square
     sq = build_square_mesh(2, 1)
-    g = grams_of(sq)
     gx = trace(nodal_interp_bulk(sq, lambda p: p[:, 0]))
-    u = solve_dirichlet_fe(g, zero_function(sq), gx)
+    u = solve_dirichlet_fe(zero_function(sq), gx)
     sol = dirichlet_lift(u)
     # harmonic linear data: the overkill solution is x as well
-    fine_x = sol.fine_mesh.nodes[:, 0]
+    fine_x = sol.mesh.nodes[:, 0]
     assert np.abs(sol.coeffs - fine_x).max() < 1e-9
     out = sz_via_dirichlet(u, sol=sol)
     assert np.abs(out.coeffs - u.coeffs).max() < 1e-8

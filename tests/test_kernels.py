@@ -104,14 +104,13 @@ def test_eval_on_elements_matches_einsum(case, shape):
 
 def test_gradient_pairing_load_matches_einsum(case):
     mesh, qd, old = case
-    g = grams_of(mesh)
     z = FeFunction(mesh, coefficients(mesh, 2))
     zq = eval_on_elements(z)[0]
     w, det = qd["rule"].weights, qd["det"]
     loc = np.einsum("q,eq,eqx,eqbx->eb", w, det, zq, old)
     want = np.zeros(mesh.n_nodes)
     np.add.at(want, mesh.elements.ravel(), loc.ravel())
-    b = gradient_pairing_load(z, g)
+    b = gradient_pairing_load(zq, mesh)
     assert_close(b, want)
     # the scatter adds in the order np.add.at does: bit for bit
     ne, nb = mesh.elements.shape
@@ -137,7 +136,7 @@ def test_lifted_contractions_match_einsum(case):
     assert abs(z.coeffs @ (gl.M_bulk @ w.coeffs) - m_l) <= RTOL * abs(m_l)
     dot = lambda g1, g2: np.einsum("eqx,eqx->eq", g1, g2)
     want = np.einsum("q,eq,eq->", wq, det, dot(gz, gw))
-    got = multilinear_gradient_integral(mesh, [z, w], dot, bulk_quad_data(mesh, lifted=True))
+    got = multilinear_gradient_integral([z, w], dot, bulk_quad_data(mesh, lifted=True))
     assert abs(got - want) <= RTOL * abs(want)
 
 
@@ -149,7 +148,7 @@ def spd_matrices(mesh):
     g = grams_of(mesh)
     ids = g.interior_ids
     sb = spectral_decomp(g)
-    R = trace_matrix(g)
+    R = trace_matrix(mesh)
     ss = surface_spectral_decomp(g)
     return {
         "pencil": sb.K + sb.shifts[0] * sb.M,

@@ -1,8 +1,11 @@
-"""The lift is a function of the mesh, and the layers import in one direction.
+"""The lift, the Gram set and the spectral operator are functions of the
+mesh, and the layers import in one direction.
 
 meshing -> lifting -> assembly: the lift is `lifting.lift_of(mesh)`, so no
 public function takes it next to the mesh, and `lifting` needs nothing from
-`assembly`.
+`assembly`. The Gram set is `grams_of(mesh)` and the operator
+`spectral_decomp` of it, so no public function takes either next to an FE
+function; only the operator builders and the vector-level norms do.
 """
 
 import ast
@@ -44,6 +47,26 @@ def test_no_public_function_takes_the_lift():
         if {"lift", "lm"} & set(inspect.signature(fn).parameters)
     ]
     assert found == []
+
+
+# the operator builders take the Gram set; the vector-level norms the operator
+GRAMS_OR_OPERATOR_ALLOWED = {
+    "h32fem.norms.spectral_decomp": {"grams"},
+    "h32fem.norms.surface_spectral_decomp": {"grams"},
+    "h32fem.norms.spectral_power_norm": {"sb"},
+    "h32fem.norms.dual_norm_from_load": {"sb"},
+    "h32fem.norms.dense_eigenpairs": {"sb"},
+}
+
+
+def test_no_public_function_takes_a_gram_set_or_operator():
+    found = {}
+    for module in h32fem_modules():
+        for name, fn in public_callables(module):
+            taken = {"grams", "sb", "sbi"} & set(inspect.signature(fn).parameters)
+            if taken:
+                found[f"{module.__name__}.{name}"] = taken
+    assert found == GRAMS_OR_OPERATOR_ALLOWED
 
 
 def test_lifting_binds_nothing_from_assembly():

@@ -3,7 +3,15 @@ import pytest
 import scipy.linalg
 
 from h32fem import cli, experiments, norms
-from h32fem.assembly import FeFunction, assemble_grams, grams_of, nodal_interp_bulk, trace
+from h32fem.assembly import (
+    FeFunction,
+    assemble_grams,
+    bulk_quad_data,
+    eval_on_elements,
+    grams_of,
+    nodal_interp_bulk,
+    trace,
+)
 from h32fem.meshing import build_square_mesh, disk_mesh
 from h32fem.norms import (
     QUAD_TOL,
@@ -11,6 +19,7 @@ from h32fem.norms import (
     dense_eigenpairs,
     dual_neg_half_norm,
     dual_norm_from_load,
+    gradient_pairing_load,
     h1_norm,
     h_s_norm,
     hhat_threehalf_norm,
@@ -49,17 +58,17 @@ def test_constant_has_unit_eigenvalue(setup):
 def test_endpoint_exactness(setup, rng):
     m, g, sb, _ = setup
     u = FeFunction(m, rng.normal(size=m.n_nodes))
-    assert abs(h_s_norm(u, 0.0, sb) - l2_norm(u, g)) < 1e-10
-    assert abs(h_s_norm(u, 1.0, sb) - h1_norm(u, g)) < 1e-10
+    assert abs(h_s_norm(u, 0.0) - l2_norm(u)) < 1e-10
+    assert abs(h_s_norm(u, 1.0) - h1_norm(u)) < 1e-10
 
 
 def test_zero_and_homogeneity(setup, rng):
     m, g, sb, _ = setup
     zero = FeFunction(m, np.zeros(m.n_nodes))
-    assert h_s_norm(zero, 0.5, sb) == 0.0
+    assert h_s_norm(zero, 0.5) == 0.0
     u = FeFunction(m, rng.normal(size=m.n_nodes))
-    n = h_s_norm(u, 0.5, sb)
-    assert abs(h_s_norm(u.scaled(-3.25), 0.5, sb) - 3.25 * n) < 1e-12 * max(1, n)
+    n = h_s_norm(u, 0.5)
+    assert abs(h_s_norm(u.scaled(-3.25), 0.5) - 3.25 * n) < 1e-12 * max(1, n)
 
 
 def test_monotonicity_in_s(setup, rng):
@@ -71,20 +80,20 @@ def test_monotonicity_in_s(setup, rng):
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     # the operator's three powers sit on the oracle's curve
     for s in (0.0, 0.5, 1.0):
-        assert abs(h_s_norm(u, s, sb) - vals[int(10 * s)]) <= 1e-10 * vals[int(10 * s)]
+        assert abs(h_s_norm(u, s) - vals[int(10 * s)]) <= 1e-10 * vals[int(10 * s)]
 
 
 def test_s_range_validation(setup):
     m, g, sb, _ = setup
     u = FeFunction(m, np.ones(m.n_nodes))
     with pytest.raises(ValueError):
-        h_s_norm(u, 1.2, sb)
+        h_s_norm(u, 1.2)
 
 
 def test_dual_norm_zero_and_sup_attainment(setup, rng):
     m, g, sb, sbi = setup
     zero = FeFunction(m, np.zeros(m.n_nodes), "bulk0")
-    assert dual_neg_half_norm(zero, sbi, g) == 0.0
+    assert dual_neg_half_norm(zero, "interior") == 0.0
     c = rng.normal(size=m.n_nodes)
     c[m.boundary_node_ids] = 0.0
     f = FeFunction(m, c, "bulk0")
@@ -101,33 +110,33 @@ def test_zero_trace_below_full(setup, rng):
         c = rng.normal(size=m.n_nodes)
         c[m.boundary_node_ids] = 0.0
         f = FeFunction(m, c, "bulk0")
-        zt = dual_neg_half_norm(f, sbi, g)
-        fl = dual_neg_half_norm(f, sb, g)
+        zt = dual_neg_half_norm(f, "interior")
+        fl = dual_neg_half_norm(f, "all")
         assert zt <= fl + 1e-12
 
 
 def test_variant_dofset_mismatch(setup):
-    # the variant is the operator's DOF set; the surface operator is no bulk variant
+    # the variant is the test space's DOF set; the surface is no bulk variant
     m, g, sb, sbi = setup
     f = FeFunction(m, np.ones(m.n_nodes))
-    ssb = surface_spectral_decomp(g)
+    zq = np.ones((m.n_elements, len(bulk_quad_data(m)["rule"].weights), 2))
     for norm in (
-        lambda: dual_neg_half_norm(f, ssb, g),
-        lambda: vec_dual_half_norm(FeFunction(m, np.ones((m.n_nodes, 2))), ssb, g),
-        lambda: hhat_threehalf_norm(f, g, ssb),
+        lambda: dual_neg_half_norm(f, "surface"),
+        lambda: vec_dual_half_norm(zq, m, "surface"),
+        lambda: hhat_threehalf_norm(f, "surface"),
     ):
         with pytest.raises(ValueError, match="surface"):
             norm()
     # the interior operator sees only interior test functions
-    assert dual_neg_half_norm(f, sbi, g) < dual_neg_half_norm(f, sb, g)
+    assert dual_neg_half_norm(f, "interior") < dual_neg_half_norm(f, "all")
 
 
 def test_vec_dual_constant_field_zero_trace(setup):
     m, g, sb, sbi = setup
-    zc = FeFunction(m, np.tile([0.7, -1.3], (m.n_nodes, 1)))
-    assert vec_dual_half_norm(zc, sbi, g) < 1e-10
+    zc = eval_on_elements(FeFunction(m, np.tile([0.7, -1.3], (m.n_nodes, 1))))[0]
+    assert vec_dual_half_norm(zc, m, "interior") < 1e-10
     # against the full space the boundary flux survives
-    assert vec_dual_half_norm(zc, sb, g) > 1e-3
+    assert vec_dual_half_norm(zc, m, "all") > 1e-3
 
 
 def test_hhat_norm_of_constant(setup):
@@ -137,7 +146,7 @@ def test_hhat_norm_of_constant(setup):
     ones_s = np.ones(len(m.boundary_node_ids))
     perimeter = ones_s @ (g.M_surf @ ones_s)
     expected = c * np.sqrt(perimeter)
-    assert abs(hhat_threehalf_norm(u, g, sbi) - expected) < 1e-10
+    assert abs(hhat_threehalf_norm(u) - expected) < 1e-10
 
 
 def test_discrete_trace_inequality(setup, rng):
@@ -145,8 +154,8 @@ def test_discrete_trace_inequality(setup, rng):
     # the 3/2 norm contains the boundary H1 term by construction
     for _ in range(5):
         u = FeFunction(m, rng.normal(size=m.n_nodes))
-        tn = boundary_sobolev_norm(trace(u), 1, g)
-        assert tn <= hhat_threehalf_norm(u, g, sbi) * (1 + 1e-12)
+        tn = boundary_sobolev_norm(trace(u), 1)
+        assert tn <= hhat_threehalf_norm(u) * (1 + 1e-12)
 
 
 def test_boundary_norms(setup):
@@ -154,13 +163,13 @@ def test_boundary_norms(setup):
     gs = trace(nodal_interp_bulk(m, lambda p: 3.0 * np.ones(len(p))))
     ones_s = np.ones(len(m.boundary_node_ids))
     per = ones_s @ (g.M_surf @ ones_s)
-    assert abs(boundary_sobolev_norm(gs, 1, g) - 3.0 * np.sqrt(per)) < 1e-12
-    v0 = boundary_sobolev_norm(gs, 0, g)
-    vh = boundary_sobolev_norm(gs, 0.5, g)
-    v1 = boundary_sobolev_norm(gs, 1, g)
+    assert abs(boundary_sobolev_norm(gs, 1) - 3.0 * np.sqrt(per)) < 1e-12
+    v0 = boundary_sobolev_norm(gs, 0)
+    vh = boundary_sobolev_norm(gs, 0.5)
+    v1 = boundary_sobolev_norm(gs, 1)
     assert v0 - 1e-12 <= vh <= v1 + 1e-12
     with pytest.raises(ValueError):
-        boundary_sobolev_norm(gs, 0.25, g)
+        boundary_sobolev_norm(gs, 0.25)
 
 
 def test_norm_homogeneity_all_ops(setup, rng):
@@ -168,13 +177,46 @@ def test_norm_homogeneity_all_ops(setup, rng):
     alpha = 1.7
     u = FeFunction(m, rng.normal(size=m.n_nodes))
     pairs = [
-        (hhat_threehalf_norm(u, g, sbi),
-         hhat_threehalf_norm(u.scaled(alpha), g, sbi)),
-        (dual_neg_half_norm(u, sb, g),
-         dual_neg_half_norm(u.scaled(alpha), sb, g)),
+        (hhat_threehalf_norm(u),
+         hhat_threehalf_norm(u.scaled(alpha))),
+        (dual_neg_half_norm(u, "all"),
+         dual_neg_half_norm(u.scaled(alpha), "all")),
     ]
     for base, scaled in pairs:
         assert abs(scaled - alpha * base) < 1e-12 * max(1.0, base)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_fe_norms_are_the_vector_formulas_on_the_meshs_own_grams(order):
+    # each FE-level norm is its vector-level formula on grams_of(u.mesh) and
+    # that set's operators, bit for bit; the operators of a coarser mesh,
+    # built first, cannot reach it
+    spectral_decomp(grams_of(experiments.get_mesh("disk", 2, order)), "interior")
+    m = experiments.get_mesh("disk", 4, order)
+    g = grams_of(m)
+    sb, sbi, ssb = spectral_decomp(g, "all"), spectral_decomp(g, "interior"), surface_spectral_decomp(g)
+    rng = np.random.default_rng([order, m.n_nodes])
+    u = FeFunction(m, rng.normal(size=m.n_nodes))
+    v = FeFunction(m, rng.normal(size=(m.n_nodes, 2)))
+    c, vc, t = u.coeffs, v.coeffs, trace(u).coeffs
+    K = g.M_bulk + g.A_bulk
+    assert l2_norm(u) == float(np.sqrt(c @ (g.M_bulk @ c)))
+    assert h1_norm(u) == float(np.sqrt(c @ (K @ c)))
+    assert l2_norm(v) == float(np.sqrt(sum(vc[:, i] @ (g.M_bulk @ vc[:, i]) for i in range(2))))
+    assert h1_norm(v) == float(np.sqrt(sum(vc[:, i] @ (K @ vc[:, i]) for i in range(2))))
+    for s in (0.0, 0.5, 1.0):
+        assert h_s_norm(u, s) == spectral_power_norm(c[sb.ids], s, sb)
+    assert boundary_sobolev_norm(trace(u), 0) == float(np.sqrt(t @ (g.M_surf @ t)))
+    assert boundary_sobolev_norm(trace(u), 0.5) == spectral_power_norm(t, 0.5, ssb)
+    assert boundary_sobolev_norm(trace(u), 1) == float(np.sqrt(t @ ((g.M_surf + g.A_surf) @ t)))
+    surf = float(np.sqrt(t @ (g.M_surf @ t) + t @ (g.A_surf @ t)))
+    zq = eval_on_elements(v)[0]
+    for dofset, op in (("all", sb), ("interior", sbi)):
+        assert dual_neg_half_norm(u, dofset) == dual_norm_from_load((g.M_bulk @ c)[op.ids], op)
+        assert hhat_threehalf_norm(u, dofset) == dual_norm_from_load((g.A_bulk @ c)[op.ids], op) + surf
+        b = gradient_pairing_load(zq, m)[op.ids]
+        assert vec_dual_half_norm(zq, m, dofset) == dual_norm_from_load(b, op)
+    assert hhat_threehalf_norm(u) == hhat_threehalf_norm(u, "interior")
 
 
 def _pencils(g):

@@ -26,15 +26,13 @@ def _interior_residual(grams, u, f_h):
 
 
 def test_dirichlet_zero_data(square4, square4_grams):
-    u = solve_dirichlet_fe(
-        square4_grams, zero_function(square4), zero_function(square4, "surface")
-    )
+    u = solve_dirichlet_fe(zero_function(square4), zero_function(square4, "surface"))
     assert np.abs(u.coeffs).max() == 0.0
 
 
 def test_dirichlet_linear_harmonic(square4, square4_grams):
     gx = trace(nodal_interp_bulk(square4, lambda p: p[:, 0]))
-    u = solve_dirichlet_fe(square4_grams, zero_function(square4), gx)
+    u = solve_dirichlet_fe(zero_function(square4), gx)
     ux = nodal_interp_bulk(square4, lambda p: p[:, 0])
     assert np.abs(u.coeffs - ux.coeffs).max() < 1e-12
     assert _interior_residual(square4_grams, u, zero_function(square4)) < 1e-12
@@ -43,15 +41,15 @@ def test_dirichlet_linear_harmonic(square4, square4_grams):
 def test_dirichlet_residual_random(square4, square4_grams, rng):
     f = FeFunction(square4, rng.normal(size=square4.n_nodes))
     gs = trace(nodal_interp_bulk(square4, lambda p: np.sin(p[:, 0])))
-    u = solve_dirichlet_fe(square4_grams, f, gs)
+    u = solve_dirichlet_fe(f, gs)
     scale = max(1.0, np.abs(f.coeffs).max())
     assert _interior_residual(square4_grams, u, f) < 1e-12 * scale
     assert np.abs(trace(u).coeffs - gs.coeffs).max() == 0.0
 
 
-def test_robin_constant(square4, square4_grams):
+def test_robin_constant(square4):
     ones = trace(nodal_interp_bulk(square4, lambda p: np.ones(len(p))))
-    u = solve_robin_fe(square4_grams, zero_function(square4), ones)
+    u = solve_robin_fe(zero_function(square4), ones)
     assert np.abs(u.coeffs - 1.0).max() < 1e-12
 
 
@@ -61,7 +59,7 @@ def test_surrogates_constant(disk4k1):
     one = trace(nodal_interp_bulk(disk4k1, lambda p: np.ones(len(p))))
     zero = zero_function(disk4k1, "bulk0")
     sol = dirichlet_lift_from_data(zero, one)
-    assert sol.fine_mesh is fine
+    assert sol.mesh is fine
     assert np.abs(sol.coeffs - 1.0).max() < 1e-11
 
 
@@ -80,11 +78,10 @@ def test_homogeneous_smoothing_proxy():
         zero = zero_function(m, "bulk0")
         g_h = trace(nodal_interp_bulk(m, lambda p: np.cos(2.0 * np.arctan2(p[:, 1], p[:, 0]))))
         sol = dirichlet_lift_from_data(zero, g_h)
-        fg = grams_of(sol.fine_mesh)
-        gs = trace(sol.fe)
-        ssb = surface_spectral_decomp(fg)
+        gs = trace(sol)
+        ssb = surface_spectral_decomp(grams_of(sol.mesh))
         ghalf = spectral_power_norm(gs.coeffs, 0.5, ssb)
-        vals.append(h1_norm(sol.fe, fg) / ghalf)
+        vals.append(h1_norm(sol) / ghalf)
     assert max(vals) / min(vals) < 2.0
 
 
@@ -94,10 +91,10 @@ def test_deformed_energy_zero_and_conformal(disk4k2):
     z = nodal_interp_bulk(disk4k2, lambda p: np.cos(p[:, 1]) + p[:, 0] ** 2)
     a0 = float(w.coeffs @ (g.A_bulk @ z.coeffs))
     e0 = FeFunction(disk4k2, np.zeros((disk4k2.n_nodes, 2)))
-    assert abs(deformed_dirichlet_energy(g, e0, w, z, "pullback") - a0) < 1e-12
-    assert abs(deformed_dirichlet_energy(g, e0, w, z, "remesh") - a0) < 1e-12
+    assert abs(deformed_dirichlet_energy(e0, w, z, "pullback") - a0) < 1e-12
+    assert abs(deformed_dirichlet_energy(e0, w, z, "remesh") - a0) < 1e-12
     ec = FeFunction(disk4k2, 0.07 * disk4k2.nodes.copy())
-    assert abs(deformed_dirichlet_energy(g, ec, w, z, "pullback") - a0) < 1e-12
+    assert abs(deformed_dirichlet_energy(ec, w, z, "pullback") - a0) < 1e-12
 
 
 def _random_smooth_displacement(mesh, rng, scale=0.04):
@@ -117,27 +114,25 @@ def test_pullback_vs_remesh_cross_oracle(order, tol, rng):
     from h32fem.experiments import get_mesh
 
     m = get_mesh("disk", 3, order)
-    g = grams_of(m)
     w = nodal_interp_bulk(m, lambda p: np.sin(p[:, 0]) * p[:, 1])
     z = nodal_interp_bulk(m, lambda p: np.cos(p[:, 1]) + p[:, 0] ** 2)
     for _ in range(10):
         ex = _random_smooth_displacement(m, rng)
-        v1 = deformed_dirichlet_energy(g, ex, w, z, "pullback")
-        v2 = deformed_dirichlet_energy(g, ex, w, z, "remesh")
+        v1 = deformed_dirichlet_energy(ex, w, z, "pullback")
+        v2 = deformed_dirichlet_energy(ex, w, z, "remesh")
         assert abs(v1 - v2) <= tol * max(abs(v1), 1e-30)
 
 
 def test_inverted_deformation_raises(disk4k1):
-    g = grams_of(disk4k1)
     w = nodal_interp_bulk(disk4k1, lambda p: p[:, 0])
     # x -> (-x, y) flips orientation
     flip = np.column_stack([-2.0 * disk4k1.nodes[:, 0], np.zeros(disk4k1.n_nodes)])
     with pytest.raises(RuntimeError):
-        deformed_dirichlet_energy(g, FeFunction(disk4k1, flip), w, w, "pullback")
+        deformed_dirichlet_energy(FeFunction(disk4k1, flip), w, w, "pullback")
 
 
-def test_unknown_kind_and_method(square4, square4_grams):
+def test_unknown_kind_and_method(square4):
     w = nodal_interp_bulk(square4, lambda p: p[:, 0])
     e0 = FeFunction(square4, np.zeros((square4.n_nodes, 2)))
     with pytest.raises(ValueError):
-        deformed_dirichlet_energy(square4_grams, e0, w, w, "warp")
+        deformed_dirichlet_energy(e0, w, w, "warp")

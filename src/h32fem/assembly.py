@@ -176,15 +176,13 @@ def _face_ref_points(mesh, t):
 
 @dataclass
 class GramSet:
-    """Assembled bilinear forms plus the DOF bookkeeping between them."""
+    """Assembled bilinear forms of a mesh; its DOF sets are the mesh's own."""
 
     mesh: object
     M_bulk: sp.csr_matrix
     A_bulk: sp.csr_matrix
     M_surf: sp.csr_matrix
     A_surf: sp.csr_matrix
-    interior_ids: np.ndarray
-    boundary_ids: np.ndarray
     # upper bounds on the largest eigenvalue of (M + A, M), bulk and surface;
     # None on the lifted set, whose forms no fractional operator is built from
     bulk_eig_bound: float
@@ -245,8 +243,6 @@ def assemble_grams(mesh, lifted=False):
         A_bulk=A,
         M_surf=Ms,
         A_surf=As,
-        interior_ids=mesh.interior_node_ids,
-        boundary_ids=bids,
         bulk_eig_bound=None if lifted else _eig_bound(Me, Ae),
         surf_eig_bound=None if lifted else _eig_bound(Mse, Ase),
     )

@@ -28,7 +28,7 @@ from .assembly import (
     trace,
 )
 from .basis import tri_shape
-from .lifting import MeshLocator, lift_mixed
+from .lifting import lift_mixed, locator_of
 from .meshing import _cached, _spd_solver
 from .quadrature import default_degree
 from .solvers import _dirichlet_solve, refined_copy
@@ -123,7 +123,7 @@ def dirichlet_riesz_data(u_h):
     """Source f in V_h^0 and trace g with m(f, v) = a(u, v) on V_h^0."""
     mesh = u_h.mesh
     grams = grams_of(mesh)
-    ids = grams.interior_ids
+    ids = mesh.interior_node_ids
     solve = _cached(grams, "mass_interior_solve", lambda: _spd_solver(grams.M_bulk[np.ix_(ids, ids)]))
     r = (grams.A_bulk @ u_h.coeffs)[ids]
     f = np.zeros(mesh.n_nodes)
@@ -148,35 +148,27 @@ def _evaluation_matrix(mesh, elems, refs):
     )
 
 
-def overkill_context(mesh):
-    """Fine mesh and the lifted-point locators of overkill operations."""
-    return _cached(mesh, "overkill", lambda: _overkill_context(mesh))
-
-
-def _overkill_context(mesh):
+def overkill_mesh(mesh):
+    """The overkill mesh of a coarse mesh: the same domain refined
+    2**OVERKILL_LEVEL times (the ladder's shared mesh of that size)."""
     fine = refined_copy(mesh, 2**OVERKILL_LEVEL)
     if fine.h > mesh.h / 2**OVERKILL_LEVEL + 1e-12:
         raise RuntimeError("overkill refinement did not reduce h as expected")
-    return {
-        "fine": fine,
-        # both locate points of the exact domain
-        "fine_locator": MeshLocator(fine),
-        "coarse_locator": MeshLocator(mesh),
-    }
+    return fine
 
 
 def _overkill_matrix(build, mesh):
-    """build(mesh, ctx), run once per build and cached on the coarse mesh."""
-    return _cached(mesh, build, lambda: build(mesh, overkill_context(mesh)))
+    """build(mesh), run once per build and cached on the coarse mesh."""
+    return _cached(mesh, build, lambda: build(mesh))
 
 
-def _source_matrix(mesh, ctx):
+def _source_matrix(mesh):
     """Sparse map: coarse coefficients -> lifted values at fine rule points."""
-    pts = bulk_quad_data(ctx["fine"])["pts"].reshape(-1, 2)
-    return _evaluation_matrix(mesh, *ctx["coarse_locator"].locate(pts))
+    pts = bulk_quad_data(overkill_mesh(mesh))["pts"].reshape(-1, 2)
+    return _evaluation_matrix(mesh, *locator_of(mesh).locate(pts))
 
 
-def _trace_matrix(mesh, ctx):
+def _trace_matrix(mesh):
     """Sparse map: coarse surface coefficients -> values at fine boundary nodes.
 
     One path for the disk and the square: the fine boundary nodes lie on
@@ -185,12 +177,12 @@ def _trace_matrix(mesh, ctx):
     each lands on the discrete boundary, where only the boundary nodes'
     basis functions are nonzero; the evaluation matrix keeps their columns.
     """
-    bpts = ctx["fine"].nodes[ctx["fine"].boundary_node_ids]
-    E = _evaluation_matrix(mesh, *ctx["coarse_locator"].locate(bpts))
+    fine = overkill_mesh(mesh)
+    E = _evaluation_matrix(mesh, *locator_of(mesh).locate(fine.nodes[fine.boundary_node_ids]))
     return E[:, mesh.boundary_node_ids]
 
 
-def _sz_pullback_matrix(mesh, ctx):
+def _sz_pullback_matrix(mesh):
     """Sparse map: fine coefficients -> pullback values at the SZ moment points.
 
     The moment points are known as (element, reference point), so they are
@@ -198,7 +190,8 @@ def _sz_pullback_matrix(mesh, ctx):
     """
     sz = _sz_moments(mesh)
     lifted, _ = lift_mixed(mesh, sz["elems"], sz["refs"])
-    return _evaluation_matrix(ctx["fine"], *ctx["fine_locator"].locate(lifted))
+    fine = overkill_mesh(mesh)
+    return _evaluation_matrix(fine, *locator_of(fine).locate(lifted))
 
 
 def dirichlet_lift(u_h):
@@ -210,7 +203,7 @@ def dirichlet_lift(u_h):
 def dirichlet_lift_from_data(f_h, g_h):
     """Overkill Dirichlet solve with lifted discrete data (f_h, g_h), on the fine mesh."""
     mesh = f_h.mesh
-    fine = overkill_context(mesh)["fine"]
+    fine = overkill_mesh(mesh)
 
     # lifted source tested against the fine basis
     qd = bulk_quad_data(fine)

@@ -23,7 +23,8 @@ plain code builds the lifted record and Gram set from it,
 `assembly.bulk_quad_data(mesh, lifted=True)` and `grams_of(mesh, lifted=True)`.
 
 MeshLocator inverts the composite map Lambda(F(xi)) pointwise: it maps
-points of the exact domain to (element, reference point) pairs. Every
+points of the exact domain to (element, reference point) pairs, and like
+the lift it is a cached function of the mesh, `locator_of(mesh)`. Every
 candidate element is first inverted in closed form through its vertex
 triangle. Off the curved boundary layer the lift is the identity and the
 geometry map is affine, so that inverse is exact (on the square, for every
@@ -307,6 +308,12 @@ class MeshLocator:
             elems[alive] = best_elem[alive]
             refs[alive] = _clamp_to_triangle(best_ref[alive])
         return elems, refs
+
+
+def locator_of(mesh):
+    """The mesh's locator of points of the exact domain, built once per mesh;
+    its clamp counters cover every location in that mesh."""
+    return _cached(mesh, "locator", lambda: MeshLocator(mesh))
 
 
 def _clamp_to_triangle(refs):

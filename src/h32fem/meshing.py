@@ -28,18 +28,19 @@ from .basis import TRI_EDGES, tri_shape, tri_shape_grad
 class Mesh:
     """Curved order-k triangulation with node/element/boundary tables.
 
-    nodes: (N, 2) coordinates. elements: (nelem, 3 or 6) node ids, CCW.
-    boundary_faces: (nbf, 2 or 3) node ids, oriented CCW along the boundary
-    (endpoint a, endpoint b, then the midside node for k=2). Surface DOFs
-    are the boundary nodes in ascending order; surface_faces holds the
+    nodes: (N, 2) coordinates. elements: (nelem, 3 or 6) node ids, CCW,
+    vertices first. The rest derives from them: boundary_faces (nbf, 2 or 3)
+    are the element edges no other element shares, oriented CCW along the
+    boundary (endpoint a, endpoint b, then the midside node for k=2). Surface
+    DOFs are the boundary nodes in ascending order; surface_faces holds the
     boundary faces in those surface DOF ids.
     """
 
     nodes: np.ndarray
     elements: np.ndarray
-    boundary_faces: np.ndarray
     order: int
     domain_kind: str
+    boundary_faces: np.ndarray = field(init=False)
     boundary_node_ids: np.ndarray = field(init=False)
     surface_faces: np.ndarray = field(init=False)
     interior_node_ids: np.ndarray = field(init=False)
@@ -51,7 +52,13 @@ class Mesh:
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
         self.elements = np.asarray(self.elements, dtype=np.int64)
-        self.boundary_faces = np.asarray(self.boundary_faces, dtype=np.int64)
+        # boundary faces: the edge slots (element, local edge) whose edge occurs
+        # once, as the directed edge and (k=2) the slot's midside node
+        directed, _, _, inv, count = _edge_table(self.elements[:, :3], self.n_nodes)
+        slots = np.nonzero(count[inv] == 1)[0]
+        mids = self.elements[:, 3:].reshape(len(directed), self.order - 1)
+        self.boundary_faces = np.hstack([directed, mids])[slots]
+        self.face_elem, self.face_local_edge = np.divmod(slots, 3)
         bset = np.unique(self.boundary_faces.ravel())
         self.boundary_node_ids = bset
         self.surface_faces = np.searchsorted(bset, self.boundary_faces)
@@ -59,7 +66,6 @@ class Mesh:
         mask[bset] = False
         self.interior_node_ids = np.nonzero(mask)[0]
         self.h = self._max_diameter()
-        self.face_elem, self.face_local_edge = self._face_adjacency()
 
     # -- derived geometry ------------------------------------------------
 
@@ -72,16 +78,6 @@ class Mesh:
             for i in range(nb) for j in range(i + 1, nb)
         ))
 
-    def _face_adjacency(self):
-        directed, keys, first, _, count = _edge_table(self.elements[:, :3], self.n_nodes)
-        f = self.boundary_faces[:, :2]
-        idx = np.searchsorted(keys, f.min(axis=1) * self.n_nodes + f.max(axis=1))
-        idx = np.minimum(idx, len(keys) - 1)
-        slot = first[idx]
-        if not (count[idx] == 1).all() or not (directed[slot] == f).all():
-            raise ValueError("a boundary face is not a boundary edge of its element")
-        return np.divmod(slot, 3)
-
     @property
     def n_elements(self):
         return len(self.elements)
@@ -89,12 +85,6 @@ class Mesh:
     @property
     def n_nodes(self):
         return len(self.nodes)
-
-    def element_coords(self, elems=None):
-        """(nelem, nbasis, 2) geometry node coordinates."""
-        if elems is None:
-            return self.nodes[self.elements]
-        return self.nodes[self.elements[elems]]
 
     def quasi_uniformity_ratio(self):
         """(max element diameter) / (min inscribed-circle diameter)."""
@@ -114,7 +104,6 @@ class Mesh:
         doc = {
             "nodes": self.nodes.tolist(),
             "elements": self.elements.tolist(),
-            "boundary_faces": self.boundary_faces.tolist(),
             "order": int(self.order),
             "domain_kind": self.domain_kind,
         }
@@ -126,7 +115,6 @@ class Mesh:
         return cls(
             nodes=np.array(doc["nodes"], dtype=float),
             elements=np.array(doc["elements"], dtype=np.int64),
-            boundary_faces=np.array(doc["boundary_faces"], dtype=np.int64),
             order=int(doc["order"]),
             domain_kind=doc["domain_kind"],
         )
@@ -209,7 +197,8 @@ def batched_geometry(mesh, ref_pts, elems=None):
 
     Returns pts (nelem, m, 2), jac (nelem, m, 2, 2), det (nelem, m).
     """
-    coords = mesh.element_coords(elems)       # (ne, nb, 2)
+    conn = mesh.elements if elems is None else mesh.elements[elems]
+    coords = mesh.nodes[conn]                 # (ne, nb, 2)
     phi = tri_shape(mesh.order, ref_pts)      # (m, nb)
     dphi = tri_shape_grad(mesh.order, ref_pts)
     m, nb, _ = dphi.shape
@@ -292,11 +281,11 @@ BOUNDARY_MIDNODE_BIAS = 0.3
 BOUNDARY_MIDNODE_BIAS_CAP = 0.08
 
 
-def _add_midside_nodes(nodes, tris, table, project_to_circle):
-    """Upgrade a vertex mesh to order 2. Returns nodes, elements and each
-    directed edge slot's midside node; midside nodes are numbered in order
-    of first appearance, boundary ones projected onto the circle if asked."""
-    _, keys, first, inv, count = table
+def _add_midside_nodes(nodes, tris, project_to_circle):
+    """Upgrade a vertex mesh to order 2. Returns nodes and elements; midside
+    nodes are numbered in order of first appearance, boundary ones
+    projected onto the circle if asked."""
+    _, keys, first, inv, count = _edge_table(tris, len(nodes))
     n = len(nodes)
     order = np.argsort(first)
     rank = np.empty_like(order)
@@ -310,22 +299,16 @@ def _add_midside_nodes(nodes, tris, table, project_to_circle):
         t = (0.5 + np.minimum(BOUNDARY_MIDNODE_BIAS_CAP, BOUNDARY_MIDNODE_BIAS * chord))[:, None]
         p = (1.0 - t) * pa[bd] + t * pb[bd]
         mids[bd] = p / np.sqrt(np.vecdot(p, p))[:, None]
-    mid_of_slot = n + rank[inv]
-    return np.vstack([nodes, mids]), np.hstack([tris, mid_of_slot.reshape(-1, 3)]), mid_of_slot
+    return np.vstack([nodes, mids]), np.hstack([tris, (n + rank[inv]).reshape(-1, 3)])
 
 
 def _finish_mesh(nodes, tris, order, domain_kind, project_to_circle):
     if order not in (1, 2):
         raise ValueError(f"unsupported order {order}")
     tris = _orient_ccw(nodes, tris.copy())
-    table = _edge_table(tris, len(nodes))
-    directed, _, _, inv, count = table
-    bslots = np.nonzero(count[inv] == 1)[0]
-    faces = directed[bslots]
     if order == 2:
-        nodes, tris, mid_of_slot = _add_midside_nodes(nodes, tris, table, project_to_circle)
-        faces = np.column_stack([faces, mid_of_slot[bslots]])
-    return Mesh(nodes, tris, faces, order, domain_kind)
+        nodes, tris = _add_midside_nodes(nodes, tris, project_to_circle)
+    return Mesh(nodes, tris, order, domain_kind)
 
 
 def disk_mesh(n_rings, order=1):

@@ -97,7 +97,7 @@ def spectral_decomp(grams, dofset=ALL):
     if dofset == ALL:
         ids = np.arange(grams.mesh.n_nodes)
     elif dofset == INTERIOR:
-        ids = grams.interior_ids
+        ids = grams.mesh.interior_node_ids
     else:
         raise ValueError(f"unknown dofset {dofset!r}")
     return _cached(
@@ -108,7 +108,7 @@ def spectral_decomp(grams, dofset=ALL):
 
 def surface_spectral_decomp(grams):
     """The spectral operator of the surface pencil (M_surf + A_surf, M_surf)."""
-    ids = np.arange(len(grams.boundary_ids))
+    ids = np.arange(len(grams.mesh.boundary_node_ids))
     return _cached(
         grams, ("spectral", "surface"),
         lambda: _operator("surface", ids, grams.M_surf, grams.A_surf, grams.surf_eig_bound),
@@ -205,35 +205,35 @@ def hhat_threehalf_norm(u, dofset=INTERIOR):
     'interior' gives the defining variant (zero-trace test space); 'all'
     the equivalent all-test-functions variant.
     """
-    grams, g = grams_of(u.mesh), trace(u).coeffs
-    dual = _dual_norm(grams.A_bulk @ u.coeffs, u.mesh, dofset)
-    return dual + float(np.sqrt(g @ (grams.M_surf @ g) + g @ (grams.A_surf @ g)))
+    dual = _dual_norm(grams_of(u.mesh).A_bulk @ u.coeffs, u.mesh, dofset)
+    return dual + boundary_sobolev_norm(trace(u), 1)
 
 
 def boundary_sobolev_norm(g, s):
     """H^s norm on the discrete boundary for s in {0, 1/2, 1}."""
     if g.space != SURFACE:
         raise ValueError("expected a surface function")
-    grams, c = grams_of(g.mesh), g.coeffs
+    grams = grams_of(g.mesh)
     if s == 0:
-        return float(np.sqrt(c @ (grams.M_surf @ c)))
+        return _componentwise(g, grams.M_surf)
     if s == 1:
-        return float(np.sqrt(c @ ((grams.M_surf + grams.A_surf) @ c)))
+        return _componentwise(g, grams.M_surf, grams.A_surf)
     if s == 0.5:
-        return spectral_power_norm(c, 0.5, surface_spectral_decomp(grams))
+        return spectral_power_norm(g.coeffs, 0.5, surface_spectral_decomp(grams))
     raise ValueError("s must be 0, 1/2 or 1")
 
 
-def _componentwise(u, form):
-    """sqrt of the form summed over the components of a scalar or vector function."""
+def _componentwise(u, *forms):
+    """sqrt of the forms' quadratic forms summed over the components of a
+    scalar or vector function (H1 is the L2 plus the Dirichlet form)."""
     c = u.coeffs.reshape(len(u.coeffs), -1)
-    return float(np.sqrt(sum(c[:, i] @ (form @ c[:, i]) for i in range(c.shape[1]))))
+    return float(np.sqrt(sum(c[:, i] @ (f @ c[:, i]) for i in range(c.shape[1]) for f in forms)))
 
 
 def h1_norm(u):
     """Full H1 norm of a bulk FE function (scalar or vector, componentwise)."""
     grams = grams_of(u.mesh)
-    return _componentwise(u, grams.M_bulk + grams.A_bulk)
+    return _componentwise(u, grams.M_bulk, grams.A_bulk)
 
 
 def l2_norm(u):

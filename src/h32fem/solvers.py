@@ -33,7 +33,7 @@ def trace_matrix(mesh):
 
 
 def _interior_solver(grams):
-    ids = grams.interior_ids
+    ids = grams.mesh.interior_node_ids
     return _cached(grams, "dirichlet_solve", lambda: _spd_solver(grams.A_bulk[np.ix_(ids, ids)]))
 
 
@@ -49,8 +49,8 @@ def _dirichlet_solve(mesh, rhs_full, g):
     """u with trace coefficients g and a(u, phi) = rhs_full . phi for interior phi."""
     grams = grams_of(mesh)
     u = np.zeros(mesh.n_nodes)
-    u[grams.boundary_ids] = g
-    ids = grams.interior_ids
+    u[mesh.boundary_node_ids] = g
+    ids = mesh.interior_node_ids
     rhs = rhs_full[ids] - (grams.A_bulk @ u)[ids]
     u[ids] = _interior_solver(grams)(rhs)
     return FeFunction(mesh, u, BULK)
@@ -101,7 +101,6 @@ def deformed_dirichlet_energy(e_x, w_h, z_h, method="pullback"):
         displaced = Mesh(
             nodes=mesh.nodes + e_x.coeffs,
             elements=mesh.elements,
-            boundary_faces=mesh.boundary_faces,
             order=mesh.order,
             domain_kind=mesh.domain_kind,
         )

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from h32fem.experiments import REGISTRY, ExperimentConfig, run_experiment
@@ -51,6 +52,20 @@ def test_config_validation():
         run_experiment("det_identity", ExperimentConfig(order=3))
     with pytest.raises(ValueError):
         run_experiment("det_identity", ExperimentConfig(kappa=0.0))
+
+
+def test_deformation_smallness_guard_fails_before_the_operator(monkeypatch):
+    # a displacement gradient past the 1/4 bound is refused before the level
+    # builds the spectral operator or any norm
+    from h32fem import experiments
+
+    def refuse(*args):
+        raise AssertionError("spectral operator built before the guard")
+
+    monkeypatch.setattr(experiments, "_norm_2x2", lambda a: np.full(a.shape[:-2], 0.3))
+    monkeypatch.setattr(experiments, "spectral_decomp", refuse)
+    with pytest.raises(RuntimeError, match="1/4 smallness"):
+        run_experiment("deformation_continuous", ExperimentConfig())
 
 
 def test_run_cheap_experiment_passes():

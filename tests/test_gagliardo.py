@@ -337,7 +337,7 @@ def test_gram_follows_the_dof_map_of_the_space():
     new_id[edges] = edges[::-1]
     nodes = np.empty_like(m2.nodes)
     nodes[new_id] = m2.nodes
-    renumbered = Mesh(nodes, new_id[m2.elements], new_id[m2.boundary_faces], 2, "square")
+    renumbered = Mesh(nodes, new_id[m2.elements], 2, "square")
     G, G_renumbered = gagliardo_gram(m1, m2), gagliardo_gram(m1, renumbered)
     assert not np.allclose(G, G_renumbered)
     assert np.allclose(G_renumbered[np.ix_(new_id, new_id)], G, rtol=0.0, atol=1e-13 * np.abs(G).max())
@@ -369,7 +369,7 @@ def test_gram_peak_memory_is_bounded_by_block_budget():
 
 def test_gram_refuses_other_triangulations_and_large_meshes():
     sq1, sq2 = build_square_mesh(3, 1), build_square_mesh(3, 2)
-    reordered = Mesh(sq2.nodes, sq2.elements[::-1], sq2.boundary_faces, 2, "square")
+    reordered = Mesh(sq2.nodes, sq2.elements[::-1], 2, "square")
     with pytest.raises(ValueError):
         gagliardo_gram(sq1, reordered)
     with pytest.raises(ValueError):

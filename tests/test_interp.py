@@ -42,7 +42,7 @@ def test_riesz_data_defining_identity(disk4k1, rng):
     g = grams_of(disk4k1)
     u = FeFunction(disk4k1, rng.normal(size=disk4k1.n_nodes))
     f, gs = dirichlet_riesz_data(u)
-    res = (g.M_bulk @ f.coeffs - g.A_bulk @ u.coeffs)[g.interior_ids]
+    res = (g.M_bulk @ f.coeffs - g.A_bulk @ u.coeffs)[g.mesh.interior_node_ids]
     scale = max(1.0, np.abs(u.coeffs).max())
     assert np.abs(res).max() < 1e-10 * scale
     assert np.array_equal(gs.coeffs, trace(u).coeffs)
@@ -241,13 +241,24 @@ def test_sz_via_dirichlet_locates_only_while_building(monkeypatch):
 
 
 def test_overkill_locators_use_the_meshes_own_lifts():
-    # the fine mesh is the ladder's shared mesh of that size, so its locator
-    # reads the same cached lift as everything else on that mesh
-    from h32fem.interp import OVERKILL_LEVEL, overkill_context
+    # the overkill mesh is the ladder's shared mesh of that size, and every
+    # mesh has one locator, which reads the same cached lift as everything
+    # else on that mesh
+    from h32fem.interp import OVERKILL_LEVEL, overkill_mesh
+    from h32fem.lifting import locator_of
     from h32fem.solvers import refined_copy
 
     m = disk_mesh(3, 1)
-    ctx = overkill_context(m)
-    assert ctx["fine"] is refined_copy(m, 2**OVERKILL_LEVEL)
-    assert ctx["fine_locator"].lift is lift_of(refined_copy(m, 4))
-    assert ctx["coarse_locator"].lift is lift_of(m)
+    fine = overkill_mesh(m)
+    assert fine is refined_copy(m, 2**OVERKILL_LEVEL)
+    assert locator_of(fine) is locator_of(refined_copy(m, 4))
+    assert locator_of(fine).lift is lift_of(fine)
+    assert locator_of(m).lift is lift_of(m)
+
+
+def test_overkill_mesh_refuses_a_refinement_that_keeps_h(monkeypatch):
+    from h32fem import interp
+
+    monkeypatch.setattr(interp, "refined_copy", lambda mesh, factor: mesh)
+    with pytest.raises(RuntimeError, match="did not reduce h"):
+        interp.overkill_mesh(disk_mesh(3, 1))

@@ -146,7 +146,7 @@ def test_lifted_contractions_match_einsum(case):
 def spd_matrices(mesh):
     """One matrix of each kind the solvers factor."""
     g = grams_of(mesh)
-    ids = g.interior_ids
+    ids = g.mesh.interior_node_ids
     sb = spectral_decomp(g)
     R = trace_matrix(mesh)
     ss = surface_spectral_decomp(g)
@@ -256,14 +256,3 @@ def test_edge_table_matches_dict_loops(kind, n, order):
     assert same_bytes(mesh.boundary_faces, faces)
     assert same_bytes(mesh.face_elem, fe)
     assert same_bytes(mesh.face_local_edge, fl)
-
-
-def test_face_not_on_the_boundary_is_refused():
-    mesh = disk_mesh(3, 1)
-    flipped = mesh.boundary_faces.copy()
-    flipped[0] = flipped[0, ::-1]  # traversed against its element
-    inner = mesh.boundary_faces.copy()
-    inner[0] = mesh.elements[0, :2]  # an interior edge
-    for faces in (flipped, inner):
-        with pytest.raises(ValueError):
-            type(mesh)(mesh.nodes, mesh.elements, faces, 1, "disk")

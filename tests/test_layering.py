@@ -1,9 +1,10 @@
-"""The lift, the Gram set and the spectral operator are functions of the
-mesh, and the layers import in one direction.
+"""The lift, the locator, the Gram set and the spectral operator are
+functions of the mesh, and the layers import in one direction.
 
-meshing -> lifting -> assembly: the lift is `lifting.lift_of(mesh)`, so no
-public function takes it next to the mesh, and `lifting` needs nothing from
-`assembly`. The Gram set is `grams_of(mesh)` and the operator
+meshing -> lifting -> assembly: the lift is `lifting.lift_of(mesh)` and the
+point locator `lifting.locator_of(mesh)`, so no public function takes either
+next to the mesh, and `lifting` needs nothing from `assembly`. The mesh
+derives its boundary from its elements, so its constructor takes none. The Gram set is `grams_of(mesh)` and the operator
 `spectral_decomp` of it, so no public function takes either next to an FE
 function; only the operator builders and the vector-level norms do.
 """
@@ -16,6 +17,7 @@ import pkgutil
 import h32fem
 import h32fem.assembly
 import h32fem.lifting
+from h32fem.meshing import Mesh
 
 
 def h32fem_modules():
@@ -47,6 +49,38 @@ def test_no_public_function_takes_the_lift():
         if {"lift", "lm"} & set(inspect.signature(fn).parameters)
     ]
     assert found == []
+
+
+def test_no_public_function_takes_a_locator():
+    found = [
+        f"{module.__name__}.{name}"
+        for module in h32fem_modules()
+        for name, fn in public_callables(module)
+        if {"locator", "loc", "ctx"} & set(inspect.signature(fn).parameters)
+    ]
+    assert found == []
+
+
+def test_only_locator_of_constructs_a_locator():
+    # every locator is the one cached on its mesh, so its clamp counters
+    # cover every point located in that mesh
+    found = []
+    for module in h32fem_modules():
+        for top in ast.parse(inspect.getsource(module)).body:
+            # top-level statements and functions, and the methods of classes
+            scopes = top.body if isinstance(top, ast.ClassDef) else [top]
+            for scope in scopes:
+                for node in ast.walk(scope):
+                    callee = getattr(node, "func", None)
+                    if getattr(callee, "id", getattr(callee, "attr", None)) == "MeshLocator":
+                        found.append(f"{module.__name__}.{getattr(scope, 'name', '<module>')}")
+    assert found == ["h32fem.lifting.locator_of"]
+
+
+def test_mesh_constructor_takes_no_boundary():
+    params = list(inspect.signature(Mesh).parameters)
+    assert params == ["nodes", "elements", "order", "domain_kind"]
+    assert not [p for p in params if "boundary" in p or "face" in p]
 
 
 # the operator builders take the Gram set; the vector-level norms the operator

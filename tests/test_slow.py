@@ -1,4 +1,5 @@
-"""End-to-end runs past the default levels (marked slow, deselected by default).
+"""End-to-end runs past the default levels, negative controls and the
+point-location audit (marked slow, deselected by default).
 
 Run with `pytest -m slow`.
 """
@@ -7,11 +8,18 @@ import importlib.util
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from h32fem import experiments, norms
+from h32fem.assembly import FeFunction, grams_of
 from h32fem.cli import main
-from h32fem.experiments import REGISTRY
+from h32fem.experiments import REGISTRY, ExperimentConfig, overkill_rings, run_experiment
 from h32fem.harness import table_from_json
+from h32fem.interp import overkill_mesh, sz_via_dirichlet
+from h32fem.lifting import locator_of
+from h32fem.meshing import shared_mesh
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 _spec = importlib.util.spec_from_file_location("reference", _PERFBENCH / "reference.py")
@@ -44,3 +52,45 @@ def test_verify_all_seed7_matches_the_references(tmp_path):
             ref = (ref_dir / f"{name}.csv").read_text()
             drift += [f"{name}/k{order} {m}" for m in reference.compare(ref, got)]
     assert not drift, drift
+
+
+# -- negative controls: a mutated norm must flip the verdict of the gate that
+# certifies it, so these gates cannot pass vacuously
+
+
+@pytest.mark.slow
+def test_sz_error_rejects_the_threehalf_norm_without_its_boundary_term(monkeypatch):
+    def gradient_dual_only(u, dofset="interior"):
+        return norms._dual_norm(grams_of(u.mesh).A_bulk @ u.coeffs, u.mesh, dofset)
+
+    cfg = ExperimentConfig(order=1)
+    assert run_experiment("sz_error", cfg).verdict == "pass"
+    monkeypatch.setattr(experiments, "hhat_threehalf_norm", gradient_dual_only)
+    assert run_experiment("sz_error", cfg).verdict == "fail"
+
+
+@pytest.mark.slow
+def test_inverse_estimate_rejects_the_h1_dual_norm(monkeypatch):
+    # sqrt(b . K^{-1} b) is the dual norm of H^1, half an order off H^{1/2}'s
+    def h1_dual(b, sb):
+        return float(np.sqrt(b @ spla.spsolve(sb.K.tocsc(), b)))
+
+    cfg = ExperimentConfig(order=2)
+    assert run_experiment("inverse_estimate", cfg).verdict == "pass"
+    monkeypatch.setattr(norms, "dual_norm_from_load", h1_dual)
+    assert run_experiment("inverse_estimate", cfg).verdict == "fail"
+
+
+# -- no silent clamps: the overkill transfers locate every point inside an
+# element of the lifted coarse or overkill mesh
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("order", [1, 2])
+def test_overkill_transfers_clamp_no_point(order):
+    rng = np.random.default_rng(order)
+    for n in overkill_rings(4):
+        m = shared_mesh("disk", n, order)
+        sz_via_dirichlet(FeFunction(m, rng.normal(size=m.n_nodes)))
+        assert locator_of(m).n_clamped == 0, n
+        assert locator_of(overkill_mesh(m)).n_clamped == 0, n

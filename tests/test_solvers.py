@@ -22,7 +22,7 @@ from h32fem.solvers import (
 def _interior_residual(grams, u, f_h):
     """Max interior residual |m(f, phi_i) - a(u, phi_i)|."""
     r = grams.M_bulk @ f_h.coeffs - grams.A_bulk @ u.coeffs
-    return float(np.abs(r[grams.interior_ids]).max())
+    return float(np.abs(r[grams.mesh.interior_node_ids]).max())
 
 
 def test_dirichlet_zero_data(square4, square4_grams):

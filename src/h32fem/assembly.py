@@ -89,6 +89,11 @@ def bulk_quad_data(mesh, degree=None, lifted=False):
     return _per_lift(mesh, ("bulk", degree), lifted, lambda: _bulk_quad_data(mesh, degree, lifted))
 
 
+def _integrate(qd, vals):
+    """Integral of vals (ne, m), given at the rule points of the bulk record qd."""
+    return float(np.einsum("q,eq,eq->", qd["rule"].weights, qd["det"], vals))
+
+
 def _per_lift(mesh, key, lifted, build):
     """build(): cached under key for the plain mesh; lifted, built on every
     call, so that lifted records do not stay resident."""

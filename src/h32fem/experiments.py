@@ -34,6 +34,7 @@ import numpy as np
 
 from .assembly import (
     FeFunction,
+    _integrate,
     bulk_quad_data,
     eval_on_elements,
     grams_of,
@@ -216,12 +217,13 @@ def exp_lift_consistency(cfg):
 
     def level(m, rng):
         gl = grad_lambda_inf_error(m)
-        bulk = [studies.form_errors(z, w, ("M_bulk", "A_bulk")) for z, w in studies.bulk_form_pairs(m)]
+        bulk_pairs, surf_pairs = studies.form_pairs(m)
+        bulk = [studies.form_errors(z, w, ("M_bulk", "A_bulk")) for z, w in bulk_pairs]
         A_surf = grams_of(m).A_surf
         varies = lambda t: float(t.coeffs @ (A_surf @ t.coeffs)) > 1e-20
         surf = [
             (studies.form_errors(z, w, ("M_surf", "A_surf")), varies(z) and varies(w))
-            for z, w in studies.surface_form_pairs(m)
+            for z, w in surf_pairs
         ]
         ef = max(e[0] for e in bulk)
         eg = max(e[1] for e in bulk)
@@ -671,9 +673,7 @@ def exp_l2_product(cfg):
             vals_v = eval_on_elements(v)[0]
             inf = lambda arr: float(np.abs(arr).max())
             prod = vals_u[0] * vals_u[1] * vals_v
-            lhs = float(
-                np.sqrt(np.einsum("q,eq,eq->", qd["rule"].weights, qd["det"], prod**2))
-            )
+            lhs = np.sqrt(_integrate(qd, prod**2))
             rhs = (
                 l2_norm(us[0]) * inf(vals_u[1])
                 + l2_norm(us[1]) * inf(vals_u[0])
@@ -681,14 +681,7 @@ def exp_l2_product(cfg):
             worst = max(worst, lhs / (slack * rhs))
             # comparison flavor against constant shifts
             cs = [float(rng.normal()) for _ in range(2)]
-            lhs2 = float(
-                np.sqrt(
-                    np.einsum(
-                        "q,eq,eq->", qd["rule"].weights, qd["det"],
-                        (prod - cs[0] * cs[1] * vals_v) ** 2,
-                    )
-                )
-            )
+            lhs2 = np.sqrt(_integrate(qd, (prod - cs[0] * cs[1] * vals_v) ** 2))
             sh = [FeFunction(m, us[i].coeffs - cs[i]) for i in range(2)]
             rhs2 = (
                 l2_norm(sh[0]) * (inf(vals_u[1] - cs[1]) + abs(cs[1]))
@@ -848,15 +841,9 @@ def exp_deformation_continuous(cfg):
         A[:, 1, 1] = -0.5 * eps * np.sin(pts[:, 0] + 0.5 * pts[:, 1])
         if _norm_2x2(A).max() > 0.25:
             raise RuntimeError("deformation exceeds the 1/4 smallness bound")
-        Finv, det = _inverse_2x2(A + np.eye(2))
-        B = np.einsum("nrx,nry->nxy", Finv, Finv) * det[..., None, None]
-        gw = w_fn.grad(pts)
-        gz = z_fn.grad(pts)
-        shape = qd["det"].shape
-        integrand = (
-            np.einsum("nxy,ny,nx->n", B, gw, gz) - np.einsum("nx,nx->n", gw, gz)
-        ).reshape(shape)
-        dE = float(np.einsum("q,eq,eq->", qd["rule"].weights, qd["det"], integrand))
+        # deformed minus original energy: the deformation tensor B - I paired
+        integrand = np.einsum("nxy,ny,nx->n", deformation_tensor(A), w_fn.grad(pts), z_fn.grad(pts))
+        dE = _integrate(qd, integrand.reshape(qd["det"].shape))
         # surrogate norms on the same mesh
         phi_i = np.column_stack([phi1(m.nodes), phi2(m.nodes)])
         sb = spectral_decomp(grams_of(m), "all")

@@ -162,12 +162,14 @@ def _values(funcs, mesh, phi, elems, pts):
 
     phi is the (m, nb) shape table of the points, pts their (len(elems), m, 2)
     images. Every FE function, direct or an FeExpression input, is evaluated
-    once, all in one product with phi.
+    once, all in one product with phi; one of another mesh is refused.
     """
     leaves = {}
     for f in funcs:
         for g in f.funcs if isinstance(f, FeExpression) else [f]:
             if hasattr(g, "coeffs"):
+                if g.mesh is not mesh:
+                    raise ValueError("an FE input lives on another mesh")
                 leaves.setdefault(id(g), g)
     at = {}
     if leaves:
@@ -208,8 +210,8 @@ def _class_sum(funcs, mesh, x, y, J):
 def gagliardo_seminorms(funcs, mesh):
     """Gagliardo H^{1/2} seminorms of several functions in one sweep.
 
-    funcs: FeFunction instances, FeExpression instances or callables
-    pts -> values. Returns an array of seminorms (not squared).
+    funcs: FeFunction instances of `mesh`, FeExpression instances of them or
+    callables pts -> values. Returns an array of seminorms (not squared).
     """
     _check_size(mesh)
     funcs = list(funcs)

@@ -5,6 +5,8 @@ the L2-dual basis of one chosen cell: the lowest-index adjacent boundary
 face for boundary nodes, the lowest-index adjacent element for interior
 nodes. The dual basis and the moments share one quadrature rule, so the
 operator reproduces FE functions (and preserves their traces) to rounding.
+It is one sparse matrix Z per mesh, from values at the moment points to
+coefficients, so an interpolant is one product once its input is read there.
 
 The Dirichlet lift transports a discrete function to the exact domain by
 solving the Dirichlet problem on an overkill mesh with the lifted Riesz
@@ -38,14 +40,13 @@ from .solvers import _dirichlet_solve, refined_copy
 
 
 def _sz_moments(mesh):
-    """Scott-Zhang moment points and dual-basis data at rule degree default + 2, cached.
+    """Scott-Zhang moment points and operator at rule degree default + 2, cached.
 
     The points are the edge-rule points of the owning faces followed by
     the rule points of the owning elements, each given as (owner element
     `elems`, reference point `refs`) and as a physical point `pts`; `eval`
-    maps bulk coefficients to values there. Each of the two parts holds
-    its cells' weights w (ncell, nq), basis table, Gram stack, and the
-    nodes that take dual coefficient (row, local) of that part.
+    maps bulk coefficients to values there, and `Z` maps the values at all
+    moment points to the interpolant's coefficients.
     """
     return _cached(mesh, "sz_moments", lambda: _build_sz_moments(mesh))
 
@@ -72,48 +73,34 @@ def _build_sz_moments(mesh):
         np.tile(trule.points, (len(elems), 1)),
     ])
     pts = np.concatenate([sd["pts"][faces].reshape(-1, 2), qd["pts"][elems].reshape(-1, 2)])
-    parts = []
+    # each cell's dual basis gram^{-1} (w basis)^T maps its values to its dual
+    # coefficients; a node takes the row of its local index in its cell
+    blocks = []
     for cells, w, basis, on in (
         (faces, erule.weights * sd["speed"][faces], sd["psi"], kind),
         (elems, trule.weights * qd["det"][elems], qd["phi"], ~kind),
     ):
+        wb = w[:, :, None] * basis
+        dual = np.linalg.solve(np.einsum("cqi,qj->cij", wb, basis), wb.swapaxes(1, 2))
         nodes = np.nonzero(on)[0]
-        parts.append({
-            "w": w,
-            "basis": basis,
-            "gram": np.einsum("cq,qi,qj->cij", w, basis, basis),
-            "nodes": nodes,
-            "row": np.searchsorted(cells, cell[nodes]),
-            "local": local[nodes],
-        })
-    return {
-        "elems": owners, "refs": refs, "pts": pts,
-        "eval": _evaluation_matrix(mesh, owners, refs), "parts": parts,
-    }
-
-
-def _sz_from_values(mesh, sz, vals):
-    """Scott-Zhang interpolant from the input's values at all moment points."""
-    coeffs = np.zeros(mesh.n_nodes)
-    start = 0
-    for part in sz["parts"]:
-        w = part["w"]
-        v = vals[start:start + w.size].reshape(w.shape)
-        start += w.size
-        moments = np.einsum("cq,cq,qi->ci", w, v, part["basis"])
-        dual = np.linalg.solve(part["gram"], moments[..., None])[..., 0]
-        coeffs[part["nodes"]] = dual[part["row"], part["local"]]
-    return FeFunction(mesh, coeffs, BULK)
+        row = np.searchsorted(cells, cell[nodes])
+        cols = row[:, None] * w.shape[1] + np.arange(w.shape[1])
+        ij = (np.repeat(nodes, w.shape[1]), cols.ravel())
+        blocks.append(sp.csr_matrix((dual[row, local[nodes]].ravel(), ij), (mesh.n_nodes, w.size)))
+    E = _evaluation_matrix(mesh, owners, refs)
+    return {"elems": owners, "refs": refs, "pts": pts, "eval": E, "Z": sp.hstack(blocks).tocsr()}
 
 
 def scott_zhang(v, mesh):
-    """Scott-Zhang quasi-interpolant of v (FE function or callable)."""
+    """Scott-Zhang quasi-interpolant of v (FE function of `mesh`, or callable)."""
     sz = _sz_moments(mesh)
     if hasattr(v, "coeffs"):
+        if v.mesh is not mesh:
+            raise ValueError("the FE function lives on another mesh")
         vals = sz["eval"] @ v.coeffs
     else:
         vals = np.asarray(v(sz["pts"]), dtype=float)
-    return _sz_from_values(mesh, sz, vals)
+    return FeFunction(mesh, sz["Z"] @ vals, BULK)
 
 
 # -- Riesz data and the Dirichlet lift ----------------------------------------
@@ -132,9 +119,10 @@ def dirichlet_riesz_data(u_h):
 
 
 # -- overkill pullbacks ----------------------------------------------------------
-# Every fixed point set is located once; what remains per call is one sparse
-# product with a matrix cached on the coarse mesh. The overkill mesh refines
-# the coarse one 2**OVERKILL_LEVEL times.
+# Every fixed point set is located once, and each linear transfer (lifted
+# source load, lifted trace, Scott-Zhang of the pulled-back lift) is one sparse
+# matrix cached on the coarse mesh, so what remains per call is one product.
+# The overkill mesh refines the coarse one 2**OVERKILL_LEVEL times.
 
 OVERKILL_LEVEL = 2
 
@@ -163,9 +151,15 @@ def _overkill_matrix(build, mesh):
 
 
 def _source_matrix(mesh):
-    """Sparse map: coarse coefficients -> lifted values at fine rule points."""
-    pts = bulk_quad_data(overkill_mesh(mesh))["pts"].reshape(-1, 2)
-    return _evaluation_matrix(mesh, *locator_of(mesh).locate(pts))
+    """Sparse map: coarse coefficients -> fine load vector of the lifted source:
+    its values at the fine rule points (located in the lifted coarse mesh),
+    weighted by w det and tested against the fine basis."""
+    fine = overkill_mesh(mesh)
+    qd = bulk_quad_data(fine)
+    S = _evaluation_matrix(mesh, *locator_of(mesh).locate(qd["pts"].reshape(-1, 2)))
+    ne, m = qd["det"].shape
+    E = _evaluation_matrix(fine, np.repeat(np.arange(ne), m), np.tile(qd["rule"].points, (ne, 1)))
+    return E.T @ sp.diags((qd["rule"].weights * qd["det"]).ravel()) @ S
 
 
 def _trace_matrix(mesh):
@@ -183,15 +177,15 @@ def _trace_matrix(mesh):
 
 
 def _sz_pullback_matrix(mesh):
-    """Sparse map: fine coefficients -> pullback values at the SZ moment points.
+    """Sparse map: fine coefficients -> Scott-Zhang coefficients of the pullback.
 
     The moment points are known as (element, reference point), so they are
-    lifted directly and only the lifted points need locating.
+    lifted directly and only the lifted points need locating; Z maps the values.
     """
     sz = _sz_moments(mesh)
     lifted, _ = lift_mixed(mesh, sz["elems"], sz["refs"])
     fine = overkill_mesh(mesh)
-    return _evaluation_matrix(fine, *locator_of(fine).locate(lifted))
+    return sz["Z"] @ _evaluation_matrix(fine, *locator_of(fine).locate(lifted))
 
 
 def dirichlet_lift(u_h):
@@ -203,27 +197,16 @@ def dirichlet_lift(u_h):
 def dirichlet_lift_from_data(f_h, g_h):
     """Overkill Dirichlet solve with lifted discrete data (f_h, g_h), on the fine mesh."""
     mesh = f_h.mesh
-    fine = overkill_mesh(mesh)
-
-    # lifted source tested against the fine basis
-    qd = bulk_quad_data(fine)
-    S = _overkill_matrix(_source_matrix, mesh)
-    fv = (S @ f_h.coeffs).reshape(qd["det"].shape)
-    loc = (qd["rule"].weights * qd["det"] * fv) @ qd["phi"]
-    rhs_full = np.bincount(fine.elements.ravel(), loc.ravel(), minlength=fine.n_nodes)
-
-    # lifted trace at the fine boundary nodes
+    rhs = _overkill_matrix(_source_matrix, mesh) @ f_h.coeffs
     g = _overkill_matrix(_trace_matrix, mesh) @ g_h.coeffs
-    return _dirichlet_solve(fine, rhs_full, g)
+    return _dirichlet_solve(overkill_mesh(mesh), rhs, g)
 
 
 def sz_via_dirichlet(u_h, sol=None):
     """Trace-preserving quasi-interpolant: Scott-Zhang of the pulled-back lift."""
     if sol is None:
         sol = dirichlet_lift(u_h)
-    mesh = u_h.mesh
-    vals = _overkill_matrix(_sz_pullback_matrix, mesh) @ sol.coeffs
-    return _sz_from_values(mesh, _sz_moments(mesh), vals)
+    return FeFunction(u_h.mesh, _overkill_matrix(_sz_pullback_matrix, u_h.mesh) @ sol.coeffs, BULK)
 
 
 # -- W^{1,infty}-like norm ------------------------------------------------------

@@ -14,12 +14,13 @@ import scipy.sparse as sp
 from .assembly import (
     BULK,
     FeFunction,
+    _integrate,
     assemble_grams,
     bulk_quad_data,
     eval_on_elements,
     grams_of,
 )
-from .meshing import Mesh, _cached, _inverse_2x2, _spd_solver, shared_mesh
+from .meshing import Mesh, _cached, _spd_solver, shared_mesh
 from .multilinear import deformation_tensor
 
 
@@ -108,24 +109,16 @@ def deformed_dirichlet_energy(e_x, w_h, z_h, method="pullback"):
         return float(w_h.coeffs @ (g2.A_bulk @ z_h.coeffs))
     if method != "pullback":
         raise ValueError(f"unknown method {method!r}")
-    qd = bulk_quad_data(mesh)
-    # displacement gradients A[x, c] = d(e_c)/dx_x (components in columns),
-    # the convention under which B below is the pullback matrix
-    G = eval_on_elements(e_x)[1]  # (ne, m, 2, 2)
-    Finv, detF = _inverse_2x2(G + np.eye(2))
-    if detF.min() <= 0.0:
+    if np.linalg.det(eval_on_elements(e_x)[1] + np.eye(2)).min() <= 0.0:
         raise RuntimeError("deformation inverts an element at a quadrature point")
-    # B = F^{-T} F^{-1} det(F); integrand (B grad w).grad z
-    B = np.einsum("eqrx,eqry->eqxy", Finv, Finv) * detF[..., None, None]
-    _, gw = eval_on_elements(w_h)
-    _, gz = eval_on_elements(z_h)
-    val = np.einsum("q,eq,eqxy,eqy,eqx->", qd["rule"].weights, qd["det"], B, gw, gz)
-    return float(val)
+    # integrand (B grad w).grad z with B grad w = grad w + (B - I) grad w
+    Bgw = eval_on_elements(w_h)[1] + deformation_field(e_x, w_h)
+    return _integrate(bulk_quad_data(mesh), np.einsum("eqx,eqx->eq", Bgw, eval_on_elements(z_h)[1]))
 
 
 def deformation_field(e_x, w_h):
-    """(B - I) grad w at the rule points: the vector field whose gradient
-    pairing with z gives the deformed-minus-original Dirichlet energy."""
-    B = deformation_tensor(eval_on_elements(e_x)[1])
-    _, gw = eval_on_elements(w_h)
-    return np.einsum("eqxy,eqy->eqx", B, gw)
+    """(B - I) grad w at the rule points, for the pullback matrix B = F^{-T} F^{-1} det(F),
+    F = I + A, A[x, c] = d(e_c)/dx_x: the vector field whose gradient pairing
+    with z gives the deformed-minus-original Dirichlet energy."""
+    T = deformation_tensor(eval_on_elements(e_x)[1])
+    return np.einsum("eqxy,eqy->eqx", T, eval_on_elements(w_h)[1])

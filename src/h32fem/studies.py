@@ -2,13 +2,16 @@
 
 Everything here computes raw numbers (errors, ratios, sampled norms) on a
 given mesh; the registry in experiments.py turns them into rate tables and
-verdicts.
+verdicts. Smooth test fields carry their analytic gradients (`SmoothField`),
+the bulk and surface form panels come from one set of boundary panels
+(`form_pairs`), and the bulk and surface interpolation errors share one tail.
 """
 
 import numpy as np
 
 from .assembly import (
     FeFunction,
+    _integrate,
     bulk_quad_data,
     eval_on_elements,
     grams_of,
@@ -51,28 +54,15 @@ SMOOTH_SCALAR_2 = SmoothField(
 )
 
 
-def smooth_boundary_field(p):
-    th = np.arctan2(p[:, 1], p[:, 0])
-    return np.cos(2.0 * th)
-
-
-def smooth_boundary_gradient(p):
-    th = np.arctan2(p[:, 1], p[:, 0])
-    r2 = p[:, 0] ** 2 + p[:, 1] ** 2
-    return np.stack(
-        [2.0 * np.sin(2.0 * th) * p[:, 1] / r2, -2.0 * np.sin(2.0 * th) * p[:, 0] / r2],
-        axis=-1,
-    )
+# cos(2 theta), the boundary field of the surface interpolation errors
+SMOOTH_BOUNDARY = SmoothField(
+    lambda p: np.cos(2.0 * np.arctan2(p[:, 1], p[:, 0])),
+    lambda p: 2.0 * np.sin(2.0 * np.arctan2(p[:, 1], p[:, 0]))[:, None]
+    * np.column_stack([p[:, 1], -p[:, 0]]) / (p[:, 0] ** 2 + p[:, 1] ** 2)[:, None],
+)
 
 
 # -- boundary-layer test panels -------------------------------------------------
-
-
-def boundary_bubble(mesh):
-    """FE function equal to 1 at every boundary node and 0 inside."""
-    c = np.zeros(mesh.n_nodes)
-    c[mesh.boundary_node_ids] = 1.0
-    return FeFunction(mesh, c)
 
 
 def boundary_sawtooth(mesh, on_midnodes=False):
@@ -87,74 +77,64 @@ def boundary_sawtooth(mesh, on_midnodes=False):
     ids = mesh.boundary_node_ids
     ang = np.arctan2(mesh.nodes[ids][:, 1], mesh.nodes[ids][:, 0])
     order = ids[np.argsort(ang)]
-    n_vertices = mesh.elements[:, :3].max() + 1
+    # vertex nodes are numbered before midside nodes
+    picked = order[(order <= mesh.elements[:, :3].max()) != on_midnodes]
     c = np.zeros(mesh.n_nodes)
-    count = 0
-    for nid in order:
-        is_vertex = nid < n_vertices
-        if is_vertex != on_midnodes:
-            c[nid] = 1.0 if count % 2 == 0 else -1.0
-            count += 1
+    c[picked] = 1.0 - 2.0 * (np.arange(len(picked)) % 2)
     return FeFunction(mesh, c)
 
 
-def bulk_form_pairs(mesh):
-    """Test pairs for the bulk form consistency errors (max over panel)."""
-    bub = boundary_bubble(mesh)
+def form_pairs(mesh):
+    """Test pairs of the bulk and of the surface form consistency errors (each
+    judged by its max over the panel), from one set of boundary panels; the
+    surface pairs are traces and add a smooth field. The bubble is 1 at every
+    boundary node and 0 inside."""
+    bub = FeFunction(mesh, np.isin(np.arange(mesh.n_nodes), mesh.boundary_node_ids) * 1.0)
     saw = boundary_sawtooth(mesh)
-    pairs = [(bub, bub), (saw, bub), (saw, saw)]
+    smooth = nodal_interp_bulk(mesh, SMOOTH_SCALAR_2)
+    bulk = [(bub, bub), (saw, bub), (saw, saw)]
+    surf = [(smooth, smooth), (saw, bub), (saw, saw), (saw, smooth)]
     if mesh.order == 2:
         sawm = boundary_sawtooth(mesh, on_midnodes=True)
-        pairs += [(sawm, saw), (sawm, bub)]
-    return pairs
-
-
-def surface_form_pairs(mesh):
-    """Test pairs for the surface form consistency errors."""
-    smooth = trace(nodal_interp_bulk(mesh, SMOOTH_SCALAR_2))
-    bub = trace(boundary_bubble(mesh))
-    saw = trace(boundary_sawtooth(mesh))
-    pairs = [(smooth, smooth), (saw, bub), (saw, saw), (saw, smooth)]
-    if mesh.order == 2:
-        sawm = trace(boundary_sawtooth(mesh, on_midnodes=True))
-        pairs += [(sawm, saw), (sawm, bub), (sawm, smooth)]
-    return pairs
+        bulk += [(sawm, saw), (sawm, bub)]
+        surf += [(sawm, saw), (sawm, bub), (sawm, smooth)]
+    return bulk, [(trace(z), trace(w)) for z, w in surf]
 
 
 # -- interpolation errors -------------------------------------------------------
 
 
+def _errors(w, measure, err, grad_err):
+    """L2 and H1 norms of an error from its values (n, m) and gradients
+    (n, m[, 2]) at rule points of weights w and measure density (n, m)."""
+    l2sq = np.einsum("q,eq,eq->", w, measure, err**2)
+    h1semi = np.einsum("q,eq,eq...->...", w, measure, grad_err**2).sum()
+    return float(np.sqrt(l2sq)), float(np.sqrt(l2sq + h1semi))
+
+
 def bulk_interp_errors(mesh, field):
     """L2 and H1 errors of the bulk nodal interpolant of a smooth field."""
     qd = bulk_quad_data(mesh)
-    u = nodal_interp_bulk(mesh, field)
-    vals, grads = eval_on_elements(u)
+    vals, grads = eval_on_elements(nodal_interp_bulk(mesh, field))
     pts = qd["pts"].reshape(-1, 2)
-    we = field(pts).reshape(vals.shape)
-    ge = field.grad(pts).reshape(grads.shape)
-    w = qd["rule"].weights
-    l2sq = np.einsum("q,eq,eq->", w, qd["det"], (vals - we) ** 2)
-    h1semi = np.einsum("q,eq,eqx->", w, qd["det"], (grads - ge) ** 2).sum()
-    return float(np.sqrt(l2sq)), float(np.sqrt(l2sq + h1semi))
+    return _errors(
+        qd["rule"].weights, qd["det"], vals - field(pts).reshape(vals.shape),
+        grads - field.grad(pts).reshape(grads.shape),
+    )
 
 
 def surface_interp_errors(mesh):
-    """L2 and H1 errors of the surface nodal interpolant of cos(2 theta)."""
-    zi = nodal_interp_surface(mesh, smooth_boundary_field)
+    """L2 and H1 errors of the surface nodal interpolant of SMOOTH_BOUNDARY."""
     sd = surface_quad_data(mesh)
-    sconn = mesh.surface_faces
-    vals = np.einsum("qb,fb->fq", sd["psi"], zi.coeffs[sconn])
-    flat = sd["pts"].reshape(-1, 2)
-    ze = smooth_boundary_field(flat).reshape(vals.shape)
-    dvals = np.einsum("qb,fb->fq", sd["dpsi"], zi.coeffs[sconn])
-    gz = smooth_boundary_gradient(flat).reshape(sd["pts"].shape)
-    tang = sd["vel"] / sd["speed"][..., None]
-    dze = np.einsum("fqx,fqx->fq", gz, tang)
-    dfe = dvals / sd["speed"]
-    w = sd["rule"].weights
-    l2sq = np.einsum("q,fq,fq->", w, sd["speed"], (vals - ze) ** 2)
-    h1semi = np.einsum("q,fq,fq->", w, sd["speed"], (dfe - dze) ** 2)
-    return float(np.sqrt(l2sq)), float(np.sqrt(l2sq + h1semi))
+    local = nodal_interp_surface(mesh, SMOOTH_BOUNDARY).coeffs[mesh.surface_faces]
+    pts, speed = sd["pts"].reshape(-1, 2), sd["speed"]
+    tang = sd["vel"] / speed[..., None]
+    dze = np.einsum("fqx,fqx->fq", SMOOTH_BOUNDARY.grad(pts).reshape(tang.shape), tang)
+    return _errors(
+        sd["rule"].weights, speed,
+        np.einsum("qb,fb->fq", sd["psi"], local) - SMOOTH_BOUNDARY(pts).reshape(speed.shape),
+        np.einsum("qb,fb->fq", sd["dpsi"], local) / speed - dze,
+    )
 
 
 # -- bilinear and multilinear forms under the lift --------------------------------
@@ -183,8 +163,7 @@ def multilinear_gradient_integral(fields, coeff_fn, qd=None):
     stacked gradient arrays (each (ne, m, 2)) to the scalar integrand.
     """
     qd = qd or bulk_quad_data(fields[0].mesh)
-    integrand = coeff_fn(*(eval_on_elements(f, qd)[1] for f in fields))
-    return float(np.einsum("q,eq,eq->", qd["rule"].weights, qd["det"], integrand))
+    return _integrate(qd, coeff_fn(*(eval_on_elements(f, qd)[1] for f in fields)))
 
 
 def sampled_whalf_inf(u):

@@ -74,6 +74,19 @@ def test_element_cap():
         gagliardo_half_oracle(lambda p: p[:, 0], m)
 
 
+def test_fe_inputs_of_another_mesh_are_refused():
+    # a copy of the mesh scaled by 1/2 has the same tables but other geometry;
+    # the seminorm there would be computed silently on the wrong elements
+    sq = build_square_mesh(2, 1)
+    half = Mesh(0.5 * sq.nodes, sq.elements, 1, "square")
+    v = nodal_interp_bulk(sq, lambda p: np.sin(3.0 * p[:, 0]) + p[:, 1])
+    with pytest.raises(ValueError, match="another mesh"):
+        gagliardo_half_oracle(v, half)
+    with pytest.raises(ValueError, match="another mesh"):
+        gagliardo_seminorms([lambda p: p[:, 0], FeExpression(lambda a: a * a, [v])], half)
+    assert gagliardo_half_oracle(v, sq) == gagliardo_half_oracle(v)
+
+
 def test_callable_requires_mesh():
     with pytest.raises(ValueError):
         gagliardo_half_oracle(lambda p: p[:, 0])

@@ -211,6 +211,48 @@ def test_batched_sz_matches_per_cell_loop(mesh, rng):
         assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
+def test_sz_refuses_an_fe_function_of_another_mesh(rng):
+    # a 1.1x-scaled copy has the same tables but other geometry; the result
+    # would claim to live on it while being computed from u's values
+    from h32fem.meshing import Mesh
+
+    m = disk_mesh(4, 1)
+    scaled = Mesh(1.1 * m.nodes, m.elements, 1, "disk")
+    u = FeFunction(m, rng.normal(size=m.n_nodes))
+    with pytest.raises(ValueError, match="another mesh"):
+        scott_zhang(u, scaled)
+
+
+def _lifted_source_load_per_call(f_h):
+    """The per-call rule-point assembly the cached source matrix replaced, as a
+    reference: the lifted source at the located fine rule points, weighted by
+    w det, tested against the fine basis and scattered with bincount."""
+    from h32fem.assembly import bulk_quad_data
+    from h32fem.interp import _evaluation_matrix, overkill_mesh
+    from h32fem.lifting import locator_of
+
+    mesh = f_h.mesh
+    fine = overkill_mesh(mesh)
+    qd = bulk_quad_data(fine)
+    S = _evaluation_matrix(mesh, *locator_of(mesh).locate(qd["pts"].reshape(-1, 2)))
+    fv = (S @ f_h.coeffs).reshape(qd["det"].shape)
+    loc = (qd["rule"].weights * qd["det"] * fv) @ qd["phi"]
+    return np.bincount(fine.elements.ravel(), loc.ravel(), minlength=fine.n_nodes)
+
+
+@pytest.mark.parametrize(
+    "mesh", [disk_mesh(3, 1), disk_mesh(3, 2), build_square_mesh(3, 1)],
+    ids=["disk_k1", "disk_k2", "square_k1"],
+)
+def test_source_matrix_matches_per_call_assembly(mesh, rng):
+    from h32fem.interp import _source_matrix
+
+    f = FeFunction(mesh, rng.normal(size=mesh.n_nodes))
+    ref = _lifted_source_load_per_call(f)
+    got = _source_matrix(mesh) @ f.coeffs
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_sz_calls_a_callable_once(disk4k2):
     calls = []
 

@@ -1,5 +1,6 @@
-"""End-to-end runs past the default levels, negative controls and the
-point-location audit (marked slow, deselected by default).
+"""End-to-end runs past the default levels, every default table against its
+reference, negative controls and the point-location audit (marked slow,
+deselected by default).
 
 Run with `pytest -m slow`.
 """
@@ -52,6 +53,21 @@ def test_verify_all_seed7_matches_the_references(tmp_path):
             ref = (ref_dir / f"{name}.csv").read_text()
             drift += [f"{name}/k{order} {m}" for m in reference.compare(ref, got)]
     assert not drift, drift
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [20250809, 7])
+@pytest.mark.parametrize("order", [1, 2])
+def test_verify_all_passes_the_reference_check(order, seed, tmp_path):
+    # all 23 default tables of one order and reference seed, in process, each
+    # with a pass verdict and within the reference tolerances: about 5 s each
+    code = main(["verify", "all", "--order", str(order), "--seed", str(seed),
+                 "--format", "csv", "--out", str(tmp_path)])
+    ref_dir = _PERFBENCH / "reference" / f"registry_p{order}" / f"seed{seed}"
+    result = reference.check_tables(str(tmp_path), str(ref_dir), list(REGISTRY))
+    failed = {name: problems for name, (bad, problems) in result.items() if bad}
+    assert not failed, failed
+    assert code == 0
 
 
 # -- negative controls: a mutated norm must flip the verdict of the gate that

@@ -10,8 +10,14 @@ from h32fem.assembly import (
 )
 from h32fem.interp import dirichlet_lift_from_data
 from h32fem.meshing import disk_mesh
-from h32fem.norms import h1_norm, spectral_power_norm, surface_spectral_decomp
+from h32fem.norms import (
+    gradient_pairing_load,
+    h1_norm,
+    spectral_power_norm,
+    surface_spectral_decomp,
+)
 from h32fem.solvers import (
+    deformation_field,
     deformed_dirichlet_energy,
     refined_copy,
     solve_dirichlet_fe,
@@ -121,6 +127,22 @@ def test_pullback_vs_remesh_cross_oracle(order, tol, rng):
         v1 = deformed_dirichlet_energy(ex, w, z, "pullback")
         v2 = deformed_dirichlet_energy(ex, w, z, "remesh")
         assert abs(v1 - v2) <= tol * max(abs(v1), 1e-30)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_deformed_energy_difference_is_the_deformation_field_pairing(order):
+    # the two library paths of deformation_discrete: the pullback energy minus
+    # the undeformed one is the gradient pairing of (B - I) grad w with z
+    m = disk_mesh(6, order)
+    psi = np.column_stack([np.sin(m.nodes[:, 0]) * m.nodes[:, 1] ** 2 + m.nodes[:, 0],
+                           np.cos(m.nodes[:, 1]) - 0.5 * m.nodes[:, 0] ** 2])
+    ex = FeFunction(m, m.h**1.6 * psi)
+    w = nodal_interp_bulk(m, lambda p: np.sin(p[:, 0] + 0.2 * p[:, 1]))
+    z = nodal_interp_bulk(m, lambda p: np.cos(p[:, 1]) + p[:, 0] ** 2)
+    dE = deformed_dirichlet_energy(ex, w, z) - float(w.coeffs @ (grams_of(m).A_bulk @ z.coeffs))
+    paired = float(gradient_pairing_load(deformation_field(ex, w), m) @ z.coeffs)
+    assert abs(dE) > 1e-4
+    assert abs(dE - paired) <= 1e-12 * h1_norm(w) * h1_norm(z)
 
 
 def test_inverted_deformation_raises(disk4k1):

@@ -14,8 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import (
-    TRI_EDGES,
-    TRI_VERTS,
+    TRI_TANGENTS,
     edge_shape,
     edge_shape_deriv,
     tri_edge_ref_points,
@@ -162,18 +161,13 @@ def _surface_quad_data(mesh, degree, lifted):
     if lifted:
         # plus the displacement and its derivative along the face's edge
         nf, m = pts.shape[:2]
-        refs = _face_ref_points(mesh, rule.points).reshape(-1, 2)
+        refs = tri_edge_ref_points(np.repeat(mesh.face_local_edge, m), np.tile(rule.points, nf))
         D, dD = lift_of(mesh).displacement(np.repeat(mesh.face_elem, m), refs)
-        tangent = np.array([TRI_VERTS[b] - TRI_VERTS[a] for a, b in TRI_EDGES])[mesh.face_local_edge]
+        tangent = TRI_TANGENTS[mesh.face_local_edge]
         pts = pts + D.reshape(nf, m, 2)
         vel = vel + np.einsum("fqxr,fr->fqx", dD.reshape(nf, m, 2, 2), tangent)
     speed = np.linalg.norm(vel, axis=-1)
     return {"rule": rule, "psi": psi, "dpsi": dpsi, "pts": pts, "vel": vel, "speed": speed}
-
-
-def _face_ref_points(mesh, t):
-    """(nfaces, m, 2) reference points of edge parameters t on each boundary face's element."""
-    return np.stack([tri_edge_ref_points(le, t) for le in range(3)])[mesh.face_local_edge]
 
 
 # -- Gram matrices ----------------------------------------------------------
@@ -329,12 +323,7 @@ def integrate_bulk_on_boundary(u):
         ref = tri_edge_ref_points(le, rule.points)
         vals, _ = eval_fe(u, e, ref)
         # curve speed from the bulk geometry map along the edge
-        coords = mesh.nodes[mesh.elements[e]]
-        dphi = tri_shape_grad(mesh.order, ref)
-        jac = np.einsum("qbr,bx->qxr", dphi, coords)
-        a, b = TRI_EDGES[le]
-        tangent_ref = TRI_VERTS[b] - TRI_VERTS[a]
-        vel = np.einsum("qxr,r->qx", jac, tangent_ref)
-        speed = np.linalg.norm(vel, axis=-1)
+        _, jac = geometry_map(mesh, e, ref)
+        speed = np.linalg.norm(np.einsum("qxr,r->qx", jac, TRI_TANGENTS[le]), axis=-1)
         total += float(np.sum(rule.weights * vals**2 * speed))
     return total

@@ -12,16 +12,18 @@ import numpy as np
 TRI_EDGES = ((0, 1), (1, 2), (2, 0))
 # vertices of the reference triangle
 TRI_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+# reference gradients of the barycentric coordinates tri_shape(1, .), constant
+TRI_DLAM = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+# reference tangents of the three edges, vertex a to vertex b
+TRI_TANGENTS = np.array([TRI_VERTS[b] - TRI_VERTS[a] for a, b in TRI_EDGES])
 
 
 def tri_ref_nodes(order):
     """Reference coordinates of the local nodes."""
-    v = TRI_VERTS
     if order == 1:
-        return v.copy()
+        return TRI_VERTS.copy()
     if order == 2:
-        mids = np.array([0.5 * (v[a] + v[b]) for a, b in TRI_EDGES])
-        return np.vstack([v, mids])
+        return np.vstack([TRI_VERTS, tri_edge_ref_points(np.arange(3), np.full(3, 0.5))])
     raise ValueError(f"unsupported order {order}")
 
 
@@ -56,17 +58,15 @@ def tri_shape_grad(order, pts):
     pts = np.atleast_2d(pts)
     m = len(pts)
     x, y = pts[:, 0], pts[:, 1]
-    # barycentric gradients are constant
-    dlam = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
     if order == 1:
-        return np.broadcast_to(dlam, (m, 3, 2)).copy()
+        return np.broadcast_to(TRI_DLAM, (m, 3, 2)).copy()
     if order == 2:
         lam = np.stack([1.0 - x - y, x, y], axis=1)
         g = np.empty((m, 6, 2))
         for i in range(3):
-            g[:, i, :] = (4.0 * lam[:, i, None] - 1.0) * dlam[i]
+            g[:, i, :] = (4.0 * lam[:, i, None] - 1.0) * TRI_DLAM[i]
         for e, (a, b) in enumerate(TRI_EDGES):
-            g[:, 3 + e, :] = 4.0 * (lam[:, a, None] * dlam[b] + lam[:, b, None] * dlam[a])
+            g[:, 3 + e, :] = 4.0 * (lam[:, a, None] * TRI_DLAM[b] + lam[:, b, None] * TRI_DLAM[a])
         return g
     raise ValueError(f"unsupported order {order}")
 
@@ -96,7 +96,8 @@ def edge_shape_deriv(order, t):
 
 
 def tri_edge_ref_points(local_edge, t):
-    """Map edge parameters t in [0,1] to reference coordinates on a local edge."""
-    t = np.atleast_1d(t)
-    a, b = TRI_EDGES[local_edge]
-    return TRI_VERTS[a][None, :] * (1.0 - t)[:, None] + TRI_VERTS[b][None, :] * t[:, None]
+    """Map edge parameters t in [0,1] to reference coordinates on a local edge:
+    (m, 2) points for m parameters, local_edge one edge index or one per point."""
+    t = np.atleast_1d(t)[:, None]
+    ends = TRI_VERTS[np.array(TRI_EDGES)[local_edge]]  # (2, 2) or (m, 2, 2)
+    return ends[..., 0, :] * (1.0 - t) + ends[..., 1, :] * t

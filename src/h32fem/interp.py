@@ -22,14 +22,13 @@ from .assembly import (
     BULK,
     BULK0,
     FeFunction,
-    _face_ref_points,
     bulk_quad_data,
     eval_on_elements,
     grams_of,
     surface_quad_data,
     trace,
 )
-from .basis import tri_shape
+from .basis import tri_edge_ref_points, tri_shape
 from .lifting import lift_mixed, locator_of
 from .meshing import _cached, _spd_solver
 from .quadrature import default_degree
@@ -69,7 +68,9 @@ def _build_sz_moments(mesh):
         np.repeat(mesh.face_elem[faces], len(erule)), np.repeat(elems, len(trule)),
     ])
     refs = np.concatenate([
-        _face_ref_points(mesh, erule.points)[faces].reshape(-1, 2),
+        tri_edge_ref_points(
+            np.repeat(mesh.face_local_edge[faces], len(erule)), np.tile(erule.points, len(faces))
+        ),
         np.tile(trule.points, (len(elems), 1)),
     ])
     pts = np.concatenate([sd["pts"][faces].reshape(-1, 2), qd["pts"][elems].reshape(-1, 2)])

@@ -3,16 +3,16 @@
 The lift is a Lenoir-style blended radial projection. On elements without
 a boundary face it is the identity. On a boundary-layer element with
 curved edge E and opposite vertex o, a point with barycentric coordinates
-(lam_o, lam_a, lam_b) is moved by
+(lam_o, lam_a, lam_b) = `basis.tri_shape(1, .)` is moved by
 
     D = (1 - lam_o) * (P(b) - b),      b = F(edge point at t = lam_b / (lam_a + lam_b)),
 
-where F is the element's geometry map and P the radial projection onto
-the unit circle. D vanishes on the two interior edges (their edge shadows
-are boundary vertices, already on the circle), so the global map is
-continuous, restricted to the curved edge it is exactly the radial
-projection onto the circle, and its gradient deviates from the identity
-by O(h^k).
+where F is the element's geometry map (`meshing.geometry_map`, per point)
+and P the radial projection onto the unit circle. D vanishes on the two
+interior edges (their edge shadows are boundary vertices, already on the
+circle), so the global map is continuous, restricted to the curved edge it
+is exactly the radial projection onto the circle, and its gradient
+deviates from the identity by O(h^k).
 
 The triangulation fixes the lift, so it is a cached function of the mesh,
 `lift_of(mesh)`. Lifted forms are the plain ones on another geometry map,
@@ -21,26 +21,34 @@ gradient (the one place lifted Jacobians are formed), `LiftMap.geometry`
 does so at shared reference points like `meshing.batched_geometry`, and the
 plain code builds the lifted record and Gram set from it,
 `assembly.bulk_quad_data(mesh, lifted=True)` and `grams_of(mesh, lifted=True)`.
+`lift_mixed` is Lambda o F at per-point (element, reference point) pairs:
+`compose` applied to `meshing.geometry_map`.
 
 MeshLocator inverts the composite map Lambda(F(xi)) pointwise: it maps
 points of the exact domain to (element, reference point) pairs, and like
 the lift it is a cached function of the mesh, `locator_of(mesh)`. Every
 candidate element is first inverted in closed form through its vertex
-triangle. Off the curved boundary layer the lift is the identity and the
-geometry map is affine, so that inverse is exact (on the square, for every
-element); on the curved boundary-layer elements it is the one start of a
-vectorized Newton iteration, run per point until it converges.
+triangle (`meshing._vertex_jacobians`). Off the curved boundary layer the
+lift is the identity and the geometry map is affine, so that inverse is
+exact (on the square, for every element); on the curved boundary-layer
+elements it is the one start of a vectorized Newton iteration, run per
+point until it converges.
 """
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .basis import TRI_EDGES, TRI_VERTS, tri_shape, tri_shape_grad
-from .meshing import _cached, _inverse_2x2, _norm_2x2, batched_geometry
+from .basis import TRI_DLAM, TRI_EDGES, TRI_TANGENTS, tri_edge_ref_points, tri_shape
+from .meshing import (
+    _cached,
+    _det_2x2,
+    _inverse_2x2,
+    _norm_2x2,
+    _vertex_jacobians,
+    batched_geometry,
+    geometry_map,
+)
 from .quadrature import default_degree, triangle_rule
-
-# reference-coordinate gradients of the barycentric coordinates
-_DLAM = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 class LiftMap:
@@ -71,27 +79,17 @@ class LiftMap:
         sel = np.nonzero(le >= 0)[0]
         if len(sel) == 0:
             return D, dD
-        elems = np.asarray(elems)[sel]
-        refs = refs[sel]
         le = le[sel]
-        edge_pairs = np.array(TRI_EDGES)
-        a = edge_pairs[le, 0]
-        b = edge_pairs[le, 1]
-        lam = _barycentric(refs)
+        a, b = np.array(TRI_EDGES)[le].T
+        lam = tri_shape(1, refs[sel])
         idx = np.arange(len(sel))
         lam_a, lam_b = lam[idx, a], lam[idx, b]
         sigma = np.maximum(lam_a + lam_b, 1e-30)
         t = lam_b / sigma
 
         # edge shadow through the element's own geometry map
-        eref = TRI_VERTS[a] * (1.0 - t)[:, None] + TRI_VERTS[b] * t[:, None]
-        coords = mesh.nodes[mesh.elements[elems]]          # (n, nb, 2)
-        phi = tri_shape(mesh.order, eref)                  # (n, nb)
-        dphi = tri_shape_grad(mesh.order, eref)            # (n, nb, 2)
-        bpt = np.einsum("nb,nbx->nx", phi, coords)
-        jac = np.einsum("nbr,nbx->nxr", dphi, coords)
-        tan_ref = TRI_VERTS[b] - TRI_VERTS[a]              # (n, 2)
-        dbdt = np.einsum("nxr,nr->nx", jac, tan_ref)
+        bpt, jac = geometry_map(mesh, np.asarray(elems)[sel], tri_edge_ref_points(le, t))
+        dbdt = np.einsum("nxr,nr->nx", jac, TRI_TANGENTS[le])
 
         nrm = np.linalg.norm(bpt, axis=1)
         phat = bpt / nrm[:, None]
@@ -100,9 +98,9 @@ class LiftMap:
         proj = dbdt - phat * np.einsum("nx,nx->n", phat, dbdt)[:, None]
         dPdt = proj / nrm[:, None] - dbdt
 
-        grad_sigma = _DLAM[a] + _DLAM[b]                   # (n, 2)
+        grad_sigma = TRI_DLAM[a] + TRI_DLAM[b]             # (n, 2)
         # sigma * grad(t) = grad(lam_b) - t * grad(sigma), exactly
-        sg_t = _DLAM[b] - t[:, None] * grad_sigma
+        sg_t = TRI_DLAM[b] - t[:, None] * grad_sigma
 
         D[sel] = sigma[:, None] * disp
         dD[sel] = disp[:, :, None] * grad_sigma[:, None, :] + dPdt[:, :, None] * sg_t[:, None, :]
@@ -131,8 +129,7 @@ class LiftMap:
             pts[bel].reshape(-1, 2), jac[bel].reshape(-1, 2, 2),
         )
         pts[bel], jac[bel] = lp.reshape(-1, m, 2), lj.reshape(-1, m, 2, 2)
-        det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-        return pts, jac, det
+        return pts, jac, _det_2x2(jac)
 
 
 def lift_of(mesh):
@@ -140,25 +137,12 @@ def lift_of(mesh):
     return _cached(mesh, "lift", lambda: LiftMap(mesh))
 
 
-def _barycentric(refs):
-    lam = np.empty(refs.shape[:-1] + (3,))
-    lam[..., 0] = 1.0 - refs[..., 0] - refs[..., 1]
-    lam[..., 1] = refs[..., 0]
-    lam[..., 2] = refs[..., 1]
-    return lam
-
-
 def lift_mixed(mesh, elems, refs):
     """Lifted points and composite Jacobians at per-point (elem, ref) pairs.
 
     Returns pts (n, 2) and jac (n, 2, 2) of xi -> Lambda(F(xi)).
     """
-    coords = mesh.nodes[mesh.elements[np.asarray(elems)]]
-    phi = tri_shape(mesh.order, refs)
-    dphi = tri_shape_grad(mesh.order, refs)
-    base = np.einsum("nb,nbx->nx", phi, coords)
-    jgeo = np.einsum("nbr,nbx->nxr", dphi, coords)
-    return lift_of(mesh).compose(elems, refs, base, jgeo)
+    return lift_of(mesh).compose(elems, refs, *geometry_map(mesh, elems, refs))
 
 
 def grad_lambda_inf_error(mesh):
@@ -218,8 +202,7 @@ class MeshLocator:
         # no curved edge and (k=2) every midside node at its edge midpoint
         verts = mesh.nodes[mesh.elements[:, :3]]
         self._origin = verts[:, 0]
-        edges = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]], axis=-1)
-        self._inv = _inverse_2x2(edges)[0]
+        self._inv = _inverse_2x2(_vertex_jacobians(verts))[0]
         self._affine = lift.curved_edge < 0
         if mesh.order == 2:
             mids = 0.5 * (verts + verts[:, [1, 2, 0]])
@@ -266,8 +249,7 @@ class MeshLocator:
 
     @staticmethod
     def _violation(refs):
-        lam = _barycentric(refs)
-        return np.maximum(0.0, -lam.min(axis=-1))
+        return np.maximum(0.0, -tri_shape(1, refs).min(axis=-1))
 
     def locate(self, pts):
         """Physical points -> (element ids, reference coordinates)."""
@@ -317,6 +299,6 @@ def locator_of(mesh):
 
 
 def _clamp_to_triangle(refs):
-    lam = np.clip(_barycentric(refs), 0.0, None)
+    lam = np.clip(tri_shape(1, refs), 0.0, None)
     lam /= lam.sum(axis=-1, keepdims=True)
     return lam[..., 1:]

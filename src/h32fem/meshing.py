@@ -52,6 +52,12 @@ class Mesh:
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
         self.elements = np.asarray(self.elements, dtype=np.int64)
+        if self.domain_kind not in ("disk", "square"):
+            raise ValueError(f"domain_kind {self.domain_kind!r} is neither 'disk' nor 'square'")
+        if self.order not in (1, 2):
+            raise ValueError(f"order {self.order!r} is neither 1 nor 2")
+        if self.elements.shape[1:] != (3 * self.order,):
+            raise ValueError(f"elements {self.elements.shape} are not {3 * self.order} nodes wide")
         # boundary faces: the edge slots (element, local edge) whose edge occurs
         # once, as the directed edge and (k=2) the slot's midside node
         directed, _, _, inv, count = _edge_table(self.elements[:, :3], self.n_nodes)
@@ -89,13 +95,9 @@ class Mesh:
     def quasi_uniformity_ratio(self):
         """(max element diameter) / (min inscribed-circle diameter)."""
         v = self.nodes[self.elements[:, :3]]
-        a = np.linalg.norm(v[:, 1] - v[:, 0], axis=1)
-        b = np.linalg.norm(v[:, 2] - v[:, 1], axis=1)
-        c = np.linalg.norm(v[:, 0] - v[:, 2], axis=1)
-        e1 = v[:, 1] - v[:, 0]
-        e2 = v[:, 2] - v[:, 0]
-        area = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-        inscribed = 4.0 * area / (a + b + c)
+        perimeter = sum(np.linalg.norm(v[:, j] - v[:, i], axis=1) for i, j in TRI_EDGES)
+        area = 0.5 * np.abs(_det_2x2(_vertex_jacobians(v)))
+        inscribed = 4.0 * area / perimeter
         return self.h / float(inscribed.min())
 
     # -- serialization ---------------------------------------------------
@@ -136,9 +138,14 @@ def _cached(owner, key, build):
     return store[key]
 
 
+def _det_2x2(a):
+    """Determinants of a stack of 2x2 matrices (..., 2, 2)."""
+    return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+
+
 def _inverse_2x2(jac):
     """Inverses and determinants of a stack of 2x2 matrices (..., 2, 2)."""
-    det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+    det = _det_2x2(jac)
     adj = np.empty_like(jac)
     adj[..., 0, 0] = jac[..., 1, 1]
     adj[..., 1, 1] = jac[..., 0, 0]
@@ -173,20 +180,21 @@ def _norm_2x2(a):
 # -- geometry map ----------------------------------------------------------
 
 
-def geometry_map(mesh, elem, ref_pt):
-    """Physical point and Jacobian of the order-k geometry map.
+def geometry_map(mesh, elems, ref_pt):
+    """Physical points and Jacobians of the order-k geometry map.
 
-    ref_pt may be a single (2,) point or an (m, 2) batch; returns arrays of
-    matching shape: point(s) (.., 2) and Jacobian(s) (.., 2, 2).
+    ref_pt may be a single (2,) point or an (m, 2) batch, and elems one
+    element id or one per point; returns arrays of matching shape: point(s)
+    (.., 2) and Jacobian(s) (.., 2, 2).
     """
-    if not 0 <= elem < mesh.n_elements:
-        raise IndexError(f"invalid element id {elem}")
     ref = np.atleast_2d(ref_pt)
-    coords = mesh.nodes[mesh.elements[elem]]  # (nb, 2)
-    phi = tri_shape(mesh.order, ref)          # (m, nb)
-    dphi = tri_shape_grad(mesh.order, ref)    # (m, nb, 2)
-    pts = phi @ coords
-    jac = np.einsum("mbr,bx->mxr", dphi, coords)
+    elems = np.broadcast_to(elems, len(ref))
+    bad = (elems < 0) | (elems >= mesh.n_elements)
+    if bad.any():
+        raise IndexError(f"invalid element id {elems[bad][0]}")
+    coords = mesh.nodes[mesh.elements[elems]]  # (m, nb, 2)
+    pts = np.einsum("nb,nbx->nx", tri_shape(mesh.order, ref), coords)
+    jac = np.einsum("nbr,nbx->nxr", tri_shape_grad(mesh.order, ref), coords)
     if np.ndim(ref_pt) == 1:
         return pts[0], jac[0]
     return pts, jac
@@ -206,8 +214,7 @@ def batched_geometry(mesh, ref_pts, elems=None):
     # rows (point, reference direction) of dphi times coords: jac[e, m, x, r]
     jac = (dphi.transpose(0, 2, 1).reshape(2 * m, nb) @ coords).reshape(-1, m, 2, 2)
     jac = jac.swapaxes(-1, -2)
-    det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-    return pts, jac, det
+    return pts, jac, _det_2x2(jac)
 
 
 # -- disk mesh -------------------------------------------------------------
@@ -248,12 +255,14 @@ def _disk_triangles(n_rings):
     return np.array(tris, dtype=np.int64)
 
 
+def _vertex_jacobians(v):
+    """Jacobians (ne, 2, 2) of the affine maps onto vertex triangles v
+    (ne, 3, 2): columns v1 - v0 and v2 - v0."""
+    return np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
+
+
 def _orient_ccw(nodes, tris):
-    v = nodes[tris]
-    e1 = v[:, 1] - v[:, 0]
-    e2 = v[:, 2] - v[:, 0]
-    sign = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    flip = sign < 0
+    flip = _det_2x2(_vertex_jacobians(nodes[tris])) < 0
     tris[flip] = tris[flip][:, [0, 2, 1]]
     return tris
 
@@ -303,8 +312,6 @@ def _add_midside_nodes(nodes, tris, project_to_circle):
 
 
 def _finish_mesh(nodes, tris, order, domain_kind, project_to_circle):
-    if order not in (1, 2):
-        raise ValueError(f"unsupported order {order}")
     tris = _orient_ccw(nodes, tris.copy())
     if order == 2:
         nodes, tris = _add_midside_nodes(nodes, tris, project_to_circle)
@@ -333,8 +340,6 @@ def build_disk_mesh(target_h, order=1):
     """
     if not 0.0 < target_h <= 0.5:
         raise ValueError(f"target_h {target_h} out of range (0, 0.5]")
-    if order not in (1, 2):
-        raise ValueError(f"unsupported order {order}")
     n = max(3, int(np.ceil(1.1 / target_h)))
     mesh = disk_mesh(n, order)
     if not target_h / 2.0 <= mesh.h <= 2.0 * target_h:
@@ -350,8 +355,6 @@ def build_square_mesh(n_per_side, order=1):
     n = int(n_per_side)
     if n < 2:
         raise ValueError("n_per_side must be >= 2")
-    if order not in (1, 2):
-        raise ValueError(f"unsupported order {order}")
     xs = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     nodes = np.column_stack([X.ravel(), Y.ravel()])

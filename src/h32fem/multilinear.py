@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .meshing import _inverse_2x2
+
 
 @dataclass
 class MultilinearForm:
@@ -132,14 +134,17 @@ def det_form(d):
 def deformation_tensor(A):
     """(A + I)^{-T} (A + I)^{-1} det(A + I) - I for the displacement gradient A.
 
-    A is one (d, d) matrix or a stack (..., d, d); stacks are done at once.
+    A is one 2x2 matrix or a stack (..., 2, 2); stacks are done at once in
+    closed form. A singular A + I raises np.linalg.LinAlgError.
     """
     A = np.asarray(A, dtype=float)
-    d = A.shape[-1]
-    G = A + np.eye(d)
-    Ginv = np.linalg.inv(G)
-    det = np.linalg.det(G)[..., None, None]
-    return np.swapaxes(Ginv, -1, -2) @ Ginv * det - np.eye(d)
+    if A.shape[-2:] != (2, 2):
+        raise ValueError(f"deformation_tensor takes 2x2 matrices, not shape {A.shape}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Ginv, det = _inverse_2x2(A + np.eye(2))
+    if np.any(det == 0.0):
+        raise np.linalg.LinAlgError("A + I is singular")
+    return np.swapaxes(Ginv, -1, -2) @ Ginv * det[..., None, None] - np.eye(2)
 
 
 def deformation_form(d=2):

@@ -20,7 +20,7 @@ from .assembly import (
     eval_on_elements,
     grams_of,
 )
-from .meshing import Mesh, _cached, _spd_solver, shared_mesh
+from .meshing import Mesh, _cached, _det_2x2, _spd_solver, shared_mesh
 from .multilinear import deformation_tensor
 
 
@@ -77,11 +77,9 @@ def solve_robin_fe(f_h, g_h):
 def refined_copy(mesh, factor):
     """The same domain meshed `factor` times finer (same order), from the
     process-wide mesh cache, so it is the ladder's mesh of that size."""
-    if mesh.domain_kind == "disk":
-        rings = int(round(np.sqrt(mesh.n_elements / 6)))
-        return shared_mesh("disk", rings * factor, mesh.order)
-    n = int(round(np.sqrt(mesh.n_elements / 2)))
-    return shared_mesh("square", n * factor, mesh.order)
+    # 6 n^2 elements on a disk of n rings, 2 n^2 on a square of n per side
+    n = int(round(np.sqrt(mesh.n_elements / (6 if mesh.domain_kind == "disk" else 2))))
+    return shared_mesh(mesh.domain_kind, n * factor, mesh.order)
 
 
 # -- deformed Dirichlet energy ----------------------------------------------
@@ -109,7 +107,7 @@ def deformed_dirichlet_energy(e_x, w_h, z_h, method="pullback"):
         return float(w_h.coeffs @ (g2.A_bulk @ z_h.coeffs))
     if method != "pullback":
         raise ValueError(f"unknown method {method!r}")
-    if np.linalg.det(eval_on_elements(e_x)[1] + np.eye(2)).min() <= 0.0:
+    if _det_2x2(eval_on_elements(e_x)[1] + np.eye(2)).min() <= 0.0:
         raise RuntimeError("deformation inverts an element at a quadrature point")
     # integrand (B grad w).grad z with B grad w = grad w + (B - I) grad w
     Bgw = eval_on_elements(w_h)[1] + deformation_field(e_x, w_h)

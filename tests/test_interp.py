@@ -108,9 +108,9 @@ def test_circle_points_locate_on_the_curved_edge():
     # discrete boundary at its own polar angle, since the lift restricted to
     # a curved edge is the radial projection; there the trace matrix reads
     # the surface function
-    from h32fem.basis import TRI_EDGES
+    from h32fem.basis import TRI_EDGES, tri_shape
     from h32fem.interp import _evaluation_matrix
-    from h32fem.lifting import MeshLocator, _barycentric
+    from h32fem.lifting import MeshLocator
     from h32fem.meshing import geometry_map
 
     m = disk_mesh(5, 2)
@@ -121,13 +121,13 @@ def test_circle_points_locate_on_the_curved_edge():
     # on a curved element the vertex opposite the curved edge has no weight;
     # a point at a boundary vertex may land in an element touching only it
     le = lift_of(m).curved_edge[elems]
-    lam = _barycentric(refs)
+    lam = tri_shape(1, refs)
     on = np.nonzero(le >= 0)[0]
     opposite = 3 - np.array(TRI_EDGES)[le[on]].sum(axis=1)
     assert len(on) >= 30
     assert np.abs(lam[on, opposite]).max() <= 1e-12
     assert np.all(lam[le < 0].max(axis=1) >= 1.0 - 1e-12)
-    discrete = np.array([geometry_map(m, e, r)[0] for e, r in zip(elems, refs)])
+    discrete = geometry_map(m, elems, refs)[0]
     dtheta = np.arctan2(discrete[:, 1], discrete[:, 0]) - angles
     assert np.abs(np.angle(np.exp(1j * dtheta))).max() <= 1e-12
     # the trace of x on the discrete boundary is cos(theta) up to geometry error

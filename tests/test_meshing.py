@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from h32fem.basis import edge_shape, tri_shape, tri_shape_grad
+from h32fem.basis import edge_shape, tri_edge_ref_points, tri_shape, tri_shape_grad
 from h32fem.meshing import (
     Mesh,
     _inverse_2x2,
@@ -126,17 +126,21 @@ def test_geometry_map_nodal_and_affine():
     assert np.abs(jac - jac2).max() < 1e-14
     with pytest.raises(IndexError):
         geometry_map(m, m.n_elements + 3, np.array([0.1, 0.1]))
+    # per-point ids: one bad id among good ones is refused
+    for elems in ([0, m.n_elements], [-1, 0]):
+        with pytest.raises(IndexError):
+            geometry_map(m, np.array(elems), np.full((2, 2), 0.1))
 
 
-def test_geometry_map_k2_edge_midpoint_on_circle():
+def test_geometry_map_k2_edge_midpoint_on_circle(rng):
     m = disk_mesh(4, 2)
-    f = 0
-    e, le = m.face_elem[f], m.face_local_edge[f]
-    from h32fem.basis import tri_edge_ref_points
-
-    ref = tri_edge_ref_points(le, np.array([0.5]))
-    p, _ = geometry_map(m, e, ref[0])
-    assert abs(np.linalg.norm(p) - 1.0) < 1e-12
+    le = m.face_local_edge
+    # one local edge per point gives the per-edge call's points
+    ts = rng.uniform(size=len(le))
+    per_edge = np.array([tri_edge_ref_points(e, t)[0] for e, t in zip(le, ts)])
+    assert np.array_equal(tri_edge_ref_points(le, ts), per_edge)
+    p, _ = geometry_map(m, m.face_elem, tri_edge_ref_points(le, np.full(len(le), 0.5)))
+    assert np.abs(np.linalg.norm(p, axis=1) - 1.0).max() < 1e-12
 
 
 def test_json_roundtrip():
@@ -150,6 +154,19 @@ def test_json_roundtrip():
     assert m2.order == m.order and m2.domain_kind == m.domain_kind
     assert m2.h == m.h
     assert np.array_equal(m2.boundary_node_ids, m.boundary_node_ids)
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("domain_kind", "Disk", "domain_kind"),
+    ("order", 3, "order"),
+    # k=1 elements read as order 2 lack their midside nodes
+    ("order", 2, "elements"),
+])
+def test_from_json_refuses_what_a_mesh_cannot_represent(key, value, named):
+    doc = json.loads(disk_mesh(3, 1).to_json())
+    doc[key] = value
+    with pytest.raises(ValueError, match=named):
+        Mesh.from_json(json.dumps(doc))
 
 
 def test_inverse_2x2_matches_numpy(rng):
@@ -200,6 +217,12 @@ def test_batched_geometry_matches_einsum_reference(kind, order):
         np.testing.assert_allclose(pts, np.einsum("mb,ebx->emx", phi, coords), rtol=0, atol=1e-14)
         np.testing.assert_allclose(jac, ref_jac, rtol=0, atol=1e-14)
         np.testing.assert_allclose(det, np.linalg.det(ref_jac), rtol=0, atol=1e-14)
+        # the per-point map at (element, rule point) pairs gives the same
+        rows = np.arange(mesh.n_elements) if elems is None else elems
+        m = len(rule.points)
+        got = geometry_map(mesh, np.repeat(rows, m), np.tile(rule.points, (len(rows), 1)))
+        for g, want in zip(got, (pts, jac)):
+            assert np.abs(g - want.reshape(g.shape)).max() <= 1e-14 * np.abs(want).max()
 
 
 def all_pairs_diameter(mesh):

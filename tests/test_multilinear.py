@@ -110,13 +110,24 @@ def test_deformation_tensor_diagonal():
 
 
 def test_deformation_tensor_batched_matches_per_matrix_loop(rng):
-    # relative tolerance fixed before the comparison was run
-    for d, shape in ((2, (7, 6)), (3, (4, 5))):
-        A = 0.2 * rng.normal(size=shape + (d, d))
-        got = deformation_tensor(A)
-        want = np.array([[deformation_tensor(a) for a in row] for row in A])
-        assert got.shape == A.shape
+    # relative tolerance fixed before the comparison was run; the second
+    # reference is the formula through LAPACK's inverse and determinant
+    A = 0.2 * rng.normal(size=(7, 6, 2, 2))
+    got = deformation_tensor(A)
+    G = A + np.eye(2)
+    Ginv = np.linalg.inv(G)
+    lapack = np.swapaxes(Ginv, -1, -2) @ Ginv * np.linalg.det(G)[..., None, None] - np.eye(2)
+    assert got.shape == A.shape
+    for want in (np.array([[deformation_tensor(a) for a in row] for row in A]), lapack):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_deformation_tensor_refuses_other_shapes_and_singular_matrices():
+    with pytest.raises(ValueError):
+        deformation_tensor(np.zeros((3, 3)))
+    # A + I singular at one matrix of a stack, as np.linalg.inv refused it
+    with pytest.raises(np.linalg.LinAlgError):
+        deformation_tensor(np.stack([np.zeros((2, 2)), np.diag([-1.0, 0.5])]))
 
 
 def test_deformation_form_consistency(rng):

@@ -301,29 +301,3 @@ def trace(u):
     if u.space == SURFACE:
         raise ValueError("trace expects a bulk function")
     return FeFunction(u.mesh, u.coeffs[u.mesh.boundary_node_ids], SURFACE)
-
-
-# -- boundary-restricted quadrature (independent of the S_h assembly path) --
-
-
-def integrate_bulk_on_boundary(u):
-    """Integral of u^2 over the boundary, evaluated through the bulk basis.
-
-    Goes through each boundary face's parent element and the bulk geometry
-    map restricted to that edge, so it shares no code with the surface
-    assembly (same rule degree, so the two quadratures of the same curved
-    integrand must agree to rounding).
-    """
-    mesh = u.mesh
-    rule = edge_rule(default_degree(mesh.order))
-    total = 0.0
-    for f in range(len(mesh.boundary_faces)):
-        e = mesh.face_elem[f]
-        le = mesh.face_local_edge[f]
-        ref = tri_edge_ref_points(le, rule.points)
-        vals, _ = eval_fe(u, e, ref)
-        # curve speed from the bulk geometry map along the edge
-        _, jac = geometry_map(mesh, e, ref)
-        speed = np.linalg.norm(np.einsum("qxr,r->qx", jac, TRI_TANGENTS[le]), axis=-1)
-        total += float(np.sum(rule.weights * vals**2 * speed))
-    return total

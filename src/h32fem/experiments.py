@@ -603,22 +603,34 @@ def exp_neumann_decay(cfg):
 # -- products and deformation ------------------------------------------------------
 
 
+def _square_half_seminorms(nside, c1, combine=None):
+    """Gagliardo seminorms on the order-1 square mesh `nside` as quadratic
+    forms in the cached Gram matrix of its P2 space: the P1 nodal values c1
+    (one function per column) map exactly to P2 coefficients c2, and each
+    column c of combine(c2) (c2 by default) gives sqrt(max(0, c^T G c))."""
+    m, m2 = get_mesh("square", nside, 1), get_mesh("square", nside, 2)
+    c2 = np.empty((m2.n_nodes, c1.shape[1]))
+    c2[m2.elements] = tri_shape(1, tri_ref_nodes(2)) @ c1[m.elements]
+    C = c2 if combine is None else combine(c2)
+    return np.sqrt(np.maximum(0.0, np.sum(C * (gagliardo_gram(m, m2) @ C), axis=0)))
+
+
 def exp_leibniz_half(cfg):
     """u, v are P1 on the affine square, so uv is P2 on the same triangulation:
     all 600 seminorms are quadratic forms in one Gagliardo Gram matrix."""
     rng = _rng(cfg, "leibniz_half")
-    m, m2 = get_mesh("square", 3, 1), get_mesh("square", 3, 2)
+    m = get_mesh("square", 3, 1)
     c = rng.normal(size=(400, 6)).T[:, None, :]   # cu, cv of each of the 200 pairs
     x, y = m.nodes[:, 0, None], m.nodes[:, 1, None]
     c1 = (
         c[0] + c[1] * x + c[2] * y + c[3] * x**2 + c[4] * x * y + c[5] * y**2
     )                                   # (n_nodes, 400) nodal values: u, v, u, v, ...
-    # P1 -> P2 coefficients by evaluating each element's P1 function at the P2 nodes
-    c2 = np.empty((m2.n_nodes, 400))
-    c2[m2.elements] = tri_shape(1, tri_ref_nodes(2)) @ c1[m.elements]
-    u2, v2 = c2[:, 0::2], c2[:, 1::2]
-    coeffs = np.stack([u2, v2, u2 * v2], axis=2).reshape(m2.n_nodes, 600)
-    semi = np.sqrt(np.maximum(0.0, np.sum(coeffs * (gagliardo_gram(m, m2) @ coeffs), axis=0)))
+
+    def with_products(c2):
+        u2, v2 = c2[:, 0::2], c2[:, 1::2]
+        return np.stack([u2, v2, u2 * v2], axis=2).reshape(len(c2), 600)
+
+    semi = _square_half_seminorms(3, c1, with_products)
     gu, gv, gp = semi[0::3], semi[1::3], semi[2::3]
     sup = np.abs(bulk_quad_data(m)["phi"] @ c1[m.elements]).max(axis=(0, 1))
     rhs = np.sqrt(2.0) * (gu * sup[1::2] + gv * sup[0::2]) * 1.05
@@ -703,24 +715,27 @@ def exp_product_sampled(cfg):
     kappa = cfg.kappa
     rng = _rng(cfg, "product_sampled")
     # (a) continuous-style product estimate with the Gagliardo oracle on
-    # a tiny square mesh
+    # a tiny square mesh. The P1 inputs' seminorms are quadratic forms in
+    # the cached Gram matrix; only the cubic products, which lie in no
+    # Lagrange space, take the direct pass.
     m = get_mesh("square", 3, 1)
     slack = 10.0
     worst_cont = 0.0
-    samples, batch = [], []
+    samples, prods = [], []
     for _ in range(12):
         u1 = [_smooth_rand_interp(m, rng) for _ in range(2)]
         u2 = [_smooth_rand_interp(m, rng) for _ in range(2)]
         v1 = _smooth_rand_interp(m, rng)
-        prod = FeExpression(
+        prods.append(FeExpression(
             lambda a1, a2, b1, b2, c: (a1 * b1 + a2 * b2) * c, u1 + u2 + [v1]
-        )
+        ))
         samples.append((u1, u2, v1))
-        batch.extend(u1 + u2 + [v1, prod])
     inf_of = lambda u: float(np.abs(eval_on_elements(u)[0]).max())
     vec_inf = lambda uu: float(np.hypot(inf_of(uu[0]), inf_of(uu[1])))
-    G = gagliardo_seminorms(batch, m)
-    for (u1, u2, v1), (g1a, g1b, g2a, g2b, gv, gp) in zip(samples, G.reshape(12, 6)):
+    c1 = np.column_stack([u.coeffs for u1, u2, _ in samples for u in u1 + u2])
+    semi = _square_half_seminorms(3, c1).reshape(12, 4)
+    gps = gagliardo_seminorms(prods, m)
+    for (u1, u2, v1), (g1a, g1b, g2a, g2b), gp in zip(samples, semi, gps):
         w_half_inf = max(studies.sampled_whalf_inf(v1), inf_of(v1))
         rhs = (np.hypot(g1a, g1b) * vec_inf(u2) + np.hypot(g2a, g2b) * vec_inf(u1)) * w_half_inf
         worst_cont = max(worst_cont, gp / (slack * rhs))

@@ -25,9 +25,14 @@ mechanisms share these blocks, their rules and their kernel weights:
   the Duffy reference points, so a block is one GEMM W @ (d x d). The
   difference form keeps the large, cancelling near-singular products out
   of G. G is symmetric positive semidefinite with constants in its kernel.
-* `gagliardo_seminorms` is the direct pass for pointwise inputs (FE
-  functions, FeExpressions, callables). Inside each geometry block it
-  walks function blocks, so memory does not grow with the function count.
+  It is cached per (mesh, space object), read-only, and shared by its two
+  consumers, `product_sampled` and `leibniz_half`.
+* `gagliardo_seminorms` is the direct pass, for pointwise inputs in no
+  Lagrange space (FeExpressions such as cubic products, callables; FE
+  functions are accepted too). Inside each geometry block it walks
+  function blocks sized by what a function holds (its squared differences
+  and the values of it and its FE leaves), so memory grows with neither
+  the function count nor an expression's leaves.
   A function block's values are one BLAS product with the shape table,
   one FeExpression.combine call per expression and one call per callable;
   the pairing keeps the (u(x)-u(y))^2 form, so constants give exactly
@@ -42,7 +47,7 @@ import functools
 import numpy as np
 
 from .basis import TRI_EDGES, TRI_VERTS, tri_shape
-from .meshing import batched_geometry
+from .meshing import _cached, batched_geometry
 from .quadrature import default_degree, edge_rule, triangle_rule
 
 MAX_ELEMENTS = 500
@@ -192,13 +197,22 @@ def _values(funcs, mesh, phi, elems, pts):
     return out
 
 
+def _columns(f):
+    """Value columns one evaluation of f holds besides its own: its FE leaves'."""
+    leaves = f.funcs if isinstance(f, FeExpression) else [f]
+    return sum(g.coeffs[0].size for g in leaves if hasattr(g, "coeffs"))
+
+
 def _class_sum(funcs, mesh, x, y, J):
     """sum_{b,q,j} (u(x_bq) - u(y_bqj))^2 K_bqj over a block, for every u."""
     (phi_x, ex, px, _), (phi_y, ey, py, _) = x, y
     B = len(px)
     K = _kernel(x, y, J).ravel()
     out = np.empty(len(funcs))
-    for fb in _blocks(len(funcs), 8 * len(K)):
+    # per function: its squared differences, and its values and its leaves'
+    # values at the inner points
+    width = 1 + max(map(_columns, funcs), default=0)
+    for fb in _blocks(len(funcs), 8 * (len(K) + width * py.size // 2)):
         block = funcs[fb]
         vy = _values(block, mesh, phi_y, ey, py).reshape(len(block), B, -1, J)
         dv = _values(block, mesh, phi_x, ex, px)[..., None] - vy
@@ -228,8 +242,22 @@ def gagliardo_gram(mesh, space):
     c is the coefficient vector of u in the Lagrange space whose DOF map is
     space.elements (a mesh of any order on the triangulation of `mesh`,
     `mesh` itself included). The pairs, rules and geometry are those of
-    `gagliardo_seminorms(., mesh)`.
+    `gagliardo_seminorms(., mesh)`. G is cached on `mesh` per space object
+    and returned read-only: an entry holds its space and is found only by
+    that very object (`is`), never by an equal or renumbered one.
     """
+    entries = _cached(mesh, "gagliardo_gram", list)
+    for owner, G in entries:
+        if owner is space:
+            return G
+    G = _assemble_gram(mesh, space)
+    G.flags.writeable = False
+    entries.append((space, G))
+    return G
+
+
+def _assemble_gram(mesh, space):
+    """The uncached G of `gagliardo_gram`."""
     _check_size(mesh)
     if space.elements.shape[0] != mesh.n_elements or np.any(
         space.elements[:, :3] != mesh.elements[:, :3]

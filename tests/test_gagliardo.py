@@ -1,20 +1,22 @@
 import functools
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from h32fem import gagliardo
+from h32fem import experiments, gagliardo
 from h32fem.assembly import FeFunction, nodal_interp_bulk
 from h32fem.basis import TRI_EDGES, TRI_VERTS, tri_shape, tri_shape_grad
-from h32fem.experiments import get_mesh
+from h32fem.experiments import ExperimentConfig, get_mesh, run_experiment
 from h32fem.gagliardo import (
     FeExpression,
     gagliardo_gram,
     gagliardo_half_oracle,
     gagliardo_seminorms,
 )
-from h32fem.meshing import Mesh, build_square_mesh, disk_mesh
+from h32fem.meshing import Mesh, build_square_mesh, disk_mesh, shared_mesh
 from h32fem.quadrature import default_degree, edge_rule, triangle_rule
 
 
@@ -286,6 +288,25 @@ def test_peak_memory_is_bounded_by_block_budget():
     assert peak < 16 * gagliardo._BLOCK_BYTES
 
 
+def test_peak_memory_does_not_grow_with_the_leaves_of_expressions():
+    # function blocks are sized by each function's FE leaves too: 12 products
+    # of 5 leaves each peak within 1.5x of 12 plain FE functions (blocks sized
+    # by the function count alone made it 1.9x)
+    mesh = build_square_mesh(3, 1)
+    us = [nodal_interp_bulk(mesh, lambda p, a=a: np.sin(a * p[:, 0]) + p[:, 1]) for a in range(60)]
+    prods = [FeExpression(lambda a, b, c, d, e: (a * b + c * d) * e, us[i : i + 5]) for i in range(0, 60, 5)]
+    gagliardo_half_oracle(us[0])    # fills the per-degree Duffy layout cache
+    peaks = []
+    for funcs in (us[:12], prods):
+        tracemalloc.start()
+        try:
+            gagliardo_seminorms(funcs, mesh)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
+
+
 # -- the Gram matrix against the direct pass ------------------------------------
 
 
@@ -340,20 +361,62 @@ def test_gram_of_p2_space_matches_products_on_p1_mesh():
     assert np.abs(got / ref - 1.0).max() <= 1e-12
 
 
+def _renumbered(space, permute):
+    """The space with its edge DOF ids permuted (`permute` of their ascending
+    array), and the map old id -> new id."""
+    vertices = np.unique(space.elements[:, :3])
+    edges = np.setdiff1d(np.arange(space.n_nodes), vertices)
+    new_id = np.arange(space.n_nodes)
+    new_id[edges] = permute(edges)
+    nodes = np.empty_like(space.nodes)
+    nodes[new_id] = space.nodes
+    return Mesh(nodes, new_id[space.elements], 2, "square"), new_id
+
+
+def _same_up_to_rounding(a, b):
+    return np.allclose(a, b, rtol=0.0, atol=1e-13 * np.abs(b).max())
+
+
 def test_gram_follows_the_dof_map_of_the_space():
     # two P2 spaces over the P1 square that differ only in the numbering of
-    # their edge DOFs: G of the renumbered space is G renumbered
+    # their edge DOFs: G of the renumbered space is G renumbered, and each
+    # space keeps its own cached G
     m1, m2 = build_square_mesh(3, 1), build_square_mesh(3, 2)
-    vertices = np.unique(m2.elements[:, :3])
-    edges = np.setdiff1d(np.arange(m2.n_nodes), vertices)
-    new_id = np.arange(m2.n_nodes)
-    new_id[edges] = edges[::-1]
-    nodes = np.empty_like(m2.nodes)
-    nodes[new_id] = m2.nodes
-    renumbered = Mesh(nodes, new_id[m2.elements], 2, "square")
+    renumbered, new_id = _renumbered(m2, lambda e: e[::-1])
     G, G_renumbered = gagliardo_gram(m1, m2), gagliardo_gram(m1, renumbered)
     assert not np.allclose(G, G_renumbered)
-    assert np.allclose(G_renumbered[np.ix_(new_id, new_id)], G, rtol=0.0, atol=1e-13 * np.abs(G).max())
+    assert _same_up_to_rounding(G_renumbered[np.ix_(new_id, new_id)], G)
+    assert gagliardo_gram(m1, m2) is G and gagliardo_gram(m1, renumbered) is G_renumbered
+
+
+def test_gram_is_cached_per_space_object_and_read_only():
+    m1, m2 = build_square_mesh(3, 1), build_square_mesh(3, 2)
+    G = gagliardo_gram(m1, m2)
+    assert gagliardo_gram(m1, m2) is G
+    assert not G.flags.writeable
+    with pytest.raises(ValueError):
+        G[0, 0] = 1.0
+    # an equal space that is another object gets its own build
+    twin = build_square_mesh(3, 2)
+    G_twin = gagliardo_gram(m1, twin)
+    assert G_twin is not G and np.array_equal(G_twin, G)
+
+
+def test_gram_of_a_space_rebuilt_after_collection_is_its_own():
+    # spaces built, used and dropped one after another: each gets the G of
+    # its own DOF numbering, never the entry of an earlier, dropped space
+    # (whose id a later object could reuse once it is collected)
+    m1, m2 = build_square_mesh(3, 1), build_square_mesh(3, 2)
+    G = gagliardo_gram(m1, m2)
+    for shift in (3, 7, 11):
+        space, new_id = _renumbered(m2, lambda e: np.roll(e, shift))
+        dropped = weakref.ref(space)
+        G_space = gagliardo_gram(m1, space)
+        assert _same_up_to_rounding(G_space[np.ix_(new_id, new_id)], G)
+        del space, G_space
+        gc.collect()
+        # the entry holds its space, so no later object can share its id
+        assert dropped() is not None
 
 
 @pytest.mark.parametrize("space", [("square", 3, 2), ("disk", 2, 2)])
@@ -367,7 +430,20 @@ def test_gram_is_symmetric_psd_with_constants_in_kernel(space):
     assert np.abs(G.sum(axis=1)).max() <= 1e-13 * norm
 
 
-def test_gram_peak_memory_is_bounded_by_block_budget():
+@pytest.fixture()
+def gram_builds(monkeypatch):
+    """The (mesh, space) of every uncached Gram build while the test runs."""
+    builds, build = [], gagliardo._assemble_gram
+
+    def counted(mesh, space):
+        builds.append((mesh, space))
+        return build(mesh, space)
+
+    monkeypatch.setattr(gagliardo, "_assemble_gram", counted)
+    return builds
+
+
+def test_gram_peak_memory_is_bounded_by_block_budget(gram_builds):
     m1, m2 = build_square_mesh(3, 1), build_square_mesh(3, 2)
     sq2 = build_square_mesh(2, 1)
     gagliardo_gram(sq2, sq2)    # fills the per-degree Duffy layout cache
@@ -377,10 +453,12 @@ def test_gram_peak_memory_is_bounded_by_block_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    # fresh meshes: a real build was measured, not a cache hit
+    assert len(gram_builds) == 2 and gram_builds[1][0] is m1 and gram_builds[1][1] is m2
     assert peak < 16 * gagliardo._BLOCK_BYTES
 
 
-def test_gram_refuses_other_triangulations_and_large_meshes():
+def test_gram_refuses_other_triangulations_and_large_meshes(gram_builds):
     sq1, sq2 = build_square_mesh(3, 1), build_square_mesh(3, 2)
     reordered = Mesh(sq2.nodes, sq2.elements[::-1], 2, "square")
     with pytest.raises(ValueError):
@@ -396,4 +474,44 @@ def test_gram_refuses_other_triangulations_and_large_meshes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    # every call reached the builder: fresh meshes, no cache hit
+    assert len(gram_builds) == 3
     assert peak < gagliardo._BLOCK_BYTES
+
+
+# -- the experiments' route: FE inputs through G, products through the direct pass
+
+
+def test_gram_route_matches_direct_pass_on_the_product_panel():
+    # 12 samples of 5 smooth P1 inputs on the square, drawn like those of
+    # product_sampled (a)
+    m = get_mesh("square", 3, 1)
+    rng = np.random.default_rng(5)
+    us = [experiments._smooth_rand_interp(m, rng) for _ in range(60)]
+    got = experiments._square_half_seminorms(3, np.column_stack([u.coeffs for u in us]))
+    ref = gagliardo_seminorms(us, m)
+    assert np.all(ref > 0.0)
+    assert np.abs(got / ref - 1.0).max() <= 1e-12
+
+
+def test_product_sampled_then_leibniz_half_build_one_gram(monkeypatch, gram_builds):
+    # fresh square meshes, so the count starts from an empty cache
+    fresh = functools.cache(build_square_mesh)
+    monkeypatch.setattr(
+        experiments, "get_mesh",
+        lambda kind, n, order: fresh(n, order) if kind == "square" else shared_mesh(kind, n, order),
+    )
+    direct, seminorms = [], experiments.gagliardo_seminorms
+
+    def counted(funcs, mesh):
+        direct.append(list(funcs))
+        return seminorms(funcs, mesh)
+
+    monkeypatch.setattr(experiments, "gagliardo_seminorms", counted)
+    for name in ("product_sampled", "leibniz_half"):
+        assert run_experiment(name, ExperimentConfig(order=1)).passed
+    assert len(gram_builds) == 1
+    assert gram_builds[0][0] is fresh(3, 1) and gram_builds[0][1] is fresh(3, 2)
+    # only the 12 cubic products take the direct pass
+    assert len(direct) == 1 and len(direct[0]) == 12
+    assert all(isinstance(f, FeExpression) for f in direct[0])

@@ -42,8 +42,10 @@ from .norms import (
     SpectralBasis,
     boundary_sobolev_norm,
     dual_neg_half_norm,
+    dual_neg_half_norms,
     h_s_norm,
     hhat_threehalf_norm,
+    hhat_threehalf_norms,
     spectral_decomp,
     vec_dual_half_norm,
 )

@@ -67,10 +67,12 @@ from .multilinear import (
 from .norms import (
     boundary_sobolev_norm,
     dual_neg_half_norm,
+    dual_neg_half_norms,
     dual_norm_from_load,
     h1_norm,
     h_s_norm,
     hhat_threehalf_norm,
+    hhat_threehalf_norms,
     l2_norm,
     spectral_decomp,
     spectral_power_norm,
@@ -340,13 +342,13 @@ def exp_sz_error(cfg):
 
 def exp_dual_inverse(cfg):
     def level(m, rng):
-        v0, vf = [], []
-        for _ in range(8):
-            f0 = _random_interior(rng, m)
-            v0.append(np.sqrt(m.h) * l2_norm(f0) / dual_neg_half_norm(f0, "interior"))
-            f1 = _random_bulk(rng, m)
-            vf.append(np.sqrt(m.h) * l2_norm(f1) / dual_neg_half_norm(f1, "all"))
-        return [max(v0), max(vf)]
+        # the 8 pairs drawn in stream order, then one block per test space
+        f0s, f1s = zip(*[(_random_interior(rng, m), _random_bulk(rng, m)) for _ in range(8)])
+        row = []
+        for fs, dofset in ((f0s, "interior"), (f1s, "all")):
+            l2 = np.array([l2_norm(f) for f in fs])
+            row.append(float((np.sqrt(m.h) * l2 / dual_neg_half_norms(fs, dofset)).max()))
+        return row
 
     return _ladder(
         "dual_inverse", cfg, spectral_rings(cfg.levels), level,
@@ -357,11 +359,9 @@ def exp_dual_inverse(cfg):
 
 def exp_inverse_estimate(cfg):
     def level(m, rng):
-        vals = []
-        for _ in range(8):
-            u = _random_bulk(rng, m)
-            vals.append(np.sqrt(m.h) * hhat_threehalf_norm(u) / h1_norm(u))
-        return [max(vals)]
+        us = [_random_bulk(rng, m) for _ in range(8)]
+        vals = np.sqrt(m.h) * hhat_threehalf_norms(us) / np.array([h1_norm(u) for u in us])
+        return [float(vals.max())]
 
     return _ladder(
         "inverse_estimate", cfg, spectral_rings(cfg.levels), level,
@@ -399,11 +399,9 @@ def exp_h1_stability(cfg):
 
 def exp_norm_equivalence(cfg):
     def level(m, rng):
-        ratios = []
-        for _ in range(8):
-            u = _random_bulk(rng, m)
-            ratios.append(hhat_threehalf_norm(u, "all") / hhat_threehalf_norm(u))
-        return [min(ratios), max(ratios)]
+        us = [_random_bulk(rng, m) for _ in range(8)]
+        ratios = hhat_threehalf_norms(us, "all") / hhat_threehalf_norms(us)
+        return [float(ratios.min()), float(ratios.max())]
 
     return _ladder(
         "norm_equivalence", cfg, spectral_rings(cfg.levels), level,
@@ -786,8 +784,7 @@ def exp_product_sampled(cfg):
 
 def _vec_threehalf(v):
     """Euclidean norm of the zero-trace 3/2 norms of a 2-vector field's components."""
-    norms = [hhat_threehalf_norm(FeFunction(v.mesh, c)) for c in v.coeffs.T]
-    return float(np.hypot(*norms))
+    return float(np.hypot(*hhat_threehalf_norms([FeFunction(v.mesh, c) for c in v.coeffs.T])))
 
 
 def _smooth_rand_interp(mesh, rng):

@@ -59,10 +59,12 @@ class Mesh:
         if self.elements.shape[1:] != (3 * self.order,):
             raise ValueError(f"elements {self.elements.shape} are not {3 * self.order} nodes wide")
         # boundary faces: the edge slots (element, local edge) whose edge occurs
-        # once, as the directed edge and (k=2) the slot's midside node
-        directed, _, _, inv, count = _edge_table(self.elements[:, :3], self.n_nodes)
-        slots = np.nonzero(count[inv] == 1)[0]
+        # once, as the directed edge and (k=2) the slot's midside node. A k=2
+        # slot's edge is its midside node, so only k=1 needs the edge table.
+        directed = self.elements[:, TRI_EDGES].reshape(-1, 2)
         mids = self.elements[:, 3:].reshape(len(directed), self.order - 1)
+        edge = mids[:, 0] if self.order == 2 else _edge_table(self.elements, self.n_nodes)[2]
+        slots = np.nonzero(np.bincount(edge)[edge] == 1)[0]
         self.boundary_faces = np.hstack([directed, mids])[slots]
         self.face_elem, self.face_local_edge = np.divmod(slots, 3)
         bset = np.unique(self.boundary_faces.ravel())
@@ -154,14 +156,20 @@ def _inverse_2x2(jac):
     return adj / det[..., None, None], det
 
 
-def _spd_solver(A):
-    """Solve function (SuperLU factor's .solve) of a sparse SPD matrix: symmetric
-    minimum-degree ordering of A + A^T with diagonal pivots (George & Liu 1981).
-    SPD needs no pivoting, and this ordering about halves the fill of COLAMD's."""
+def _spd_factor(A, permc_spec="MMD_AT_PLUS_A"):
+    """SuperLU factor of a sparse SPD matrix with diagonal pivots. SPD needs
+    no pivoting. The default symmetric minimum-degree ordering of A + A^T
+    (George & Liu 1981) about halves the fill of COLAMD's; "NATURAL" keeps
+    an order that A already has."""
     return spla.splu(
-        A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        A.tocsc(), permc_spec=permc_spec, diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
-    ).solve
+    )
+
+
+def _spd_solver(A):
+    """Solve function of the SPD factor of A (`_spd_factor`)."""
+    return _spd_factor(A).solve
 
 
 def _norm_2x2(a):
@@ -268,15 +276,13 @@ def _orient_ccw(nodes, tris):
 
 
 def _edge_table(tris, n_nodes):
-    """The edges of vertex triangles (ne, 3) by one np.unique: the directed
-    edges (3 ne, 2) in (element, local edge) order, the sorted edge keys
-    lo * n_nodes + hi, each edge's first slot, each slot's edge, and each
-    edge's count (1 on the boundary, 2 inside)."""
+    """The edges of vertex triangles (ne, 3) by one np.unique over the slots
+    (element, local edge): the sorted edge keys lo * n_nodes + hi, each
+    edge's first slot, each slot's edge, and each edge's count (1 on the
+    boundary, 2 inside)."""
     directed = tris[:, TRI_EDGES].reshape(-1, 2)
     keys = directed.min(axis=1) * n_nodes + directed.max(axis=1)
-    return (directed,) + np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True
-    )
+    return np.unique(keys, return_index=True, return_inverse=True, return_counts=True)
 
 
 # Chord parameter of the boundary midside node before radial projection:
@@ -294,7 +300,7 @@ def _add_midside_nodes(nodes, tris, project_to_circle):
     """Upgrade a vertex mesh to order 2. Returns nodes and elements; midside
     nodes are numbered in order of first appearance, boundary ones
     projected onto the circle if asked."""
-    _, keys, first, inv, count = _edge_table(tris, len(nodes))
+    keys, first, inv, count = _edge_table(tris, len(nodes))
     n = len(nodes)
     order = np.argsort(first)
     rank = np.empty_like(order)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from h32fem import meshing
 from h32fem.assembly import (
     FeFunction,
     _contract,
@@ -256,3 +257,15 @@ def test_edge_table_matches_dict_loops(kind, n, order):
     assert same_bytes(mesh.boundary_faces, faces)
     assert same_bytes(mesh.face_elem, fe)
     assert same_bytes(mesh.face_local_edge, fl)
+
+
+@pytest.mark.parametrize("kind,n", [("disk", 6), ("square", 3)])
+def test_k2_mesh_builds_its_edge_table_once(monkeypatch, kind, n):
+    # the order-2 upgrade numbers the midside nodes from the table, and the
+    # mesh then names each edge by its midside node (the bytes of the result
+    # are pinned by test_edge_table_matches_dict_loops)
+    calls = []
+    table = meshing._edge_table
+    monkeypatch.setattr(meshing, "_edge_table", lambda *args: calls.append(1) or table(*args))
+    disk_mesh(n, 2) if kind == "disk" else build_square_mesh(n, 2)
+    assert len(calls) == 1

@@ -43,12 +43,14 @@ def _run_verify(args):
     cfg = ExperimentConfig(
         order=args.order, levels=args.levels, seed=args.seed, kappa=args.kappa
     )
-    if args.experiment != "all" and args.experiment not in REGISTRY:
-        print(
-            f"unknown experiment {args.experiment!r}; choose one of: "
-            + ", ".join(sorted(REGISTRY)),
-            file=sys.stderr,
-        )
+    # refuse a bad invocation before anything runs or is written
+    try:
+        cfg.validate()
+        if args.experiment != "all" and args.experiment not in REGISTRY:
+            raise ValueError(f"unknown experiment {args.experiment!r}; choose one of: "
+                             + ", ".join(sorted(REGISTRY)))
+    except ValueError as e:
+        print(f"h32fem verify: error: {e}", file=sys.stderr)
         return 2
     names = list(REGISTRY) if args.experiment == "all" else [args.experiment]
     all_pass = True

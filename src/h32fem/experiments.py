@@ -1,21 +1,19 @@
 """Experiment registry: one rate/ratio study per certified estimate.
 
-Seventeen experiments are mesh ladders. Each walks a ring schedule of
-disk meshes through one skeleton, `_ladder`, which looks up every mesh,
-asks the experiment's per-level function for the row that follows h
-(drawing from the experiment's one random stream, level by level),
-applies the experiment's check to the finished rows and returns
-the RateTable. An experiment therefore states only what it measures per
-level and how its rows are judged: by default every value column is
-`_bounded` (max/min <= 4 across levels, finest within x2 of level 2);
-rate studies check the slopes of their columns (`_slopes`, targets
-+-0.25, geometric lift rates +-0.3); the rest give explicit thresholds.
-The six other experiments run on fixed square meshes or on no mesh:
-algebraic identities hold to 1e-12/1e-13 and sampled inequality checks
-carry an explicit slack factor. Meshes, Gram sets, spectral operators,
-locators and overkill matrices are cached per process, so a full `verify all` run
-shares them; the norms and solvers find a function's Gram set and
-operators through its mesh, so a level passes them nothing.
+`exp_<name>(cfg)` states an experiment as a `Spec` and does no work: per
+level the key `(kind, n, order)` of the shared mesh its row is measured on
+(or `None`: no mesh, h = 1), the columns, `level(mesh, rng)` giving the
+row after h, the criterion, the gates and the column whose rate the table
+reports. A level may read further fixed meshes, which the spec does not
+list. `run_experiment` is the one runner: rows in schedule order from the
+experiment's one random stream, judged by the gates. A gate yields records
+(label, measured, lo, hi); the verdict is that each lies in its interval
+(`gate_records`). By default every value column is `bounded`; rate studies
+gate their `slopes`; the rest bound columns level by level (`at_most`).
+Meshes, Gram sets, spectral operators, locators and overkill matrices are
+cached per process, so a full `verify all` run shares them; the norms and
+solvers find a function's Gram set and operators through its mesh, so a
+level passes them nothing.
 
 Order-free experiments: `leibniz_half`, `det_identity`,
 `resolvent_identity`, `comparison_identity`, `neumann_decay`,
@@ -101,10 +99,8 @@ class ExperimentConfig:
             raise ValueError("need at least 3 refinement levels")
         if not 0.0 < self.kappa < 1.0:
             raise ValueError("kappa must lie in (0, 1)")
-
-
-def _rng(cfg, name):
-    return np.random.default_rng([cfg.seed, zlib.crc32(name.encode())])
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def get_mesh(kind, n, order):
@@ -134,56 +130,60 @@ def geometry_rings(levels, order):
     return [base * 2**i for i in range(levels)]
 
 
-def _bounded(vals):
-    """max/min <= 4 across levels; with 3+ levels, finest within x2 of level 2."""
-    arr = np.asarray(vals, dtype=float)
-    ok = arr.max() / arr.min() <= 4.0
-    if len(arr) >= 3:
-        ok = ok and 0.5 <= arr[-1] / arr[1] <= 2.0
-    return bool(ok)
+def _disks(rings, order):
+    return [("disk", n, order) for n in rings]
 
 
-def _all_bounded(rows):
-    _, *cols = zip(*rows)
-    return all(_bounded(c) for c in cols)
+def bounded():
+    """Gate on every value column: max/min <= 4 across levels and, with 3+
+    levels, finest within x2 of level 2."""
+    def records(cols):
+        for c in list(cols)[1:]:
+            v = cols[c]
+            yield f"{c} max/min", v.max() / v.min(), -np.inf, 4.0
+            if len(v) >= 3:
+                yield f"{c} last/2nd", v[-1] / v[1], 0.5, 2.0
+    return records
 
 
-def _slopes(rows):
-    """Fitted rate of every value column against h."""
-    hs, *cols = zip(*rows)
-    return [fit_rate(zip(hs, c))[0] for c in cols]
+def slopes(lo, hi, target=0.0):
+    """Gate: the fitted rate against h of each value column, less its target
+    (a number, or one per value column), lies in [lo, hi]."""
+    def records(cols):
+        for c, t in zip(list(cols)[1:], np.broadcast_to(target, len(cols) - 1)):
+            yield f"{c} slope - {t:g}", fit_rate(zip(cols["h"], cols[c]))[0] - t, lo, hi
+    return records
 
 
-def _table(name, cfg, columns, rows, slope_col, criterion, ok):
-    hs = [r[0] for r in rows]
-    if len(rows) >= 3 and slope_col is not None:
-        idx = columns.index(slope_col)
-        vals = [max(abs(r[idx]), 1e-300) for r in rows]
-        slope, r2 = fit_rate(list(zip(hs, vals)))
-    else:
-        slope, r2 = 0.0, 1.0
-    return RateTable(
-        name=name,
-        statement=REGISTRY[name][0],
-        columns=columns,
-        rows=rows,
-        fitted_slope=slope,
-        fit_r2=r2,
-        verdict="pass" if ok else "fail",
-        criterion=criterion,
-        config=asdict(cfg),
-    )
+def at_most(**bounds):
+    """Gate: at every level each named column is at most its bound, a number
+    or, level by level, another column."""
+    def records(cols):
+        for c, b in bounds.items():
+            cap = cols[b] if isinstance(b, str) else np.full(len(cols[c]), b)
+            for i, (x, y) in enumerate(zip(cols[c], cap)):
+                yield f"{c} level {i}", x, -np.inf, y
+    return records
 
 
-def _ladder(name, cfg, rings, level, columns, slope_col, criterion, check=_all_bounded):
-    """Table of rows [h, *level(mesh, rng)], one per ring count in
-    schedule order with one random stream, judged by `check(rows)`."""
-    rng = _rng(cfg, name)
-    rows = []
-    for n in rings:
-        m = get_mesh("disk", n, cfg.order)
-        rows.append([m.h, *level(m, rng)])
-    return _table(name, cfg, columns, rows, slope_col, criterion, check(rows))
+@dataclass
+class Spec:
+    """One experiment, stated before it runs."""
+
+    meshes: list            # per level the row's shared-mesh key, or None (h = 1)
+    columns: list           # "h" first
+    level: object           # level(mesh, rng) -> the row's values after h
+    criterion: str
+    gates: tuple = (bounded(),)
+    slope: str = None       # the column whose rate the table reports
+
+
+def gate_records(spec, rows):
+    """The records (label, measured, lo, hi) of every gate of `spec` on the
+    finished rows, each gate given the columns {name: values by level};
+    the verdict passes when each measured value lies in its [lo, hi]."""
+    cols = dict(zip(spec.columns, np.array(rows, dtype=float).T))
+    return [rec for gate in spec.gates for rec in gate(cols)]
 
 
 def _random_bulk(rng, mesh):
@@ -206,11 +206,11 @@ def exp_interp_rates(cfg):
         bulk = studies.bulk_interp_errors(m, studies.SMOOTH_SCALAR)
         return [*bulk, *studies.surface_interp_errors(m)]
 
-    return _ladder(
-        "interp_rates", cfg, geometry_rings(cfg.levels, k), level,
-        ["h", "bulk_l2", "bulk_h1", "surf_l2", "surf_h1"], "bulk_l2",
+    return Spec(
+        _disks(geometry_rings(cfg.levels, k), k),
+        ["h", "bulk_l2", "bulk_h1", "surf_l2", "surf_h1"], level,
         f"slopes {k+1}/{k} (bulk) and {k+1}/{k} (surface), tol 0.25",
-        lambda rows: all(abs(s - t) <= 0.25 for s, t in zip(_slopes(rows), (k + 1, k, k + 1, k))),
+        (slopes(-0.25, 0.25, [k + 1, k, k + 1, k]),), "bulk_l2",
     )
 
 
@@ -233,12 +233,11 @@ def exp_lift_consistency(cfg):
         ei = max(e[1] for e, keep in surf if keep)
         return [gl, ef, eg, eh, ei]
 
-    return _ladder(
-        "lift_consistency", cfg, geometry_rings(cfg.levels, k), level,
-        ["h", "grad_lambda", "m_bulk_err", "a_bulk_err", "m_surf_err", "a_surf_err"],
-        "grad_lambda",
+    return Spec(
+        _disks(geometry_rings(cfg.levels, k), k),
+        ["h", "grad_lambda", "m_bulk_err", "a_bulk_err", "m_surf_err", "a_surf_err"], level,
         f"grad slope {k}+-0.3; bulk form slopes {k}+-0.3; surface form slopes {k+1}+-0.3",
-        lambda rows: all(abs(s - t) <= 0.3 for s, t in zip(_slopes(rows), (k, k, k, k + 1, k + 1))),
+        (slopes(-0.3, 0.3, [k, k, k, k + 1, k + 1]),), "grad_lambda",
     )
 
 
@@ -275,11 +274,10 @@ def exp_lift_multilinear(cfg):
             abs(plain2 - lifted2) / (h1_norm(vv) * h1_norm(w)),
         ]
 
-    return _ladder(
-        "lift_multilinear", cfg, geometry_rings(cfg.levels, k), level,
-        ["h", "resid_lemma31", "resid_lemma32"], "resid_lemma31",
+    return Spec(
+        _disks(geometry_rings(cfg.levels, k), k), ["h", "resid_lemma31", "resid_lemma32"], level,
         f"normalized residual slopes >= {k}-0.3",
-        lambda rows: all(s >= k - 0.3 for s in _slopes(rows)),
+        (slopes(k - 0.3, np.inf),), "resid_lemma31",
     )
 
 
@@ -300,13 +298,11 @@ def exp_sz_projection(cfg):
         ref = nodal_interp_bulk(m, rough)
         return [proj, tr_err, one_err, h1_norm(sz_r) / max(h1_norm(ref), 1e-30)]
 
-    return _ladder(
-        "sz_projection", cfg, overkill_rings(cfg.levels), level,
-        ["h", "projection_err", "trace_err", "const_err", "h1_stability"], None,
+    return Spec(
+        _disks(overkill_rings(cfg.levels), cfg.order),
+        ["h", "projection_err", "trace_err", "const_err", "h1_stability"], level,
         "projection/trace errors <= 1e-10; constants exact; H1 stability <= 5",
-        lambda rows: all(
-            r[1] <= 1e-10 and r[2] <= 1e-10 and r[3] <= 1e-12 and r[4] <= 5.0 for r in rows
-        ),
+        (at_most(projection_err=1e-10, trace_err=1e-10, const_err=1e-12, h1_stability=5.0),),
     )
 
 
@@ -330,10 +326,10 @@ def exp_sz_error(cfg):
             ratios46.append(num / (np.sqrt(m.h) * den46))
         return [max(ratios36), max(ratios46)]
 
-    return _ladder(
-        "sz_error", cfg, overkill_rings(cfg.levels), level,
-        ["h", "ratio_lemma36", "ratio_46b"], "ratio_lemma36",
+    return Spec(
+        _disks(overkill_rings(cfg.levels), cfg.order), ["h", "ratio_lemma36", "ratio_46b"], level,
         "ratios: max/min <= 4 across levels, finest within x2 of level 2",
+        slope="ratio_lemma36",
     )
 
 
@@ -350,10 +346,11 @@ def exp_dual_inverse(cfg):
             row.append(float((np.sqrt(m.h) * l2 / dual_neg_half_norms(fs, dofset)).max()))
         return row
 
-    return _ladder(
-        "dual_inverse", cfg, spectral_rings(cfg.levels), level,
-        ["h", "ratio_zero_trace", "ratio_full"], "ratio_zero_trace",
+    return Spec(
+        _disks(spectral_rings(cfg.levels), cfg.order),
+        ["h", "ratio_zero_trace", "ratio_full"], level,
         "h^{1/2} L2-to-dual ratios bounded: max/min <= 4, finest within x2",
+        slope="ratio_zero_trace",
     )
 
 
@@ -363,10 +360,10 @@ def exp_inverse_estimate(cfg):
         vals = np.sqrt(m.h) * hhat_threehalf_norms(us) / np.array([h1_norm(u) for u in us])
         return [float(vals.max())]
 
-    return _ladder(
-        "inverse_estimate", cfg, spectral_rings(cfg.levels), level,
-        ["h", "ratio"], "ratio",
+    return Spec(
+        _disks(spectral_rings(cfg.levels), cfg.order), ["h", "ratio"], level,
         "h^{1/2} ||u||_{3/2}/||u||_{H1} bounded: max/min <= 4, finest within x2",
+        slope="ratio",
     )
 
 
@@ -384,16 +381,18 @@ def exp_h1_stability(cfg):
                 r_32.append(spectral_power_norm(sol.coeffs, 1.5, sbf) / hhat_threehalf_norm(u))
         return [max(r_sz), max(r_d), max(r_32) if r_32 else 0.0]
 
-    def check(rows):
-        ctrl = [r[3] for r in rows if r[3] > 0.0]
-        return all(r[1] <= 5.0 and r[2] <= 5.0 for r in rows) and (
-            len(ctrl) < 2 or max(ctrl) / min(ctrl) <= 4.0
-        )
+    def control(cols):
+        # vacuous: a level whose overkill mesh exceeds 4000 nodes reads 0 and
+        # is skipped, and fewer than two cells give no record
+        ctrl = cols["h32_control"][cols["h32_control"] > 0.0]
+        if len(ctrl) >= 2:
+            yield "h32_control max/min", ctrl.max() / ctrl.min(), -np.inf, 4.0
 
-    return _ladder(
-        "h1_stability", cfg, overkill_rings(cfg.levels), level,
-        ["h", "sz_h1_ratio", "lift_h1_ratio", "h32_control"], None,
-        "H1 stability ratios <= 5; overkill 3/2 control max/min <= 4", check,
+    return Spec(
+        _disks(overkill_rings(cfg.levels), cfg.order),
+        ["h", "sz_h1_ratio", "lift_h1_ratio", "h32_control"], level,
+        "H1 stability ratios <= 5; overkill 3/2 control max/min <= 4",
+        (at_most(sz_h1_ratio=5.0, lift_h1_ratio=5.0), control),
     )
 
 
@@ -403,10 +402,10 @@ def exp_norm_equivalence(cfg):
         ratios = hhat_threehalf_norms(us, "all") / hhat_threehalf_norms(us)
         return [float(ratios.min()), float(ratios.max())]
 
-    return _ladder(
-        "norm_equivalence", cfg, spectral_rings(cfg.levels), level,
-        ["h", "bracket_lo", "bracket_hi"], "bracket_hi",
+    return Spec(
+        _disks(spectral_rings(cfg.levels), cfg.order), ["h", "bracket_lo", "bracket_hi"], level,
         "full/zero-trace bracket stable: max/min <= 4, finest within x2",
+        slope="bracket_hi",
     )
 
 
@@ -420,18 +419,18 @@ def exp_interpolant_membership(cfg):
             vals.append(hhat_threehalf_norm(v) / (m.h ** (k - 0.5) + 1.0))
         return [max(vals)]
 
-    return _ladder(
-        "interpolant_membership", cfg, spectral_rings(cfg.levels), level,
-        ["h", "ratio"], "ratio",
+    return Spec(
+        _disks(spectral_rings(cfg.levels), k), ["h", "ratio"], level,
         "||interpolant||_{3/2} / (h^{k-1/2} + const) bounded: max/min <= 4",
+        slope="ratio",
     )
 
 
 # -- PDE regularity --------------------------------------------------------------
 
 
-def _regularity(cfg, name, solve, dofset, s, panel, criterion):
-    """Ladder of max ||u||_{3/2} / (dual norm of f over `dofset` + H^s norm of g),
+def _regularity(cfg, solve, dofset, s, panel, criterion):
+    """Spec of a ladder of max ||u||_{3/2} / (dual norm of f over `dofset` + H^s norm of g),
     u = solve(f, g), over the panel (draw, g1, f2, g2): f = draw(rng, mesh)
     with g = g1, and the interpolant of f2 with g = g2 (traces of interpolants)."""
     draw, g1, f2, g2 = panel
@@ -445,7 +444,10 @@ def _regularity(cfg, name, solve, dofset, s, panel, criterion):
             ratios.append(hhat_threehalf_norm(u) / den)
         return [max(ratios)]
 
-    return _ladder(name, cfg, spectral_rings(cfg.levels), level, ["h", "ratio"], "ratio", criterion)
+    return Spec(
+        _disks(spectral_rings(cfg.levels), cfg.order), ["h", "ratio"], level,
+        criterion, slope="ratio",
+    )
 
 
 def exp_dirichlet_regularity(cfg):
@@ -455,7 +457,7 @@ def exp_dirichlet_regularity(cfg):
     A restatement against the overkill solution waits for a regeneration
     of the references."""
     return _regularity(
-        cfg, "dirichlet_regularity", solve_dirichlet_fe, "interior", 1,
+        cfg, solve_dirichlet_fe, "interior", 1,
         (_random_interior, lambda p: p[:, 0] * p[:, 1],
          studies.SMOOTH_SCALAR, studies.SMOOTH_SCALAR_2),
         "||u||_{3/2}/(dual f + H1 g) bounded: max/min <= 4, finest within x2",
@@ -464,7 +466,7 @@ def exp_dirichlet_regularity(cfg):
 
 def exp_robin_regularity(cfg):
     return _regularity(
-        cfg, "robin_regularity", solve_robin_fe, "all", 0,
+        cfg, solve_robin_fe, "all", 0,
         (_random_bulk, lambda p: np.sin(2 * p[:, 0]),
          studies.SMOOTH_SCALAR_2, studies.SMOOTH_SCALAR),
         "||u||_{3/2}/(dual f + L2 g) bounded: max/min <= 4, finest within x2",
@@ -479,11 +481,10 @@ def exp_smallness(cfg):
         u = v.scaled(m.h ** (kappa + 1.5 + 0.1) / h1_norm(v))
         return [winf_like_norm(u), m.h**kappa]
 
-    return _ladder(
-        "smallness", cfg, overkill_rings(cfg.levels), level,
-        ["h", "w1inf_like", "h_pow_kappa"], "w1inf_like",
+    return Spec(
+        _disks(overkill_rings(cfg.levels), cfg.order), ["h", "w1inf_like", "h_pow_kappa"], level,
         "with ||u||_{H1} = h^{kappa+1.6}, kappa=0.5: W-norm <= h^kappa at all levels",
-        lambda rows: all(r[1] <= r[2] for r in rows),
+        (at_most(w1inf_like="h_pow_kappa"),), "w1inf_like",
     )
 
 
@@ -491,110 +492,112 @@ def exp_smallness(cfg):
 
 
 def exp_det_identity(cfg):
-    rng = _rng(cfg, "det_identity")
-    A2 = rng.normal(size=(10_000, 2, 2))
-    A3 = rng.normal(size=(2_000, 3, 3))
-    d2, d3 = np.linalg.det(A2), np.linalg.det(A3)
-    scale2, scale3 = np.maximum(np.abs(d2), 1.0), np.maximum(np.abs(d3), 1.0)
-    D2, D3 = det_form(2), det_form(3)
-    worst2 = float(np.max(np.abs(ml_eval(D2, [A2, A2]) - d2) / scale2))
-    worst3 = float(np.max(np.abs(ml_eval(D3, [A3, A3, A3]) - d3) / scale3))
-    tr = np.trace(A2, axis1=1, axis2=2)
-    worst_tr = float(np.max(np.abs(2.0 * d2 - (tr**2 - np.trace(A2 @ A2, axis1=1, axis2=2))) / scale2))
-    id3 = abs(ml_eval(D3, [np.eye(3)] * 3) - 1.0)
-    ok = worst2 <= 1e-12 and worst3 <= 1e-12 and worst_tr <= 1e-12 and id3 <= 1e-14
-    rows = [[1.0, worst2, worst3, worst_tr, id3]]
-    return _table(
-        "det_identity", cfg,
-        ["h", "det2_relerr", "det3_relerr", "trace_id_relerr", "det3_identity"],
-        rows, None, "determinant reproduction and 2det = tr^2 - tr(A^2) to 1e-12", ok,
+    def level(_mesh, rng):
+        A2 = rng.normal(size=(10_000, 2, 2))
+        A3 = rng.normal(size=(2_000, 3, 3))
+        d2, d3 = np.linalg.det(A2), np.linalg.det(A3)
+        scale2, scale3 = np.maximum(np.abs(d2), 1.0), np.maximum(np.abs(d3), 1.0)
+        D2, D3 = det_form(2), det_form(3)
+        worst2 = float(np.max(np.abs(ml_eval(D2, [A2, A2]) - d2) / scale2))
+        worst3 = float(np.max(np.abs(ml_eval(D3, [A3, A3, A3]) - d3) / scale3))
+        tr = np.trace(A2, axis1=1, axis2=2)
+        worst_tr = float(np.max(np.abs(2.0 * d2 - (tr**2 - np.trace(A2 @ A2, axis1=1, axis2=2))) / scale2))
+        id3 = abs(ml_eval(D3, [np.eye(3)] * 3) - 1.0)
+        return [worst2, worst3, worst_tr, id3]
+
+    return Spec(
+        [None], ["h", "det2_relerr", "det3_relerr", "trace_id_relerr", "det3_identity"], level,
+        "determinant reproduction and 2det = tr^2 - tr(A^2) to 1e-12",
+        (at_most(det2_relerr=1e-12, det3_relerr=1e-12, trace_id_relerr=1e-12,
+                 det3_identity=1e-14),),
     )
 
 
 def exp_resolvent_identity(cfg):
-    rng = _rng(cfg, "resolvent_identity")
-    worst = 0.0
-    for _ in range(1000):
-        A = rng.uniform(-0.2, 0.2, size=(2, 2))
-        B = rng.uniform(-0.2, 0.2, size=(2, 2))
-        worst = max(worst, resolvent_identity_residual(A, B))
-    ok = worst <= 1e-13
-    return _table(
-        "resolvent_identity", cfg,
-        ["h", "max_rel_residual"], [[1.0, worst]], None,
-        "factored resolvent difference matches direct to 1e-13 relative", ok,
+    def level(_mesh, rng):
+        worst = 0.0
+        for _ in range(1000):
+            A = rng.uniform(-0.2, 0.2, size=(2, 2))
+            B = rng.uniform(-0.2, 0.2, size=(2, 2))
+            worst = max(worst, resolvent_identity_residual(A, B))
+        return [worst]
+
+    return Spec(
+        [None], ["h", "max_rel_residual"], level,
+        "factored resolvent difference matches direct to 1e-13 relative",
+        (at_most(max_rel_residual=1e-13),),
     )
 
 
 def exp_comparison_identity(cfg):
-    rng = _rng(cfg, "comparison_identity")
-    T = ml_from_function(lambda a, b, c: np.trace(a @ b @ c), [(2, 2)] * 3)
-    worst = 0.0
-    for _ in range(100):
-        us = [rng.normal(size=(2, 2)) for _ in range(2)]
-        cs = [rng.normal(size=(2, 2)) for _ in range(2)]
-        v = rng.normal(size=(2, 2))
-        terms = comparison_decompose(T, us, cs, fixed=[v])
-        direct = ml_eval(T, us + [v]) - ml_eval(T, cs + [v])
-        scale = max(abs(direct), max(abs(t) for t in terms), 1.0)
-        worst = max(worst, abs(sum(terms) - direct) / scale)
-    # conformal and zero cases of the deformation tensor
-    conf = max(
-        float(np.abs(deformation_tensor(eps * np.eye(2))).max())
-        for eps in (-0.3, 0.2, 0.7)
-    )
-    zero = float(np.abs(deformation_tensor(np.zeros((2, 2)))).max())
-    ok = worst <= 1e-12 and conf <= 1e-14 and zero == 0.0
-    return _table(
-        "comparison_identity", cfg,
-        ["h", "max_rel_residual", "conformal_dev", "zero_dev"],
-        [[1.0, worst, conf, zero]], None,
-        "decomposition sums match differences to 1e-12; conformal vanishing", ok,
+    def level(_mesh, rng):
+        T = ml_from_function(lambda a, b, c: np.trace(a @ b @ c), [(2, 2)] * 3)
+        worst = 0.0
+        for _ in range(100):
+            us = [rng.normal(size=(2, 2)) for _ in range(2)]
+            cs = [rng.normal(size=(2, 2)) for _ in range(2)]
+            v = rng.normal(size=(2, 2))
+            terms = comparison_decompose(T, us, cs, fixed=[v])
+            direct = ml_eval(T, us + [v]) - ml_eval(T, cs + [v])
+            scale = max(abs(direct), max(abs(t) for t in terms), 1.0)
+            worst = max(worst, abs(sum(terms) - direct) / scale)
+        # conformal and zero cases of the deformation tensor
+        conf = max(
+            float(np.abs(deformation_tensor(eps * np.eye(2))).max())
+            for eps in (-0.3, 0.2, 0.7)
+        )
+        zero = float(np.abs(deformation_tensor(np.zeros((2, 2)))).max())
+        return [worst, conf, zero]
+
+    return Spec(
+        [None], ["h", "max_rel_residual", "conformal_dev", "zero_dev"], level,
+        "decomposition sums match differences to 1e-12; conformal vanishing",
+        (at_most(max_rel_residual=1e-12, conformal_dev=1e-14, zero_dev=0.0),),
     )
 
 
 def exp_neumann_decay(cfg):
-    rng = _rng(cfg, "neumann_decay")
-    worst_series = 0.0
-    for _ in range(50):
-        A = rng.uniform(-0.2, 0.2, size=(2, 2))
-        while max(abs(np.linalg.eigvals(A))) >= 0.5:
-            A *= 0.5
-        worst_series = max(
-            worst_series, float(np.abs(neumann_tail(A) - neumann_partial_sum(A, 50)).max())
-        )
-    # sampled power decay for FE matrix fields, operator-norm sense
-    m = get_mesh("square", 3, 1)
-    worst_op = 0.0
-    entrywise_flags = 0
-    for _ in range(100):
-        comps = [
-            nodal_interp_bulk(m, lambda p, c=rng.normal(size=3): c[0] + c[1] * p[:, 0] + c[2] * p[:, 1])
-            for _ in range(4)
-        ]
-        vals = np.stack([eval_on_elements(c)[0] for c in comps], axis=-1)
-        A = vals.reshape(*vals.shape[:2], 2, 2)
-        sup = _norm_2x2(A).max()
-        A = A * (0.25 / max(sup, 1e-30))
-        P = A.copy()
-        for npow in range(2, 7):
-            P = np.einsum("eqxy,eqyz->eqxz", P, A)
-            worst_op = max(
-                worst_op,
-                _norm_2x2(P).max() / (4.0 ** (1 - npow) * 0.25),
+    def level(_mesh, rng):
+        worst_series = 0.0
+        for _ in range(50):
+            A = rng.uniform(-0.2, 0.2, size=(2, 2))
+            while max(abs(np.linalg.eigvals(A))) >= 0.5:
+                A *= 0.5
+            worst_series = max(
+                worst_series, float(np.abs(neumann_tail(A) - neumann_partial_sum(A, 50)).max())
             )
-        # entrywise-max version can fail; count it as a flag, not a failure
-        sup_ent = np.abs(A).max()
-        Aent = A * (0.25 / sup_ent) if sup_ent > 0 else A
-        Pe = np.einsum("eqxy,eqyz->eqxz", Aent, Aent)
-        if np.abs(Pe).max() > 0.25 * np.abs(Aent).max() + 1e-15:
-            entrywise_flags += 1
-    ok = worst_series <= 1e-12 and worst_op <= 1.0 + 1e-12
-    return _table(
-        "neumann_decay", cfg,
-        ["h", "series_residual", "op_norm_decay_ratio", "entrywise_flags"],
-        [[1.0, worst_series, worst_op, float(entrywise_flags)]], None,
-        "50-term series to 1e-12; ||A^n|| <= 4^{1-n}||A|| in operator norm", ok,
+        # sampled power decay for FE matrix fields, operator-norm sense
+        m = get_mesh("square", 3, 1)
+        worst_op = 0.0
+        entrywise_flags = 0
+        for _ in range(100):
+            comps = [
+                nodal_interp_bulk(m, lambda p, c=rng.normal(size=3): c[0] + c[1] * p[:, 0] + c[2] * p[:, 1])
+                for _ in range(4)
+            ]
+            vals = np.stack([eval_on_elements(c)[0] for c in comps], axis=-1)
+            A = vals.reshape(*vals.shape[:2], 2, 2)
+            sup = _norm_2x2(A).max()
+            A = A * (0.25 / max(sup, 1e-30))
+            P = A.copy()
+            for npow in range(2, 7):
+                P = np.einsum("eqxy,eqyz->eqxz", P, A)
+                worst_op = max(
+                    worst_op,
+                    _norm_2x2(P).max() / (4.0 ** (1 - npow) * 0.25),
+                )
+            # entrywise-max version can fail; count it as a flag, not a failure
+            sup_ent = np.abs(A).max()
+            Aent = A * (0.25 / sup_ent) if sup_ent > 0 else A
+            Pe = np.einsum("eqxy,eqyz->eqxz", Aent, Aent)
+            if np.abs(Pe).max() > 0.25 * np.abs(Aent).max() + 1e-15:
+                entrywise_flags += 1
+        return [worst_series, worst_op, float(entrywise_flags)]
+
+    return Spec(
+        [None], ["h", "series_residual", "op_norm_decay_ratio", "entrywise_flags"], level,
+        "50-term series to 1e-12; ||A^n|| <= 4^{1-n}||A|| in operator norm",
+        (at_most(series_residual=1e-12, op_norm_decay_ratio=1.0 + 1e-12),),
     )
 
 
@@ -616,30 +619,26 @@ def _square_half_seminorms(nside, c1, combine=None):
 def exp_leibniz_half(cfg):
     """u, v are P1 on the affine square, so uv is P2 on the same triangulation:
     all 600 seminorms are quadratic forms in one Gagliardo Gram matrix."""
-    rng = _rng(cfg, "leibniz_half")
-    m = get_mesh("square", 3, 1)
-    c = rng.normal(size=(400, 6)).T[:, None, :]   # cu, cv of each of the 200 pairs
-    x, y = m.nodes[:, 0, None], m.nodes[:, 1, None]
-    c1 = (
-        c[0] + c[1] * x + c[2] * y + c[3] * x**2 + c[4] * x * y + c[5] * y**2
-    )                                   # (n_nodes, 400) nodal values: u, v, u, v, ...
-
     def with_products(c2):
         u2, v2 = c2[:, 0::2], c2[:, 1::2]
         return np.stack([u2, v2, u2 * v2], axis=2).reshape(len(c2), 600)
 
-    semi = _square_half_seminorms(3, c1, with_products)
-    gu, gv, gp = semi[0::3], semi[1::3], semi[2::3]
-    sup = np.abs(bulk_quad_data(m)["phi"] @ c1[m.elements]).max(axis=(0, 1))
-    rhs = np.sqrt(2.0) * (gu * sup[1::2] + gv * sup[0::2]) * 1.05
-    worst = float(np.max(gp / rhs))
-    violations = int(np.count_nonzero(gp > rhs))
-    ok = violations == 0
-    return _table(
-        "leibniz_half", cfg,
-        ["h", "worst_lhs_over_rhs", "violations"],
-        [[m.h, worst, float(violations)]], None,
-        "|uv| <= sqrt(2)(|u| ||v||_inf + |v| ||u||_inf) x 1.05 on 200 pairs", ok,
+    def level(m, rng):
+        c = rng.normal(size=(400, 6)).T[:, None, :]   # cu, cv of each of the 200 pairs
+        x, y = m.nodes[:, 0, None], m.nodes[:, 1, None]
+        c1 = (
+            c[0] + c[1] * x + c[2] * y + c[3] * x**2 + c[4] * x * y + c[5] * y**2
+        )                                   # (n_nodes, 400) nodal values: u, v, u, v, ...
+        semi = _square_half_seminorms(3, c1, with_products)
+        gu, gv, gp = semi[0::3], semi[1::3], semi[2::3]
+        sup = np.abs(bulk_quad_data(m)["phi"] @ c1[m.elements]).max(axis=(0, 1))
+        rhs = np.sqrt(2.0) * (gu * sup[1::2] + gv * sup[0::2]) * 1.05
+        return [float(np.max(gp / rhs)), float(np.count_nonzero(gp > rhs))]
+
+    return Spec(
+        [("square", 3, 1)], ["h", "worst_lhs_over_rhs", "violations"], level,
+        "|uv| <= sqrt(2)(|u| ||v||_inf + |v| ||u||_inf) x 1.05 on 200 pairs",
+        (at_most(violations=0),),
     )
 
 
@@ -661,19 +660,18 @@ def exp_duality_sampled(cfg):
         comp = float(np.hypot(h_s_norm(z1, 0.5), h_s_norm(z2, 0.5)))
         return [dual_norm_from_load(b[sbi.ids], sbi) / comp, dual_norm_from_load(b[sb.ids], sb) / comp]
 
-    return _ladder(
-        "duality_sampled", cfg, spectral_rings(cfg.levels), level,
-        ["h", "ratio_zero_trace", "ratio_full"], "ratio_full",
+    return Spec(
+        _disks(spectral_rings(cfg.levels), cfg.order),
+        ["h", "ratio_zero_trace", "ratio_full"], level,
         "gradient-pairing dual norm / componentwise H^{1/2} bounded",
+        slope="ratio_full",
     )
 
 
 def exp_l2_product(cfg):
-    rng = _rng(cfg, "l2_product")
     slack = 10.0
-    rows = []
-    for nside in (2, 4):
-        m = get_mesh("square", nside, 1)
+
+    def level(m, rng):
         qd = bulk_quad_data(m)
         worst = 0.0
         for _ in range(50):
@@ -698,24 +696,21 @@ def exp_l2_product(cfg):
                 + l2_norm(sh[1]) * (inf(vals_u[0] - cs[0]) + abs(cs[0]))
             ) * inf(vals_v)
             worst = max(worst, lhs2 / (slack * rhs2))
-        rows.append([m.h, worst])
-    rows.sort(key=lambda r: -r[0])
-    ok = all(r[1] <= 1.0 for r in rows)
-    return _table(
-        "l2_product", cfg,
-        ["h", "worst_lhs_over_slack_rhs"], rows, None,
-        "L2 product and comparison estimates hold with slack factor 10", ok,
+        return [worst]
+
+    return Spec(
+        [("square", 2, 1), ("square", 4, 1)], ["h", "worst_lhs_over_slack_rhs"], level,
+        "L2 product and comparison estimates hold with slack factor 10",
+        (at_most(worst_lhs_over_slack_rhs=1.0),),
     )
 
 
-def exp_product_sampled(cfg):
-    k = cfg.order
-    kappa = cfg.kappa
-    rng = _rng(cfg, "product_sampled")
-    # (a) continuous-style product estimate with the Gagliardo oracle on
-    # a tiny square mesh. The P1 inputs' seminorms are quadratic forms in
-    # the cached Gram matrix; only the cubic products, which lie in no
-    # Lagrange space, take the direct pass.
+def _oracle_worst(rng):
+    """Part (a) of `product_sampled`: the continuous-style product estimate
+    with the Gagliardo oracle on a tiny square mesh, worst ratio to its
+    slack-10 bound over 12 samples. The P1 inputs' seminorms are quadratic
+    forms in the cached Gram matrix; only the cubic products, which lie in
+    no Lagrange space, take the direct pass."""
     m = get_mesh("square", 3, 1)
     slack = 10.0
     worst_cont = 0.0
@@ -737,6 +732,13 @@ def exp_product_sampled(cfg):
         w_half_inf = max(studies.sampled_whalf_inf(v1), inf_of(v1))
         rhs = (np.hypot(g1a, g1b) * vec_inf(u2) + np.hypot(g2a, g2b) * vec_inf(u1)) * w_half_inf
         worst_cont = max(worst_cont, gp / (slack * rhs))
+    return worst_cont
+
+
+def exp_product_sampled(cfg):
+    k = cfg.order
+    kappa = cfg.kappa
+    worst_cont = None
 
     # (b) discrete flavor with the dual H^{1/2} norm across disk levels.
     # The u-slots are mesh-scale oscillations rescaled so the sampled
@@ -744,6 +746,11 @@ def exp_product_sampled(cfg):
     # the coarsest ring level cannot resolve such an oscillation, so the
     # window starts one step later.
     def level(md, rng):
+        nonlocal worst_cont
+        # part (a) runs once, at the first level, from the runner's stream;
+        # that is why its square meshes are not among the spec's `meshes`
+        if worst_cont is None:
+            worst_cont = _oracle_worst(rng)
         vstar = nodal_interp_bulk(md, lambda p: np.cos(p[:, 0] - 0.4 * p[:, 1]))
         _, gv = eval_on_elements(vstar)
         level_ratios = []
@@ -773,12 +780,12 @@ def exp_product_sampled(cfg):
             level_ratios.append(lhs / rhs)
         return [max(level_ratios), worst_cont]
 
-    return _ladder(
-        "product_sampled", cfg, overkill_rings(cfg.levels + 1)[1:], level,
-        ["h", "discrete_ratio", "oracle_worst"], "discrete_ratio",
+    # the constant oracle column is bounded by construction
+    return Spec(
+        _disks(overkill_rings(cfg.levels + 1)[1:], k),
+        ["h", "discrete_ratio", "oracle_worst"], level,
         "oracle product estimate with slack 10; discrete ratio max/min <= 4, finest within x2",
-        # the constant oracle column is bounded by construction
-        lambda rows: worst_cont <= 1.0 and _all_bounded(rows),
+        (at_most(oracle_worst=1.0), bounded()), "discrete_ratio",
     )
 
 
@@ -828,10 +835,10 @@ def exp_deformation_discrete(cfg):
         ratios.append(abs(dE) / (den0 * h_s_norm(z, 0.5)))
         return [max(ratios)]
 
-    return _ladder(
-        "deformation_discrete", cfg, overkill_rings(cfg.levels), level,
-        ["h", "ratio"], "ratio",
+    return Spec(
+        _disks(overkill_rings(cfg.levels), k), ["h", "ratio"], level,
         "|deformed - original| / ((||e||_{3/2} + h^{k-1/2+kappa}) ||z||_{1/2}): max/min <= 4, finest within x2",
+        slope="ratio",
     )
 
 
@@ -873,10 +880,10 @@ def exp_deformation_continuous(cfg):
         w32inf = sampled_w1inf(w_i)
         return [abs(dE) / (w32inf * p32 * zhalf)]
 
-    return _ladder(
-        "deformation_continuous", cfg, spectral_rings(cfg.levels), level,
-        ["h", "ratio"], "ratio",
+    return Spec(
+        _disks(spectral_rings(cfg.levels), cfg.order), ["h", "ratio"], level,
         "continuous-surrogate deformation ratio bounded: max/min <= 4",
+        slope="ratio",
     )
 
 
@@ -908,11 +915,27 @@ REGISTRY = {
 
 
 def run_experiment(name, cfg=None):
-    """Run one registered experiment and return its RateTable."""
+    """Run one registered experiment and return its RateTable: the rows of
+    its spec in schedule order from one random stream, judged by its gates."""
     if cfg is None:
         cfg = ExperimentConfig()
     cfg.validate()
     if name not in REGISTRY:
         raise KeyError(f"unknown experiment {name!r}")
-    return REGISTRY[name][1](cfg)
+    statement, build = REGISTRY[name]
+    spec = build(cfg)
+    rng = np.random.default_rng([cfg.seed, zlib.crc32(name.encode())])
+    rows = []
+    for key in spec.meshes:
+        m = None if key is None else get_mesh(*key)
+        rows.append([1.0 if m is None else m.h, *spec.level(m, rng)])
+    passed = all(lo <= x <= hi for _, x, lo, hi in gate_records(spec, rows))
+    slope, r2 = 0.0, 1.0
+    if spec.slope is not None:
+        i = spec.columns.index(spec.slope)
+        slope, r2 = fit_rate([(r[0], max(abs(r[i]), 1e-300)) for r in rows])
+    return RateTable(
+        name, statement, spec.columns, rows, slope, r2,
+        "pass" if passed else "fail", spec.criterion, asdict(cfg),
+    )
 

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from h32fem.cli import main
 from h32fem.experiments import REGISTRY, ExperimentConfig, run_experiment
 from h32fem.harness import table_from_json
 
@@ -52,6 +53,21 @@ def test_config_validation():
         run_experiment("det_identity", ExperimentConfig(order=3))
     with pytest.raises(ValueError):
         run_experiment("det_identity", ExperimentConfig(kappa=0.0))
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        run_experiment("det_identity", ExperimentConfig(seed=-1))
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "seed must be non-negative"),
+    ("--levels", "2", "need at least 3 refinement levels"),
+    ("--kappa", "1.5", "kappa must lie in (0, 1)"),
+])
+def test_cli_refuses_an_invalid_config_before_running(tmp_path, capsys, flag, value, message):
+    # exit code 2, not the "verdict failed" 1, and no table written
+    out = tmp_path / "out"
+    assert main(["verify", "all", flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"h32fem verify: error: {message}\n"
+    assert not out.exists()
 
 
 def test_deformation_smallness_guard_fails_before_the_operator(monkeypatch):

@@ -7,6 +7,7 @@ next to the mesh, and `lifting` needs nothing from `assembly`. The mesh
 derives its boundary from its elements, so its constructor takes none. The Gram set is `grams_of(mesh)` and the operator
 `spectral_decomp` of it, so no public function takes either next to an FE
 function; only the operator builders and the vector-level norms do.
+Rate tables come from one runner, `experiments.run_experiment`.
 """
 
 import ast
@@ -61,9 +62,8 @@ def test_no_public_function_takes_a_locator():
     assert found == []
 
 
-def test_only_locator_of_constructs_a_locator():
-    # every locator is the one cached on its mesh, so its clamp counters
-    # cover every point located in that mesh
+def constructors_of(cls_name):
+    """The top-level functions, methods or modules of h32fem that call `cls_name`."""
     found = []
     for module in h32fem_modules():
         for top in ast.parse(inspect.getsource(module)).body:
@@ -72,9 +72,23 @@ def test_only_locator_of_constructs_a_locator():
             for scope in scopes:
                 for node in ast.walk(scope):
                     callee = getattr(node, "func", None)
-                    if getattr(callee, "id", getattr(callee, "attr", None)) == "MeshLocator":
+                    if getattr(callee, "id", getattr(callee, "attr", None)) == cls_name:
                         found.append(f"{module.__name__}.{getattr(scope, 'name', '<module>')}")
-    assert found == ["h32fem.lifting.locator_of"]
+    return found
+
+
+def test_only_locator_of_constructs_a_locator():
+    # every locator is the one cached on its mesh, so its clamp counters
+    # cover every point located in that mesh
+    assert constructors_of("MeshLocator") == ["h32fem.lifting.locator_of"]
+
+
+def test_only_run_experiment_constructs_a_rate_table():
+    # one runner: every table is measured, gated and fitted in one place; the
+    # JSON reader only rebuilds a table that was already written
+    assert sorted(constructors_of("RateTable")) == [
+        "h32fem.experiments.run_experiment", "h32fem.harness.table_from_json",
+    ]
 
 
 def test_mesh_constructor_takes_no_boundary():

@@ -14,7 +14,7 @@ from .assembly import (
     trace,
     zero_function,
 )
-from .experiments import ExperimentConfig, run_experiment, REGISTRY
+from .experiments import ExperimentConfig, run_experiment, run_plan, REGISTRY
 from .gagliardo import gagliardo_gram, gagliardo_half_oracle, gagliardo_seminorms
 from .harness import RateTable, emit, fit_rate
 from .interp import (

@@ -4,7 +4,7 @@ import argparse
 import os
 import sys
 
-from .experiments import REGISTRY, ExperimentConfig, run_experiment
+from .experiments import REGISTRY, ExperimentConfig, run_experiment, run_plan
 from .harness import emit
 
 
@@ -52,10 +52,10 @@ def _run_verify(args):
     except ValueError as e:
         print(f"h32fem verify: error: {e}", file=sys.stderr)
         return 2
-    names = list(REGISTRY) if args.experiment == "all" else [args.experiment]
+    runs = (run_plan(list(REGISTRY), cfg) if args.experiment == "all"
+            else [(args.experiment, run_experiment(args.experiment, cfg))])
     all_pass = True
-    for name in names:
-        table = run_experiment(name, cfg)
+    for name, table in runs:
         all_pass &= table.passed
         if args.experiment == "all":
             path = os.path.join(args.out, f"{name}.{args.format}")

@@ -4,16 +4,17 @@
 level the key `(kind, n, order)` of the shared mesh its row is measured on
 (or `None`: no mesh, h = 1), the columns, `level(mesh, rng)` giving the
 row after h, the criterion, the gates and the column whose rate the table
-reports. A level may read further fixed meshes, which the spec does not
-list. `run_experiment` is the one runner: rows in schedule order from the
+reports, and the further shared meshes its levels read (`reads`).
+`run_experiment` is the one runner: rows in schedule order from the
 experiment's one random stream, judged by the gates. A gate yields records
 (label, measured, lo, hi); the verdict is that each lies in its interval
 (`gate_records`). By default every value column is `bounded`; rate studies
 gate their `slopes`; the rest bound columns level by level (`at_most`).
-Meshes, Gram sets, spectral operators, locators and overkill matrices are
-cached per process, so a full `verify all` run shares them; the norms and
-solvers find a function's Gram set and operators through its mesh, so a
-level passes them nothing.
+Gram sets, spectral operators, locators and overkill matrices are cached
+on their mesh and the meshes in one store, so the experiments of a run
+share them; `run_plan` releases each mesh and its caches after the last
+experiment that declares it. The norms and solvers find a function's Gram
+set and operators through its mesh, so a level passes them nothing.
 
 Order-free experiments: `leibniz_half`, `det_identity`,
 `resolvent_identity`, `comparison_identity`, `neumann_decay`,
@@ -44,6 +45,7 @@ from .basis import tri_ref_nodes, tri_shape
 from .gagliardo import FeExpression, gagliardo_gram, gagliardo_seminorms
 from .harness import RateTable, fit_rate
 from .interp import (
+    OVERKILL_LEVEL,
     dirichlet_lift,
     sampled_w1inf,
     scott_zhang,
@@ -51,7 +53,7 @@ from .interp import (
     winf_like_norm,
 )
 from .lifting import grad_lambda_inf_error
-from .meshing import _inverse_2x2, _norm_2x2, shared_mesh
+from .meshing import _inverse_2x2, _norm_2x2, release_meshes, shared_mesh
 from .multilinear import (
     comparison_decompose,
     deformation_tensor,
@@ -134,6 +136,11 @@ def _disks(rings, order):
     return [("disk", n, order) for n in rings]
 
 
+def _overkill(keys):
+    """The keys of the overkill meshes (`interp.overkill_mesh`) of the meshes `keys`."""
+    return [(kind, n * 2**OVERKILL_LEVEL, order) for kind, n, order in keys]
+
+
 def bounded():
     """Gate on every value column: max/min <= 4 across levels and, with 3+
     levels, finest within x2 of level 2."""
@@ -176,6 +183,11 @@ class Spec:
     criterion: str
     gates: tuple = (bounded(),)
     slope: str = None       # the column whose rate the table reports
+    reads: list = ()        # the further shared-mesh keys the levels read
+
+    def mesh_keys(self):
+        """Every shared-mesh key a run of this spec reads."""
+        return {*self.meshes, *self.reads} - {None}
 
 
 def gate_records(spec, rows):
@@ -326,10 +338,11 @@ def exp_sz_error(cfg):
             ratios46.append(num / (np.sqrt(m.h) * den46))
         return [max(ratios36), max(ratios46)]
 
+    meshes = _disks(overkill_rings(cfg.levels), cfg.order)
     return Spec(
-        _disks(overkill_rings(cfg.levels), cfg.order), ["h", "ratio_lemma36", "ratio_46b"], level,
+        meshes, ["h", "ratio_lemma36", "ratio_46b"], level,
         "ratios: max/min <= 4 across levels, finest within x2 of level 2",
-        slope="ratio_lemma36",
+        slope="ratio_lemma36", reads=_overkill(meshes),
     )
 
 
@@ -388,11 +401,11 @@ def exp_h1_stability(cfg):
         if len(ctrl) >= 2:
             yield "h32_control max/min", ctrl.max() / ctrl.min(), -np.inf, 4.0
 
+    meshes = _disks(overkill_rings(cfg.levels), cfg.order)
     return Spec(
-        _disks(overkill_rings(cfg.levels), cfg.order),
-        ["h", "sz_h1_ratio", "lift_h1_ratio", "h32_control"], level,
+        meshes, ["h", "sz_h1_ratio", "lift_h1_ratio", "h32_control"], level,
         "H1 stability ratios <= 5; overkill 3/2 control max/min <= 4",
-        (at_most(sz_h1_ratio=5.0, lift_h1_ratio=5.0), control),
+        (at_most(sz_h1_ratio=5.0, lift_h1_ratio=5.0), control), reads=_overkill(meshes),
     )
 
 
@@ -481,10 +494,11 @@ def exp_smallness(cfg):
         u = v.scaled(m.h ** (kappa + 1.5 + 0.1) / h1_norm(v))
         return [winf_like_norm(u), m.h**kappa]
 
+    meshes = _disks(overkill_rings(cfg.levels), cfg.order)
     return Spec(
-        _disks(overkill_rings(cfg.levels), cfg.order), ["h", "w1inf_like", "h_pow_kappa"], level,
+        meshes, ["h", "w1inf_like", "h_pow_kappa"], level,
         "with ||u||_{H1} = h^{kappa+1.6}, kappa=0.5: W-norm <= h^kappa at all levels",
-        (at_most(w1inf_like="h_pow_kappa"),), "w1inf_like",
+        (at_most(w1inf_like="h_pow_kappa"),), "w1inf_like", reads=_overkill(meshes),
     )
 
 
@@ -598,6 +612,7 @@ def exp_neumann_decay(cfg):
         [None], ["h", "series_residual", "op_norm_decay_ratio", "entrywise_flags"], level,
         "50-term series to 1e-12; ||A^n|| <= 4^{1-n}||A|| in operator norm",
         (at_most(series_residual=1e-12, op_norm_decay_ratio=1.0 + 1e-12),),
+        reads=[("square", 3, 1)],
     )
 
 
@@ -638,7 +653,7 @@ def exp_leibniz_half(cfg):
     return Spec(
         [("square", 3, 1)], ["h", "worst_lhs_over_rhs", "violations"], level,
         "|uv| <= sqrt(2)(|u| ||v||_inf + |v| ||u||_inf) x 1.05 on 200 pairs",
-        (at_most(violations=0),),
+        (at_most(violations=0),), reads=[("square", 3, 2)],
     )
 
 
@@ -748,7 +763,7 @@ def exp_product_sampled(cfg):
     def level(md, rng):
         nonlocal worst_cont
         # part (a) runs once, at the first level, from the runner's stream;
-        # that is why its square meshes are not among the spec's `meshes`
+        # that is why its square meshes are among the spec's `reads`
         if worst_cont is None:
             worst_cont = _oracle_worst(rng)
         vstar = nodal_interp_bulk(md, lambda p: np.cos(p[:, 0] - 0.4 * p[:, 1]))
@@ -786,6 +801,7 @@ def exp_product_sampled(cfg):
         ["h", "discrete_ratio", "oracle_worst"], level,
         "oracle product estimate with slack 10; discrete ratio max/min <= 4, finest within x2",
         (at_most(oracle_worst=1.0), bounded()), "discrete_ratio",
+        reads=[("square", 3, 1), ("square", 3, 2)],
     )
 
 
@@ -939,3 +955,12 @@ def run_experiment(name, cfg=None):
         "pass" if passed else "fail", spec.criterion, asdict(cfg),
     )
 
+
+def run_plan(names, cfg):
+    """Run the named experiments in order, yielding (name, table); after each,
+    release the stored meshes no remaining spec declares (`Spec.mesh_keys`).
+    A mesh read undeclared is built again, at a cost in time only."""
+    keys = [REGISTRY[name][1](cfg).mesh_keys() for name in names]
+    for i, name in enumerate(names):
+        yield name, run_experiment(name, cfg)
+        release_meshes(set().union(*keys[i + 1:]))

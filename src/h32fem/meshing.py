@@ -14,7 +14,6 @@ exists as an exact-geometry test mode: the boundary is resolved exactly and
 the geometric lift is the identity there.
 """
 
-import functools
 import json
 from dataclasses import dataclass, field
 
@@ -129,7 +128,8 @@ class Mesh:
 
 
 def _cached(owner, key, build):
-    """build() once per (owner, key); the result lives as long as the owner.
+    """build() once per (owner, key); the result lives as long as the owner,
+    or until `release_meshes` drops the owner's store.
 
     The store sits on the owner (a Mesh or GramSet), so derived artifacts
     are shared by everything that holds the same object.
@@ -333,10 +333,25 @@ def disk_mesh(n_rings, order=1):
     return _finish_mesh(nodes, tris, order, "disk", project_to_circle=True)
 
 
-@functools.cache
+_MESHES = {}    # the shared meshes by key (kind, n, order)
+
+
 def shared_mesh(kind, n, order):
-    """The process-wide disk (n rings) or square (n per side) mesh, built once."""
-    return disk_mesh(n, order) if kind == "disk" else build_square_mesh(n, order)
+    """The stored disk (n rings) or square (n per side) mesh, built when absent."""
+    key = (kind, n, order)
+    if key not in _MESHES:
+        _MESHES[key] = disk_mesh(n, order) if kind == "disk" else build_square_mesh(n, order)
+    return _MESHES[key]
+
+
+def release_meshes(keep):
+    """Drop every stored mesh whose key is not in `keep`, with the caches on
+    it and on its Gram sets. Those caches hold the mesh back (`GramSet.mesh`,
+    `LiftMap.mesh`, `MeshLocator.mesh`); cut, they let reference counting
+    free the mesh and all built from it once no caller holds the mesh."""
+    for key in set(_MESHES) - set(keep):
+        for artifact in _MESHES.pop(key).__dict__.pop("_cache", {}).values():
+            getattr(artifact, "__dict__", {}).pop("_cache", None)
 
 
 def build_disk_mesh(target_h, order=1):

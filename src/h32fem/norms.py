@@ -78,6 +78,9 @@ INTERIOR = "interior"
 QUAD_TOL = 1e-10
 # Largest pencil (in DOFs) the dense oracle solves.
 DENSE_EIG_NODE_CAP = 20000
+# Largest size of one operator's N factors, estimated from the first before
+# the others are made: 4x the registry's largest at --levels 5 (249 MiB, k=2).
+FACTOR_BUDGET_BYTES = 2**30
 
 
 def inv_sqrt_quadrature(bound):
@@ -148,6 +151,12 @@ def _operator(dofset, ids, M_full, A_full, bound):
     K = M + A_full[np.ix_(ids, ids)]
     shifts, weights = inv_sqrt_quadrature(bound)
     first = _spd_factor(K + shifts[0] * M)
+    estimate = len(shifts) * first.nnz * 12    # 8-byte values, 4-byte indices
+    if estimate > FACTOR_BUDGET_BYTES:
+        raise ValueError(
+            f"{dofset} pencil with {len(ids)} DOFs: {len(shifts)} factors of about "
+            f"{estimate / 2**20:.1f} MiB exceed the budget of {FACTOR_BUDGET_BYTES / 2**20:.1f} MiB"
+        )
     perm = np.argsort(first.perm_c)
     Kp, Mp = K[perm][:, perm], M[perm][:, perm]
     factors = [first] + [_spd_factor(Kp + s * Mp, "NATURAL") for s in shifts[1:]]

@@ -76,7 +76,7 @@ def solve_robin_fe(f_h, g_h):
 
 def refined_copy(mesh, factor):
     """The same domain meshed `factor` times finer (same order), from the
-    process-wide mesh cache, so it is the ladder's mesh of that size."""
+    mesh store, so it is the ladder's mesh of that size."""
     # 6 n^2 elements on a disk of n rings, 2 n^2 on a square of n per side
     n = int(round(np.sqrt(mesh.n_elements / (6 if mesh.domain_kind == "disk" else 2))))
     return shared_mesh(mesh.domain_kind, n * factor, mesh.order)

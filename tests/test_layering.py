@@ -62,19 +62,39 @@ def test_no_public_function_takes_a_locator():
     assert found == []
 
 
-def constructors_of(cls_name):
-    """The top-level functions, methods or modules of h32fem that call `cls_name`."""
-    found = []
+def scopes():
+    """(module name, node) of every top-level statement and function of
+    h32fem, and of the methods of its classes."""
     for module in h32fem_modules():
         for top in ast.parse(inspect.getsource(module)).body:
-            # top-level statements and functions, and the methods of classes
-            scopes = top.body if isinstance(top, ast.ClassDef) else [top]
-            for scope in scopes:
-                for node in ast.walk(scope):
-                    callee = getattr(node, "func", None)
-                    if getattr(callee, "id", getattr(callee, "attr", None)) == cls_name:
-                        found.append(f"{module.__name__}.{getattr(scope, 'name', '<module>')}")
-    return found
+            for scope in top.body if isinstance(top, ast.ClassDef) else [top]:
+                yield module.__name__, scope
+
+
+def _name(node):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def constructors_of(cls_name):
+    """The top-level functions, methods or modules of h32fem that call `cls_name`."""
+    return [
+        f"{module}.{getattr(scope, 'name', '<module>')}"
+        for module, scope in scopes()
+        for node in ast.walk(scope)
+        if _name(getattr(node, "func", None)) == cls_name
+    ]
+
+
+def memoized_functions():
+    """The functions of h32fem, nested ones too, decorated with functools'
+    `cache` or `lru_cache` (bare or called)."""
+    return [
+        f"{module}.{node.name}"
+        for module, scope in scopes()
+        for node in ast.walk(scope)
+        for deco in getattr(node, "decorator_list", [])
+        if _name(getattr(deco, "func", deco)) in ("cache", "lru_cache")
+    ]
 
 
 def test_only_locator_of_constructs_a_locator():
@@ -89,6 +109,14 @@ def test_only_run_experiment_constructs_a_rate_table():
     assert sorted(constructors_of("RateTable")) == [
         "h32fem.experiments.run_experiment", "h32fem.harness.table_from_json",
     ]
+
+
+def test_no_process_cache_holds_a_mesh_or_what_is_built_from_one():
+    # meshes live in the store a run releases (`meshing.release_meshes`) and
+    # what is built from a mesh is cached on it; a functools cache would hold
+    # either to the end of the process. The Duffy layout is keyed by the
+    # quadrature degree alone.
+    assert memoized_functions() == ["h32fem.gagliardo._duffy_layout"]
 
 
 def test_mesh_constructor_takes_no_boundary():

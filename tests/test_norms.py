@@ -365,3 +365,30 @@ def test_dense_eig_cap_refuses_before_eigh(monkeypatch, tmp_path):
         disk_mesh(n, order) if kind == "disk" else build_square_mesh(n, order)
     ))
     assert cli.main(["verify", "all", "--levels", "3", "--out", str(tmp_path)]) == 0
+
+
+def test_operator_refuses_factors_over_the_budget_after_the_first(monkeypatch):
+    factored = []
+
+    def counted(*args):
+        factored.append(args)
+        return _spd_factor(*args)
+
+    monkeypatch.setattr(norms, "_spd_factor", counted)
+    mesh = disk_mesh(3, 1)
+    sb = spectral_decomp(assemble_grams(mesh))
+    count = len(sb.shifts)
+    assert len(factored) == count
+    # the estimate: N factors of the first one's nonzeros, 12 bytes each
+    estimate = count * sb.factors[0].nnz * 12
+    monkeypatch.setattr(norms, "FACTOR_BUDGET_BYTES", estimate - 1)
+    factored.clear()
+    with pytest.raises(ValueError, match=(
+        rf"all pencil with {mesh.n_nodes} DOFs: {count} factors of about "
+        rf"{estimate / 2**20:.1f} MiB exceed the budget of {(estimate - 1) / 2**20:.1f} MiB"
+    )):
+        spectral_decomp(assemble_grams(mesh))
+    assert len(factored) == 1
+    # an estimate at the budget is built
+    monkeypatch.setattr(norms, "FACTOR_BUDGET_BYTES", estimate)
+    assert len(spectral_decomp(assemble_grams(mesh)).factors) == count

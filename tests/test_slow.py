@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from h32fem import experiments, norms
+from h32fem import experiments, meshing, norms
 from h32fem.assembly import FeFunction, grams_of
 from h32fem.cli import main
-from h32fem.experiments import REGISTRY, ExperimentConfig, overkill_rings, run_experiment
-from h32fem.harness import table_from_json
+from h32fem.experiments import REGISTRY, ExperimentConfig, overkill_rings, run_experiment, run_plan
+from h32fem.harness import render_csv, table_from_json
 from h32fem.interp import overkill_mesh, sz_via_dirichlet
 from h32fem.lifting import locator_of
 from h32fem.meshing import shared_mesh
@@ -30,7 +30,7 @@ _spec.loader.exec_module(reference)
 
 @pytest.mark.slow
 def test_verify_all_order2_levels5_passes(tmp_path):
-    # k=2 at one level past the default: about 13 s and 1.9 GB peak on 2 cores
+    # k=2 at one level past the default: about 10 s and 0.9 GB peak on 2 cores
     assert main(["verify", "all", "--order", "2", "--levels", "5",
                  "--format", "json", "--out", str(tmp_path)]) == 0
     for name in REGISTRY:
@@ -51,6 +51,19 @@ def test_verify_all_passes_the_reference_check(order, seed, tmp_path):
     failed = {name: problems for name, (bad, problems) in result.items() if bad}
     assert not failed, failed
     assert code == 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("order", [1, 2])
+def test_run_order_changes_no_table(order, monkeypatch):
+    # the reverse run releases its meshes in another sequence; each run
+    # starts from an empty mesh store
+    cfg = ExperimentConfig(order=order)
+    runs = []
+    for names in (list(REGISTRY), list(REGISTRY)[::-1]):
+        monkeypatch.setattr(meshing, "_MESHES", {})
+        runs.append({name: render_csv(table) for name, table in run_plan(names, cfg)})
+    assert runs[0] == runs[1]
 
 
 # -- negative controls: a mutated norm must flip the verdict of the gate that

@@ -1,13 +1,17 @@
-"""Experiments as specs: building one builds nothing, and a verdict is the
-conjunction of its gate records (label, measured, lo, hi)."""
+"""Experiments as specs: building one builds nothing, a verdict is the
+conjunction of its gate records (label, measured, lo, hi), and a run plan
+builds each mesh a spec declares once and frees it after its last reader."""
 
+import gc
 import importlib.util
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from h32fem import experiments
+from h32fem import experiments, meshing
 from h32fem.experiments import (
     REGISTRY,
     ExperimentConfig,
@@ -17,9 +21,11 @@ from h32fem.experiments import (
     gate_records,
     geometry_rings,
     overkill_rings,
+    run_plan,
     slopes,
     spectral_rings,
 )
+from test_layering import h32fem_modules
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 _spec = importlib.util.spec_from_file_location("reference", _PERFBENCH / "reference.py")
@@ -31,7 +37,7 @@ REFERENCE_TABLES = sorted((_PERFBENCH / "reference").glob("*/seed*/*.csv"))
 
 def expected_meshes(name, cfg):
     """Per level, the mesh each experiment measured its row on before it
-    was a spec (fixed meshes a level reads besides are not listed)."""
+    was a spec (the further meshes a level reads are the spec's `reads`)."""
     L, k = cfg.levels, cfg.order
     fixed = {
         "l2_product": [("square", 2, 1), ("square", 4, 1)],
@@ -138,3 +144,74 @@ def test_slope_targets_are_compared_as_deviations():
     (_, sa, lo, hi), (_, sb, _, _) = gate_records(spec, np.column_stack([h, h**0.65, h**1.25]))
     assert (sa, sb) == (pytest.approx(-0.35), pytest.approx(0.25))
     assert not lo <= sa <= hi and lo <= sb <= hi
+
+
+# -- the run plan: declared meshes, one build each, released after the last reader
+
+# The Gagliardo Gram cached on the P1 square holds its P2 space (an entry keeps
+# its space object, `gagliardo_gram`), so that mesh lives as long as the P1 one.
+HELD_BY = {("square", 3, 2): ("square", 3, 1)}
+
+
+@pytest.fixture(scope="module", params=[1, 2])
+def plan_run(request):
+    """`verify all --levels 3` through the plan on an empty mesh store with the
+    garbage collector off: the config, the shared-mesh keys each experiment
+    requested, the builds per key, and after each release the keys whose
+    mesh is still alive."""
+    cfg = ExperimentConfig(order=request.param, levels=3)
+    requested, builds, refs, alive = [], Counter(), [], []
+    shared, release = meshing.shared_mesh, experiments.release_meshes
+
+    def recording(*key):
+        requested.append(key)
+        return shared(*key)
+
+    def counting(kind, build):
+        def built(n, order):
+            mesh = build(n, order)
+            builds[kind, n, order] += 1
+            refs.append(((kind, n, order), weakref.ref(mesh)))
+            return mesh
+        return built
+
+    def releasing(keep):
+        release(keep)
+        alive.append({key for key, ref in refs if ref() is not None})
+
+    reads = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(meshing, "_MESHES", {})
+        mp.setattr(meshing, "disk_mesh", counting("disk", meshing.disk_mesh))
+        mp.setattr(meshing, "build_square_mesh", counting("square", meshing.build_square_mesh))
+        mp.setattr(experiments, "release_meshes", releasing)
+        for module in h32fem_modules():
+            for attr, value in list(vars(module).items()):
+                if value is shared:
+                    mp.setattr(module, attr, recording)
+        gc.disable()   # a mesh must die by reference counting alone
+        try:
+            for name, _ in run_plan(list(REGISTRY), cfg):
+                reads[name] = set(requested)
+                requested.clear()
+        finally:
+            gc.enable()
+    return cfg, reads, builds, alive
+
+
+def test_every_mesh_a_level_reads_is_declared(plan_run):
+    cfg, reads, _, _ = plan_run
+    assert list(reads) == list(REGISTRY)
+    for name, (_, build) in REGISTRY.items():
+        assert reads[name] == build(cfg).mesh_keys(), name
+
+
+def test_each_mesh_is_built_once_and_dies_after_its_last_reader(plan_run):
+    cfg, _, builds, alive = plan_run
+    declared = [build(cfg).mesh_keys() for _, build in REGISTRY.values()]
+    assert builds == Counter(set().union(*declared))
+    assert len(alive) == len(REGISTRY)
+    for i, name in enumerate(REGISTRY):
+        remaining = set().union(*declared[i + 1:])
+        unread = {key for key in alive[i] if remaining.isdisjoint({key, HELD_BY.get(key)})}
+        assert unread == set(), name

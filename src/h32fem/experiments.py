@@ -10,9 +10,10 @@ experiment's one random stream, judged by the gates. A gate yields records
 (label, measured, lo, hi); the verdict is that each lies in its interval
 (`gate_records`). By default every value column is `bounded`; rate studies
 gate their `slopes`; the rest bound columns level by level (`at_most`).
-Gram sets, spectral operators, locators and overkill matrices are cached
-on their mesh and the meshes in one store, so the experiments of a run
-share them; `run_plan` releases each mesh and its caches after the last
+Gram sets, operators, locators, overkill matrices and Gagliardo Grams
+are cached on the mesh they derive from, and meshes (overkill ones by
+`interp.overkill_key`) in one store, so the experiments of a run share
+them; `run_plan` releases each mesh and its cache after the last
 experiment that declares it. The norms and solvers find a function's Gram
 set and operators through its mesh, so a level passes them nothing.
 
@@ -45,15 +46,15 @@ from .basis import tri_ref_nodes, tri_shape
 from .gagliardo import FeExpression, gagliardo_gram, gagliardo_seminorms
 from .harness import RateTable, fit_rate
 from .interp import (
-    OVERKILL_LEVEL,
     dirichlet_lift,
+    overkill_key,
     sampled_w1inf,
     scott_zhang,
     sz_via_dirichlet,
     winf_like_norm,
 )
 from .lifting import grad_lambda_inf_error
-from .meshing import _inverse_2x2, _norm_2x2, release_meshes, shared_mesh
+from .meshing import _inverse_2x2, _norm_2x2, dof_map, release_meshes, shared_mesh
 from .multilinear import (
     comparison_decompose,
     deformation_tensor,
@@ -138,7 +139,7 @@ def _disks(rings, order):
 
 def _overkill(keys):
     """The keys of the overkill meshes (`interp.overkill_mesh`) of the meshes `keys`."""
-    return [(kind, n * 2**OVERKILL_LEVEL, order) for kind, n, order in keys]
+    return [overkill_key(key) for key in keys]
 
 
 def bounded():
@@ -621,14 +622,15 @@ def exp_neumann_decay(cfg):
 
 def _square_half_seminorms(nside, c1, combine=None):
     """Gagliardo seminorms on the order-1 square mesh `nside` as quadratic
-    forms in the cached Gram matrix of its P2 space: the P1 nodal values c1
-    (one function per column) map exactly to P2 coefficients c2, and each
+    forms in its cached P2 Gram matrix: the P1 nodal values c1 (one
+    function per column) map exactly to P2 coefficients c2, and each
     column c of combine(c2) (c2 by default) gives sqrt(max(0, c^T G c))."""
-    m, m2 = get_mesh("square", nside, 1), get_mesh("square", nside, 2)
-    c2 = np.empty((m2.n_nodes, c1.shape[1]))
-    c2[m2.elements] = tri_shape(1, tri_ref_nodes(2)) @ c1[m.elements]
+    m = get_mesh("square", nside, 1)
+    dofs = dof_map(m, 2)
+    c2 = np.empty((dofs.max() + 1, c1.shape[1]))
+    c2[dofs] = tri_shape(1, tri_ref_nodes(2)) @ c1[m.elements]
     C = c2 if combine is None else combine(c2)
-    return np.sqrt(np.maximum(0.0, np.sum(C * (gagliardo_gram(m, m2) @ C), axis=0)))
+    return np.sqrt(np.maximum(0.0, np.sum(C * (gagliardo_gram(m, 2) @ C), axis=0)))
 
 
 def exp_leibniz_half(cfg):
@@ -653,7 +655,7 @@ def exp_leibniz_half(cfg):
     return Spec(
         [("square", 3, 1)], ["h", "worst_lhs_over_rhs", "violations"], level,
         "|uv| <= sqrt(2)(|u| ||v||_inf + |v| ||u||_inf) x 1.05 on 200 pairs",
-        (at_most(violations=0),), reads=[("square", 3, 2)],
+        (at_most(violations=0),),
     )
 
 
@@ -763,7 +765,7 @@ def exp_product_sampled(cfg):
     def level(md, rng):
         nonlocal worst_cont
         # part (a) runs once, at the first level, from the runner's stream;
-        # that is why its square meshes are among the spec's `reads`
+        # that is why its square mesh is among the spec's `reads`
         if worst_cont is None:
             worst_cont = _oracle_worst(rng)
         vstar = nodal_interp_bulk(md, lambda p: np.cos(p[:, 0] - 0.4 * p[:, 1]))
@@ -801,7 +803,7 @@ def exp_product_sampled(cfg):
         ["h", "discrete_ratio", "oracle_worst"], level,
         "oracle product estimate with slack 10; discrete ratio max/min <= 4, finest within x2",
         (at_most(oracle_worst=1.0), bounded()), "discrete_ratio",
-        reads=[("square", 3, 1), ("square", 3, 2)],
+        reads=[("square", 3, 1)],
     )
 
 

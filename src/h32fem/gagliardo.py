@@ -17,7 +17,7 @@ elements. Each class is one pass over geometry blocks (element pairs, or
 elements times outer points), all sized from one byte budget. Two
 mechanisms share these blocks, their rules and their kernel weights:
 
-* `gagliardo_gram` assembles, per (mesh, Lagrange space), the matrix G
+* `gagliardo_gram` assembles, per (mesh, Lagrange order), the matrix G
   with |u|^2 = c^T G c for every coefficient vector c. Each block adds
   sum W d d^T over its point pairs, with d = phi(x) - phi(y) the basis
   differences: for separated pairs the DOFs the two elements share are
@@ -25,7 +25,7 @@ mechanisms share these blocks, their rules and their kernel weights:
   the Duffy reference points, so a block is one GEMM W @ (d x d). The
   difference form keeps the large, cancelling near-singular products out
   of G. G is symmetric positive semidefinite with constants in its kernel.
-  It is cached per (mesh, space object), read-only, and shared by its two
+  It is cached on the mesh per order, read-only, and shared by its two
   consumers, `product_sampled` and `leibniz_half`.
 * `gagliardo_seminorms` is the direct pass, for pointwise inputs in no
   Lagrange space (FeExpressions such as cubic products, callables; FE
@@ -47,7 +47,7 @@ import functools
 import numpy as np
 
 from .basis import TRI_EDGES, TRI_VERTS, tri_shape
-from .meshing import _cached, batched_geometry
+from .meshing import _cached, batched_geometry, dof_map
 from .quadrature import default_degree, edge_rule, triangle_rule
 
 MAX_ELEMENTS = 500
@@ -236,40 +236,27 @@ def gagliardo_seminorms(funcs, mesh):
     return np.sqrt(total)
 
 
-def gagliardo_gram(mesh, space):
+def gagliardo_gram(mesh, order):
     """Dense Gram matrix G of the squared seminorm: |u|^2 = c^T G c.
 
-    c is the coefficient vector of u in the Lagrange space whose DOF map is
-    space.elements (a mesh of any order on the triangulation of `mesh`,
-    `mesh` itself included). The pairs, rules and geometry are those of
-    `gagliardo_seminorms(., mesh)`. G is cached on `mesh` per space object
-    and returned read-only: an entry holds its space and is found only by
-    that very object (`is`), never by an equal or renumbered one.
+    c is the coefficient vector of u in the order-`order` Lagrange space on
+    the triangulation of `mesh`, numbered by `meshing.dof_map`. The pairs,
+    rules and geometry are those of `gagliardo_seminorms(., mesh)`. G is
+    cached on `mesh` per order and returned read-only.
     """
-    entries = _cached(mesh, "gagliardo_gram", list)
-    for owner, G in entries:
-        if owner is space:
-            return G
-    G = _assemble_gram(mesh, space)
-    G.flags.writeable = False
-    entries.append((space, G))
-    return G
+    return _cached(mesh, ("gagliardo_gram", order), lambda: _assemble_gram(mesh, order))
 
 
-def _assemble_gram(mesh, space):
+def _assemble_gram(mesh, order):
     """The uncached G of `gagliardo_gram`."""
     _check_size(mesh)
-    if space.elements.shape[0] != mesh.n_elements or np.any(
-        space.elements[:, :3] != mesh.elements[:, :3]
-    ):
-        raise ValueError("the space must share the triangulation of the mesh")
-    dofs = space.elements
+    dofs = dof_map(mesh, order)
     nb = dofs.shape[1]
-    G = np.zeros((space.n_nodes, space.n_nodes))
+    G = np.zeros((dofs.max() + 1,) * 2)
     own = np.zeros((mesh.n_elements, nb, nb))
     # separated: merged d, its K-weighted copy, kernel, distance (per point pair);
     # identical: d and d x d per reference point pair
-    for x, y, J, same in _pair_blocks(mesh, space.order, 8 * (4 * nb + 4), 32, 8 * nb * (nb + 1)):
+    for x, y, J, same in _pair_blocks(mesh, order, 8 * (4 * nb + 4), 32, 8 * nb * (nb + 1)):
         (phi_x, ex, _, _), (phi_y, ey, _, _) = x, y
         K = _kernel(x, y, J).reshape(len(ex), -1)
         if same:
@@ -289,7 +276,9 @@ def _assemble_gram(mesh, space):
         loc = np.concatenate([dofs[ex], dofs[ey]], axis=1)
         np.add.at(G, (loc[:, :, None], loc[:, None, :]), local)
     np.add.at(G, (dofs[:, :, None], dofs[:, None, :]), own)
-    return 0.5 * (G + G.T)
+    G = 0.5 * (G + G.T)
+    G.flags.writeable = False
+    return G
 
 
 def gagliardo_half_oracle(u, mesh=None):

@@ -30,9 +30,9 @@ from .assembly import (
 )
 from .basis import tri_edge_ref_points, tri_shape
 from .lifting import lift_mixed, locator_of
-from .meshing import _cached, _spd_solver
+from .meshing import _cached, _spd_solver, shared_mesh
 from .quadrature import default_degree
-from .solvers import _dirichlet_solve, refined_copy
+from .solvers import _dirichlet_solve
 
 
 # -- Scott-Zhang -------------------------------------------------------------
@@ -123,7 +123,6 @@ def dirichlet_riesz_data(u_h):
 # Every fixed point set is located once, and each linear transfer (lifted
 # source load, lifted trace, Scott-Zhang of the pulled-back lift) is one sparse
 # matrix cached on the coarse mesh, so what remains per call is one product.
-# The overkill mesh refines the coarse one 2**OVERKILL_LEVEL times.
 
 OVERKILL_LEVEL = 2
 
@@ -137,10 +136,18 @@ def _evaluation_matrix(mesh, elems, refs):
     )
 
 
+def overkill_key(key):
+    """The store key of the overkill mesh of the shared mesh `key` = (kind, n,
+    order): the same domain and order refined 2**OVERKILL_LEVEL times."""
+    kind, n, order = key
+    return kind, n * 2**OVERKILL_LEVEL, order
+
+
 def overkill_mesh(mesh):
-    """The overkill mesh of a coarse mesh: the same domain refined
-    2**OVERKILL_LEVEL times (the ladder's shared mesh of that size)."""
-    fine = refined_copy(mesh, 2**OVERKILL_LEVEL)
+    """The overkill mesh of a coarse mesh: the stored mesh at its `overkill_key`."""
+    # 6 n^2 elements on a disk of n rings, 2 n^2 on a square of n per side
+    n = int(round(np.sqrt(mesh.n_elements / (6 if mesh.domain_kind == "disk" else 2))))
+    fine = shared_mesh(*overkill_key((mesh.domain_kind, n, mesh.order)))
     if fine.h > mesh.h / 2**OVERKILL_LEVEL + 1e-12:
         raise RuntimeError("overkill refinement did not reduce h as expected")
     return fine

@@ -317,6 +317,17 @@ def _add_midside_nodes(nodes, tris, project_to_circle):
     return np.vstack([nodes, mids]), np.hstack([tris, (n + rank[inv]).reshape(-1, 3)])
 
 
+def dof_map(mesh, order):
+    """Element-to-DOF table of the order-`order` Lagrange space on the mesh's
+    triangulation: its elements at its own order, for P2 over P1 the numbering
+    an order-2 mesh of that triangulation gets; other pairs are refused."""
+    if order == mesh.order:
+        return mesh.elements
+    if (mesh.order, order) != (1, 2):
+        raise ValueError(f"no order-{order} DOF map over an order-{mesh.order} mesh")
+    return _add_midside_nodes(mesh.nodes, mesh.elements, False)[1]
+
+
 def _finish_mesh(nodes, tris, order, domain_kind, project_to_circle):
     tris = _orient_ccw(nodes, tris.copy())
     if order == 2:
@@ -345,13 +356,12 @@ def shared_mesh(kind, n, order):
 
 
 def release_meshes(keep):
-    """Drop every stored mesh whose key is not in `keep`, with the caches on
-    it and on its Gram sets. Those caches hold the mesh back (`GramSet.mesh`,
-    `LiftMap.mesh`, `MeshLocator.mesh`); cut, they let reference counting
-    free the mesh and all built from it once no caller holds the mesh."""
+    """Drop every stored mesh whose key is not in `keep`, with its cache, which
+    closes the only cycles through it (`GramSet.mesh`, `LiftMap.mesh`, ...;
+    nothing cached on a Gram set refers back to the set); reference counting
+    then frees the mesh and all built from it once no caller holds it."""
     for key in set(_MESHES) - set(keep):
-        for artifact in _MESHES.pop(key).__dict__.pop("_cache", {}).values():
-            getattr(artifact, "__dict__", {}).pop("_cache", None)
+        _MESHES.pop(key).__dict__.pop("_cache", None)
 
 
 def build_disk_mesh(target_h, order=1):

@@ -1,11 +1,11 @@
-"""Discrete Dirichlet/Robin solvers, overkill meshes, deformed energies.
+"""Discrete Dirichlet/Robin solvers and deformed energies.
 
 All systems are symmetric positive definite and are solved by a sparse
 direct factorization (deterministic for a fixed matrix). The "continuous"
 solution operators are realized on an overkill mesh a fixed number of
-uniform refinements finer than the working mesh; with two refinements the
-surrogate error sits an order below every O(h^{1/2}) and O(h^k) quantity
-the experiments measure.
+uniform refinements finer than the working mesh (`interp.overkill_mesh`);
+with two refinements the surrogate error sits an order below every
+O(h^{1/2}) and O(h^k) quantity the experiments measure.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ from .assembly import (
     eval_on_elements,
     grams_of,
 )
-from .meshing import Mesh, _cached, _det_2x2, _spd_solver, shared_mesh
+from .meshing import Mesh, _cached, _det_2x2, _spd_solver
 from .multilinear import deformation_tensor
 
 
@@ -69,17 +69,6 @@ def solve_robin_fe(f_h, g_h):
     grams, R = grams_of(mesh), trace_matrix(mesh)
     rhs = grams.M_bulk @ f_h.coeffs + R.T @ (grams.M_surf @ g_h.coeffs)
     return FeFunction(mesh, _robin_solver(grams)(rhs), BULK)
-
-
-# -- overkill meshes ---------------------------------------------------------
-
-
-def refined_copy(mesh, factor):
-    """The same domain meshed `factor` times finer (same order), from the
-    mesh store, so it is the ladder's mesh of that size."""
-    # 6 n^2 elements on a disk of n rings, 2 n^2 on a square of n per side
-    n = int(round(np.sqrt(mesh.n_elements / (6 if mesh.domain_kind == "disk" else 2))))
-    return shared_mesh(mesh.domain_kind, n * factor, mesh.order)
 
 
 # -- deformed Dirichlet energy ----------------------------------------------

@@ -1,7 +1,5 @@
 import functools
-import gc
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +14,7 @@ from h32fem.gagliardo import (
     gagliardo_half_oracle,
     gagliardo_seminorms,
 )
-from h32fem.meshing import Mesh, build_square_mesh, disk_mesh, shared_mesh
+from h32fem.meshing import Mesh, build_square_mesh, dof_map, shared_mesh
 from h32fem.quadrature import default_degree, edge_rule, triangle_rule
 
 
@@ -310,12 +308,13 @@ def test_peak_memory_does_not_grow_with_the_leaves_of_expressions():
 # -- the Gram matrix against the direct pass ------------------------------------
 
 
-def _p1_to_p2(c1, m1, m2):
+def _p1_to_p2(c1, m1):
     """P2 coefficients of P1 functions (columns of c1): edge midpoints average."""
-    c2 = np.empty((m2.n_nodes,) + c1.shape[1:])
-    c2[m2.elements[:, :3]] = c1[m1.elements]
+    dofs = dof_map(m1, 2)
+    c2 = np.empty((dofs.max() + 1,) + c1.shape[1:])
+    c2[dofs[:, :3]] = c1[m1.elements]
     for i, (a, b) in enumerate(TRI_EDGES):
-        c2[m2.elements[:, 3 + i]] = 0.5 * (c1[m1.elements[:, a]] + c1[m1.elements[:, b]])
+        c2[dofs[:, 3 + i]] = 0.5 * (c1[m1.elements[:, a]] + c1[m1.elements[:, b]])
     return c2
 
 
@@ -332,7 +331,7 @@ def test_gram_matches_direct_pass(kind, n, order):
     rng = np.random.default_rng(3)
     C = rng.normal(size=(mesh.n_nodes, 6))
     C[:, 3:] += 20.0
-    got = _quadratic_form_seminorms(gagliardo_gram(mesh, mesh), C)
+    got = _quadratic_form_seminorms(gagliardo_gram(mesh, order), C)
     ref = gagliardo_seminorms([FeFunction(mesh, c) for c in C.T], mesh)
     assert np.abs(got / ref - 1.0).max() <= 1e-12
 
@@ -341,7 +340,7 @@ def test_gram_of_p2_space_matches_products_on_p1_mesh():
     # on the affine square, products of P1 functions are P2 on the same
     # triangulation: the P2 Gram matrix over the P1 mesh's rules reproduces
     # the direct pass over the FeExpression products
-    m1, m2 = get_mesh("square", 3, 1), get_mesh("square", 3, 2)
+    m1 = get_mesh("square", 3, 1)
     rng = np.random.default_rng(4)
     c1 = rng.normal(size=(m1.n_nodes, 8))
     c1[:, 4:] += 20.0
@@ -351,79 +350,37 @@ def test_gram_of_p2_space_matches_products_on_p1_mesh():
         FeExpression(lambda a, b: a * b, [us[4], us[5]]),
         FeExpression(lambda a, b, c: a * b + c, [us[6], us[7], us[2]]),
     ]
-    c2 = _p1_to_p2(c1, m1, m2)
+    c2 = _p1_to_p2(c1, m1)
     C = np.column_stack(
         [c2[:, 0], c2[:, 1], c2[:, 2], c2[:, 0] * c2[:, 1], c2[:, 4] * c2[:, 5],
          c2[:, 6] * c2[:, 7] + c2[:, 2]]
     )
-    got = _quadratic_form_seminorms(gagliardo_gram(m1, m2), C)
+    got = _quadratic_form_seminorms(gagliardo_gram(m1, 2), C)
     ref = gagliardo_seminorms(funcs, m1)
     assert np.abs(got / ref - 1.0).max() <= 1e-12
 
 
-def _renumbered(space, permute):
-    """The space with its edge DOF ids permuted (`permute` of their ascending
-    array), and the map old id -> new id."""
-    vertices = np.unique(space.elements[:, :3])
-    edges = np.setdiff1d(np.arange(space.n_nodes), vertices)
-    new_id = np.arange(space.n_nodes)
-    new_id[edges] = permute(edges)
-    nodes = np.empty_like(space.nodes)
-    nodes[new_id] = space.nodes
-    return Mesh(nodes, new_id[space.elements], 2, "square"), new_id
-
-
-def _same_up_to_rounding(a, b):
-    return np.allclose(a, b, rtol=0.0, atol=1e-13 * np.abs(b).max())
-
-
-def test_gram_follows_the_dof_map_of_the_space():
-    # two P2 spaces over the P1 square that differ only in the numbering of
-    # their edge DOFs: G of the renumbered space is G renumbered, and each
-    # space keeps its own cached G
-    m1, m2 = build_square_mesh(3, 1), build_square_mesh(3, 2)
-    renumbered, new_id = _renumbered(m2, lambda e: e[::-1])
-    G, G_renumbered = gagliardo_gram(m1, m2), gagliardo_gram(m1, renumbered)
-    assert not np.allclose(G, G_renumbered)
-    assert _same_up_to_rounding(G_renumbered[np.ix_(new_id, new_id)], G)
-    assert gagliardo_gram(m1, m2) is G and gagliardo_gram(m1, renumbered) is G_renumbered
-
-
-def test_gram_is_cached_per_space_object_and_read_only():
-    m1, m2 = build_square_mesh(3, 1), build_square_mesh(3, 2)
-    G = gagliardo_gram(m1, m2)
-    assert gagliardo_gram(m1, m2) is G
+def test_gram_is_cached_per_mesh_and_order_and_read_only(gram_builds):
+    m1 = build_square_mesh(3, 1)
+    G = gagliardo_gram(m1, 2)
+    assert gagliardo_gram(m1, 2) is G
     assert not G.flags.writeable
     with pytest.raises(ValueError):
         G[0, 0] = 1.0
-    # an equal space that is another object gets its own build
-    twin = build_square_mesh(3, 2)
-    G_twin = gagliardo_gram(m1, twin)
+    # the mesh's own order is another entry; an equal mesh that is another
+    # object gets its own build
+    assert gagliardo_gram(m1, 1).shape == (m1.n_nodes, m1.n_nodes)
+    twin = build_square_mesh(3, 1)
+    G_twin = gagliardo_gram(twin, 2)
     assert G_twin is not G and np.array_equal(G_twin, G)
-
-
-def test_gram_of_a_space_rebuilt_after_collection_is_its_own():
-    # spaces built, used and dropped one after another: each gets the G of
-    # its own DOF numbering, never the entry of an earlier, dropped space
-    # (whose id a later object could reuse once it is collected)
-    m1, m2 = build_square_mesh(3, 1), build_square_mesh(3, 2)
-    G = gagliardo_gram(m1, m2)
-    for shift in (3, 7, 11):
-        space, new_id = _renumbered(m2, lambda e: np.roll(e, shift))
-        dropped = weakref.ref(space)
-        G_space = gagliardo_gram(m1, space)
-        assert _same_up_to_rounding(G_space[np.ix_(new_id, new_id)], G)
-        del space, G_space
-        gc.collect()
-        # the entry holds its space, so no later object can share its id
-        assert dropped() is not None
+    assert [(mesh, order) for mesh, order in gram_builds] == [(m1, 2), (m1, 1), (twin, 2)]
 
 
 @pytest.mark.parametrize("space", [("square", 3, 2), ("disk", 2, 2)])
 def test_gram_is_symmetric_psd_with_constants_in_kernel(space):
     kind, n, order = space
     mesh = get_mesh(kind, n, 1 if kind == "square" else order)
-    G = gagliardo_gram(mesh, get_mesh(kind, n, order))
+    G = gagliardo_gram(mesh, order)
     norm = np.linalg.norm(G, 2)
     assert np.array_equal(G, G.T)
     assert np.linalg.eigvalsh(G).min() >= -1e-13 * norm
@@ -432,50 +389,51 @@ def test_gram_is_symmetric_psd_with_constants_in_kernel(space):
 
 @pytest.fixture()
 def gram_builds(monkeypatch):
-    """The (mesh, space) of every uncached Gram build while the test runs."""
+    """The (mesh, order) of every uncached Gram build while the test runs."""
     builds, build = [], gagliardo._assemble_gram
 
-    def counted(mesh, space):
-        builds.append((mesh, space))
-        return build(mesh, space)
+    def counted(mesh, order):
+        builds.append((mesh, order))
+        return build(mesh, order)
 
     monkeypatch.setattr(gagliardo, "_assemble_gram", counted)
     return builds
 
 
 def test_gram_peak_memory_is_bounded_by_block_budget(gram_builds):
-    m1, m2 = build_square_mesh(3, 1), build_square_mesh(3, 2)
+    m1 = build_square_mesh(3, 1)
     sq2 = build_square_mesh(2, 1)
-    gagliardo_gram(sq2, sq2)    # fills the per-degree Duffy layout cache
+    gagliardo_gram(sq2, 1)    # fills the per-degree Duffy layout cache
     tracemalloc.start()
     try:
-        gagliardo_gram(m1, m2)
+        gagliardo_gram(m1, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # fresh meshes: a real build was measured, not a cache hit
-    assert len(gram_builds) == 2 and gram_builds[1][0] is m1 and gram_builds[1][1] is m2
+    # a fresh mesh: a real build was measured, not a cache hit
+    assert len(gram_builds) == 2 and gram_builds[1][0] is m1 and gram_builds[1][1] == 2
     assert peak < 16 * gagliardo._BLOCK_BYTES
 
 
-def test_gram_refuses_other_triangulations_and_large_meshes(gram_builds):
+def test_gram_refuses_unsupported_orders_and_large_meshes(gram_builds):
     sq1, sq2 = build_square_mesh(3, 1), build_square_mesh(3, 2)
-    reordered = Mesh(sq2.nodes, sq2.elements[::-1], 2, "square")
-    with pytest.raises(ValueError):
-        gagliardo_gram(sq1, reordered)
-    with pytest.raises(ValueError):
-        gagliardo_gram(sq1, disk_mesh(2, 2))
+    # only the mesh's own order, or P2 over a P1 mesh
+    for mesh, order in ((sq2, 1), (sq1, 3), (sq2, 3)):
+        with pytest.raises(ValueError, match="DOF map"):
+            gagliardo_gram(mesh, order)
     big = build_square_mesh(40, 1)      # 3,200 elements > MAX_ELEMENTS, 1,681 nodes
-    # refused before G (22 MB here) or any other mesh-sized array is made
+    # refused before G (22 MB at order 1) or any other mesh-sized array,
+    # the P2 DOF map included, is made
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError):
-            gagliardo_gram(big, big)
+        for order in (1, 2):
+            with pytest.raises(ValueError, match="too large"):
+                gagliardo_gram(big, order)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # every call reached the builder: fresh meshes, no cache hit
-    assert len(gram_builds) == 3
+    assert len(gram_builds) == 5
     assert peak < gagliardo._BLOCK_BYTES
 
 
@@ -488,8 +446,16 @@ def test_gram_route_matches_direct_pass_on_the_product_panel():
     m = get_mesh("square", 3, 1)
     rng = np.random.default_rng(5)
     us = [experiments._smooth_rand_interp(m, rng) for _ in range(60)]
-    got = experiments._square_half_seminorms(3, np.column_stack([u.coeffs for u in us]))
+    c1 = np.column_stack([u.coeffs for u in us])
+    got = experiments._square_half_seminorms(3, c1)
     ref = gagliardo_seminorms(us, m)
+    assert np.all(ref > 0.0)
+    assert np.abs(got / ref - 1.0).max() <= 1e-12
+    # leibniz_half's route: products u v of P1 pairs, formed from the nodal
+    # P2 coefficients by `combine`, against the direct pass over the products
+    got = experiments._square_half_seminorms(3, c1, lambda c2: c2[:, 0::2] * c2[:, 1::2])
+    products = [FeExpression(lambda a, b: a * b, us[i:i + 2]) for i in range(0, 60, 2)]
+    ref = gagliardo_seminorms(products, m)
     assert np.all(ref > 0.0)
     assert np.abs(got / ref - 1.0).max() <= 1e-12
 
@@ -511,7 +477,7 @@ def test_product_sampled_then_leibniz_half_build_one_gram(monkeypatch, gram_buil
     for name in ("product_sampled", "leibniz_half"):
         assert run_experiment(name, ExperimentConfig(order=1)).passed
     assert len(gram_builds) == 1
-    assert gram_builds[0][0] is fresh(3, 1) and gram_builds[0][1] is fresh(3, 2)
+    assert gram_builds[0][0] is fresh(3, 1) and gram_builds[0][1] == 2
     # only the 12 cubic products take the direct pass
     assert len(direct) == 1 and len(direct[0]) == 12
     assert all(isinstance(f, FeExpression) for f in direct[0])

@@ -10,7 +10,7 @@ from h32fem.interp import (
     winf_like_norm,
 )
 from h32fem.lifting import lift_of
-from h32fem.meshing import build_square_mesh, disk_mesh
+from h32fem.meshing import build_square_mesh, disk_mesh, shared_mesh
 from h32fem.solvers import solve_dirichlet_fe
 
 
@@ -286,21 +286,29 @@ def test_overkill_locators_use_the_meshes_own_lifts():
     # the overkill mesh is the ladder's shared mesh of that size, and every
     # mesh has one locator, which reads the same cached lift as everything
     # else on that mesh
-    from h32fem.interp import OVERKILL_LEVEL, overkill_mesh
+    from h32fem.interp import overkill_key, overkill_mesh
     from h32fem.lifting import locator_of
-    from h32fem.solvers import refined_copy
 
     m = disk_mesh(3, 1)
     fine = overkill_mesh(m)
-    assert fine is refined_copy(m, 2**OVERKILL_LEVEL)
-    assert locator_of(fine) is locator_of(refined_copy(m, 4))
+    assert fine is shared_mesh(*overkill_key(("disk", 3, 1)))
+    assert locator_of(fine) is locator_of(shared_mesh("disk", 12, 1))
     assert locator_of(fine).lift is lift_of(fine)
     assert locator_of(m).lift is lift_of(m)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_overkill_mesh_is_the_stored_mesh_four_times_finer(order):
+    from h32fem.experiments import get_mesh
+    from h32fem.interp import overkill_mesh
+
+    assert overkill_mesh(get_mesh("disk", 4, order)) is get_mesh("disk", 16, order)
 
 
 def test_overkill_mesh_refuses_a_refinement_that_keeps_h(monkeypatch):
     from h32fem import interp
 
-    monkeypatch.setattr(interp, "refined_copy", lambda mesh, factor: mesh)
+    mesh = disk_mesh(3, 1)
+    monkeypatch.setattr(interp, "shared_mesh", lambda kind, n, order: mesh)
     with pytest.raises(RuntimeError, match="did not reduce h"):
-        interp.overkill_mesh(disk_mesh(3, 1))
+        interp.overkill_mesh(mesh)

@@ -85,6 +85,16 @@ def constructors_of(cls_name):
     ]
 
 
+def readers_of(name):
+    """The modules of h32fem that name `name`: load, attribute or import."""
+    return sorted({
+        module
+        for module, scope in scopes()
+        for node in ast.walk(scope)
+        if _name(node) == name or isinstance(node, ast.alias) and node.name == name
+    })
+
+
 def memoized_functions():
     """The functions of h32fem, nested ones too, decorated with functools'
     `cache` or `lru_cache` (bare or called)."""
@@ -117,6 +127,14 @@ def test_no_process_cache_holds_a_mesh_or_what_is_built_from_one():
     # either to the end of the process. The Duffy layout is keyed by the
     # quadrature degree alone.
     assert memoized_functions() == ["h32fem.gagliardo._duffy_layout"]
+
+
+def test_the_overkill_key_and_the_p2_numbering_are_each_coded_once():
+    # overkill meshes are found by `interp.overkill_key` alone, and every P2
+    # DOF numbering comes from `meshing` (`_finish_mesh`, `dof_map`)
+    assert readers_of("OVERKILL_LEVEL") == ["h32fem.interp"]
+    callers = constructors_of("_add_midside_nodes")
+    assert {name.rsplit(".", 1)[0] for name in callers} == {"h32fem.meshing"}
 
 
 def test_mesh_constructor_takes_no_boundary():

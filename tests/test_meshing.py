@@ -12,6 +12,7 @@ from h32fem.meshing import (
     build_disk_mesh,
     build_square_mesh,
     disk_mesh,
+    dof_map,
     geometry_map,
 )
 from h32fem.quadrature import triangle_rule
@@ -255,3 +256,12 @@ def test_inverted_element_is_refused_before_assembly(order):
     with pytest.raises(RuntimeError, match="nonpositive Jacobian"):
         grams_of(bad)
     grams_of(Mesh(m.nodes, m.elements, order, m.domain_kind))
+
+
+@pytest.mark.parametrize(
+    "kind,n",
+    [("disk", n) for n in (2, 3, 5, 8)] + [("square", n) for n in (2, 3, 5)],
+)
+def test_p2_dof_map_over_p1_is_the_numbering_of_the_order_2_mesh(kind, n):
+    build = disk_mesh if kind == "disk" else build_square_mesh
+    assert np.array_equal(dof_map(build(n, 1), 2), build(n, 2).elements)

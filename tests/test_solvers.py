@@ -8,7 +8,7 @@ from h32fem.assembly import (
     trace,
     zero_function,
 )
-from h32fem.interp import dirichlet_lift_from_data
+from h32fem.interp import dirichlet_lift_from_data, overkill_mesh
 from h32fem.meshing import disk_mesh
 from h32fem.norms import (
     gradient_pairing_load,
@@ -19,7 +19,6 @@ from h32fem.norms import (
 from h32fem.solvers import (
     deformation_field,
     deformed_dirichlet_energy,
-    refined_copy,
     solve_dirichlet_fe,
     solve_robin_fe,
 )
@@ -60,20 +59,13 @@ def test_robin_constant(square4):
 
 
 def test_surrogates_constant(disk4k1):
-    fine = refined_copy(disk4k1, 4)
+    fine = overkill_mesh(disk4k1)
     assert fine.h <= disk4k1.h / 4 + 1e-12
     one = trace(nodal_interp_bulk(disk4k1, lambda p: np.ones(len(p))))
     zero = zero_function(disk4k1, "bulk0")
     sol = dirichlet_lift_from_data(zero, one)
     assert sol.mesh is fine
     assert np.abs(sol.coeffs - 1.0).max() < 1e-11
-
-
-@pytest.mark.parametrize("order", [1, 2])
-def test_refined_copy_is_the_cached_mesh(order):
-    from h32fem.experiments import get_mesh
-
-    assert refined_copy(get_mesh("disk", 4, order), 4) is get_mesh("disk", 16, order)
 
 
 def test_homogeneous_smoothing_proxy():

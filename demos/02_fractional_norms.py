@@ -13,7 +13,6 @@ import numpy as np
 
 from h32fem import (
     FeFunction,
-    boundary_sobolev_norm,
     disk_mesh,
     dual_neg_half_norm,
     grams_of,
@@ -42,7 +41,7 @@ print(f"||u||_H^1/2 = {h_s_norm(u, 0.5):.6f}  (spectral interpolation)")
 # the 3/2-order norm: dual norm of the gradient plus boundary H1 norm
 n32 = hhat_threehalf_norm(u)
 print(f"||u||_3/2 (zero-trace variant) = {n32:.6f}")
-print(f"boundary H1 of trace          = {boundary_sobolev_norm(trace(u), 1):.6f}")
+print(f"boundary H1 of trace          = {h1_norm(trace(u)):.6f}")
 
 # negative dual norms: exact suprema via one spectral solve
 rng = np.random.default_rng(0)

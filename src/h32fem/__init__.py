@@ -40,7 +40,6 @@ from .multilinear import (
 )
 from .norms import (
     SpectralBasis,
-    boundary_sobolev_norm,
     dual_neg_half_norm,
     dual_neg_half_norms,
     h_s_norm,

@@ -66,7 +66,6 @@ from .multilinear import (
     resolvent_identity_residual,
 )
 from .norms import (
-    boundary_sobolev_norm,
     dual_neg_half_norm,
     dual_neg_half_norms,
     dual_norm_from_load,
@@ -333,7 +332,7 @@ def exp_sz_error(cfg):
             u = solve_dirichlet_fe(f, gs)
             szu = sz_via_dirichlet(u)
             num = h1_norm(FeFunction(m, u.coeffs - szu.coeffs))
-            den36 = dual_neg_half_norm(f, "interior") + boundary_sobolev_norm(gs, 1)
+            den36 = dual_neg_half_norm(f, "interior") + h1_norm(gs)
             ratios36.append(num / (np.sqrt(m.h) * den36))
             den46 = hhat_threehalf_norm(u)
             ratios46.append(num / (np.sqrt(m.h) * den46))
@@ -454,7 +453,7 @@ def _regularity(cfg, solve, dofset, s, panel, criterion):
         for f, g in ((draw(rng, m), g1), (nodal_interp_bulk(m, f2), g2)):
             gs = trace(nodal_interp_bulk(m, g))
             u = solve(f, gs)
-            den = dual_neg_half_norm(f, dofset) + boundary_sobolev_norm(gs, s)
+            den = dual_neg_half_norm(f, dofset) + h_s_norm(gs, s)
             ratios.append(hhat_threehalf_norm(u) / den)
         return [max(ratios)]
 

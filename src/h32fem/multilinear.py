@@ -97,38 +97,17 @@ def ml_from_function(fn, slot_shapes, output_shape=()):
 
 
 def det_form(d):
-    """d-linear form, symmetrized over slots, with T(A, ..., A) = det(A)."""
+    """d-linear form, symmetrized over slots, with T(A, ..., A) = det(A):
+    the mean over slot orders p of det of the matrix whose row k is row k
+    of argument p(k)."""
     if d not in (2, 3):
         raise ValueError("det_form supports d in {2, 3}")
-    shape = (d,) * (2 * d)
-    coeffs = np.zeros(shape)
-    perms = list(itertools.permutations(range(d)))
+    orders = list(itertools.permutations(range(d)))
 
-    def parity(p):
-        sign = 1
-        p = list(p)
-        for i in range(len(p)):
-            while p[i] != i:
-                j = p[i]
-                p[i], p[j] = p[j], p[i]
-                sign = -sign
-        return sign
+    def mixed_det(*Ms):
+        return np.linalg.det(np.array([[Ms[p[k]][k] for k in range(d)] for p in orders])).mean()
 
-    # unsymmetrized Leibniz coefficients: slot k holds row k
-    base = np.zeros(shape)
-    for sigma in perms:
-        idx = []
-        for k in range(d):
-            idx.extend((k, sigma[k]))
-        base[tuple(idx)] += parity(sigma)
-    # symmetrize over slot permutations
-    for pi in perms:
-        order = []
-        for k in range(d):
-            order.extend((2 * pi[k], 2 * pi[k] + 1))
-        coeffs += np.transpose(base, order)
-    coeffs /= len(perms)
-    return MultilinearForm([(d, d)] * d, (), coeffs)
+    return ml_from_function(mixed_det, [(d, d)] * d)
 
 
 def deformation_tensor(A):

@@ -1,16 +1,19 @@
-"""Fractional Sobolev norms through one operator per spectral pencil.
+"""Sobolev norms of order s on the bulk and on the boundary curve.
 
-On a DOF set, let K = M + A and M be the restricted bulk (or surface)
-Gram matrices. Every norm here is a quadratic form in one operator,
+A spectral pencil is named by its DOF set: 'all' and 'interior' restrict
+the bulk Gram matrices, 'surface' is the boundary curve's. On a set, let
+K = M + A and M be the restricted Gram matrices, and
 
     R = V Lambda^{-1/2} V^T,   K V = M V Lambda,  V^T M V = I,
 
-whose spectrum lies in [1, Lambda_max] (A is semidefinite). The dual norm
-of a load b, the supremum of b . phi over the set's FE functions with
-||phi||_{1/2} = 1, is sqrt(b . R b) and is attained at phi = R b (up to
-scaling), so no iterative optimization is involved. With y = V^T M u,
-||u||_s^2 = sum lambda^s y^2 is u . M u at s = 0, (M u) . R (K u) at
-s = 1/2, u . K u at s = 1 and (K u) . R (K u) at s = 3/2.
+whose spectrum lies in [1, Lambda_max] (A is semidefinite). With
+y = V^T M u, ||u||_s^2 = sum lambda^s y^2 is u . M u at s = 0 and
+u . K u at s = 1, the mass and stiffness forms of the function's space
+(`l2_norm`, `h1_norm`); only s = 1/2, (M u) . R (K u), and s = 3/2,
+(K u) . R (K u), need R. The dual norm of a load b, the supremum of
+b . phi over the set's FE functions with ||phi||_{1/2} = 1, is
+sqrt(b . R b) and is attained at phi = R b (up to scaling), so no
+iterative optimization is involved.
 
 R is never formed. `SpectralBasis.apply` evaluates
 
@@ -54,11 +57,12 @@ A dense generalized `eigh` of the pencil remains only as the oracle of the
 tests and demos (`dense_eigenpairs`), capped at DENSE_EIG_NODE_CAP DOFs.
 
 The norms of FE functions take the function alone (and, for a dual norm,
-the name of its test space): each finds its Gram set as
-`grams_of(u.mesh)` and its operator as `spectral_decomp` of that set, so
-no Gram set or operator of another mesh can reach it. Only the
-vector-level functions (`spectral_power_norm`, `dual_norm_from_load`,
-`dense_eigenpairs`) take an operator, which carries its own K and M.
+the name of its bulk test space): each finds its Gram set as
+`grams_of(u.mesh)`, its forms and pencil by the function's space, and its
+operator as `spectral_decomp` of that set, so no Gram set or operator of
+another mesh can reach it. Only the vector-level functions
+(`spectral_power_norm`, `dual_norm_from_load`, `dense_eigenpairs`) take
+an operator, which carries its own K and M.
 """
 
 from dataclasses import dataclass
@@ -124,26 +128,17 @@ class SpectralBasis:
 
 
 def spectral_decomp(grams, dofset=ALL):
-    """The spectral operator on `dofset` ('all' or 'interior'), cached."""
-    if dofset == ALL:
-        ids = np.arange(grams.mesh.n_nodes)
-    elif dofset == INTERIOR:
-        ids = grams.mesh.interior_node_ids
+    """The spectral operator of the pencil on `dofset`, cached: 'all' or
+    'interior' on the bulk forms, 'surface' on the surface forms."""
+    if dofset == SURFACE:
+        ids = np.arange(len(grams.mesh.boundary_node_ids))
+        pencil = (grams.M_surf, grams.A_surf, grams.surf_eig_bound)
+    elif dofset in (ALL, INTERIOR):
+        ids = np.arange(grams.mesh.n_nodes) if dofset == ALL else grams.mesh.interior_node_ids
+        pencil = (grams.M_bulk, grams.A_bulk, grams.bulk_eig_bound)
     else:
         raise ValueError(f"unknown dofset {dofset!r}")
-    return _cached(
-        grams, ("spectral", dofset),
-        lambda: _operator(dofset, ids, grams.M_bulk, grams.A_bulk, grams.bulk_eig_bound),
-    )
-
-
-def surface_spectral_decomp(grams):
-    """The spectral operator of the surface pencil (M_surf + A_surf, M_surf)."""
-    ids = np.arange(len(grams.mesh.boundary_node_ids))
-    return _cached(
-        grams, ("spectral", "surface"),
-        lambda: _operator("surface", ids, grams.M_surf, grams.A_surf, grams.surf_eig_bound),
-    )
+    return _cached(grams, ("spectral", dofset), lambda: _operator(dofset, ids, *pencil))
 
 
 def _operator(dofset, ids, M_full, A_full, bound):
@@ -174,37 +169,41 @@ def dense_eigenpairs(sb):
 
 
 def spectral_power_norm(coeffs_on_set, s, sb):
-    """sqrt(sum lambda^s y^2), y = V^T M u, for s in {0, 1/2, 1, 3/2}.
+    """sqrt(sum lambda^s y^2), y = V^T M u, for s in {1/2, 3/2}, the powers
+    that need the operator (s = 0 and 1 are the forms, `l2_norm` and `h1_norm`).
 
     The s in [0,1] range is the trustworthy interpolation regime; s = 3/2
     is used only as a norm-equivalent proxy on quasi-uniform meshes, e.g.
     for H^{3/2} of overkill solutions.
     """
     u = coeffs_on_set
-    if s == 0:
-        val = u @ (sb.M @ u)
-    elif s == 0.5:
+    if s == 0.5:
         val = (sb.M @ u) @ sb.apply(sb.K @ u)
-    elif s == 1:
-        val = u @ (sb.K @ u)
     elif s == 1.5:
         Ku = sb.K @ u
         val = Ku @ sb.apply(Ku)
     else:
-        raise ValueError("s must be 0, 1/2, 1 or 3/2; other powers need dense_eigenpairs")
+        raise ValueError("s must be 1/2 or 3/2; s = 0 and 1 are l2_norm and h1_norm")
     return float(np.sqrt(val))
 
 
 def h_s_norm(u, s):
-    """Interpolated H^s norm of a scalar FE function over all its DOFs, s in {0, 1/2, 1}."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError("h_s_norm expects s in [0, 1]")
-    return spectral_power_norm(u.coeffs, s, spectral_decomp(grams_of(u.mesh)))
+    """H^s norm of a scalar FE function on its space, bulk or surface, for s in
+    {0, 1/2, 1}: the L2 and H1 forms at s = 0 and 1, the operator of the
+    function's pencil ('surface' or 'all') at s = 1/2."""
+    if s == 0:
+        return l2_norm(u)
+    if s == 1:
+        return h1_norm(u)
+    if s != 0.5:
+        raise ValueError("h_s_norm expects s in {0, 1/2, 1}")
+    sb = spectral_decomp(grams_of(u.mesh), SURFACE if u.space == SURFACE else ALL)
+    return spectral_power_norm(u.coeffs, 0.5, sb)
 
 
 # -- dual norms --------------------------------------------------------------
 # The test space is named by its DOF set: 'interior' gives the zero-trace
-# variant, 'all' the full one; spectral_decomp refuses any other name.
+# variant, 'all' the full one; `_dual_norm` refuses any other name.
 
 
 def dual_norm_from_load(b, sb):
@@ -218,6 +217,8 @@ def _dual_norm(load, mesh, dofset):
     """The dual norm of a full-length load (or of each column of a block of
     them) over the test space of `dofset`. `dual_norm_from_load` is looked
     up here at call time, so every FE-level dual norm goes through it."""
+    if dofset not in (ALL, INTERIOR):
+        raise ValueError(f"a bulk test space is 'all' or 'interior', not {dofset!r}")
     sb = spectral_decomp(grams_of(mesh), dofset)
     return dual_norm_from_load(load[sb.ids], sb)
 
@@ -268,7 +269,7 @@ def hhat_threehalf_norms(us, dofset=INTERIOR):
     """
     mesh, c = _stacked(us)
     dual = _dual_norm(grams_of(mesh).A_bulk @ c, mesh, dofset)
-    return dual + np.array([boundary_sobolev_norm(trace(u), 1) for u in us])
+    return dual + np.array([h1_norm(trace(u)) for u in us])
 
 
 def hhat_threehalf_norm(u, dofset=INTERIOR):
@@ -276,32 +277,23 @@ def hhat_threehalf_norm(u, dofset=INTERIOR):
     return float(hhat_threehalf_norms([u], dofset)[0])
 
 
-def boundary_sobolev_norm(g, s):
-    """H^s norm on the discrete boundary for s in {0, 1/2, 1}."""
-    if g.space != SURFACE:
-        raise ValueError("expected a surface function")
-    grams = grams_of(g.mesh)
-    if s == 0:
-        return _componentwise(g, grams.M_surf)
-    if s == 1:
-        return _componentwise(g, grams.M_surf, grams.A_surf)
-    if s == 0.5:
-        return spectral_power_norm(g.coeffs, 0.5, surface_spectral_decomp(grams))
-    raise ValueError("s must be 0, 1/2 or 1")
-
-
-def _componentwise(u, *forms):
-    """sqrt of the forms' quadratic forms summed over the components of a
-    scalar or vector function (H1 is the L2 plus the Dirichlet form)."""
+def _forms_norm(u, with_stiffness):
+    """sqrt of the mass form, plus the stiffness form if asked, of u's space
+    (the surface forms for a surface function, the bulk forms otherwise),
+    summed over the components of a scalar or vector function."""
+    g = grams_of(u.mesh)
+    M, A = (g.M_surf, g.A_surf) if u.space == SURFACE else (g.M_bulk, g.A_bulk)
+    forms = (M, A) if with_stiffness else (M,)
     c = u.coeffs.reshape(len(u.coeffs), -1)
     return float(np.sqrt(sum(c[:, i] @ (f @ c[:, i]) for i in range(c.shape[1]) for f in forms)))
 
 
 def h1_norm(u):
-    """Full H1 norm of a bulk FE function (scalar or vector, componentwise)."""
-    grams = grams_of(u.mesh)
-    return _componentwise(u, grams.M_bulk, grams.A_bulk)
+    """H1 norm of a bulk or surface FE function (scalar or vector, componentwise):
+    the sum of the mass and stiffness quadratic forms."""
+    return _forms_norm(u, True)
 
 
 def l2_norm(u):
-    return _componentwise(u, grams_of(u.mesh).M_bulk)
+    """L2 norm of a bulk or surface FE function (scalar or vector, componentwise)."""
+    return _forms_norm(u, False)

@@ -24,15 +24,6 @@ from .meshing import Mesh, _cached, _det_2x2, _spd_solver
 from .multilinear import deformation_tensor
 
 
-def trace_matrix(mesh):
-    """Sparse selector mapping bulk coefficients to surface coefficients."""
-    nb = len(mesh.boundary_node_ids)
-    return sp.coo_matrix(
-        (np.ones(nb), (np.arange(nb), mesh.boundary_node_ids)),
-        shape=(nb, mesh.n_nodes),
-    ).tocsr()
-
-
 def _interior_solver(grams):
     ids = grams.mesh.interior_node_ids
     return _cached(grams, "dirichlet_solve", lambda: _spd_solver(grams.A_bulk[np.ix_(ids, ids)]))
@@ -40,8 +31,10 @@ def _interior_solver(grams):
 
 def _robin_solver(grams):
     def build():
-        R = trace_matrix(grams.mesh)
-        return _spd_solver(grams.A_bulk + R.T @ grams.M_surf @ R)
+        bids, n = grams.mesh.boundary_node_ids, grams.mesh.n_nodes
+        Ms = grams.M_surf.tocoo()
+        M_gamma = sp.csr_matrix((Ms.data, (bids[Ms.row], bids[Ms.col])), shape=(n, n))
+        return _spd_solver(grams.A_bulk + M_gamma)
 
     return _cached(grams, "robin_solve", build)
 
@@ -66,8 +59,9 @@ def solve_dirichlet_fe(f_h, g_h):
 def solve_robin_fe(f_h, g_h):
     """Solve a(u, phi) + m_G(u, phi) = m(f, phi) + m_G(g, phi) for all phi."""
     mesh = f_h.mesh
-    grams, R = grams_of(mesh), trace_matrix(mesh)
-    rhs = grams.M_bulk @ f_h.coeffs + R.T @ (grams.M_surf @ g_h.coeffs)
+    grams = grams_of(mesh)
+    rhs = grams.M_bulk @ f_h.coeffs
+    rhs[mesh.boundary_node_ids] += grams.M_surf @ g_h.coeffs
     return FeFunction(mesh, _robin_solver(grams)(rhs), BULK)
 
 

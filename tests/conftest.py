@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from h32fem.assembly import grams_of
 from h32fem.experiments import get_mesh
@@ -29,6 +30,20 @@ def disk4k2():
 @pytest.fixture(scope="session")
 def disk4k2_lift(disk4k2):
     return lift_of(disk4k2)
+
+
+@pytest.fixture(scope="session")
+def trace_selector():
+    """The sparse selector R of a mesh's boundary rows, R u = trace(u).coeffs:
+    the reference the Robin matrix A_bulk + R^T M_surf R is checked against."""
+
+    def selector(mesh):
+        nb = len(mesh.boundary_node_ids)
+        return sp.csr_matrix(
+            (np.ones(nb), (np.arange(nb), mesh.boundary_node_ids)), shape=(nb, mesh.n_nodes)
+        )
+
+    return selector
 
 
 @pytest.fixture()

@@ -32,8 +32,7 @@ from h32fem.meshing import (
     build_square_mesh,
     disk_mesh,
 )
-from h32fem.norms import gradient_pairing_load, spectral_decomp, surface_spectral_decomp
-from h32fem.solvers import trace_matrix
+from h32fem.norms import gradient_pairing_load, spectral_decomp
 from h32fem.studies import multilinear_gradient_integral
 
 RTOL = 1e-13
@@ -144,13 +143,12 @@ def test_lifted_contractions_match_einsum(case):
 # -- sparse SPD factorization ---------------------------------------------------
 
 
-def spd_matrices(mesh):
-    """One matrix of each kind the solvers factor."""
+def spd_matrices(mesh, R):
+    """One matrix of each kind the solvers factor; R is the mesh's trace selector."""
     g = grams_of(mesh)
     ids = g.mesh.interior_node_ids
     sb = spectral_decomp(g)
-    R = trace_matrix(mesh)
-    ss = surface_spectral_decomp(g)
+    ss = spectral_decomp(g, "surface")
     return {
         "pencil": sb.K + sb.shifts[0] * sb.M,
         "surface_pencil": ss.K + ss.shifts[-1] * ss.M,
@@ -161,9 +159,10 @@ def spd_matrices(mesh):
 
 
 @pytest.mark.parametrize("order", [1, 2])
-def test_spd_solver_matches_spsolve(order):
+def test_spd_solver_matches_spsolve(order, trace_selector):
     rng = np.random.default_rng(0)
-    for name, A in spd_matrices(disk_mesh(4, order)).items():
+    mesh = disk_mesh(4, order)
+    for name, A in spd_matrices(mesh, trace_selector(mesh)).items():
         b = rng.standard_normal(A.shape[0])
         solve = _spd_solver(A)
         want = spla.spsolve(A.tocsc(), b)

@@ -14,6 +14,8 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import h32fem
 import h32fem.assembly
@@ -146,7 +148,6 @@ def test_mesh_constructor_takes_no_boundary():
 # the operator builders take the Gram set; the vector-level norms the operator
 GRAMS_OR_OPERATOR_ALLOWED = {
     "h32fem.norms.spectral_decomp": {"grams"},
-    "h32fem.norms.surface_spectral_decomp": {"grams"},
     "h32fem.norms.spectral_power_norm": {"sb"},
     "h32fem.norms.dual_norm_from_load": {"sb"},
     "h32fem.norms.dense_eigenpairs": {"sb"},
@@ -177,3 +178,12 @@ def test_lifting_binds_nothing_from_assembly():
         for name in [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
     ]
     assert not [name for name in imported if name.split(".")[-1] == "assembly"]
+
+
+def test_readme_names_only_code_that_exists():
+    # every backticked `module.attr` of an h32fem module in the README resolves
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    modules = {module.__name__.rsplit(".", 1)[1]: module for module in h32fem_modules()}
+    refs = {(mod, attr) for mod, attr in re.findall(r"`(\w+)\.(\w+)", readme) if mod in modules}
+    missing = sorted(f"{mod}.{attr}" for mod, attr in refs if not hasattr(modules[mod], attr))
+    assert refs and missing == []

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,6 +86,47 @@ def test_det_form_values(rng):
         )
     with pytest.raises(ValueError):
         det_form(4)
+
+
+def leibniz_det_coeffs(d):
+    """Reference: the coefficients of det_form by the Leibniz formula (slot k
+    holds row k), symmetrized over slot permutations."""
+    shape = (d,) * (2 * d)
+    coeffs = np.zeros(shape)
+    perms = list(itertools.permutations(range(d)))
+
+    def parity(p):
+        sign = 1
+        p = list(p)
+        for i in range(len(p)):
+            while p[i] != i:
+                j = p[i]
+                p[i], p[j] = p[j], p[i]
+                sign = -sign
+        return sign
+
+    # unsymmetrized Leibniz coefficients: slot k holds row k
+    base = np.zeros(shape)
+    for sigma in perms:
+        idx = []
+        for k in range(d):
+            idx.extend((k, sigma[k]))
+        base[tuple(idx)] += parity(sigma)
+    # symmetrize over slot permutations
+    for pi in perms:
+        order = []
+        for k in range(d):
+            order.extend((2 * pi[k], 2 * pi[k] + 1))
+        coeffs += np.transpose(base, order)
+    coeffs /= len(perms)
+    return coeffs
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_det_form_is_the_symmetrized_leibniz_tensor(d):
+    D = det_form(d)
+    assert D.slot_shapes == ((d, d),) * d and D.output_shape == ()
+    assert np.array_equal(D.coeffs, leibniz_det_coeffs(d))
 
 
 def test_two_det_trace_identity(rng):

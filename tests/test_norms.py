@@ -15,7 +15,6 @@ from h32fem.assembly import (
 from h32fem.meshing import _spd_factor, build_square_mesh, disk_mesh
 from h32fem.norms import (
     QUAD_TOL,
-    boundary_sobolev_norm,
     dense_eigenpairs,
     dual_neg_half_norm,
     dual_neg_half_norms,
@@ -29,7 +28,6 @@ from h32fem.norms import (
     l2_norm,
     spectral_decomp,
     spectral_power_norm,
-    surface_spectral_decomp,
     vec_dual_half_norm,
 )
 
@@ -156,7 +154,7 @@ def test_discrete_trace_inequality(setup, rng):
     # the 3/2 norm contains the boundary H1 term by construction
     for _ in range(5):
         u = FeFunction(m, rng.normal(size=m.n_nodes))
-        tn = boundary_sobolev_norm(trace(u), 1)
+        tn = h1_norm(trace(u))
         assert tn <= hhat_threehalf_norm(u) * (1 + 1e-12)
 
 
@@ -165,14 +163,47 @@ def test_boundary_norms(setup):
     gs = trace(nodal_interp_bulk(m, lambda p: 3.0 * np.ones(len(p))))
     ones_s = np.ones(len(m.boundary_node_ids))
     per = ones_s @ (g.M_surf @ ones_s)
-    assert abs(boundary_sobolev_norm(gs, 1) - 3.0 * np.sqrt(per)) < 1e-12
+    assert abs(h1_norm(gs) - 3.0 * np.sqrt(per)) < 1e-12
     # the constant is the pencil's lambda = 1 eigenvector, so its H^{1/2}
     # norm is its L2 norm up to the operator's documented relative error
-    v0 = boundary_sobolev_norm(gs, 0)
-    vh = boundary_sobolev_norm(gs, 0.5)
+    v0 = l2_norm(gs)
+    vh = h_s_norm(gs, 0.5)
     assert abs(vh - v0) <= QUAD_TOL * v0
     with pytest.raises(ValueError):
-        boundary_sobolev_norm(gs, 0.25)
+        h_s_norm(gs, 0.25)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_surface_norms_are_the_surface_forms(order):
+    # on a surface function the L2 and H1 norms, and h_s_norm at s = 0 and 1,
+    # are the surface mass and stiffness forms, bit for bit
+    m = experiments.get_mesh("disk", 4, order)
+    g = grams_of(m)
+    rng = np.random.default_rng([order, 5])
+    gs = trace(FeFunction(m, rng.normal(size=m.n_nodes)))
+    t = gs.coeffs
+    l2 = float(np.sqrt(t @ (g.M_surf @ t)))
+    h1 = float(np.sqrt(t @ (g.M_surf @ t) + t @ (g.A_surf @ t)))
+    assert l2_norm(gs) == h_s_norm(gs, 0) == l2
+    assert h1_norm(gs) == h_s_norm(gs, 1) == h1
+
+
+def test_operator_powers_are_only_one_half_and_three_halves(setup, rng):
+    # s = 0 and 1 are the forms (l2_norm, h1_norm), not powers of the operator
+    m, g, sb, _ = setup
+    c = rng.normal(size=m.n_nodes)
+    for s in (0, 1):
+        with pytest.raises(ValueError, match="l2_norm and h1_norm"):
+            spectral_power_norm(c, s, sb)
+
+
+def test_unknown_pencil_raises_before_building(monkeypatch):
+    built = []
+    monkeypatch.setattr(norms, "_operator", lambda *args: built.append(args))
+    g = assemble_grams(disk_mesh(2, 1))
+    with pytest.raises(ValueError, match="unknown dofset 'boundary'"):
+        spectral_decomp(g, "boundary")
+    assert built == [] and "_cache" not in vars(g)
 
 
 def test_norm_homogeneity_all_ops(setup, rng):
@@ -197,7 +228,7 @@ def test_fe_norms_are_the_vector_formulas_on_the_meshs_own_grams(order):
     spectral_decomp(grams_of(experiments.get_mesh("disk", 2, order)), "interior")
     m = experiments.get_mesh("disk", 4, order)
     g = grams_of(m)
-    sb, sbi, ssb = spectral_decomp(g, "all"), spectral_decomp(g, "interior"), surface_spectral_decomp(g)
+    sb, sbi = spectral_decomp(g, "all"), spectral_decomp(g, "interior")
     rng = np.random.default_rng([order, m.n_nodes])
     u = FeFunction(m, rng.normal(size=m.n_nodes))
     v = FeFunction(m, rng.normal(size=(m.n_nodes, 2)))
@@ -209,12 +240,10 @@ def test_fe_norms_are_the_vector_formulas_on_the_meshs_own_grams(order):
     assert l2_norm(v) == float(np.sqrt(sum(vc[:, i] @ (M @ vc[:, i]) for i in range(2))))
     h1_v = sum(vc[:, i] @ (F @ vc[:, i]) for i in range(2) for F in (M, A))
     assert h1_norm(v) == float(np.sqrt(h1_v))
-    for s in (0.0, 0.5, 1.0):
-        assert h_s_norm(u, s) == spectral_power_norm(c[sb.ids], s, sb)
+    assert h_s_norm(u, 0.0) == l2_norm(u) and h_s_norm(u, 1.0) == h1_norm(u)
+    assert h_s_norm(u, 0.5) == spectral_power_norm(c[sb.ids], 0.5, sb)
+    assert h_s_norm(trace(u), 0.5) == spectral_power_norm(t, 0.5, spectral_decomp(g, "surface"))
     surf = float(np.sqrt(t @ (g.M_surf @ t) + t @ (g.A_surf @ t)))
-    assert boundary_sobolev_norm(trace(u), 0) == float(np.sqrt(t @ (g.M_surf @ t)))
-    assert boundary_sobolev_norm(trace(u), 0.5) == spectral_power_norm(t, 0.5, ssb)
-    assert boundary_sobolev_norm(trace(u), 1) == surf
     zq = eval_on_elements(v)[0]
     for dofset, op in (("all", sb), ("interior", sbi)):
         assert dual_neg_half_norm(u, dofset) == dual_norm_from_load((g.M_bulk @ c)[op.ids], op)
@@ -228,7 +257,7 @@ def _pencils(g):
     return {
         "all": spectral_decomp(g, "all"),
         "interior": spectral_decomp(g, "interior"),
-        "surface": surface_spectral_decomp(g),
+        "surface": spectral_decomp(g, "surface"),
     }
 
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from h32fem import solvers
 from h32fem.assembly import (
     FeFunction,
+    assemble_grams,
     grams_of,
     nodal_interp_bulk,
     trace,
@@ -13,8 +15,8 @@ from h32fem.meshing import disk_mesh
 from h32fem.norms import (
     gradient_pairing_load,
     h1_norm,
+    spectral_decomp,
     spectral_power_norm,
-    surface_spectral_decomp,
 )
 from h32fem.solvers import (
     deformation_field,
@@ -58,6 +60,36 @@ def test_robin_constant(square4):
     assert np.abs(u.coeffs - 1.0).max() < 1e-12
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_robin_matrix_is_the_selector_form(order, monkeypatch, trace_selector):
+    # M_surf scattered to the boundary rows and columns is R^T M_surf R:
+    # the same sparsity pattern and the same values, bit for bit
+    factored = []
+    monkeypatch.setattr(solvers, "_spd_solver", lambda A: factored.append(A))
+    mesh = disk_mesh(4, order)
+    g = assemble_grams(mesh)
+    solvers._robin_solver(g)
+    R = trace_selector(mesh)
+    (got,), want = factored, (g.A_bulk + R.T @ g.M_surf @ R).tocsr()
+    got.sort_indices()
+    want.sort_indices()
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_robin_load_is_the_selector_form(order, monkeypatch, trace_selector, rng):
+    # M_surf g added at the boundary rows is R^T M_surf g, bit for bit
+    monkeypatch.setattr(solvers, "_robin_solver", lambda grams: lambda rhs: rhs)
+    mesh = disk_mesh(4, order)
+    f = FeFunction(mesh, rng.normal(size=mesh.n_nodes))
+    gs = FeFunction(mesh, rng.normal(size=len(mesh.boundary_node_ids)), "surface")
+    load = solve_robin_fe(f, gs).coeffs    # the solve is the identity here
+    g, R = grams_of(mesh), trace_selector(mesh)
+    assert np.array_equal(load, g.M_bulk @ f.coeffs + R.T @ (g.M_surf @ gs.coeffs))
+
+
 def test_surrogates_constant(disk4k1):
     fine = overkill_mesh(disk4k1)
     assert fine.h <= disk4k1.h / 4 + 1e-12
@@ -77,7 +109,7 @@ def test_homogeneous_smoothing_proxy():
         g_h = trace(nodal_interp_bulk(m, lambda p: np.cos(2.0 * np.arctan2(p[:, 1], p[:, 0]))))
         sol = dirichlet_lift_from_data(zero, g_h)
         gs = trace(sol)
-        ssb = surface_spectral_decomp(grams_of(sol.mesh))
+        ssb = spectral_decomp(grams_of(sol.mesh), "surface")
         ghalf = spectral_power_norm(gs.coeffs, 0.5, ssb)
         vals.append(h1_norm(sol) / ghalf)
     assert max(vals) / min(vals) < 2.0

@@ -21,7 +21,7 @@ from .basis import (
     tri_shape,
     tri_shape_grad,
 )
-from .lifting import lift_of
+from .lifting import lift_mixed, lift_of
 from .meshing import _cached, _inverse_2x2, batched_geometry, geometry_map
 from .quadrature import default_degree, edge_rule, triangle_rule
 
@@ -144,8 +144,9 @@ def _contract(rows, local):
 
 def surface_quad_data(mesh, degree=None, lifted=False):
     """Per-boundary-face data at edge rule points: curve points, velocity,
-    speed, bases; lifted, of the lifted curve (built per call, like the
-    lifted bulk_quad_data)."""
+    speed, bases. The curve is the geometry map (lifted: `lifting.lift_mixed`)
+    at the faces' edge points; the lifted record is built per call, like the
+    lifted bulk_quad_data."""
     if degree is None:
         degree = default_degree(mesh.order)
     return _per_lift(mesh, ("surf", degree), lifted, lambda: _surface_quad_data(mesh, degree, lifted))
@@ -153,20 +154,16 @@ def surface_quad_data(mesh, degree=None, lifted=False):
 
 def _surface_quad_data(mesh, degree, lifted):
     rule = edge_rule(degree)
+    nf, m = len(mesh.face_elem), len(rule.points)
+    # the faces' edge points as (element, reference point) pairs
+    edges = np.repeat(mesh.face_local_edge, m)
+    refs = tri_edge_ref_points(edges, np.tile(rule.points, nf))
+    pts, jac = (lift_mixed if lifted else geometry_map)(mesh, np.repeat(mesh.face_elem, m), refs)
+    vel = np.einsum("nxr,nr->nx", jac, TRI_TANGENTS[edges]).reshape(nf, m, 2)  # curve velocity
+    pts = pts.reshape(nf, m, 2)
+    speed = np.linalg.norm(vel, axis=-1)
     psi = edge_shape(mesh.order, rule.points)
     dpsi = edge_shape_deriv(mesh.order, rule.points)
-    coords = mesh.nodes[mesh.boundary_faces]          # (nf, nbe, 2)
-    pts = np.einsum("qb,fbx->fqx", psi, coords)
-    vel = np.einsum("qb,fbx->fqx", dpsi, coords)      # curve velocity
-    if lifted:
-        # plus the displacement and its derivative along the face's edge
-        nf, m = pts.shape[:2]
-        refs = tri_edge_ref_points(np.repeat(mesh.face_local_edge, m), np.tile(rule.points, nf))
-        D, dD = lift_of(mesh).displacement(np.repeat(mesh.face_elem, m), refs)
-        tangent = TRI_TANGENTS[mesh.face_local_edge]
-        pts = pts + D.reshape(nf, m, 2)
-        vel = vel + np.einsum("fqxr,fr->fqx", dD.reshape(nf, m, 2, 2), tangent)
-    speed = np.linalg.norm(vel, axis=-1)
     return {"rule": rule, "psi": psi, "dpsi": dpsi, "pts": pts, "vel": vel, "speed": speed}
 
 

@@ -22,7 +22,9 @@ does so at shared reference points like `meshing.batched_geometry`, and the
 plain code builds the lifted record and Gram set from it,
 `assembly.bulk_quad_data(mesh, lifted=True)` and `grams_of(mesh, lifted=True)`.
 `lift_mixed` is Lambda o F at per-point (element, reference point) pairs:
-`compose` applied to `meshing.geometry_map`.
+`compose` applied to `meshing.geometry_map`. The lifted surface record,
+`assembly.surface_quad_data(mesh, lifted=True)`, is `lift_mixed` at the
+boundary faces' edge points.
 
 MeshLocator inverts the composite map Lambda(F(xi)) pointwise: it maps
 points of the exact domain to (element, reference point) pairs, and like
@@ -32,7 +34,8 @@ triangle (`meshing._vertex_jacobians`). Off the curved boundary layer the
 lift is the identity and the geometry map is affine, so that inverse is
 exact (on the square, for every element); on the curved boundary-layer
 elements it is the one start of a vectorized Newton iteration, run per
-point until it converges.
+point until it converges. The lifted mesh covers the exact domain, so a
+point is located or refused: one that no candidate contains is an error.
 """
 
 import numpy as np
@@ -176,25 +179,19 @@ class MeshLocator:
     element with an affine geometry map and no lift (every element outside
     the curved boundary layer, on the square every element). Only curved
     boundary-layer candidates then run Newton on xi -> Lambda(F(xi)), from
-    xi0, each point until its own residual converges. A point that no
-    candidate element contains (within tol) is clamped into its best
-    candidate; points farther outside than `slack` raise. The clamp covers
-    the O(h^{k+1}) slivers between a curved mesh and the exact domain;
-    n_clamped counts the clamped points over all locate() calls and
-    worst_clamp holds the largest barycentric violation clamped.
+    xi0, each point until its own residual converges. locate() refuses a
+    point that no candidate contains within tol: it raises RuntimeError
+    with the count of such points and moves none into an element.
     """
 
     n_candidates = 16
     # candidates every point queries first; most points lie in their nearest
     n_first = 4
     tol = 1e-10
-    slack = 1e-3
 
     def __init__(self, mesh):
         self.mesh = mesh
         lift = self.lift = lift_of(mesh)
-        self.n_clamped = 0
-        self.worst_clamp = 0.0
         centers = lift.geometry(triangle_rule(2).points)[0].mean(axis=1)
         self.k = min(self.n_candidates, mesh.n_elements)
         self.tree = cKDTree(centers)
@@ -252,14 +249,11 @@ class MeshLocator:
         return np.maximum(0.0, -tri_shape(1, refs).min(axis=-1))
 
     def locate(self, pts):
-        """Physical points -> (element ids, reference coordinates)."""
+        """Physical points -> (element ids, reference points); refuses a point in no element."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         n = len(pts)
         elems = np.full(n, -1, dtype=np.int64)
         refs = np.zeros((n, 2))
-        best_viol = np.full(n, np.inf)
-        best_elem = np.zeros(n, dtype=np.int64)
-        best_ref = np.zeros((n, 2))
         alive = np.arange(n)
         for r in range(self.k):
             if len(alive) == 0:
@@ -270,35 +264,17 @@ class MeshLocator:
                 cand = self.tree.query(pts[alive], k=k)[1].reshape(len(alive), -1)
             els = cand[:, r]
             rr, viol = self._invert(els, pts[alive])
-            # keep the best candidate seen for possible clamping
-            upd = viol < best_viol[alive]
-            ba = alive[upd]
-            best_viol[ba] = viol[upd]
-            best_elem[ba] = els[upd]
-            best_ref[ba] = rr[upd]
             ok = viol <= self.tol
             hit = alive[ok]
             elems[hit] = els[ok]
             refs[hit] = rr[ok]
             alive, cand = alive[~ok], cand[~ok]
         if len(alive) > 0:
-            if best_viol[alive].max() > self.slack:
-                worst = best_viol[alive].max()
-                raise RuntimeError(f"point location failed (violation {worst:.2e})")
-            self.n_clamped += len(alive)
-            self.worst_clamp = max(self.worst_clamp, float(best_viol[alive].max()))
-            elems[alive] = best_elem[alive]
-            refs[alive] = _clamp_to_triangle(best_ref[alive])
+            first = pts[alive[0]].tolist()
+            raise RuntimeError(f"{len(alive)} of {n} points lie in no element, e.g. {first}")
         return elems, refs
 
 
 def locator_of(mesh):
-    """The mesh's locator of points of the exact domain, built once per mesh;
-    its clamp counters cover every location in that mesh."""
+    """The mesh's locator of points of the exact domain, built once per mesh."""
     return _cached(mesh, "locator", lambda: MeshLocator(mesh))
-
-
-def _clamp_to_triangle(refs):
-    lam = np.clip(tri_shape(1, refs), 0.0, None)
-    lam /= lam.sum(axis=-1, keepdims=True)
-    return lam[..., 1:]

@@ -9,11 +9,20 @@ from h32fem.assembly import (
     grams_of,
     nodal_interp_bulk,
     nodal_interp_surface,
+    surface_quad_data,
     trace,
     zero_function,
 )
-from h32fem.basis import TRI_TANGENTS, tri_edge_ref_points, tri_ref_nodes, tri_shape
-from h32fem.meshing import disk_mesh, geometry_map
+from h32fem.basis import (
+    TRI_TANGENTS,
+    edge_shape,
+    edge_shape_deriv,
+    tri_edge_ref_points,
+    tri_ref_nodes,
+    tri_shape,
+)
+from h32fem.lifting import lift_of
+from h32fem.meshing import build_square_mesh, disk_mesh, geometry_map
 from h32fem.quadrature import default_degree, edge_rule
 
 
@@ -152,6 +161,39 @@ def test_trace_consistency_independent_quadrature(disk4k2):
     via_surface = tr.coeffs @ (g.M_surf @ tr.coeffs)
     via_bulk = _boundary_mass_via_bulk(u)
     assert abs(via_surface - via_bulk) < 1e-12
+
+
+def _face_node_curve(mesh, degree, lifted):
+    """The boundary curve coded on the face nodes: edge shapes on
+    mesh.nodes[boundary_faces], plus (lifted) the lift displacement and its
+    derivative along each face's reference tangent."""
+    rule = edge_rule(degree)
+    coords = mesh.nodes[mesh.boundary_faces]
+    pts = np.einsum("qb,fbx->fqx", edge_shape(mesh.order, rule.points), coords)
+    vel = np.einsum("qb,fbx->fqx", edge_shape_deriv(mesh.order, rule.points), coords)
+    if lifted:
+        nf, m = pts.shape[:2]
+        refs = tri_edge_ref_points(np.repeat(mesh.face_local_edge, m), np.tile(rule.points, nf))
+        D, dD = lift_of(mesh).displacement(np.repeat(mesh.face_elem, m), refs)
+        tangent = TRI_TANGENTS[mesh.face_local_edge]
+        pts = pts + D.reshape(nf, m, 2)
+        vel = vel + np.einsum("fqxr,fr->fqx", dD.reshape(nf, m, 2, 2), tangent)
+    return {"pts": pts, "vel": vel, "speed": np.linalg.norm(vel, axis=-1)}
+
+
+@pytest.mark.parametrize("lifted", [False, True])
+@pytest.mark.parametrize("extra", [0, 2])
+@pytest.mark.parametrize("kind, order", [("disk", 1), ("disk", 2), ("square", 1), ("square", 2)])
+def test_surface_record_is_the_face_node_curve(kind, order, extra, lifted):
+    # the surface record reads the (lifted) geometry map at the faces' edge
+    # points; on the face nodes the same curve, at the default degree and at
+    # the degree + 2 of the Scott-Zhang moments
+    mesh = disk_mesh(4, order) if kind == "disk" else build_square_mesh(4, order)
+    degree = default_degree(order) + extra
+    got = surface_quad_data(mesh, degree, lifted=lifted)
+    for key, want in _face_node_curve(mesh, degree, lifted).items():
+        assert got[key].shape == want.shape, key
+        assert np.abs(got[key] - want).max() <= 1e-13 * np.abs(want).max(), key
 
 
 def test_surface_interp_and_zero(disk4k1):

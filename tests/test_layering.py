@@ -110,9 +110,15 @@ def memoized_functions():
 
 
 def test_only_locator_of_constructs_a_locator():
-    # every locator is the one cached on its mesh, so its clamp counters
-    # cover every point located in that mesh
+    # every locator is the one cached on its mesh, so one KD-tree and one set
+    # of closed-form inverses serve every point located in that mesh
     assert constructors_of("MeshLocator") == ["h32fem.lifting.locator_of"]
+
+
+def test_lifted_jacobians_are_formed_only_in_compose():
+    # the lifted bulk and surface records, the locator's Newton and every
+    # lifted point read Lambda o F through `LiftMap.compose`
+    assert constructors_of("displacement") == ["h32fem.lifting.compose"]
 
 
 def test_only_run_experiment_constructs_a_rate_table():

@@ -157,7 +157,6 @@ def test_locator_tries_every_candidate_before_extra_starts(lifted, monkeypatch):
     assert len(newton_elems) <= 2 * len(pts)
     assert np.all(lm.curved_edge[newton_elems] >= 0)
     assert sum(forward_pts) <= 3 * len(pts)
-    assert loc.n_clamped == 0
 
 
 def test_closed_form_matches_newton_on_affine_elements(lifted):
@@ -185,25 +184,25 @@ def test_locator_on_straight_mesh_runs_no_newton(monkeypatch):
     monkeypatch.setattr(MeshLocator, "_newton", lambda *args: calls.append(args))
     elems, refs = loc.locate(pts)
     assert calls == []
-    assert loc.n_clamped == 0
     assert MeshLocator._violation(refs).max() <= loc.tol
     back = np.einsum("nb,nbx->nx", tri_shape(2, refs), loc.mesh.nodes[loc.mesh.elements[elems]])
     assert np.abs(back - pts).max() <= 1e-13
 
 
-def test_locator_counts_clamps():
-    # a point 1e-4 right of square(3, 1) lies in no element: it is clamped
-    # onto the boundary edge x = 1 (by renormalized barycentrics, so not to
-    # its nearest point), and the counters record it; inside points are not
+def test_locator_refuses_a_point_in_no_element():
+    # a point 1e-4 right of square(3, 1) lies in no element: locate() refuses
+    # the whole call and names how many points it could not place; inside
+    # points, and a point exactly on the boundary edge x = 1, are located
     sq = build_square_mesh(3, 1)
     loc = MeshLocator(sq)
-    loc.locate(np.array([[0.5, 0.5], [0.2, 0.7]]))
-    assert loc.n_clamped == 0 and loc.worst_clamp == 0.0
-    elems, refs = loc.locate(np.array([[1.0 + 1e-4, 0.5], [0.5, 0.5]]))
-    assert loc.n_clamped == 1
-    assert 1e-4 <= loc.worst_clamp <= loc.slack
-    p, _ = geometry_map(loc.mesh, elems[0], refs[0])
-    assert abs(p[0] - 1.0) <= 1e-12 and abs(p[1] - 0.5) <= 1e-3
+    pts = np.array([[0.5, 0.5], [0.2, 0.7], [1.0, 0.5]])
+    elems, refs = loc.locate(pts)
+    assert MeshLocator._violation(refs).max() <= loc.tol
+    back, _ = geometry_map(sq, elems, refs)
+    assert np.abs(back - pts).max() <= 1e-12
+    refused = r"^1 of 2 points lie in no element, e\.g\. \[1\.0001, 0\.5\]"
+    with pytest.raises(RuntimeError, match=refused):
+        loc.locate(np.array([[1.0 + 1e-4, 0.5], [0.5, 0.5]]))
 
 
 def test_lift_is_built_once_per_mesh():
@@ -297,7 +296,6 @@ def test_staged_query_locates_like_one_query_of_all_candidates(order):
         e1, r1 = staged.locate(chunk)
         e2, r2 = single.locate(chunk)
         assert np.array_equal(e1, e2) and np.array_equal(r1, r2)
-    assert (staged.n_clamped, staged.worst_clamp) == (single.n_clamped, single.worst_clamp)
     (n_all, k_first), (n_rest, k_rest) = queried[:2]
     assert (n_all, k_first, k_rest) == (len(pts), staged.n_first, staged.n_candidates)
     assert 0 < n_rest < n_all / 10

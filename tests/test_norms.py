@@ -56,10 +56,16 @@ def test_constant_has_unit_eigenvalue(setup):
 
 
 def test_endpoint_exactness(setup, rng):
+    # the L2 and H1 forms, and h_s_norm at s = 0 and 1, against the dense
+    # oracle's sqrt(sum lambda^s y^2), y = V^T M u
     m, g, sb, _ = setup
     u = FeFunction(m, rng.normal(size=m.n_nodes))
-    assert abs(h_s_norm(u, 0.0) - l2_norm(u)) < 1e-10
-    assert abs(h_s_norm(u, 1.0) - h1_norm(u)) < 1e-10
+    lam, V = dense_eigenpairs(sb)
+    y = V.T @ (sb.M @ u.coeffs)
+    for s, form in ((0.0, l2_norm), (1.0, h1_norm)):
+        oracle = np.sqrt(np.sum(lam**s * y**2))
+        for value in (form(u), h_s_norm(u, s)):
+            assert abs(value - oracle) <= 1e-10 * oracle
 
 
 def test_zero_and_homogeneity(setup, rng):

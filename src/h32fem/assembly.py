@@ -5,7 +5,8 @@ triangulation; surface forms are their analogues on the discrete boundary
 curve, with the surface gradient realized as the tangential derivative
 along each (curved) boundary face. Surface DOFs are the boundary nodes in
 ascending bulk-node order; surface basis functions are traces of the bulk
-ones, so trace extraction is pure index gathering.
+ones, so trace extraction is pure index gathering. Quadrature records,
+plain and lifted, are cached on the mesh; lifted ones are boundary-layer sized.
 """
 
 from dataclasses import dataclass
@@ -72,20 +73,22 @@ def zero_function(mesh, space=BULK):
 
 def bulk_quad_data(mesh, degree=None, lifted=False):
     """Shared per-mesh data at triangle rule points, of the mesh's elements or,
-    lifted, of their lifts onto the exact domain (`lifting.lift_of(mesh)`).
+    lifted, of their lifts onto the exact domain (`lifting.lift_of(mesh)`);
+    cached per mesh and degree.
 
-    Returns dict with rule, phi (m, nb), pts (ne, m, 2), det (ne, m) and
-    the physical basis gradients as rows, gphys (ne, m, 2, nb):
+    The plain record is a dict with rule, phi (m, nb), pts (ne, m, 2), det
+    (ne, m) and the physical basis gradients as rows, gphys (ne, m, 2, nb):
     gphys[e, q, x] holds d(phi_b)/dx_x of every local basis function b, so
-    gradients of element coefficients are one matmul (`_contract`). The
-    lifted record is the plain one with the lift composed on the boundary
-    layer (pts, det, gphys change there only); callers pass it on to
-    eval_on_elements and the functions built on it. Every mesh passes through
-    here before anything is integrated on it: an inverted element is refused.
+    gradients of element coefficients are one matmul (`_contract`). The lift
+    moves the boundary layer bl = `lift_of(mesh).boundary_elements()` only:
+    the lifted record has pts and det with the bl rows lifted, and no gphys
+    but the lifted rows of bl, gphys_bl (see `_on_gradient_rows`). Every
+    mesh passes through here before anything is integrated on it: an
+    inverted element is refused.
     """
     if degree is None:
         degree = default_degree(mesh.order)
-    return _per_lift(mesh, ("bulk", degree), lifted, lambda: _bulk_quad_data(mesh, degree, lifted))
+    return _cached(mesh, ("bulk", degree, lifted), lambda: _bulk_quad_data(mesh, degree, lifted))
 
 
 def _integrate(qd, vals):
@@ -93,27 +96,24 @@ def _integrate(qd, vals):
     return float(np.einsum("q,eq,eq->", qd["rule"].weights, qd["det"], vals))
 
 
-def _per_lift(mesh, key, lifted, build):
-    """build(): cached under key for the plain mesh; lifted, built on every
-    call, so that lifted records do not stay resident."""
-    return build() if lifted else _cached(mesh, key, build)
-
-
 def _bulk_quad_data(mesh, degree, lifted):
     rule = triangle_rule(degree)
     if lifted:
-        pts, jac, det = lift_of(mesh).geometry(rule.points)
+        bl = lift_of(mesh).boundary_elements()
+        pts, jac, det = lift_of(mesh).geometry(rule.points, bl)
     else:
         pts, jac, det = batched_geometry(mesh, rule.points)
-    if det.min() <= 0.0:
+    if (det <= 0.0).any():
         raise RuntimeError("nonpositive Jacobian during assembly")
-    return {
-        "rule": rule,
-        "phi": tri_shape(mesh.order, rule.points),
-        "pts": pts,
-        "det": det,
-        "gphys": _grad_rows(tri_shape_grad(mesh.order, rule.points), jac),
-    }
+    gphys = _grad_rows(tri_shape_grad(mesh.order, rule.points), jac)
+    if not lifted:
+        return {"rule": rule, "phi": tri_shape(mesh.order, rule.points), "pts": pts, "det": det,
+                "gphys": gphys}
+    # off the boundary layer the lift is the identity: the plain rows
+    plain = bulk_quad_data(mesh, degree)
+    full = {key: plain[key].copy() for key in ("pts", "det")}
+    full["pts"][bl], full["det"][bl] = pts, det
+    return {"rule": rule, "phi": plain["phi"], **full, "bl": bl, "gphys_bl": gphys}
 
 
 def _grad_rows(dphi, jac):
@@ -142,14 +142,27 @@ def _contract(rows, local):
     return np.matmul(rows.reshape(ne, -1, nb), loc).reshape(rows.shape[:-1] + t)
 
 
+def _on_gradient_rows(qd, mesh, kernel, *args):
+    """kernel(gphys, *args), element by element (row e of the result from row
+    e of gphys and of each arg), on the gradient rows of the bulk record qd.
+    On a lifted record: on the plain record's rows, then the bl rows of the
+    result replaced by the kernel on the lifted rows gphys_bl."""
+    if "gphys" in qd:
+        return kernel(qd["gphys"], *args)
+    out = kernel(bulk_quad_data(mesh, qd["rule"].degree)["gphys"], *args)
+    bl = qd["bl"]
+    if len(bl):
+        out[bl] = kernel(qd["gphys_bl"], *(a[bl] for a in args))
+    return out
+
+
 def surface_quad_data(mesh, degree=None, lifted=False):
     """Per-boundary-face data at edge rule points: curve points, velocity,
     speed, bases. The curve is the geometry map (lifted: `lifting.lift_mixed`)
-    at the faces' edge points; the lifted record is built per call, like the
-    lifted bulk_quad_data."""
+    at the faces' edge points; each record is cached like bulk_quad_data."""
     if degree is None:
         degree = default_degree(mesh.order)
-    return _per_lift(mesh, ("surf", degree), lifted, lambda: _surface_quad_data(mesh, degree, lifted))
+    return _cached(mesh, ("surf", degree, lifted), lambda: _surface_quad_data(mesh, degree, lifted))
 
 
 def _surface_quad_data(mesh, degree, lifted):
@@ -207,7 +220,7 @@ def _scatter(ne_mats, conn, n):
 def grams_of(mesh, lifted=False):
     """The default-degree GramSet of a mesh, or lifted the forms of the lifted
     basis on the exact domain (`lifting.lift_of(mesh)`); each assembled once
-    and cached (the lifted quadrature records are dropped after assembly)."""
+    and cached."""
     return _cached(mesh, ("grams", lifted), lambda: assemble_grams(mesh, lifted))
 
 
@@ -218,9 +231,11 @@ def assemble_grams(mesh, lifted=False):
     nb = phi.shape[1]
     Me = det @ (w[:, None, None] * phi[:, :, None] * phi[:, None, :]).reshape(len(w), -1)
     Me = Me.reshape(-1, nb, nb)
-    G = qd["gphys"].reshape(len(det), -1, nb)  # rows (point, direction)
     wdet = np.repeat(w * det, 2, axis=1)[:, :, None]
-    Ae = _contract(G.swapaxes(1, 2), wdet * G)
+    def stiffness(gphys, wdet):
+        G = gphys.reshape(len(gphys), -1, nb)  # rows (point, direction)
+        return _contract(G.swapaxes(1, 2), wdet * G)
+    Ae = _on_gradient_rows(qd, mesh, stiffness, wdet)
     M = _scatter(Me, mesh.elements, mesh.n_nodes)
     A = _scatter(Ae, mesh.elements, mesh.n_nodes)
 
@@ -273,7 +288,7 @@ def eval_on_elements(u, qd=None):
     """
     qd = qd or bulk_quad_data(u.mesh)
     local = u.coeffs[u.mesh.elements]  # (ne, nb[, arity])
-    return _contract(qd["phi"], local), _contract(qd["gphys"], local)
+    return _contract(qd["phi"], local), _on_gradient_rows(qd, u.mesh, _contract, local)
 
 
 def nodal_interp_bulk(mesh, v):

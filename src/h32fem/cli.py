@@ -1,6 +1,7 @@
 """Command-line entry point: `h32fem verify <experiment|all> [options]`."""
 
 import argparse
+import ctypes
 import os
 import sys
 
@@ -68,7 +69,25 @@ def _run_verify(args):
     return 0 if all_pass else 1
 
 
+def _return_freed_memory():
+    """Fix glibc's allocation thresholds, so freed memory goes back to the OS.
+
+    Left alone, glibc raises the mmap threshold to the largest mapped chunk
+    freed (up to 32 MiB) and the trim threshold to twice that, so arrays
+    below it come from the heap and up to 64 MiB of freed heap stays
+    resident. Setting either turns that off (128 KiB is the default trim
+    threshold). A no-op where libc has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 128 * 1024)         # M_TRIM_THRESHOLD
+    mallopt(-3, 16 * 1024 * 1024)   # M_MMAP_THRESHOLD
+
+
 def main(argv=None):
+    _return_freed_memory()
     args = build_parser().parse_args(argv)
     if args.command == "verify":
         return _run_verify(args)

@@ -20,7 +20,8 @@ Lambda o F: `LiftMap.compose` moves F's points and Jacobians by D and its
 gradient (the one place lifted Jacobians are formed), `LiftMap.geometry`
 does so at shared reference points like `meshing.batched_geometry`, and the
 plain code builds the lifted record and Gram set from it,
-`assembly.bulk_quad_data(mesh, lifted=True)` and `grams_of(mesh, lifted=True)`.
+`assembly.bulk_quad_data(mesh, lifted=True)` and `grams_of(mesh, lifted=True)`,
+each cached; the lifted bulk record takes `geometry` of `boundary_elements` only.
 `lift_mixed` is Lambda o F at per-point (element, reference point) pairs:
 `compose` applied to `meshing.geometry_map`. The lifted surface record,
 `assembly.surface_quad_data(mesh, lifted=True)`, is `lift_mixed` at the

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -201,3 +203,19 @@ def test_surface_interp_and_zero(disk4k1):
     assert np.all(z.coeffs == 0.0)
     s = zero_function(disk4k1, "surface")
     assert s.space == "surface" and np.all(s.coeffs == 0.0)
+
+
+def test_lifted_record_is_boundary_layer_sized():
+    # the lifted record copies the plain pts and det (a fifth of the plain
+    # record at k=2) and adds the boundary layer's lifted rows; a full-mesh
+    # lifted record would allocate more than one whole plain record
+    m = disk_mesh(48, 2)
+    plain = bulk_quad_data(m)
+    plain_bytes = sum(v.nbytes for v in plain.values() if isinstance(v, np.ndarray))
+    tracemalloc.start()
+    try:
+        bulk_quad_data(m, lifted=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.3 * plain_bytes

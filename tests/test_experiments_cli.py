@@ -1,5 +1,8 @@
+import os
+import platform
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +105,44 @@ def _cli(*args):
         [sys.executable, "-m", "h32fem", *args],
         capture_output=True, text=True,
     )
+
+
+# Memory left resident after freeing 40 arrays of 1 MiB, once a 24 MiB
+# array has been freed; with the policy only when the argument is "policy".
+ALLOCATOR_PROBE = """
+import sys
+import numpy as np
+from h32fem.cli import _return_freed_memory
+
+def rss_mib():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmRSS:")) / 1024
+
+if sys.argv[1] == "policy":
+    _return_freed_memory()
+big = np.ones(3 * 2**20)
+del big
+before = rss_mib()
+arrays = [np.ones(2**17) for _ in range(40)]
+del arrays
+print(rss_mib() - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's allocator thresholds")
+def test_the_allocator_policy_returns_freed_memory():
+    # left alone, glibc raises its thresholds when the 24 MiB array is freed,
+    # so the 1 MiB arrays come from the heap and stay resident once freed
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def retained_mib(mode):
+        run = subprocess.run([sys.executable, "-c", ALLOCATOR_PROBE, mode],
+                             capture_output=True, text=True, env=env, check=True)
+        return float(run.stdout)
+
+    assert retained_mib("policy") <= 8.0
+    assert retained_mib("default") >= 30.0
 
 
 def test_cli_single_experiment(tmp_path):

@@ -4,7 +4,8 @@ Element contractions are batched matmuls on the gradient rows
 (ne, m, 2, nb); each is checked against the einsum over the former
 (ne, m, nb, 2) layout, kept here as the oracle. The lifted record and
 Gram set are checked against the per-pair pullback quadrature, with the
-lifted Jacobians from `lift_mixed` at every rule point. The sparse SPD factor is
+lifted Jacobians from `lift_mixed` at every rule point, and byte for byte
+against the full-mesh lifted record it replaced. The sparse SPD factor is
 checked against spsolve on each kind of matrix it factors, and the
 vectorized edge table against the per-edge dict loops of the mesh builder.
 """
@@ -17,12 +18,16 @@ from h32fem import meshing
 from h32fem.assembly import (
     FeFunction,
     _contract,
+    _grad_rows,
+    _on_gradient_rows,
+    _scatter,
     bulk_quad_data,
     eval_on_elements,
     grams_of,
+    surface_quad_data,
 )
-from h32fem.basis import TRI_EDGES, tri_shape_grad
-from h32fem.lifting import lift_mixed
+from h32fem.basis import TRI_EDGES, tri_shape, tri_shape_grad
+from h32fem.lifting import lift_mixed, lift_of
 from h32fem.meshing import (
     BOUNDARY_MIDNODE_BIAS,
     BOUNDARY_MIDNODE_BIAS_CAP,
@@ -33,6 +38,7 @@ from h32fem.meshing import (
     disk_mesh,
 )
 from h32fem.norms import gradient_pairing_load, spectral_decomp
+from h32fem.quadrature import default_degree, triangle_rule
 from h32fem.studies import multilinear_gradient_integral
 
 RTOL = 1e-13
@@ -75,7 +81,9 @@ def test_gradient_rows_are_the_former_layout_transposed(case):
     assert qd["gphys"].shape == old.shape[:2] + (2, old.shape[2])
     assert_close(qd["gphys"], old.swapaxes(-1, -2))
     lifted_old = old_gradients(lifted_rule_data(mesh, qd["rule"]), mesh)
-    assert_close(bulk_quad_data(mesh, lifted=True)["gphys"], lifted_old.swapaxes(-1, -2))
+    # the lifted record's rows: the plain ones, the boundary layer's lifted
+    lifted = _on_gradient_rows(bulk_quad_data(mesh, lifted=True), mesh, np.copy)
+    assert_close(lifted, lifted_old.swapaxes(-1, -2))
 
 
 def test_element_grams_match_einsum(case):
@@ -138,6 +146,65 @@ def test_lifted_contractions_match_einsum(case):
     want = np.einsum("q,eq,eq->", wq, det, dot(gz, gw))
     got = multilinear_gradient_integral([z, w], dot, bulk_quad_data(mesh, lifted=True))
     assert abs(got - want) <= RTOL * abs(want)
+
+
+# -- the lifted record against the full-mesh lifted record it replaced -------------
+
+
+def full_mesh_lifted_record(mesh):
+    """The lifted bulk record as it was coded before it held only the boundary
+    layer's gradient rows: every array full-size, from `LiftMap.geometry` of
+    all elements."""
+    rule = triangle_rule(default_degree(mesh.order))
+    pts, jac, det = lift_of(mesh).geometry(rule.points)
+    return {
+        "rule": rule,
+        "phi": tri_shape(mesh.order, rule.points),
+        "pts": pts,
+        "det": det,
+        "gphys": _grad_rows(tri_shape_grad(mesh.order, rule.points), jac),
+    }
+
+
+def full_mesh_lifted_grams(mesh, qd):
+    """The four lifted forms as `assemble_grams` formed them from that record."""
+    w, phi, det = qd["rule"].weights, qd["phi"], qd["det"]
+    nb = phi.shape[1]
+    Me = det @ (w[:, None, None] * phi[:, :, None] * phi[:, None, :]).reshape(len(w), -1)
+    Me = Me.reshape(-1, nb, nb)
+    G = qd["gphys"].reshape(len(det), -1, nb)  # rows (point, direction)
+    wdet = np.repeat(w * det, 2, axis=1)[:, :, None]
+    Ae = _contract(G.swapaxes(1, 2), wdet * G)
+    sd = surface_quad_data(mesh, lifted=True)
+    ws, psi, dpsi, speed = sd["rule"].weights, sd["psi"], sd["dpsi"], sd["speed"]
+    Mse = np.einsum("q,qi,qj,fq->fij", ws, psi, psi, speed)
+    Ase = np.einsum("q,qi,qj,fq->fij", ws, dpsi, dpsi, 1.0 / speed)
+    nbd = len(mesh.boundary_node_ids)
+    return (_scatter(Me, mesh.elements, mesh.n_nodes), _scatter(Ae, mesh.elements, mesh.n_nodes),
+            _scatter(Mse, mesh.surface_faces, nbd), _scatter(Ase, mesh.surface_faces, nbd))
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind, order", [("disk", 1), ("disk", 2), ("square", 1), ("square", 2)])
+def test_lifted_record_is_byte_equal_to_the_full_mesh_one(kind, order):
+    # on the square the boundary layer is empty
+    mesh = disk_mesh(6, order) if kind == "disk" else build_square_mesh(4, order)
+    want, got = full_mesh_lifted_record(mesh), bulk_quad_data(mesh, lifted=True)
+    for key in ("phi", "pts", "det"):
+        assert same_bytes(got[key], want[key]), key
+    for shape in [(), (2,), (2, 2)]:
+        u = FeFunction(mesh, coefficients(mesh, *shape))
+        vals, grads = eval_on_elements(u, got)
+        local = u.coeffs[mesh.elements]
+        assert same_bytes(vals, _contract(want["phi"], local))
+        assert same_bytes(grads, _contract(want["gphys"], local))
+    gl = grams_of(mesh, lifted=True)
+    for name, F in zip(("M_bulk", "A_bulk", "M_surf", "A_surf"), full_mesh_lifted_grams(mesh, want)):
+        F_got = getattr(gl, name)
+        assert all(same_bytes(getattr(F_got, a), getattr(F, a)) for a in ("indptr", "indices", "data")), name
 
 
 # -- sparse SPD factorization ---------------------------------------------------

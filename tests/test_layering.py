@@ -145,6 +145,12 @@ def test_the_overkill_key_and_the_p2_numbering_are_each_coded_once():
     assert {name.rsplit(".", 1)[0] for name in callers} == {"h32fem.meshing"}
 
 
+def test_only_the_cli_touches_the_allocator():
+    # the allocator policy is the program's, set in `cli.main`: importing the
+    # library leaves the allocator as the embedding process has it
+    assert readers_of("ctypes") == readers_of("mallopt") == ["h32fem.cli"]
+
+
 def test_mesh_constructor_takes_no_boundary():
     params = list(inspect.signature(Mesh).parameters)
     assert params == ["nodes", "elements", "order", "domain_kind"]

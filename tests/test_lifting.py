@@ -319,16 +319,20 @@ def same_bytes(a, b):
 @pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize("order", [1, 2])
 def test_identity_lift_record_and_grams_are_the_plain_ones(n, order):
-    from h32fem.assembly import assemble_grams, surface_quad_data
+    from h32fem.assembly import _on_gradient_rows, assemble_grams, surface_quad_data
 
     sq = build_square_mesh(n, order)
+    assert len(bulk_quad_data(sq, lifted=True)["bl"]) == 0
     for plain, lifted in (
         (bulk_quad_data(sq), bulk_quad_data(sq, lifted=True)),
         (surface_quad_data(sq), surface_quad_data(sq, lifted=True)),
     ):
         assert plain is not lifted
         for key, value in plain.items():
-            if key != "rule":
+            if key == "gphys":
+                # the lifted record's gradient rows, with an empty boundary layer
+                assert same_bytes(value, _on_gradient_rows(lifted, sq, np.copy)), key
+            elif key != "rule":
                 assert same_bytes(value, lifted[key]), key
     g, gl = assemble_grams(sq), assemble_grams(sq, lifted=True)
     for name in ("M_bulk", "A_bulk", "M_surf", "A_surf"):
@@ -339,12 +343,23 @@ def test_identity_lift_record_and_grams_are_the_plain_ones(n, order):
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_lifted_record_is_plain_off_the_boundary_layer(order):
+    from h32fem.assembly import _on_gradient_rows
+
     m = disk_mesh(5, order)
     plain, lifted = bulk_quad_data(m), bulk_quad_data(m, lifted=True)
     inner = lift_of(m).curved_edge < 0
-    for key in ("pts", "det", "gphys"):
+    assert same_bytes(lifted["bl"], np.nonzero(~inner)[0])
+    for key in ("pts", "det"):
         assert same_bytes(plain[key][inner], lifted[key][inner]), key
         assert not np.array_equal(plain[key][~inner], lifted[key][~inner]), key
+    # gradient rows are held for the boundary layer only: no full-size field
+    # carries plain gradients there
+    assert "gphys" not in lifted
+    assert lifted["gphys_bl"].shape == plain["gphys"][~inner].shape
+    assert not np.array_equal(plain["gphys"][~inner], lifted["gphys_bl"])
+    grads = _on_gradient_rows(lifted, m, np.copy)
+    assert same_bytes(plain["gphys"][inner], grads[inner])
+    assert same_bytes(lifted["gphys_bl"], grads[~inner])
     assert same_bytes(plain["phi"], lifted["phi"])
 
 

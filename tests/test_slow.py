@@ -1,12 +1,14 @@
 """End-to-end runs past the default levels, every default table against its
-reference, negative controls and the point-location audit (marked slow,
-deselected by default).
+reference, negative controls, the point-location audit and the memory
+budget of `verify all` (marked slow, deselected by default).
 
 Run with `pytest -m slow`.
 """
 
 import importlib.util
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -105,3 +107,32 @@ def test_overkill_transfers_locate_every_point(order, levels):
     for n in overkill_rings(levels):
         m = shared_mesh("disk", n, order)
         sz_via_dirichlet(FeFunction(m, rng.normal(size=m.n_nodes)))
+
+
+# -- memory: the peak of `verify all` above an import-only process, per order
+
+
+def _peak_rss_mb(args, tmp_path):
+    """Peak resident set (ru_maxrss, MiB) of a Python child run with `args`,
+    with one BLAS thread and the checkout's `src/` first on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, *args], cwd=tmp_path, env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    return usage.ru_maxrss / 1024.0   # KiB on Linux
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+@pytest.mark.parametrize("order, budget_mb", [(1, 78.0), (2, 225.0)])
+def test_verify_all_stays_within_its_memory_budget(order, budget_mb, tmp_path):
+    """Measured on a 2-core Intel Xeon (2.1 GHz, 8 GB) under Linux with glibc:
+    an import-only process peaks at 70.6 MB, and `verify all` 67 MB (k=1) and
+    197 MB (k=2) above it, against 88 and 256 MB before lifted records held
+    only the boundary layer and the CLI returned freed memory to the OS. Each
+    budget is the measured value plus more than 10 %."""
+    base = _peak_rss_mb(["-c", "import h32fem.cli"], tmp_path)
+    peak = _peak_rss_mb(["-m", "h32fem", "verify", "all", "--order", str(order), "--out", "out"], tmp_path)
+    assert peak - base <= budget_mb

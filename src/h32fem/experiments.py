@@ -14,8 +14,10 @@ Gram sets, operators, locators, overkill matrices and Gagliardo Grams
 are cached on the mesh they derive from, and meshes (overkill ones by
 `interp.overkill_key`) in one store, so the experiments of a run share
 them; `run_plan` releases each mesh and its cache after the last
-experiment that declares it. The norms and solvers find a function's Gram
-set and operators through its mesh, so a level passes them nothing.
+experiment that declares it. `plan_groups` splits a run into two groups that
+share few meshes, for `verify all` to run one per process. The
+norms and solvers find a function's Gram set and operators through its
+mesh, so a level passes them nothing.
 
 Order-free experiments: `leibniz_half`, `det_identity`,
 `resolvent_identity`, `comparison_identity`, `neumann_decay`,
@@ -958,10 +960,35 @@ def run_experiment(name, cfg=None):
 
 
 def run_plan(names, cfg):
-    """Run the named experiments in order, yielding (name, table); after each,
-    release the stored meshes no remaining spec declares (`Spec.mesh_keys`).
-    A mesh read undeclared is built again, at a cost in time only."""
+    """Run the named experiments in order, yielding (name, table); before
+    each yield, release the stored meshes no remaining spec declares
+    (`Spec.mesh_keys`), so an experiment's step is done when its table
+    comes. A mesh read undeclared is built again, at a cost in time only."""
     keys = [REGISTRY[name][1](cfg).mesh_keys() for name in names]
     for i, name in enumerate(names):
-        yield name, run_experiment(name, cfg)
+        table = run_experiment(name, cfg)
         release_meshes(set().union(*keys[i + 1:]))
+        yield name, table
+
+
+def plan_groups(names, cfg, workers):
+    """The named experiments as two groups to run one per process, or as
+    one where `workers` is 1 or there is nothing to split; each group in
+    the order of `names`.
+
+    The first group is the experiment that declares the most meshes
+    (`Spec.mesh_keys`; the first in `names` of a tie) with every other
+    experiment that declares only meshes it declares; the second is the rest,
+    mesh-free experiments included. So a mesh is built in both groups only
+    where the first experiment and one of the rest declare it. No more
+    than two groups are formed: the first cannot be split without
+    building its meshes twice, and it is the heavier of the two (at
+    `--levels` 4 and 5), so a third process could only share the
+    second's load."""
+    if workers < 2:
+        return [list(names)]
+    keys = {name: REGISTRY[name][1](cfg).mesh_keys() for name in names}
+    head = max(names, key=lambda name: len(keys[name]))
+    first = [name for name in names if keys[name] and keys[name] <= keys[head]]
+    rest = [name for name in names if name not in first]
+    return [first, rest] if first and rest else [list(names)]

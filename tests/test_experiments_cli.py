@@ -1,5 +1,8 @@
+import dataclasses
+import functools
 import os
 import platform
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -7,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from h32fem import cli, experiments
 from h32fem.cli import main
-from h32fem.experiments import REGISTRY, ExperimentConfig, run_experiment
-from h32fem.harness import table_from_json
+from h32fem.experiments import REGISTRY, ExperimentConfig, plan_groups, run_experiment, run_plan
+from h32fem.harness import render_csv, table_from_json
 
 # registry order: it fixes the `verify all` output order and which
 # experiment builds each shared cache
@@ -172,3 +176,145 @@ def test_cli_list():
     assert r.returncode == 0
     for name in EXPECTED_NAMES:
         assert name in r.stdout
+
+
+# -- `verify all` as groups of experiments, one group per process
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """`verify all` on two CPUs whatever the host has; the forks it makes."""
+    forks = []
+    fork = os.fork
+
+    def counting():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", counting)
+    yield forks
+    # every child was reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_verify_all_in_groups_writes_the_in_process_tables(tmp_path, capsys, two_cpus, order):
+    assert main(["verify", "all", "--levels", "3", "--order", str(order), "--out", str(tmp_path)]) == 0
+    cfg = ExperimentConfig(order=order, levels=3)
+    assert len(two_cpus) == len(plan_groups(list(REGISTRY), cfg, 2)) - 1 == 1
+    printed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert printed == list(REGISTRY)
+    for name, table in run_plan(list(REGISTRY), cfg):
+        assert (tmp_path / f"{name}.csv").read_text() == render_csv(table), name
+
+
+def test_verify_all_on_one_cpu_forks_nothing(tmp_path, monkeypatch):
+    def refuse():
+        raise AssertionError("forked on one CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", refuse)
+    assert main(["verify", "all", "--levels", "3", "--out", str(tmp_path)]) == 0
+    assert sorted(p.stem for p in tmp_path.iterdir()) == sorted(REGISTRY)
+
+
+def test_verify_all_under_a_wrapped_run_plan_forks_nothing(tmp_path, monkeypatch, two_cpus):
+    # a tracer's wrapper sees the calls of its own process only
+    seen = []
+
+    @functools.wraps(run_plan)
+    def traced(names, cfg):
+        seen.extend(names)
+        return run_plan(names, cfg)
+
+    monkeypatch.setattr(cli, "run_plan", traced)
+    assert main(["verify", "all", "--levels", "3", "--out", str(tmp_path)]) == 0
+    assert two_cpus == [] and seen == list(REGISTRY)
+
+
+def _replace_level(monkeypatch, name, level):
+    statement, build = REGISTRY[name]
+    monkeypatch.setitem(REGISTRY, name, (statement, lambda cfg: dataclasses.replace(build(cfg), level=level)))
+
+
+def _group_of(name):
+    """The index of the group `verify all --levels 3` runs `name` in on two CPUs."""
+    groups = plan_groups(list(REGISTRY), ExperimentConfig(levels=3), 2)
+    return next(i for i, group in enumerate(groups) if name in group)
+
+
+def test_an_experiment_raising_in_a_child_is_named(tmp_path, monkeypatch, two_cpus):
+    def level(mesh, rng):
+        raise ValueError("level refused")
+
+    assert _group_of("det_identity") > 0
+    _replace_level(monkeypatch, "det_identity", level)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="(?s)'det_identity' raised.*ValueError: level refused"):
+        main(["verify", "all", "--levels", "3", "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("end, message", [
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by SIGKILL"),
+    (lambda: os._exit(3), "exited with code 3"),
+])
+def test_a_child_that_ends_without_its_tables_is_reported(tmp_path, monkeypatch, two_cpus, end, message):
+    parent = os.getpid()
+
+    def level(mesh, rng):
+        if os.getpid() == parent:
+            raise AssertionError("ran in the parent")
+        end()
+
+    assert _group_of("resolvent_identity") > 0
+    _replace_level(monkeypatch, "resolvent_identity", level)
+    with pytest.raises(RuntimeError, match=f"resolvent_identity.* {message} without sending its tables"):
+        main(["verify", "all", "--levels", "3", "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("step", [0, -1])
+def test_a_release_raising_in_a_child_names_the_experiment_before_it(tmp_path, monkeypatch, two_cpus, step):
+    parent = os.getpid()
+    group = plan_groups(list(REGISTRY), ExperimentConfig(levels=3), 2)[1]
+    released = []
+    release = experiments.release_meshes
+
+    def releasing(keep):
+        if os.getpid() != parent:
+            released.append(keep)
+            if len(released) == range(len(group))[step] + 1:
+                raise ValueError("release refused")
+        release(keep)
+
+    monkeypatch.setattr(experiments, "release_meshes", releasing)
+    with pytest.raises(RuntimeError, match=f"(?s)'{group[step]}' raised.*ValueError: release refused"):
+        main(["verify", "all", "--levels", "3", "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_a_failing_run_writes_no_table_on_one_cpu_or_two(tmp_path, monkeypatch, cpus):
+    def level(mesh, rng):
+        raise ValueError("stop")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    assert list(REGISTRY)[-2] == "duality_sampled" and _group_of("duality_sampled") == 0
+    _replace_level(monkeypatch, "duality_sampled", level)
+    with pytest.raises(ValueError, match="stop"):
+        main(["verify", "all", "--levels", "3", "--out", str(tmp_path)])
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_an_error_in_the_parent_group_reaps_the_child(tmp_path, monkeypatch, two_cpus, error):
+    def level(mesh, rng):
+        raise error("stop")
+
+    assert _group_of("sz_projection") == 0
+    _replace_level(monkeypatch, "sz_projection", level)
+    with pytest.raises(error, match="stop"):
+        main(["verify", "all", "--levels", "3", "--out", str(tmp_path)])

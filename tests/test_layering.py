@@ -151,6 +151,12 @@ def test_only_the_cli_touches_the_allocator():
     assert readers_of("ctypes") == readers_of("mallopt") == ["h32fem.cli"]
 
 
+def test_only_the_cli_forks():
+    # `verify all` runs its groups in processes of its own; the library runs
+    # in the process that calls it and starts none
+    assert readers_of("fork") == ["h32fem.cli"]
+
+
 def test_mesh_constructor_takes_no_boundary():
     params = list(inspect.signature(Mesh).parameters)
     assert params == ["nodes", "elements", "order", "domain_kind"]

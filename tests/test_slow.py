@@ -112,12 +112,18 @@ def test_overkill_transfers_locate_every_point(order, levels):
 # -- memory: the peak of `verify all` above an import-only process, per order
 
 
-def _peak_rss_mb(args, tmp_path):
-    """Peak resident set (ru_maxrss, MiB) of a Python child run with `args`,
-    with one BLAS thread and the checkout's `src/` first on the path."""
+def _python_env():
+    """The environment of a Python child: one BLAS thread and the checkout's
+    `src/` first on the path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _peak_rss_mb(args, tmp_path):
+    """Peak resident set (ru_maxrss, MiB) of a Python child run with `args`
+    (`_python_env`); where it forks, the largest peak of its tree."""
+    env = _python_env()
     proc = subprocess.Popen([sys.executable, *args], cwd=tmp_path, env=env, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
@@ -132,7 +138,39 @@ def test_verify_all_stays_within_its_memory_budget(order, budget_mb, tmp_path):
     an import-only process peaks at 70.6 MB, and `verify all` 67 MB (k=1) and
     197 MB (k=2) above it, against 88 and 256 MB before lifted records held
     only the boundary layer and the CLI returned freed memory to the OS. Each
-    budget is the measured value plus more than 10 %."""
+    budget is the measured value plus more than 10 %. Where `verify all`
+    runs two processes this bounds the larger of them; the test below
+    bounds their sum."""
     base = _peak_rss_mb(["-c", "import h32fem.cli"], tmp_path)
     peak = _peak_rss_mb(["-m", "h32fem", "verify", "all", "--order", str(order), "--out", "out"], tmp_path)
     assert peak - base <= budget_mb
+
+
+# run `h32fem verify` in this process and print its own peak and the
+# largest peak of its reaped children (ru_maxrss, KiB on Linux)
+_PEAKS_OF_BOTH = """
+import resource, sys
+from h32fem.cli import main
+code = main(sys.argv[1:])
+print(*(resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))
+sys.exit(code)
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+@pytest.mark.parametrize("order, budget_mb", [(1, 92.0), (2, 365.0)])
+def test_verify_all_processes_together_stay_within_their_memory_budget(order, budget_mb, tmp_path):
+    """The peaks of the CLI process and of the child that runs the second
+    group, summed, above two import-only processes. Measured on the host of
+    the test above with two CPUs: 135 + 88 MB (k=1) and 252 + 217 MB (k=2),
+    so 83 and 329 MB above 2 × 70.5 MB, against 67 and 197 MB for the one
+    process that ran the registry before. A child's peak counts the pages
+    it shares with the CLI process since the fork. Each budget is the
+    measured value plus more than 10 %."""
+    base = _peak_rss_mb(["-c", "import h32fem.cli"], tmp_path)
+    r = subprocess.run([sys.executable, "-c", _PEAKS_OF_BOTH, "verify", "all", "--order", str(order),
+                        "--out", "out"], cwd=tmp_path, env=_python_env(), capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    own, child = (int(kib) / 1024.0 for kib in r.stdout.splitlines()[-1].split())
+    assert own + child - 2 * base <= budget_mb

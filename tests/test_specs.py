@@ -148,14 +148,12 @@ def test_slope_targets_are_compared_as_deviations():
 
 # -- the run plan: declared meshes, one build each, released after the last reader
 
-@pytest.fixture(scope="module", params=[1, 2])
-def plan_run(request):
-    """`verify all --levels 3` through the plan on an empty mesh store with the
-    garbage collector off: the config, the shared-mesh keys each experiment
-    requested, the builds per key, and after each release the keys whose
-    mesh is still alive."""
-    cfg = ExperimentConfig(order=request.param, levels=3)
-    requested, builds, refs, alive = [], Counter(), [], []
+def record_plan(cfg, groups):
+    """Each group through the plan on its own empty mesh store with the
+    garbage collector off, as `verify all` runs one group per process: the
+    shared-mesh keys each experiment requested, the builds per key of each
+    group, and after each release the keys whose mesh is still alive."""
+    requested, builds, refs, alive, reads = [], [], [], [], {}
     shared, release = meshing.shared_mesh, experiments.release_meshes
 
     def recording(*key):
@@ -165,7 +163,7 @@ def plan_run(request):
     def counting(kind, build):
         def built(n, order):
             mesh = build(n, order)
-            builds[kind, n, order] += 1
+            builds[-1][kind, n, order] += 1
             refs.append(((kind, n, order), weakref.ref(mesh)))
             return mesh
         return built
@@ -174,9 +172,7 @@ def plan_run(request):
         release(keep)
         alive.append({key for key, ref in refs if ref() is not None})
 
-    reads = {}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(meshing, "_MESHES", {})
         mp.setattr(meshing, "disk_mesh", counting("disk", meshing.disk_mesh))
         mp.setattr(meshing, "build_square_mesh", counting("square", meshing.build_square_mesh))
         mp.setattr(experiments, "release_meshes", releasing)
@@ -184,13 +180,27 @@ def plan_run(request):
             for attr, value in list(vars(module).items()):
                 if value is shared:
                     mp.setattr(module, attr, recording)
-        gc.disable()   # a mesh must die by reference counting alone
-        try:
-            for name, _ in run_plan(list(REGISTRY), cfg):
-                reads[name] = set(requested)
-                requested.clear()
-        finally:
-            gc.enable()
+        for group in groups:
+            builds.append(Counter())
+            mp.setattr(meshing, "_MESHES", {})
+            gc.disable()   # a mesh must die by reference counting alone
+            try:
+                for name, _ in run_plan(group, cfg):
+                    reads[name] = set(requested)
+                    requested.clear()
+            finally:
+                gc.enable()
+    return reads, builds, alive
+
+
+@pytest.fixture(scope="module", params=[1, 2])
+def plan_run(request):
+    """`verify all --levels 3` through the plan on an empty mesh store with the
+    garbage collector off: the config, the shared-mesh keys each experiment
+    requested, the builds per key, and after each release the keys whose
+    mesh is still alive."""
+    cfg = ExperimentConfig(order=request.param, levels=3)
+    reads, (builds,), alive = record_plan(cfg, [list(REGISTRY)])
     return cfg, reads, builds, alive
 
 
@@ -215,3 +225,82 @@ def test_no_run_builds_the_p2_square(plan_run):
     # square (`meshing.dof_map`); the fixed squares read no level count
     _, _, builds, _ = plan_run
     assert ("square", 3, 1) in builds and ("square", 3, 2) not in builds
+
+
+# -- groups of the registry, one per process (`plan_groups`)
+
+# the mesh-sharing ladders: the overkill transfers and the spectral operators
+# of the disks stay in one process
+SPECTRAL_GROUP = [
+    "sz_projection", "sz_error", "dual_inverse", "inverse_estimate", "h1_stability",
+    "norm_equivalence", "interpolant_membership", "dirichlet_regularity",
+    "robin_regularity", "smallness", "deformation_discrete", "deformation_continuous",
+    "duality_sampled",
+]
+GEOMETRY_LADDERS = ["interp_rates", "lift_consistency", "lift_multilinear"]
+SQUARES_AND_MESH_FREE = [
+    "product_sampled", "comparison_identity", "leibniz_half", "neumann_decay",
+    "resolvent_identity", "det_identity", "l2_product",
+]
+
+
+@pytest.mark.parametrize("order, levels, groups", [
+    (1, 3, [GEOMETRY_LADDERS + SPECTRAL_GROUP, SQUARES_AND_MESH_FREE]),
+    (2, 3, [SPECTRAL_GROUP, GEOMETRY_LADDERS + SQUARES_AND_MESH_FREE]),
+    (1, 4, [SPECTRAL_GROUP, GEOMETRY_LADDERS + SQUARES_AND_MESH_FREE]),
+    (2, 4, [SPECTRAL_GROUP, GEOMETRY_LADDERS + SQUARES_AND_MESH_FREE]),
+])
+def test_plan_groups_pins(order, levels, groups):
+    cfg = ExperimentConfig(order=order, levels=levels)
+    assert experiments.plan_groups(list(REGISTRY), cfg, 2) == groups
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 64])
+@pytest.mark.parametrize("order", [1, 2])
+def test_plan_groups_splits_the_registry(no_meshes, order, workers):
+    # every name in exactly one group, each in registry order; one group on
+    # one CPU and two on more, the first declaring no mesh its head does not
+    cfg = ExperimentConfig(order=order)
+    groups = experiments.plan_groups(list(REGISTRY), cfg, workers)
+    assert len(groups) == min(workers, 2)
+    assert sorted(name for g in groups for name in g) == sorted(REGISTRY)
+    for group in groups:
+        assert group == [name for name in REGISTRY if name in group]
+    if workers > 1:
+        keys = [REGISTRY[name][1](cfg).mesh_keys() for name in groups[0]]
+        assert all(keys) and set().union(*keys) == max(keys, key=len)
+
+
+@pytest.fixture(scope="module", params=[1, 2])
+def group_run(request):
+    """`verify all --levels 3` as its two groups, each on its own mesh store:
+    the config, the groups, the builds per key of each and the live keys
+    after each release."""
+    cfg = ExperimentConfig(order=request.param, levels=3)
+    groups = experiments.plan_groups(list(REGISTRY), cfg, 2)
+    _, builds, alive = record_plan(cfg, groups)
+    return cfg, groups, builds, alive
+
+
+def test_each_group_builds_its_meshes_once(group_run):
+    cfg, groups, builds, alive = group_run
+    names = [name for group in groups for name in group]
+    declared = {name: REGISTRY[name][1](cfg).mesh_keys() for name in names}
+    for group, built in zip(groups, builds):
+        assert built == Counter(set().union(*(declared[name] for name in group)))
+    for i, name in enumerate(names):
+        group = next(g for g in groups if name in g)
+        later = group[group.index(name) + 1:]
+        assert alive[i] <= set().union(*(declared[n] for n in later)), name
+
+
+# the only meshes built in both processes: small disks the two groups share
+BUILT_IN_TWO_GROUPS = {
+    1: {("disk", 3, 1), ("disk", 4, 1)},
+    2: {("disk", 3, 2), ("disk", 4, 2), ("disk", 12, 2)},
+}
+
+
+def test_meshes_built_in_two_groups_are_pinned(group_run):
+    cfg, _, builds, _ = group_run
+    assert {key for key, n in sum(builds, Counter()).items() if n > 1} == BUILT_IN_TWO_GROUPS[cfg.order]

@@ -7,7 +7,7 @@ back pickled through a pipe. Tables are written in registry order once
 both groups are done, and do not depend on the grouping; if either group
 fails, none is written. With one CPU, where `os.fork` does not exist, or
 under a wrapped `run_plan` (a tracer's), the registry runs as one group in
-this process, as `verify <name>` always does.
+this process; `verify <name>` is a group of one, run the same way.
 """
 
 import argparse
@@ -18,7 +18,7 @@ import signal
 import sys
 import traceback
 
-from .experiments import REGISTRY, ExperimentConfig, plan_groups, run_experiment, run_plan
+from .experiments import REGISTRY, ExperimentConfig, plan_groups, run_plan
 from .harness import emit
 
 
@@ -36,10 +36,11 @@ def build_parser():
         help="registered experiment name or 'all'; see --list",
     )
     v.add_argument("--list", action="store_true", help="list experiments and exit")
-    v.add_argument("--order", type=int, choices=(1, 2), default=1)
-    v.add_argument("--levels", type=int, default=4)
-    v.add_argument("--seed", type=int, default=20250809)
-    v.add_argument("--kappa", type=float, default=0.1)
+    v.set_defaults(**vars(ExperimentConfig()))
+    v.add_argument("--order", type=int, choices=(1, 2))
+    v.add_argument("--levels", type=int)
+    v.add_argument("--seed", type=int)
+    v.add_argument("--kappa", type=float)
     v.add_argument(
         "--out",
         default="results",
@@ -54,9 +55,7 @@ def _run_verify(args):
         for name, (statement, _) in REGISTRY.items():
             print(f"{name:26s} {statement}")
         return 0
-    cfg = ExperimentConfig(
-        order=args.order, levels=args.levels, seed=args.seed, kappa=args.kappa
-    )
+    cfg = ExperimentConfig(**{field: getattr(args, field) for field in vars(ExperimentConfig())})
     # refuse a bad invocation before anything runs or is written
     try:
         cfg.validate()
@@ -66,9 +65,8 @@ def _run_verify(args):
     except ValueError as e:
         print(f"h32fem verify: error: {e}", file=sys.stderr)
         return 2
-    runs = (_run_groups(plan_groups(list(REGISTRY), cfg, _workers()), cfg)
-            if args.experiment == "all"
-            else [(args.experiment, run_experiment(args.experiment, cfg))])
+    names = list(REGISTRY) if args.experiment == "all" else [args.experiment]
+    runs = _run_groups(plan_groups(names, cfg, _workers()), cfg)
     all_pass = True
     for name, table in runs:
         all_pass &= table.passed

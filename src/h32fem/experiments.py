@@ -981,10 +981,9 @@ def plan_groups(names, cfg, workers):
     experiment that declares only meshes it declares; the second is the rest,
     mesh-free experiments included. So a mesh is built in both groups only
     where the first experiment and one of the rest declare it. No more
-    than two groups are formed: the first cannot be split without
-    building its meshes twice, and it is the heavier of the two (at
-    `--levels` 4 and 5), so a third process could only share the
-    second's load."""
+    than two groups are formed, as the first cannot be split without
+    building its meshes twice. At `--levels` 4 the first is the heavier
+    at k=2, and at k=1 the two take about the same CPU time."""
     if workers < 2:
         return [list(names)]
     keys = {name: REGISTRY[name][1](cfg).mesh_keys() for name in names}

@@ -29,14 +29,13 @@ mechanisms share these blocks, their rules and their kernel weights:
   consumers, `product_sampled` and `leibniz_half`.
 * `gagliardo_seminorms` is the direct pass, for pointwise inputs in no
   Lagrange space (FeExpressions such as cubic products, callables; FE
-  functions are accepted too). Inside each geometry block it walks
-  function blocks sized by what a function holds (its squared differences
-  and the values of it and its FE leaves), so memory grows with neither
-  the function count nor an expression's leaves.
-  A function block's values are one BLAS product with the shape table,
-  one FeExpression.combine call per expression and one call per callable;
-  the pairing keeps the (u(x)-u(y))^2 form, so constants give exactly
-  zero and scaling is exact to rounding.
+  functions are accepted too). Each geometry block forms its kernel once
+  and then takes the inputs one at a time, so memory does not grow with
+  their count. FE values come from `assembly._contract` with the shape
+  table, an FeExpression's from one `combine` call on its leaves' and a
+  callable's from one call on the block's points; the pairing keeps the
+  (u(x)-u(y))^2 form, so constants give exactly zero and scaling is exact
+  to rounding.
 
 Both certify inequalities with slack, not tight values; on the smooth test
 panels they sit within a few percent of converged values.
@@ -46,6 +45,7 @@ import functools
 
 import numpy as np
 
+from .assembly import _contract
 from .basis import TRI_EDGES, TRI_VERTS, tri_shape
 from .meshing import _cached, batched_geometry, dof_map
 from .quadrature import default_degree, edge_rule, triangle_rule
@@ -162,63 +162,36 @@ def _kernel(x, y, J):
     return wx[:, :, None] * wy.reshape(B, -1, J) / r2**1.5
 
 
-def _values(funcs, mesh, phi, elems, pts):
-    """Values (nfun, len(elems), m) of funcs at shared reference points of elems.
+def _values(f, mesh, phi, elems, pts):
+    """Values (len(elems), m) of f at shared reference points of elems.
 
     phi is the (m, nb) shape table of the points, pts their (len(elems), m, 2)
-    images. Every FE function, direct or an FeExpression input, is evaluated
-    once, all in one product with phi; one of another mesh is refused.
+    images. FE functions (f, or its leaves) go through `assembly._contract`,
+    and one of another mesh is refused; a vector f raises ValueError.
     """
-    leaves = {}
-    for f in funcs:
-        for g in f.funcs if isinstance(f, FeExpression) else [f]:
-            if hasattr(g, "coeffs"):
-                if g.mesh is not mesh:
-                    raise ValueError("an FE input lives on another mesh")
-                leaves.setdefault(id(g), g)
-    at = {}
-    if leaves:
-        coeffs = np.column_stack([g.coeffs for g in leaves.values()]).T   # (ncols, n_nodes)
-        local = coeffs[:, mesh.elements[elems]]
-        vals = (local.reshape(-1, phi.shape[1]) @ phi.T).reshape(len(coeffs), len(elems), -1)
-        lo = 0
-        for key, g in leaves.items():
-            hi = lo + g.coeffs[0].size
-            at[key] = vals[lo] if g.coeffs.ndim == 1 else np.moveaxis(vals[lo:hi], 0, -1)
-            lo = hi
-    out = np.empty((len(funcs), len(elems), len(phi)))
-    for i, f in enumerate(funcs):
-        if isinstance(f, FeExpression):
-            out[i] = f.combine(*[at[id(g)] for g in f.funcs])
-        elif hasattr(f, "coeffs"):
-            out[i] = at[id(f)]
-        else:
-            out[i] = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(out.shape[1:])
-    return out
+    def fe(g):
+        if g.mesh is not mesh:
+            raise ValueError("an FE input lives on another mesh")
+        return _contract(phi, g.coeffs[mesh.elements[elems]])
 
-
-def _columns(f):
-    """Value columns one evaluation of f holds besides its own: its FE leaves'."""
-    leaves = f.funcs if isinstance(f, FeExpression) else [f]
-    return sum(g.coeffs[0].size for g in leaves if hasattr(g, "coeffs"))
+    if isinstance(f, FeExpression):
+        vals = f.combine(*map(fe, f.funcs))
+    else:
+        vals = fe(f) if hasattr(f, "coeffs") else f(pts.reshape(-1, 2))
+    return np.asarray(vals, dtype=float).reshape(len(elems), len(phi))
 
 
 def _class_sum(funcs, mesh, x, y, J):
     """sum_{b,q,j} (u(x_bq) - u(y_bqj))^2 K_bqj over a block, for every u."""
-    (phi_x, ex, px, _), (phi_y, ey, py, _) = x, y
-    B = len(px)
-    K = _kernel(x, y, J).ravel()
-    out = np.empty(len(funcs))
-    # per function: its squared differences, and its values and its leaves'
-    # values at the inner points
-    width = 1 + max(map(_columns, funcs), default=0)
-    for fb in _blocks(len(funcs), 8 * (len(K) + width * py.size // 2)):
-        block = funcs[fb]
-        vy = _values(block, mesh, phi_y, ey, py).reshape(len(block), B, -1, J)
-        dv = _values(block, mesh, phi_x, ex, px)[..., None] - vy
+    K = _kernel(x, y, J)
+
+    def pair_sum(f):
+        # one input's arrays, freed before the next input's are formed
+        dv = _values(f, mesh, *x[:3])[..., None] - _values(f, mesh, *y[:3]).reshape(len(K), -1, J)
         dv *= dv
-        out[fb] = dv.reshape(len(block), -1) @ K
-    return out
+        return np.vdot(dv, K)
+
+    return np.array([pair_sum(f) for f in funcs])
 
 
 def gagliardo_seminorms(funcs, mesh):

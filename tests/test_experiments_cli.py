@@ -178,6 +178,13 @@ def test_cli_list():
         assert name in r.stdout
 
 
+def test_cli_defaults_are_the_config_defaults():
+    # one coding of the defaults: the parser reads them from ExperimentConfig
+    defaults = dataclasses.asdict(ExperimentConfig())
+    args = cli.build_parser().parse_args(["verify", "all"])
+    assert {field: getattr(args, field) for field in defaults} == defaults
+
+
 # -- `verify all` as groups of experiments, one group per process
 
 
@@ -208,6 +215,13 @@ def test_verify_all_in_groups_writes_the_in_process_tables(tmp_path, capsys, two
     assert printed == list(REGISTRY)
     for name, table in run_plan(list(REGISTRY), cfg):
         assert (tmp_path / f"{name}.csv").read_text() == render_csv(table), name
+
+
+def test_verify_one_experiment_is_one_group_in_process(tmp_path, capsys, two_cpus):
+    out = tmp_path / "det_identity.csv"
+    assert main(["verify", "det_identity", "--seed", "7", "--out", str(out)]) == 0
+    assert two_cpus == []
+    assert out.read_text() == render_csv(run_experiment("det_identity", ExperimentConfig(seed=7)))
 
 
 def test_verify_all_on_one_cpu_forks_nothing(tmp_path, monkeypatch):

@@ -269,40 +269,50 @@ def test_blocked_oracle_matches_per_element_reference(kind, n, order):
     assert np.abs(got / ref - 1.0).max() <= 1e-12
 
 
+def _traced_peak(funcs, mesh):
+    """tracemalloc's peak over one direct pass of funcs."""
+    tracemalloc.start()
+    try:
+        gagliardo_seminorms(funcs, mesh)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_peak_memory_is_bounded_by_block_budget():
     # the per-element oracle held every function's values at all of an
-    # element's Duffy points at once (64 x 85,683 doubles here, ~44 MB)
+    # element's Duffy points at once (64 x 85,683 doubles here, ~44 MB);
+    # the pass takes one input at a time, so 64 inputs peak like one
     mesh = build_square_mesh(2, 1)
     us = [nodal_interp_bulk(mesh, lambda p, a=a: np.sin(a * p[:, 0]) + p[:, 1]) for a in range(40)]
     funcs = us + [FeExpression(lambda a, b: a * b, us[i : i + 2]) for i in range(20)]
     funcs += [lambda p, a=a: p[:, 0] ** a for a in range(4)]
     gagliardo_half_oracle(us[0])    # fills the per-degree Duffy layout cache
-    tracemalloc.start()
-    try:
-        gagliardo_seminorms(funcs, mesh)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * gagliardo._BLOCK_BYTES
+    one, panel = _traced_peak(us[:1], mesh), _traced_peak(funcs, mesh)
+    assert panel < 16 * gagliardo._BLOCK_BYTES
+    assert panel < 1.05 * one
 
 
 def test_peak_memory_does_not_grow_with_the_leaves_of_expressions():
-    # function blocks are sized by each function's FE leaves too: 12 products
-    # of 5 leaves each peak within 1.5x of 12 plain FE functions (blocks sized
-    # by the function count alone made it 1.9x)
+    # an expression's values are formed from its FE leaves' values at a
+    # block's points only, one input at a time: 12 products of 5 leaves each
+    # peak within 1.5x of 12 plain FE functions (function blocks sized by
+    # the function count alone made it 1.9x)
     mesh = build_square_mesh(3, 1)
     us = [nodal_interp_bulk(mesh, lambda p, a=a: np.sin(a * p[:, 0]) + p[:, 1]) for a in range(60)]
     prods = [FeExpression(lambda a, b, c, d, e: (a * b + c * d) * e, us[i : i + 5]) for i in range(0, 60, 5)]
     gagliardo_half_oracle(us[0])    # fills the per-degree Duffy layout cache
-    peaks = []
-    for funcs in (us[:12], prods):
-        tracemalloc.start()
-        try:
-            gagliardo_seminorms(funcs, mesh)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [_traced_peak(funcs, mesh) for funcs in (us[:12], prods)]
     assert peaks[1] < 1.5 * peaks[0]
+
+
+def test_vector_fe_input_is_refused(sq3):
+    # the seminorm is of scalar functions: a 2-vector field's values do not
+    # make one value per point, and are not broadcast into one
+    field = nodal_interp_bulk(sq3, lambda p: np.column_stack([p[:, 0], p[:, 1] ** 2]))
+    assert field.arity == 2
+    with pytest.raises(ValueError):
+        gagliardo_seminorms([field], sq3)
 
 
 # -- the Gram matrix against the direct pass ------------------------------------

@@ -3,6 +3,8 @@
 Node ordering on the triangle, order k=1: the three vertices
 (0,0), (1,0), (0,1). Order k=2 appends the edge midpoints (1/2,0),
 (1/2,1/2), (0,1/2), i.e. midpoints of edges (0,1), (1,2), (2,0).
+Order k=3 (values only, for the Gagliardo oracle's cubic products) appends
+per edge (a, b) the points at t = 1/3 and 2/3 from a to b, then the centroid.
 On the edge [0,1]: endpoints 0, 1, then (k=2) the midpoint 1/2.
 """
 
@@ -20,11 +22,13 @@ TRI_TANGENTS = np.array([TRI_VERTS[b] - TRI_VERTS[a] for a, b in TRI_EDGES])
 
 def tri_ref_nodes(order):
     """Reference coordinates of the local nodes."""
-    if order == 1:
-        return TRI_VERTS.copy()
-    if order == 2:
-        return np.vstack([TRI_VERTS, tri_edge_ref_points(np.arange(3), np.full(3, 0.5))])
-    raise ValueError(f"unsupported order {order}")
+    if order not in (1, 2, 3):
+        raise ValueError(f"unsupported order {order}")
+    t = np.tile(np.arange(1, order) / order, 3)
+    nodes = [TRI_VERTS, tri_edge_ref_points(np.repeat(np.arange(3), order - 1), t)]
+    if order == 3:
+        nodes.append(np.full((1, 2), 1.0 / 3.0))
+    return np.vstack(nodes)
 
 
 def tri_shape(order, pts):
@@ -50,6 +54,10 @@ def tri_shape(order, pts):
             ],
             axis=1,
         )
+    if order == 3:
+        verts = [0.5 * l * (3.0 * l - 1.0) * (3.0 * l - 2.0) for l in lam.T]
+        edges = [4.5 * lam[:, i] * lam[:, j] * (3.0 * lam[:, n] - 1.0) for i, j in TRI_EDGES for n in (i, j)]
+        return np.stack(verts + edges + [27.0 * lam.prod(axis=1)], axis=1)
     raise ValueError(f"unsupported order {order}")
 
 

@@ -45,7 +45,7 @@ from .assembly import (
     zero_function,
 )
 from .basis import tri_ref_nodes, tri_shape
-from .gagliardo import FeExpression, gagliardo_gram, gagliardo_seminorms
+from .gagliardo import gagliardo_gram
 from .harness import RateTable, fit_rate
 from .interp import (
     dirichlet_lift,
@@ -71,6 +71,7 @@ from .norms import (
     dual_neg_half_norm,
     dual_neg_half_norms,
     dual_norm_from_load,
+    gradient_pairing_load,
     h1_norm,
     h_s_norm,
     hhat_threehalf_norm,
@@ -623,23 +624,25 @@ def exp_neumann_decay(cfg):
 
 def _square_half_seminorms(nside, c1, combine=None):
     """Gagliardo seminorms on the order-1 square mesh `nside` as quadratic
-    forms in its cached P2 Gram matrix: the P1 nodal values c1 (one
-    function per column) map exactly to P2 coefficients c2, and each
-    column c of combine(c2) (c2 by default) gives sqrt(max(0, c^T G c))."""
+    forms in its cached P3 Gram matrix: the P1 nodal values c1 (one
+    function per column) map exactly to P3 coefficients c3, and each
+    column c of combine(c3) (c3 by default) gives sqrt(max(0, c^T G c)).
+    Products of up to three P1 functions are P3 on the affine triangulation,
+    so combine forms them nodally."""
     m = get_mesh("square", nside, 1)
-    dofs = dof_map(m, 2)
-    c2 = np.empty((dofs.max() + 1, c1.shape[1]))
-    c2[dofs] = tri_shape(1, tri_ref_nodes(2)) @ c1[m.elements]
-    C = c2 if combine is None else combine(c2)
-    return np.sqrt(np.maximum(0.0, np.sum(C * (gagliardo_gram(m, 2) @ C), axis=0)))
+    dofs = dof_map(m, 3)
+    c3 = np.empty((dofs.max() + 1, c1.shape[1]))
+    c3[dofs] = tri_shape(1, tri_ref_nodes(3)) @ c1[m.elements]
+    C = c3 if combine is None else combine(c3)
+    return np.sqrt(np.maximum(0.0, np.sum(C * (gagliardo_gram(m, 3) @ C), axis=0)))
 
 
 def exp_leibniz_half(cfg):
     """u, v are P1 on the affine square, so uv is P2 on the same triangulation:
     all 600 seminorms are quadratic forms in one Gagliardo Gram matrix."""
-    def with_products(c2):
-        u2, v2 = c2[:, 0::2], c2[:, 1::2]
-        return np.stack([u2, v2, u2 * v2], axis=2).reshape(len(c2), 600)
+    def with_products(c3):
+        u3, v3 = c3[:, 0::2], c3[:, 1::2]
+        return np.stack([u3, v3, u3 * v3], axis=2).reshape(len(c3), 600)
 
     def level(m, rng):
         c = rng.normal(size=(400, 6)).T[:, None, :]   # cu, cv of each of the 200 pairs
@@ -726,27 +729,25 @@ def exp_l2_product(cfg):
 def _oracle_worst(rng):
     """Part (a) of `product_sampled`: the continuous-style product estimate
     with the Gagliardo oracle on a tiny square mesh, worst ratio to its
-    slack-10 bound over 12 samples. The P1 inputs' seminorms are quadratic
-    forms in the cached Gram matrix; only the cubic products, which lie in
-    no Lagrange space, take the direct pass."""
+    slack-10 bound over 12 samples. The 48 P1 inputs' seminorms and those
+    of the 12 cubic products are quadratic forms in the cached P3 Gram
+    matrix, the products formed nodally."""
     m = get_mesh("square", 3, 1)
     slack = 10.0
     worst_cont = 0.0
-    samples, prods = [], []
-    for _ in range(12):
-        u1 = [_smooth_rand_interp(m, rng) for _ in range(2)]
-        u2 = [_smooth_rand_interp(m, rng) for _ in range(2)]
-        v1 = _smooth_rand_interp(m, rng)
-        prods.append(FeExpression(
-            lambda a1, a2, b1, b2, c: (a1 * b1 + a2 * b2) * c, u1 + u2 + [v1]
-        ))
-        samples.append((u1, u2, v1))
+    # the components of u1 and u2, then v1, of each sample
+    samples = [[_smooth_rand_interp(m, rng) for _ in range(5)] for _ in range(12)]
+
+    def with_products(c3):
+        c = c3.reshape(len(c3), 12, 5)
+        prods = (c[..., 0] * c[..., 2] + c[..., 1] * c[..., 3]) * c[..., 4]
+        return np.hstack([c[..., :4].reshape(len(c3), 48), prods])
+
     inf_of = lambda u: float(np.abs(eval_on_elements(u)[0]).max())
     vec_inf = lambda uu: float(np.hypot(inf_of(uu[0]), inf_of(uu[1])))
-    c1 = np.column_stack([u.coeffs for u1, u2, _ in samples for u in u1 + u2])
-    semi = _square_half_seminorms(3, c1).reshape(12, 4)
-    gps = gagliardo_seminorms(prods, m)
-    for (u1, u2, v1), (g1a, g1b, g2a, g2b), gp in zip(samples, semi, gps):
+    semi = _square_half_seminorms(3, np.column_stack([u.coeffs for s in samples for u in s]), with_products)
+    for (a1, a2, b1, b2, v1), (g1a, g1b, g2a, g2b), gp in zip(samples, semi[:48].reshape(12, 4), semi[48:]):
+        u1, u2 = (a1, a2), (b1, b2)
         w_half_inf = max(studies.sampled_whalf_inf(v1), inf_of(v1))
         rhs = (np.hypot(g1a, g1b) * vec_inf(u2) + np.hypot(g2a, g2b) * vec_inf(u1)) * w_half_inf
         worst_cont = max(worst_cont, gp / (slack * rhs))
@@ -771,9 +772,10 @@ def exp_product_sampled(cfg):
             worst_cont = _oracle_worst(rng)
         vstar = nodal_interp_bulk(md, lambda p: np.cos(p[:, 0] - 0.4 * p[:, 1]))
         _, gv = eval_on_elements(vstar)
-        level_ratios = []
-        freqs = (np.pi / md.h, 0.7 * np.pi / md.h)
-        for fr in freqs:
+        # both frequencies' loads and functions first, then one block of
+        # dual norms and one of 3/2 norms: u1 of each, then u2's components
+        loads, u1s, u2s = [], [], []
+        for fr in (np.pi / md.h, 0.7 * np.pi / md.h):
             # deterministic mesh-scale oscillation at the smallness cap
             u1 = nodal_interp_bulk(
                 md, lambda p: np.sin(fr * p[:, 0]) * np.cos(fr * p[:, 1])
@@ -781,22 +783,23 @@ def exp_product_sampled(cfg):
             u1 = u1.scaled(0.9 * md.h**kappa / sampled_w1inf(u1))
             psi1 = nodal_interp_bulk(md, lambda p: np.sin(fr * p[:, 1] + 1.0))
             psi2 = nodal_interp_bulk(md, lambda p: np.cos(fr * p[:, 0] + 2.0))
-            u2 = FeFunction(md, np.column_stack([psi1.coeffs, psi2.coeffs]))
             wmax = max(sampled_w1inf(psi1), sampled_w1inf(psi2))
-            u2 = FeFunction(md, u2.coeffs * (0.9 * md.h**kappa / wmax))
+            u2 = FeFunction(md, np.column_stack([psi1.coeffs, psi2.coeffs]) * (0.9 * md.h**kappa / wmax))
             _, g1 = eval_on_elements(u1)
             _, g2 = eval_on_elements(u2)   # (ne, m, 2, 2), A[x, c] convention
             Finv = _inverse_2x2(g2 + np.eye(2))[0] - np.eye(2)
             # T(a; B; c) = (a . e1) B c, a vector-valued multilinear field
             field = g1[..., 0][..., None] * np.einsum("eqxy,eqy->eqx", Finv, gv)
-            lhs = vec_dual_half_norm(field, md, "all")
-            rhs = md.h ** ((2 - 1) * kappa) * (
-                hhat_threehalf_norm(u1)
-                + _vec_threehalf(u2)
-                + md.h ** (k - 0.5 + kappa)
-            )
-            level_ratios.append(lhs / rhs)
-        return [max(level_ratios), worst_cont]
+            loads.append(gradient_pairing_load(field, md))
+            u1s.append(u1)
+            u2s += [FeFunction(md, c) for c in u2.coeffs.T]
+        sb = spectral_decomp(grams_of(md), "all")
+        lhs = dual_norm_from_load(np.column_stack(loads)[sb.ids], sb)
+        n32 = hhat_threehalf_norms(u1s + u2s)
+        rhs = md.h ** ((2 - 1) * kappa) * (
+            n32[:2] + np.hypot(n32[2::2], n32[3::2]) + md.h ** (k - 0.5 + kappa)
+        )
+        return [float(np.max(lhs / rhs)), worst_cont]
 
     # the constant oracle column is bounded by construction
     return Spec(
@@ -806,11 +809,6 @@ def exp_product_sampled(cfg):
         (at_most(oracle_worst=1.0), bounded()), "discrete_ratio",
         reads=[("square", 3, 1)],
     )
-
-
-def _vec_threehalf(v):
-    """Euclidean norm of the zero-trace 3/2 norms of a 2-vector field's components."""
-    return float(np.hypot(*hhat_threehalf_norms([FeFunction(v.mesh, c) for c in v.coeffs.T])))
 
 
 def _smooth_rand_interp(mesh, rng):
@@ -844,7 +842,9 @@ def exp_deformation_discrete(cfg):
         psi2 = nodal_interp_bulk(m, lambda p: np.cos(p[:, 1]) - 0.5 * p[:, 0] ** 2)
         ex = FeFunction(m, m.h**1.6 * np.column_stack([psi1.coeffs, psi2.coeffs]))
         w = nodal_interp_bulk(m, lambda p: np.sin(p[:, 0] + 0.2 * p[:, 1]))
-        den0 = _vec_threehalf(ex) + m.h ** (k - 0.5 + kappa)
+        # the Euclidean norm of the zero-trace 3/2 norms of ex's components
+        den0 = float(np.hypot(*hhat_threehalf_norms([FeFunction(m, c) for c in ex.coeffs.T])))
+        den0 += m.h ** (k - 0.5 + kappa)
         # worst-case test function: the dual-pairing maximizer
         ratios = [vec_dual_half_norm(deformation_field(ex, w), m, "interior") / den0]
         z = nodal_interp_bulk(m, studies.SMOOTH_SCALAR_2)

@@ -26,10 +26,13 @@ mechanisms share these blocks, their rules and their kernel weights:
   difference form keeps the large, cancelling near-singular products out
   of G. G is symmetric positive semidefinite with constants in its kernel.
   It is cached on the mesh per order, read-only, and shared by its two
-  consumers, `product_sampled` and `leibniz_half`.
-* `gagliardo_seminorms` is the direct pass, for pointwise inputs in no
-  Lagrange space (FeExpressions such as cubic products, callables; FE
-  functions are accepted too). Each geometry block forms its kernel once
+  consumers, `product_sampled` and `leibniz_half`, through the P3 space
+  over their P1 square: a product of up to three P1 functions is a
+  continuous piecewise cubic on affine elements, so their products are
+  formed nodally and every seminorm they take is a form in one 100 x 100 G.
+* `gagliardo_seminorms` is the direct pass, the tests' reference for G and
+  the oracle for pointwise inputs (FeExpressions of FE functions,
+  callables, FE functions). Each geometry block forms its kernel once
   and then takes the inputs one at a time, so memory does not grow with
   their count. FE values come from `assembly._contract` with the shape
   table, an FeExpression's from one `combine` call on its leaves' and a

@@ -7,7 +7,8 @@ curved edge E and opposite vertex o, a point with barycentric coordinates
 
     D = (1 - lam_o) * (P(b) - b),      b = F(edge point at t = lam_b / (lam_a + lam_b)),
 
-where F is the element's geometry map (`meshing.geometry_map`, per point)
+where F is the element's geometry map, on the curved edge the Lagrange
+interpolant of the edge's own nodes (`basis.edge_shape`, `edge_shape_deriv`),
 and P the radial projection onto the unit circle. D vanishes on the two
 interior edges (their edge shadows are boundary vertices, already on the
 circle), so the global map is continuous, restricted to the curved edge it
@@ -35,14 +36,21 @@ triangle (`meshing._vertex_jacobians`). Off the curved boundary layer the
 lift is the identity and the geometry map is affine, so that inverse is
 exact (on the square, for every element); on the curved boundary-layer
 elements it is the one start of a vectorized Newton iteration, run per
-point until it converges. The lifted mesh covers the exact domain, so a
-point is located or refused: one that no candidate contains is an error.
+point until it converges, and only on points that pass a closed-form
+containment pre-test. That test is exact: the lift fixes a boundary-layer
+element's straight edges oa and ob (D is zero there) and maps its curved
+edge onto the arc from a to b, so the lifted element is the wedge at o
+between the rays through a and b, cut by the closed unit disk. Newton
+accepts points up to 1e-9 (its residual) plus tol times the Jacobian off
+that set, so the test's slack of 1e-8 drops none. The lifted mesh covers
+the exact domain, so a point is located or refused: one that no candidate
+contains is an error.
 """
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .basis import TRI_DLAM, TRI_EDGES, TRI_TANGENTS, tri_edge_ref_points, tri_shape
+from .basis import TRI_DLAM, TRI_EDGES, edge_shape, edge_shape_deriv, tri_shape
 from .meshing import (
     _cached,
     _det_2x2,
@@ -91,9 +99,11 @@ class LiftMap:
         sigma = np.maximum(lam_a + lam_b, 1e-30)
         t = lam_b / sigma
 
-        # edge shadow through the element's own geometry map
-        bpt, jac = geometry_map(mesh, np.asarray(elems)[sel], tri_edge_ref_points(le, t))
-        dbdt = np.einsum("nxr,nr->nx", jac, TRI_TANGENTS[le])
+        # edge shadow from the curved edge's own nodes: a, b, then (k=2) its midside node
+        slots = np.column_stack([a, b, 3 + le])[:, :mesh.order + 1]
+        nodes = mesh.nodes[mesh.elements[np.asarray(elems)[sel, None], slots]]   # (n, k+1, 2)
+        bpt = np.einsum("nb,nbx->nx", edge_shape(mesh.order, t), nodes)
+        dbdt = np.einsum("nb,nbx->nx", edge_shape_deriv(mesh.order, t), nodes)
 
         nrm = np.linalg.norm(bpt, axis=1)
         phat = bpt / nrm[:, None]
@@ -180,7 +190,9 @@ class MeshLocator:
     element with an affine geometry map and no lift (every element outside
     the curved boundary layer, on the square every element). Only curved
     boundary-layer candidates then run Newton on xi -> Lambda(F(xi)), from
-    xi0, each point until its own residual converges. locate() refuses a
+    xi0, each point until its own residual converges, and only where the
+    exact closed-form pre-test `_may_contain` (a wedge cut by the unit disk)
+    admits the point. locate() refuses a
     point that no candidate contains within tol: it raises RuntimeError
     with the count of such points and moves none into an element.
     """
@@ -236,11 +248,28 @@ class MeshLocator:
         resid[act] = np.linalg.norm(targets[act] - pts, axis=1)
         return refs, resid
 
+    def _may_contain(self, elems, targets):
+        """Whether each candidate can contain its target: on the boundary layer
+        the wedge-and-disk test of the module docstring, elsewhere always."""
+        le = self.lift.curved_edge[elems]
+        local = (le[:, None] + [2, 0, 1]) % 3    # o, then the curved edge's a and b
+        o, a, b = np.moveaxis(self.mesh.nodes[self.mesh.elements[elems[:, None], local]], 1, 0)
+        # signed distances into the wedge from the lines through oa and ob
+        oa, ob, d = a - o, b - o, targets - o
+        left = _det_2x2(np.stack([oa, d], axis=-1)) / np.linalg.norm(oa, axis=1)
+        right = _det_2x2(np.stack([d, ob], axis=-1)) / np.linalg.norm(ob, axis=1)
+        in_disk = np.vecdot(targets, targets) <= (1.0 + 1e-8) ** 2
+        return (le < 0) | ((np.minimum(left, right) >= -1e-8) & in_disk)
+
     def _invert(self, elems, targets):
-        """Reference points and scores; a non-converged Newton point scores as far outside."""
+        """Reference points and scores; a candidate that cannot contain its
+        point, or whose Newton does not converge, scores as far outside."""
         refs = np.einsum("nrx,nx->nr", self._inv[elems], targets - self._origin[elems])
         curved = np.nonzero(~self._affine[elems])[0]
         resid = np.zeros(len(elems))
+        can = self._may_contain(elems[curved], targets[curved])
+        resid[curved[~can]] = np.inf
+        curved = curved[can]
         if len(curved) > 0:
             refs[curved], resid[curved] = self._newton(elems[curved], targets[curved], refs[curved])
         return refs, self._violation(refs) + np.where(resid > 1e-9, np.inf, 0.0)

@@ -320,12 +320,23 @@ def _add_midside_nodes(nodes, tris, project_to_circle):
 def dof_map(mesh, order):
     """Element-to-DOF table of the order-`order` Lagrange space on the mesh's
     triangulation: its elements at its own order, for P2 over P1 the numbering
-    an order-2 mesh of that triangulation gets; other pairs are refused."""
+    an order-2 mesh of that triangulation gets, for P3 over P1 the vertices,
+    two DOFs per edge (the one nearer its lower vertex id first) and one per
+    element; other pairs are refused."""
     if order == mesh.order:
         return mesh.elements
-    if (mesh.order, order) != (1, 2):
+    if mesh.order != 1 or order not in (2, 3):
         raise ValueError(f"no order-{order} DOF map over an order-{mesh.order} mesh")
-    return _add_midside_nodes(mesh.nodes, mesh.elements, False)[1]
+    if order == 2:
+        return _add_midside_nodes(mesh.nodes, mesh.elements, False)[1]
+    tris, n = mesh.elements, mesh.n_nodes
+    edge = _edge_table(tris, n)[2].reshape(-1, 3)
+    # an element's node at t = 1/3 of edge (a, b) is the edge's first DOF if a < b
+    directed = tris[:, TRI_EDGES]
+    flip = directed[..., 0] > directed[..., 1]
+    near = n + 2 * edge[:, :, None] + np.stack([flip, ~flip], axis=2)
+    bubble = n + 2 * (edge.max() + 1) + np.arange(len(tris))
+    return np.hstack([tris, near.reshape(-1, 6), bubble[:, None]])
 
 
 def _finish_mesh(nodes, tris, order, domain_kind, project_to_circle):

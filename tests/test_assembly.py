@@ -69,6 +69,15 @@ def test_basis_delta_property():
         assert np.abs(vals - np.eye(len(nodes))).max() < 1e-14
 
 
+def test_p3_basis_is_nodal_and_a_partition_of_unity(rng):
+    # the P3 space of the Gagliardo oracle's cubic products
+    nodes = tri_ref_nodes(3)
+    assert len(nodes) == 10
+    assert np.abs(tri_shape(3, nodes) - np.eye(10)).max() < 1e-14
+    pts = rng.dirichlet(np.ones(3), size=50)[:, 1:]
+    assert np.abs(tri_shape(3, pts).sum(axis=1) - 1.0).max() < 1e-14
+
+
 def test_eval_constant_and_linear(square4):
     u5 = nodal_interp_bulk(square4, lambda p: 5.0 * np.ones(len(p)))
     v, g = eval_fe(u5, 2, np.array([0.2, 0.3]))

@@ -427,47 +427,86 @@ def test_gram_peak_memory_is_bounded_by_block_budget(gram_builds):
 
 def test_gram_refuses_unsupported_orders_and_large_meshes(gram_builds):
     sq1, sq2 = build_square_mesh(3, 1), build_square_mesh(3, 2)
-    # only the mesh's own order, or P2 over a P1 mesh
-    for mesh, order in ((sq2, 1), (sq1, 3), (sq2, 3)):
+    # the mesh's own order, or P2 and P3 over a P1 mesh
+    assert gagliardo_gram(sq1, 3).shape == (100, 100)
+    for mesh, order in ((sq2, 1), (sq2, 3), (sq1, 4)):
         with pytest.raises(ValueError, match="DOF map"):
             gagliardo_gram(mesh, order)
     big = build_square_mesh(40, 1)      # 3,200 elements > MAX_ELEMENTS, 1,681 nodes
     # refused before G (22 MB at order 1) or any other mesh-sized array,
-    # the P2 DOF map included, is made
+    # the P2 and P3 DOF maps included, is made
     tracemalloc.start()
     try:
-        for order in (1, 2):
+        for order in (1, 2, 3):
             with pytest.raises(ValueError, match="too large"):
                 gagliardo_gram(big, order)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # every call reached the builder: fresh meshes, no cache hit
-    assert len(gram_builds) == 5
+    assert len(gram_builds) == 7
     assert peak < gagliardo._BLOCK_BYTES
 
 
-# -- the experiments' route: FE inputs through G, products through the direct pass
+# -- the experiments' route: every seminorm a quadratic form in the P3 Gram matrix
 
 
-def test_gram_route_matches_direct_pass_on_the_product_panel():
-    # 12 samples of 5 smooth P1 inputs on the square, drawn like those of
-    # product_sampled (a)
+def _product_panel():
+    """12 samples of 5 smooth P1 inputs on the square, drawn like those of
+    product_sampled (a), their nodal values as columns, and the 12 cubic
+    products (a1 b1 + a2 b2) c formed from the nodal P3 coefficients."""
     m = get_mesh("square", 3, 1)
     rng = np.random.default_rng(5)
     us = [experiments._smooth_rand_interp(m, rng) for _ in range(60)]
-    c1 = np.column_stack([u.coeffs for u in us])
+
+    def cubic(c3):
+        c = c3.reshape(len(c3), 12, 5)
+        return (c[..., 0] * c[..., 2] + c[..., 1] * c[..., 3]) * c[..., 4]
+
+    products = [
+        FeExpression(lambda a1, a2, b1, b2, c: (a1 * b1 + a2 * b2) * c, us[i:i + 5])
+        for i in range(0, 60, 5)
+    ]
+    return m, us, np.column_stack([u.coeffs for u in us]), cubic, products
+
+
+def test_gram_route_matches_direct_pass_on_the_product_panel():
+    m, us, c1, cubic, products = _product_panel()
     got = experiments._square_half_seminorms(3, c1)
     ref = gagliardo_seminorms(us, m)
     assert np.all(ref > 0.0)
     assert np.abs(got / ref - 1.0).max() <= 1e-12
     # leibniz_half's route: products u v of P1 pairs, formed from the nodal
-    # P2 coefficients by `combine`, against the direct pass over the products
-    got = experiments._square_half_seminorms(3, c1, lambda c2: c2[:, 0::2] * c2[:, 1::2])
-    products = [FeExpression(lambda a, b: a * b, us[i:i + 2]) for i in range(0, 60, 2)]
+    # P3 coefficients by `combine`, against the direct pass over the products
+    got = experiments._square_half_seminorms(3, c1, lambda c3: c3[:, 0::2] * c3[:, 1::2])
+    pairs = [FeExpression(lambda a, b: a * b, us[i:i + 2]) for i in range(0, 60, 2)]
+    ref = gagliardo_seminorms(pairs, m)
+    assert np.all(ref > 0.0)
+    assert np.abs(got / ref - 1.0).max() <= 1e-12
+    # product_sampled (a)'s route: its 12 cubic products
+    got = experiments._square_half_seminorms(3, c1, cubic)
     ref = gagliardo_seminorms(products, m)
     assert np.all(ref > 0.0)
     assert np.abs(got / ref - 1.0).max() <= 1e-12
+
+
+def test_gram_route_rejects_a_p3_map_with_one_edge_reversed(monkeypatch):
+    # swap the two DOFs of one interior edge in one element's row of the P3
+    # map: that element's cubic no longer matches its neighbour's on the edge,
+    # and the route leaves the direct pass far behind
+    m, _, c1, cubic, products = _product_panel()
+    fresh = build_square_mesh(3, 1)
+    dofs = dof_map(fresh, 3).copy()
+    slots = [7, 8]                        # element 0's nodes on its edge (2, 0), the cell diagonal
+    assert np.count_nonzero(np.isin(dofs, dofs[0, slots]).any(axis=1)) == 2
+    dofs[0, slots] = dofs[0, slots[::-1]]
+    mutated = lambda mesh, order: dofs if mesh is fresh and order == 3 else dof_map(mesh, order)
+    monkeypatch.setattr(experiments, "get_mesh", lambda kind, n, order: fresh)
+    monkeypatch.setattr(experiments, "dof_map", mutated)
+    monkeypatch.setattr(gagliardo, "dof_map", mutated)
+    got = experiments._square_half_seminorms(3, c1, cubic)
+    ref = gagliardo_seminorms(products, m)
+    assert np.abs(got / ref - 1.0).max() > 1e-3     # 3.3e-2; the route matches to 1e-12
 
 
 def test_product_sampled_then_leibniz_half_build_one_gram(monkeypatch, gram_builds):
@@ -477,17 +516,17 @@ def test_product_sampled_then_leibniz_half_build_one_gram(monkeypatch, gram_buil
         experiments, "get_mesh",
         lambda kind, n, order: fresh(n, order) if kind == "square" else shared_mesh(kind, n, order),
     )
-    direct, seminorms = [], experiments.gagliardo_seminorms
+    direct, class_sum = [], gagliardo._class_sum
 
-    def counted(funcs, mesh):
-        direct.append(list(funcs))
-        return seminorms(funcs, mesh)
+    def counted(*args):
+        direct.append(args)
+        return class_sum(*args)
 
-    monkeypatch.setattr(experiments, "gagliardo_seminorms", counted)
+    monkeypatch.setattr(gagliardo, "_class_sum", counted)
     for name in ("product_sampled", "leibniz_half"):
         assert run_experiment(name, ExperimentConfig(order=1)).passed
-    assert len(gram_builds) == 1
-    assert gram_builds[0][0] is fresh(3, 1) and gram_builds[0][1] == 2
-    # only the 12 cubic products take the direct pass
-    assert len(direct) == 1 and len(direct[0]) == 12
-    assert all(isinstance(f, FeExpression) for f in direct[0])
+    # one P3 Gram serves every seminorm, and no experiment runs the direct pass
+    assert gram_builds == [(fresh(3, 1), 3)]
+    assert direct == []
+    assert not hasattr(experiments, "gagliardo_seminorms")
+    assert not hasattr(experiments, "FeExpression")

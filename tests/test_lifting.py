@@ -131,17 +131,21 @@ def test_locator_roundtrip(lifted, rng):
 def test_locator_tries_every_candidate_before_extra_starts(lifted, monkeypatch):
     # the rule points of a finer k=2 disk in the lifted 4-ring k=2 disk: every
     # candidate starts from its closed-form vertex-triangle inverse, and Newton
-    # runs only on boundary-layer candidates, each point until it converges,
-    # within three forward evaluations per located point
+    # runs only on boundary-layer candidates that can contain their point,
+    # each point until it converges
     m, lm = lifted
     pts = bulk_quad_data(disk_mesh(6, 2))["pts"].reshape(-1, 2)
     loc = MeshLocator(m)
-    newton_elems, forward_pts = [], []
+    newton_elems, forward_pts, iterations = [], [], []
     newton, forward = MeshLocator._newton, MeshLocator._forward
 
     def counted(self, elems, targets, refs):
+        assert self._may_contain(elems, targets).all()
         newton_elems.append(elems)
-        return newton(self, elems, targets, refs)
+        before = len(forward_pts)
+        out = newton(self, elems, targets, refs)
+        iterations.append(len(forward_pts) - before)
+        return out
 
     def counted_forward(self, elems, refs):
         forward_pts.append(len(elems))
@@ -154,9 +158,14 @@ def test_locator_tries_every_candidate_before_extra_starts(lifted, monkeypatch):
     assert np.linalg.norm(back - pts, axis=1).max() <= 1e-9
     assert MeshLocator._violation(refs).max() <= loc.tol
     newton_elems = np.concatenate(newton_elems)
-    assert len(newton_elems) <= 2 * len(pts)
     assert np.all(lm.curved_edge[newton_elems] >= 0)
-    assert sum(forward_pts) <= 3 * len(pts)
+    # every Newton point lies in its element: each pair is a located point
+    # whose Newton stops on its residual within the 25 iterations
+    assert len(newton_elems) == np.count_nonzero(lm.curved_edge[elems] >= 0)
+    assert max(iterations) <= 25
+    # 5,907 forward point evaluations for the 5,400 points (6,931 while
+    # candidates that cannot contain their point also ran Newton)
+    assert sum(forward_pts) == 5907
 
 
 def test_closed_form_matches_newton_on_affine_elements(lifted):
@@ -385,3 +394,60 @@ def full_array_grad_lambda_error(lm):
 def test_grad_lambda_error_is_the_full_array_formula(n, order):
     m = disk_mesh(n, order)
     assert grad_lambda_inf_error(m) == full_array_grad_lambda_error(lift_of(m))
+
+
+# -- the containment pre-test ahead of Newton drops no point Newton would place
+
+
+def _overkill_point_sets(levels, order):
+    """The registry's overkill point sets of its disks at `levels`: the fine
+    rule points and the fine boundary nodes, located in the lifted coarse
+    mesh, and the lifted Scott-Zhang moment points, located in the fine mesh."""
+    from h32fem.experiments import overkill_rings
+    from h32fem.interp import _sz_moments, overkill_mesh
+    from h32fem.meshing import shared_mesh
+
+    for n in overkill_rings(levels):
+        m = shared_mesh("disk", n, order)
+        fine = overkill_mesh(m)
+        sz = _sz_moments(m)
+        yield m, bulk_quad_data(fine)["pts"].reshape(-1, 2)
+        yield m, fine.nodes[fine.boundary_node_ids]
+        yield fine, lift_mixed(m, sz["elems"], sz["refs"])[0]
+
+
+@pytest.mark.parametrize(
+    "order, levels", [(1, 4), (2, 4), pytest.param(2, 5, marks=pytest.mark.slow)]
+)
+def test_containment_pretest_drops_no_point(order, levels, monkeypatch):
+    sets = list(_overkill_point_sets(levels, order))
+    got = [MeshLocator(m).locate(pts) for m, pts in sets]
+    monkeypatch.setattr(MeshLocator, "_may_contain", lambda self, elems, targets: np.ones(len(elems), bool))
+    for (m, pts), (elems, refs) in zip(sets, got):
+        want_elems, want_refs = MeshLocator(m).locate(pts)
+        assert np.array_equal(elems, want_elems)
+        assert np.abs(refs - want_refs).max() <= 1e-14
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_points_on_the_lifted_boundary_layer_edges_are_located(order):
+    # on each curved element's arc, on its two straight edges and at its
+    # vertices: the closed set the pre-test admits, wedge and disk alike
+    m = disk_mesh(4, order)
+    lm = lift_of(m)
+    bel = lm.boundary_elements()
+    le = lm.curved_edge[bel]
+    o, a, b = (m.nodes[m.elements[bel, (le + i) % 3]] for i in (2, 0, 1))
+    s = np.array([0.1, 0.5, 0.9])[:, None, None]
+    ta, tb = np.arctan2(a[:, 1], a[:, 0]), np.arctan2(b[:, 1], b[:, 0])
+    theta = ta + s[..., 0] * np.angle(np.exp(1j * (tb - ta)))
+    arc = np.stack([np.cos(theta), np.sin(theta)], axis=-1).reshape(-1, 2)
+    pts = np.vstack([arc, (o + s * (a - o)).reshape(-1, 2), (o + s * (b - o)).reshape(-1, 2), o, a, b])
+    loc = MeshLocator(m)
+    elems, refs = loc.locate(pts)
+    back, _ = lift_mixed(m, elems, refs)
+    assert np.abs(back - pts).max() <= 1e-12
+    assert MeshLocator._violation(refs).max() <= loc.tol
+    # an arc point off the vertices lies in its curved element only
+    assert np.array_equal(elems[:len(arc)], np.tile(bel, 3))
+    assert loc._may_contain(np.tile(bel, 8), pts[:8 * len(bel)]).all()

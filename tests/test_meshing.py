@@ -265,3 +265,22 @@ def test_inverted_element_is_refused_before_assembly(order):
 def test_p2_dof_map_over_p1_is_the_numbering_of_the_order_2_mesh(kind, n):
     build = disk_mesh if kind == "disk" else build_square_mesh
     assert np.array_equal(dof_map(build(n, 1), 2), build(n, 2).elements)
+
+
+@pytest.mark.parametrize("kind,n", [("disk", 3), ("square", 3), ("square", 4)])
+def test_p3_function_is_continuous_across_every_interior_edge(kind, n):
+    # a random P3 function numbered by dof_map(m, 3), read on each interior
+    # edge from both of its elements, which traverse it in opposite directions
+    m = (disk_mesh if kind == "disk" else build_square_mesh)(n, 1)
+    dofs = dof_map(m, 3)
+    assert np.array_equal(np.unique(dofs), np.arange(dofs.max() + 1))
+    c = np.random.default_rng(n).normal(size=dofs.max() + 1)
+    t = np.linspace(0.0, 1.0, 7)
+    sides = {}
+    for e, le in np.ndindex(m.n_elements, 3):
+        a, b = m.elements[e, [le, (le + 1) % 3]]
+        vals = tri_shape(3, tri_edge_ref_points(le, t)) @ c[dofs[e]]
+        sides.setdefault((min(a, b), max(a, b)), []).append(vals if a < b else vals[::-1])
+    shared = [v for v in sides.values() if len(v) == 2]
+    assert len(shared) == len(sides) - len(m.boundary_faces)
+    assert max(np.abs(u - v).max() for u, v in shared) <= 1e-13

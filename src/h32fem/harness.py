@@ -86,14 +86,6 @@ def render_json(table):
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
-def table_from_json(text):
-    doc = json.loads(text)
-    doc["fitted_slope"] = float(doc["fitted_slope"])
-    doc["fit_r2"] = float(doc["fit_r2"])
-    doc["rows"] = [[float(v) for v in row] for row in doc["rows"]]
-    return RateTable(**doc)
-
-
 def emit(table, fmt, path):
     """Write a table; byte-identical output for identical table contents."""
     if fmt == "csv":

@@ -5,6 +5,12 @@ the entries of each input slot (vectors contribute one axis, matrices two)
 and whose trailing axes are the output entries (none for scalar output).
 Evaluation is a sequence of tensordot contractions, so linearity in each
 slot holds to rounding by construction.
+
+The deformation algebra is 2x2 resolvent algebra: the deformation tensor,
+the Neumann tail (A + I)^{-1} - I, the resolvent difference and the
+residual of its factored form all read (A + I)^{-1} from one closed-form
+inverse (`_shifted_inverse` over `meshing._inverse_2x2`). Like `ml_eval`,
+each routine takes one matrix or a stack with leading batch axes.
 """
 
 import itertools
@@ -110,51 +116,39 @@ def det_form(d):
     return ml_from_function(mixed_det, [(d, d)] * d)
 
 
-def deformation_tensor(A):
-    """(A + I)^{-T} (A + I)^{-1} det(A + I) - I for the displacement gradient A.
-
-    A is one 2x2 matrix or a stack (..., 2, 2); stacks are done at once in
-    closed form. A singular A + I raises np.linalg.LinAlgError.
-    """
+def _shifted_inverse(A):
+    """(A + I)^{-1} and det(A + I) for one 2x2 matrix A or a stack (..., 2, 2),
+    in closed form (`meshing._inverse_2x2`). Other shapes raise ValueError,
+    a singular A + I anywhere in the stack np.linalg.LinAlgError."""
     A = np.asarray(A, dtype=float)
     if A.shape[-2:] != (2, 2):
-        raise ValueError(f"deformation_tensor takes 2x2 matrices, not shape {A.shape}")
+        raise ValueError(f"takes 2x2 matrices (..., 2, 2), not shape {A.shape}")
     with np.errstate(divide="ignore", invalid="ignore"):
         Ginv, det = _inverse_2x2(A + np.eye(2))
     if np.any(det == 0.0):
         raise np.linalg.LinAlgError("A + I is singular")
+    return Ginv, det
+
+
+def deformation_tensor(A):
+    """(A + I)^{-T} (A + I)^{-1} det(A + I) - I for the displacement gradient A,
+    one 2x2 matrix or a stack (..., 2, 2) (`_shifted_inverse`)."""
+    Ginv, det = _shifted_inverse(A)
     return np.swapaxes(Ginv, -1, -2) @ Ginv * det[..., None, None] - np.eye(2)
 
 
-def deformation_form(d=2):
-    """Multilinear form behind the deformation tensor acting on a gradient.
-
-    Slots: two copies for the inverse gradient, d copies for the gradient
-    (through the determinant), and the vector it acts on; evaluated at
-    (G^{-1}, G^{-1}, G, ..., G, v) it returns G^{-T} G^{-1} det(G) v.
-    """
-    detf = det_form(d)
-
-    def fn(N1, N2, *rest):
-        ms, v = rest[:-1], rest[-1]
-        return (N1.T @ N2 @ v) * ml_eval(detf, ms)
-
-    shapes = [(d, d), (d, d)] + [(d, d)] * d + [(d,)]
-    return ml_from_function(fn, shapes, (d,))
-
-
 def neumann_tail(A):
-    """(A + I)^{-1} - I by direct solve."""
-    A = np.asarray(A, dtype=float)
-    d = A.shape[0]
-    return np.linalg.solve(A + np.eye(d), np.eye(d)) - np.eye(d)
+    """(A + I)^{-1} - I, the sum of the series in `neumann_partial_sum`, for one
+    2x2 matrix or a stack (..., 2, 2) (`_shifted_inverse`)."""
+    return _shifted_inverse(A)[0] - np.eye(2)
 
 
 def neumann_partial_sum(A, n_terms):
-    """Partial sum of the alternating power series for (A + I)^{-1} - I."""
+    """Partial sum of the alternating power series for (A + I)^{-1} - I, of one
+    square matrix or of each matrix of a stack (..., d, d)."""
     A = np.asarray(A, dtype=float)
     out = np.zeros_like(A)
-    P = np.eye(A.shape[0])
+    P = np.eye(A.shape[-1])
     for i in range(1, n_terms + 1):
         P = P @ A
         out += (-1.0) ** i * P
@@ -162,24 +156,22 @@ def neumann_partial_sum(A, n_terms):
 
 
 def resolvent_difference(A, B):
-    """(A + I)^{-1} - (B + I)^{-1}, computed directly."""
+    """(A + I)^{-1} - (B + I)^{-1}, computed directly (one pair or stacks)."""
     return neumann_tail(A) - neumann_tail(B)
 
 
 def resolvent_identity_residual(A, B):
     """Relative mismatch of the factored identity for the resolvent difference.
 
-    Compares the direct difference with -(A+I)^{-1} (A-B) (B+I)^{-1}.
+    Compares the direct difference with -(A+I)^{-1} (A-B) (B+I)^{-1}: a float
+    for one pair of 2x2 matrices, one value per pair for stacks (..., 2, 2).
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    d = A.shape[0]
-    lhs = resolvent_difference(A, B)
-    Ainv = np.linalg.inv(A + np.eye(d))
-    Binv = np.linalg.inv(B + np.eye(d))
-    rhs = -Ainv @ (A - B) @ Binv
-    scale = max(np.abs(lhs).max(), 1e-300)
-    return float(np.abs(lhs - rhs).max() / scale)
+    tA, tB = neumann_tail(A), neumann_tail(B)
+    lhs = tA - tB
+    rhs = -(tA + np.eye(2)) @ (np.asarray(A, dtype=float) - B) @ (tB + np.eye(2))
+    scale = np.maximum(np.abs(lhs).max(axis=(-2, -1)), 1e-300)
+    res = np.abs(lhs - rhs).max(axis=(-2, -1)) / scale
+    return float(res) if res.ndim == 0 else res
 
 
 def comparison_decompose(T, us, cs, fixed=()):

@@ -122,10 +122,30 @@ def test_lifted_jacobians_are_formed_only_in_compose():
 
 
 def test_only_run_experiment_constructs_a_rate_table():
-    # one runner: every table is measured, gated and fitted in one place; the
-    # JSON reader only rebuilds a table that was already written
-    assert sorted(constructors_of("RateTable")) == [
-        "h32fem.experiments.run_experiment", "h32fem.harness.table_from_json",
+    # one runner: every table is measured, gated and fitted in one place
+    assert constructors_of("RateTable") == ["h32fem.experiments.run_experiment"]
+
+
+def np_linalg_callers(attr):
+    """The top-level functions, methods or modules of h32fem that call
+    `np.linalg.<attr>`, matched on the attribute call (`inv` is also the
+    name of local variables)."""
+    return sorted({
+        f"{module}.{getattr(scope, 'name', '<module>')}"
+        for module, scope in scopes()
+        for node in ast.walk(scope)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == f"np.linalg.{attr}"
+    })
+
+
+def test_lapack_solves_only_per_cell_systems():
+    # a 2x2 inverse of the matrix algebra is `meshing._inverse_2x2` (the
+    # resolvent through `multilinear._shifted_inverse`); LAPACK solves only
+    # stacks of per-cell systems of the local basis size (2x2 on P1 edges):
+    # the element pencils of the eigenvalue bound and the Scott-Zhang moments
+    assert np_linalg_callers("inv") == []
+    assert np_linalg_callers("solve") == [
+        "h32fem.assembly._eig_bound", "h32fem.interp._build_sz_moments",
     ]
 
 

@@ -1,14 +1,20 @@
+import importlib.util
 import itertools
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from h32fem.assembly import eval_on_elements, nodal_interp_bulk
+from h32fem.experiments import REGISTRY, ExperimentConfig, get_mesh
+from h32fem.meshing import _norm_2x2
 from h32fem.multilinear import (
     MultilinearForm,
     comparison_decompose,
-    deformation_form,
     deformation_tensor,
     det_form,
     ml_eval,
@@ -22,6 +28,11 @@ from h32fem.multilinear import (
 )
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
+
+_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+_spec = importlib.util.spec_from_file_location("reference", _REFERENCE)
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
 
 
 def mat2(rng):
@@ -173,6 +184,19 @@ def test_deformation_tensor_refuses_other_shapes_and_singular_matrices():
         deformation_tensor(np.stack([np.zeros((2, 2)), np.diag([-1.0, 0.5])]))
 
 
+def deformation_form(d=2):
+    """Multilinear form behind the deformation tensor acting on a gradient,
+    built by basis enumeration: evaluated at (G^{-1}, G^{-1}, G, ..., G, v)
+    it returns G^{-T} G^{-1} det(G) v."""
+    detf = det_form(d)
+
+    def fn(N1, N2, *rest):
+        ms, v = rest[:-1], rest[-1]
+        return (N1.T @ N2 @ v) * ml_eval(detf, ms)
+
+    return ml_from_function(fn, [(d, d)] * (2 + d) + [(d,)], (d,))
+
+
 def test_deformation_form_consistency(rng):
     DF = deformation_form(2)
     assert ml_norm(DF) == 0.5
@@ -264,3 +288,129 @@ def test_shape_validation(rng):
         ml_fix_slot(T, 0, np.zeros(3))
     with pytest.raises(ValueError):
         MultilinearForm([(2, 2)], (), np.zeros((2, 3)))
+
+
+# -- the resolvent kernel on stacks ---------------------------------------------
+
+@st.composite
+def stack_pairs(draw):
+    """Two stacks (i, j, 2, 2) of one shape with entries in [-0.2, 0.2]."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 4)), 2, 2)
+    stack = arrays(float, shape, elements=st.floats(-0.2, 0.2))
+    return draw(stack), draw(stack)
+
+
+@given(stack_pairs())
+@settings(max_examples=50, deadline=None)
+def test_resolvent_routines_on_stacks_equal_their_per_matrix_values(pair):
+    A, B = pair
+    tail, partial = neumann_tail(A), neumann_partial_sum(A, 20)
+    residual = resolvent_identity_residual(A, B)
+    assert tail.shape == partial.shape == A.shape and residual.shape == A.shape[:2]
+    for i, j in np.ndindex(A.shape[:2]):
+        assert np.array_equal(tail[i, j], neumann_tail(A[i, j]))
+        assert np.array_equal(partial[i, j], neumann_partial_sum(A[i, j], 20))
+        one = resolvent_identity_residual(A[i, j], B[i, j])
+        assert isinstance(one, float) and residual[i, j] == one
+
+
+def test_resolvent_routines_refuse_other_shapes_and_singular_matrices():
+    stack = np.stack([np.zeros((2, 2)), np.diag([-1.0, 0.5]), 0.1 * np.eye(2)])
+    for call in (neumann_tail, lambda A: resolvent_identity_residual(A, np.zeros((2, 2)))):
+        with pytest.raises(ValueError):
+            call(np.zeros((3, 3)))
+        # A + I singular at one matrix of the stack
+        with pytest.raises(np.linalg.LinAlgError):
+            call(stack)
+
+
+# -- the three algebraic experiments: stacked levels against their loops --------
+# The per-sample `level` bodies the stacked programs replaced, kept verbatim
+# as references.
+
+
+def loop_resolvent_identity(_mesh, rng):
+    worst = 0.0
+    for _ in range(1000):
+        A = rng.uniform(-0.2, 0.2, size=(2, 2))
+        B = rng.uniform(-0.2, 0.2, size=(2, 2))
+        worst = max(worst, resolvent_identity_residual(A, B))
+    return [worst]
+
+
+def loop_comparison_identity(_mesh, rng):
+    T = ml_from_function(lambda a, b, c: np.trace(a @ b @ c), [(2, 2)] * 3)
+    worst = 0.0
+    for _ in range(100):
+        us = [rng.normal(size=(2, 2)) for _ in range(2)]
+        cs = [rng.normal(size=(2, 2)) for _ in range(2)]
+        v = rng.normal(size=(2, 2))
+        terms = comparison_decompose(T, us, cs, fixed=[v])
+        direct = ml_eval(T, us + [v]) - ml_eval(T, cs + [v])
+        scale = max(abs(direct), max(abs(t) for t in terms), 1.0)
+        worst = max(worst, abs(sum(terms) - direct) / scale)
+    # conformal and zero cases of the deformation tensor
+    conf = max(
+        float(np.abs(deformation_tensor(eps * np.eye(2))).max())
+        for eps in (-0.3, 0.2, 0.7)
+    )
+    zero = float(np.abs(deformation_tensor(np.zeros((2, 2)))).max())
+    return [worst, conf, zero]
+
+
+def loop_neumann_decay(_mesh, rng):
+    worst_series = 0.0
+    for _ in range(50):
+        A = rng.uniform(-0.2, 0.2, size=(2, 2))
+        while max(abs(np.linalg.eigvals(A))) >= 0.5:
+            A *= 0.5
+        worst_series = max(
+            worst_series, float(np.abs(neumann_tail(A) - neumann_partial_sum(A, 50)).max())
+        )
+    # sampled power decay for FE matrix fields, operator-norm sense
+    m = get_mesh("square", 3, 1)
+    worst_op = 0.0
+    entrywise_flags = 0
+    for _ in range(100):
+        comps = [
+            nodal_interp_bulk(m, lambda p, c=rng.normal(size=3): c[0] + c[1] * p[:, 0] + c[2] * p[:, 1])
+            for _ in range(4)
+        ]
+        vals = np.stack([eval_on_elements(c)[0] for c in comps], axis=-1)
+        A = vals.reshape(*vals.shape[:2], 2, 2)
+        sup = _norm_2x2(A).max()
+        A = A * (0.25 / max(sup, 1e-30))
+        P = A.copy()
+        for npow in range(2, 7):
+            P = np.einsum("eqxy,eqyz->eqxz", P, A)
+            worst_op = max(
+                worst_op,
+                _norm_2x2(P).max() / (4.0 ** (1 - npow) * 0.25),
+            )
+        # entrywise-max version can fail; count it as a flag, not a failure
+        sup_ent = np.abs(A).max()
+        Aent = A * (0.25 / sup_ent) if sup_ent > 0 else A
+        Pe = np.einsum("eqxy,eqyz->eqxz", Aent, Aent)
+        if np.abs(Pe).max() > 0.25 * np.abs(Aent).max() + 1e-15:
+            entrywise_flags += 1
+    return [worst_series, worst_op, float(entrywise_flags)]
+
+
+LOOPS = {
+    "resolvent_identity": loop_resolvent_identity,
+    "comparison_identity": loop_comparison_identity,
+    "neumann_decay": loop_neumann_decay,
+}
+
+
+@pytest.mark.parametrize("seed", [20250809, 7, 0, 1, 2, 3, 4])
+@pytest.mark.parametrize("name", list(LOOPS))
+def test_stacked_level_equals_the_loop(name, seed):
+    # each from the runner's stream of `name` at `seed`, within the tolerance
+    # the reference tables are checked at; the flag count exactly
+    stream = lambda: np.random.default_rng([seed, zlib.crc32(name.encode())])
+    spec = REGISTRY[name][1](ExperimentConfig(seed=seed))
+    got, want = spec.level(None, stream()), LOOPS[name](None, stream())
+    np.testing.assert_allclose(got, want, rtol=reference.RTOL, atol=reference.ATOL)
+    if name == "neumann_decay":
+        assert got[2] == want[2]

@@ -644,9 +644,9 @@ def exp_duality_sampled(cfg):
         sb, sbi = spectral_decomp(g, "all"), spectral_decomp(g, "interior")
         u = nodal_interp_bulk(m, lambda p: np.sin(p[:, 0] + 0.3 * p[:, 1]))
         b = g.A_bulk @ u.coeffs  # load of z = grad(u) against test gradients
-        z1 = nodal_interp_bulk(m, lambda p: np.cos(p[:, 0] + 0.3 * p[:, 1]))
-        z2 = nodal_interp_bulk(m, lambda p: 0.3 * np.cos(p[:, 0] + 0.3 * p[:, 1]))
-        comp = float(np.hypot(h_s_norm(z1, 0.5), h_s_norm(z2, 0.5)))
+        # the H^{1/2} norms of the two components' interpolants, as one block
+        z = nodal_interp_bulk(m, lambda p: np.cos(p[:, 0] + 0.3 * p[:, 1])[:, None] * [1.0, 0.3])
+        comp = float(np.hypot(*spectral_power_norm(z.coeffs, 0.5, sb)))
         return [dual_norm_from_load(b[sbi.ids], sbi) / comp, dual_norm_from_load(b[sb.ids], sb) / comp]
 
     return Spec(
@@ -852,12 +852,7 @@ def exp_deformation_continuous(cfg):
         # surrogate norms on the same mesh
         phi_i = np.column_stack([phi1(m.nodes), phi2(m.nodes)])
         sb = spectral_decomp(grams_of(m), "all")
-        p32 = float(
-            np.hypot(
-                spectral_power_norm(phi_i[:, 0], 1.5, sb),
-                spectral_power_norm(phi_i[:, 1], 1.5, sb),
-            )
-        )
+        p32 = float(np.hypot(*spectral_power_norm(phi_i, 1.5, sb)))
         z_i = nodal_interp_bulk(m, z_fn)
         zhalf = h_s_norm(z_i, 0.5)
         w_i = nodal_interp_bulk(m, w_fn)

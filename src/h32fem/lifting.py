@@ -30,25 +30,40 @@ boundary faces' edge points.
 
 MeshLocator inverts the composite map Lambda(F(xi)) pointwise: it maps
 points of the exact domain to (element, reference point) pairs, and like
-the lift it is a cached function of the mesh, `locator_of(mesh)`. Every
-candidate element is first inverted in closed form through its vertex
-triangle (`meshing._vertex_jacobians`). Off the curved boundary layer the
-lift is the identity and the geometry map is affine, so that inverse is
-exact (on the square, for every element); on the curved boundary-layer
-elements it is the one start of a vectorized Newton iteration, run per
-point until it converges, and only on points that pass a closed-form
-containment pre-test. That test is exact: the lift fixes a boundary-layer
-element's straight edges oa and ob (D is zero there) and maps its curved
-edge onto the arc from a to b, so the lifted element is the wedge at o
-between the rays through a and b, cut by the closed unit disk. Newton
-accepts points up to 1e-9 (its residual) plus tol times the Jacobian off
-that set, so the test's slack of 1e-8 drops none. The lifted mesh covers
-the exact domain, so a point is located or refused: one that no candidate
-contains is an error.
+the lift it is a cached function of the mesh, `locator_of(mesh)`. The lift
+fixes a boundary-layer element's straight edges oa and ob (D is zero there)
+and maps its curved edge onto the arc from a to b, so the lifted element is
+the wedge at o between the rays through a and b, cut by the closed unit
+disk: the triangle oab and the circular segment on the chord ab, which lies
+within one sagitta 1 - |(a + b) / 2| of the chord. Candidates come from a
+uniform grid whose cells are half the mean element box in size. Every
+element is registered in each cell its vertex box overlaps, padded by 1e-8
+and, on the boundary layer, by the sagitta, so a point's cell lists every
+element that can contain it. Each cell's list is ordered once, when the
+grid is built, by the distance from the cell centre to the elements'
+lifted centres, and locate() tries the candidates by rank, one vectorized
+round per rank, with no per-point search.
+
+Every candidate element is first inverted in closed form through its
+vertex triangle (`meshing._vertex_jacobians`). Off the curved boundary
+layer the lift is the identity and the geometry map is affine, so that
+inverse is exact (on the square, for every element). On the curved
+boundary-layer elements Newton runs per point until it converges, and only
+on points that pass a closed-form containment pre-test of the wedge and
+the disk, which is exact: Newton accepts points up to 1e-9 (its residual)
+plus tol times the Jacobian off that set, so the test's slack of 1e-8
+drops none. Newton starts from the inverse of the straight-chord lift: at
+k=1, F is affine and x = lam_o o + (1 - lam_o) P(e(t)) with e(t) on the
+chord ab, so x lies on the segment from o to the point q where the ray
+o -> x meets the unit circle; t follows from cross(e(t), q) = 0 and
+1 - lam_o = |x - o| / |q - o|. That start is exact at k=1, where Newton's
+first residual check accepts it; at k=2 the curved edge adds a bubble term
+with no closed-form inverse, and Newton takes it from there. The lifted
+mesh covers the exact domain, so a point is located or refused: one off
+the grid, or that no candidate contains, is an error.
 """
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .basis import TRI_DLAM, TRI_EDGES, edge_shape, edge_shape_deriv, tri_shape
 from .meshing import (
@@ -180,34 +195,22 @@ def grad_lambda_inf_error(mesh):
 
 
 class MeshLocator:
-    """Maps points of the exact domain to (element, reference coordinates).
-
-    locate() tries the n_candidates elements with the nearest centres to
-    each point in turn; the KD-tree is asked for the nearest n_first of
-    every point, and for all n_candidates only of the points still
-    unresolved. Every candidate is first inverted in closed form,
-    xi0 = J^{-1} (x - v0) from its vertex triangle; that is exact on an
-    element with an affine geometry map and no lift (every element outside
-    the curved boundary layer, on the square every element). Only curved
-    boundary-layer candidates then run Newton on xi -> Lambda(F(xi)), from
-    xi0, each point until its own residual converges, and only where the
-    exact closed-form pre-test `_may_contain` (a wedge cut by the unit disk)
-    admits the point. locate() refuses a
-    point that no candidate contains within tol: it raises RuntimeError
-    with the count of such points and moves none into an element.
+    """Maps points of the exact domain to (element, reference coordinates),
+    as the module docstring describes: candidates by rank from the grid of
+    padded element boxes, each first inverted through its vertex triangle,
+    and on the curved boundary layer Newton from `_wedge_inverse` where
+    `_may_contain` admits the point. locate() refuses a point that no
+    candidate contains within tol: it raises RuntimeError with the count of
+    such points and moves none into an element.
     """
 
-    n_candidates = 16
-    # candidates every point queries first; most points lie in their nearest
-    n_first = 4
     tol = 1e-10
 
     def __init__(self, mesh):
         self.mesh = mesh
         lift = self.lift = lift_of(mesh)
-        centers = lift.geometry(triangle_rule(2).points)[0].mean(axis=1)
-        self.k = min(self.n_candidates, mesh.n_elements)
-        self.tree = cKDTree(centers)
+        # the lifted centres, the means of the lifted degree-2 rule points
+        self.centres = lift.geometry(triangle_rule(2).points)[0].mean(axis=1)
         # the vertex triangle's affine map, and which elements are exactly it:
         # no curved edge and (k=2) every midside node at its edge midpoint
         verts = mesh.nodes[mesh.elements[:, :3]]
@@ -217,6 +220,33 @@ class MeshLocator:
         if mesh.order == 2:
             mids = 0.5 * (verts + verts[:, [1, 2, 0]])
             self._affine &= (mesh.nodes[mesh.elements[:, 3:]] == mids).all(axis=(1, 2))
+        self._build_grid(verts)
+
+    def _build_grid(self, verts):
+        """Register each padded vertex box in every cell it overlaps, cells
+        half the mean box in size; each cell's list sorted by the distance
+        from the cell centre to the lifted centres (ties by element id)."""
+        pad = np.full(len(verts), 1e-8)
+        bel = self.lift.boundary_elements()
+        _, _, a, b = self._wedge(bel)
+        pad[bel] += 1.0 - np.linalg.norm(0.5 * (a + b), axis=1)
+        lo, hi = verts.min(axis=1) - pad[:, None], verts.max(axis=1) + pad[:, None]
+        self._h = 0.5 * float((hi - lo).mean())
+        self._corner = lo.min(axis=0)
+        first, last = (np.floor((x - self._corner) / self._h).astype(np.int64) for x in (lo, hi))
+        self._shape = last.max(axis=0) + 1
+        span = last - first + 1
+        count = span.prod(axis=1)
+        elem = np.repeat(np.arange(len(verts)), count)
+        k = np.arange(len(elem)) - np.repeat(np.cumsum(count) - count, count)
+        ij = first[elem] + np.column_stack([k % span[elem, 0], k // span[elem, 0]])
+        cell = ij[:, 1] * self._shape[0] + ij[:, 0]
+        dist = np.linalg.norm(self._corner + (ij + 0.5) * self._h - self.centres[elem], axis=1)
+        order = np.lexsort((elem, dist, cell))
+        self._cell_elems = elem[order]
+        self._cell_start = np.concatenate(
+            [[0], np.cumsum(np.bincount(cell, minlength=int(self._shape.prod())))]
+        )
 
     def _forward(self, elems, refs):
         return lift_mixed(self.mesh, elems, refs)
@@ -248,18 +278,45 @@ class MeshLocator:
         resid[act] = np.linalg.norm(targets[act] - pts, axis=1)
         return refs, resid
 
+    def _wedge(self, elems):
+        """Local indices of o, a, b on boundary-layer elements (the vertex
+        opposite the curved edge, then the curved edge's two ends), and the
+        three points (n, 2) each."""
+        local = (self.lift.curved_edge[elems][:, None] + [2, 0, 1]) % 3
+        o, a, b = np.moveaxis(self.mesh.nodes[self.mesh.elements[np.asarray(elems)[:, None], local]], 1, 0)
+        return local, o, a, b
+
     def _may_contain(self, elems, targets):
         """Whether each candidate can contain its target: on the boundary layer
         the wedge-and-disk test of the module docstring, elsewhere always."""
-        le = self.lift.curved_edge[elems]
-        local = (le[:, None] + [2, 0, 1]) % 3    # o, then the curved edge's a and b
-        o, a, b = np.moveaxis(self.mesh.nodes[self.mesh.elements[elems[:, None], local]], 1, 0)
+        _, o, a, b = self._wedge(elems)
         # signed distances into the wedge from the lines through oa and ob
         oa, ob, d = a - o, b - o, targets - o
         left = _det_2x2(np.stack([oa, d], axis=-1)) / np.linalg.norm(oa, axis=1)
         right = _det_2x2(np.stack([d, ob], axis=-1)) / np.linalg.norm(ob, axis=1)
         in_disk = np.vecdot(targets, targets) <= (1.0 + 1e-8) ** 2
-        return (le < 0) | ((np.minimum(left, right) >= -1e-8) & in_disk)
+        return (self.lift.curved_edge[elems] < 0) | ((np.minimum(left, right) >= -1e-8) & in_disk)
+
+    def _wedge_inverse(self, elems, targets, fallback):
+        """Reference points of boundary-layer candidates under the straight-chord
+        lift (module docstring), exact at k=1; where the ray o -> x is
+        undefined (x = o) a row keeps `fallback`, the vertex-triangle
+        inverse, which is exact there."""
+        local, o, a, b = self._wedge(elems)
+        d = targets - o
+        dist = np.linalg.norm(d, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = d / dist[:, None]
+            od = np.vecdot(o, u)
+            s = np.sqrt(od * od + 1.0 - np.vecdot(o, o)) - od   # |o + s u| = 1, s > 0
+            q = o + s[:, None] * u
+            # cross(a + t (b - a), q) = 0
+            t = _det_2x2(np.stack([q, a], axis=-1)) / _det_2x2(np.stack([b - a, q], axis=-1))
+            w = dist / s                                        # 1 - lam_o
+        lam = np.empty((len(elems), 3))
+        np.put_along_axis(lam, local, np.column_stack([1.0 - w, w * (1.0 - t), w * t]), axis=1)
+        refs = lam[:, 1:]
+        return np.where(np.isfinite(refs).all(axis=1)[:, None], refs, fallback)
 
     def _invert(self, elems, targets):
         """Reference points and scores; a candidate that cannot contain its
@@ -271,12 +328,24 @@ class MeshLocator:
         resid[curved[~can]] = np.inf
         curved = curved[can]
         if len(curved) > 0:
-            refs[curved], resid[curved] = self._newton(elems[curved], targets[curved], refs[curved])
+            e, x = elems[curved], targets[curved]
+            refs[curved], resid[curved] = self._newton(e, x, self._wedge_inverse(e, x, refs[curved]))
         return refs, self._violation(refs) + np.where(resid > 1e-9, np.inf, 0.0)
 
     @staticmethod
     def _violation(refs):
         return np.maximum(0.0, -tri_shape(1, refs).min(axis=-1))
+
+    def _candidates(self, pts):
+        """The grid cell's candidate list of each point, as slices [start, stop)
+        of the cell-ordered element array; empty for a point off the grid."""
+        q = (pts - self._corner) / self._h
+        on = np.all((q >= 0) & (q < self._shape), axis=1)
+        ij = np.floor(q[on]).astype(np.int64)
+        cell = ij[:, 1] * self._shape[0] + ij[:, 0]
+        start, stop = np.zeros(len(pts), np.int64), np.zeros(len(pts), np.int64)
+        start[on], stop[on] = self._cell_start[cell], self._cell_start[cell + 1]
+        return start, stop
 
     def locate(self, pts):
         """Physical points -> (element ids, reference points); refuses a point in no element."""
@@ -284,24 +353,21 @@ class MeshLocator:
         n = len(pts)
         elems = np.full(n, -1, dtype=np.int64)
         refs = np.zeros((n, 2))
-        alive = np.arange(n)
-        for r in range(self.k):
-            if len(alive) == 0:
-                break
-            if r in (0, self.n_first):
-                # the nearest n_first candidates of every point, then all of the rest's
-                k = min(self.n_first, self.k) if r == 0 else self.k
-                cand = self.tree.query(pts[alive], k=k)[1].reshape(len(alive), -1)
-            els = cand[:, r]
+        start, stop = self._candidates(pts)
+        alive = np.nonzero(start < stop)[0]
+        while len(alive) > 0:
+            els = self._cell_elems[start[alive]]
             rr, viol = self._invert(els, pts[alive])
             ok = viol <= self.tol
             hit = alive[ok]
             elems[hit] = els[ok]
             refs[hit] = rr[ok]
-            alive, cand = alive[~ok], cand[~ok]
-        if len(alive) > 0:
-            first = pts[alive[0]].tolist()
-            raise RuntimeError(f"{len(alive)} of {n} points lie in no element, e.g. {first}")
+            start[alive] += 1
+            alive = alive[~ok & (start[alive] < stop[alive])]
+        missed = np.nonzero(elems < 0)[0]
+        if len(missed) > 0:
+            first = pts[missed[0]].tolist()
+            raise RuntimeError(f"{len(missed)} of {n} points lie in no element, e.g. {first}")
         return elems, refs
 
 

@@ -27,6 +27,13 @@ t = sc(u | p), p = 1 - 1/Lambda, and the midpoint rule with N nodes on
 [0, K(p)], K(p) the complete elliptic integral. Its relative error is
 uniform on [1, Lambda] and below 10 exp(-pi^2 N / ln(4 sqrt(Lambda))) a
 priori; N is the smallest count that brings this bound under QUAD_TOL.
+K(p) and the nodes' Jacobi functions sn, cn and dn come from one
+descending arithmetic-geometric mean ladder a_i, c_i from (1, sqrt(1 - p)):
+K = pi / (2 a_N) (DLMF 19.8.1), and sn, cn and dn by the descending Landen
+transformations phi_{i-1} = (phi_i + arcsin(c_i sin(phi_i) / a_i)) / 2
+from phi_N = 2^N a_N u (Abramowitz & Stegun 16.4; DLMF 22.20(ii)), the
+Cephes `ellpj` algorithm. Below p = 1e-9 the first-order expansions in p
+are used instead, so that dn = 1 at Lambda = 1, where the ladder is empty.
 Lambda is the rigorous element bound of the Gram set
 (`assembly._eig_bound`), so no eigenvalue is ever estimated. Because the
 error is relative in every eigencomponent, each norm and dual norm
@@ -48,10 +55,10 @@ ordering, P = argsort of its column permutation, and every other shift
 is factored as (K + s_j M)[P][:, P] in that order. The fill equals a
 fresh minimum-degree factor's (without the argsort it grows 14x), and an
 apply permutes its load once for all shifts. `apply`, and so
-`dual_norm_from_load`, take a block of loads (n, r) as well as one load
-(n,): the block norms (`dual_neg_half_norms`, `hhat_threehalf_norms`)
-solve r loads of one mesh and DOF set in one pass per factor, and the
-single-function norms are the blocks of one.
+`dual_norm_from_load` and `spectral_power_norm`, take a block of loads
+(n, r) as well as one load (n,): the block norms (`dual_neg_half_norms`,
+`hhat_threehalf_norms`) solve r loads of one mesh and DOF set in one pass
+per factor, and the single-function norms are the blocks of one.
 
 A dense generalized `eigh` of the pencil remains only as the oracle of the
 tests and demos (`dense_eigenpairs`), capped at DENSE_EIG_NODE_CAP DOFs.
@@ -70,7 +77,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.special import ellipj, ellipk
 
 from .assembly import SURFACE, _contract, bulk_quad_data, grams_of, trace
 from .meshing import _cached, _spd_factor
@@ -87,14 +93,50 @@ DENSE_EIG_NODE_CAP = 20000
 FACTOR_BUDGET_BYTES = 2**30
 
 
+def _agm(p):
+    """The descending arithmetic-geometric mean ladder of (1, sqrt(1 - p)):
+    a_i and c_i for i = 0..N, until c_N / a_N is below the unit roundoff;
+    at p = 1 it would never end."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"elliptic parameter {p} outside [0, 1)")
+    a, b, c = [1.0], np.sqrt(1.0 - p), [np.sqrt(p)]
+    while c[-1] > 0.5 * np.finfo(float).eps * a[-1]:
+        a_prev = a[-1]
+        a.append(0.5 * (a_prev + b))
+        c.append(0.5 * (a_prev - b))
+        b = np.sqrt(a_prev * b)
+    return a, c
+
+
+def _ellipk(p):
+    """The complete elliptic integral K(p) = pi / (2 AGM(1, sqrt(1 - p)))."""
+    return np.pi / (2.0 * _agm(p)[0][-1])
+
+
+def _ellipj(u, p):
+    """Jacobi sn, cn, dn of u at parameter p in [0, 1) by descending Landen
+    transformations on the AGM ladder; below p = 1e-9 their first-order
+    expansions in p, exact to rounding there (at p = 0 the ladder is empty
+    and the last step's ratio would give dn = cn, not 1)."""
+    if p < 1e-9:
+        s, c = np.sin(u), np.cos(u)
+        r = 0.25 * p * (u - s * c)
+        return s - r * c, c + r * s, 1.0 - 0.5 * p * s * s
+    a, c = _agm(p)
+    phi = 2.0 ** (len(a) - 1) * a[-1] * u
+    for ai, ci in zip(a[:0:-1], c[:0:-1]):
+        prev, phi = phi, 0.5 * (np.arcsin(ci * np.sin(phi) / ai) + phi)
+    return np.sin(phi), np.cos(phi), np.cos(phi) / np.cos(prev - phi)
+
+
 def inv_sqrt_quadrature(bound):
     """Shifts s_j > 0 and weights c_j with sum c_j / (lambda + s_j) equal to
     lambda^{-1/2} within relative QUAD_TOL for every lambda in [1, bound]."""
     p = 1.0 - 1.0 / bound
-    K = float(ellipk(p))
+    K = _ellipk(p)
     n = int(np.ceil(np.log(10.0 / QUAD_TOL) * np.log(4.0 * np.sqrt(bound)) / np.pi**2))
     u = (np.arange(n) + 0.5) * (K / n)
-    sn, cn, dn, _ = ellipj(u, p)
+    sn, cn, dn = _ellipj(u, p)
     return (sn / cn) ** 2, (2.0 / np.pi) * (K / n) * dn / cn**2
 
 
@@ -170,7 +212,9 @@ def dense_eigenpairs(sb):
 
 def spectral_power_norm(coeffs_on_set, s, sb):
     """sqrt(sum lambda^s y^2), y = V^T M u, for s in {1/2, 3/2}, the powers
-    that need the operator (s = 0 and 1 are the forms, `l2_norm` and `h1_norm`).
+    that need the operator (s = 0 and 1 are the forms, `l2_norm` and `h1_norm`),
+    of a vector u (n,) on the set, or an array of it for each column of a
+    block (n, r).
 
     The s in [0,1] range is the trustworthy interpolation regime; s = 3/2
     is used only as a norm-equivalent proxy on quasi-uniform meshes, e.g.
@@ -178,13 +222,14 @@ def spectral_power_norm(coeffs_on_set, s, sb):
     """
     u = coeffs_on_set
     if s == 0.5:
-        val = (sb.M @ u) @ sb.apply(sb.K @ u)
+        left, right = sb.M @ u, sb.apply(sb.K @ u)
     elif s == 1.5:
-        Ku = sb.K @ u
-        val = Ku @ sb.apply(Ku)
+        left = sb.K @ u
+        right = sb.apply(left)
     else:
         raise ValueError("s must be 1/2 or 3/2; s = 0 and 1 are l2_norm and h1_norm")
-    return float(np.sqrt(val))
+    norm = np.sqrt(np.vecdot(left.T, right.T))
+    return float(norm) if norm.ndim == 0 else norm
 
 
 def h_s_norm(u, s):

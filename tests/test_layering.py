@@ -14,7 +14,10 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import h32fem
@@ -110,8 +113,9 @@ def memoized_functions():
 
 
 def test_only_locator_of_constructs_a_locator():
-    # every locator is the one cached on its mesh, so one KD-tree and one set
-    # of closed-form inverses serve every point located in that mesh
+    # every locator is the one cached on its mesh, so one grid of element
+    # boxes and one set of closed-form inverses serve every point located in
+    # that mesh
     assert constructors_of("MeshLocator") == ["h32fem.lifting.locator_of"]
 
 
@@ -225,3 +229,32 @@ def test_readme_names_only_code_that_exists():
     refs = {(mod, attr) for mod, attr in re.findall(r"`(\w+)\.(\w+)", readme) if mod in modules}
     missing = sorted(f"{mod}.{attr}" for mod, attr in refs if not hasattr(modules[mod], attr))
     assert refs and missing == []
+
+
+# scipy subpackages that no process of the program loads: the locator's grid
+# replaced the KD tree (`scipy.spatial`), and the quadrature computes its
+# elliptic functions by the AGM (`scipy.special`); importing the two added
+# 7.5 MB and about 80 ms (2 vCPUs) to the start-up of every process
+UNLOADED_SCIPY = ("scipy.spatial", "scipy.special")
+
+
+def test_no_module_imports_scipy_spatial_or_special():
+    imported = set()
+    for _, scope in scopes():
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported |= {node.module} | {f"{node.module}.{alias.name}" for alias in node.names}
+    assert "scipy.sparse" in imported
+    assert not [name for name in imported if name.startswith(UNLOADED_SCIPY)]
+
+
+def test_importing_the_cli_loads_neither_scipy_spatial_nor_special():
+    src = str(Path(h32fem.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, h32fem.cli; print(' '.join(sorted(sys.modules)))"
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    modules = loaded.stdout.split()
+    assert "scipy.sparse" in modules and "h32fem.cli" in modules
+    assert not [name for name in modules if name.startswith(UNLOADED_SCIPY)]

@@ -132,7 +132,7 @@ def test_locator_tries_every_candidate_before_extra_starts(lifted, monkeypatch):
     # the rule points of a finer k=2 disk in the lifted 4-ring k=2 disk: every
     # candidate starts from its closed-form vertex-triangle inverse, and Newton
     # runs only on boundary-layer candidates that can contain their point,
-    # each point until it converges
+    # from the wedge inverse, each point until it converges
     m, lm = lifted
     pts = bulk_quad_data(disk_mesh(6, 2))["pts"].reshape(-1, 2)
     loc = MeshLocator(m)
@@ -163,9 +163,10 @@ def test_locator_tries_every_candidate_before_extra_starts(lifted, monkeypatch):
     # whose Newton stops on its residual within the 25 iterations
     assert len(newton_elems) == np.count_nonzero(lm.curved_edge[elems] >= 0)
     assert max(iterations) <= 25
-    # 5,907 forward point evaluations for the 5,400 points (6,931 while
-    # candidates that cannot contain their point also ran Newton)
-    assert sum(forward_pts) == 5907
+    # 5,879 forward point evaluations for the 5,400 points (5,907 from the
+    # vertex-triangle start, 6,931 while candidates that cannot contain their
+    # point also ran Newton)
+    assert sum(forward_pts) == 5879
 
 
 def test_closed_form_matches_newton_on_affine_elements(lifted):
@@ -212,6 +213,14 @@ def test_locator_refuses_a_point_in_no_element():
     refused = r"^1 of 2 points lie in no element, e\.g\. \[1\.0001, 0\.5\]"
     with pytest.raises(RuntimeError, match=refused):
         loc.locate(np.array([[1.0 + 1e-4, 0.5], [0.5, 0.5]]))
+    # on the disk as well, and a point off the grid of element boxes (far
+    # away, or not a number) has no candidate at all
+    far = np.array([[0.0, 0.0], [1.5, 0.0], [0.2, -0.3], [np.nan, 0.0], [-1e300, 1e300]])
+    disk = MeshLocator(disk_mesh(3, 2))
+    with pytest.raises(RuntimeError, match=r"^3 of 5 points lie in no element, e\.g\. \[1\.5, 0\.0\]"):
+        disk.locate(far)
+    start, stop = disk._candidates(far)
+    assert np.array_equal(start < stop, [True, False, True, False, False])
 
 
 def test_lift_is_built_once_per_mesh():
@@ -226,11 +235,12 @@ def test_lift_is_built_once_per_mesh():
     "kind, n", [("disk", n) for n in range(2, 9)] + [("square", n) for n in range(2, 7)]
 )
 def test_locator_centres_are_the_lifted_record_means(kind, n, order):
-    # the KD-tree centres: the mean of the lifted degree-2 rule points, read
-    # off the lifted geometry alone instead of a whole lifted record
+    # the centres that order each grid cell's candidates: the mean of the
+    # lifted degree-2 rule points, read off the lifted geometry alone instead
+    # of a whole lifted record
     m = disk_mesh(n, order) if kind == "disk" else build_square_mesh(n, order)
     want = bulk_quad_data(m, 2, lifted=True)["pts"].mean(axis=1)
-    assert same_bytes(MeshLocator(m).tree.data, want)
+    assert same_bytes(MeshLocator(m).centres, want)
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -279,43 +289,6 @@ def test_lifted_surface_forms_match_per_face_loop(order):
     gl = grams_of(m, lifted=True)
     got = (tz.coeffs @ (gl.M_surf @ tw.coeffs), tz.coeffs @ (gl.A_surf @ tw.coeffs))
     assert np.allclose(got, (ms, asur), rtol=1e-13, atol=0.0)
-
-
-@pytest.mark.parametrize("order", [1, 2])
-def test_staged_query_locates_like_one_query_of_all_candidates(order):
-    # the nearest n_first candidates first, all n_candidates for the rest:
-    # the same candidates in the same order as one query of all of them
-    m = disk_mesh(4, order)
-    pts = np.vstack([
-        bulk_quad_data(disk_mesh(7, order))["pts"].reshape(-1, 2),
-        lift_mixed(disk_mesh(6, order), *_boundary_rule_points(order))[0],
-    ])
-    staged, single = MeshLocator(m), MeshLocator(m)
-    single.n_first = single.n_candidates
-    queried = []
-    tree = staged.tree
-
-    class CountingTree:
-        def query(self, x, k):
-            queried.append((len(x), k))
-            return tree.query(x, k=k)
-
-    staged.tree = CountingTree()
-    for chunk in (pts, pts[:7]):
-        e1, r1 = staged.locate(chunk)
-        e2, r2 = single.locate(chunk)
-        assert np.array_equal(e1, e2) and np.array_equal(r1, r2)
-    (n_all, k_first), (n_rest, k_rest) = queried[:2]
-    assert (n_all, k_first, k_rest) == (len(pts), staged.n_first, staged.n_candidates)
-    assert 0 < n_rest < n_all / 10
-
-
-def _boundary_rule_points(order):
-    # edge-rule points of the boundary faces, which the lift maps onto the circle
-    mesh = disk_mesh(6, order)
-    t = np.linspace(0.05, 0.95, 5)
-    refs = np.stack([tri_edge_ref_points(le, t) for le in mesh.face_local_edge]).reshape(-1, 2)
-    return np.repeat(mesh.face_elem, len(t)), refs
 
 
 # -- the lifted record is the plain one with the lift composed on the boundary layer
@@ -451,3 +424,110 @@ def test_points_on_the_lifted_boundary_layer_edges_are_located(order):
     # an arc point off the vertices lies in its curved element only
     assert np.array_equal(elems[:len(arc)], np.tile(bel, 3))
     assert loc._may_contain(np.tile(bel, 8), pts[:8 * len(bel)]).all()
+
+
+# -- the grid of element boxes lists every element that can contain a point
+
+
+ARC_POINTS = 720
+
+
+def _probe_points(m):
+    """Points where location is delicate: vertices, shared edges, lifted rule
+    points of a finer mesh, and on the disk points on the arc, 1e-12 outside
+    it (still within the acceptance tolerance) and 1e-9 outside it (in no
+    element)."""
+    ne = m.n_elements
+    edge_refs = tri_edge_ref_points(np.repeat(np.arange(3), 3), np.tile([0.0, 0.5, 0.8], 3))
+    on_edges = lift_mixed(m, np.repeat(np.arange(ne), 9), np.tile(edge_refs, (ne, 1)))[0]
+    finer = disk_mesh(7, m.order) if m.domain_kind == "disk" else build_square_mesh(7, m.order)
+    sets = [m.nodes, on_edges, bulk_quad_data(finer)["pts"].reshape(-1, 2)]
+    if m.domain_kind == "disk":
+        theta = np.linspace(0.0, 2.0 * np.pi, ARC_POINTS, endpoint=False)
+        arc = np.column_stack([np.cos(theta), np.sin(theta)])
+        sets += [arc, arc * (1.0 + 1e-12), arc * (1.0 + 1e-9)]
+    return np.vstack(sets)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("kind, n", [("disk", 3), ("disk", 4), ("disk", 5), ("square", 4)])
+def test_every_element_containing_a_point_is_in_its_cell(kind, n, order):
+    # brute force over all elements: the pre-test and the inversion of every
+    # element at every point; each element that contains the point within
+    # tol is among the candidates of the point's cell (on disk 3 and 5, arc
+    # points leave their elements' vertex boxes: without the sagitta's
+    # padding about 100 of them miss an element that contains them)
+    m = disk_mesh(n, order) if kind == "disk" else build_square_mesh(n, order)
+    loc = MeshLocator(m)
+    pts = _probe_points(m)
+    contains = np.stack([
+        loc._invert(np.full(len(pts), e), pts)[1] <= loc.tol for e in range(m.n_elements)
+    ], axis=1)
+    start, stop = loc._candidates(pts)
+    listed = np.zeros_like(contains)
+    for i, (a, b) in enumerate(zip(start, stop)):
+        listed[i, loc._cell_elems[a:b]] = True
+    assert not (contains & ~listed).any()
+    # every point is contained somewhere but the ones 1e-9 off the arc
+    inside = contains.any(axis=1)
+    n_out = ARC_POINTS if kind == "disk" else 0
+    assert inside[:len(pts) - n_out].all() and not inside[len(pts) - n_out:].any()
+    elems, refs = loc.locate(pts[inside])
+    assert contains[np.nonzero(inside)[0], elems].all()
+    back, _ = lift_mixed(m, elems, refs)
+    assert np.abs(back - pts[inside]).max() <= 1e-9
+    if n_out:
+        with pytest.raises(RuntimeError, match=rf"^{n_out} of {len(pts)} points lie in no element"):
+            loc.locate(pts)
+
+
+# -- the closed-form start of Newton on the boundary layer
+
+
+def test_wedge_inverse_is_newtons_point_at_k1(monkeypatch):
+    # at k=1 the lift is x = lam_o o + (1 - lam_o) P(e(t)) exactly: the
+    # closed form gives back the reference points of lifted points to 1e-14,
+    # Newton from it accepts every point at its first residual check, and
+    # Newton from the vertex triangle agrees to its own stopping accuracy
+    # (a residual of 1e-13 leaves about 4e-13 in the reference point)
+    m = disk_mesh(4, 1)
+    loc = MeshLocator(m)
+    bel = lift_of(m).boundary_elements()
+    rng = np.random.default_rng(11)
+    r = rng.uniform(0.0, 1.0, (len(bel) * 20, 2))
+    refs = np.vstack([np.where(r.sum(axis=1, keepdims=True) > 1.0, 1.0 - r[:, ::-1], r),
+                      tri_edge_ref_points(np.arange(3).repeat(2), np.tile([0.3, 0.7], 3))])
+    elems = np.concatenate([np.repeat(bel, 20), np.full(6, bel[0])])
+    x, _ = lift_mixed(m, elems, refs)
+    vertex = np.einsum("nrx,nx->nr", loc._inv[elems], x - loc._origin[elems])
+    newton, resid = loc._newton(elems, x, vertex)
+    assert resid.max() <= 1.5e-13
+    wedge = loc._wedge_inverse(elems, x, np.full_like(refs, np.nan))
+    assert np.abs(wedge - refs).max() <= 1e-14
+    assert np.abs(wedge - newton).max() <= 1e-12
+    calls = []
+    forward = MeshLocator._forward
+    monkeypatch.setattr(MeshLocator, "_forward", lambda self, e, r: calls.append(len(e)) or forward(self, e, r))
+    again, resid = loc._newton(elems, x, wedge)
+    assert calls == [len(elems)] and resid.max() <= 1.5e-13
+    assert np.array_equal(again, wedge)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_wedge_inverse_at_the_apex_and_off_the_disk(order):
+    m = disk_mesh(4, order)
+    loc = MeshLocator(m)
+    bel = lift_of(m).boundary_elements()
+    local, o, a, b = loc._wedge(bel)
+    # at x = o the ray is undefined: the row keeps the vertex-triangle start
+    sentinel = np.full((len(bel), 2), 7.0)
+    assert np.array_equal(loc._wedge_inverse(bel, o, sentinel), sentinel)
+    # past the arc, inside the wedge: finite, with lam_o < 0; at k=1 the
+    # lift's own extension maps it back
+    x = 1.05 * (0.5 * (a + b)) / np.linalg.norm(0.5 * (a + b), axis=1)[:, None]
+    refs = loc._wedge_inverse(bel, x, sentinel)
+    assert np.isfinite(refs).all()
+    assert (np.take_along_axis(tri_shape(1, refs), local[:, :1], axis=1) < 0).all()
+    if order == 1:
+        assert np.abs(lift_mixed(m, bel, refs)[0] - x).max() <= 1e-14
+    assert not loc._may_contain(bel, x).any()

@@ -303,6 +303,38 @@ def test_inv_sqrt_quadrature_uniform_error(bound):
     assert np.abs(np.sqrt(lam) * approx - 1.0).max() <= QUAD_TOL
 
 
+# p = 0, the registry's bounds from 289 to 7.93e4, and Lambda = 1e6
+ELLIPTIC_BOUNDS = (1.0, 289.0, 4.0e3, 7.93e4, 1e6)
+
+
+@pytest.mark.parametrize("bound", ELLIPTIC_BOUNDS)
+def test_agm_elliptic_functions_match_scipy(bound):
+    # scipy.special is the reference here only; the quadrature computes K and
+    # sn, cn, dn by the AGM and descending Landen transformations
+    import scipy.special
+
+    p = 1.0 - 1.0 / bound
+    K = norms._ellipk(p)
+    assert abs(K - scipy.special.ellipk(p)) <= 1e-15 * K
+    n = len(inv_sqrt_quadrature(bound)[0])
+    nodes = (np.arange(n) + 0.5) * (K / n)
+    grid = np.linspace(0.0, 0.99 * K, 101)
+    for u, rtol, atol in ((nodes, 1e-13, 0.0), (grid, 0.0, 1e-12)):
+        got = norms._ellipj(u, p)
+        want = scipy.special.ellipj(u, p)[:3]
+        for g, w in zip(got, want):
+            assert np.all(np.abs(g - w) <= rtol * np.abs(w) + atol)
+    if p == 0.0:
+        assert K == np.pi / 2 and np.array_equal(norms._ellipj(grid, p)[2], np.ones_like(grid))
+
+
+@pytest.mark.parametrize("p", [-1e-3, 1.0, np.nan])
+def test_agm_refuses_a_parameter_outside_zero_to_one(p):
+    # at p = 1 the ladder would never end
+    with pytest.raises(ValueError, match="outside"):
+        norms._ellipk(p)
+
+
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("pencil", ["all", "interior", "surface"])
 def test_one_ordering_per_pencil_keeps_the_fill(order, pencil):
@@ -333,6 +365,9 @@ def test_block_applies_are_column_by_column(order):
         assert np.abs(sb.apply(B) - cols).max() <= 1e-14 * np.abs(cols).max(), name
         singles = np.array([dual_norm_from_load(b, sb) for b in B.T])
         assert np.abs(dual_norm_from_load(B, sb) - singles).max() <= 1e-14 * singles.max(), name
+        for s in (0.5, 1.5):
+            singles = np.array([spectral_power_norm(b, s, sb) for b in B.T])
+            assert np.abs(spectral_power_norm(B, s, sb) - singles).max() <= 1e-14 * singles.max(), name
     us = [FeFunction(m, rng.normal(size=m.n_nodes)) for _ in range(8)]
     for dofset in ("all", "interior"):
         for block, single in (

@@ -15,7 +15,7 @@ from .assembly import (
     zero_function,
 )
 from .experiments import ExperimentConfig, run_experiment, run_plan, REGISTRY
-from .gagliardo import gagliardo_gram, gagliardo_half_oracle, gagliardo_seminorms
+from .gagliardo import gagliardo_gram, gagliardo_seminorms
 from .harness import RateTable, emit, fit_rate
 from .interp import (
     dirichlet_lift,
@@ -40,13 +40,11 @@ from .multilinear import (
 )
 from .norms import (
     SpectralBasis,
-    dual_neg_half_norm,
     dual_neg_half_norms,
-    h_s_norm,
-    hhat_threehalf_norm,
+    dual_norms,
+    h_s_norms,
     hhat_threehalf_norms,
     spectral_decomp,
-    vec_dual_half_norm,
 )
 from .quadrature import QuadratureRule, quadrature
 from .solvers import (

@@ -256,11 +256,3 @@ def _assemble_gram(mesh, order):
     G.flags.writeable = False
     return G
 
-
-def gagliardo_half_oracle(u, mesh=None):
-    """Gagliardo H^{1/2} seminorm of one function (no L2 part)."""
-    if mesh is None:
-        if not hasattr(u, "mesh"):
-            raise ValueError("a mesh is required for callable inputs")
-        mesh = u.mesh
-    return float(gagliardo_seminorms([u], mesh)[0])

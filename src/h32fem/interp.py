@@ -112,7 +112,7 @@ def dirichlet_riesz_data(u_h):
     mesh = u_h.mesh
     grams = grams_of(mesh)
     ids = mesh.interior_node_ids
-    solve = _cached(grams, "mass_interior_solve", lambda: _spd_solver(grams.M_bulk[np.ix_(ids, ids)]))
+    solve = _cached(mesh, "mass_interior_solve", lambda: _spd_solver(grams.M_bulk[np.ix_(ids, ids)]))
     r = (grams.A_bulk @ u_h.coeffs)[ids]
     f = np.zeros(mesh.n_nodes)
     f[ids] = solve(r)

@@ -127,14 +127,15 @@ class Mesh:
 # Underscored so per-layer tracing charges their time to the calling layer.
 
 
-def _cached(owner, key, build):
-    """build() once per (owner, key); the result lives as long as the owner,
-    or until `release_meshes` drops the owner's store.
+def _cached(mesh, key, build):
+    """build() once per (mesh, key); the result lives as long as the mesh,
+    or until `release_meshes` drops the mesh's store.
 
-    The store sits on the owner (a Mesh or GramSet), so derived artifacts
-    are shared by everything that holds the same object.
+    The store sits on the mesh, so what is built from a mesh (its Gram sets,
+    operators, solvers, lift and locator, ...) is shared by everything that
+    holds the same mesh, and nothing built from it owns a store of its own.
     """
-    store = owner.__dict__.setdefault("_cache", {})
+    store = mesh.__dict__.setdefault("_cache", {})
     if key not in store:
         store[key] = build()
     return store[key]
@@ -369,8 +370,8 @@ def shared_mesh(kind, n, order):
 def release_meshes(keep):
     """Drop every stored mesh whose key is not in `keep`, with its cache, which
     closes the only cycles through it (`GramSet.mesh`, `LiftMap.mesh`, ...;
-    nothing cached on a Gram set refers back to the set); reference counting
-    then frees the mesh and all built from it once no caller holds it."""
+    every cache is the mesh's own); reference counting then frees the mesh
+    and all built from it once no caller holds it."""
     for key in set(_MESHES) - set(keep):
         _MESHES.pop(key).__dict__.pop("_cache", None)
 

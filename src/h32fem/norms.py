@@ -54,22 +54,22 @@ ordered once: the first shift is factored with the minimum-degree
 ordering, P = argsort of its column permutation, and every other shift
 is factored as (K + s_j M)[P][:, P] in that order. The fill equals a
 fresh minimum-degree factor's (without the argsort it grows 14x), and an
-apply permutes its load once for all shifts. `apply`, and so
-`dual_norm_from_load` and `spectral_power_norm`, take a block of loads
-(n, r) as well as one load (n,): the block norms (`dual_neg_half_norms`,
-`hhat_threehalf_norms`) solve r loads of one mesh and DOF set in one pass
-per factor, and the single-function norms are the blocks of one.
+apply permutes its load once for all shifts.
 
-A dense generalized `eigh` of the pencil remains only as the oracle of the
-tests and demos (`dense_eigenpairs`), capped at DENSE_EIG_NODE_CAP DOFs.
-
-The norms of FE functions take the function alone (and, for a dual norm,
-the name of its bulk test space): each finds its Gram set as
-`grams_of(u.mesh)`, its forms and pencil by the function's space, and its
-operator as `spectral_decomp` of that set, so no Gram set or operator of
-another mesh can reach it. Only the vector-level functions
-(`spectral_power_norm`, `dual_norm_from_load`, `dense_eigenpairs`) take
-an operator, which carries its own K and M.
+Every operator quantity goes through one of two block primitives, each
+taking one load or function, or a block of r of them solved in one pass
+per factor:
+- `dual_norms(loads, mesh, dofset)`: the dual norms of full-length loads
+  over the test space 'interior' or 'all'; `dual_neg_half_norms` (mass
+  loads) and `hhat_threehalf_norms` (stiffness loads, plus the boundary
+  H1 norm) are one line over it;
+- `h_s_norms(us, s)`: the H^s norms of scalar FE functions of one mesh and
+  space, for s in {0, 1/2, 1, 3/2}.
+Each finds its Gram set as `grams_of(mesh)` and its operator as
+`spectral_decomp(mesh, dofset)`, cached on the mesh, so no Gram set or
+operator of another mesh can reach it. Only the dense generalized `eigh`
+of a pencil takes an operator (`dense_eigenpairs`): it remains as the
+oracle of the tests and demos, capped at DENSE_EIG_NODE_CAP DOFs.
 """
 
 from dataclasses import dataclass
@@ -169,18 +169,18 @@ class SpectralBasis:
         return out
 
 
-def spectral_decomp(grams, dofset=ALL):
-    """The spectral operator of the pencil on `dofset`, cached: 'all' or
-    'interior' on the bulk forms, 'surface' on the surface forms."""
+def spectral_decomp(mesh, dofset=ALL):
+    """The spectral operator of the mesh's pencil on `dofset`, cached on the
+    mesh: 'all' or 'interior' on the bulk forms, 'surface' on the surface forms."""
     if dofset == SURFACE:
-        ids = np.arange(len(grams.mesh.boundary_node_ids))
-        pencil = (grams.M_surf, grams.A_surf, grams.surf_eig_bound)
+        ids = np.arange(len(mesh.boundary_node_ids))
+        pencil = lambda g: (g.M_surf, g.A_surf, g.surf_eig_bound)
     elif dofset in (ALL, INTERIOR):
-        ids = np.arange(grams.mesh.n_nodes) if dofset == ALL else grams.mesh.interior_node_ids
-        pencil = (grams.M_bulk, grams.A_bulk, grams.bulk_eig_bound)
+        ids = np.arange(mesh.n_nodes) if dofset == ALL else mesh.interior_node_ids
+        pencil = lambda g: (g.M_bulk, g.A_bulk, g.bulk_eig_bound)
     else:
         raise ValueError(f"unknown dofset {dofset!r}")
-    return _cached(grams, ("spectral", dofset), lambda: _operator(dofset, ids, *pencil))
+    return _cached(mesh, ("spectral", dofset), lambda: _operator(dofset, ids, *pencil(grams_of(mesh))))
 
 
 def _operator(dofset, ids, M_full, A_full, bound):
@@ -210,82 +210,55 @@ def dense_eigenpairs(sb):
     return sla.eigh(sb.K.toarray(), sb.M.toarray())
 
 
-def spectral_power_norm(coeffs_on_set, s, sb):
-    """sqrt(sum lambda^s y^2), y = V^T M u, for s in {1/2, 3/2}, the powers
-    that need the operator (s = 0 and 1 are the forms, `l2_norm` and `h1_norm`),
-    of a vector u (n,) on the set, or an array of it for each column of a
-    block (n, r).
+def _stacked(fs):
+    """The one mesh of scalar FE functions of one space and their coefficients
+    as columns; bulk and zero-trace functions share a space here."""
+    mesh, surface = fs[0].mesh, fs[0].space == SURFACE
+    if any(f.mesh is not mesh or (f.space == SURFACE) != surface or f.coeffs.ndim != 1 for f in fs):
+        raise ValueError("a block of norms takes scalar functions of one mesh and space")
+    return mesh, np.stack([f.coeffs for f in fs], axis=1)
+
+
+def h_s_norms(us, s):
+    """H^s norms of scalar FE functions of one mesh and space, bulk or surface,
+    as an array, for s in {0, 1/2, 1, 3/2}: sqrt(sum lambda^s y^2), y = V^T M u.
+    At s = 0 and 1 they are the forms of the space (`l2_norm`, `h1_norm`); at
+    s = 1/2, (M u) . R (K u), and s = 3/2, (K u) . R (K u), one block through
+    the operator of the functions' pencil ('surface' or 'all').
 
     The s in [0,1] range is the trustworthy interpolation regime; s = 3/2
     is used only as a norm-equivalent proxy on quasi-uniform meshes, e.g.
     for H^{3/2} of overkill solutions.
     """
-    u = coeffs_on_set
-    if s == 0.5:
-        left, right = sb.M @ u, sb.apply(sb.K @ u)
-    elif s == 1.5:
-        left = sb.K @ u
-        right = sb.apply(left)
-    else:
-        raise ValueError("s must be 1/2 or 3/2; s = 0 and 1 are l2_norm and h1_norm")
-    norm = np.sqrt(np.vecdot(left.T, right.T))
-    return float(norm) if norm.ndim == 0 else norm
+    if s not in (0, 0.5, 1, 1.5):
+        raise ValueError(f"s must be 0, 1/2, 1 or 3/2, not {s}")
+    mesh, c = _stacked(us)
+    if s in (0, 1):
+        return np.array([_forms_norm(u, s == 1) for u in us])
+    sb = spectral_decomp(mesh, SURFACE if us[0].space == SURFACE else ALL)
+    Kc = sb.K @ c
+    left = Kc if s == 1.5 else sb.M @ c
+    return np.sqrt(np.vecdot(left.T, sb.apply(Kc).T))
 
 
-def h_s_norm(u, s):
-    """H^s norm of a scalar FE function on its space, bulk or surface, for s in
-    {0, 1/2, 1}: the L2 and H1 forms at s = 0 and 1, the operator of the
-    function's pencil ('surface' or 'all') at s = 1/2."""
-    if s == 0:
-        return l2_norm(u)
-    if s == 1:
-        return h1_norm(u)
-    if s != 0.5:
-        raise ValueError("h_s_norm expects s in {0, 1/2, 1}")
-    sb = spectral_decomp(grams_of(u.mesh), SURFACE if u.space == SURFACE else ALL)
-    return spectral_power_norm(u.coeffs, 0.5, sb)
-
-
-# -- dual norms --------------------------------------------------------------
-# The test space is named by its DOF set: 'interior' gives the zero-trace
-# variant, 'all' the full one; `_dual_norm` refuses any other name.
-
-
-def dual_norm_from_load(b, sb):
-    """sup over the set's functions of (b . phi) / ||phi||_{H^{1/2}}, for a
-    load b (n,), or an array of it for each column of a block b (n, r)."""
+def dual_norms(loads, mesh, dofset):
+    """sup over the FE functions phi of `dofset` ('interior': the zero-trace
+    test space, 'all': the full one) of (b . phi) / ||phi||_{H^{1/2}}, for a
+    full-length load b (n,) of the mesh, or an array of it for each column
+    of a block (n, r): sqrt(b . R b) on the set's DOFs."""
+    if dofset not in (ALL, INTERIOR):
+        raise ValueError(f"a bulk test space is 'all' or 'interior', not {dofset!r}")
+    sb = spectral_decomp(mesh, dofset)
+    b = loads[sb.ids]
     norm = np.sqrt(np.vecdot(b.T, sb.apply(b).T))
     return float(norm) if norm.ndim == 0 else norm
 
 
-def _dual_norm(load, mesh, dofset):
-    """The dual norm of a full-length load (or of each column of a block of
-    them) over the test space of `dofset`. `dual_norm_from_load` is looked
-    up here at call time, so every FE-level dual norm goes through it."""
-    if dofset not in (ALL, INTERIOR):
-        raise ValueError(f"a bulk test space is 'all' or 'interior', not {dofset!r}")
-    sb = spectral_decomp(grams_of(mesh), dofset)
-    return dual_norm_from_load(load[sb.ids], sb)
-
-
-def _stacked(fs):
-    """The one mesh of scalar FE functions and their coefficients as columns."""
-    mesh = fs[0].mesh
-    if any(f.mesh is not mesh for f in fs) or any(f.coeffs.ndim != 1 for f in fs):
-        raise ValueError("a block of norms takes scalar functions of one mesh")
-    return mesh, np.stack([f.coeffs for f in fs], axis=1)
-
-
 def dual_neg_half_norms(fs, dofset):
     """Negative-half dual norms of scalar FE sources of one mesh over the
-    test space of `dofset`, as one block (an array, one norm per source)."""
+    test space of `dofset`, as an array: the dual norms of their mass loads."""
     mesh, c = _stacked(fs)
-    return _dual_norm(grams_of(mesh).M_bulk @ c, mesh, dofset)
-
-
-def dual_neg_half_norm(f, dofset):
-    """Negative-half dual norm of a scalar FE source over the test space of `dofset`."""
-    return float(dual_neg_half_norms([f], dofset)[0])
+    return dual_norms(grams_of(mesh).M_bulk @ c, mesh, dofset)
 
 
 def gradient_pairing_load(zq, mesh):
@@ -298,28 +271,16 @@ def gradient_pairing_load(zq, mesh):
     return np.bincount(mesh.elements.ravel(), loc.ravel(), minlength=mesh.n_nodes)
 
 
-def vec_dual_half_norm(zq, mesh, dofset):
-    """Dual H^{1/2}-type norm of a 2-vector field given at the mesh's rule
-    points, paired against gradients of the test functions of `dofset`."""
-    return _dual_norm(gradient_pairing_load(zq, mesh), mesh, dofset)
-
-
 def hhat_threehalf_norms(us, dofset=INTERIOR):
-    """Discrete 3/2-order norms of scalar FE functions of one mesh, as one
-    block (an array, one norm per function): gradient dual norm plus
-    boundary H1 norm.
+    """Discrete 3/2-order norms of scalar FE functions of one mesh, as an
+    array: the dual norm of the gradient pairing (the stiffness load) plus
+    the boundary H1 norm.
 
     'interior' gives the defining variant (zero-trace test space); 'all'
     the equivalent all-test-functions variant.
     """
     mesh, c = _stacked(us)
-    dual = _dual_norm(grams_of(mesh).A_bulk @ c, mesh, dofset)
-    return dual + np.array([h1_norm(trace(u)) for u in us])
-
-
-def hhat_threehalf_norm(u, dofset=INTERIOR):
-    """Discrete 3/2-order norm of a scalar FE function (`hhat_threehalf_norms`)."""
-    return float(hhat_threehalf_norms([u], dofset)[0])
+    return dual_norms(grams_of(mesh).A_bulk @ c, mesh, dofset) + h_s_norms([trace(u) for u in us], 1)
 
 
 def _forms_norm(u, with_stiffness):

@@ -24,29 +24,28 @@ from .meshing import Mesh, _cached, _det_2x2, _spd_solver
 from .multilinear import deformation_tensor
 
 
-def _interior_solver(grams):
-    ids = grams.mesh.interior_node_ids
-    return _cached(grams, "dirichlet_solve", lambda: _spd_solver(grams.A_bulk[np.ix_(ids, ids)]))
+def _interior_solver(mesh):
+    ids = mesh.interior_node_ids
+    return _cached(mesh, "dirichlet_solve", lambda: _spd_solver(grams_of(mesh).A_bulk[np.ix_(ids, ids)]))
 
 
-def _robin_solver(grams):
+def _robin_solver(mesh):
     def build():
-        bids, n = grams.mesh.boundary_node_ids, grams.mesh.n_nodes
+        grams, bids, n = grams_of(mesh), mesh.boundary_node_ids, mesh.n_nodes
         Ms = grams.M_surf.tocoo()
         M_gamma = sp.csr_matrix((Ms.data, (bids[Ms.row], bids[Ms.col])), shape=(n, n))
         return _spd_solver(grams.A_bulk + M_gamma)
 
-    return _cached(grams, "robin_solve", build)
+    return _cached(mesh, "robin_solve", build)
 
 
 def _dirichlet_solve(mesh, rhs_full, g):
     """u with trace coefficients g and a(u, phi) = rhs_full . phi for interior phi."""
-    grams = grams_of(mesh)
     u = np.zeros(mesh.n_nodes)
     u[mesh.boundary_node_ids] = g
     ids = mesh.interior_node_ids
-    rhs = rhs_full[ids] - (grams.A_bulk @ u)[ids]
-    u[ids] = _interior_solver(grams)(rhs)
+    rhs = rhs_full[ids] - (grams_of(mesh).A_bulk @ u)[ids]
+    u[ids] = _interior_solver(mesh)(rhs)
     return FeFunction(mesh, u, BULK)
 
 
@@ -62,7 +61,7 @@ def solve_robin_fe(f_h, g_h):
     grams = grams_of(mesh)
     rhs = grams.M_bulk @ f_h.coeffs
     rhs[mesh.boundary_node_ids] += grams.M_surf @ g_h.coeffs
-    return FeFunction(mesh, _robin_solver(grams)(rhs), BULK)
+    return FeFunction(mesh, _robin_solver(mesh)(rhs), BULK)
 
 
 # -- deformed Dirichlet energy ----------------------------------------------

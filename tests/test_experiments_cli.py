@@ -81,13 +81,13 @@ def test_cli_refuses_an_invalid_config_before_running(tmp_path, capsys, flag, va
 def test_deformation_smallness_guard_fails_before_the_operator(monkeypatch):
     # a displacement gradient past the 1/4 bound is refused before the level
     # builds the spectral operator or any norm
-    from h32fem import experiments
+    from h32fem import experiments, norms
 
     def refuse(*args):
         raise AssertionError("spectral operator built before the guard")
 
     monkeypatch.setattr(experiments, "_norm_2x2", lambda a: np.full(a.shape[:-2], 0.3))
-    monkeypatch.setattr(experiments, "spectral_decomp", refuse)
+    monkeypatch.setattr(norms, "spectral_decomp", refuse)
     with pytest.raises(RuntimeError, match="1/4 smallness"):
         run_experiment("deformation_continuous", ExperimentConfig())
 

@@ -11,7 +11,6 @@ from h32fem.experiments import ExperimentConfig, get_mesh, run_experiment
 from h32fem.gagliardo import (
     FeExpression,
     gagliardo_gram,
-    gagliardo_half_oracle,
     gagliardo_seminorms,
 )
 from h32fem.meshing import Mesh, build_square_mesh, dof_map, shared_mesh
@@ -25,20 +24,20 @@ def sq3():
 
 def test_constant_vanishes(sq3):
     u = nodal_interp_bulk(sq3, lambda p: 5.0 * np.ones(len(p)))
-    assert gagliardo_half_oracle(u) < 1e-10
+    assert gagliardo_seminorms([u], sq3)[0] < 1e-10
 
 
 def test_homogeneity(sq3):
     u = nodal_interp_bulk(sq3, lambda p: p[:, 0] - 0.3 * p[:, 1] ** 2)
-    base = gagliardo_half_oracle(u)
-    assert abs(gagliardo_half_oracle(u.scaled(2.5)) - 2.5 * base) < 1e-12 * base
+    base, scaled = gagliardo_seminorms([u, u.scaled(2.5)], sq3)
+    assert abs(scaled - 2.5 * base) < 1e-12 * base
 
 
 def test_linear_function_reference_value(sq3):
     # |x|_{H^{1/2}} on the unit square; frozen from a degree-12 run of this
     # oracle (1.21889...), mesh-independent since the function is smooth
     u = nodal_interp_bulk(sq3, lambda p: p[:, 0])
-    val = gagliardo_half_oracle(u)
+    val = gagliardo_seminorms([u], sq3)[0]
     assert abs(val - 1.2189) < 0.01
 
 
@@ -46,7 +45,7 @@ def test_mesh_invariance_for_smooth_input():
     vals = []
     for n in (2, 4):
         m = build_square_mesh(n, 1)
-        vals.append(gagliardo_half_oracle(lambda p: np.sin(p[:, 0]), m))
+        vals.append(gagliardo_seminorms([lambda p: np.sin(p[:, 0])], m)[0])
     assert abs(vals[0] - vals[1]) < 0.02 * vals[0]
 
 
@@ -54,8 +53,8 @@ def test_batch_matches_single(sq3):
     u = nodal_interp_bulk(sq3, lambda p: p[:, 0] * p[:, 1])
     v = nodal_interp_bulk(sq3, lambda p: np.cos(p[:, 1]))
     batch = gagliardo_seminorms([u, v], sq3)
-    assert abs(batch[0] - gagliardo_half_oracle(u)) < 1e-13
-    assert abs(batch[1] - gagliardo_half_oracle(v)) < 1e-13
+    assert abs(batch[0] - gagliardo_seminorms([u], sq3)[0]) < 1e-13
+    assert abs(batch[1] - gagliardo_seminorms([v], sq3)[0]) < 1e-13
 
 
 def test_fe_expression_product(sq3):
@@ -64,14 +63,14 @@ def test_fe_expression_product(sq3):
     u = nodal_interp_bulk(sq3, lambda p: p[:, 0])
     prod = FeExpression(lambda a, b: a * b, [u, u])
     got = gagliardo_seminorms([prod], sq3)[0]
-    direct = gagliardo_half_oracle(lambda p: p[:, 0] ** 2, sq3)
+    direct = gagliardo_seminorms([lambda p: p[:, 0] ** 2], sq3)[0]
     assert abs(got - direct) < 1e-12 * direct
 
 
 def test_element_cap():
     m = build_square_mesh(18, 1)  # 648 elements > cap
     with pytest.raises(ValueError):
-        gagliardo_half_oracle(lambda p: p[:, 0], m)
+        gagliardo_seminorms([lambda p: p[:, 0]], m)
 
 
 def test_fe_inputs_of_another_mesh_are_refused():
@@ -81,15 +80,9 @@ def test_fe_inputs_of_another_mesh_are_refused():
     half = Mesh(0.5 * sq.nodes, sq.elements, 1, "square")
     v = nodal_interp_bulk(sq, lambda p: np.sin(3.0 * p[:, 0]) + p[:, 1])
     with pytest.raises(ValueError, match="another mesh"):
-        gagliardo_half_oracle(v, half)
+        gagliardo_seminorms([v], half)
     with pytest.raises(ValueError, match="another mesh"):
         gagliardo_seminorms([lambda p: p[:, 0], FeExpression(lambda a: a * a, [v])], half)
-    assert gagliardo_half_oracle(v, sq) == gagliardo_half_oracle(v)
-
-
-def test_callable_requires_mesh():
-    with pytest.raises(ValueError):
-        gagliardo_half_oracle(lambda p: p[:, 0])
 
 
 # -- reference: the per-element oracle the blocked one replaced, verbatim ------
@@ -287,7 +280,7 @@ def test_peak_memory_is_bounded_by_block_budget():
     us = [nodal_interp_bulk(mesh, lambda p, a=a: np.sin(a * p[:, 0]) + p[:, 1]) for a in range(40)]
     funcs = us + [FeExpression(lambda a, b: a * b, us[i : i + 2]) for i in range(20)]
     funcs += [lambda p, a=a: p[:, 0] ** a for a in range(4)]
-    gagliardo_half_oracle(us[0])    # fills the per-degree Duffy layout cache
+    gagliardo_seminorms(us[:1], mesh)    # fills the per-degree Duffy layout cache
     one, panel = _traced_peak(us[:1], mesh), _traced_peak(funcs, mesh)
     assert panel < 16 * gagliardo._BLOCK_BYTES
     assert panel < 1.05 * one
@@ -301,7 +294,7 @@ def test_peak_memory_does_not_grow_with_the_leaves_of_expressions():
     mesh = build_square_mesh(3, 1)
     us = [nodal_interp_bulk(mesh, lambda p, a=a: np.sin(a * p[:, 0]) + p[:, 1]) for a in range(60)]
     prods = [FeExpression(lambda a, b, c, d, e: (a * b + c * d) * e, us[i : i + 5]) for i in range(0, 60, 5)]
-    gagliardo_half_oracle(us[0])    # fills the per-degree Duffy layout cache
+    gagliardo_seminorms(us[:1], mesh)    # fills the per-degree Duffy layout cache
     peaks = [_traced_peak(funcs, mesh) for funcs in (us[:12], prods)]
     assert peaks[1] < 1.5 * peaks[0]
 

@@ -213,9 +213,9 @@ def test_lifted_record_is_byte_equal_to_the_full_mesh_one(kind, order):
 def spd_matrices(mesh, R):
     """One matrix of each kind the solvers factor; R is the mesh's trace selector."""
     g = grams_of(mesh)
-    ids = g.mesh.interior_node_ids
-    sb = spectral_decomp(g)
-    ss = spectral_decomp(g, "surface")
+    ids = mesh.interior_node_ids
+    sb = spectral_decomp(mesh)
+    ss = spectral_decomp(mesh, "surface")
     return {
         "pencil": sb.K + sb.shifts[0] * sb.M,
         "surface_pencil": ss.K + ss.shifts[-1] * ss.M,

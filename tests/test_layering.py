@@ -4,9 +4,11 @@ functions of the mesh, and the layers import in one direction.
 meshing -> lifting -> assembly: the lift is `lifting.lift_of(mesh)` and the
 point locator `lifting.locator_of(mesh)`, so no public function takes either
 next to the mesh, and `lifting` needs nothing from `assembly`. The mesh
-derives its boundary from its elements, so its constructor takes none. The Gram set is `grams_of(mesh)` and the operator
-`spectral_decomp` of it, so no public function takes either next to an FE
-function; only the operator builders and the vector-level norms do.
+derives its boundary from its elements, so its constructor takes none.
+The Gram set is `grams_of(mesh)` and the operator of a DOF set
+`spectral_decomp(mesh, dofset)`, both cached on the mesh, so no public
+function takes either; only the dense oracle takes an operator, and the
+experiments reach the operators through the norms alone.
 Rate tables come from one runner, `experiments.run_experiment`.
 """
 
@@ -187,13 +189,8 @@ def test_mesh_constructor_takes_no_boundary():
     assert not [p for p in params if "boundary" in p or "face" in p]
 
 
-# the operator builders take the Gram set; the vector-level norms the operator
-GRAMS_OR_OPERATOR_ALLOWED = {
-    "h32fem.norms.spectral_decomp": {"grams"},
-    "h32fem.norms.spectral_power_norm": {"sb"},
-    "h32fem.norms.dual_norm_from_load": {"sb"},
-    "h32fem.norms.dense_eigenpairs": {"sb"},
-}
+# the dense oracle of the tests and demos is the one function that takes an operator
+GRAMS_OR_OPERATOR_ALLOWED = {"h32fem.norms.dense_eigenpairs": {"sb"}}
 
 
 def test_no_public_function_takes_a_gram_set_or_operator():
@@ -204,6 +201,19 @@ def test_no_public_function_takes_a_gram_set_or_operator():
             if taken:
                 found[f"{module.__name__}.{name}"] = taken
     assert found == GRAMS_OR_OPERATOR_ALLOWED
+
+
+def test_experiments_reach_the_operator_only_through_the_norms():
+    # every operator quantity of a level is a dual norm or an H^s norm
+    # (`norms.dual_norms`, `norms.h_s_norms` and the norms over them): no
+    # experiment builds, decomposes or applies an operator itself
+    called = [
+        caller
+        for name in ("spectral_decomp", "dense_eigenpairs", "apply")
+        for caller in constructors_of(name)
+        if caller.startswith("h32fem.experiments.")
+    ]
+    assert called == []
 
 
 def test_lifting_binds_nothing_from_assembly():

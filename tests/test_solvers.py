@@ -4,7 +4,6 @@ import pytest
 from h32fem import solvers
 from h32fem.assembly import (
     FeFunction,
-    assemble_grams,
     grams_of,
     nodal_interp_bulk,
     trace,
@@ -12,12 +11,7 @@ from h32fem.assembly import (
 )
 from h32fem.interp import dirichlet_lift_from_data, overkill_mesh
 from h32fem.meshing import disk_mesh
-from h32fem.norms import (
-    gradient_pairing_load,
-    h1_norm,
-    spectral_decomp,
-    spectral_power_norm,
-)
+from h32fem.norms import gradient_pairing_load, h1_norm, h_s_norms
 from h32fem.solvers import (
     deformation_field,
     deformed_dirichlet_energy,
@@ -67,8 +61,8 @@ def test_robin_matrix_is_the_selector_form(order, monkeypatch, trace_selector):
     factored = []
     monkeypatch.setattr(solvers, "_spd_solver", lambda A: factored.append(A))
     mesh = disk_mesh(4, order)
-    g = assemble_grams(mesh)
-    solvers._robin_solver(g)
+    solvers._robin_solver(mesh)
+    g = grams_of(mesh)
     R = trace_selector(mesh)
     (got,), want = factored, (g.A_bulk + R.T @ g.M_surf @ R).tocsr()
     got.sort_indices()
@@ -81,7 +75,7 @@ def test_robin_matrix_is_the_selector_form(order, monkeypatch, trace_selector):
 @pytest.mark.parametrize("order", [1, 2])
 def test_robin_load_is_the_selector_form(order, monkeypatch, trace_selector, rng):
     # M_surf g added at the boundary rows is R^T M_surf g, bit for bit
-    monkeypatch.setattr(solvers, "_robin_solver", lambda grams: lambda rhs: rhs)
+    monkeypatch.setattr(solvers, "_robin_solver", lambda mesh: lambda rhs: rhs)
     mesh = disk_mesh(4, order)
     f = FeFunction(mesh, rng.normal(size=mesh.n_nodes))
     gs = FeFunction(mesh, rng.normal(size=len(mesh.boundary_node_ids)), "surface")
@@ -109,9 +103,7 @@ def test_homogeneous_smoothing_proxy():
         g_h = trace(nodal_interp_bulk(m, lambda p: np.cos(2.0 * np.arctan2(p[:, 1], p[:, 0]))))
         sol = dirichlet_lift_from_data(zero, g_h)
         gs = trace(sol)
-        ssb = spectral_decomp(grams_of(sol.mesh), "surface")
-        ghalf = spectral_power_norm(gs.coeffs, 0.5, ssb)
-        vals.append(h1_norm(sol) / ghalf)
+        vals.append(h1_norm(sol) / h_s_norms([gs], 0.5)[0])
     assert max(vals) / min(vals) < 2.0
 
 

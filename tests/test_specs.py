@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from h32fem import experiments, meshing
+from h32fem.assembly import GramSet
 from h32fem.experiments import (
     REGISTRY,
     ExperimentConfig,
@@ -152,8 +153,10 @@ def record_plan(cfg, groups):
     """Each group through the plan on its own empty mesh store with the
     garbage collector off, as `verify all` runs one group per process: the
     shared-mesh keys each experiment requested, the builds per key of each
-    group, and after each release the keys whose mesh is still alive."""
-    requested, builds, refs, alive, reads = [], [], [], [], {}
+    group, after each release the keys whose mesh is still alive, and the
+    keys of stored meshes whose Gram sets carried a cache of their own just
+    before a release."""
+    requested, builds, refs, alive, reads, gram_caches = [], [], [], [], {}, []
     shared, release = meshing.shared_mesh, experiments.release_meshes
 
     def recording(*key):
@@ -169,6 +172,12 @@ def record_plan(cfg, groups):
         return built
 
     def releasing(keep):
+        gram_caches.extend(
+            key
+            for key, mesh in meshing._MESHES.items()
+            for built in vars(mesh).get("_cache", {}).values()
+            if isinstance(built, GramSet) and "_cache" in vars(built)
+        )
         release(keep)
         alive.append({key for key, ref in refs if ref() is not None})
 
@@ -190,7 +199,7 @@ def record_plan(cfg, groups):
                     requested.clear()
             finally:
                 gc.enable()
-    return reads, builds, alive
+    return reads, builds, alive, gram_caches
 
 
 @pytest.fixture(scope="module", params=[1, 2])
@@ -198,9 +207,11 @@ def plan_run(request):
     """`verify all --levels 3` through the plan on an empty mesh store with the
     garbage collector off: the config, the shared-mesh keys each experiment
     requested, the builds per key, and after each release the keys whose
-    mesh is still alive."""
+    mesh is still alive. Every operator, solver and transfer is cached on its
+    mesh, so no Gram set carries a cache of its own."""
     cfg = ExperimentConfig(order=request.param, levels=3)
-    reads, (builds,), alive = record_plan(cfg, [list(REGISTRY)])
+    reads, (builds,), alive, gram_caches = record_plan(cfg, [list(REGISTRY)])
+    assert gram_caches == []
     return cfg, reads, builds, alive
 
 
@@ -278,7 +289,7 @@ def group_run(request):
     after each release."""
     cfg = ExperimentConfig(order=request.param, levels=3)
     groups = experiments.plan_groups(list(REGISTRY), cfg, 2)
-    _, builds, alive = record_plan(cfg, groups)
+    _, builds, alive, _ = record_plan(cfg, groups)
     return cfg, groups, builds, alive
 
 

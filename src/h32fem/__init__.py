@@ -7,7 +7,6 @@ from .assembly import (
     FeFunction,
     GramSet,
     assemble_grams,
-    eval_fe,
     grams_of,
     nodal_interp_bulk,
     nodal_interp_surface,

@@ -262,23 +262,6 @@ def assemble_grams(mesh, lifted=False):
 # -- evaluation and interpolation -------------------------------------------
 
 
-def eval_fe(u, elem, ref_pt):
-    """Value and physical gradient of a bulk FE function at reference points."""
-    if u.space == SURFACE:
-        raise ValueError("eval_fe expects a bulk function")
-    mesh = u.mesh
-    ref = np.atleast_2d(ref_pt)
-    phi = tri_shape(mesh.order, ref)
-    dphi = tri_shape_grad(mesh.order, ref)
-    _, jac = geometry_map(mesh, elem, ref)
-    local = u.coeffs[mesh.elements[elem]][None]
-    val = _contract(phi, local)[0]
-    grad = _contract(_grad_rows(dphi, jac[None]), local)[0]
-    if np.ndim(ref_pt) == 1:
-        return val[0], grad[0]
-    return val, grad
-
-
 def eval_on_elements(u, qd=None):
     """Values and gradients of a bulk FE function at the points of a quadrature
     record (by default the mesh's bulk_quad_data; with the lifted record, of

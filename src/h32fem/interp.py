@@ -153,21 +153,19 @@ def overkill_mesh(mesh):
     return fine
 
 
-def _overkill_matrix(build, mesh):
-    """build(mesh), run once per build and cached on the coarse mesh."""
-    return _cached(mesh, build, lambda: build(mesh))
-
-
 def _source_matrix(mesh):
     """Sparse map: coarse coefficients -> fine load vector of the lifted source:
     its values at the fine rule points (located in the lifted coarse mesh),
     weighted by w det and tested against the fine basis."""
-    fine = overkill_mesh(mesh)
-    qd = bulk_quad_data(fine)
-    S = _evaluation_matrix(mesh, *locator_of(mesh).locate(qd["pts"].reshape(-1, 2)))
-    ne, m = qd["det"].shape
-    E = _evaluation_matrix(fine, np.repeat(np.arange(ne), m), np.tile(qd["rule"].points, (ne, 1)))
-    return E.T @ sp.diags((qd["rule"].weights * qd["det"]).ravel()) @ S
+    def build():
+        fine = overkill_mesh(mesh)
+        qd = bulk_quad_data(fine)
+        S = _evaluation_matrix(mesh, *locator_of(mesh).locate(qd["pts"].reshape(-1, 2)))
+        ne, m = qd["det"].shape
+        E = _evaluation_matrix(fine, np.repeat(np.arange(ne), m), np.tile(qd["rule"].points, (ne, 1)))
+        return E.T @ sp.diags((qd["rule"].weights * qd["det"]).ravel()) @ S
+
+    return _cached(mesh, "source_matrix", build)
 
 
 def _trace_matrix(mesh):
@@ -179,9 +177,12 @@ def _trace_matrix(mesh):
     each lands on the discrete boundary, where only the boundary nodes'
     basis functions are nonzero; the evaluation matrix keeps their columns.
     """
-    fine = overkill_mesh(mesh)
-    E = _evaluation_matrix(mesh, *locator_of(mesh).locate(fine.nodes[fine.boundary_node_ids]))
-    return E[:, mesh.boundary_node_ids]
+    def build():
+        fine = overkill_mesh(mesh)
+        E = _evaluation_matrix(mesh, *locator_of(mesh).locate(fine.nodes[fine.boundary_node_ids]))
+        return E[:, mesh.boundary_node_ids]
+
+    return _cached(mesh, "trace_matrix", build)
 
 
 def _sz_pullback_matrix(mesh):
@@ -190,10 +191,13 @@ def _sz_pullback_matrix(mesh):
     The moment points are known as (element, reference point), so they are
     lifted directly and only the lifted points need locating; Z maps the values.
     """
-    sz = _sz_moments(mesh)
-    lifted, _ = lift_mixed(mesh, sz["elems"], sz["refs"])
-    fine = overkill_mesh(mesh)
-    return sz["Z"] @ _evaluation_matrix(fine, *locator_of(fine).locate(lifted))
+    def build():
+        sz = _sz_moments(mesh)
+        lifted, _ = lift_mixed(mesh, sz["elems"], sz["refs"])
+        fine = overkill_mesh(mesh)
+        return sz["Z"] @ _evaluation_matrix(fine, *locator_of(fine).locate(lifted))
+
+    return _cached(mesh, "sz_pullback_matrix", build)
 
 
 def dirichlet_lift(u_h):
@@ -205,8 +209,8 @@ def dirichlet_lift(u_h):
 def dirichlet_lift_from_data(f_h, g_h):
     """Overkill Dirichlet solve with lifted discrete data (f_h, g_h), on the fine mesh."""
     mesh = f_h.mesh
-    rhs = _overkill_matrix(_source_matrix, mesh) @ f_h.coeffs
-    g = _overkill_matrix(_trace_matrix, mesh) @ g_h.coeffs
+    rhs = _source_matrix(mesh) @ f_h.coeffs
+    g = _trace_matrix(mesh) @ g_h.coeffs
     return _dirichlet_solve(overkill_mesh(mesh), rhs, g)
 
 
@@ -214,7 +218,7 @@ def sz_via_dirichlet(u_h, sol=None):
     """Trace-preserving quasi-interpolant: Scott-Zhang of the pulled-back lift."""
     if sol is None:
         sol = dirichlet_lift(u_h)
-    return FeFunction(u_h.mesh, _overkill_matrix(_sz_pullback_matrix, u_h.mesh) @ sol.coeffs, BULK)
+    return FeFunction(u_h.mesh, _sz_pullback_matrix(u_h.mesh) @ sol.coeffs, BULK)
 
 
 # -- W^{1,infty}-like norm ------------------------------------------------------

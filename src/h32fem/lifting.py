@@ -30,37 +30,34 @@ boundary faces' edge points.
 
 MeshLocator inverts the composite map Lambda(F(xi)) pointwise: it maps
 points of the exact domain to (element, reference point) pairs, and like
-the lift it is a cached function of the mesh, `locator_of(mesh)`. The lift
-fixes a boundary-layer element's straight edges oa and ob (D is zero there)
-and maps its curved edge onto the arc from a to b, so the lifted element is
-the wedge at o between the rays through a and b, cut by the closed unit
-disk: the triangle oab and the circular segment on the chord ab, which lies
-within one sagitta 1 - |(a + b) / 2| of the chord. Candidates come from a
-uniform grid whose cells are half the mean element box in size. Every
-element is registered in each cell its vertex box overlaps, padded by 1e-8
-and, on the boundary layer, by the sagitta, so a point's cell lists every
-element that can contain it. Each cell's list is ordered once, when the
-grid is built, by the distance from the cell centre to the elements'
-lifted centres, and locate() tries the candidates by rank, one vectorized
-round per rank, with no per-point search.
+the lift it is a cached function of the mesh, `locator_of(mesh)`.
+Candidates come from a uniform grid whose cells are half the mean element
+box in size. Every element is registered, in ascending id, in each cell its
+vertex box overlaps, padded by 1e-8 and, on the boundary layer, by the
+arc's sagitta 1 - |(a + b) / 2|, so a point's cell lists every element that
+can contain it; locate() tries them in that order, one vectorized round per
+position in the lists.
 
-Every candidate element is first inverted in closed form through its
-vertex triangle (`meshing._vertex_jacobians`). Off the curved boundary
-layer the lift is the identity and the geometry map is affine, so that
-inverse is exact (on the square, for every element). On the curved
-boundary-layer elements Newton runs per point until it converges, and only
-on points that pass a closed-form containment pre-test of the wedge and
-the disk, which is exact: Newton accepts points up to 1e-9 (its residual)
-plus tol times the Jacobian off that set, so the test's slack of 1e-8
-drops none. Newton starts from the inverse of the straight-chord lift: at
-k=1, F is affine and x = lam_o o + (1 - lam_o) P(e(t)) with e(t) on the
-chord ab, so x lies on the segment from o to the point q where the ray
-o -> x meets the unit circle; t follows from cross(e(t), q) = 0 and
-1 - lam_o = |x - o| / |q - o|. That start is exact at k=1, where Newton's
-first residual check accepts it; at k=2 the curved edge adds a bubble term
-with no closed-form inverse, and Newton takes it from there. The lifted
-mesh covers the exact domain, so a point is located or refused: one off
-the grid, or that no candidate contains, is an error.
+Every candidate gets a closed-form reference point, and its violation (how
+far a barycentric coordinate falls below 0) is the one containment test.
+Off the boundary layer the lift is the identity and the point is the
+vertex triangle's inverse (`meshing._vertex_jacobians`), exact on affine
+elements (on the square, every element). On the boundary layer the lift
+fixes the straight edges oa and ob (D is zero there) and maps the curved
+edge onto the arc from a to b, so the lifted element is the wedge at o
+between the rays through a and b, cut by the closed unit disk. The
+straight-chord lift x = lam_o o + (1 - lam_o) P(e(t)), e(t) on the chord
+ab, maps the reference triangle onto that same set and inverts in closed
+form: x lies on the segment from o to the point q where the ray o -> x
+meets the unit circle, e(t) is a positive multiple of q, and
+1 - lam_o = |x - o| / |q - o| (at x = o the vertex-triangle inverse is
+exact). At k=1 it is the lift; at k=2 the curved edge adds a bubble term
+with no closed-form inverse. Newton runs on the curved elements from the
+closed-form point, where its violation is within `MeshLocator.slack`, and
+is the one verifier: a candidate contains its point when Newton's residual
+is at most 1e-9 and its violation at most tol. The lifted mesh covers the
+exact domain, so a point is located or refused: one off the grid, or that
+no candidate contains, is an error.
 """
 
 import numpy as np
@@ -195,22 +192,27 @@ def grad_lambda_inf_error(mesh):
 
 
 class MeshLocator:
-    """Maps points of the exact domain to (element, reference coordinates),
-    as the module docstring describes: candidates by rank from the grid of
-    padded element boxes, each first inverted through its vertex triangle,
-    and on the curved boundary layer Newton from `_wedge_inverse` where
-    `_may_contain` admits the point. locate() refuses a point that no
-    candidate contains within tol: it raises RuntimeError with the count of
-    such points and moves none into an element.
+    """Maps points of the exact domain to (element, reference coordinates)
+    by the one containment test of the module docstring. locate() refuses a
+    point that no candidate contains within tol: it raises RuntimeError with
+    the count of such points and moves none into an element.
+
+    slack bounds the closed-form violation of every point Newton accepts.
+    Such a point lies within 1e-9 (the residual) plus about 2 tol times the
+    largest edge (the violation) of the lifted element, and a barycentric
+    coordinate moves by about 1 / rho per unit of distance, rho the smallest
+    altitude. The disks' edges are at most 3.5 rho, so the violation is at
+    most about 1e-9 / rho + 7 tol: slack = 1e-6 holds it twice over for
+    rho >= 2e-3 (the finest located mesh, the 32-ring overkill disk at
+    --levels 5, has rho = 1/64).
     """
 
     tol = 1e-10
+    slack = 1e-6
 
     def __init__(self, mesh):
         self.mesh = mesh
         lift = self.lift = lift_of(mesh)
-        # the lifted centres, the means of the lifted degree-2 rule points
-        self.centres = lift.geometry(triangle_rule(2).points)[0].mean(axis=1)
         # the vertex triangle's affine map, and which elements are exactly it:
         # no curved edge and (k=2) every midside node at its edge midpoint
         verts = mesh.nodes[mesh.elements[:, :3]]
@@ -224,8 +226,7 @@ class MeshLocator:
 
     def _build_grid(self, verts):
         """Register each padded vertex box in every cell it overlaps, cells
-        half the mean box in size; each cell's list sorted by the distance
-        from the cell centre to the lifted centres (ties by element id)."""
+        half the mean box in size; each cell lists its elements by id."""
         pad = np.full(len(verts), 1e-8)
         bel = self.lift.boundary_elements()
         _, _, a, b = self._wedge(bel)
@@ -241,9 +242,7 @@ class MeshLocator:
         k = np.arange(len(elem)) - np.repeat(np.cumsum(count) - count, count)
         ij = first[elem] + np.column_stack([k % span[elem, 0], k // span[elem, 0]])
         cell = ij[:, 1] * self._shape[0] + ij[:, 0]
-        dist = np.linalg.norm(self._corner + (ij + 0.5) * self._h - self.centres[elem], axis=1)
-        order = np.lexsort((elem, dist, cell))
-        self._cell_elems = elem[order]
+        self._cell_elems = elem[np.argsort(cell, kind="stable")]
         self._cell_start = np.concatenate(
             [[0], np.cumsum(np.bincount(cell, minlength=int(self._shape.prod())))]
         )
@@ -286,22 +285,13 @@ class MeshLocator:
         o, a, b = np.moveaxis(self.mesh.nodes[self.mesh.elements[np.asarray(elems)[:, None], local]], 1, 0)
         return local, o, a, b
 
-    def _may_contain(self, elems, targets):
-        """Whether each candidate can contain its target: on the boundary layer
-        the wedge-and-disk test of the module docstring, elsewhere always."""
-        _, o, a, b = self._wedge(elems)
-        # signed distances into the wedge from the lines through oa and ob
-        oa, ob, d = a - o, b - o, targets - o
-        left = _det_2x2(np.stack([oa, d], axis=-1)) / np.linalg.norm(oa, axis=1)
-        right = _det_2x2(np.stack([d, ob], axis=-1)) / np.linalg.norm(ob, axis=1)
-        in_disk = np.vecdot(targets, targets) <= (1.0 + 1e-8) ** 2
-        return (self.lift.curved_edge[elems] < 0) | ((np.minimum(left, right) >= -1e-8) & in_disk)
-
     def _wedge_inverse(self, elems, targets, fallback):
         """Reference points of boundary-layer candidates under the straight-chord
-        lift (module docstring), exact at k=1; where the ray o -> x is
-        undefined (x = o) a row keeps `fallback`, the vertex-triangle
-        inverse, which is exact there."""
+        lift (module docstring), exact at k=1, in the reference triangle
+        exactly when the point lies in the lifted element. A row keeps
+        `fallback`, the vertex-triangle inverse, where the ray o -> x is
+        undefined (x = o, where it is exact) or meets the circle opposite
+        the arc (x behind o, outside both triangles)."""
         local, o, a, b = self._wedge(elems)
         d = targets - o
         dist = np.linalg.norm(d, axis=1)
@@ -310,8 +300,11 @@ class MeshLocator:
             od = np.vecdot(o, u)
             s = np.sqrt(od * od + 1.0 - np.vecdot(o, o)) - od   # |o + s u| = 1, s > 0
             q = o + s[:, None] * u
-            # cross(a + t (b - a), q) = 0
+            # e(t) = a + t (b - a) a positive multiple of q: cross(e(t), q) = 0,
+            # and e(t) . q > 0 (for a ray from o towards the far side of the
+            # disk, the line through 0 and q meets the chord behind the origin)
             t = _det_2x2(np.stack([q, a], axis=-1)) / _det_2x2(np.stack([b - a, q], axis=-1))
+            t[np.vecdot(a + t[:, None] * (b - a), q) <= 0.0] = np.nan
             w = dist / s                                        # 1 - lam_o
         lam = np.empty((len(elems), 3))
         np.put_along_axis(lam, local, np.column_stack([1.0 - w, w * (1.0 - t), w * t]), axis=1)
@@ -319,17 +312,17 @@ class MeshLocator:
         return np.where(np.isfinite(refs).all(axis=1)[:, None], refs, fallback)
 
     def _invert(self, elems, targets):
-        """Reference points and scores; a candidate that cannot contain its
-        point, or whose Newton does not converge, scores as far outside."""
+        """Reference points and scores: the closed-form point's violation, and
+        on curved candidates within slack Newton's from there; a candidate
+        whose Newton does not converge scores as far outside."""
         refs = np.einsum("nrx,nx->nr", self._inv[elems], targets - self._origin[elems])
-        curved = np.nonzero(~self._affine[elems])[0]
+        layer = self.lift.curved_edge[elems] >= 0
+        refs[layer] = self._wedge_inverse(elems[layer], targets[layer], refs[layer])
+        # off the boundary layer a curved element has no closed-form test
+        curved = np.nonzero(~self._affine[elems] & ~(layer & (self._violation(refs) > self.slack)))[0]
         resid = np.zeros(len(elems))
-        can = self._may_contain(elems[curved], targets[curved])
-        resid[curved[~can]] = np.inf
-        curved = curved[can]
         if len(curved) > 0:
-            e, x = elems[curved], targets[curved]
-            refs[curved], resid[curved] = self._newton(e, x, self._wedge_inverse(e, x, refs[curved]))
+            refs[curved], resid[curved] = self._newton(elems[curved], targets[curved], refs[curved])
         return refs, self._violation(refs) + np.where(resid > 1e-9, np.inf, 0.0)
 
     @staticmethod

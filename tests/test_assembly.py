@@ -6,7 +6,6 @@ import pytest
 from h32fem.assembly import (
     FeFunction,
     bulk_quad_data,
-    eval_fe,
     eval_on_elements,
     grams_of,
     nodal_interp_bulk,
@@ -79,11 +78,13 @@ def test_p3_basis_is_nodal_and_a_partition_of_unity(rng):
 
 
 def test_eval_constant_and_linear(square4):
+    # at every rule point of every element
     u5 = nodal_interp_bulk(square4, lambda p: 5.0 * np.ones(len(p)))
-    v, g = eval_fe(u5, 2, np.array([0.2, 0.3]))
-    assert abs(v - 5.0) < 1e-13 and np.abs(g).max() < 1e-13
+    v, g = eval_on_elements(u5)
+    assert np.abs(v - 5.0).max() < 1e-13 and np.abs(g).max() < 1e-13
     ulin = nodal_interp_bulk(square4, lambda p: p[:, 0] + 2.0 * p[:, 1])
-    _, g = eval_fe(ulin, 3, np.array([0.25, 0.5]))
+    _, g = eval_on_elements(ulin)
+    assert g.shape == v.shape + (2,)
     assert np.abs(g - [1.0, 2.0]).max() < 1e-13
 
 

@@ -130,9 +130,9 @@ def test_locator_roundtrip(lifted, rng):
 
 def test_locator_tries_every_candidate_before_extra_starts(lifted, monkeypatch):
     # the rule points of a finer k=2 disk in the lifted 4-ring k=2 disk: every
-    # candidate starts from its closed-form vertex-triangle inverse, and Newton
-    # runs only on boundary-layer candidates that can contain their point,
-    # from the wedge inverse, each point until it converges
+    # candidate gets its closed-form reference point, and Newton runs only on
+    # boundary-layer candidates whose straight-chord inverse scores within
+    # slack, from that point, each point until it converges
     m, lm = lifted
     pts = bulk_quad_data(disk_mesh(6, 2))["pts"].reshape(-1, 2)
     loc = MeshLocator(m)
@@ -140,7 +140,9 @@ def test_locator_tries_every_candidate_before_extra_starts(lifted, monkeypatch):
     newton, forward = MeshLocator._newton, MeshLocator._forward
 
     def counted(self, elems, targets, refs):
-        assert self._may_contain(elems, targets).all()
+        vertex = np.einsum("nrx,nx->nr", self._inv[elems], targets - self._origin[elems])
+        assert np.array_equal(refs, self._wedge_inverse(elems, targets, vertex))
+        assert (self._violation(refs) <= self.slack).all()
         newton_elems.append(elems)
         before = len(forward_pts)
         out = newton(self, elems, targets, refs)
@@ -234,13 +236,14 @@ def test_lift_is_built_once_per_mesh():
 @pytest.mark.parametrize(
     "kind, n", [("disk", n) for n in range(2, 9)] + [("square", n) for n in range(2, 7)]
 )
-def test_locator_centres_are_the_lifted_record_means(kind, n, order):
-    # the centres that order each grid cell's candidates: the mean of the
-    # lifted degree-2 rule points, read off the lifted geometry alone instead
-    # of a whole lifted record
+def test_every_cell_lists_ascending_element_ids(kind, n, order):
+    # the order locate() tries a cell's candidates in, fixed by the mesh alone
     m = disk_mesh(n, order) if kind == "disk" else build_square_mesh(n, order)
-    want = bulk_quad_data(m, 2, lifted=True)["pts"].mean(axis=1)
-    assert same_bytes(MeshLocator(m).centres, want)
+    loc = MeshLocator(m)
+    starts = loc._cell_start
+    assert starts[0] == 0 and starts[-1] == len(loc._cell_elems)
+    for a, b in zip(starts[:-1], starts[1:]):
+        assert np.all(np.diff(loc._cell_elems[a:b]) > 0)
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -369,7 +372,7 @@ def test_grad_lambda_error_is_the_full_array_formula(n, order):
     assert grad_lambda_inf_error(m) == full_array_grad_lambda_error(lift_of(m))
 
 
-# -- the containment pre-test ahead of Newton drops no point Newton would place
+# -- the straight-chord inverse's slack ahead of Newton drops no point Newton would place
 
 
 def _overkill_point_sets(levels, order):
@@ -395,7 +398,7 @@ def _overkill_point_sets(levels, order):
 def test_containment_pretest_drops_no_point(order, levels, monkeypatch):
     sets = list(_overkill_point_sets(levels, order))
     got = [MeshLocator(m).locate(pts) for m, pts in sets]
-    monkeypatch.setattr(MeshLocator, "_may_contain", lambda self, elems, targets: np.ones(len(elems), bool))
+    monkeypatch.setattr(MeshLocator, "slack", np.inf)
     for (m, pts), (elems, refs) in zip(sets, got):
         want_elems, want_refs = MeshLocator(m).locate(pts)
         assert np.array_equal(elems, want_elems)
@@ -405,7 +408,8 @@ def test_containment_pretest_drops_no_point(order, levels, monkeypatch):
 @pytest.mark.parametrize("order", [1, 2])
 def test_points_on_the_lifted_boundary_layer_edges_are_located(order):
     # on each curved element's arc, on its two straight edges and at its
-    # vertices: the closed set the pre-test admits, wedge and disk alike
+    # vertices: the closed set whose straight-chord inverse lies in the
+    # reference triangle, wedge and disk alike
     m = disk_mesh(4, order)
     lm = lift_of(m)
     bel = lm.boundary_elements()
@@ -423,7 +427,8 @@ def test_points_on_the_lifted_boundary_layer_edges_are_located(order):
     assert MeshLocator._violation(refs).max() <= loc.tol
     # an arc point off the vertices lies in its curved element only
     assert np.array_equal(elems[:len(arc)], np.tile(bel, 3))
-    assert loc._may_contain(np.tile(bel, 8), pts[:8 * len(bel)]).all()
+    e, x = np.tile(bel, 8), pts[:8 * len(bel)]
+    assert (loc._violation(loc._wedge_inverse(e, x, np.full_like(x, np.nan))) <= loc.slack).all()
 
 
 # -- the grid of element boxes lists every element that can contain a point
@@ -530,4 +535,87 @@ def test_wedge_inverse_at_the_apex_and_off_the_disk(order):
     assert (np.take_along_axis(tri_shape(1, refs), local[:, :1], axis=1) < 0).all()
     if order == 1:
         assert np.abs(lift_mixed(m, bel, refs)[0] - x).max() <= 1e-14
-    assert not loc._may_contain(bel, x).any()
+    assert (loc._violation(refs) > loc.slack).all()
+
+
+# -- the straight-chord inverse is the boundary layer's one containment test
+
+
+def _wedge_and_disk(o, a, b, x):
+    """The reference containment test of the lifted boundary-layer element:
+    signed distances into the wedge at o from the lines through oa and ob
+    at least -1e-8, and |x| <= 1 + 1e-8."""
+    oa, ob, d = a - o, b - o, x - o
+    left = (oa[:, 0] * d[:, 1] - oa[:, 1] * d[:, 0]) / np.linalg.norm(oa, axis=1)
+    right = (d[:, 0] * ob[:, 1] - d[:, 1] * ob[:, 0]) / np.linalg.norm(ob, axis=1)
+    return (np.minimum(left, right) >= -1e-8) & (np.linalg.norm(x, axis=1) <= 1.0 + 1e-8)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("n", [4, 6])
+def test_straight_chord_inverse_admits_exactly_the_wedge_and_disk(n, order):
+    # on every boundary-layer element: points inside it, on and just across
+    # each straight edge, on and just beyond the arc, at the apex o and just
+    # behind it (towards the centre, where the ray o -> x meets the circle
+    # on the far side); "just" is 1e-10, which both tests admit, or 1e-4,
+    # which both refuse (the slack is in reference units, the reference
+    # test's 1e-8 in physical ones, so offsets in between may split them)
+    m = disk_mesh(n, order)
+    loc = MeshLocator(m)
+    bel = lift_of(m).boundary_elements()
+    _, o, a, b = loc._wedge(bel)
+    rng = np.random.default_rng(3)
+    lam = rng.dirichlet(np.ones(3), size=(6, len(bel)))
+    inside = lift_mixed(m, np.tile(bel, 6), lam[..., 1:].reshape(-1, 2))[0].reshape(6, -1, 2)
+    s = np.array([0.1, 0.5, 0.9])[:, None, None]
+    chord = a + s * (b - a)
+    arc = chord / np.linalg.norm(chord, axis=2, keepdims=True)
+    ohat = o / np.linalg.norm(o, axis=1)[:, None]
+    blocks = [(inside, 0.0)]
+    for d in (0.0, 1e-10, 1e-4):
+        for p, q, r in ((o, a, b), (o, b, a)):
+            t = (q - p) / np.linalg.norm(q - p, axis=1)[:, None]
+            normal = np.column_stack([t[:, 1], -t[:, 0]])
+            normal *= -np.sign(np.vecdot(normal, r - p))[:, None]     # away from r
+            blocks.append((p + s * (q - p) + d * normal, d))
+        blocks += [(arc * (1.0 + d), d), (o[None] - d * ohat, d)]
+    x = np.concatenate([blk for blk, _ in blocks])
+    far = np.concatenate([np.full(blk.shape[:2], d == 1e-4) for blk, d in blocks]).ravel()
+    reps = len(x)
+    elems, x = np.tile(bel, reps), x.reshape(-1, 2)
+    vertex = np.einsum("nrx,nx->nr", loc._inv[elems], x - loc._origin[elems])
+    admitted = loc._violation(loc._wedge_inverse(elems, x, vertex)) <= loc.slack
+    want = _wedge_and_disk(*(np.tile(p, (reps, 1)) for p in (o, a, b)), x)
+    assert np.array_equal(admitted, want)
+    # both sides occur: every 1e-4 offset is refused, every other point admitted
+    assert np.array_equal(want, ~far)
+
+
+@pytest.mark.parametrize(
+    "order, want",
+    [
+        (1, {"points": 104105, "inversions": 291277, "forward": 25618}),
+        (2, {"points": 170904, "inversions": 473182, "forward": 160902}),
+    ],
+)
+def test_locate_work_on_the_overkill_point_sets(order, want, monkeypatch):
+    # the work of locating the registry's overkill point sets at --levels 4:
+    # located points, candidate inversions (each candidate of each round)
+    # and Newton's forward point evaluations; a change to any of them is
+    # made here on purpose and explained with the change
+    counts = {"points": 0, "inversions": 0, "forward": 0}
+    invert, forward = MeshLocator._invert, MeshLocator._forward
+
+    def counted_invert(self, elems, targets):
+        counts["inversions"] += len(elems)
+        return invert(self, elems, targets)
+
+    def counted_forward(self, elems, refs):
+        counts["forward"] += len(elems)
+        return forward(self, elems, refs)
+
+    monkeypatch.setattr(MeshLocator, "_invert", counted_invert)
+    monkeypatch.setattr(MeshLocator, "_forward", counted_forward)
+    for m, pts in _overkill_point_sets(4, order):
+        counts["points"] += len(MeshLocator(m).locate(pts)[0])
+    assert counts == want

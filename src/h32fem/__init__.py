@@ -35,7 +35,6 @@ from .multilinear import (
     ml_from_function,
     ml_norm,
     neumann_tail,
-    resolvent_difference,
 )
 from .norms import (
     SpectralBasis,

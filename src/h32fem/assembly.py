@@ -192,10 +192,15 @@ class GramSet:
     A_bulk: sp.csr_matrix
     M_surf: sp.csr_matrix
     A_surf: sp.csr_matrix
-    # upper bounds on the largest eigenvalue of (M + A, M), bulk and surface;
-    # None on the lifted set, whose forms no fractional operator is built from
-    bulk_eig_bound: float
-    surf_eig_bound: float
+
+
+def eig_bound(mesh, surface=False):
+    """An upper bound on the largest eigenvalue of the pencil (M + A, M) of
+    the mesh's bulk forms, or surface forms, on every DOF subset
+    (`_eig_bound`), cached on the mesh. Only an operator reads it, so it is
+    computed apart from `assemble_grams`, from the same element matrices."""
+    elements = _surface_elements if surface else _bulk_elements
+    return _cached(mesh, ("eig_bound", surface), lambda: _eig_bound(*elements(mesh, False)))
 
 
 def _eig_bound(Me, Ae):
@@ -226,37 +231,39 @@ def grams_of(mesh, lifted=False):
 
 def assemble_grams(mesh, lifted=False):
     """The four Gram forms from bulk_quad_data/surface_quad_data (lifted, if asked)."""
+    Me, Ae = _bulk_elements(mesh, lifted)
+    Mse, Ase = _surface_elements(mesh, lifted)
+    bids = mesh.boundary_node_ids
+    return GramSet(
+        mesh=mesh,
+        M_bulk=_scatter(Me, mesh.elements, mesh.n_nodes),
+        A_bulk=_scatter(Ae, mesh.elements, mesh.n_nodes),
+        M_surf=_scatter(Mse, mesh.surface_faces, len(bids)),
+        A_surf=_scatter(Ase, mesh.surface_faces, len(bids)),
+    )
+
+
+def _bulk_elements(mesh, lifted):
+    """The element mass and stiffness matrices (ne, nb, nb) of the bulk forms."""
     qd = bulk_quad_data(mesh, lifted=lifted)
     w, phi, det = qd["rule"].weights, qd["phi"], qd["det"]
     nb = phi.shape[1]
     Me = det @ (w[:, None, None] * phi[:, :, None] * phi[:, None, :]).reshape(len(w), -1)
-    Me = Me.reshape(-1, nb, nb)
     wdet = np.repeat(w * det, 2, axis=1)[:, :, None]
     def stiffness(gphys, wdet):
         G = gphys.reshape(len(gphys), -1, nb)  # rows (point, direction)
         return _contract(G.swapaxes(1, 2), wdet * G)
-    Ae = _on_gradient_rows(qd, mesh, stiffness, wdet)
-    M = _scatter(Me, mesh.elements, mesh.n_nodes)
-    A = _scatter(Ae, mesh.elements, mesh.n_nodes)
+    return Me.reshape(-1, nb, nb), _on_gradient_rows(qd, mesh, stiffness, wdet)
 
+
+def _surface_elements(mesh, lifted):
+    """The face mass and stiffness matrices (nf, ns, ns) of the surface forms."""
     sd = surface_quad_data(mesh, lifted=lifted)
     ws, psi, dpsi, speed = sd["rule"].weights, sd["psi"], sd["dpsi"], sd["speed"]
     Mse = np.einsum("q,qi,qj,fq->fij", ws, psi, psi, speed)
     # tangential derivative: psi'(t)/|c'(t)|, measure |c'(t)| dt
     Ase = np.einsum("q,qi,qj,fq->fij", ws, dpsi, dpsi, 1.0 / speed)
-    bids = mesh.boundary_node_ids
-    Ms = _scatter(Mse, mesh.surface_faces, len(bids))
-    As = _scatter(Ase, mesh.surface_faces, len(bids))
-
-    return GramSet(
-        mesh=mesh,
-        M_bulk=M,
-        A_bulk=A,
-        M_surf=Ms,
-        A_surf=As,
-        bulk_eig_bound=None if lifted else _eig_bound(Me, Ae),
-        surf_eig_bound=None if lifted else _eig_bound(Mse, Ase),
-    )
+    return Mse, Ase
 
 
 # -- evaluation and interpolation -------------------------------------------

@@ -2,9 +2,10 @@
 
 `verify all` runs the registry as the groups of `experiments.plan_groups`:
 where this process may run on two CPUs or more and can fork, two groups,
-the first here and the second in a forked child, which sends its tables
-back pickled through a pipe. Tables are written in registry order once
-both groups are done, and do not depend on the grouping; if either group
+the first here and the second in a `multiprocessing` child, forked so
+that it starts from this process's imports, which sends its tables back
+through a one-way pipe. Tables are written in registry order once both
+groups are done, and do not depend on the grouping; if either group
 fails, none is written. With one CPU, where `os.fork` does not exist, or
 under a wrapped `run_plan` (a tracer's), the registry runs as one group in
 this process; `verify <name>` is a group of one, run the same way.
@@ -12,8 +13,8 @@ this process; `verify <name>` is a group of one, run the same way.
 
 import argparse
 import ctypes
+import multiprocessing
 import os
-import pickle
 import signal
 import sys
 import traceback
@@ -97,81 +98,55 @@ def _run_groups(groups, cfg):
     forked child; the (name, table) pairs of both in registry order, once
     both are done. A failed child raises RuntimeError here, and the child
     is reaped before this returns or raises."""
-    pid, pipe = _fork_group(groups[1], cfg) if len(groups) > 1 else (None, None)
-    try:
-        tables = dict(run_plan(groups[0], cfg))
-        if pid is not None:
-            data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            pid = None
-            tables.update(_child_tables(data, status, groups[1]))
-    finally:
-        if pipe is not None:
-            pipe.close()
-        if pid is not None:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    if len(groups) == 1:
+        return list(run_plan(groups[0], cfg))
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_run_child, args=(groups[1], cfg, send))
+    with receive:
+        with send:    # the child holds its own copy of the write end
+            child.start()
+        try:
+            tables = dict(run_plan(groups[0], cfg))
+            tables.update(_child_tables(receive, child, groups[1]))
+        finally:
+            child.kill()
+            child.join()
     return [(name, tables[name]) for name in REGISTRY if name in tables]
 
 
-def _fork_group(group, cfg):
-    """Fork a child that runs `group` (`_run_child`): its pid and the read
-    end of its pipe, as a file."""
-    sys.stdout.flush()
-    sys.stderr.flush()
-    read, write = os.pipe()
+def _run_child(group, cfg, send):
+    """In the forked child: run `group` and send either ("tables", [(name,
+    table)]) or ("raised", name, traceback text). Whatever is raised,
+    interrupts included, is sent to the parent; the child ends when this
+    returns, never in the caller's stack it was forked from."""
+    done = []
     try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:
-        os.close(read)
-        _run_child(group, cfg, write)
-    os.close(write)
-    return pid, os.fdopen(read, "rb")
+        for name, table in run_plan(group, cfg):
+            done.append((name, table))
+        result = ("tables", done)
+    except BaseException:
+        # `run_plan` yields a table once its experiment's step is done,
+        # releases included, so the step that raised is the first not done
+        result = ("raised", group[len(done)], traceback.format_exc())
+    send.send(result)
 
 
-def _run_child(group, cfg, fd):
-    """In a forked child: run `group` and write to `fd`, pickled, either
-    ("tables", [(name, table)]) or ("raised", name, traceback text); then
-    leave the process without returning: whatever is raised, interrupts
-    included, is reported to the parent and ends the child here, never in
-    the caller's stack it was forked from."""
-    code = 1
+def _child_tables(receive, child, group):
+    """The [(name, table)] that `child`, running `group`, sent through
+    `receive`; the child is reaped once they arrive or it has ended."""
     try:
-        done = []
-        try:
-            for name, table in run_plan(group, cfg):
-                done.append((name, table))
-            result = ("tables", done)
-        except BaseException:
-            # `run_plan` yields a table once its experiment's step is done,
-            # releases included, so the step that raised is the first not done
-            result = ("raised", group[len(done)], traceback.format_exc())
-        with os.fdopen(fd, "wb") as f:
-            pickle.dump(result, f)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _child_tables(data, status, group):
-    """The [(name, table)] a child sent as `data` and ended with `status`."""
-    try:
-        kind, *sent = pickle.loads(data)
-    except (EOFError, pickle.UnpicklingError):   # nothing sent, or cut off by the child's end
+        kind, *sent = receive.recv()
+    except (EOFError, OSError):   # nothing sent, or cut off by the child's end
         kind = None
+    child.join()
     if kind == "tables":
         return sent[0]
     if kind == "raised":
         name, text = sent
         raise RuntimeError(f"experiment {name!r} raised in its worker process:\n{text}")
-    if os.WIFSIGNALED(status):
-        ended = f"was killed by {signal.Signals(os.WTERMSIG(status)).name}"
-    else:
-        ended = f"exited with code {os.waitstatus_to_exitcode(status)}"
+    code = child.exitcode
+    ended = f"was killed by {signal.Signals(-code).name}" if code < 0 else f"exited with code {code}"
     raise RuntimeError(f"the worker process running {', '.join(group)} {ended} "
                        "without sending its tables")
 

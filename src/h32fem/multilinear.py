@@ -7,8 +7,8 @@ Evaluation is a sequence of tensordot contractions, so linearity in each
 slot holds to rounding by construction.
 
 The deformation algebra is 2x2 resolvent algebra: the deformation tensor,
-the Neumann tail (A + I)^{-1} - I, the resolvent difference and the
-residual of its factored form all read (A + I)^{-1} from one closed-form
+the Neumann tail (A + I)^{-1} - I and the residual of the factored form
+of the resolvent difference all read (A + I)^{-1} from one closed-form
 inverse (`_shifted_inverse` over `meshing._inverse_2x2`). Like `ml_eval`,
 each routine takes one matrix or a stack with leading batch axes.
 """
@@ -153,11 +153,6 @@ def neumann_partial_sum(A, n_terms):
         P = P @ A
         out += (-1.0) ** i * P
     return out
-
-
-def resolvent_difference(A, B):
-    """(A + I)^{-1} - (B + I)^{-1}, computed directly (one pair or stacks)."""
-    return neumann_tail(A) - neumann_tail(B)
 
 
 def resolvent_identity_residual(A, B):

@@ -34,10 +34,10 @@ transformations phi_{i-1} = (phi_i + arcsin(c_i sin(phi_i) / a_i)) / 2
 from phi_N = 2^N a_N u (Abramowitz & Stegun 16.4; DLMF 22.20(ii)), the
 Cephes `ellpj` algorithm. Below p = 1e-9 the first-order expansions in p
 are used instead, so that dn = 1 at Lambda = 1, where the ladder is empty.
-Lambda is the rigorous element bound of the Gram set
-(`assembly._eig_bound`), so no eigenvalue is ever estimated. Because the
-error is relative in every eigencomponent, each norm and dual norm
-carries the same relative error.
+Lambda is the rigorous element bound of the mesh's forms
+(`assembly.eig_bound`), computed only where an operator is built, so no
+eigenvalue is ever estimated. Because the error is relative in every
+eigencomponent, each norm and dual norm carries the same relative error.
 
 QUAD_TOL = 1e-10 is what the experiment tables need, and no tighter:
 - a norm is the square root of a form in R, so it carries at most
@@ -78,7 +78,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .assembly import SURFACE, _contract, bulk_quad_data, grams_of, trace
+from .assembly import SURFACE, _contract, bulk_quad_data, eig_bound, grams_of, trace
 from .meshing import _cached, _spd_factor
 
 ALL = "all"
@@ -174,13 +174,14 @@ def spectral_decomp(mesh, dofset=ALL):
     mesh: 'all' or 'interior' on the bulk forms, 'surface' on the surface forms."""
     if dofset == SURFACE:
         ids = np.arange(len(mesh.boundary_node_ids))
-        pencil = lambda g: (g.M_surf, g.A_surf, g.surf_eig_bound)
+        pencil = lambda g: (g.M_surf, g.A_surf)
     elif dofset in (ALL, INTERIOR):
         ids = np.arange(mesh.n_nodes) if dofset == ALL else mesh.interior_node_ids
-        pencil = lambda g: (g.M_bulk, g.A_bulk, g.bulk_eig_bound)
+        pencil = lambda g: (g.M_bulk, g.A_bulk)
     else:
         raise ValueError(f"unknown dofset {dofset!r}")
-    return _cached(mesh, ("spectral", dofset), lambda: _operator(dofset, ids, *pencil(grams_of(mesh))))
+    return _cached(mesh, ("spectral", dofset), lambda: _operator(
+        dofset, ids, *pencil(grams_of(mesh)), eig_bound(mesh, dofset == SURFACE)))
 
 
 def _operator(dofset, ids, M_full, A_full, bound):

@@ -4,6 +4,7 @@ import json
 import os
 import platform
 import signal
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -249,6 +250,33 @@ def test_verify_all_under_a_wrapped_run_plan_forks_nothing(tmp_path, monkeypatch
     assert two_cpus == [] and seen == list(REGISTRY)
 
 
+# Output buffered before `verify all` forks its child on two CPUs: the
+# child must not write it again when it ends. Standard output is reopened
+# block-buffered whatever PYTHONUNBUFFERED says; it is a pipe, so "marker"
+# stays in the buffer until it is flushed.
+BUFFERED_BEFORE_THE_FORK = """
+import os, sys
+sys.stdout = open(sys.stdout.fileno(), "w", closefd=False)
+from h32fem.cli import main
+os.sched_getaffinity = lambda pid: {0, 1}
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(None) or fork()
+print("marker")
+code = main(["verify", "all", "--levels", "3", "--out", sys.argv[1]])
+print(f"forks {len(forks)}", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_output_buffered_before_the_fork_is_written_once(tmp_path):
+    r = subprocess.run([sys.executable, "-c", BUFFERED_BEFORE_THE_FORK, str(tmp_path)],
+                       capture_output=True, text=True)
+    assert r.returncode == 0 and r.stderr == "forks 1\n", r.stderr
+    lines = r.stdout.splitlines()
+    assert lines.count("marker") == 1
+    assert [line.split()[0] for line in lines[1:]] == list(REGISTRY)
+
+
 def _replace_level(monkeypatch, name, level):
     statement, build = REGISTRY[name]
     monkeypatch.setitem(REGISTRY, name, (statement, lambda cfg: dataclasses.replace(build(cfg), level=level)))
@@ -272,9 +300,17 @@ def test_an_experiment_raising_in_a_child_is_named(tmp_path, monkeypatch, two_cp
     assert not out.exists()
 
 
+def _send_part_of_a_message(group, cfg, send):
+    # in place of the child's run: a frame header announcing 64 bytes, then 7
+    os.write(send.fileno(), struct.pack("!i", 64) + b"cut off")
+    os._exit(3)
+
+
 @pytest.mark.parametrize("end, message", [
     (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by SIGKILL"),
     (lambda: os._exit(3), "exited with code 3"),
+    # a child cut off mid-message is reported like one that sent nothing
+    (_send_part_of_a_message, "exited with code 3"),
 ])
 def test_a_child_that_ends_without_its_tables_is_reported(tmp_path, monkeypatch, two_cpus, end, message):
     parent = os.getpid()
@@ -286,6 +322,8 @@ def test_a_child_that_ends_without_its_tables_is_reported(tmp_path, monkeypatch,
 
     assert _group_of("resolvent_identity") > 0
     _replace_level(monkeypatch, "resolvent_identity", level)
+    if end is _send_part_of_a_message:
+        monkeypatch.setattr(cli, "_run_child", end)
     with pytest.raises(RuntimeError, match=f"resolvent_identity.* {message} without sending its tables"):
         main(["verify", "all", "--levels", "3", "--out", str(tmp_path)])
 

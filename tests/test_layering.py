@@ -178,9 +178,11 @@ def test_only_the_cli_touches_the_allocator():
 
 
 def test_only_the_cli_forks():
-    # `verify all` runs its groups in processes of its own; the library runs
-    # in the process that calls it and starts none
-    assert readers_of("fork") == ["h32fem.cli"]
+    # `verify all` runs its groups in processes of its own, started through
+    # `multiprocessing`; the library runs in the process that calls it and
+    # starts none, and no module forks by hand
+    assert readers_of("multiprocessing") == ["h32fem.cli"]
+    assert readers_of("fork") == []
 
 
 def test_mesh_constructor_takes_no_boundary():

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from h32fem import cli, experiments, norms
+from h32fem import cli, experiments, interp, meshing, norms, solvers
 from h32fem.assembly import (
     FeFunction,
     bulk_quad_data,
+    eig_bound,
     eval_on_elements,
     grams_of,
     nodal_interp_bulk,
     trace,
 )
+from h32fem.experiments import REGISTRY, ExperimentConfig, run_plan
 from h32fem.meshing import _spd_factor, build_square_mesh, disk_mesh
 from h32fem.norms import (
     QUAD_TOL,
@@ -425,10 +427,12 @@ def test_block_applies_are_column_by_column(order):
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_element_bound_above_oracle(order):
-    g = grams_of(experiments.get_mesh("disk", 4, order))
-    bounds = {"all": g.bulk_eig_bound, "interior": g.bulk_eig_bound, "surface": g.surf_eig_bound}
-    for name, sb in _pencils(g.mesh).items():
-        assert dense_eigenpairs(sb)[0][-1] <= bounds[name]
+    mesh = experiments.get_mesh("disk", 4, order)
+    for name, sb in _pencils(mesh).items():
+        bound = eig_bound(mesh, name == "surface")
+        assert dense_eigenpairs(sb)[0][-1] <= bound
+        # the operator's shifts are the quadrature's on [1, bound]
+        assert np.array_equal(sb.shifts, inv_sqrt_quadrature(bound)[0])
 
 
 def test_operator_build_deterministic(rng):
@@ -507,3 +511,40 @@ def test_operator_refuses_factors_over_the_budget_after_the_first(monkeypatch):
     # an estimate at the budget is built
     monkeypatch.setattr(norms, "FACTOR_BUDGET_BYTES", estimate)
     assert len(spectral_decomp(disk_mesh(3, 1)).factors) == count
+
+
+@pytest.mark.parametrize("order, want", [
+    (1, {"factorizations": 175, "shifts": 163, "solvers": 12}),
+    (2, {"factorizations": 199, "shifts": 187, "solvers": 12}),
+])
+def test_factorization_work_of_the_registry(order, want, monkeypatch):
+    # the sparse factorizations of the registry at --levels 3 on a fresh mesh
+    # store: each operator build makes one per shift (N, the shifts of its
+    # element bound) and each solver one; a change to any count is made
+    # here on purpose and explained with the change
+    counts = dict.fromkeys(want, 0)
+    factor, solver, operator = meshing._spd_factor, meshing._spd_solver, norms._operator
+
+    def counted_factor(*args):
+        counts["factorizations"] += 1
+        return factor(*args)
+
+    def counted_solver(A):
+        counts["solvers"] += 1
+        return solver(A)
+
+    def counted_operator(*args):
+        sb = operator(*args)
+        counts["shifts"] += len(sb.shifts)
+        return sb
+
+    for module in (meshing, norms):
+        monkeypatch.setattr(module, "_spd_factor", counted_factor)
+    for module in (meshing, interp, solvers):
+        monkeypatch.setattr(module, "_spd_solver", counted_solver)
+    monkeypatch.setattr(norms, "_operator", counted_operator)
+    monkeypatch.setattr(meshing, "_MESHES", {})
+    tables = dict(run_plan(list(REGISTRY), ExperimentConfig(order=order, levels=3)))
+    assert all(table.passed for table in tables.values())
+    assert counts["factorizations"] == counts["shifts"] + counts["solvers"]
+    assert counts == want

@@ -5,8 +5,11 @@ triangulation; surface forms are their analogues on the discrete boundary
 curve, with the surface gradient realized as the tangential derivative
 along each (curved) boundary face. Surface DOFs are the boundary nodes in
 ascending bulk-node order; surface basis functions are traces of the bulk
-ones, so trace extraction is pure index gathering. Quadrature records,
-plain and lifted, are cached on the mesh; lifted ones are boundary-layer sized.
+ones, so trace extraction is pure index gathering. The bulk quadrature
+records, plain and lifted, share one format (rule, reference basis values
+and gradients, points, det J, J^{-1}), which only this module reads: it
+applies J^{-T} to the shared reference gradients (Kronbichler & Kormann,
+Comput. Fluids 63, 2012).
 """
 
 from dataclasses import dataclass
@@ -76,15 +79,15 @@ def bulk_quad_data(mesh, degree=None, lifted=False):
     lifted, of their lifts onto the exact domain (`lifting.lift_of(mesh)`);
     cached per mesh and degree.
 
-    The plain record is a dict with rule, phi (m, nb), pts (ne, m, 2), det
-    (ne, m) and the physical basis gradients as rows, gphys (ne, m, 2, nb):
-    gphys[e, q, x] holds d(phi_b)/dx_x of every local basis function b, so
-    gradients of element coefficients are one matmul (`_contract`). The lift
-    moves the boundary layer bl = `lift_of(mesh).boundary_elements()` only:
-    the lifted record has pts and det with the bl rows lifted, and no gphys
-    but the lifted rows of bl, gphys_bl (see `_on_gradient_rows`). Every
-    mesh passes through here before anything is integrated on it: an
-    inverted element is refused.
+    Both records are a dict of the rule, the reference basis values phi
+    (m, nb) and gradients dphi (m, nb, 2), and the geometry at the rule
+    points: pts (ne, m, 2), det (ne, m) and the inverse Jacobians jinv
+    (ne, m, 2, 2), jinv[e, q, r, x] = d(xi_r)/d(x_x). Physical gradients
+    are never stored: each reader applies J^{-T} to the shared reference
+    ones. The lift moves the boundary layer `lift_of(mesh).boundary_elements()`
+    only, so the lifted record is the plain arrays copied with that layer's
+    rows lifted. Every mesh passes through here before anything is
+    integrated on it: an inverted element is refused.
     """
     if degree is None:
         degree = default_degree(mesh.order)
@@ -105,55 +108,25 @@ def _bulk_quad_data(mesh, degree, lifted):
         pts, jac, det = batched_geometry(mesh, rule.points)
     if (det <= 0.0).any():
         raise RuntimeError("nonpositive Jacobian during assembly")
-    gphys = _grad_rows(tri_shape_grad(mesh.order, rule.points), jac)
+    # stored as component planes: jinv[..., r, x] is one contiguous (ne, m) array
+    jinv = np.moveaxis(np.moveaxis(_inverse_2x2(jac)[0], (2, 3), (0, 1)).copy(), (0, 1), (2, 3))
     if not lifted:
-        return {"rule": rule, "phi": tri_shape(mesh.order, rule.points), "pts": pts, "det": det,
-                "gphys": gphys}
+        return {"rule": rule, "phi": tri_shape(mesh.order, rule.points),
+                "dphi": tri_shape_grad(mesh.order, rule.points), "pts": pts, "det": det, "jinv": jinv}
     # off the boundary layer the lift is the identity: the plain rows
     plain = bulk_quad_data(mesh, degree)
-    full = {key: plain[key].copy() for key in ("pts", "det")}
-    full["pts"][bl], full["det"][bl] = pts, det
-    return {"rule": rule, "phi": plain["phi"], **full, "bl": bl, "gphys_bl": gphys}
-
-
-def _grad_rows(dphi, jac):
-    """Physical basis gradients (ne, m, 2, nb) from reference ones dphi (m, nb, 2)
-    and the Jacobians jac (ne, m, 2, 2) of the map from the reference cell.
-
-    d(phi_b)/dx_x = sum_r dxi_r/dx_x d(phi_b)/dxi_r: the rows J^{-T} dphi^T.
-    """
-    inv, _ = _inverse_2x2(jac)
-    return np.matmul(inv.swapaxes(-1, -2), dphi.transpose(0, 2, 1))
+    full = {key: np.copy(plain[key]) for key in ("pts", "det", "jinv")}  # np.copy keeps the planes
+    full["pts"][bl], full["det"][bl], full["jinv"][bl] = pts, det, jinv
+    return {**plain, **full}
 
 
 def _contract(rows, local):
-    """rows @ local on every element, as one batched matmul on reshaped views.
-
-    rows: (m, nb) shared by all elements (basis values), or per element
-    (ne, *r, nb) (e.g. gradient rows (ne, m, 2, nb)); local: (ne, nb, *t)
-    element coefficients. Returns (ne, m, *t) or (ne, *r, *t).
-    """
+    """rows (r, nb), shared by all elements (e.g. basis values), times the
+    element coefficients local (ne, nb, *t): (ne, r, *t), one GEMM on views."""
     (ne, nb), t = local.shape[:2], local.shape[2:]
     loc = local.reshape(ne, nb, -1)
-    if rows.ndim == 2:
-        # one GEMM over all elements and components
-        out = (loc.swapaxes(1, 2).reshape(-1, nb) @ rows.T).reshape(ne, -1, len(rows))
-        return out.swapaxes(1, 2).reshape((ne, len(rows)) + t)
-    return np.matmul(rows.reshape(ne, -1, nb), loc).reshape(rows.shape[:-1] + t)
-
-
-def _on_gradient_rows(qd, mesh, kernel, *args):
-    """kernel(gphys, *args), element by element (row e of the result from row
-    e of gphys and of each arg), on the gradient rows of the bulk record qd.
-    On a lifted record: on the plain record's rows, then the bl rows of the
-    result replaced by the kernel on the lifted rows gphys_bl."""
-    if "gphys" in qd:
-        return kernel(qd["gphys"], *args)
-    out = kernel(bulk_quad_data(mesh, qd["rule"].degree)["gphys"], *args)
-    bl = qd["bl"]
-    if len(bl):
-        out[bl] = kernel(qd["gphys_bl"], *(a[bl] for a in args))
-    return out
+    out = (loc.swapaxes(1, 2).reshape(-1, nb) @ rows.T).reshape(ne, -1, len(rows))
+    return out.swapaxes(1, 2).reshape((ne, len(rows)) + t)
 
 
 def surface_quad_data(mesh, degree=None, lifted=False):
@@ -200,7 +173,8 @@ def eig_bound(mesh, surface=False):
     (`_eig_bound`), cached on the mesh. Only an operator reads it, so it is
     computed apart from `assemble_grams`, from the same element matrices."""
     elements = _surface_elements if surface else _bulk_elements
-    return _cached(mesh, ("eig_bound", surface), lambda: _eig_bound(*elements(mesh, False)))
+    record = surface_quad_data if surface else bulk_quad_data
+    return _cached(mesh, ("eig_bound", surface), lambda: _eig_bound(*elements(record(mesh))))
 
 
 def _eig_bound(Me, Ae):
@@ -231,8 +205,8 @@ def grams_of(mesh, lifted=False):
 
 def assemble_grams(mesh, lifted=False):
     """The four Gram forms from bulk_quad_data/surface_quad_data (lifted, if asked)."""
-    Me, Ae = _bulk_elements(mesh, lifted)
-    Mse, Ase = _surface_elements(mesh, lifted)
+    Me, Ae = _bulk_elements(bulk_quad_data(mesh, lifted=lifted))
+    Mse, Ase = _surface_elements(surface_quad_data(mesh, lifted=lifted))
     bids = mesh.boundary_node_ids
     return GramSet(
         mesh=mesh,
@@ -243,22 +217,24 @@ def assemble_grams(mesh, lifted=False):
     )
 
 
-def _bulk_elements(mesh, lifted):
-    """The element mass and stiffness matrices (ne, nb, nb) of the bulk forms."""
-    qd = bulk_quad_data(mesh, lifted=lifted)
-    w, phi, det = qd["rule"].weights, qd["phi"], qd["det"]
-    nb = phi.shape[1]
-    Me = det @ (w[:, None, None] * phi[:, :, None] * phi[:, None, :]).reshape(len(w), -1)
-    wdet = np.repeat(w * det, 2, axis=1)[:, :, None]
-    def stiffness(gphys, wdet):
-        G = gphys.reshape(len(gphys), -1, nb)  # rows (point, direction)
-        return _contract(G.swapaxes(1, 2), wdet * G)
-    return Me.reshape(-1, nb, nb), _on_gradient_rows(qd, mesh, stiffness, wdet)
+def _bulk_elements(qd):
+    """The element mass and stiffness matrices (ne, nb, nb) of the bulk record
+    qd: each one GEMM of per-point weights against a table of basis products,
+    w det for the mass and the metric w det J^{-1} J^{-T} for the stiffness."""
+    w, phi, dphi, det = qd["rule"].weights, qd["phi"], qd["dphi"], qd["det"]
+    (m, nb), wdet = phi.shape, w * det
+    Me = det @ (w[:, None, None] * phi[:, :, None] * phi[:, None, :]).reshape(m, -1)
+    j00, j01, j10, j11 = (qd["jinv"][..., r, x] for r in (0, 1) for x in (0, 1))
+    g01 = wdet * (j00 * j10 + j01 * j11)
+    metric = np.stack([wdet * (j00 * j00 + j01 * j01), g01, g01, wdet * (j10 * j10 + j11 * j11)], axis=-1)
+    # table[(q, r, s), (i, j)] = d(phi_i)/d(xi_r) d(phi_j)/d(xi_s) at point q
+    table = np.einsum("qir,qjs->qrsij", dphi, dphi)
+    Ae = metric.reshape(len(det), -1) @ table.reshape(4 * m, nb * nb)
+    return Me.reshape(-1, nb, nb), Ae.reshape(-1, nb, nb)
 
 
-def _surface_elements(mesh, lifted):
-    """The face mass and stiffness matrices (nf, ns, ns) of the surface forms."""
-    sd = surface_quad_data(mesh, lifted=lifted)
+def _surface_elements(sd):
+    """The face mass and stiffness matrices (nf, ns, ns) of the surface record sd."""
     ws, psi, dpsi, speed = sd["rule"].weights, sd["psi"], sd["dpsi"], sd["speed"]
     Mse = np.einsum("q,qi,qj,fq->fij", ws, psi, psi, speed)
     # tangential derivative: psi'(t)/|c'(t)|, measure |c'(t)| dt
@@ -274,11 +250,36 @@ def eval_on_elements(u, qd=None):
     record (by default the mesh's bulk_quad_data; with the lifted record, of
     the lift u o Lambda^{-1} at the lifted points).
 
-    Returns (values, grads) with shapes (ne, m[, arity]) and (ne, m, 2[, arity]).
+    Returns (values, grads) with shapes (ne, m[, arity]) and (ne, m, 2[, arity]);
+    grads is a view on its component planes, grads[..., x, c] contiguous.
     """
     qd = qd or bulk_quad_data(u.mesh)
     local = u.coeffs[u.mesh.elements]  # (ne, nb[, arity])
-    return _contract(qd["phi"], local), _on_gradient_rows(qd, u.mesh, _contract, local)
+    jinv, dphi = qd["jinv"], qd["dphi"]
+    comps = np.ascontiguousarray(np.moveaxis(local.reshape(local.shape[:2] + (-1,)), 2, 0))
+    # reference gradients of each component c: planes[r, c] = d(u_c)/d(xi_r)
+    planes = comps @ np.ascontiguousarray(dphi.transpose(2, 1, 0))[:, None]
+    # J^{-T} in place, planes[x] = sum_r d(xi_r)/d(x_x) planes[r]
+    g0, g1 = planes
+    a, b = jinv[..., 1, 0] * g1, jinv[..., 0, 1] * g0
+    g0 *= jinv[..., 0, 0]
+    g0 += a
+    g1 *= jinv[..., 1, 1]
+    g1 += b
+    grads = np.moveaxis(planes, (0, 1), (2, 3))
+    return _contract(qd["phi"], local), grads.reshape(grads.shape[:3] + local.shape[2:])
+
+
+def gradient_pairing_load(zq, mesh):
+    """Load vector b_j = integral z . grad(phi_j) over the bulk mesh, from the
+    field's values zq (ne, m, 2) at the rule points of bulk_quad_data(mesh):
+    z . J^{-T} dphi_j = (J^{-1} z) . dphi_j, one GEMM on the reference gradients."""
+    qd = bulk_quad_data(mesh)
+    jinv, dphi = qd["jinv"], qd["dphi"]
+    z0, z1 = (qd["rule"].weights * qd["det"] * zq[..., x] for x in (0, 1))
+    y = np.stack([jinv[..., r, 0] * z0 + jinv[..., r, 1] * z1 for r in (0, 1)], axis=1)  # (ne, 2, m)
+    loc = y.reshape(len(y), -1) @ dphi.transpose(2, 0, 1).reshape(-1, dphi.shape[1])
+    return np.bincount(mesh.elements.ravel(), loc.ravel(), minlength=mesh.n_nodes)
 
 
 def nodal_interp_bulk(mesh, v):

@@ -33,7 +33,7 @@ def build_parser():
         "verify", help="run one experiment (or all) and emit rate tables"
     )
     v.add_argument(
-        "experiment",
+        "experiment", nargs="?",
         help="registered experiment name or 'all'; see --list",
     )
     v.add_argument("--list", action="store_true", help="list experiments and exit")
@@ -59,6 +59,8 @@ def _run_verify(args):
     cfg = ExperimentConfig(**{field: getattr(args, field) for field in vars(ExperimentConfig())})
     # refuse a bad invocation before anything runs or is written
     try:
+        if args.experiment is None:
+            raise ValueError("name an experiment or 'all', or give --list")
         cfg.validate()
         if args.experiment != "all" and args.experiment not in REGISTRY:
             raise ValueError(f"unknown experiment {args.experiment!r}; choose one of: "

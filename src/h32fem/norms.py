@@ -67,9 +67,11 @@ per factor:
   space, for s in {0, 1/2, 1, 3/2}.
 Each finds its Gram set as `grams_of(mesh)` and its operator as
 `spectral_decomp(mesh, dofset)`, cached on the mesh, so no Gram set or
-operator of another mesh can reach it. Only the dense generalized `eigh`
-of a pencil takes an operator (`dense_eigenpairs`): it remains as the
-oracle of the tests and demos, capped at DENSE_EIG_NODE_CAP DOFs.
+operator of another mesh can reach it. Loads come from `assembly`, the
+one reader of the quadrature records (`assembly.gradient_pairing_load`).
+Only the dense generalized `eigh` of a pencil takes an operator
+(`dense_eigenpairs`): it remains as the oracle of the tests and demos,
+capped at DENSE_EIG_NODE_CAP DOFs.
 """
 
 from dataclasses import dataclass
@@ -78,7 +80,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .assembly import SURFACE, _contract, bulk_quad_data, eig_bound, grams_of, trace
+from .assembly import SURFACE, eig_bound, grams_of, trace
 from .meshing import _cached, _spd_factor
 
 ALL = "all"
@@ -260,16 +262,6 @@ def dual_neg_half_norms(fs, dofset):
     test space of `dofset`, as an array: the dual norms of their mass loads."""
     mesh, c = _stacked(fs)
     return dual_norms(grams_of(mesh).M_bulk @ c, mesh, dofset)
-
-
-def gradient_pairing_load(zq, mesh):
-    """Load vector b_j = integral z . grad(phi_j) over the bulk mesh, from the
-    field's values zq at the rule points of bulk_quad_data(mesh), shape (ne, m, 2)."""
-    qd = bulk_quad_data(mesh)
-    ne, nb = mesh.elements.shape
-    wz = (qd["rule"].weights * qd["det"])[:, :, None] * zq
-    loc = _contract(wz.reshape(ne, 1, -1), qd["gphys"].reshape(ne, -1, nb))
-    return np.bincount(mesh.elements.ravel(), loc.ravel(), minlength=mesh.n_nodes)
 
 
 def hhat_threehalf_norms(us, dofset=INTERIOR):

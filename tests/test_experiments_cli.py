@@ -180,6 +180,19 @@ def test_cli_list():
         assert name in r.stdout
 
 
+def test_cli_list_needs_no_experiment():
+    r = _cli("verify", "--list")
+    assert r.returncode == 0
+    assert [line.split()[0] for line in r.stdout.splitlines()] == EXPECTED_ORDER
+
+
+def test_cli_without_experiment_fails_in_one_line(tmp_path):
+    r = _cli("verify", "--out", str(tmp_path))
+    assert r.returncode == 2
+    assert r.stdout == "" and len(r.stderr.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_defaults_are_the_config_defaults():
     # one coding of the defaults: the parser reads them from ExperimentConfig
     defaults = dataclasses.asdict(ExperimentConfig())

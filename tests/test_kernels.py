@@ -1,13 +1,15 @@
 """The setup kernels against the einsum contractions and dict loops they replace.
 
-Element contractions are batched matmuls on the gradient rows
-(ne, m, 2, nb); each is checked against the einsum over the former
-(ne, m, nb, 2) layout, kept here as the oracle. The lifted record and
-Gram set are checked against the per-pair pullback quadrature, with the
-lifted Jacobians from `lift_mixed` at every rule point, and byte for byte
-against the full-mesh lifted record it replaced. The sparse SPD factor is
-checked against spsolve on each kind of matrix it factors, and the
-vectorized edge table against the per-edge dict loops of the mesh builder.
+The bulk records store the inverse Jacobians J^{-1} at the rule points and
+the shared reference gradients; each element contraction applies J^{-T} to
+the reference gradients and is checked against the einsum over physical
+basis gradients in the (ne, m, nb, 2) layout, kept here as the oracle. The
+lifted record and Gram set are checked against the per-pair pullback
+quadrature, with the lifted Jacobians from `lift_mixed` at every rule
+point, and byte for byte against a full-mesh lifted record. The sparse SPD
+factor is checked against spsolve on each kind of matrix it factors, and
+the vectorized edge table against the per-edge dict loops of the mesh
+builder.
 """
 
 import numpy as np
@@ -17,12 +19,12 @@ import scipy.sparse.linalg as spla
 from h32fem import meshing
 from h32fem.assembly import (
     FeFunction,
-    _contract,
-    _grad_rows,
-    _on_gradient_rows,
+    _bulk_elements,
     _scatter,
+    _surface_elements,
     bulk_quad_data,
     eval_on_elements,
+    gradient_pairing_load,
     grams_of,
     surface_quad_data,
 )
@@ -37,7 +39,7 @@ from h32fem.meshing import (
     build_square_mesh,
     disk_mesh,
 )
-from h32fem.norms import gradient_pairing_load, spectral_decomp
+from h32fem.norms import spectral_decomp
 from h32fem.quadrature import default_degree, triangle_rule
 from h32fem.studies import multilinear_gradient_integral
 
@@ -76,14 +78,14 @@ def coefficients(mesh, *shape):
     return np.random.default_rng(3).standard_normal((mesh.n_nodes,) + shape)
 
 
-def test_gradient_rows_are_the_former_layout_transposed(case):
-    mesh, qd, old = case
-    assert qd["gphys"].shape == old.shape[:2] + (2, old.shape[2])
-    assert_close(qd["gphys"], old.swapaxes(-1, -2))
-    lifted_old = old_gradients(lifted_rule_data(mesh, qd["rule"]), mesh)
-    # the lifted record's rows: the plain ones, the boundary layer's lifted
-    lifted = _on_gradient_rows(bulk_quad_data(mesh, lifted=True), mesh, np.copy)
-    assert_close(lifted, lifted_old.swapaxes(-1, -2))
+def test_jinv_is_the_inverse_of_the_jacobians(case):
+    mesh, qd, _ = case
+    _, jac, _ = batched_geometry(mesh, qd["rule"].points)
+    assert np.array_equal(qd["jinv"], _inverse_2x2(jac)[0])
+    # the lifted record's: the plain ones, the boundary layer's lifted
+    lifted = bulk_quad_data(mesh, lifted=True)["jinv"]
+    assert_close(lifted, _inverse_2x2(lifted_rule_data(mesh, qd["rule"])["jac"])[0])
+    assert np.array_equal(qd["dphi"], tri_shape_grad(mesh.order, qd["rule"].points))
 
 
 def test_element_grams_match_einsum(case):
@@ -118,14 +120,7 @@ def test_gradient_pairing_load_matches_einsum(case):
     loc = np.einsum("q,eq,eqx,eqbx->eb", w, det, zq, old)
     want = np.zeros(mesh.n_nodes)
     np.add.at(want, mesh.elements.ravel(), loc.ravel())
-    b = gradient_pairing_load(zq, mesh)
-    assert_close(b, want)
-    # the scatter adds in the order np.add.at does: bit for bit
-    ne, nb = mesh.elements.shape
-    mine = _contract(((w * det)[:, :, None] * zq).reshape(ne, 1, -1), qd["gphys"].reshape(ne, -1, nb))
-    same = np.zeros(mesh.n_nodes)
-    np.add.at(same, mesh.elements.ravel(), mine.ravel())
-    assert np.array_equal(b, same)
+    assert_close(gradient_pairing_load(zq, mesh), want)
 
 
 def test_lifted_contractions_match_einsum(case):
@@ -152,33 +147,26 @@ def test_lifted_contractions_match_einsum(case):
 
 
 def full_mesh_lifted_record(mesh):
-    """The lifted bulk record as it was coded before it held only the boundary
-    layer's gradient rows: every array full-size, from `LiftMap.geometry` of
-    all elements."""
+    """The lifted bulk record with every array from `LiftMap.geometry` of all
+    elements, in the plain record's memory layout."""
     rule = triangle_rule(default_degree(mesh.order))
     pts, jac, det = lift_of(mesh).geometry(rule.points)
+    jinv = np.empty_like(bulk_quad_data(mesh)["jinv"])
+    jinv[...] = _inverse_2x2(jac)[0]
     return {
         "rule": rule,
         "phi": tri_shape(mesh.order, rule.points),
+        "dphi": tri_shape_grad(mesh.order, rule.points),
         "pts": pts,
         "det": det,
-        "gphys": _grad_rows(tri_shape_grad(mesh.order, rule.points), jac),
+        "jinv": jinv,
     }
 
 
 def full_mesh_lifted_grams(mesh, qd):
-    """The four lifted forms as `assemble_grams` formed them from that record."""
-    w, phi, det = qd["rule"].weights, qd["phi"], qd["det"]
-    nb = phi.shape[1]
-    Me = det @ (w[:, None, None] * phi[:, :, None] * phi[:, None, :]).reshape(len(w), -1)
-    Me = Me.reshape(-1, nb, nb)
-    G = qd["gphys"].reshape(len(det), -1, nb)  # rows (point, direction)
-    wdet = np.repeat(w * det, 2, axis=1)[:, :, None]
-    Ae = _contract(G.swapaxes(1, 2), wdet * G)
-    sd = surface_quad_data(mesh, lifted=True)
-    ws, psi, dpsi, speed = sd["rule"].weights, sd["psi"], sd["dpsi"], sd["speed"]
-    Mse = np.einsum("q,qi,qj,fq->fij", ws, psi, psi, speed)
-    Ase = np.einsum("q,qi,qj,fq->fij", ws, dpsi, dpsi, 1.0 / speed)
+    """The four lifted forms as `assemble_grams` forms them from that record."""
+    Me, Ae = _bulk_elements(qd)
+    Mse, Ase = _surface_elements(surface_quad_data(mesh, lifted=True))
     nbd = len(mesh.boundary_node_ids)
     return (_scatter(Me, mesh.elements, mesh.n_nodes), _scatter(Ae, mesh.elements, mesh.n_nodes),
             _scatter(Mse, mesh.surface_faces, nbd), _scatter(Ase, mesh.surface_faces, nbd))
@@ -193,14 +181,13 @@ def test_lifted_record_is_byte_equal_to_the_full_mesh_one(kind, order):
     # on the square the boundary layer is empty
     mesh = disk_mesh(6, order) if kind == "disk" else build_square_mesh(4, order)
     want, got = full_mesh_lifted_record(mesh), bulk_quad_data(mesh, lifted=True)
-    for key in ("phi", "pts", "det"):
-        assert same_bytes(got[key], want[key]), key
+    assert got.keys() == want.keys()
+    for key in ("phi", "dphi", "pts", "det", "jinv"):
+        assert same_bytes(got[key], want[key]) and got[key].strides == want[key].strides, key
     for shape in [(), (2,), (2, 2)]:
         u = FeFunction(mesh, coefficients(mesh, *shape))
-        vals, grads = eval_on_elements(u, got)
-        local = u.coeffs[mesh.elements]
-        assert same_bytes(vals, _contract(want["phi"], local))
-        assert same_bytes(grads, _contract(want["gphys"], local))
+        for a, b in zip(eval_on_elements(u, got), eval_on_elements(u, want)):
+            assert same_bytes(a, b)
     gl = grams_of(mesh, lifted=True)
     for name, F in zip(("M_bulk", "A_bulk", "M_surf", "A_surf"), full_mesh_lifted_grams(mesh, want)):
         F_got = getattr(gl, name)

@@ -155,6 +155,28 @@ def test_lapack_solves_only_per_cell_systems():
     ]
 
 
+def record_readers(key):
+    """The modules of h32fem that subscript anything with the string `key`."""
+    return sorted({
+        module
+        for module, scope in scopes()
+        for node in ast.walk(scope)
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+        and node.slice.value == key
+    })
+
+
+def test_only_assembly_knows_the_quadrature_record_layout():
+    # the bulk records store J^{-1} and the reference gradients; only
+    # `assembly` applies one to the other (values, gradients, element
+    # matrices, gradient loads), so no other module depends on the layout
+    assert record_readers("jinv") == record_readers("dphi") == ["h32fem.assembly"]
+    assert record_readers("bl") == []
+    # nor is the former layout of physical basis gradients named anywhere
+    retired = re.compile(r"\b(gphys|gphys_bl|_on_gradient_rows|_grad_rows)\b")
+    assert [m.__name__ for m in h32fem_modules() if retired.search(inspect.getsource(m))] == []
+
+
 def test_no_process_cache_holds_a_mesh_or_what_is_built_from_one():
     # meshes live in the store a run releases (`meshing.release_meshes`) and
     # what is built from a mesh is cached on it; a functools cache would hold

@@ -301,24 +301,35 @@ def same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def assert_rows_differ_only_on(plain, lifted, rows):
+    """The two bulk records have the same keys and shapes, and their arrays
+    of per-element rows differ on the given element rows only."""
+    assert plain.keys() == lifted.keys()
+    rest = np.setdiff1d(np.arange(len(plain["det"])), rows)
+    for key in ("phi", "dphi"):
+        assert same_bytes(plain[key], lifted[key]), key
+    for key in ("pts", "det", "jinv"):
+        assert plain[key].shape == lifted[key].shape, key
+        assert same_bytes(plain[key][rest], lifted[key][rest]), key
+        for e in rows:
+            assert not np.array_equal(plain[key][e], lifted[key][e]), (key, e)
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize("order", [1, 2])
 def test_identity_lift_record_and_grams_are_the_plain_ones(n, order):
-    from h32fem.assembly import _on_gradient_rows, assemble_grams, surface_quad_data
+    from h32fem.assembly import assemble_grams, surface_quad_data
 
+    # the square's boundary layer is empty: every array is the plain one
     sq = build_square_mesh(n, order)
-    assert len(bulk_quad_data(sq, lifted=True)["bl"]) == 0
-    for plain, lifted in (
-        (bulk_quad_data(sq), bulk_quad_data(sq, lifted=True)),
-        (surface_quad_data(sq), surface_quad_data(sq, lifted=True)),
-    ):
-        assert plain is not lifted
-        for key, value in plain.items():
-            if key == "gphys":
-                # the lifted record's gradient rows, with an empty boundary layer
-                assert same_bytes(value, _on_gradient_rows(lifted, sq, np.copy)), key
-            elif key != "rule":
-                assert same_bytes(value, lifted[key]), key
+    assert len(lift_of(sq).boundary_elements()) == 0
+    assert bulk_quad_data(sq) is not bulk_quad_data(sq, lifted=True)
+    assert_rows_differ_only_on(bulk_quad_data(sq), bulk_quad_data(sq, lifted=True), [])
+    plain, lifted = surface_quad_data(sq), surface_quad_data(sq, lifted=True)
+    assert plain is not lifted and plain.keys() == lifted.keys()
+    for key, value in plain.items():
+        if key != "rule":
+            assert same_bytes(value, lifted[key]), key
     g, gl = assemble_grams(sq), assemble_grams(sq, lifted=True)
     for name in ("M_bulk", "A_bulk", "M_surf", "A_surf"):
         a, b = getattr(g, name), getattr(gl, name)
@@ -328,24 +339,10 @@ def test_identity_lift_record_and_grams_are_the_plain_ones(n, order):
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_lifted_record_is_plain_off_the_boundary_layer(order):
-    from h32fem.assembly import _on_gradient_rows
-
     m = disk_mesh(5, order)
-    plain, lifted = bulk_quad_data(m), bulk_quad_data(m, lifted=True)
-    inner = lift_of(m).curved_edge < 0
-    assert same_bytes(lifted["bl"], np.nonzero(~inner)[0])
-    for key in ("pts", "det"):
-        assert same_bytes(plain[key][inner], lifted[key][inner]), key
-        assert not np.array_equal(plain[key][~inner], lifted[key][~inner]), key
-    # gradient rows are held for the boundary layer only: no full-size field
-    # carries plain gradients there
-    assert "gphys" not in lifted
-    assert lifted["gphys_bl"].shape == plain["gphys"][~inner].shape
-    assert not np.array_equal(plain["gphys"][~inner], lifted["gphys_bl"])
-    grads = _on_gradient_rows(lifted, m, np.copy)
-    assert same_bytes(plain["gphys"][inner], grads[inner])
-    assert same_bytes(lifted["gphys_bl"], grads[~inner])
-    assert same_bytes(plain["phi"], lifted["phi"])
+    bl = lift_of(m).boundary_elements()
+    assert same_bytes(bl, np.nonzero(lift_of(m).curved_edge >= 0)[0]) and len(bl)
+    assert_rows_differ_only_on(bulk_quad_data(m), bulk_quad_data(m, lifted=True), bl)
 
 
 def full_array_grad_lambda_error(lm):

@@ -8,6 +8,7 @@ from h32fem.assembly import (
     bulk_quad_data,
     eig_bound,
     eval_on_elements,
+    gradient_pairing_load,
     grams_of,
     nodal_interp_bulk,
     trace,
@@ -19,7 +20,6 @@ from h32fem.norms import (
     dense_eigenpairs,
     dual_neg_half_norms,
     dual_norms,
-    gradient_pairing_load,
     h1_norm,
     h_s_norms,
     hhat_threehalf_norms,

@@ -11,7 +11,8 @@ from h32fem.assembly import (
 )
 from h32fem.interp import dirichlet_lift_from_data, overkill_mesh
 from h32fem.meshing import disk_mesh
-from h32fem.norms import gradient_pairing_load, h1_norm, h_s_norms
+from h32fem.assembly import gradient_pairing_load
+from h32fem.norms import h1_norm, h_s_norms
 from h32fem.solvers import (
     deformation_field,
     deformed_dirichlet_energy,

@@ -245,29 +245,40 @@ def _surface_elements(sd):
 # -- evaluation and interpolation -------------------------------------------
 
 
-def eval_on_elements(u, qd=None):
-    """Values and gradients of a bulk FE function at the points of a quadrature
-    record (by default the mesh's bulk_quad_data; with the lifted record, of
-    the lift u o Lambda^{-1} at the lifted points).
-
-    Returns (values, grads) with shapes (ne, m[, arity]) and (ne, m, 2[, arity]);
-    grads is a view on its component planes, grads[..., x, c] contiguous.
-    """
+def values_on_elements(u, qd=None):
+    """Values (ne, m[, arity]) of a bulk FE function at the points of a
+    quadrature record (by default the mesh's bulk_quad_data; with the lifted
+    record, of the lift u o Lambda^{-1} at the lifted points)."""
     qd = qd or bulk_quad_data(u.mesh)
-    local = u.coeffs[u.mesh.elements]  # (ne, nb[, arity])
+    return _contract(qd["phi"], u.coeffs[u.mesh.elements])
+
+
+def gradients_on_elements(u, qd=None):
+    """Gradients (ne, m, 2[, arity]) of a bulk FE function at the points of a
+    quadrature record, by default the mesh's bulk_quad_data: a view on their
+    component planes, grads[..., x, c] contiguous."""
+    qd = qd or bulk_quad_data(u.mesh)
     jinv, dphi = qd["jinv"], qd["dphi"]
-    comps = np.ascontiguousarray(np.moveaxis(local.reshape(local.shape[:2] + (-1,)), 2, 0))
+    # the element coefficients of each component c: comps[c] (ne, nb)
+    comps = u.coeffs.reshape(len(u.coeffs), -1).T.take(u.mesh.elements, axis=1)
     # reference gradients of each component c: planes[r, c] = d(u_c)/d(xi_r)
     planes = comps @ np.ascontiguousarray(dphi.transpose(2, 1, 0))[:, None]
-    # J^{-T} in place, planes[x] = sum_r d(xi_r)/d(x_x) planes[r]
-    g0, g1 = planes
-    a, b = jinv[..., 1, 0] * g1, jinv[..., 0, 1] * g0
-    g0 *= jinv[..., 0, 0]
-    g0 += a
-    g1 *= jinv[..., 1, 1]
-    g1 += b
+    # J^{-T} in place, planes[x] = sum_r d(xi_r)/d(x_x) planes[r], one
+    # component at a time, so the temporaries are two (ne, m) planes
+    for g0, g1 in planes.swapaxes(0, 1):
+        a, b = jinv[..., 1, 0] * g1, jinv[..., 0, 1] * g0
+        g0 *= jinv[..., 0, 0]
+        g0 += a
+        g1 *= jinv[..., 1, 1]
+        g1 += b
     grads = np.moveaxis(planes, (0, 1), (2, 3))
-    return _contract(qd["phi"], local), grads.reshape(grads.shape[:3] + local.shape[2:])
+    return grads.reshape(grads.shape[:3] + u.coeffs.shape[1:])
+
+
+def eval_on_elements(u, qd=None):
+    """Values and gradients of a bulk FE function at the points of a
+    quadrature record: (`values_on_elements`, `gradients_on_elements`)."""
+    return values_on_elements(u, qd), gradients_on_elements(u, qd)
 
 
 def gradient_pairing_load(zq, mesh):

@@ -41,11 +41,12 @@ from .assembly import (
     FeFunction,
     _integrate,
     bulk_quad_data,
-    eval_on_elements,
     gradient_pairing_load,
+    gradients_on_elements,
     grams_of,
     nodal_interp_bulk,
     trace,
+    values_on_elements,
     zero_function,
 )
 from .basis import tri_ref_nodes, tri_shape
@@ -275,7 +276,7 @@ def exp_lift_multilinear(cfg):
         plain = studies.multilinear_gradient_integral([u1, u2, w], T3)
         lifted_qd = bulk_quad_data(m, lifted=True)
         lifted = studies.multilinear_gradient_integral([u1, u2, w], T3, lifted_qd)
-        grad_sup_u2 = float(np.linalg.norm(eval_on_elements(u2)[1], axis=-1).max())
+        grad_sup_u2 = float(np.linalg.norm(gradients_on_elements(u2), axis=-1).max())
         denom = h1_norm(u1) * h1_norm(w) * max(grad_sup_u2, 1.0)
         # generalized variant with a resolvent slot fed by a small
         # 2-vector displacement with W^{1,inf} <= 1/8
@@ -565,7 +566,7 @@ def exp_neumann_decay(cfg):
         m = get_mesh("square", 3, 1)
         c = rng.normal(size=(100, 4, 3)).reshape(400, 3).T[:, None, :]
         x, y = m.nodes[:, 0, None], m.nodes[:, 1, None]
-        vals = eval_on_elements(FeFunction(m, c[0] + c[1] * x + c[2] * y))[0]
+        vals = values_on_elements(FeFunction(m, c[0] + c[1] * x + c[2] * y))
         A = np.moveaxis(vals.reshape(-1, 100, 2, 2), 1, 0)     # (sample, point, 2, 2)
         per_sample = lambda a: a.reshape(100, -1).max(axis=1)
         scale = lambda sup: 0.25 / np.maximum(sup, 1e-30)[:, None, None, None]
@@ -664,8 +665,8 @@ def exp_l2_product(cfg):
         for _ in range(50):
             us = [_random_bulk(rng, m) for _ in range(2)]
             v = _random_bulk(rng, m)
-            vals_u = [eval_on_elements(u)[0] for u in us]
-            vals_v = eval_on_elements(v)[0]
+            vals_u = [values_on_elements(u) for u in us]
+            vals_v = values_on_elements(v)
             inf = lambda arr: float(np.abs(arr).max())
             prod = vals_u[0] * vals_u[1] * vals_v
             lhs = np.sqrt(_integrate(qd, prod**2))
@@ -709,7 +710,7 @@ def _oracle_worst(rng):
         prods = (c[..., 0] * c[..., 2] + c[..., 1] * c[..., 3]) * c[..., 4]
         return np.hstack([c[..., :4].reshape(len(c3), 48), prods])
 
-    inf_of = lambda u: float(np.abs(eval_on_elements(u)[0]).max())
+    inf_of = lambda u: float(np.abs(values_on_elements(u)).max())
     vec_inf = lambda uu: float(np.hypot(inf_of(uu[0]), inf_of(uu[1])))
     semi = _square_half_seminorms(3, np.column_stack([u.coeffs for s in samples for u in s]), with_products)
     for (a1, a2, b1, b2, v1), (g1a, g1b, g2a, g2b), gp in zip(samples, semi[:48].reshape(12, 4), semi[48:]):
@@ -737,7 +738,7 @@ def exp_product_sampled(cfg):
         if worst_cont is None:
             worst_cont = _oracle_worst(rng)
         vstar = nodal_interp_bulk(md, lambda p: np.cos(p[:, 0] - 0.4 * p[:, 1]))
-        _, gv = eval_on_elements(vstar)
+        gv = gradients_on_elements(vstar)
         # both frequencies' loads and functions first, then one block of
         # dual norms and one of 3/2 norms: u1 of each, then u2's components
         loads, u1s, u2s = [], [], []
@@ -751,8 +752,8 @@ def exp_product_sampled(cfg):
             psi2 = nodal_interp_bulk(md, lambda p: np.cos(fr * p[:, 0] + 2.0))
             wmax = max(sampled_w1inf(psi1), sampled_w1inf(psi2))
             u2 = FeFunction(md, np.column_stack([psi1.coeffs, psi2.coeffs]) * (0.9 * md.h**kappa / wmax))
-            _, g1 = eval_on_elements(u1)
-            _, g2 = eval_on_elements(u2)   # (ne, m, 2, 2), A[x, c] convention
+            g1 = gradients_on_elements(u1)
+            g2 = gradients_on_elements(u2)   # (ne, m, 2, 2), A[x, c] convention
             # T(a; B; c) = (a . e1) B c, a vector-valued multilinear field
             field = g1[..., 0][..., None] * np.einsum("eqxy,eqy->eqx", neumann_tail(g2), gv)
             loads.append(gradient_pairing_load(field, md))
@@ -940,8 +941,9 @@ def plan_groups(names, cfg, workers):
     mesh-free experiments included. So a mesh is built in both groups only
     where the first experiment and one of the rest declare it. No more
     than two groups are formed, as the first cannot be split without
-    building its meshes twice. At `--levels` 4 the first is the heavier
-    at k=2, and at k=1 the two take about the same CPU time."""
+    building its meshes twice. At `--levels` 4 the first is the heavier:
+    at k=2 it takes 1.2-1.5 s of CPU against 0.8-0.9 s, and at k=1
+    0.4-0.6 s against 0.4-0.5 s (each alone, after the imports)."""
     if workers < 2:
         return [list(names)]
     keys = {name: REGISTRY[name][1](cfg).mesh_keys() for name in names}

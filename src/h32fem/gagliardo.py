@@ -35,7 +35,7 @@ mechanisms share these blocks, their rules and their kernel weights:
   callables, FE functions). Each geometry block forms its kernel once
   and then takes the inputs one at a time, so memory does not grow with
   their count. FE values come from `assembly._contract` with the shape
-  table (the shared-rows GEMM that also gives `eval_on_elements` its
+  table (the shared-rows GEMM that also gives `values_on_elements` its
   values), an FeExpression's from one `combine` call on its leaves' and a
   callable's from one call on the block's points; the pairing keeps the
   (u(x)-u(y))^2 form, so constants give exactly zero and scaling is exact

@@ -31,12 +31,12 @@ boundary faces' edge points.
 MeshLocator inverts the composite map Lambda(F(xi)) pointwise: it maps
 points of the exact domain to (element, reference point) pairs, and like
 the lift it is a cached function of the mesh, `locator_of(mesh)`.
-Candidates come from a uniform grid whose cells are half the mean element
-box in size. Every element is registered, in ascending id, in each cell its
-vertex box overlaps, padded by 1e-8 and, on the boundary layer, by the
-arc's sagitta 1 - |(a + b) / 2|, so a point's cell lists every element that
-can contain it; locate() tries them in that order, one vectorized round per
-position in the lists.
+Candidates come from a uniform grid whose cells are a quarter of the mean
+element box in size. Every element is registered, in ascending id, in
+each cell its vertex box overlaps, padded by 1e-8 and, on the boundary
+layer, by the arc's sagitta 1 - |(a + b) / 2|, so a point's cell lists
+every element that can contain it; locate() tries them in that order, one
+vectorized round per position in the lists.
 
 Every candidate gets a closed-form reference point, and its violation (how
 far a barycentric coordinate falls below 0) is the one containment test.
@@ -62,7 +62,7 @@ no candidate contains, is an error.
 
 import numpy as np
 
-from .basis import TRI_DLAM, TRI_EDGES, edge_shape, edge_shape_deriv, tri_shape
+from .basis import TRI_DLAM
 from .meshing import (
     _cached,
     _det_2x2,
@@ -93,44 +93,50 @@ class LiftMap:
     def displacement(self, elems, refs):
         """Lift displacement and its reference gradient at per-point (elem, ref).
 
-        Returns D (n, 2) and dD/dxi (n, 2, 2); zero rows for interior elements.
+        Returns D (n, 2) and dD/dxi (n, 2, 2), views on their component
+        planes like `meshing.geometry_map`'s; zero rows for interior elements.
         """
         mesh = self.mesh
-        n = len(elems)
-        D = np.zeros((n, 2))
-        dD = np.zeros((n, 2, 2))
+        D, dD = np.zeros((2, len(elems))), np.zeros((2, 2, len(elems)))
         le = self.curved_edge[elems]
         sel = np.nonzero(le >= 0)[0]
-        if len(sel) == 0:
-            return D, dD
-        le = le[sel]
-        a, b = np.array(TRI_EDGES)[le].T
-        lam = tri_shape(1, refs[sel])
-        idx = np.arange(len(sel))
-        lam_a, lam_b = lam[idx, a], lam[idx, b]
-        sigma = np.maximum(lam_a + lam_b, 1e-30)
-        t = lam_b / sigma
+        if len(sel) > 0:
+            # the curved edge (a, b) = TRI_EDGES[le] = (le, le + 1 mod 3)
+            a, b = le[sel], (le[sel] + 1) % 3
+            x, y = refs[sel, 0], refs[sel, 1]
+            lam = np.stack([1.0 - x - y, x, y])
+            idx = np.arange(len(sel))
+            lam_a, lam_b = lam[a, idx], lam[b, idx]
+            sigma = np.maximum(lam_a + lam_b, 1e-30)
+            t = lam_b / sigma
 
-        # edge shadow from the curved edge's own nodes: a, b, then (k=2) its midside node
-        slots = np.column_stack([a, b, 3 + le])[:, :mesh.order + 1]
-        nodes = mesh.nodes[mesh.elements[np.asarray(elems)[sel, None], slots]]   # (n, k+1, 2)
-        bpt = np.einsum("nb,nbx->nx", edge_shape(mesh.order, t), nodes)
-        dbdt = np.einsum("nb,nbx->nx", edge_shape_deriv(mesh.order, t), nodes)
+            # edge shadow from the curved edge's own nodes a, b and (k=2) its
+            # midside node, by `basis.edge_shape` and `edge_shape_deriv`
+            slots = np.stack([a, b, 3 + a])[:mesh.order + 1]
+            c = mesh.nodes.T.take(mesh.elements[np.asarray(elems)[sel], slots], axis=1)
+            ca, cb = c[:, 0], c[:, 1]                          # (2, n) planes
+            if mesh.order == 1:
+                bpt = (1.0 - t) * ca + t * cb
+                dbdt = cb - ca
+            else:
+                cm = c[:, 2]
+                bpt = 2.0 * (t - 0.5) * (t - 1.0) * ca + 2.0 * t * (t - 0.5) * cb + 4.0 * t * (1.0 - t) * cm
+                dbdt = (4.0 * t - 3.0) * ca + (4.0 * t - 1.0) * cb + (4.0 - 8.0 * t) * cm
 
-        nrm = np.linalg.norm(bpt, axis=1)
-        phat = bpt / nrm[:, None]
-        disp = phat - bpt                                  # P(b) - b
-        # d(P - id)/db applied to db/dt:  ((I - phat phat^T)/|b| - I) dbdt
-        proj = dbdt - phat * np.einsum("nx,nx->n", phat, dbdt)[:, None]
-        dPdt = proj / nrm[:, None] - dbdt
+            nrm = np.sqrt(bpt[0] * bpt[0] + bpt[1] * bpt[1])
+            phat = bpt / nrm
+            disp = phat - bpt                                  # P(b) - b
+            # d(P - id)/db applied to db/dt:  ((I - phat phat^T)/|b| - I) dbdt
+            dPdt = (dbdt - phat * (phat[0] * dbdt[0] + phat[1] * dbdt[1])) / nrm - dbdt
 
-        grad_sigma = TRI_DLAM[a] + TRI_DLAM[b]             # (n, 2)
-        # sigma * grad(t) = grad(lam_b) - t * grad(sigma), exactly
-        sg_t = TRI_DLAM[b] - t[:, None] * grad_sigma
+            grad_a, grad_b = TRI_DLAM.T.take(np.stack([a, b]), axis=1).swapaxes(0, 1)
+            grad_sigma = grad_a + grad_b                        # (2, n) planes
+            # sigma * grad(t) = grad(lam_b) - t * grad(sigma), exactly
+            sg_t = grad_b - t * grad_sigma
 
-        D[sel] = sigma[:, None] * disp
-        dD[sel] = disp[:, :, None] * grad_sigma[:, None, :] + dPdt[:, :, None] * sg_t[:, None, :]
-        return D, dD
+            D[:, sel] = sigma * disp
+            dD[:, :, sel] = disp[:, None] * grad_sigma + dPdt[:, None] * sg_t
+        return D.T, dD.transpose(2, 0, 1)
 
     def compose(self, elems, refs, pts, jac):
         """Lambda o F from F: the geometry map's points pts (n, 2) and Jacobians
@@ -226,13 +232,13 @@ class MeshLocator:
 
     def _build_grid(self, verts):
         """Register each padded vertex box in every cell it overlaps, cells
-        half the mean box in size; each cell lists its elements by id."""
+        a quarter of the mean box in size; each cell lists its elements by id."""
         pad = np.full(len(verts), 1e-8)
         bel = self.lift.boundary_elements()
         _, _, a, b = self._wedge(bel)
         pad[bel] += 1.0 - np.linalg.norm(0.5 * (a + b), axis=1)
         lo, hi = verts.min(axis=1) - pad[:, None], verts.max(axis=1) + pad[:, None]
-        self._h = 0.5 * float((hi - lo).mean())
+        self._h = 0.25 * float((hi - lo).mean())
         self._corner = lo.min(axis=0)
         first, last = (np.floor((x - self._corner) / self._h).astype(np.int64) for x in (lo, hi))
         self._shape = last.max(axis=0) + 1
@@ -327,7 +333,8 @@ class MeshLocator:
 
     @staticmethod
     def _violation(refs):
-        return np.maximum(0.0, -tri_shape(1, refs).min(axis=-1))
+        x, y = refs[..., 0], refs[..., 1]
+        return np.maximum(0.0, -np.minimum(np.minimum(1.0 - x - y, x), y))
 
     def _candidates(self, pts):
         """The grid cell's candidate list of each point, as slices [start, stop)

@@ -52,9 +52,11 @@ On the registry's pencils (Lambda up to 7.93e4) this gives N = 13-19.
 Every shift's matrix K + s_j M has one sparsity pattern, so a pencil is
 ordered once: the first shift is factored with the minimum-degree
 ordering, P = argsort of its column permutation, and every other shift
-is factored as (K + s_j M)[P][:, P] in that order. The fill equals a
-fresh minimum-degree factor's (without the argsort it grows 14x), and an
-apply permutes its load once for all shifts.
+is factored as (K + s_j M)[P][:, P] in that order. K and M are put on one
+CSC pattern in that order once, their union, so each shift's matrix is
+the values K + s_j M on it, with no sparse add or conversion per shift.
+The fill equals a fresh minimum-degree factor's (without the argsort it
+grows 14x), and an apply permutes its load once for all shifts.
 
 Every operator quantity goes through one of two block primitives, each
 taking one load or function, or a block of r of them solved in one pass
@@ -91,7 +93,7 @@ QUAD_TOL = 1e-10
 # Largest pencil (in DOFs) the dense oracle solves.
 DENSE_EIG_NODE_CAP = 20000
 # Largest size of one operator's N factors, estimated from the first before
-# the others are made: 4x the registry's largest at --levels 5 (249 MiB, k=2).
+# the others are made: 4x the registry's largest at --levels 5 (247 MiB, k=2).
 FACTOR_BUDGET_BYTES = 2**30
 
 
@@ -198,8 +200,11 @@ def _operator(dofset, ids, M_full, A_full, bound):
             f"{estimate / 2**20:.1f} MiB exceed the budget of {FACTOR_BUDGET_BYTES / 2**20:.1f} MiB"
         )
     perm = np.argsort(first.perm_c)
-    Kp, Mp = K[perm][:, perm], M[perm][:, perm]
-    factors = [first] + [_spd_factor(Kp + s * Mp, "NATURAL") for s in shifts[1:]]
+    # K and M on one CSC pattern in the order P, their union: the real and
+    # imaginary parts of K + iM, whose entries vanish only where both do
+    KM = (K + 1j * M)[perm][:, perm].tocsc()
+    shifted = lambda s: sp.csc_matrix((KM.data.real + s * KM.data.imag, KM.indices, KM.indptr), K.shape)
+    factors = [first] + [_spd_factor(shifted(s), "NATURAL") for s in shifts[1:]]
     return SpectralBasis(dofset, ids, K, M, shifts, weights, perm, factors)
 
 

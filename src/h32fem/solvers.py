@@ -17,7 +17,7 @@ from .assembly import (
     _integrate,
     assemble_grams,
     bulk_quad_data,
-    eval_on_elements,
+    gradients_on_elements,
     grams_of,
 )
 from .meshing import Mesh, _cached, _det_2x2, _spd_solver
@@ -89,16 +89,16 @@ def deformed_dirichlet_energy(e_x, w_h, z_h, method="pullback"):
         return float(w_h.coeffs @ (g2.A_bulk @ z_h.coeffs))
     if method != "pullback":
         raise ValueError(f"unknown method {method!r}")
-    if _det_2x2(eval_on_elements(e_x)[1] + np.eye(2)).min() <= 0.0:
+    if _det_2x2(gradients_on_elements(e_x) + np.eye(2)).min() <= 0.0:
         raise RuntimeError("deformation inverts an element at a quadrature point")
     # integrand (B grad w).grad z with B grad w = grad w + (B - I) grad w
-    Bgw = eval_on_elements(w_h)[1] + deformation_field(e_x, w_h)
-    return _integrate(bulk_quad_data(mesh), np.einsum("eqx,eqx->eq", Bgw, eval_on_elements(z_h)[1]))
+    Bgw = gradients_on_elements(w_h) + deformation_field(e_x, w_h)
+    return _integrate(bulk_quad_data(mesh), np.einsum("eqx,eqx->eq", Bgw, gradients_on_elements(z_h)))
 
 
 def deformation_field(e_x, w_h):
     """(B - I) grad w at the rule points, for the pullback matrix B = F^{-T} F^{-1} det(F),
     F = I + A, A[x, c] = d(e_c)/dx_x: the vector field whose gradient pairing
     with z gives the deformed-minus-original Dirichlet energy."""
-    T = deformation_tensor(eval_on_elements(e_x)[1])
-    return np.einsum("eqxy,eqy->eqx", T, eval_on_elements(w_h)[1])
+    T = deformation_tensor(gradients_on_elements(e_x))
+    return np.einsum("eqxy,eqy->eqx", T, gradients_on_elements(w_h))

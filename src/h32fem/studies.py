@@ -14,11 +14,13 @@ from .assembly import (
     _integrate,
     bulk_quad_data,
     eval_on_elements,
+    gradients_on_elements,
     grams_of,
     nodal_interp_bulk,
     nodal_interp_surface,
     surface_quad_data,
     trace,
+    values_on_elements,
 )
 
 
@@ -159,11 +161,19 @@ def multilinear_gradient_integral(fields, coeff_fn, qd=None):
     default the fields' mesh's bulk_quad_data; the lifted record integrates
     over the lift of that mesh onto the exact domain.
 
-    fields: scalar FE functions whose gradients feed coeff_fn, which maps
-    stacked gradient arrays (each (ne, m, 2)) to the scalar integrand.
+    fields: FE functions of one mesh whose gradients feed coeff_fn, which
+    maps stacked gradient arrays (each (ne, m, 2[, arity])) to the scalar
+    integrand. They are evaluated as the components of one vector function,
+    so the record's J^{-1} is read once.
     """
-    qd = qd or bulk_quad_data(fields[0].mesh)
-    return _integrate(qd, coeff_fn(*(eval_on_elements(f, qd)[1] for f in fields)))
+    mesh = fields[0].mesh
+    qd = qd or bulk_quad_data(mesh)
+    cols = [f.coeffs.reshape(len(f.coeffs), -1) for f in fields]
+    grads = gradients_on_elements(FeFunction(mesh, np.hstack(cols)), qd)
+    # each field's columns, shaped like its own `gradients_on_elements`
+    parts = np.split(grads, np.cumsum([c.shape[1] for c in cols])[:-1], axis=-1)
+    grads = [g.reshape(g.shape[:3] + f.coeffs.shape[1:]) for f, g in zip(fields, parts)]
+    return _integrate(qd, coeff_fn(*grads))
 
 
 def sampled_whalf_inf(u):
@@ -172,10 +182,8 @@ def sampled_whalf_inf(u):
     Taken over 400 random quadrature-point pairs (seed 0); used only as a
     normalizer in slack-based product-estimate checks.
     """
-    qd = bulk_quad_data(u.mesh)
-    vals, _ = eval_on_elements(u)
-    pts = qd["pts"].reshape(-1, 2)
-    v = vals.reshape(-1)
+    pts = bulk_quad_data(u.mesh)["pts"].reshape(-1, 2)
+    v = values_on_elements(u).reshape(-1)
     rng = np.random.default_rng(0)
     i = rng.integers(0, len(v), 400)
     j = rng.integers(0, len(v), 400)

@@ -193,6 +193,12 @@ def test_the_overkill_key_and_the_p2_numbering_are_each_coded_once():
     assert {name.rsplit(".", 1)[0] for name in callers} == {"h32fem.meshing"}
 
 
+def test_every_sparse_factor_is_made_in_one_place():
+    # `meshing._spd_factor` gives every SuperLU factor its ordering,
+    # supernode relaxation and panel size
+    assert readers_of("splu") == ["h32fem.meshing"]
+
+
 def test_only_the_cli_touches_the_allocator():
     # the allocator policy is the program's, set in `cli.main`: importing the
     # library leaves the allocator as the embedding process has it

@@ -514,20 +514,24 @@ def test_operator_refuses_factors_over_the_budget_after_the_first(monkeypatch):
 
 
 @pytest.mark.parametrize("order, want", [
-    (1, {"factorizations": 175, "shifts": 163, "solvers": 12}),
-    (2, {"factorizations": 199, "shifts": 187, "solvers": 12}),
+    (1, {"factorizations": 175, "shifts": 163, "solvers": 12, "nnz": 946302}),
+    (2, {"factorizations": 199, "shifts": 187, "solvers": 12, "nnz": 7304880}),
 ])
 def test_factorization_work_of_the_registry(order, want, monkeypatch):
     # the sparse factorizations of the registry at --levels 3 on a fresh mesh
     # store: each operator build makes one per shift (N, the shifts of its
-    # element bound) and each solver one; a change to any count is made
-    # here on purpose and explained with the change
+    # element bound) and each solver one, and the nonzeros of L and U summed
+    # over all of them, which the ordering and SuperLU's supernode settings
+    # fix; a change to any count is made here on purpose and explained with
+    # the change
     counts = dict.fromkeys(want, 0)
     factor, solver, operator = meshing._spd_factor, meshing._spd_solver, norms._operator
 
     def counted_factor(*args):
         counts["factorizations"] += 1
-        return factor(*args)
+        lu = factor(*args)
+        counts["nnz"] += lu.nnz
+        return lu
 
     def counted_solver(A):
         counts["solvers"] += 1

@@ -9,7 +9,9 @@ ones, so trace extraction is pure index gathering. The bulk quadrature
 records, plain and lifted, share one format (rule, reference basis values
 and gradients, points, det J, J^{-1}), which only this module reads: it
 applies J^{-T} to the shared reference gradients (Kronbichler & Kormann,
-Comput. Fluids 63, 2012).
+Comput. Fluids 63, 2012). Whole-mesh work at rule points runs in element
+blocks of a record (`_element_blocks`), sized from one byte budget
+(`_BLOCK_BYTES`), so its transients do not grow with the mesh.
 """
 
 from dataclasses import dataclass
@@ -32,6 +34,11 @@ from .quadrature import default_degree, edge_rule, triangle_rule
 BULK = "bulk"
 BULK0 = "bulk0"
 SURFACE = "surface"
+# Bytes of the large arrays one block makes; 1 MiB blocks stay cache-sized.
+_BLOCK_BYTES = 1 << 20
+# Bytes per rule point of the element matrices' work on a block: the
+# metric, its products and the element matrices and their positions.
+_ELEMENT_POINT_BYTES = 8 * 16
 
 
 @dataclass
@@ -95,8 +102,31 @@ def bulk_quad_data(mesh, degree=None, lifted=False):
 
 
 def _integrate(qd, vals):
-    """Integral of vals (ne, m), given at the rule points of the bulk record qd."""
+    """Integral of vals (ne, m), given at the rule points of the bulk record
+    qd (or of one of its element blocks)."""
     return float(np.einsum("q,eq,eq->", qd["rule"].weights, qd["det"], vals))
+
+
+def _blocks(n, item_bytes):
+    """Slices of range(n) whose items make at most _BLOCK_BYTES together (one at least)."""
+    step = max(1, _BLOCK_BYTES // item_bytes)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
+def _element_blocks(qd, point_bytes):
+    """The bulk record qd in element blocks of at most _BLOCK_BYTES, at
+    point_bytes per rule point. Each block is a record that every reader of
+    qd takes as it takes qd: the rule and reference tables shared, views of
+    the block's rows of pts, det and jinv, and its elements as the slice
+    "elems" of the mesh's element ids."""
+    ne, m = qd["det"].shape
+    for b in _blocks(ne, point_bytes * m):
+        yield {**qd, "elems": b, "pts": qd["pts"][b], "det": qd["det"][b], "jinv": qd["jinv"][b]}
+
+
+def _element_nodes(u, qd):
+    """The node table of u's mesh on the elements of the record qd."""
+    return u.mesh.elements[qd.get("elems", slice(None))]
 
 
 def _bulk_quad_data(mesh, degree, lifted):
@@ -171,10 +201,15 @@ def eig_bound(mesh, surface=False):
     """An upper bound on the largest eigenvalue of the pencil (M + A, M) of
     the mesh's bulk forms, or surface forms, on every DOF subset
     (`_eig_bound`), cached on the mesh. Only an operator reads it, so it is
-    computed apart from `assemble_grams`, from the same element matrices."""
-    elements = _surface_elements if surface else _bulk_elements
-    record = surface_quad_data if surface else bulk_quad_data
-    return _cached(mesh, ("eig_bound", surface), lambda: _eig_bound(*elements(record(mesh))))
+    computed apart from `assemble_grams`, from the same element matrices,
+    the bulk ones block by block."""
+    def build():
+        if surface:
+            return _eig_bound(*_surface_elements(surface_quad_data(mesh)))
+        blocks = _element_blocks(bulk_quad_data(mesh), _ELEMENT_POINT_BYTES)
+        return max(_eig_bound(*_bulk_elements(block)) for block in blocks)
+
+    return _cached(mesh, ("eig_bound", surface), build)
 
 
 def _eig_bound(Me, Ae):
@@ -205,16 +240,40 @@ def grams_of(mesh, lifted=False):
 
 def assemble_grams(mesh, lifted=False):
     """The four Gram forms from bulk_quad_data/surface_quad_data (lifted, if asked)."""
-    Me, Ae = _bulk_elements(bulk_quad_data(mesh, lifted=lifted))
+    M_bulk, A_bulk = _bulk_forms(mesh, bulk_quad_data(mesh, lifted=lifted))
     Mse, Ase = _surface_elements(surface_quad_data(mesh, lifted=lifted))
     bids = mesh.boundary_node_ids
     return GramSet(
         mesh=mesh,
-        M_bulk=_scatter(Me, mesh.elements, mesh.n_nodes),
-        A_bulk=_scatter(Ae, mesh.elements, mesh.n_nodes),
+        M_bulk=M_bulk,
+        A_bulk=A_bulk,
         M_surf=_scatter(Mse, mesh.surface_faces, len(bids)),
         A_surf=_scatter(Ase, mesh.surface_faces, len(bids)),
     )
+
+
+def _bulk_forms(mesh, qd):
+    """The bulk mass and stiffness matrices of the record qd, CSR on their one
+    pattern: the node pairs that share an element, the pattern of B^T B for
+    the element-node incidence B. The element matrices of each element
+    block (`_bulk_elements`) are added at their entries' positions in it,
+    so no whole-mesh element matrices or triplets are formed."""
+    conn, n = mesh.elements, mesh.n_nodes
+    B = sp.csr_matrix((np.ones(conn.size), conn.ravel(), np.arange(0, conn.size + 1, conn.shape[1])),
+                      shape=(len(conn), n))
+    pattern = sp.csr_matrix(B.T @ B)
+    pattern.sort_indices()
+    indptr, indices = pattern.indptr, pattern.indices
+    del B, pattern
+    # entry (r, c) has the key r n + c; in CSR order the keys ascend
+    keys = np.repeat(np.arange(n), np.diff(indptr)) * n + indices
+    data = np.zeros((2, len(keys)))
+    for block in _element_blocks(qd, _ELEMENT_POINT_BYTES):
+        e = conn[block["elems"]]
+        at = np.searchsorted(keys, (e[:, :, None] * n + e[:, None, :]).ravel())
+        for values, mats in zip(data, _bulk_elements(block)):
+            np.add.at(values, at, mats.ravel())
+    return [sp.csr_matrix((values, indices, indptr), shape=(n, n)) for values in data]
 
 
 def _bulk_elements(qd):
@@ -247,20 +306,22 @@ def _surface_elements(sd):
 
 def values_on_elements(u, qd=None):
     """Values (ne, m[, arity]) of a bulk FE function at the points of a
-    quadrature record (by default the mesh's bulk_quad_data; with the lifted
-    record, of the lift u o Lambda^{-1} at the lifted points)."""
+    quadrature record or of one of its element blocks (by default the mesh's
+    bulk_quad_data; with the lifted record, of the lift u o Lambda^{-1} at
+    the lifted points)."""
     qd = qd or bulk_quad_data(u.mesh)
-    return _contract(qd["phi"], u.coeffs[u.mesh.elements])
+    return _contract(qd["phi"], u.coeffs[_element_nodes(u, qd)])
 
 
 def gradients_on_elements(u, qd=None):
     """Gradients (ne, m, 2[, arity]) of a bulk FE function at the points of a
-    quadrature record, by default the mesh's bulk_quad_data: a view on their
-    component planes, grads[..., x, c] contiguous."""
+    quadrature record or of one of its element blocks, by default the mesh's
+    bulk_quad_data: a view on their component planes, grads[..., x, c]
+    contiguous."""
     qd = qd or bulk_quad_data(u.mesh)
     jinv, dphi = qd["jinv"], qd["dphi"]
     # the element coefficients of each component c: comps[c] (ne, nb)
-    comps = u.coeffs.reshape(len(u.coeffs), -1).T.take(u.mesh.elements, axis=1)
+    comps = u.coeffs.reshape(len(u.coeffs), -1).T.take(_element_nodes(u, qd), axis=1)
     # reference gradients of each component c: planes[r, c] = d(u_c)/d(xi_r)
     planes = comps @ np.ascontiguousarray(dphi.transpose(2, 1, 0))[:, None]
     # J^{-T} in place, planes[x] = sum_r d(xi_r)/d(x_x) planes[r], one

@@ -9,6 +9,11 @@ groups are done, and do not depend on the grouping; if either group
 fails, none is written. With one CPU, where `os.fork` does not exist, or
 under a wrapped `run_plan` (a tracer's), the registry runs as one group in
 this process; `verify <name>` is a group of one, run the same way.
+
+`main` sets the allocator policy of the process (`_return_freed_memory`),
+and every process that runs a group trims the heap after each experiment
+(`_trimmed`): the memory an experiment freed goes back to the OS before
+the next one starts.
 """
 
 import argparse
@@ -101,7 +106,7 @@ def _run_groups(groups, cfg):
     both are done. A failed child raises RuntimeError here, and the child
     is reaped before this returns or raises."""
     if len(groups) == 1:
-        return list(run_plan(groups[0], cfg))
+        return list(_trimmed(run_plan(groups[0], cfg)))
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_run_child, args=(groups[1], cfg, send))
@@ -109,7 +114,7 @@ def _run_groups(groups, cfg):
         with send:    # the child holds its own copy of the write end
             child.start()
         try:
-            tables = dict(run_plan(groups[0], cfg))
+            tables = dict(_trimmed(run_plan(groups[0], cfg)))
             tables.update(_child_tables(receive, child, groups[1]))
         finally:
             child.kill()
@@ -124,7 +129,7 @@ def _run_child(group, cfg, send):
     returns, never in the caller's stack it was forked from."""
     done = []
     try:
-        for name, table in run_plan(group, cfg):
+        for name, table in _trimmed(run_plan(group, cfg)):
             done.append((name, table))
         result = ("tables", done)
     except BaseException:
@@ -160,7 +165,9 @@ def _return_freed_memory():
     freed (up to 32 MiB) and the trim threshold to twice that, so arrays
     below it come from the heap and up to 64 MiB of freed heap stays
     resident. Setting either turns that off (128 KiB is the default trim
-    threshold). A no-op where libc has no mallopt."""
+    threshold). The threshold trims only the top of the heap: free chunks
+    below a live one stay resident until `_trim_heap`. A no-op where libc
+    has no mallopt."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
@@ -168,6 +175,24 @@ def _return_freed_memory():
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(-1, 128 * 1024)         # M_TRIM_THRESHOLD
     mallopt(-3, 16 * 1024 * 1024)   # M_MMAP_THRESHOLD
+
+
+def _trim_heap():
+    """Give the heap's free pages back to the OS now, wherever they lie
+    (glibc's malloc_trim(0)): freed factors and element arrays below a live
+    chunk stay resident otherwise. A no-op where libc has no malloc_trim."""
+    try:
+        ctypes.CDLL(None).malloc_trim(0)
+    except (AttributeError, OSError, TypeError):
+        pass
+
+
+def _trimmed(steps):
+    """The (name, table) steps of `run_plan`, the heap trimmed after each:
+    a step's releases are done when its table comes."""
+    for step in steps:
+        _trim_heap()
+        yield step
 
 
 def main(argv=None):

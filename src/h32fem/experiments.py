@@ -932,8 +932,7 @@ def run_plan(names, cfg):
 
 def plan_groups(names, cfg, workers):
     """The named experiments as two groups to run one per process, or as
-    one where `workers` is 1 or there is nothing to split; each group in
-    the order of `names`.
+    one where `workers` is 1 or there is nothing to split.
 
     The first group is the experiment that declares the most meshes
     (`Spec.mesh_keys`; the first in `names` of a tie) with every other
@@ -941,13 +940,23 @@ def plan_groups(names, cfg, workers):
     mesh-free experiments included. So a mesh is built in both groups only
     where the first experiment and one of the rest declare it. No more
     than two groups are formed, as the first cannot be split without
-    building its meshes twice. At `--levels` 4 the first is the heavier:
-    at k=2 it takes 1.2-1.5 s of CPU against 0.8-0.9 s, and at k=1
-    0.4-0.6 s against 0.4-0.5 s (each alone, after the imports)."""
+    building its meshes twice.
+
+    The first group runs head first: in descending order of declared
+    meshes, ties in the order of `names`. Its widest experiments (the
+    overkill family) then run before the spectral ladders, and the meshes
+    only they read are released before the ladders build their operators;
+    each experiment draws from its own stream, so the order changes no
+    table. The second group, and the one group, keep the order of `names`:
+    head first raised their peaks. At `--levels` 4 the first group is the
+    heavier at k=2, 1.2-1.9 s of CPU against 0.7-1.1 s, and about even at
+    k=1, 0.4-0.7 s against 0.4-0.6 s (each alone, after the imports, five
+    runs on a noisy 2-vCPU host)."""
     if workers < 2:
         return [list(names)]
     keys = {name: REGISTRY[name][1](cfg).mesh_keys() for name in names}
     head = max(names, key=lambda name: len(keys[name]))
     first = [name for name in names if keys[name] and keys[name] <= keys[head]]
     rest = [name for name in names if name not in first]
+    first.sort(key=lambda name: -len(keys[name]))
     return [first, rest] if first and rest else [list(names)]

@@ -14,7 +14,8 @@ The squared seminorm is the double integral over all element pairs of
 
 The cost is quadratic in the element count, so meshes are capped at 500
 elements. Each class is one pass over geometry blocks (element pairs, or
-elements times outer points), all sized from one byte budget. Two
+elements times outer points), all sized from one byte budget
+(`assembly._BLOCK_BYTES`, shared with the element blocks there). Two
 mechanisms share these blocks, their rules and their kernel weights:
 
 * `gagliardo_gram` assembles, per (mesh, Lagrange order), the matrix G
@@ -49,14 +50,12 @@ import functools
 
 import numpy as np
 
-from .assembly import _contract
+from .assembly import _blocks, _contract
 from .basis import TRI_EDGES, TRI_VERTS, tri_shape
 from .meshing import _cached, batched_geometry, dof_map
 from .quadrature import default_degree, edge_rule, triangle_rule
 
 MAX_ELEMENTS = 500
-# Bytes of the large arrays one block makes; 1 MiB blocks stay cache-sized.
-_BLOCK_BYTES = 1 << 20
 
 
 @functools.cache
@@ -104,12 +103,6 @@ def _check_size(mesh):
         raise ValueError(
             f"mesh too large for the O(n^2) Gagliardo oracle ({mesh.n_elements} elements)"
         )
-
-
-def _blocks(n, item_bytes):
-    """Slices of range(n) whose items make at most _BLOCK_BYTES together (one at least)."""
-    step = max(1, _BLOCK_BYTES // item_bytes)
-    return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
 def _pair_blocks(mesh, order, pair_bytes, self_bytes, ref_bytes=0):

@@ -22,6 +22,7 @@ from .assembly import (
     BULK,
     BULK0,
     FeFunction,
+    _element_blocks,
     bulk_quad_data,
     eval_on_elements,
     grams_of,
@@ -226,9 +227,14 @@ def sz_via_dirichlet(u_h, sol=None):
 
 def sampled_w1inf(u, qd=None):
     """max over rule points of |u| and |grad u| for a bulk FE function, or
-    for its lift onto the exact domain when qd is the lifted quadrature record."""
-    vals, grads = eval_on_elements(u, qd)
-    return float(max(np.abs(vals).max(), np.linalg.norm(grads, axis=-1).max()))
+    for its lift onto the exact domain when qd is the lifted quadrature
+    record; taken over element blocks of the record."""
+    top = 0.0
+    # values and gradients of each component, and their magnitudes
+    for block in _element_blocks(qd or bulk_quad_data(u.mesh), 8 * 6 * u.arity):
+        vals, grads = eval_on_elements(u, block)
+        top = max(top, np.abs(vals).max(), np.linalg.norm(grads, axis=-1).max())
+    return float(top)
 
 
 def winf_like_norm(u_h):

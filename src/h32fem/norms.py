@@ -94,6 +94,8 @@ QUAD_TOL = 1e-10
 DENSE_EIG_NODE_CAP = 20000
 # Largest size of one operator's N factors, estimated from the first before
 # the others are made: 4x the registry's largest at --levels 5 (247 MiB, k=2).
+# Under a cap on the address space (RLIMIT_AS) the factors must also fit in
+# what the cap leaves (`_address_space_left`).
 FACTOR_BUDGET_BYTES = 2**30
 
 
@@ -192,13 +194,21 @@ def _operator(dofset, ids, M_full, A_full, bound):
     M = M_full[np.ix_(ids, ids)].tocsr()
     K = M + A_full[np.ix_(ids, ids)]
     shifts, weights = inv_sqrt_quadrature(bound)
+    left = _address_space_left()
     first = _spd_factor(K + shifts[0] * M)
-    estimate = len(shifts) * first.nnz * 12    # 8-byte values, 4-byte indices
-    if estimate > FACTOR_BUDGET_BYTES:
-        raise ValueError(
-            f"{dofset} pencil with {len(ids)} DOFs: {len(shifts)} factors of about "
-            f"{estimate / 2**20:.1f} MiB exceed the budget of {FACTOR_BUDGET_BYTES / 2**20:.1f} MiB"
-        )
+    # 8-byte values and 4-byte indices per nonzero; under RLIMIT_AS also the
+    # address space the factors map, each what the first mapped: SuperLU
+    # maps its fill estimate, several times the nonzeros it fills
+    checks = [(len(shifts) * first.nnz * 12, FACTOR_BUDGET_BYTES, "")]
+    if left is not None:
+        mapped = len(shifts) * (left - _address_space_left())
+        checks.append((mapped, left, ", the address space left under RLIMIT_AS"))
+    for estimate, budget, source in checks:
+        if estimate > budget:
+            raise ValueError(
+                f"{dofset} pencil with {len(ids)} DOFs: {len(shifts)} factors of about "
+                f"{estimate / 2**20:.1f} MiB exceed the budget of {budget / 2**20:.1f} MiB{source}"
+            )
     perm = np.argsort(first.perm_c)
     # K and M on one CSC pattern in the order P, their union: the real and
     # imaginary parts of K + iM, whose entries vanish only where both do
@@ -206,6 +216,23 @@ def _operator(dofset, ids, M_full, A_full, bound):
     shifted = lambda s: sp.csc_matrix((KM.data.real + s * KM.data.imag, KM.indices, KM.indptr), K.shape)
     factors = [first] + [_spd_factor(shifted(s), "NATURAL") for s in shifts[1:]]
     return SpectralBasis(dofset, ids, K, M, shifts, weights, perm, factors)
+
+
+def _address_space_left():
+    """Bytes this process may still map under its soft RLIMIT_AS: the limit
+    less its mapped size (VmSize); None where no limit is set or either
+    cannot be read. SuperLU raises MemoryError past the limit, so an
+    operator is refused before it gets there."""
+    try:
+        import resource
+        limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if limit == resource.RLIM_INFINITY:
+            return None
+        with open("/proc/self/statm") as f:
+            mapped = int(f.read().split()[0]) * resource.getpagesize()
+    except (ImportError, OSError, ValueError):
+        return None
+    return limit - mapped
 
 
 def dense_eigenpairs(sb):

@@ -11,6 +11,7 @@ import numpy as np
 
 from .assembly import (
     FeFunction,
+    _element_blocks,
     _integrate,
     bulk_quad_data,
     eval_on_elements,
@@ -106,23 +107,35 @@ def form_pairs(mesh):
 # -- interpolation errors -------------------------------------------------------
 
 
-def _errors(w, measure, err, grad_err):
-    """L2 and H1 norms of an error from its values (n, m) and gradients
-    (n, m[, 2]) at rule points of weights w and measure density (n, m)."""
+def _error_squares(w, measure, err, grad_err):
+    """Squared L2 norm and H1 seminorm of an error, as an array (2,), from
+    its values (n, m) and gradients (n, m[, 2]) at rule points of weights w
+    and measure density (n, m)."""
     l2sq = np.einsum("q,eq,eq->", w, measure, err**2)
     h1semi = np.einsum("q,eq,eq...->...", w, measure, grad_err**2).sum()
+    return np.array([l2sq, h1semi])
+
+
+def _errors(squares):
+    """L2 and H1 norms of an error from its `_error_squares`."""
+    l2sq, h1semi = squares
     return float(np.sqrt(l2sq)), float(np.sqrt(l2sq + h1semi))
 
 
 def bulk_interp_errors(mesh, field):
-    """L2 and H1 errors of the bulk nodal interpolant of a smooth field."""
-    qd = bulk_quad_data(mesh)
-    vals, grads = eval_on_elements(nodal_interp_bulk(mesh, field))
-    pts = qd["pts"].reshape(-1, 2)
-    return _errors(
-        qd["rule"].weights, qd["det"], vals - field(pts).reshape(vals.shape),
-        grads - field.grad(pts).reshape(grads.shape),
-    )
+    """L2 and H1 errors of the bulk nodal interpolant of a smooth field,
+    summed over element blocks of the mesh's bulk_quad_data."""
+    u = nodal_interp_bulk(mesh, field)
+    squares = np.zeros(2)
+    # values, gradients, points and the field's values and gradients there
+    for block in _element_blocks(bulk_quad_data(mesh), 8 * 16):
+        vals, grads = eval_on_elements(u, block)
+        pts = block["pts"].reshape(-1, 2)
+        squares += _error_squares(
+            block["rule"].weights, block["det"], vals - field(pts).reshape(vals.shape),
+            grads - field.grad(pts).reshape(grads.shape),
+        )
+    return _errors(squares)
 
 
 def surface_interp_errors(mesh):
@@ -132,11 +145,11 @@ def surface_interp_errors(mesh):
     pts, speed = sd["pts"].reshape(-1, 2), sd["speed"]
     tang = sd["vel"] / speed[..., None]
     dze = np.einsum("fqx,fqx->fq", SMOOTH_BOUNDARY.grad(pts).reshape(tang.shape), tang)
-    return _errors(
+    return _errors(_error_squares(
         sd["rule"].weights, speed,
         np.einsum("qb,fb->fq", sd["psi"], local) - SMOOTH_BOUNDARY(pts).reshape(speed.shape),
         np.einsum("qb,fb->fq", sd["dpsi"], local) / speed - dze,
-    )
+    ))
 
 
 # -- bilinear and multilinear forms under the lift --------------------------------
@@ -164,16 +177,22 @@ def multilinear_gradient_integral(fields, coeff_fn, qd=None):
     fields: FE functions of one mesh whose gradients feed coeff_fn, which
     maps stacked gradient arrays (each (ne, m, 2[, arity])) to the scalar
     integrand. They are evaluated as the components of one vector function,
-    so the record's J^{-1} is read once.
+    so the record's J^{-1} is read once, and the integral is summed over
+    element blocks of qd, so coeff_fn sees one block's elements at a time.
     """
     mesh = fields[0].mesh
     qd = qd or bulk_quad_data(mesh)
     cols = [f.coeffs.reshape(len(f.coeffs), -1) for f in fields]
-    grads = gradients_on_elements(FeFunction(mesh, np.hstack(cols)), qd)
-    # each field's columns, shaped like its own `gradients_on_elements`
-    parts = np.split(grads, np.cumsum([c.shape[1] for c in cols])[:-1], axis=-1)
-    grads = [g.reshape(g.shape[:3] + f.coeffs.shape[1:]) for f, g in zip(fields, parts)]
-    return _integrate(qd, coeff_fn(*grads))
+    stacked = FeFunction(mesh, np.hstack(cols))
+    split = np.cumsum([c.shape[1] for c in cols])[:-1]
+    total = 0.0
+    # the block's gradient planes, two per column
+    for block in _element_blocks(qd, 16 * stacked.arity):
+        grads = np.split(gradients_on_elements(stacked, block), split, axis=-1)
+        # each field's columns, shaped like its own `gradients_on_elements`
+        grads = [g.reshape(g.shape[:3] + f.coeffs.shape[1:]) for f, g in zip(fields, grads)]
+        total += _integrate(block, coeff_fn(*grads))
+    return total
 
 
 def sampled_whalf_inf(u):

@@ -151,6 +151,21 @@ def test_the_allocator_policy_returns_freed_memory():
     assert retained_mib("default") >= 30.0
 
 
+def test_the_heap_is_trimmed_after_each_step(tmp_path, monkeypatch):
+    # each step's table comes once its releases are done, so the trim after
+    # it returns what the step freed; on the one-group path too (a group of
+    # one here)
+    events, trim = [], cli._trim_heap
+    assert trim() is None    # where libc has no malloc_trim, a no-op too
+    monkeypatch.setattr(cli, "_trim_heap", lambda: events.append("trim"))
+    steps = (events.append(name) or (name, None) for name in ("a", "b"))
+    assert [name for name, _ in cli._trimmed(steps)] == ["a", "b"]
+    assert events == ["a", "trim", "b", "trim"]
+    events.clear()
+    assert main(["verify", "det_identity", "--out", str(tmp_path / "det.csv")]) == 0
+    assert events == ["trim"]
+
+
 def test_cli_single_experiment(tmp_path):
     out = tmp_path / "det.json"
     r = _cli("verify", "det_identity", "--format", "json", "--out", str(out))
@@ -228,8 +243,13 @@ def test_verify_all_in_groups_writes_the_in_process_tables(tmp_path, capsys, two
     assert len(two_cpus) == len(plan_groups(list(REGISTRY), cfg, 2)) - 1 == 1
     printed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
     assert printed == list(REGISTRY)
+    # the planned order run in this process, the first group head first
+    planned = [name for group in plan_groups(list(REGISTRY), cfg, 2) for name in group]
+    assert planned != list(REGISTRY)
+    in_planned_order = {name: render_csv(table) for name, table in run_plan(planned, cfg)}
     for name, table in run_plan(list(REGISTRY), cfg):
         assert (tmp_path / f"{name}.csv").read_text() == render_csv(table), name
+        assert in_planned_order[name] == render_csv(table), name
 
 
 def test_verify_one_experiment_is_one_group_in_process(tmp_path, capsys, two_cpus):

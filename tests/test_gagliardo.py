@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from h32fem import experiments, gagliardo
+from h32fem import assembly, experiments, gagliardo
 from h32fem.assembly import FeFunction, nodal_interp_bulk
 from h32fem.basis import TRI_EDGES, TRI_VERTS, tri_shape, tri_shape_grad
 from h32fem.experiments import ExperimentConfig, get_mesh, run_experiment
@@ -282,7 +282,7 @@ def test_peak_memory_is_bounded_by_block_budget():
     funcs += [lambda p, a=a: p[:, 0] ** a for a in range(4)]
     gagliardo_seminorms(us[:1], mesh)    # fills the per-degree Duffy layout cache
     one, panel = _traced_peak(us[:1], mesh), _traced_peak(funcs, mesh)
-    assert panel < 16 * gagliardo._BLOCK_BYTES
+    assert panel < 16 * assembly._BLOCK_BYTES
     assert panel < 1.05 * one
 
 
@@ -415,7 +415,7 @@ def test_gram_peak_memory_is_bounded_by_block_budget(gram_builds):
         tracemalloc.stop()
     # a fresh mesh: a real build was measured, not a cache hit
     assert len(gram_builds) == 2 and gram_builds[1][0] is m1 and gram_builds[1][1] == 2
-    assert peak < 16 * gagliardo._BLOCK_BYTES
+    assert peak < 16 * assembly._BLOCK_BYTES
 
 
 def test_gram_refuses_unsupported_orders_and_large_meshes(gram_builds):
@@ -438,7 +438,7 @@ def test_gram_refuses_unsupported_orders_and_large_meshes(gram_builds):
         tracemalloc.stop()
     # every call reached the builder: fresh meshes, no cache hit
     assert len(gram_builds) == 7
-    assert peak < gagliardo._BLOCK_BYTES
+    assert peak < assembly._BLOCK_BYTES
 
 
 # -- the experiments' route: every seminorm a quadratic form in the P3 Gram matrix

@@ -19,7 +19,7 @@ import scipy.sparse.linalg as spla
 from h32fem import meshing
 from h32fem.assembly import (
     FeFunction,
-    _bulk_elements,
+    _bulk_forms,
     _scatter,
     _surface_elements,
     bulk_quad_data,
@@ -165,11 +165,10 @@ def full_mesh_lifted_record(mesh):
 
 def full_mesh_lifted_grams(mesh, qd):
     """The four lifted forms as `assemble_grams` forms them from that record."""
-    Me, Ae = _bulk_elements(qd)
     Mse, Ase = _surface_elements(surface_quad_data(mesh, lifted=True))
     nbd = len(mesh.boundary_node_ids)
-    return (_scatter(Me, mesh.elements, mesh.n_nodes), _scatter(Ae, mesh.elements, mesh.n_nodes),
-            _scatter(Mse, mesh.surface_faces, nbd), _scatter(Ase, mesh.surface_faces, nbd))
+    return (*_bulk_forms(mesh, qd), _scatter(Mse, mesh.surface_faces, nbd),
+            _scatter(Ase, mesh.surface_faces, nbd))
 
 
 def same_bytes(a, b):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -511,6 +513,52 @@ def test_operator_refuses_factors_over_the_budget_after_the_first(monkeypatch):
     # an estimate at the budget is built
     monkeypatch.setattr(norms, "FACTOR_BUDGET_BYTES", estimate)
     assert len(spectral_decomp(disk_mesh(3, 1)).factors) == count
+
+
+def test_operator_refuses_factors_over_the_address_space_left(monkeypatch):
+    # under RLIMIT_AS the factors must fit in what the cap leaves, each one
+    # mapping what the first mapped; the reader is replaced, so no real
+    # limit is set or approached
+    sb = spectral_decomp(disk_mesh(3, 1))
+    count, step = len(sb.shifts), 2**20
+
+    def cap(left):
+        # read before the first factor and after it: it mapped one step
+        readings = iter([left, left - step])
+        monkeypatch.setattr(norms, "_address_space_left", lambda: next(readings))
+
+    cap(count * step - step // 2)
+    mesh = disk_mesh(3, 1)
+    with pytest.raises(ValueError, match=(
+        rf"all pencil with {mesh.n_nodes} DOFs: {count} factors of about {count:.1f} MiB "
+        rf"exceed the budget of {count - 0.5:.1f} MiB, the address space left under RLIMIT_AS"
+    )):
+        spectral_decomp(mesh)
+    # room for every factor, or no cap: built
+    cap(count * step)
+    assert len(spectral_decomp(disk_mesh(3, 1)).factors) == count
+    monkeypatch.setattr(norms, "_address_space_left", lambda: None)
+    assert len(spectral_decomp(disk_mesh(3, 1)).factors) == count
+    # under a cap with room, the budget on the nonzeros still holds
+    estimate = count * sb.factors[0].nnz * 12
+    monkeypatch.setattr(norms, "FACTOR_BUDGET_BYTES", estimate - 1)
+    cap(2**40)
+    with pytest.raises(ValueError, match=rf"exceed the budget of {(estimate - 1) / 2**20:.1f} MiB$"):
+        spectral_decomp(disk_mesh(3, 1))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="VmSize from /proc")
+def test_address_space_left_is_the_soft_limit_less_the_mapped_size(monkeypatch):
+    resource = pytest.importorskip("resource")
+    unlimited = resource.RLIM_INFINITY
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (unlimited, unlimited))
+    assert norms._address_space_left() is None
+    # a soft limit read, never set: 1 TiB less what this process maps
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (2**40, unlimited))
+    with open("/proc/self/statm") as f:
+        mapped = int(f.read().split()[0]) * resource.getpagesize()
+    left = norms._address_space_left()
+    assert abs((2**40 - left) - mapped) <= 64 * 2**20
 
 
 @pytest.mark.parametrize("order, want", [

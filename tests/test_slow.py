@@ -137,15 +137,17 @@ def _peak_rss_mb(args, tmp_path):
 
 @pytest.mark.slow
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
-@pytest.mark.parametrize("order, budget_mb", [(1, 78.0), (2, 225.0)])
+@pytest.mark.parametrize("order, budget_mb", [(1, 59.0), (2, 135.0)])
 def test_verify_all_stays_within_its_memory_budget(order, budget_mb, tmp_path):
     """Measured on a 2-core Intel Xeon (2.1 GHz, 8 GB) under Linux with glibc:
-    an import-only process peaks at 70.6 MB, and `verify all` 67 MB (k=1) and
-    197 MB (k=2) above it, against 88 and 256 MB before lifted records held
-    only the boundary layer and the CLI returned freed memory to the OS. Each
+    an import-only process peaks at 62.9 MB, and `verify all` 53 MB (k=1) and
+    122 MB (k=2) above it, against 60 and 160 MB before the first group ran
+    head first, the heap was trimmed after each experiment and rule-point
+    work ran in element blocks (67 and 197 MB before lifted records held only
+    the boundary layer and the CLI returned freed memory to the OS). Each
     budget is the measured value plus more than 10 %. Where `verify all`
-    runs two processes this bounds the larger of them; the test below
-    bounds their sum."""
+    runs two processes this bounds the larger of them; the tests below
+    bound their sum and each of them at `--levels 5`."""
     base = _peak_rss_mb(["-c", "import h32fem.cli"], tmp_path)
     peak = _peak_rss_mb(["-m", "h32fem", "verify", "all", "--order", str(order), "--out", "out"], tmp_path)
     assert peak - base <= budget_mb
@@ -162,20 +164,42 @@ sys.exit(code)
 """
 
 
+def _peaks_of_both(args, tmp_path):
+    """The peaks (MiB) of the CLI process and of its child running `h32fem
+    verify` with `args`, and of an import-only process."""
+    base = _peak_rss_mb(["-c", "import h32fem.cli"], tmp_path)
+    r = subprocess.run([sys.executable, "-c", _PEAKS_OF_BOTH, "verify", *args, "--out", "out"],
+                       cwd=tmp_path, env=_python_env(), capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    own, child = (int(kib) / 1024.0 for kib in r.stdout.splitlines()[-1].split())
+    return own, child, base
+
+
 @pytest.mark.slow
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
-@pytest.mark.parametrize("order, budget_mb", [(1, 92.0), (2, 365.0)])
+@pytest.mark.parametrize("order, budget_mb", [(1, 68.0), (2, 224.0)])
 def test_verify_all_processes_together_stay_within_their_memory_budget(order, budget_mb, tmp_path):
     """The peaks of the CLI process and of the child that runs the second
     group, summed, above two import-only processes. Measured on the host of
-    the test above with two CPUs: 135 + 88 MB (k=1) and 252 + 217 MB (k=2),
-    so 83 and 329 MB above 2 × 70.5 MB, against 67 and 197 MB for the one
-    process that ran the registry before. A child's peak counts the pages
-    it shares with the CLI process since the fork. Each budget is the
+    the test above with two CPUs: 116 + 72 MB (k=1) and 185 + 144 MB (k=2),
+    so 62 and 203 MB above 2 × 62.9 MB, against 82 and 300 MB before the
+    first group ran head first, the heap was trimmed after each experiment
+    and rule-point work ran in element blocks. A child's peak counts the
+    pages it shares with the CLI process since the fork. Each budget is the
     measured value plus more than 10 %."""
-    base = _peak_rss_mb(["-c", "import h32fem.cli"], tmp_path)
-    r = subprocess.run([sys.executable, "-c", _PEAKS_OF_BOTH, "verify", "all", "--order", str(order),
-                        "--out", "out"], cwd=tmp_path, env=_python_env(), capture_output=True, text=True)
-    assert r.returncode == 0, r.stderr
-    own, child = (int(kib) / 1024.0 for kib in r.stdout.splitlines()[-1].split())
+    own, child, base = _peaks_of_both(["all", "--order", str(order)], tmp_path)
     assert own + child - 2 * base <= budget_mb
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+def test_verify_all_order2_levels5_processes_stay_within_their_memory_budgets(tmp_path):
+    """The CLI process and its child at k=2 `--levels 5`, each above an
+    import-only process. Measured on the host of the tests above: 659-669
+    and 403 MB, so 606 and 340 MB above 62.9 MB, against 650 and 589 MB
+    before the first group ran head first, the heap was trimmed after each
+    experiment and rule-point work ran in element blocks. Each budget is the
+    measured value plus more than 10 %."""
+    own, child, base = _peaks_of_both(["all", "--order", "2", "--levels", "5"], tmp_path)
+    assert own - base <= 667.0
+    assert child - base <= 375.0

@@ -241,13 +241,15 @@ def test_no_run_builds_the_p2_square(plan_run):
 # -- groups of the registry, one per process (`plan_groups`)
 
 # the mesh-sharing ladders: the overkill transfers and the spectral operators
-# of the disks stay in one process
-SPECTRAL_GROUP = [
-    "sz_projection", "sz_error", "dual_inverse", "inverse_estimate", "h1_stability",
-    "norm_equivalence", "interpolant_membership", "dirichlet_regularity",
-    "robin_regularity", "smallness", "deformation_discrete", "deformation_continuous",
-    "duality_sampled",
+# of the disks stay in one process; that group runs head first, the overkill
+# family (8 meshes at --levels 4) before the spectral ladders (4)
+OVERKILL_FAMILY = ["sz_error", "h1_stability", "smallness"]
+SPECTRAL_LADDERS = [
+    "sz_projection", "dual_inverse", "inverse_estimate", "norm_equivalence",
+    "interpolant_membership", "dirichlet_regularity", "robin_regularity",
+    "deformation_discrete", "deformation_continuous", "duality_sampled",
 ]
+SPECTRAL_GROUP = OVERKILL_FAMILY + SPECTRAL_LADDERS
 GEOMETRY_LADDERS = ["interp_rates", "lift_consistency", "lift_multilinear"]
 SQUARES_AND_MESH_FREE = [
     "product_sampled", "comparison_identity", "leibniz_half", "neumann_decay",
@@ -256,7 +258,8 @@ SQUARES_AND_MESH_FREE = [
 
 
 @pytest.mark.parametrize("order, levels, groups", [
-    (1, 3, [GEOMETRY_LADDERS + SPECTRAL_GROUP, SQUARES_AND_MESH_FREE]),
+    # at k=1 L3 the geometry ladders' 3 meshes tie with sz_projection's
+    (1, 3, [OVERKILL_FAMILY + GEOMETRY_LADDERS + SPECTRAL_LADDERS, SQUARES_AND_MESH_FREE]),
     (2, 3, [SPECTRAL_GROUP, GEOMETRY_LADDERS + SQUARES_AND_MESH_FREE]),
     (1, 4, [SPECTRAL_GROUP, GEOMETRY_LADDERS + SQUARES_AND_MESH_FREE]),
     (2, 4, [SPECTRAL_GROUP, GEOMETRY_LADDERS + SQUARES_AND_MESH_FREE]),
@@ -269,17 +272,20 @@ def test_plan_groups_pins(order, levels, groups):
 @pytest.mark.parametrize("workers", [1, 2, 3, 64])
 @pytest.mark.parametrize("order", [1, 2])
 def test_plan_groups_splits_the_registry(no_meshes, order, workers):
-    # every name in exactly one group, each in registry order; one group on
-    # one CPU and two on more, the first declaring no mesh its head does not
+    # every name in exactly one group; one group on one CPU and two on more,
+    # the first declaring no mesh its head does not; the first runs in
+    # descending order of declared meshes, ties in registry order, and the
+    # second, like the one group, in registry order
     cfg = ExperimentConfig(order=order)
     groups = experiments.plan_groups(list(REGISTRY), cfg, workers)
     assert len(groups) == min(workers, 2)
     assert sorted(name for g in groups for name in g) == sorted(REGISTRY)
-    for group in groups:
-        assert group == [name for name in REGISTRY if name in group]
+    in_registry_order = lambda group: [name for name in REGISTRY if name in group]
+    assert groups[-1] == in_registry_order(groups[-1])
     if workers > 1:
-        keys = [REGISTRY[name][1](cfg).mesh_keys() for name in groups[0]]
-        assert all(keys) and set().union(*keys) == max(keys, key=len)
+        keys = {name: REGISTRY[name][1](cfg).mesh_keys() for name in groups[0]}
+        assert all(keys.values()) and set().union(*keys.values()) == max(keys.values(), key=len)
+        assert groups[0] == sorted(in_registry_order(groups[0]), key=lambda name: -len(keys[name]))
 
 
 @pytest.fixture(scope="module", params=[1, 2])
